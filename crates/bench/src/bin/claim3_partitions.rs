@@ -55,7 +55,7 @@ fn run_probe(spec: &ScenarioSpec) -> Outcome {
         std::collections::HashSet<prft_types::Digest>,
     > = std::collections::HashMap::new();
     for &id in &honest_ids {
-        let node = sim.node(id);
+        let node = prft_lab::replica(&sim, id);
         for (r, _) in &node.stats().finalize_times {
             finalized_rounds.insert(r.0);
         }

@@ -36,7 +36,7 @@ fn main() -> ExitCode {
     for label in phases {
         let entries: Vec<u64> = (0..n)
             .flat_map(|i| {
-                sim.node(NodeId(i))
+                prft_lab::replica(&sim, NodeId(i))
                     .stats()
                     .phase_transitions
                     .iter()
@@ -64,7 +64,7 @@ fn main() -> ExitCode {
     ]);
     for i in 0..n {
         let mut row = vec![format!("P{i}")];
-        let transitions = &sim.node(NodeId(i)).stats().phase_transitions;
+        let transitions = &prft_lab::replica(&sim, NodeId(i)).stats().phase_transitions;
         for label in phases {
             let at = transitions
                 .iter()

@@ -59,8 +59,8 @@
 //! horizon, the shape where forking pays most: committee crash
 //! divergence, delay-rule cells diverging *after* a shared lift
 //! (exercising suffix captures via the batch capture hints), and a
-//! workload (committee-plus-clients) grid exercising the
-//! `Simulation<Actor>` checkpoint path. Each grid runs twice at one
+//! workload (committee-plus-clients) grid whose captures carry client
+//! state. Each grid runs twice at one
 //! thread: cold (no store) and warm (one shared store with capture hints
 //! installed, as the batch runners do); the report carries per-cell
 //! deterministic event counts, both walls, the reuse accounting, and the
@@ -671,7 +671,7 @@ fn run_workload_point(clients: usize) -> WorkloadPoint {
         );
     let t0 = Instant::now();
     let (sim, _outcome) =
-        prft_lab::run_workload_sim(&spec, prft_lab::derive_seed(spec.base_seed, 0), |_| {});
+        prft_lab::run_sim(&spec, prft_lab::derive_seed(spec.base_seed, 0), |_| {});
     let wall_secs = t0.elapsed().as_secs_f64();
     WorkloadPoint {
         clients,
@@ -895,9 +895,9 @@ fn delay_grid(horizon: u64, ticks: &[u64]) -> CheckpointGrid {
 
 /// The workload-divergence grid: every cell drives the same open-loop
 /// client population against the committee and diverges with a crash
-/// near the horizon (plus a crash-free tail cell) — the
-/// `Simulation<Actor>` twin of the crash grid, checkpointing clients'
-/// in-flight/retry state along with the committee.
+/// near the horizon (plus a crash-free tail cell) — the workload twin of
+/// the crash grid, checkpointing clients' in-flight/retry state along
+/// with the committee.
 fn workload_grid(horizon: u64, ticks: &[u64]) -> CheckpointGrid {
     use prft_lab::TimelineEvent;
     let base = |label: String| {

@@ -2,10 +2,11 @@
 //! censorship, forks, and burns — the observables every experiment reads.
 //!
 //! Every function here is generic over the node type via [`AsReplica`]:
-//! a plain committee run uses `Simulation<Replica>`, while a workload run
-//! appends client actors to the same population. Clients answer
-//! [`AsReplica::as_replica`] with `None`, so every aggregate keeps its
-//! replica-only meaning regardless of who else shares the simulation.
+//! a bare `Simulation<Replica>` works, and so does the scenario layer's
+//! `Simulation<Actor>`, which may append client actors to the committee.
+//! Clients answer [`AsReplica::as_replica`] with `None`, so every
+//! aggregate keeps its replica-only meaning regardless of who else shares
+//! the simulation.
 
 use crate::replica::Replica;
 use prft_sim::{Node, Simulation};

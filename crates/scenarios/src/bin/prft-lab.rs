@@ -31,6 +31,7 @@ use prft_lab::{
     registry, report, BatchRunner, CheckpointStore, Exploration, GameDef, GameExplorer,
     QueueBackend, Scenario, ScenarioSpec, UtilityCache, VerifyMode,
 };
+use std::io::Write;
 use std::process::ExitCode;
 
 struct Options {
@@ -215,6 +216,23 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
+/// Writes `content` to stdout through one locked handle — every byte the
+/// CLI prints to stdout comes through here. A reader that closed the pipe
+/// early (`prft-lab list | head -1`) is a normal way for a pipeline to
+/// end: the process exits 0 silently instead of panicking in `println!`.
+/// Any other I/O error is a runtime failure.
+fn print_stdout(content: &str) -> Result<(), String> {
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(content.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => Err(format!("writing to stdout: {e}")),
+    }
+}
+
 fn emit(content: String, out: &Option<String>) -> Result<(), String> {
     match out {
         Some(path) => {
@@ -222,10 +240,7 @@ fn emit(content: String, out: &Option<String>) -> Result<(), String> {
             eprintln!("wrote {path}");
             Ok(())
         }
-        None => {
-            print!("{content}");
-            Ok(())
-        }
+        None => print_stdout(&content),
     }
 }
 
@@ -454,8 +469,7 @@ fn explore_command(args: &[String]) -> Result<(), String> {
                     g.description.to_string(),
                 ]);
             }
-            println!("{}", table.render());
-            Ok(())
+            print_stdout(&format!("{}\n", table.render()))
         }
         Some("run") => match args.get(1) {
             Some(name) => parse_options(&args[2..]).and_then(|opts| {
@@ -513,8 +527,7 @@ fn list_scenarios(args: &[String]) -> Result<(), String> {
         row.push(s.description.to_string());
         table.row(row);
     }
-    println!("{}", table.render());
-    Ok(())
+    print_stdout(&format!("{}\n", table.render()))
 }
 
 fn run_scenario(scenario: &Scenario, opts: &Options, out: Option<String>) -> Result<(), String> {
@@ -561,7 +574,8 @@ fn run_scenario(scenario: &Scenario, opts: &Options, out: Option<String>) -> Res
         }
         Format::Csv => report::scenario_csv(scenario.name, &reports),
     };
-    emit(content, &out)?;
+    // The trace file goes first: a closed stdout ends the process inside
+    // `emit`, and must not cost the user the file they asked for.
     if let Some(path) = &opts.trace_out {
         // One traced run of the first grid point, at the same derived
         // seed the batch used for seed index 0, so the trace lines up
@@ -571,7 +585,7 @@ fn run_scenario(scenario: &Scenario, opts: &Options, out: Option<String>) -> Res
         std::fs::write(path, trace.render()).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote trace {path} ({} events)", trace.len());
     }
-    Ok(())
+    emit(content, &out)
 }
 
 /// The manifest path for a `run-all --out` base path: the stem plus
@@ -654,12 +668,14 @@ fn diff_reports(args: &[String]) -> Result<(), String> {
     // Full drift lists can be huge (per-run sections); show enough to
     // localise the problem and summarise the rest.
     const SHOWN: usize = 50;
+    let mut listing = String::new();
     for e in entries.iter().take(SHOWN) {
-        println!("{}: {}", e.path, e.detail);
+        listing.push_str(&format!("{}: {}\n", e.path, e.detail));
     }
     if entries.len() > SHOWN {
-        println!("... and {} more", entries.len() - SHOWN);
+        listing.push_str(&format!("... and {} more\n", entries.len() - SHOWN));
     }
+    print_stdout(&listing)?;
     Err(format!(
         "{} difference(s) beyond eps {eps} between {path_a} and {path_b}",
         entries.len()

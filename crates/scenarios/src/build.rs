@@ -22,7 +22,7 @@
 //! runtime action.
 
 use crate::checkpoint::{
-    boundaries, ordered_events, prefix_fingerprint, CheckpointEntry, CheckpointStore, PopSnapshot,
+    boundaries, ordered_events, prefix_fingerprint, CheckpointEntry, CheckpointStore,
 };
 use crate::record::RunRecord;
 use crate::spec::{PartitionSpec, Role, ScenarioSpec, Synchrony, TimelineEvent, UtilitySpec};
@@ -38,17 +38,26 @@ use prft_core::{
 use prft_game::{PayoffTable, SystemState};
 use prft_metrics::{classify, StateObservation};
 use prft_net::{DelayRule, DelayRuleHandle, PartitionWindow, PartitionedNet, TargetedDelay};
-use prft_sim::{LinkModel, Node, QueueBackend, RunOutcome, SimTime, Simulation};
+use prft_sim::{LinkModel, Node, RunOutcome, SimTime, Simulation};
 use prft_types::{Block, Digest, NodeId, Round, Transaction, TxId};
-use prft_workload::{Actor, WorkloadRunStats, WorkloadSpec};
+use prft_workload::{Actor, WorkloadRunStats};
 use std::collections::HashSet;
 
-/// The honest committee replica behind a node id (honest ids only ever
-/// name committee seats, never workload clients).
-fn replica<N: Node + AsReplica>(sim: &Simulation<N>, id: NodeId) -> &Replica {
+/// The committee replica behind a node id: seats `0..n` of every
+/// population this crate builds are replicas; workload clients sit above.
+///
+/// # Panics
+/// Panics when `id` names a client.
+pub fn replica<N: Node + AsReplica>(sim: &Simulation<N>, id: NodeId) -> &Replica {
     sim.node(id)
         .as_replica()
-        .expect("honest ids name committee replicas")
+        .expect("committee seats 0..n are replicas")
+}
+
+fn replica_mut(sim: &mut Simulation<Actor>, id: NodeId) -> &mut Replica {
+    sim.node_mut(id)
+        .as_replica_mut()
+        .expect("committee seats 0..n are replicas")
 }
 
 /// The Claim 2 adversary: silent in every protocol phase but participating
@@ -215,72 +224,19 @@ fn behavior_for(
     }
 }
 
-/// The two node populations the timeline executor can drive: the pure
-/// committee (`Simulation<Replica>`) and the mixed committee-plus-clients
-/// population of a workload run (`Simulation<Actor>`). Scheduled events
-/// only ever target committee seats, so the trait exposes replica access
-/// by id plus the run-segment controls — everything [`apply_event`] and
-/// [`execute_schedule`] need, and nothing population-specific.
-trait TimelineSim {
-    fn crash_node(&mut self, id: NodeId);
-    fn recover_node(&mut self, id: NodeId);
-    fn replica_mut(&mut self, id: NodeId) -> &mut Replica;
-    fn run_before_t(&mut self, t: SimTime) -> RunOutcome;
-    fn run_until_t(&mut self, t: SimTime) -> RunOutcome;
-}
-
-impl TimelineSim for Simulation<Replica> {
-    fn crash_node(&mut self, id: NodeId) {
-        self.crash(id);
-    }
-    fn recover_node(&mut self, id: NodeId) {
-        self.recover(id);
-    }
-    fn replica_mut(&mut self, id: NodeId) -> &mut Replica {
-        self.node_mut(id)
-    }
-    fn run_before_t(&mut self, t: SimTime) -> RunOutcome {
-        self.run_before(t)
-    }
-    fn run_until_t(&mut self, t: SimTime) -> RunOutcome {
-        self.run_until(t)
-    }
-}
-
-impl TimelineSim for Simulation<Actor> {
-    fn crash_node(&mut self, id: NodeId) {
-        self.crash(id);
-    }
-    fn recover_node(&mut self, id: NodeId) {
-        self.recover(id);
-    }
-    fn replica_mut(&mut self, id: NodeId) -> &mut Replica {
-        self.node_mut(id)
-            .as_replica_mut()
-            .expect("timeline events target committee replicas")
-    }
-    fn run_before_t(&mut self, t: SimTime) -> RunOutcome {
-        self.run_before(t)
-    }
-    fn run_until_t(&mut self, t: SimTime) -> RunOutcome {
-        self.run_until(t)
-    }
-}
-
 /// A built simulation plus the shared state the timeline executor needs:
 /// the fork blackboard (scheduled colluders must join the *same* board as
 /// the initial ones) and the live delay-rule handle.
-struct Built<S> {
-    sim: S,
+struct Built {
+    sim: Simulation<Actor>,
     board: Option<Blackboard>,
     collusion: HashSet<NodeId>,
     delay: Option<DelayRuleHandle>,
 }
 
-/// Everything [`build`] and [`build_workload`] share: the configured
-/// harness (behaviors installed, txs preloaded) plus the adversary state
-/// and delay handle the timeline executor will need. Only the final
-/// assembly step differs between the two populations.
+/// The configured harness for one cell (behaviors installed, txs
+/// preloaded) plus the adversary state and delay handle the timeline
+/// executor will need, and the resolved roles for the initial crashes.
 fn prepared(
     spec: &ScenarioSpec,
     seed: u64,
@@ -338,31 +294,29 @@ fn prepared(
     (h.with_behaviors(behaviors), board, collusion, delay, roles)
 }
 
-fn apply_initial_crashes<S: TimelineSim>(sim: &mut S, roles: &[Role]) {
-    for (i, role) in roles.iter().enumerate() {
-        if matches!(role, Role::Crash) {
-            sim.crash_node(NodeId(i));
-        }
-    }
-}
-
-fn build(spec: &ScenarioSpec, seed: u64) -> Built<Simulation<Replica>> {
-    let (h, board, collusion, delay, roles) = prepared(spec, seed);
-    let mut sim = h.build();
-    apply_initial_crashes(&mut sim, &roles);
-    Built {
-        sim,
-        board,
-        collusion,
-        delay,
-    }
-}
-
-fn build_workload(spec: &ScenarioSpec, seed: u64, w: &WorkloadSpec) -> Built<Simulation<Actor>> {
+/// Assembles the one node population every scenario runs as: the
+/// committee boxed as [`Actor::Replica`] on seats `0..n`, followed by the
+/// workload's clients when the spec has a workload section (a plain
+/// committee is a workload with zero clients). Crash roles are applied
+/// before returning.
+fn build(spec: &ScenarioSpec, seed: u64) -> Built {
     let (h, board, collusion, delay, roles) = prepared(spec, seed);
     let (replicas, network, seed, queue) = h.build_parts();
-    let mut sim = prft_workload::assemble(replicas, w, network, seed, queue);
-    apply_initial_crashes(&mut sim, &roles);
+    let mut sim = match &spec.workload {
+        Some(w) => prft_workload::assemble(replicas, w, network, seed, queue),
+        None => {
+            let committee = replicas
+                .into_iter()
+                .map(|r| Actor::Replica(Box::new(r)))
+                .collect();
+            Simulation::with_backend(committee, network, seed, queue)
+        }
+    };
+    for (i, role) in roles.iter().enumerate() {
+        if matches!(role, Role::Crash) {
+            sim.crash(NodeId(i));
+        }
+    }
     Built {
         sim,
         board,
@@ -375,101 +329,22 @@ fn build_workload(spec: &ScenarioSpec, seed: u64, w: &WorkloadSpec) -> Built<Sim
 /// are applied before returning. The spec's timeline schedule is **not**
 /// executed — callers driving the simulation by hand get the t = 0 state;
 /// use [`run_sim`] (or [`run_one`]) to run a spec schedule and all.
-pub fn build_sim(spec: &ScenarioSpec, seed: u64) -> Simulation<Replica> {
+pub fn build_sim(spec: &ScenarioSpec, seed: u64) -> Simulation<Actor> {
     build(spec, seed).sim
 }
 
-/// Checkpoint support for a node population: how to build one cell of it,
-/// capture its engine state into a population-tagged [`PopSnapshot`], and
-/// restore a simulation from one. Implemented by the two populations the
-/// timeline executor drives, so the whole warm-start run path
-/// ([`run_one_with`]) is written once, generically.
-trait CheckpointPop: Node + AsReplica + Clone + Sized {
-    /// Builds a fresh (cold) cell of this population.
-    fn build_cell(spec: &ScenarioSpec, seed: u64) -> Built<Simulation<Self>>;
-    /// Captures the engine state, tagged with the population.
-    fn capture(sim: &mut Simulation<Self>) -> PopSnapshot;
-    /// Restores a simulation from a captured state of this population.
-    /// The fingerprint keeps populations apart (`workload` is part of the
-    /// canonical spec), so a mismatched variant is a store-corruption
-    /// bug, not a recoverable miss.
-    fn restore(
-        snapshot: &PopSnapshot,
-        network: NetworkChoice,
-        backend: QueueBackend,
-    ) -> Simulation<Self>;
-}
-
-impl CheckpointPop for Replica {
-    fn build_cell(spec: &ScenarioSpec, seed: u64) -> Built<Simulation<Replica>> {
-        build(spec, seed)
-    }
-    fn capture(sim: &mut Simulation<Replica>) -> PopSnapshot {
-        PopSnapshot::Committee(sim.snapshot())
-    }
-    fn restore(
-        snapshot: &PopSnapshot,
-        network: NetworkChoice,
-        backend: QueueBackend,
-    ) -> Simulation<Replica> {
-        match snapshot {
-            PopSnapshot::Committee(s) => {
-                Simulation::restore_with_backend(s, network.into_model(), backend)
-            }
-            PopSnapshot::Workload(_) => {
-                unreachable!("fingerprints keep workload captures off committee keys")
-            }
-        }
-    }
-}
-
-impl CheckpointPop for Actor {
-    fn build_cell(spec: &ScenarioSpec, seed: u64) -> Built<Simulation<Actor>> {
-        let w = spec
-            .workload
-            .as_ref()
-            .expect("the workload population requires a workload section");
-        build_workload(spec, seed, w)
-    }
-    fn capture(sim: &mut Simulation<Actor>) -> PopSnapshot {
-        PopSnapshot::Workload(sim.snapshot())
-    }
-    fn restore(
-        snapshot: &PopSnapshot,
-        network: NetworkChoice,
-        backend: QueueBackend,
-    ) -> Simulation<Actor> {
-        match snapshot {
-            PopSnapshot::Workload(s) => {
-                Simulation::restore_with_backend(s, network.into_model(), backend)
-            }
-            PopSnapshot::Committee(_) => {
-                unreachable!("fingerprints keep committee captures off workload keys")
-            }
-        }
-    }
-}
-
 /// Applies one scheduled event at the start of `tick`.
-fn apply_event<S: TimelineSim>(
-    spec: &ScenarioSpec,
-    built: &mut Built<S>,
-    tick: u64,
-    event: &TimelineEvent,
-) {
+fn apply_event(spec: &ScenarioSpec, built: &mut Built, tick: u64, event: &TimelineEvent) {
     match event {
-        TimelineEvent::Crash(player) => built.sim.crash_node(NodeId(*player)),
-        TimelineEvent::Recover(player) => built.sim.recover_node(NodeId(*player)),
+        TimelineEvent::Crash(player) => built.sim.crash(NodeId(*player)),
+        TimelineEvent::Recover(player) => built.sim.recover(NodeId(*player)),
         TimelineEvent::SetRole(player, role) => {
             if matches!(role, Role::Crash) {
-                built.sim.crash_node(NodeId(*player));
+                built.sim.crash(NodeId(*player));
             } else {
                 let behavior = behavior_for(spec, role, &built.board, &built.collusion)
                     .unwrap_or_else(|| Box::new(Honest));
-                built
-                    .sim
-                    .replica_mut(NodeId(*player))
-                    .set_behavior(behavior);
+                replica_mut(&mut built.sim, NodeId(*player)).set_behavior(behavior);
             }
         }
         TimelineEvent::AddDelayRule { .. } | TimelineEvent::RemoveDelayRule { .. } => {
@@ -484,17 +359,13 @@ fn apply_event<S: TimelineSim>(
                 Transaction::new(tx.id, NodeId(tx.to.unwrap_or(0)), tx.payload.clone());
             match tx.to {
                 Some(player) => {
-                    built
-                        .sim
-                        .replica_mut(NodeId(player))
+                    replica_mut(&mut built.sim, NodeId(player))
                         .mempool_mut()
                         .submit(transaction);
                 }
                 None => {
                     for i in 0..spec.n {
-                        built
-                            .sim
-                            .replica_mut(NodeId(i))
+                        replica_mut(&mut built.sim, NodeId(i))
                             .mempool_mut()
                             .submit(transaction.clone());
                     }
@@ -541,57 +412,101 @@ fn apply_delay_event(handle: &DelayRuleHandle, tick: u64, event: &TimelineEvent)
 /// [`Simulation::run_before`] segments in tick order (ties broken by
 /// insertion index). Returns the outcome of the final segment, or
 /// [`RunOutcome::EventLimit`] as soon as any segment trips the valve.
-fn execute_schedule<S: TimelineSim>(spec: &ScenarioSpec, built: &mut Built<S>) -> RunOutcome {
+///
+/// With a `store`, the run also pauses at each capture tick and — before
+/// applying any events there — offers its state under the prefix
+/// fingerprint below that tick. Capture ticks are the spec's own event
+/// boundaries plus any store-advertised capture hints whose fingerprint
+/// matches ([`CheckpointStore::capture_ticks_for`]) — the latter give
+/// sibling cells *suffix* captures past this spec's last own event. The
+/// capture plan is a pure function of `(spec, hint set)`; store contents
+/// only skip the clone, never change where the run pauses (and
+/// `run_before` at a non-event tick is state-neutral, so the extra
+/// segmentation cannot perturb observables). Without a store the plan is
+/// empty: a cold run pauses only at its own events and never clones.
+///
+/// `resume_from` marks a forked run: events below the resumed boundary
+/// are skipped and captures at or below it are suppressed (the store
+/// already holds them).
+fn execute_schedule(
+    spec: &ScenarioSpec,
+    built: &mut Built,
+    resume_from: Option<u64>,
+    store: Option<&CheckpointStore>,
+    seed: u64,
+) -> RunOutcome {
     let events = ordered_events(spec);
-    let mut i = 0;
-    while i < events.len() {
-        let tick = events[i].0;
-        if tick > 0 && built.sim.run_before_t(SimTime(tick)) == RunOutcome::EventLimit {
+    let resumed = resume_from.unwrap_or(0);
+    let mut captures: Vec<u64> = Vec::new();
+    if let Some(store) = store {
+        captures.extend(events.iter().map(|&(t, _)| t));
+        captures.extend(store.capture_ticks_for(spec));
+        captures.retain(|&t| t > resumed);
+        captures.sort_unstable();
+        captures.dedup();
+    }
+    let mut i = events.partition_point(|&(t, _)| t < resumed);
+    let mut c = 0;
+    while i < events.len() || c < captures.len() {
+        let tick = match (events.get(i).map(|&(t, _)| t), captures.get(c).copied()) {
+            (Some(e), Some(h)) => e.min(h),
+            (Some(e), None) => e,
+            (None, Some(h)) => h,
+            (None, None) => unreachable!("loop condition"),
+        };
+        if tick > 0 && built.sim.run_before(SimTime(tick)) == RunOutcome::EventLimit {
             return RunOutcome::EventLimit;
+        }
+        if let Some(store) = store.filter(|_| captures.get(c) == Some(&tick)) {
+            c += 1;
+            let fp = prefix_fingerprint(spec, tick);
+            // Check-then-clone: the population clone is the expensive
+            // part, so skip it when a sibling already captured this
+            // boundary. A racing duplicate only refreshes the survivor's
+            // LRU stamp (first writer wins).
+            if !store.contains(fp, seed, tick) {
+                let entry = CheckpointEntry {
+                    snapshot: built.sim.snapshot(),
+                    board: built.board.as_ref().map(|b| b.lock().unwrap().clone()),
+                    hooks: prft_sim::obs::hooks::snapshot(),
+                    tick,
+                };
+                store.insert(fp, seed, entry);
+            }
         }
         while i < events.len() && events[i].0 == tick {
             apply_event(spec, built, tick, events[i].1);
             i += 1;
         }
     }
-    built.sim.run_until_t(SimTime(spec.horizon))
+    built.sim.run_until(SimTime(spec.horizon))
 }
 
-/// Builds one seeded simulation of `spec`, executes its timeline schedule
-/// to the horizon, and returns the finished simulation with the run
-/// outcome. `configure` runs on the freshly built simulation before any
-/// event is processed (e.g. `|sim| sim.set_tracing(true)`).
+/// Builds one seeded simulation of `spec` — committee plus the workload's
+/// clients, if it has any — executes its timeline schedule to the horizon,
+/// and returns the finished simulation with the run outcome. `configure`
+/// runs on the freshly built simulation before any event is processed
+/// (e.g. `|sim| sim.set_tracing(true)`).
 pub fn run_sim(
     spec: &ScenarioSpec,
     seed: u64,
-    configure: impl FnOnce(&mut Simulation<Replica>),
-) -> (Simulation<Replica>, RunOutcome) {
+    configure: impl FnOnce(&mut Simulation<Actor>),
+) -> (Simulation<Actor>, RunOutcome) {
     let mut built = build(spec, seed);
     configure(&mut built.sim);
-    let outcome = execute_schedule(spec, &mut built);
+    let outcome = execute_schedule(spec, &mut built, None, None, seed);
     (built.sim, outcome)
 }
 
-/// The workload twin of [`run_sim`]: builds the mixed committee-plus-client
-/// population for `spec` (which must carry a workload section), executes
-/// the timeline schedule to the horizon, and returns the finished
-/// simulation with the run outcome.
-///
-/// # Panics
-/// Panics when `spec.workload` is `None`.
+// Exists only because the frozen `benchmark/` crate still calls it; goes
+// away in the next `benchmark` PR.
+#[doc(hidden)]
 pub fn run_workload_sim(
     spec: &ScenarioSpec,
     seed: u64,
     configure: impl FnOnce(&mut Simulation<Actor>),
 ) -> (Simulation<Actor>, RunOutcome) {
-    let w = spec
-        .workload
-        .as_ref()
-        .expect("run_workload_sim needs a workload section");
-    let mut built = build_workload(spec, seed, w);
-    configure(&mut built.sim);
-    let outcome = execute_schedule(spec, &mut built);
-    (built.sim, outcome)
+    run_sim(spec, seed, configure)
 }
 
 /// Classifies the σ state of a finished run, watching `watched` for
@@ -655,33 +570,13 @@ pub fn measure_utility_for<N: Node + AsReplica>(
 }
 
 /// Builds, runs (timeline schedule included), and summarizes one seeded
-/// run of `spec`.
-///
-/// The thread-local observability hooks are reset before the build, so the
-/// record's `obs` registry holds this run's exact hook deltas — the batch
-/// runner executes each seeded run wholly inside one worker closure, which
-/// is what makes the aggregated `observability` section independent of
-/// `--threads`.
+/// run of `spec`, cold: [`run_one_with`] without a store.
 pub fn run_one(spec: &ScenarioSpec, seed: u64) -> RunRecord {
-    prft_sim::obs::hooks::reset();
-    match &spec.workload {
-        Some(w) => {
-            let mut built = build_workload(spec, seed, w);
-            let outcome = execute_schedule(spec, &mut built);
-            let mut rec = summarize(spec, &built.sim, seed, outcome);
-            let stats = WorkloadRunStats::collect(&built.sim);
-            mirror_workload_obs(&mut rec, &stats);
-            rec.workload = Some(stats);
-            rec
-        }
-        None => {
-            let (sim, outcome) = run_sim(spec, seed, |_| {});
-            summarize(spec, &sim, seed, outcome)
-        }
-    }
+    run_one_with(spec, seed, None)
 }
 
-/// [`run_one`] with checkpoint/fork warm starts.
+/// Builds, runs (timeline schedule included), and summarizes one seeded
+/// run of `spec`, with checkpoint/fork warm starts when given a `store`.
 ///
 /// With a [`CheckpointStore`], a run first looks for a captured state of
 /// a sibling cell sharing its timeline prefix — trying its own fork
@@ -691,75 +586,49 @@ pub fn run_one(spec: &ScenarioSpec, seed: u64) -> RunRecord {
 /// captures its own state at each remaining event boundary, plus any
 /// matching capture hints the store advertises
 /// ([`CheckpointStore::set_capture_hints_for`]), for later cells (first
-/// writer wins). **Both populations** participate: pure committee cells
-/// and workload (committee-plus-clients) cells each fork from captures of
-/// their own population, kept apart by the fingerprint. Forked and fresh
-/// runs produce byte-identical records — pinned per registry timeline
-/// scenario, queue backend, and thread count by
-/// `tests/checkpoint_equiv.rs`.
+/// writer wins). Forked and fresh runs produce byte-identical records —
+/// pinned per registry timeline scenario, queue backend, and thread count
+/// by `tests/checkpoint_equiv.rs`.
+///
+/// The thread-local observability hooks are reset before a fresh build
+/// (and restored to the prefix's exact deltas on a fork), so the record's
+/// `obs` registry holds this run's exact hook deltas — the batch runner
+/// executes each seeded run wholly inside one worker closure, which is
+/// what makes the aggregated `observability` section independent of
+/// `--threads`.
 pub fn run_one_with(spec: &ScenarioSpec, seed: u64, store: Option<&CheckpointStore>) -> RunRecord {
-    match store {
-        Some(store) => run_one_warm(spec, seed, store),
-        None => run_one(spec, seed),
-    }
-}
-
-fn run_one_warm(spec: &ScenarioSpec, seed: u64, store: &CheckpointStore) -> RunRecord {
-    match &spec.workload {
-        Some(_) => {
-            let (built, outcome) = warm_run::<Actor>(spec, seed, store);
-            let mut rec = summarize(spec, &built.sim, seed, outcome);
-            let stats = WorkloadRunStats::collect(&built.sim);
-            mirror_workload_obs(&mut rec, &stats);
-            rec.workload = Some(stats);
-            rec
-        }
-        None => {
-            let (built, outcome) = warm_run::<Replica>(spec, seed, store);
-            summarize(spec, &built.sim, seed, outcome)
-        }
-    }
-}
-
-/// The population-generic warm-start body: probe, fork or build cold,
-/// then execute the schedule with captures.
-fn warm_run<N: CheckpointPop>(
-    spec: &ScenarioSpec,
-    seed: u64,
-    store: &CheckpointStore,
-) -> (Built<Simulation<N>>, RunOutcome)
-where
-    Simulation<N>: TimelineSim,
-{
-    let hit = boundaries(spec)
-        .into_iter()
-        .rev()
-        .find_map(|tb| store.lookup(prefix_fingerprint(spec, tb), seed, tb));
-    match hit {
+    let hit = store.and_then(|store| {
+        boundaries(spec)
+            .into_iter()
+            .rev()
+            .find_map(|tb| store.lookup(prefix_fingerprint(spec, tb), seed, tb))
+    });
+    let (mut built, resume_from) = match hit {
         Some(entry) => {
-            // The entry's hook counters are the prefix's exact deltas; a
-            // fresh run would have accumulated them from a reset.
             prft_sim::obs::hooks::restore(entry.hooks);
-            let mut built = fork_from::<N>(spec, &entry);
-            let outcome =
-                execute_schedule_captured(spec, &mut built, Some(entry.tick), store, seed);
-            (built, outcome)
+            (fork_from(spec, &entry), Some(entry.tick))
         }
         None => {
             prft_sim::obs::hooks::reset();
-            let mut built = N::build_cell(spec, seed);
-            let outcome = execute_schedule_captured(spec, &mut built, None, store, seed);
-            (built, outcome)
+            (build(spec, seed), None)
         }
+    };
+    let outcome = execute_schedule(spec, &mut built, resume_from, store, seed);
+    let mut rec = summarize(spec, &built.sim, seed, outcome);
+    if spec.workload.is_some() {
+        let stats = WorkloadRunStats::collect(&built.sim);
+        mirror_workload_obs(&mut rec, &stats);
+        rec.workload = Some(stats);
     }
+    rec
 }
 
 /// Reassembles a runnable population from a captured prefix state.
 ///
-/// The engine snapshot restores nodes (committee replicas, and for the
-/// workload population the clients with their in-flight/retry state),
-/// queue, arena, meter, counters, and broadcast domain; the scenario
-/// layer re-supplies what the snapshot deliberately leaves out:
+/// The engine snapshot restores nodes (committee replicas, and the
+/// workload's clients with their in-flight/retry state), queue, arena,
+/// meter, counters, and broadcast domain; the scenario layer re-supplies
+/// what the snapshot deliberately leaves out:
 ///
 /// - the **network stack**, rebuilt from the spec (a pure function of its
 ///   static fields) with the prefix's delay-rule events replayed onto the
@@ -770,10 +639,7 @@ where
 ///   the producer run's live coordination state (and later scheduled
 ///   colluders join the fork's own board);
 /// - the consumer's own queue backend (checkpoints are backend-portable).
-fn fork_from<N: CheckpointPop>(spec: &ScenarioSpec, entry: &CheckpointEntry) -> Built<Simulation<N>>
-where
-    Simulation<N>: TimelineSim,
-{
+fn fork_from(spec: &ScenarioSpec, entry: &CheckpointEntry) -> Built {
     let (network, delay) = network_model(spec);
     if let Some(handle) = &delay {
         for (tick, event) in ordered_events(spec) {
@@ -783,7 +649,8 @@ where
             apply_delay_event(handle, tick, event);
         }
     }
-    let mut sim = N::restore(&entry.snapshot, network, spec.queue);
+    let mut sim =
+        Simulation::restore_with_backend(&entry.snapshot, network.into_model(), spec.queue);
     let board: Option<Blackboard> = match (&entry.board, spec.uses_fork_blackboard()) {
         (Some(plan), _) => Some(std::sync::Arc::new(std::sync::Mutex::new(plan.clone()))),
         // The producer had no board but this spec schedules fork roles in
@@ -795,7 +662,7 @@ where
     if let Some(b) = &board {
         // Only committee seats (0..n) carry behaviors; clients have none.
         for i in 0..spec.n {
-            sim.replica_mut(NodeId(i)).rebind_behavior_state(b);
+            replica_mut(&mut sim, NodeId(i)).rebind_behavior_state(b);
         }
     }
     let collusion: HashSet<NodeId> = spec.censor_collusion().into_iter().map(NodeId).collect();
@@ -805,77 +672,6 @@ where
         collusion,
         delay,
     }
-}
-
-/// The population-generic twin of [`execute_schedule`] with checkpoint
-/// capture: after running up to each capture tick (and before applying
-/// any events there) the state is offered to `store` under the prefix
-/// fingerprint below that tick. Capture ticks are the spec's own event
-/// boundaries plus any store-advertised capture hints whose fingerprint
-/// matches ([`CheckpointStore::capture_ticks_for`]) — the latter give
-/// sibling cells *suffix* captures past this spec's last own event. The
-/// capture plan is a pure function of `(spec, hint set)`; store contents
-/// only skip the clone, never change where the run pauses (and
-/// `run_before` at a non-event tick is state-neutral, so the extra
-/// segmentation cannot perturb observables). `resume_from` marks a forked
-/// run: events below the resumed boundary are skipped and captures at or
-/// below it are suppressed (the store already holds them).
-fn execute_schedule_captured<N: CheckpointPop>(
-    spec: &ScenarioSpec,
-    built: &mut Built<Simulation<N>>,
-    resume_from: Option<u64>,
-    store: &CheckpointStore,
-    seed: u64,
-) -> RunOutcome
-where
-    Simulation<N>: TimelineSim,
-{
-    let events = ordered_events(spec);
-    let mut captures: Vec<u64> = events.iter().map(|&(t, _)| t).filter(|&t| t > 0).collect();
-    captures.extend(store.capture_ticks_for(spec));
-    captures.sort_unstable();
-    captures.dedup();
-    if let Some(tc) = resume_from {
-        captures.retain(|&t| t > tc);
-    }
-    let mut i = match resume_from {
-        Some(tc) => events.partition_point(|&(t, _)| t < tc),
-        None => 0,
-    };
-    let mut c = 0;
-    while i < events.len() || c < captures.len() {
-        let tick = match (events.get(i).map(|&(t, _)| t), captures.get(c).copied()) {
-            (Some(e), Some(h)) => e.min(h),
-            (Some(e), None) => e,
-            (None, Some(h)) => h,
-            (None, None) => unreachable!("loop condition"),
-        };
-        if tick > 0 && built.sim.run_before_t(SimTime(tick)) == RunOutcome::EventLimit {
-            return RunOutcome::EventLimit;
-        }
-        if captures.get(c) == Some(&tick) {
-            c += 1;
-            let fp = prefix_fingerprint(spec, tick);
-            // Check-then-clone: the population clone is the expensive
-            // part, so skip it when a sibling already captured this
-            // boundary. A racing duplicate only refreshes the survivor's
-            // LRU stamp (first writer wins).
-            if !store.contains(fp, seed, tick) {
-                let entry = CheckpointEntry {
-                    snapshot: N::capture(&mut built.sim),
-                    board: built.board.as_ref().map(|b| b.lock().unwrap().clone()),
-                    hooks: prft_sim::obs::hooks::snapshot(),
-                    tick,
-                };
-                store.insert(fp, seed, entry);
-            }
-        }
-        while i < events.len() && events[i].0 == tick {
-            apply_event(spec, built, tick, events[i].1);
-            i += 1;
-        }
-    }
-    built.sim.run_until_t(SimTime(spec.horizon))
 }
 
 /// Mirrors the workload stats into the record's observability registry, so
@@ -904,8 +700,10 @@ fn mirror_workload_obs(rec: &mut RunRecord, stats: &WorkloadRunStats) {
     obs.gauge_max("workload.latency_max", stats.latency.max);
 }
 
-/// Extracts the [`RunRecord`] from a finished simulation (either
-/// population; the workload section is attached by [`run_one`], not here).
+/// Extracts the [`RunRecord`] from a finished simulation. Generic so that
+/// callers wrapping the nodes (the benchmark's timing wrappers) can still
+/// summarize; the workload section is attached by [`run_one_with`], not
+/// here.
 pub fn summarize<N: Node + AsReplica>(
     spec: &ScenarioSpec,
     sim: &Simulation<N>,
@@ -978,5 +776,75 @@ pub fn summarize<N: Node + AsReplica>(
         obs: prft_core::obs::collect(sim, &prft_sim::obs::hooks::snapshot()),
         workload: None,
         utilities,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use prft_sim::QueueBackend;
+
+    type Delivery = (u64, usize, usize, &'static str);
+
+    fn observed<N: Node + AsReplica>(
+        spec: &ScenarioSpec,
+        sim: &Simulation<N>,
+        seed: u64,
+        outcome: RunOutcome,
+    ) -> (String, Vec<Delivery>) {
+        let deliveries = sim
+            .trace()
+            .entries()
+            .iter()
+            .map(|e| (e.at.0, e.from.0, e.to.0, e.kind))
+            .collect();
+        let record = summarize(spec, sim, seed, outcome);
+        (record.to_json().render(), deliveries)
+    }
+
+    /// The reference path: a bare `Simulation<Replica>` straight from the
+    /// prepared harness, driven by a minimal schedule loop of its own
+    /// (crash/recover is all the scenarios below schedule).
+    fn reference_run(spec: &ScenarioSpec, seed: u64) -> (String, Vec<Delivery>) {
+        prft_sim::obs::hooks::reset();
+        let (h, _board, _collusion, _delay, roles) = prepared(spec, seed);
+        let mut sim = h.build();
+        sim.set_tracing(true);
+        for (i, role) in roles.iter().enumerate() {
+            if matches!(role, Role::Crash) {
+                sim.crash(NodeId(i));
+            }
+        }
+        for (tick, event) in ordered_events(spec) {
+            if tick > 0 {
+                sim.run_before(SimTime(tick));
+            }
+            match event {
+                TimelineEvent::Crash(player) => sim.crash(NodeId(*player)),
+                TimelineEvent::Recover(player) => sim.recover(NodeId(*player)),
+                other => panic!("the reference loop knows crash/recover only, not {other:?}"),
+            }
+        }
+        let outcome = sim.run_until(SimTime(spec.horizon));
+        observed(spec, &sim, seed, outcome)
+    }
+
+    /// A zero-client `Actor` population is semantics-free: boxing the
+    /// committee behind the enum changes neither the record nor a single
+    /// delivery, on either queue backend.
+    #[test]
+    fn zero_client_population_matches_bare_committee() {
+        for name in ["honest-sync", "fork-attack", "crash-churn"] {
+            let scenario = crate::registry::find(name).expect("registered");
+            for backend in [QueueBackend::Heap, QueueBackend::Calendar] {
+                let spec = scenario.specs[0].clone().queue(backend);
+                let seed = crate::runner::derive_seed(spec.base_seed, 0);
+                prft_sim::obs::hooks::reset();
+                let (sim, outcome) = run_sim(&spec, seed, |sim| sim.set_tracing(true));
+                let unified = observed(&spec, &sim, seed, outcome);
+                assert!(!unified.1.is_empty(), "{name}: nothing was delivered");
+                assert_eq!(unified, reference_run(&spec, seed), "{name} on {backend}");
+            }
+        }
     }
 }

@@ -15,10 +15,10 @@
 //!   spec describes, up to (excluding) tick `t`". Two specs with equal
 //!   prefix fingerprints and equal derived seeds are guaranteed to be in
 //!   byte-identical states at any capture point below `t`.
-//! - [`CheckpointEntry`]: a captured state — the engine snapshot of
-//!   either node population (pure committee or committee-plus-clients)
-//!   plus the scenario-layer shared state the engine cannot see (the fork
-//!   blackboard and the thread-local observability hook counters).
+//! - [`CheckpointEntry`]: a captured state — one engine snapshot
+//!   (committee plus any workload clients) plus the scenario-layer shared
+//!   state the engine cannot see (the fork blackboard and the
+//!   thread-local observability hook counters).
 //! - [`CheckpointStore`]: an in-memory, LRU-bounded, thread-shared map
 //!   from `(prefix fingerprint, seed)` to captured states at increasing
 //!   depths, with fork/reuse accounting ([`ReuseStats`]) and optional
@@ -33,7 +33,6 @@
 
 use crate::spec::{ScenarioSpec, TimelineEvent};
 use prft_adversary::ForkPlan;
-use prft_core::Replica;
 use prft_sim::obs::hooks::HookSnapshot;
 use prft_sim::SimSnapshot;
 use prft_workload::Actor;
@@ -77,10 +76,8 @@ pub const DEFAULT_CAPACITY: usize = 64;
 /// The `workload` section stays in the canonical form: every workload
 /// knob (clients, arrivals, retry policy, mempool capacity, …) shapes the
 /// population and its traffic from `t = 0`, so two cells only share
-/// prefixes when their workloads agree exactly. Keeping it also makes the
-/// fingerprint population-separating by construction: a committee spec
-/// (`workload: None`) can never collide with a workload spec, so a store
-/// entry's population always matches its consumer.
+/// prefixes when their workloads agree exactly (a plain committee,
+/// `workload: None`, included).
 pub fn prefix_fingerprint(spec: &ScenarioSpec, tick_bound: u64) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -165,20 +162,6 @@ pub(crate) fn boundaries(spec: &ScenarioSpec) -> Vec<u64> {
     out
 }
 
-/// The captured engine state of one of the two node populations the
-/// timeline executor drives. The store is population-agnostic: committee
-/// and workload captures share one LRU budget and one accounting, and the
-/// fingerprint keeps the populations apart (a `workload: None` spec can
-/// never share a fingerprint with a workload one), so a lookup always
-/// yields the consumer's own population.
-pub(crate) enum PopSnapshot {
-    /// The pure committee population (`Simulation<Replica>`).
-    Committee(SimSnapshot<Replica>),
-    /// The mixed committee-plus-clients population of a workload run
-    /// (`Simulation<Actor>`).
-    Workload(SimSnapshot<Actor>),
-}
-
 /// One captured prefix state: everything a sibling cell needs to resume
 /// the run from `tick` without replaying the prefix.
 ///
@@ -192,8 +175,8 @@ pub(crate) enum PopSnapshot {
 /// captured — the fork path replays the prefix's delay events onto a
 /// freshly built network stack instead (see `docs/CHECKPOINTING.md`).
 pub struct CheckpointEntry {
-    /// Engine-level state at the capture point, tagged by population.
-    pub(crate) snapshot: PopSnapshot,
+    /// Engine-level state at the capture point.
+    pub(crate) snapshot: SimSnapshot<Actor>,
     /// Deep copy of the fork blackboard content at the capture point
     /// (`None` when the producer run had no blackboard).
     pub(crate) board: Option<ForkPlan>,
@@ -546,7 +529,7 @@ mod tests {
         assert_ne!(
             prefix_fingerprint(&a, 10),
             prefix_fingerprint(&b, 10),
-            "population choice must separate fingerprints"
+            "a workload section must separate fingerprints"
         );
         assert_ne!(
             prefix_fingerprint(&b, 10),
@@ -579,7 +562,7 @@ mod tests {
     fn lru_evicts_least_recently_used() {
         let store = CheckpointStore::new(2);
         let entry = |tick| CheckpointEntry {
-            snapshot: PopSnapshot::Committee(fake_snapshot()),
+            snapshot: fake_snapshot(),
             board: None,
             hooks: HookSnapshot::default(),
             tick,
@@ -602,7 +585,7 @@ mod tests {
     fn duplicate_insert_refreshes_the_surviving_slot() {
         let store = CheckpointStore::new(2);
         let entry = |tick| CheckpointEntry {
-            snapshot: PopSnapshot::Committee(fake_snapshot()),
+            snapshot: fake_snapshot(),
             board: None,
             hooks: HookSnapshot::default(),
             tick,
@@ -632,7 +615,7 @@ mod tests {
                 7,
                 1,
                 CheckpointEntry {
-                    snapshot: PopSnapshot::Committee(fake_snapshot()),
+                    snapshot: fake_snapshot(),
                     board: None,
                     hooks: HookSnapshot::default(),
                     tick,
@@ -649,7 +632,7 @@ mod tests {
     }
 
     /// A minimal real snapshot (the store never inspects it).
-    fn fake_snapshot() -> SimSnapshot<Replica> {
+    fn fake_snapshot() -> SimSnapshot<Actor> {
         crate::build::build_sim(&spec(), 1).snapshot()
     }
 }

@@ -69,8 +69,8 @@ mod spec;
 mod trace_export;
 
 pub use build::{
-    build_sim, classify_sim, classify_watched, discounted_utility, measure_utility_for, run_one,
-    run_one_with, run_sim, run_workload_sim, summarize,
+    build_sim, classify_sim, classify_watched, discounted_utility, measure_utility_for, replica,
+    run_one, run_one_with, run_sim, run_workload_sim, summarize,
 };
 pub use cache::{CacheKey, UtilityCache};
 pub use checkpoint::{prefix_fingerprint, CheckpointEntry, CheckpointStore, ReuseStats};
@@ -94,7 +94,7 @@ mod tests {
         // The batch runner builds simulations on worker threads; this
         // compile-time assertion is the contract the sim/core layers keep.
         fn assert_send<T: Send>() {}
-        assert_send::<prft_sim::Simulation<prft_core::Replica>>();
+        assert_send::<prft_sim::Simulation<prft_workload::Actor>>();
     }
 
     #[test]

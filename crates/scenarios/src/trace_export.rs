@@ -11,7 +11,8 @@ use crate::spec::ScenarioSpec;
 use prft_sim::ChromeTrace;
 
 /// Runs one traced simulation of `spec` at `seed` and assembles its
-/// Chrome-trace document: per-replica phase spans plus message-delivery
+/// Chrome-trace document: one track per actor (replicas `P<i>`, workload
+/// clients `C<i>`), per-replica phase spans, and message-delivery
 /// instants. Render with [`ChromeTrace::render`] and open the file in
 /// Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`.
 pub fn chrome_trace_for(spec: &ScenarioSpec, seed: u64) -> ChromeTrace {

@@ -123,6 +123,27 @@ fn chrome_trace_is_well_formed() {
     assert!(rendered.contains("\"cat\":\"msg\""));
 }
 
+/// `--trace-out` on a workload scenario traces the run the report
+/// describes: the committee *and* its clients, not a client-less twin.
+#[test]
+fn workload_trace_shows_the_reported_run() {
+    let spec = &prft_lab::find("steady-load").expect("registered").specs[0];
+    let seed = prft_lab::derive_seed(spec.base_seed, 0);
+    let clients = spec.workload.as_ref().expect("workload scenario").clients;
+    let rendered = prft_lab::chrome_trace_for(spec, seed).render();
+    let track = |name: String| rendered.contains(&format!("\"args\":{{\"name\":\"{name}\"}}"));
+    assert!((0..spec.n).all(|i| track(format!("P{i}"))));
+    assert!((spec.n..spec.n + clients).all(|i| track(format!("C{i}"))));
+    assert_eq!(
+        rendered.matches("\"thread_name\"").count(),
+        spec.n + clients
+    );
+
+    let (traced, _) = prft_lab::run_sim(spec, seed, |sim| sim.set_tracing(true));
+    let record = prft_lab::run_one(spec, seed);
+    assert_eq!(traced.events_dispatched(), record.events_dispatched);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

@@ -82,3 +82,26 @@ fn liveness_attack_stalls_at_large_coalitions() {
     assert_eq!(report.min_final_height.max, 0.0, "quorum must be starved");
     assert_eq!(report.modal_sigma(), SystemState::NoProgress);
 }
+
+/// Cache and checkpoint keys are unchanged by the one-population refactor:
+/// every cached cell keyed `spec-v5` / `ckpt-v2` stays valid. Each pin
+/// folds one key function over every registry spec, in registry order;
+/// the values were captured at the commit before the refactor.
+#[test]
+fn registry_fingerprints_match_the_pinned_keys() {
+    let fold = |key: &dyn Fn(&prft_lab::ScenarioSpec) -> u64| {
+        registry()
+            .iter()
+            .flat_map(|s| &s.specs)
+            .fold(0u64, |acc, spec| acc.rotate_left(5) ^ key(spec))
+    };
+    assert_eq!(fold(&|s| s.fingerprint()), 0x6e7e_0492_9989_a5ea);
+    assert_eq!(
+        fold(&|s| prft_lab::prefix_fingerprint(s, 1)),
+        0x502f_0129_bfcc_a1f8
+    );
+    assert_eq!(
+        fold(&|s| prft_lab::prefix_fingerprint(s, s.horizon)),
+        0xfd6f_bf01_898c_fbef
+    );
+}

@@ -160,9 +160,10 @@ fn set_role_swaps_the_live_behavior() {
         .at(500, TimelineEvent::SetRole(3, Role::Honest))
         .horizon(600_000);
     let (sim, _) = prft_lab::run_sim(&spec, 11, |_| {});
-    assert_eq!(sim.node(NodeId(1)).behavior_label(), "fork");
-    assert_eq!(sim.node(NodeId(2)).behavior_label(), "honest");
-    assert_eq!(sim.node(NodeId(3)).behavior_label(), "honest");
+    let label = |i| prft_lab::replica(&sim, NodeId(i)).behavior_label();
+    assert_eq!(label(1), "fork");
+    assert_eq!(label(2), "honest");
+    assert_eq!(label(3), "honest");
 }
 
 #[test]
