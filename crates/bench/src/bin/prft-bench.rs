@@ -9,76 +9,48 @@
 //! prft-bench diff <current.json> <baseline.json> [--tolerance F]
 //! ```
 //!
-//! `queue` sweeps committee sizes n ∈ {16, 64, 128, 256} × both event-queue
-//! backends (heap reference, calendar) over a queue-bound flood workload
-//! (every node broadcasts through a jittered link until a per-node round
-//! budget drains; queue depth is ~n², which is exactly the pressure a
-//! large-n pRFT committee puts on the engine) and reports events/sec, wall
-//! time, and peak queue depth per point. `--quick` shrinks the sweep to
-//! n ∈ {16, 128} with fewer events for CI smoke use.
+//! Four sweeps, one pipeline. A sweep only measures: it returns its JSON
+//! document and its acceptance checks as `(pass, line)`; [`finish`] prints
+//! the greppable `check: … (PASS|FAIL)` lines, writes the document to
+//! `--out` (or stdout), and exits non-zero if a check failed. `--quick`
+//! shrinks each sweep for CI smoke use (sizes: [`main`]).
 //!
-//! `profile` runs honest pRFT committees (accountable and non-accountable,
-//! n ∈ {16, 64, 128, 256, 512}; `--quick` shrinks to n ∈ {8, 16, 128})
-//! and reports where the work goes: logical signature verifies, actual
-//! memo hits/misses (`verify.memo_hit` / `verify.memo_miss`), fan-out
-//! clone bytes, events dispatched, wall time — plus per-scope wall-clock
-//! timers when built with `--features profiling`. Three checks guard the
-//! accountable points, each with a greppable PASS/FAIL line:
-//! * the **logical** verify count must match the analytic per-round
-//!   prediction within 10% (the O(n·q²) Reveal-phase term, the verify
-//!   twin of Table 3's O(n³κ) bound) — this count is mode-invariant, so
-//!   it also pins the fast path's counting discipline;
-//! * the **actual** hash count (`verify.memo_miss`) must match the
-//!   distinct-content model within 0.1% — with memoization each distinct
-//!   signed content is hashed once per replica, collapsing O(n·q²) to
-//!   O(n) per replica-round;
-//! * `verify.memo_hit + verify.memo_miss == crypto.sig_verifies` exactly
-//!   (every verification is either answered from cache or hashed).
+//! * `queue` ([`queue_bench`], `docs/PERFORMANCE.md`): committee sizes ×
+//!   both event-queue backends over a queue-bound flood (~n² events in
+//!   flight — the pressure a large-n pRFT committee puts on the engine).
+//!   The flood is seeded, so both backends dispatch the same events and
+//!   the wall-clock delta is pure queue cost; the calendar backend must at
+//!   least match the heap reference at the largest n.
+//! * `profile` ([`profile_bench`], `docs/OBSERVABILITY.md`): honest
+//!   committees, accountable and plain — logical signature verifies, memo
+//!   hits/misses, clone bytes, events, wall time — held to the analytic
+//!   models ([`predicted_verifies`], [`predicted_memo_misses`]), the
+//!   verify twin of Table 3's O(n³κ) bound.
+//! * `workload` ([`workload_bench`], `docs/WORKLOAD.md`): open-loop client
+//!   populations against a fixed 8-replica committee — engine throughput
+//!   and commit-latency percentiles; transactions must be conserved and
+//!   the largest population must commit its whole offered load.
+//! * `checkpoint` ([`checkpoint_bench`], `docs/CHECKPOINTING.md`): three
+//!   late-divergence grids run cold and warm at one thread; warm records
+//!   must equal cold and one grid must reach 2× cells/sec.
 //!
-//! `--quick` additionally enforces a generous wall-clock budget on the
-//! accountable n = 128 point, so CI fails if the fast path regresses.
-//!
-//! `workload` sweeps open-loop client populations n ∈ {100, 300, 1000,
-//! 3000, 10000} against a fixed 8-replica committee (steady arrivals,
-//! batched proposals) and reports engine throughput (events/sec) and
-//! commit-latency percentiles (p50/p90/p99 in virtual ticks) per point.
-//! `--quick` shrinks the sweep to n ∈ {100, 1000}. Two greppable checks:
-//! every point must conserve transactions (submitted == committed +
-//! dropped + pending) and the largest population must commit its entire
-//! offered load (no drops, nothing left pending).
-//!
-//! The workload is deterministic (seeded link jitter), so both backends
-//! dispatch the **same** events in the same order — the wall-clock delta
-//! is pure queue cost. The binary exits non-zero if the calendar backend
-//! fails to at least match the heap backend at the largest swept n, which
-//! is what lets CI grep a PASS line instead of parsing JSON.
-//!
-//! `checkpoint` measures the sweep-scale payoff of checkpoint/fork warm
-//! starts (`docs/CHECKPOINTING.md`) on three late-divergence grids —
-//! cells sharing a long common prefix that diverge only near the
-//! horizon, the shape where forking pays most: committee crash
-//! divergence, delay-rule cells diverging *after* a shared lift
-//! (exercising suffix captures via the batch capture hints), and a
-//! workload (committee-plus-clients) grid whose captures carry client
-//! state. Each grid runs twice at one
-//! thread: cold (no store) and warm (one shared store with capture hints
-//! installed, as the batch runners do); the report carries per-cell
-//! deterministic event counts, both walls, the reuse accounting, and the
-//! warm/cold speedup. Exits non-zero if warm and cold records differ
-//! anywhere or no grid reaches 2× cells/sec warm over cold.
-//!
-//! `diff` compares a freshly measured bench JSON against a committed
-//! baseline (`BENCH_*.json`) and exits non-zero on regression: exact
-//! equality for deterministic counters (profile verify/memo counts,
-//! workload conservation and latency percentiles, checkpoint per-cell
-//! event counts), a relative tolerance (default 0.35) for wall-clock
-//! ratios (queue calendar/heap, checkpoint warm/cold). CI runs it after
-//! each `--quick` bench so perf regressions fail the build without any
-//! JSON toolchain in the workflow.
-//!
-//! Schema of the emitted JSON: see `docs/PERFORMANCE.md`.
+//! `diff` walks a freshly measured document along its kind's field table
+//! ([`SCHEMAS`] — the schema of record for all four documents). Every
+//! declared field must be present with its declared type and no
+//! undeclared key may appear; each field is then judged by its [`Class`]:
+//! `exact` fields (deterministic counters) must equal the committed
+//! baseline, `ratio-floor` fields (wall-clock ratios) must reach
+//! `baseline × (1 − tolerance)` (default 0.35), `informational` fields
+//! are only type-checked, and pass flags must hold. Rows pair up by their
+//! key fields: a baseline row the current sweep did not measure is
+//! skipped (`--quick` against a full recording), a current row without a
+//! baseline twin prints an `UNMATCHED` line, and a row set in which
+//! nothing matched fails the run. CI runs it after each `--quick` sweep,
+//! so schema drift and regressions fail the build with no JSON toolchain
+//! in the workflow.
 
 use prft_lab::json::Json;
+use prft_lab::{ScenarioSpec, TimelineEvent};
 use prft_sim::{
     Context, LinkModel, Node, QueueBackend, SimRng, SimTime, Simulation, TimerId, WireMessage,
 };
@@ -142,58 +114,31 @@ impl Node for FloodNode {
     fn on_timer(&mut self, _: &mut Context<FloodMsg>, _: TimerId) {}
 }
 
-/// One measured point of the sweep.
-struct Point {
-    n: usize,
-    backend: QueueBackend,
-    events: u64,
-    wall_secs: f64,
-    events_per_sec: f64,
-    peak_depth: usize,
-}
-
-/// Runs the flood once and returns (events, wall seconds, peak depth).
-/// The event count is a pure function of (n, rounds, seed) — identical
-/// across backends, which the caller asserts.
-fn run_flood(n: usize, rounds: u64, backend: QueueBackend, seed: u64) -> (u64, f64, usize) {
-    let nodes = (0..n)
-        .map(|_| FloodNode {
-            n,
-            rounds_left: rounds,
-            heard: 0,
-        })
-        .collect();
-    let link = Box::new(JitterLink {
-        base: 8,
-        spread: 48,
-    });
-    let mut sim = Simulation::with_backend(nodes, link, seed, backend);
-    let t0 = Instant::now();
-    sim.run();
-    let wall = t0.elapsed().as_secs_f64();
-    (sim.events_dispatched(), wall, sim.peak_queue_depth())
-}
-
-/// Measures one (n, backend) point: best-of-`repeats` wall time (the
-/// event count and peak depth are deterministic; only wall time jitters).
-fn measure(n: usize, rounds: u64, backend: QueueBackend, repeats: u32) -> Point {
-    let mut best_wall = f64::INFINITY;
-    let mut events = 0;
-    let mut peak = 0;
+/// Measures one (n, backend) point of the flood: (events, best-of-
+/// `repeats` wall seconds, peak queue depth). Events and peak depth are a
+/// pure function of (n, rounds, seed) — identical across repeats and
+/// backends, which the caller asserts; only wall time jitters.
+fn measure(n: usize, rounds: u64, backend: QueueBackend, repeats: u32) -> (u64, f64, usize) {
+    let mut best = (0, f64::INFINITY, 0);
     for _ in 0..repeats {
-        let (e, w, p) = run_flood(n, rounds, backend, 0xbe9c);
-        best_wall = best_wall.min(w);
-        events = e;
-        peak = p;
+        let nodes = (0..n)
+            .map(|_| FloodNode {
+                n,
+                rounds_left: rounds,
+                heard: 0,
+            })
+            .collect();
+        let link = Box::new(JitterLink {
+            base: 8,
+            spread: 48,
+        });
+        let mut sim = Simulation::with_backend(nodes, link, 0xbe9c, backend);
+        let t0 = Instant::now();
+        sim.run();
+        let wall = t0.elapsed().as_secs_f64().min(best.1);
+        best = (sim.events_dispatched(), wall, sim.peak_queue_depth());
     }
-    Point {
-        n,
-        backend,
-        events,
-        wall_secs: best_wall,
-        events_per_sec: events as f64 / best_wall,
-        peak_depth: peak,
-    }
+    best
 }
 
 /// Per-n round budget targeting `target_events` total dispatched events,
@@ -202,117 +147,77 @@ fn rounds_for(n: usize, target_events: u64) -> u64 {
     (target_events / (n * n) as u64).max(2)
 }
 
-fn queue_bench(quick: bool, repeats: u32, out: Option<&str>) -> ExitCode {
-    let (ns, target): (&[usize], u64) = if quick {
-        (&[16, 128], 400_000)
-    } else {
-        (&[16, 64, 128, 256], 3_000_000)
-    };
-    let mut points: Vec<Point> = Vec::new();
+/// A sweep's acceptance checks, `(pass, line)`, in print order.
+type Checks = Vec<(bool, String)>;
+
+/// An array of one object per item.
+fn rows<T>(items: &[T], row: impl Fn(&T) -> Json) -> Json {
+    Json::Arr(items.iter().map(row).collect())
+}
+
+/// Prints a measured row as it lands, `key=value …` (nested arrays are
+/// left to the document), and hands it back.
+fn progress(row: Json) -> Json {
+    let Json::Obj(pairs) = &row else { return row };
+    let fields = pairs.iter().filter_map(|(key, value)| match value {
+        Json::Arr(_) => None,
+        Json::Num(v) => Some(format!("{key}={v:.2}")),
+        other => Some(format!("{key}={}", show(other))),
+    });
+    eprintln!("{}", fields.collect::<Vec<_>>().join(" "));
+    row
+}
+
+/// The `queue` sweep: `ns` × both backends at ~`target` events per point.
+fn queue_bench(quick: bool, ns: &[usize], target: u64, repeats: u32) -> (Json, Checks) {
+    let mut points: Vec<Json> = Vec::new();
+    let mut speedups: Vec<(usize, f64)> = Vec::new();
     for &n in ns {
         let rounds = rounds_for(n, target);
-        for backend in QueueBackend::ALL {
-            let p = measure(n, rounds, backend, repeats);
-            eprintln!(
-                "n={:>3} {:>8}: {:>9} events in {:>8.1}ms  ({:>11.0} events/s, peak depth {})",
-                p.n,
-                p.backend.name(),
-                p.events,
-                p.wall_secs * 1e3,
-                p.events_per_sec,
-                p.peak_depth
-            );
-            points.push(p);
-        }
+        let [heap, calendar] = QueueBackend::ALL.map(|backend| {
+            let (events, wall_secs, peak_depth) = measure(n, rounds, backend, repeats);
+            let events_per_sec = events as f64 / wall_secs;
+            points.push(progress(Json::obj([
+                ("n", Json::u64(n as u64)),
+                ("backend", Json::str(backend.name())),
+                ("events", Json::u64(events)),
+                ("wall_ms", Json::Num(wall_secs * 1e3)),
+                ("events_per_sec", Json::Num(events_per_sec)),
+                ("peak_queue_depth", Json::u64(peak_depth as u64)),
+            ])));
+            (events, events_per_sec)
+        });
         // Both backends must have dispatched the identical event stream.
-        let [heap_point, cal_point] = &points[points.len() - 2..] else {
-            unreachable!("two backends just measured");
-        };
         assert_eq!(
-            heap_point.events, cal_point.events,
+            heap.0, calendar.0,
             "backends dispatched different event counts — determinism bug"
         );
+        speedups.push((n, calendar.1 / heap.1));
     }
     // The acceptance line CI greps: calendar vs heap at the largest n.
-    let largest = *ns.last().expect("non-empty sweep");
-    let eps_of = |backend: QueueBackend| {
-        points
-            .iter()
-            .find(|p| p.n == largest && p.backend == backend)
-            .expect("measured")
-            .events_per_sec
-    };
-    let ratio = eps_of(QueueBackend::Calendar) / eps_of(QueueBackend::Heap);
-    let pass = ratio >= 1.0;
-    eprintln!(
-        "check: n={largest} calendar/heap = {ratio:.2}x ({})",
-        if pass { "PASS" } else { "FAIL" }
-    );
-
+    let &(largest, ratio) = speedups.last().expect("non-empty sweep");
+    let checks = vec![(
+        ratio >= 1.0,
+        format!("n={largest} calendar/heap = {ratio:.2}x"),
+    )];
     let doc = Json::obj([
         ("bench", Json::str("queue")),
         ("workload", Json::str("flood")),
         ("quick", Json::Bool(quick)),
         ("repeats", Json::u64(repeats as u64)),
         ("target_events", Json::u64(target)),
-        (
-            "points",
-            Json::Arr(
-                points
-                    .iter()
-                    .map(|p| {
-                        Json::obj([
-                            ("n", Json::u64(p.n as u64)),
-                            ("backend", Json::str(p.backend.name())),
-                            ("events", Json::u64(p.events)),
-                            ("wall_ms", Json::Num(p.wall_secs * 1e3)),
-                            ("events_per_sec", Json::Num(p.events_per_sec)),
-                            ("peak_queue_depth", Json::u64(p.peak_depth as u64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("points", Json::Arr(points)),
         (
             "speedup",
-            Json::Arr(
-                ns.iter()
-                    .map(|&n| {
-                        let of = |b: QueueBackend| {
-                            points
-                                .iter()
-                                .find(|p| p.n == n && p.backend == b)
-                                .expect("measured")
-                                .events_per_sec
-                        };
-                        Json::obj([
-                            ("n", Json::u64(n as u64)),
-                            (
-                                "calendar_over_heap",
-                                Json::Num(of(QueueBackend::Calendar) / of(QueueBackend::Heap)),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
+            rows(&speedups, |&(n, ratio)| {
+                Json::obj([
+                    ("n", Json::u64(n as u64)),
+                    ("calendar_over_heap", Json::Num(ratio)),
+                ])
+            }),
         ),
     ]);
-    let rendered = doc.render_pretty();
-    match out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &rendered) {
-                eprintln!("error: writing {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote {path}");
-        }
-        None => println!("{rendered}"),
-    }
-    if pass {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    (doc, checks)
 }
 
 /// One measured point of the profile sweep: an honest committee of `n`
@@ -400,17 +305,16 @@ fn predicted_memo_misses(n: usize, rounds: u64, accountable: bool) -> u64 {
 }
 
 /// Runs one honest committee point and snapshots its observability
-/// registry. Hooks and timers are reset first so the registry holds this
-/// run's exact deltas (same contract as the scenario runner).
+/// registry. Hooks are reset first so the registry holds this run's
+/// exact deltas (same contract as the scenario runner).
 fn run_profile_point(n: usize, accountable: bool, rounds: u64) -> ProfilePoint {
-    let spec = prft_lab::ScenarioSpec::new(
+    let spec = ScenarioSpec::new(
         format!("profile-n{n}-{}", if accountable { "acc" } else { "plain" }),
         n,
         rounds,
     )
     .accountable(accountable);
     prft_sim::obs::hooks::reset();
-    prft_sim::obs::profile_reset();
     let t0 = Instant::now();
     let (sim, _outcome) =
         prft_lab::run_sim(&spec, prft_lab::derive_seed(spec.base_seed, 0), |_| {});
@@ -432,213 +336,127 @@ fn run_profile_point(n: usize, accountable: bool, rounds: u64) -> ProfilePoint {
     }
 }
 
-/// Renders the per-scope wall-clock timer table (empty unless the binary
-/// was built with `--features profiling`).
-fn timers_json() -> Json {
-    Json::obj(
-        prft_sim::obs::profile_snapshot()
-            .into_iter()
-            .map(|(name, stat)| {
-                (
-                    name,
-                    Json::obj([
-                        ("calls", Json::u64(stat.calls)),
-                        ("total_ns", Json::u64(stat.total_ns)),
-                    ]),
-                )
-            }),
-    )
-}
-
 /// Wall-clock budget (seconds) for the accountable n = 128 point in
 /// `--quick` mode. Deliberately generous — a release build lands well
 /// under a second; the gate only trips if the fast path regresses to
 /// reference-like O(n·q²) hashing.
 const QUICK_WALL_BUDGET_SECS: f64 = 30.0;
 
-fn profile_bench(quick: bool, out: Option<&str>) -> ExitCode {
-    let ns: &[usize] = if quick {
-        &[8, 16, 128]
-    } else {
-        &[16, 64, 128, 256, 512]
-    };
+/// One model check of the largest accountable point: whether `measured`
+/// is within `band` of `predicted`, their ratio, and the document block.
+fn model_check(n: usize, measured: u64, predicted: u64, band: f64) -> (bool, f64, Json) {
+    let ratio = measured as f64 / predicted as f64;
+    let pass = (ratio - 1.0).abs() <= band;
+    let block = Json::obj([
+        ("n", Json::u64(n as u64)),
+        ("measured", Json::u64(measured)),
+        ("predicted", Json::u64(predicted)),
+        ("ratio", Json::Num(ratio)),
+        ("pass", Json::Bool(pass)),
+    ]);
+    (pass, ratio, block)
+}
+
+/// The `profile` sweep: plain then accountable committees of each size in
+/// `ns`. `quick` adds the wall budget on accountable n = 128, so CI fails
+/// if the memoized fast path regresses.
+fn profile_bench(quick: bool, ns: &[usize]) -> (Json, Checks) {
     let rounds = 2;
-    let mut points: Vec<(ProfilePoint, Json)> = Vec::new();
+    let mut points: Vec<ProfilePoint> = Vec::new();
+    let mut point_rows: Vec<Json> = Vec::new();
     for &accountable in &[false, true] {
         for &n in ns {
             let p = run_profile_point(n, accountable, rounds);
-            let timers = timers_json();
-            let verifies = p.obs.counter("crypto.sig_verifies");
-            eprintln!(
-                "n={:>3} {:>5}: {:>11} verifies (predicted {:>11}), {:>8} hashed \
-                 (memo {:>11} hits / {:>8} misses), {:>9} clone bytes, \
-                 {:>8} events, {:>8.1}ms",
-                p.n,
-                if p.accountable { "acc" } else { "plain" },
-                verifies,
-                p.predicted_verifies,
-                p.hooks.memo_misses,
-                p.hooks.memo_hits,
-                p.hooks.memo_misses,
-                p.obs.counter("engine.clone_bytes"),
-                p.obs.counter("engine.events_dispatched"),
-                p.wall_secs * 1e3,
-            );
-            points.push((p, timers));
+            let counter = |name| Json::u64(p.obs.counter(name));
+            let peak_depth = p.obs.gauge("engine.peak_queue_depth");
+            point_rows.push(progress(Json::obj([
+                ("n", Json::u64(p.n as u64)),
+                ("accountable", Json::Bool(p.accountable)),
+                ("rounds", Json::u64(p.rounds)),
+                ("wall_ms", Json::Num(p.wall_secs * 1e3)),
+                ("sig_verifies", counter("crypto.sig_verifies")),
+                ("predicted_sig_verifies", Json::u64(p.predicted_verifies)),
+                ("verify.memo_hit", Json::u64(p.hooks.memo_hits)),
+                ("verify.memo_miss", Json::u64(p.hooks.memo_misses)),
+                ("predicted_memo_misses", Json::u64(p.predicted_memo_misses)),
+                ("clone_bytes", counter("engine.clone_bytes")),
+                ("events_dispatched", counter("engine.events_dispatched")),
+                ("peak_queue_depth", Json::u64(peak_depth)),
+            ])));
+            points.push(p);
         }
     }
-    // Check 1 (CI greps this line): measured vs analytic *logical* verify
-    // count at the largest accountable n. Mode-invariant by construction —
-    // a memo hit charges exactly what the reference path would have paid.
     let largest = points
         .iter()
-        .filter(|(p, _)| p.accountable)
-        .max_by_key(|(p, _)| p.n)
-        .map(|(p, _)| p)
+        .filter(|p| p.accountable)
+        .max_by_key(|p| p.n)
         .expect("accountable points swept");
-    let measured = largest.obs.counter("crypto.sig_verifies");
-    let predicted = largest.predicted_verifies;
-    let ratio = measured as f64 / predicted as f64;
-    let pass = (ratio - 1.0).abs() <= 0.10;
-    eprintln!(
-        "check: n={} accountable verifies measured/predicted = {ratio:.3} ({})",
-        largest.n,
-        if pass { "PASS" } else { "FAIL" }
-    );
+    let n = largest.n;
+    // Check 1 (CI greps this line): measured vs analytic *logical* verify
+    // count, within 10%. Mode-invariant by construction — a memo hit
+    // charges exactly what the reference path would have paid.
+    let verifies = largest.obs.counter("crypto.sig_verifies");
+    let (pass, ratio, check) = model_check(n, verifies, largest.predicted_verifies, 0.10);
     // Check 2: the *actual* hash count must match the distinct-content
     // model to 0.1% — this is the memoization working, not a tuning knob.
-    let memo_measured = largest.hooks.memo_misses;
-    let memo_predicted = largest.predicted_memo_misses;
-    let memo_ratio = memo_measured as f64 / memo_predicted as f64;
-    let memo_pass = (memo_ratio - 1.0).abs() <= 0.001;
-    eprintln!(
-        "check: n={} accountable memo misses measured/predicted = {memo_ratio:.4} ({})",
-        largest.n,
-        if memo_pass { "PASS" } else { "FAIL" }
+    let (memo_pass, memo_ratio, memo_check) = model_check(
+        n,
+        largest.hooks.memo_misses,
+        largest.predicted_memo_misses,
+        0.001,
     );
     // Check 3: conservation — every logical verify is either a memo hit
     // or a real hash, at every point, exactly. (Honest runs have no
     // view-change traffic, the one path that verifies outside the cache.)
     let identity_pass = points
         .iter()
-        .all(|(p, _)| p.hooks.memo_hits + p.hooks.memo_misses == p.hooks.sig_verifies);
-    eprintln!(
-        "check: memo hits + misses == sig verifies at every point ({})",
-        if identity_pass { "PASS" } else { "FAIL" }
-    );
+        .all(|p| p.hooks.memo_hits + p.hooks.memo_misses == p.hooks.sig_verifies);
+    let mut checks = vec![
+        (
+            pass,
+            format!("n={n} accountable verifies measured/predicted = {ratio:.3}"),
+        ),
+        (
+            memo_pass,
+            format!("n={n} accountable memo misses measured/predicted = {memo_ratio:.4}"),
+        ),
+        (
+            identity_pass,
+            "memo hits + misses == sig verifies at every point".to_string(),
+        ),
+    ];
     // Check 4 (--quick only): wall-clock budget on accountable n = 128.
-    let wall_check = quick.then(|| {
+    let wall_budget = quick.then(|| {
         let p128 = points
             .iter()
-            .map(|(p, _)| p)
             .find(|p| p.accountable && p.n == 128)
             .expect("quick sweep includes accountable n=128");
         let wall_pass = p128.wall_secs <= QUICK_WALL_BUDGET_SECS;
-        eprintln!(
-            "check: n=128 accountable quick wall {:.2}s within {QUICK_WALL_BUDGET_SECS:.0}s \
-             budget ({})",
-            p128.wall_secs,
-            if wall_pass { "PASS" } else { "FAIL" }
-        );
-        (p128.wall_secs, wall_pass)
+        checks.push((
+            wall_pass,
+            format!(
+                "n=128 accountable quick wall {:.2}s within {QUICK_WALL_BUDGET_SECS:.0}s budget",
+                p128.wall_secs
+            ),
+        ));
+        Json::obj([
+            ("n", Json::u64(128)),
+            ("wall_secs", Json::Num(p128.wall_secs)),
+            ("budget_secs", Json::Num(QUICK_WALL_BUDGET_SECS)),
+            ("pass", Json::Bool(wall_pass)),
+        ])
     });
-    let all_pass = pass && memo_pass && identity_pass && wall_check.is_none_or(|(_, p)| p);
-
     let doc = Json::obj([
         ("bench", Json::str("profile")),
         ("quick", Json::Bool(quick)),
         ("rounds", Json::u64(rounds)),
-        (
-            "profiling_enabled",
-            Json::Bool(prft_sim::obs::profiling_enabled()),
-        ),
-        (
-            "points",
-            Json::Arr(
-                points
-                    .iter()
-                    .map(|(p, timers)| {
-                        Json::obj([
-                            ("n", Json::u64(p.n as u64)),
-                            ("accountable", Json::Bool(p.accountable)),
-                            ("rounds", Json::u64(p.rounds)),
-                            ("wall_ms", Json::Num(p.wall_secs * 1e3)),
-                            (
-                                "sig_verifies",
-                                Json::u64(p.obs.counter("crypto.sig_verifies")),
-                            ),
-                            ("predicted_sig_verifies", Json::u64(p.predicted_verifies)),
-                            ("verify.memo_hit", Json::u64(p.hooks.memo_hits)),
-                            ("verify.memo_miss", Json::u64(p.hooks.memo_misses)),
-                            ("predicted_memo_misses", Json::u64(p.predicted_memo_misses)),
-                            (
-                                "clone_bytes",
-                                Json::u64(p.obs.counter("engine.clone_bytes")),
-                            ),
-                            (
-                                "events_dispatched",
-                                Json::u64(p.obs.counter("engine.events_dispatched")),
-                            ),
-                            (
-                                "peak_queue_depth",
-                                Json::u64(p.obs.gauge("engine.peak_queue_depth")),
-                            ),
-                            ("timers", timers.clone()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "check",
-            Json::obj([
-                ("n", Json::u64(largest.n as u64)),
-                ("measured", Json::u64(measured)),
-                ("predicted", Json::u64(predicted)),
-                ("ratio", Json::Num(ratio)),
-                ("pass", Json::Bool(pass)),
-            ]),
-        ),
-        (
-            "memo_check",
-            Json::obj([
-                ("n", Json::u64(largest.n as u64)),
-                ("measured", Json::u64(memo_measured)),
-                ("predicted", Json::u64(memo_predicted)),
-                ("ratio", Json::Num(memo_ratio)),
-                ("pass", Json::Bool(memo_pass)),
-            ]),
-        ),
+        ("points", Json::Arr(point_rows)),
+        ("check", check),
+        ("memo_check", memo_check),
         ("memo_identity_pass", Json::Bool(identity_pass)),
-        (
-            "wall_budget",
-            match wall_check {
-                Some((wall_secs, wall_pass)) => Json::obj([
-                    ("n", Json::u64(128)),
-                    ("wall_secs", Json::Num(wall_secs)),
-                    ("budget_secs", Json::Num(QUICK_WALL_BUDGET_SECS)),
-                    ("pass", Json::Bool(wall_pass)),
-                ]),
-                None => Json::Null,
-            },
-        ),
+        ("wall_budget", wall_budget.unwrap_or(Json::Null)),
     ]);
-    let rendered = doc.render_pretty();
-    match out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &rendered) {
-                eprintln!("error: writing {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote {path}");
-        }
-        None => println!("{rendered}"),
-    }
-    if all_pass {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    (doc, checks)
 }
 
 /// One measured point of the workload sweep.
@@ -661,7 +479,7 @@ fn run_workload_point(clients: usize) -> WorkloadPoint {
     const BATCH: u64 = 512;
     let offered = clients as u64 * TXS_PER_CLIENT;
     let rounds = offered.div_ceil(BATCH) + 40;
-    let spec = prft_lab::ScenarioSpec::new(format!("bench-wl-{clients}"), 8, rounds)
+    let spec = ScenarioSpec::new(format!("bench-wl-{clients}"), 8, rounds)
         .base_seed(0xb_10ad)
         .horizon(20_000_000)
         .workload(
@@ -682,113 +500,71 @@ fn run_workload_point(clients: usize) -> WorkloadPoint {
     }
 }
 
-fn workload_bench(quick: bool, out: Option<&str>) -> ExitCode {
-    let ns: &[usize] = if quick {
-        &[100, 1000]
-    } else {
-        &[100, 300, 1000, 3000, 10_000]
-    };
+/// The `workload` sweep: one open-loop population per entry of `ns`.
+fn workload_bench(quick: bool, ns: &[usize]) -> (Json, Checks) {
     let mut points: Vec<WorkloadPoint> = Vec::new();
+    let mut point_rows: Vec<Json> = Vec::new();
     for &clients in ns {
         let p = run_workload_point(clients);
-        eprintln!(
-            "clients={:>6}: {:>9} events in {:>9.1}ms ({:>11.0} events/s), \
-             {}/{} committed, latency p50={} p90={} p99={} ticks",
-            p.clients,
-            p.events,
-            p.wall_secs * 1e3,
-            p.events as f64 / p.wall_secs,
-            p.stats.committed,
-            p.stats.submitted,
-            p.stats.latency.p50,
-            p.stats.latency.p90,
-            p.stats.latency.p99,
-        );
+        let peak_occupancy = p.stats.mempool_peak_occupancy;
+        point_rows.push(progress(Json::obj([
+            ("clients", Json::u64(p.clients as u64)),
+            ("rounds", Json::u64(p.rounds)),
+            ("events", Json::u64(p.events)),
+            ("wall_ms", Json::Num(p.wall_secs * 1e3)),
+            ("events_per_sec", Json::Num(p.events as f64 / p.wall_secs)),
+            ("submitted", Json::u64(p.stats.submitted)),
+            ("committed", Json::u64(p.stats.committed)),
+            ("dropped", Json::u64(p.stats.dropped)),
+            ("pending", Json::u64(p.stats.pending)),
+            ("retries", Json::u64(p.stats.retries)),
+            ("latency_p50", Json::u64(p.stats.latency.p50)),
+            ("latency_p90", Json::u64(p.stats.latency.p90)),
+            ("latency_p99", Json::u64(p.stats.latency.p99)),
+            ("latency_max", Json::u64(p.stats.latency.max)),
+            ("mempool_peak_occupancy", Json::u64(peak_occupancy)),
+        ])));
         points.push(p);
     }
     // Check 1 (CI greps this line): conservation at every point.
     let conserve_pass = points
         .iter()
         .all(|p| p.stats.submitted == p.stats.committed + p.stats.dropped + p.stats.pending);
-    eprintln!(
-        "check: submitted == committed + dropped + pending at every point ({})",
-        if conserve_pass { "PASS" } else { "FAIL" }
-    );
     // Check 2: the largest population commits its whole offered load —
     // the round budget is sized for it, so leftovers mean a regression in
     // batching, retries, or the client path.
     let largest = points.last().expect("non-empty sweep");
-    let drain_pass = largest.stats.committed == largest.stats.submitted;
-    eprintln!(
-        "check: clients={} committed {}/{} of offered load ({})",
-        largest.clients,
-        largest.stats.committed,
-        largest.stats.submitted,
-        if drain_pass { "PASS" } else { "FAIL" }
+    let (committed, submitted) = (largest.stats.committed, largest.stats.submitted);
+    let drain_pass = committed == submitted;
+    let drain_line = format!(
+        "clients={} committed {committed}/{submitted} of offered load",
+        largest.clients
     );
-
+    let checks = vec![
+        (
+            conserve_pass,
+            "submitted == committed + dropped + pending at every point".to_string(),
+        ),
+        (drain_pass, drain_line),
+    ];
     let doc = Json::obj([
         ("bench", Json::str("workload")),
         ("quick", Json::Bool(quick)),
         ("committee_n", Json::u64(8)),
         ("arrival", Json::str("steady interval=50")),
-        (
-            "points",
-            Json::Arr(
-                points
-                    .iter()
-                    .map(|p| {
-                        Json::obj([
-                            ("clients", Json::u64(p.clients as u64)),
-                            ("rounds", Json::u64(p.rounds)),
-                            ("events", Json::u64(p.events)),
-                            ("wall_ms", Json::Num(p.wall_secs * 1e3)),
-                            ("events_per_sec", Json::Num(p.events as f64 / p.wall_secs)),
-                            ("submitted", Json::u64(p.stats.submitted)),
-                            ("committed", Json::u64(p.stats.committed)),
-                            ("dropped", Json::u64(p.stats.dropped)),
-                            ("pending", Json::u64(p.stats.pending)),
-                            ("retries", Json::u64(p.stats.retries)),
-                            ("latency_p50", Json::u64(p.stats.latency.p50)),
-                            ("latency_p90", Json::u64(p.stats.latency.p90)),
-                            ("latency_p99", Json::u64(p.stats.latency.p99)),
-                            ("latency_max", Json::u64(p.stats.latency.max)),
-                            (
-                                "mempool_peak_occupancy",
-                                Json::u64(p.stats.mempool_peak_occupancy),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("points", Json::Arr(point_rows)),
         ("conservation_pass", Json::Bool(conserve_pass)),
         (
             "drain_check",
             Json::obj([
                 ("clients", Json::u64(largest.clients as u64)),
-                ("committed", Json::u64(largest.stats.committed)),
-                ("submitted", Json::u64(largest.stats.submitted)),
+                ("committed", Json::u64(committed)),
+                ("submitted", Json::u64(submitted)),
                 ("pass", Json::Bool(drain_pass)),
             ]),
         ),
     ]);
-    let rendered = doc.render_pretty();
-    match out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &rendered) {
-                eprintln!("error: writing {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote {path}");
-        }
-        None => println!("{rendered}"),
-    }
-    if conserve_pass && drain_pass {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    (doc, checks)
 }
 
 /// One late-divergence grid of the checkpoint bench: cells sharing a
@@ -797,8 +573,8 @@ fn workload_bench(quick: bool, out: Option<&str>) -> ExitCode {
 /// pseudo-boundary).
 struct CheckpointGrid {
     name: &'static str,
-    specs: Vec<prft_lab::ScenarioSpec>,
-    /// Divergence tick per cell (`None` for the never-diverging tail).
+    specs: Vec<ScenarioSpec>,
+    /// Divergence tick per cell (`None` for the never-diverging cell).
     ticks: Vec<Option<u64>>,
 }
 
@@ -807,116 +583,86 @@ struct CheckpointGrid {
 /// horizon, so prefix ticks translate into real simulation work.
 const CHECKPOINT_DELTA: u64 = 100;
 
-/// A busy-to-the-horizon checkpoint cell: the round budget is never
-/// reached, so activity is horizon-bound.
-fn checkpoint_cell(label: String, seed: u64, horizon: u64) -> prft_lab::ScenarioSpec {
-    prft_lab::ScenarioSpec::new(label, 8, u64::MAX / 2)
-        .base_seed(seed)
-        .synchrony(prft_lab::Synchrony::Synchronous {
-            delta: CHECKPOINT_DELTA,
-        })
-        .horizon(horizon)
-}
-
-/// The crash-divergence grid: one crash landing at `t` per cell (plus a
-/// crash-free tail cell). Every cell's prefix below its own divergence
-/// tick is empty, so cell k forks from cell k−1's capture and simulates
-/// only its final slice.
-fn crash_grid(horizon: u64, ticks: &[u64]) -> CheckpointGrid {
-    use prft_lab::TimelineEvent;
-    let mut specs: Vec<prft_lab::ScenarioSpec> = ticks
-        .iter()
-        .map(|&t| {
-            checkpoint_cell(format!("crash@{t}"), 0xc4e2, horizon).at(t, TimelineEvent::Crash(7))
-        })
-        .collect();
-    specs.push(checkpoint_cell(
-        "no-divergence".to_string(),
-        0xc4e2,
-        horizon,
-    ));
-    CheckpointGrid {
-        name: "crash-divergence",
-        specs,
-        ticks: ticks.iter().map(|&t| Some(t)).chain([None]).collect(),
-    }
-}
-
 /// Tick every delay-divergence cell lifts its shared delay rule at: late
 /// enough that forks across the live rule do real replay work, early
 /// enough to leave a long shared suffix past it.
 const DELAY_LIFT_TICK: u64 = 60_000;
 
-/// The delay-divergence grid: every cell installs the same targeted
-/// delay rule at t = 0 and lifts it at [`DELAY_LIFT_TICK`], then
-/// diverges with a crash near the horizon (one cell never does). Forks
-/// here cross a live delay rule, so the bench also times the
-/// delay-replay path the equivalence suite pins for correctness — and
-/// because the shared schedule ends at the lift, the crash cells can
-/// only fork deep via **suffix captures**: the lift-only cell runs
-/// first and captures at the hinted crash ticks, far past its own last
-/// event.
-fn delay_grid(horizon: u64, ticks: &[u64]) -> CheckpointGrid {
-    use prft_lab::TimelineEvent;
-    let base = |label: String| {
-        checkpoint_cell(label, 0xde1a, horizon)
-            .at(
-                0,
-                TimelineEvent::AddDelayRule {
-                    from: Some(0),
-                    to: None,
-                    extra: 40,
-                    window: u64::MAX,
-                },
-            )
-            .at(
-                DELAY_LIFT_TICK,
-                TimelineEvent::RemoveDelayRule {
-                    from: Some(0),
-                    to: None,
-                },
-            )
+/// A grid over `base`: one `crash@t` cell per tick, crashing replica 7
+/// there, plus the `calm` cell that never diverges — first or last in
+/// run order.
+fn divergence_grid(
+    name: &'static str,
+    (calm, calm_first): (&str, bool),
+    ticks: &[u64],
+    base: impl Fn(String) -> ScenarioSpec,
+) -> CheckpointGrid {
+    let crash = |&t: &u64| {
+        let spec = base(format!("crash@{t}")).at(t, TimelineEvent::Crash(7));
+        (spec, Some(t))
     };
-    let mut specs = vec![base("lift-only".to_string())];
-    specs.extend(
-        ticks
-            .iter()
-            .map(|&t| base(format!("crash@{t}")).at(t, TimelineEvent::Crash(7))),
-    );
-    CheckpointGrid {
-        name: "delay-divergence",
-        specs,
-        ticks: [None]
-            .into_iter()
-            .chain(ticks.iter().map(|&t| Some(t)))
-            .collect(),
-    }
+    let mut cells: Vec<(ScenarioSpec, Option<u64>)> = ticks.iter().map(crash).collect();
+    let calm_at = if calm_first { 0 } else { cells.len() };
+    cells.insert(calm_at, (base(calm.to_string()), None));
+    let (specs, ticks) = cells.into_iter().unzip();
+    CheckpointGrid { name, specs, ticks }
 }
 
-/// The workload-divergence grid: every cell drives the same open-loop
-/// client population against the committee and diverges with a crash
-/// near the horizon (plus a crash-free tail cell) — the workload twin of
-/// the crash grid, checkpointing clients' in-flight/retry state along
-/// with the committee.
-fn workload_grid(horizon: u64, ticks: &[u64]) -> CheckpointGrid {
-    use prft_lab::TimelineEvent;
-    let base = |label: String| {
-        checkpoint_cell(label, 0x10adc, horizon).workload(
-            prft_lab::WorkloadSpec::steady(30, 150)
-                .txs_per_client(4)
-                .max_batch(256),
-        )
+/// The three grids, every cell busy to the `horizon` (the round budget is
+/// never reached, so activity is horizon-bound).
+fn checkpoint_grids(horizon: u64, ticks: &[u64]) -> [CheckpointGrid; 3] {
+    let cell = |label: String, seed: u64| {
+        let synchrony = prft_lab::Synchrony::Synchronous {
+            delta: CHECKPOINT_DELTA,
+        };
+        ScenarioSpec::new(label, 8, u64::MAX / 2)
+            .base_seed(seed)
+            .synchrony(synchrony)
+            .horizon(horizon)
     };
-    let mut specs: Vec<prft_lab::ScenarioSpec> = ticks
-        .iter()
-        .map(|&t| base(format!("crash@{t}")).at(t, TimelineEvent::Crash(7)))
-        .collect();
-    specs.push(base("no-divergence".to_string()));
-    CheckpointGrid {
-        name: "workload-divergence",
-        specs,
-        ticks: ticks.iter().map(|&t| Some(t)).chain([None]).collect(),
-    }
+    let (from, to) = (Some(0), None);
+    let delay = TimelineEvent::AddDelayRule {
+        from,
+        to,
+        extra: 40,
+        window: u64::MAX,
+    };
+    let lift = TimelineEvent::RemoveDelayRule { from, to };
+    let clients = prft_lab::WorkloadSpec::steady(30, 150)
+        .txs_per_client(4)
+        .max_batch(256);
+    [
+        // Committee only. Every cell's prefix below its own divergence
+        // tick is empty, so cell k forks from cell k−1's capture and
+        // simulates only its final slice.
+        divergence_grid(
+            "crash-divergence",
+            ("no-divergence", false),
+            ticks,
+            |label| cell(label, 0xc4e2),
+        ),
+        // Every cell installs the same targeted delay rule at t = 0 and
+        // lifts it at `DELAY_LIFT_TICK`. Forks here cross a live delay
+        // rule, so the bench also times the delay-replay path the
+        // equivalence suite pins for correctness — and because the shared
+        // schedule ends at the lift, the crash cells can only fork deep
+        // via **suffix captures**: the lift-only cell runs first and
+        // captures at the hinted crash ticks, far past its own last event.
+        divergence_grid("delay-divergence", ("lift-only", true), ticks, |label| {
+            cell(label, 0xde1a)
+                .at(0, delay.clone())
+                .at(DELAY_LIFT_TICK, lift.clone())
+        }),
+        // The workload twin of the crash grid: every cell drives the same
+        // open-loop client population, so captures carry the clients'
+        // in-flight/retry state along with the committee.
+        divergence_grid(
+            "workload-divergence",
+            ("no-divergence", false),
+            ticks,
+            |label| cell(label, 0x10adc).workload(clients.clone()),
+        ),
+    ]
 }
 
 /// One grid measured both ways.
@@ -933,7 +679,7 @@ struct CheckpointResult {
 /// warm leg installs the grid's capture hints first, exactly as the
 /// batch runners do — suffix captures need them.
 fn run_checkpoint_leg(
-    specs: &[prft_lab::ScenarioSpec],
+    specs: &[ScenarioSpec],
     store: Option<&prft_lab::CheckpointStore>,
 ) -> (Vec<prft_lab::RunRecord>, f64) {
     if let Some(store) = store {
@@ -976,117 +722,63 @@ fn measure_checkpoint_grid(grid: CheckpointGrid, repeats: u32) -> CheckpointResu
     }
 }
 
-fn checkpoint_bench(quick: bool, repeats: u32, out: Option<&str>) -> ExitCode {
-    // Both modes share the horizon, so per-cell event counts are directly
-    // comparable across quick and full runs (`prft-bench diff` relies on
-    // that); quick just drops the middle divergence points.
-    const HORIZON: u64 = 120_000;
-    let divergence_ticks: &[u64] = if quick {
-        &[100_000, 110_000, 115_000]
-    } else {
-        &[100_000, 105_000, 110_000, 115_000]
-    };
-    let grids = vec![
-        measure_checkpoint_grid(crash_grid(HORIZON, divergence_ticks), repeats),
-        measure_checkpoint_grid(delay_grid(HORIZON, divergence_ticks), repeats),
-        measure_checkpoint_grid(workload_grid(HORIZON, divergence_ticks), repeats),
-    ];
-    let mut best_speedup = 0.0f64;
-    for r in &grids {
-        let cells = r.grid.specs.len() as f64;
-        let speedup = r.cold_wall / r.warm_wall;
-        best_speedup = best_speedup.max(speedup);
-        eprintln!(
-            "{}: {} cells, cold {:>7.1}ms ({:.1} cells/s), warm {:>7.1}ms ({:.1} cells/s), \
-             {:.2}x — {} captured, {} forked, {} prefix ticks saved",
-            r.grid.name,
-            r.grid.specs.len(),
-            r.cold_wall * 1e3,
-            cells / r.cold_wall,
-            r.warm_wall * 1e3,
-            cells / r.warm_wall,
-            speedup,
-            r.reuse.created,
-            r.reuse.forked,
-            r.reuse.prefix_ticks_saved,
-        );
-    }
+/// The `checkpoint` sweep: the three grids diverging at `ticks`, each
+/// cold (no store) and warm (one shared store) at one thread.
+fn checkpoint_bench(quick: bool, horizon: u64, ticks: &[u64], repeats: u32) -> (Json, Checks) {
+    let mut grid_rows: Vec<Json> = Vec::new();
+    let grids = checkpoint_grids(horizon, ticks).map(|grid| {
+        let r = measure_checkpoint_grid(grid, repeats);
+        let cells: Vec<_> = (r.grid.specs.iter().zip(&r.grid.ticks).zip(&r.records)).collect();
+        let per_sec = |wall: f64| Json::Num(cells.len() as f64 / wall);
+        let cell_rows = rows(&cells, |((spec, tick), record)| {
+            Json::obj([
+                ("label", Json::str(spec.label.clone())),
+                ("divergence_tick", tick.map_or(Json::Null, Json::u64)),
+                ("events_dispatched", Json::u64(record.events_dispatched)),
+            ])
+        });
+        let reuse = Json::obj([
+            ("created", Json::u64(r.reuse.created)),
+            ("forked", Json::u64(r.reuse.forked)),
+            ("prefix_ticks_saved", Json::u64(r.reuse.prefix_ticks_saved)),
+        ]);
+        grid_rows.push(progress(Json::obj([
+            ("name", Json::str(r.grid.name)),
+            ("cells", cell_rows),
+            ("cold_wall_ms", Json::Num(r.cold_wall * 1e3)),
+            ("warm_wall_ms", Json::Num(r.warm_wall * 1e3)),
+            ("cells_per_sec_cold", per_sec(r.cold_wall)),
+            ("cells_per_sec_warm", per_sec(r.warm_wall)),
+            ("warm_over_cold", Json::Num(r.cold_wall / r.warm_wall)),
+            ("reuse", reuse),
+            ("identical", Json::Bool(r.identical)),
+        ])));
+        r
+    });
+    let best_speedup = (grids.iter().map(|r| r.cold_wall / r.warm_wall)).fold(0.0, f64::max);
     // Check 1 (CI greps this line): forking must be invisible — warm and
     // cold records byte-equal at every cell of every grid.
     let identical = grids.iter().all(|r| r.identical);
-    eprintln!(
-        "check: warm records identical to cold at every cell ({})",
-        if identical { "PASS" } else { "FAIL" }
-    );
     // Check 2: at least one grid must clear 2x cells/sec warm over cold —
     // the acceptance bar for the warm-start machinery paying for itself.
     let speedup_pass = best_speedup >= 2.0;
-    eprintln!(
-        "check: best grid warm/cold = {best_speedup:.2}x >= 2.00x ({})",
-        if speedup_pass { "PASS" } else { "FAIL" }
-    );
-
+    let checks = vec![
+        (
+            identical,
+            "warm records identical to cold at every cell".to_string(),
+        ),
+        (
+            speedup_pass,
+            format!("best grid warm/cold = {best_speedup:.2}x >= 2.00x"),
+        ),
+    ];
     let doc = Json::obj([
         ("bench", Json::str("checkpoint")),
         ("quick", Json::Bool(quick)),
         ("repeats", Json::u64(repeats as u64)),
         ("committee_n", Json::u64(8)),
-        ("horizon", Json::u64(HORIZON)),
-        (
-            "grids",
-            Json::Arr(
-                grids
-                    .iter()
-                    .map(|r| {
-                        let cells = r.grid.specs.len() as f64;
-                        Json::obj([
-                            ("name", Json::str(r.grid.name)),
-                            (
-                                "cells",
-                                Json::Arr(
-                                    r.grid
-                                        .specs
-                                        .iter()
-                                        .zip(&r.grid.ticks)
-                                        .zip(&r.records)
-                                        .map(|((spec, tick), record)| {
-                                            Json::obj([
-                                                ("label", Json::str(spec.label.clone())),
-                                                (
-                                                    "divergence_tick",
-                                                    match tick {
-                                                        Some(t) => Json::u64(*t),
-                                                        None => Json::Null,
-                                                    },
-                                                ),
-                                                (
-                                                    "events_dispatched",
-                                                    Json::u64(record.events_dispatched),
-                                                ),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                            ("cold_wall_ms", Json::Num(r.cold_wall * 1e3)),
-                            ("warm_wall_ms", Json::Num(r.warm_wall * 1e3)),
-                            ("cells_per_sec_cold", Json::Num(cells / r.cold_wall)),
-                            ("cells_per_sec_warm", Json::Num(cells / r.warm_wall)),
-                            ("warm_over_cold", Json::Num(r.cold_wall / r.warm_wall)),
-                            (
-                                "reuse",
-                                Json::obj([
-                                    ("created", Json::u64(r.reuse.created)),
-                                    ("forked", Json::u64(r.reuse.forked)),
-                                    ("prefix_ticks_saved", Json::u64(r.reuse.prefix_ticks_saved)),
-                                ]),
-                            ),
-                            ("identical", Json::Bool(r.identical)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("horizon", Json::u64(horizon)),
+        ("grids", Json::Arr(grid_rows)),
         (
             "speedup_check",
             Json::obj([
@@ -1097,6 +789,48 @@ fn checkpoint_bench(quick: bool, repeats: u32, out: Option<&str>) -> ExitCode {
         ),
         ("identity_pass", Json::Bool(identical)),
     ]);
+    (doc, checks)
+}
+
+/// Verdict lines of one run — a sweep's `check:` lines or the differ's
+/// `diff:` lines — with the tally the exit code derives from.
+struct Tally {
+    prefix: &'static str,
+    checks: u32,
+    failed: Vec<String>,
+}
+
+impl Tally {
+    fn new(prefix: &'static str) -> Self {
+        Tally {
+            prefix,
+            checks: 0,
+            failed: Vec::new(),
+        }
+    }
+
+    /// Records one check; prints its line with a PASS/FAIL suffix.
+    fn check(&mut self, pass: bool, line: String) {
+        self.checks += 1;
+        let verdict = if pass { "PASS" } else { "FAIL" };
+        eprintln!("{}: {line} ({verdict})", self.prefix);
+        if !pass {
+            self.failed.push(line);
+        }
+    }
+
+    fn exit_code(&self) -> ExitCode {
+        ExitCode::from(u8::from(!self.failed.is_empty()))
+    }
+}
+
+/// The one exit of every sweep: prints its `check:` lines, writes the
+/// document to `--out` (or stdout), and fails the run if a check did.
+fn finish((doc, checks): (Json, Checks), out: Option<&str>) -> ExitCode {
+    let mut tally = Tally::new("check");
+    for (pass, line) in checks {
+        tally.check(pass, line);
+    }
     let rendered = doc.render_pretty();
     match out {
         Some(path) => {
@@ -1108,288 +842,318 @@ fn checkpoint_bench(quick: bool, repeats: u32, out: Option<&str>) -> ExitCode {
         }
         None => println!("{rendered}"),
     }
-    if identical && speedup_pass {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    tally.exit_code()
 }
 
-/// Field access helpers over the hand-rolled [`Json`] model (no serde in
-/// the build environment, so the diff reads documents through these).
-mod jx {
-    use prft_lab::json::Json;
-
-    pub fn get<'a>(j: &'a Json, key: &str) -> Option<&'a Json> {
-        match j {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    pub fn arr(j: &Json) -> &[Json] {
-        match j {
-            Json::Arr(items) => items,
-            _ => &[],
-        }
-    }
-
-    pub fn u64_at(j: &Json, key: &str) -> Option<u64> {
-        match get(j, key)? {
-            Json::UInt(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    pub fn f64_at(j: &Json, key: &str) -> Option<f64> {
-        match get(j, key)? {
-            Json::Num(v) => Some(*v),
-            Json::UInt(v) => Some(*v as f64),
-            _ => None,
-        }
-    }
-
-    pub fn str_at<'a>(j: &'a Json, key: &str) -> Option<&'a str> {
-        match get(j, key)? {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn bool_at(j: &Json, key: &str) -> Option<bool> {
-        match get(j, key)? {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
+/// How `prft-bench diff` judges a declared scalar against the baseline.
+#[derive(Clone, Copy)]
+enum Class {
+    /// Names the document kind or, inside a row set, the row: rows pair
+    /// up across documents by their key fields.
+    Key,
+    /// A deterministic counter or constant: must equal the baseline.
+    Exact,
+    /// A wall-clock ratio: must reach `baseline × (1 − tolerance)`.
+    RatioFloor,
+    /// Recorded, type-checked, never compared: wall times and whatever
+    /// scales with the sweep size, which `--quick` shrinks.
+    Info,
 }
 
-/// Accumulates diff verdicts: every failed check prints its own line, and
-/// one failure fails the run.
-struct DiffChecks {
-    failures: u32,
-    checks: u32,
+/// The JSON type of a declared scalar.
+#[derive(Clone, Copy)]
+enum Ty {
+    U64,
+    /// Any number — a whole float renders without a fraction and parses
+    /// back as an integer.
+    Num,
+    Bool,
+    Str,
 }
 
-impl DiffChecks {
-    fn new() -> Self {
-        DiffChecks {
-            failures: 0,
-            checks: 0,
-        }
-    }
-
-    /// Records one check; prints the line with a PASS/FAIL suffix.
-    fn check(&mut self, pass: bool, line: String) {
-        self.checks += 1;
-        if !pass {
-            self.failures += 1;
-        }
-        eprintln!("diff: {line} ({})", if pass { "PASS" } else { "FAIL" });
-    }
+/// One declared field of a bench document, under its key.
+enum Field {
+    Val(&'static str, Ty, Class),
+    /// A pass flag: a `bool` that must be `true` in the current document.
+    Flag(&'static str),
+    Obj(&'static str, &'static [Field]),
+    /// An array of objects, keyed by their [`Class::Key`] fields.
+    Rows(&'static str, &'static [Field]),
+    /// `null` or the inner field.
+    Opt(&'static Field),
 }
 
-/// `queue` regression rule: at every committee size both documents swept,
-/// the calendar/heap throughput ratio must not have regressed by more
-/// than the tolerance (wall-clock ratios jitter; the event counts backing
-/// them are asserted equal by the bench itself).
-fn diff_queue(current: &Json, baseline: &Json, tol: f64, checks: &mut DiffChecks) {
-    for base_point in jx::arr(jx::get(baseline, "speedup").unwrap_or(&Json::Null)) {
-        let Some(n) = jx::u64_at(base_point, "n") else {
-            continue;
-        };
-        let Some(base_ratio) = jx::f64_at(base_point, "calendar_over_heap") else {
-            continue;
-        };
-        let cur_ratio = jx::arr(jx::get(current, "speedup").unwrap_or(&Json::Null))
-            .iter()
-            .find(|p| jx::u64_at(p, "n") == Some(n))
-            .and_then(|p| jx::f64_at(p, "calendar_over_heap"));
-        let Some(cur_ratio) = cur_ratio else {
-            continue; // n not in the current sweep (quick vs full)
-        };
-        let floor = base_ratio * (1.0 - tol);
-        checks.check(
-            cur_ratio >= floor,
-            format!("queue n={n} calendar/heap {cur_ratio:.2} vs baseline {base_ratio:.2} (floor {floor:.2})"),
-        );
-    }
-}
+use Class::{Exact, Info, Key, RatioFloor};
+use Field::{Flag, Obj, Opt, Rows, Val};
+use Ty::{Bool, Num, Str, U64};
 
-/// `profile` regression rule: the verify and memo counters are exact
-/// deterministic functions of (n, accountable, rounds), so at every point
-/// both documents measured they must match exactly — any drift means the
-/// verification path changed behavior, not just speed.
-fn diff_profile(current: &Json, baseline: &Json, checks: &mut DiffChecks) {
-    for base_point in jx::arr(jx::get(baseline, "points").unwrap_or(&Json::Null)) {
-        let (Some(n), Some(acc)) = (
-            jx::u64_at(base_point, "n"),
-            jx::bool_at(base_point, "accountable"),
-        ) else {
-            continue;
-        };
-        let cur_point = jx::arr(jx::get(current, "points").unwrap_or(&Json::Null))
-            .iter()
-            .find(|p| jx::u64_at(p, "n") == Some(n) && jx::bool_at(p, "accountable") == Some(acc));
-        let Some(cur_point) = cur_point else {
-            continue;
-        };
-        for field in ["sig_verifies", "verify.memo_miss", "events_dispatched"] {
-            let base_v = jx::u64_at(base_point, field);
-            let cur_v = jx::u64_at(cur_point, field);
-            checks.check(
-                cur_v == base_v,
-                format!(
-                    "profile n={n} acc={acc} {field} {} vs baseline {}",
-                    cur_v.map_or("missing".into(), |v| v.to_string()),
-                    base_v.map_or("missing".into(), |v| v.to_string()),
-                ),
-            );
-        }
-    }
-    checks.check(
-        jx::bool_at(current, "memo_identity_pass") == Some(true),
-        "profile memo identity (hits + misses == verifies) holds".to_string(),
-    );
-}
+/// The schema of record of the four bench documents, by their `bench`
+/// field: what a sweep emits (in this order), what a committed
+/// `BENCH_*.json` holds, and how `diff` judges each field. A new recorded
+/// trajectory is one more table here plus the sweep that measures it.
+/// (Laid out by hand, one line per group of related fields, so a whole
+/// document reads on one screen.)
+const SCHEMAS: [(&str, &[Field]); 4] = [
+    ("queue", QUEUE),
+    ("profile", PROFILE),
+    ("workload", WORKLOAD),
+    ("checkpoint", CHECKPOINT),
+];
 
-/// `workload` regression rule: the client pipeline is fully deterministic,
-/// so conservation counters and latency percentiles must match exactly at
-/// every population both documents swept.
-fn diff_workload(current: &Json, baseline: &Json, checks: &mut DiffChecks) {
-    const FIELDS: [&str; 8] = [
-        "submitted",
-        "committed",
-        "dropped",
-        "pending",
-        "retries",
-        "latency_p50",
-        "latency_p90",
-        "latency_p99",
-    ];
-    for base_point in jx::arr(jx::get(baseline, "points").unwrap_or(&Json::Null)) {
-        let Some(clients) = jx::u64_at(base_point, "clients") else {
-            continue;
-        };
-        let cur_point = jx::arr(jx::get(current, "points").unwrap_or(&Json::Null))
-            .iter()
-            .find(|p| jx::u64_at(p, "clients") == Some(clients));
-        let Some(cur_point) = cur_point else {
-            continue;
-        };
-        for field in FIELDS {
-            let base_v = jx::u64_at(base_point, field);
-            let cur_v = jx::u64_at(cur_point, field);
-            checks.check(
-                cur_v == base_v,
-                format!(
-                    "workload clients={clients} {field} {} vs baseline {}",
-                    cur_v.map_or("missing".into(), |v| v.to_string()),
-                    base_v.map_or("missing".into(), |v| v.to_string()),
-                ),
-            );
+#[rustfmt::skip]
+const QUEUE: &[Field] = &[
+    Val("bench", Str, Key), Val("workload", Str, Exact), Val("quick", Bool, Info),
+    Val("repeats", U64, Info), Val("target_events", U64, Info),
+    Rows("points", &[
+        Val("n", U64, Key), Val("backend", Str, Key),
+        Val("events", U64, Info), Val("wall_ms", Num, Info), Val("events_per_sec", Num, Info),
+        Val("peak_queue_depth", U64, Exact),
+    ]),
+    Rows("speedup", &[Val("n", U64, Key), Val("calendar_over_heap", Num, RatioFloor)]),
+];
+
+#[rustfmt::skip]
+const PROFILE: &[Field] = &[
+    Val("bench", Str, Key), Val("quick", Bool, Info), Val("rounds", U64, Exact),
+    Rows("points", &[
+        Val("n", U64, Key), Val("accountable", Bool, Key),
+        Val("rounds", U64, Exact), Val("wall_ms", Num, Info),
+        Val("sig_verifies", U64, Exact), Val("predicted_sig_verifies", U64, Exact),
+        Val("verify.memo_hit", U64, Exact), Val("verify.memo_miss", U64, Exact),
+        Val("predicted_memo_misses", U64, Exact), Val("clone_bytes", U64, Exact),
+        Val("events_dispatched", U64, Exact), Val("peak_queue_depth", U64, Exact),
+    ]),
+    Obj("check", MODEL_CHECK), Obj("memo_check", MODEL_CHECK), Flag("memo_identity_pass"),
+    Opt(&Obj("wall_budget", &[
+        Val("n", U64, Info), Val("wall_secs", Num, Info), Val("budget_secs", Num, Info),
+        Flag("pass"),
+    ])),
+];
+
+/// The largest accountable point against a model. Which n is largest
+/// depends on the sweep size, so only the flag is gated.
+#[rustfmt::skip]
+const MODEL_CHECK: &[Field] = &[
+    Val("n", U64, Info), Val("measured", U64, Info), Val("predicted", U64, Info),
+    Val("ratio", Num, Info), Flag("pass"),
+];
+
+#[rustfmt::skip]
+const WORKLOAD: &[Field] = &[
+    Val("bench", Str, Key), Val("quick", Bool, Info),
+    Val("committee_n", U64, Exact), Val("arrival", Str, Exact),
+    Rows("points", &[
+        Val("clients", U64, Key), Val("rounds", U64, Exact), Val("events", U64, Exact),
+        Val("wall_ms", Num, Info), Val("events_per_sec", Num, Info),
+        Val("submitted", U64, Exact), Val("committed", U64, Exact), Val("dropped", U64, Exact),
+        Val("pending", U64, Exact), Val("retries", U64, Exact),
+        Val("latency_p50", U64, Exact), Val("latency_p90", U64, Exact),
+        Val("latency_p99", U64, Exact), Val("latency_max", U64, Exact),
+        Val("mempool_peak_occupancy", U64, Exact),
+    ]),
+    Flag("conservation_pass"),
+    Obj("drain_check", &[
+        Val("clients", U64, Info), Val("committed", U64, Info), Val("submitted", U64, Info),
+        Flag("pass"),
+    ]),
+];
+
+#[rustfmt::skip]
+const CHECKPOINT: &[Field] = &[
+    Val("bench", Str, Key), Val("quick", Bool, Info), Val("repeats", U64, Info),
+    Val("committee_n", U64, Exact), Val("horizon", U64, Exact),
+    Rows("grids", &[
+        Val("name", Str, Key),
+        Rows("cells", &[
+            Val("label", Str, Key), Opt(&Val("divergence_tick", U64, Info)),
+            Val("events_dispatched", U64, Exact),
+        ]),
+        Val("cold_wall_ms", Num, Info), Val("warm_wall_ms", Num, Info),
+        Val("cells_per_sec_cold", Num, Info), Val("cells_per_sec_warm", Num, Info),
+        Val("warm_over_cold", Num, RatioFloor),
+        Obj("reuse", &[
+            Val("created", U64, Info), Val("forked", U64, Info),
+            Val("prefix_ticks_saved", U64, Info),
+        ]),
+        Flag("identical"),
+    ]),
+    Obj("speedup_check", &[
+        Val("best_warm_over_cold", Num, Info), Val("threshold", Num, Exact), Flag("pass"),
+    ]),
+    Flag("identity_pass"),
+];
+
+impl Field {
+    fn name(&self) -> &'static str {
+        match self {
+            Val(name, ..) | Flag(name) | Obj(name, _) | Rows(name, _) => name,
+            Opt(inner) => inner.name(),
         }
     }
 }
 
-/// `checkpoint` regression rule: per-cell event counts are deterministic
-/// (quick and full share the horizon, so common cells compare exactly);
-/// the warm/cold speedup is wall-clock and gets the tolerance band, and
-/// the fork-identity flag must hold in the current run.
-fn diff_checkpoint(current: &Json, baseline: &Json, tol: f64, checks: &mut DiffChecks) {
-    for base_grid in jx::arr(jx::get(baseline, "grids").unwrap_or(&Json::Null)) {
-        let Some(name) = jx::str_at(base_grid, "name") else {
-            continue;
-        };
-        let cur_grid = jx::arr(jx::get(current, "grids").unwrap_or(&Json::Null))
-            .iter()
-            .find(|g| jx::str_at(g, "name") == Some(name));
-        let Some(cur_grid) = cur_grid else {
-            continue;
-        };
-        for base_cell in jx::arr(jx::get(base_grid, "cells").unwrap_or(&Json::Null)) {
-            let Some(label) = jx::str_at(base_cell, "label") else {
-                continue;
-            };
-            let cur_cell = jx::arr(jx::get(cur_grid, "cells").unwrap_or(&Json::Null))
-                .iter()
-                .find(|c| jx::str_at(c, "label") == Some(label));
-            let Some(cur_cell) = cur_cell else {
-                continue; // cell not in the current sweep (quick vs full)
-            };
-            let base_v = jx::u64_at(base_cell, "events_dispatched");
-            let cur_v = jx::u64_at(cur_cell, "events_dispatched");
-            checks.check(
-                cur_v == base_v,
-                format!(
-                    "checkpoint {name}/{label} events_dispatched {} vs baseline {}",
-                    cur_v.map_or("missing".into(), |v| v.to_string()),
-                    base_v.map_or("missing".into(), |v| v.to_string()),
-                ),
-            );
-        }
-        if let (Some(base_speedup), Some(cur_speedup)) = (
-            jx::f64_at(base_grid, "warm_over_cold"),
-            jx::f64_at(cur_grid, "warm_over_cold"),
-        ) {
-            let floor = base_speedup * (1.0 - tol);
-            checks.check(
-                cur_speedup >= floor,
-                format!(
-                    "checkpoint {name} warm/cold {cur_speedup:.2}x vs baseline \
-                     {base_speedup:.2}x (floor {floor:.2}x)"
-                ),
-            );
-        }
-    }
-    checks.check(
-        jx::bool_at(current, "identity_pass") == Some(true),
-        "checkpoint warm records identical to cold".to_string(),
-    );
+/// A value as it reads in a verdict line (strings unquoted).
+fn show(value: &Json) -> String {
+    value
+        .as_str()
+        .map_or_else(|| value.render(), str::to_string)
 }
 
-/// `prft-bench diff <current> <baseline> [--tolerance F]`: regression
-/// gate over two bench documents of the same kind.
+/// A row's identity inside its row set: its key fields, `n=16,backend=heap`.
+fn row_key(fields: &[Field], row: &Json) -> String {
+    let keys = fields.iter().filter_map(|field| match field {
+        Val(name, _, Key) => Some(format!("{name}={}", show(row.get(name)?))),
+        _ => None,
+    });
+    keys.collect::<Vec<_>>().join(",")
+}
+
+/// Walks a current document along its kind's field table: schema first
+/// (every declared field present and typed, no undeclared key — failures
+/// print as `schema: …`), then the pass flags, then — wherever a baseline
+/// twin exists — each field by its [`Class`].
+struct Walker {
+    tol: f64,
+    tally: Tally,
+}
+
+impl Walker {
+    fn schema_error(&mut self, path: &str, what: &str) {
+        self.tally.check(false, format!("schema: {path} {what}"));
+    }
+
+    fn object(&mut self, fields: &'static [Field], cur: &Json, base: Option<&Json>, path: &str) {
+        let Json::Obj(pairs) = cur else {
+            return self.schema_error(path, "is not an object");
+        };
+        for field in fields {
+            let at = format!("{path}.{}", field.name());
+            match cur.get(field.name()) {
+                // A field the baseline lacks compares against `null`.
+                Some(value) => {
+                    let base = base.map(|b| b.get(field.name()).unwrap_or(&Json::Null));
+                    self.field(field, value, base, &at);
+                }
+                None => self.schema_error(&at, "is missing"),
+            }
+        }
+        for (key, _) in pairs {
+            if !fields.iter().any(|field| field.name() == key) {
+                self.schema_error(&format!("{path}.{key}"), "is not a declared field");
+            }
+        }
+    }
+
+    fn field(&mut self, field: &'static Field, cur: &Json, base: Option<&Json>, path: &str) {
+        let typed = match (field, cur) {
+            (Opt(inner), _) => {
+                if *cur != Json::Null {
+                    self.field(inner, cur, base.filter(|b| **b != Json::Null), path);
+                }
+                return;
+            }
+            (Val(_, U64, _), Json::UInt(_))
+            | (Val(_, Num, _), Json::UInt(_) | Json::Num(_))
+            | (Val(_, Bool, _) | Flag(_), Json::Bool(_))
+            | (Val(_, Str, _), Json::Str(_))
+            | (Obj(..), Json::Obj(_))
+            | (Rows(..), Json::Arr(_)) => true,
+            _ => false,
+        };
+        if !typed {
+            return self.schema_error(path, &format!("is {}", cur.render()));
+        }
+        match (field, base) {
+            (Flag(_), _) => self
+                .tally
+                .check(*cur == Json::Bool(true), format!("{path} holds")),
+            (Obj(_, fields), _) => self.object(fields, cur, base, path),
+            (Rows(_, fields), _) => self.rows(fields, cur.as_arr().unwrap_or(&[]), base, path),
+            (Val(_, _, Exact), Some(base)) => {
+                let same = match (cur.as_f64(), base.as_f64()) {
+                    (Some(c), Some(b)) => c == b,
+                    _ => cur == base,
+                };
+                let line = format!("{path} {} vs baseline {}", show(cur), show(base));
+                self.tally.check(same, line);
+            }
+            (Val(_, _, RatioFloor), Some(base)) => {
+                let ratio = |v: &Json| v.as_f64().unwrap_or(f64::NAN);
+                let (c, b) = (ratio(cur), ratio(base));
+                let floor = b * (1.0 - self.tol);
+                let line = format!("{path} {c:.2} vs baseline {b:.2} (floor {floor:.2})");
+                self.tally.check(c >= floor, line);
+            }
+            _ => {}
+        }
+    }
+
+    fn rows(&mut self, fields: &'static [Field], rows: &[Json], base: Option<&Json>, path: &str) {
+        let base_rows = base.map(|b| b.as_arr().unwrap_or(&[]));
+        let mut matched = base_rows.is_none();
+        for row in rows {
+            let key = row_key(fields, row);
+            let at = format!("{path}[{key}]");
+            let twin = base_rows.and_then(|rs| rs.iter().find(|r| row_key(fields, r) == key));
+            if twin.is_some() {
+                matched = true;
+            } else if base_rows.is_some() {
+                eprintln!("diff: {at} has no baseline row (UNMATCHED)");
+            }
+            self.object(fields, row, twin, &at);
+        }
+        if !matched {
+            let line = format!("{path} shares a row with the baseline");
+            self.tally.check(false, line);
+        }
+    }
+}
+
+/// Walks `current` along its kind's table — against `baseline` where one
+/// is given (both must be of one kind), schema and pass flags only
+/// otherwise.
+fn walk_document(current: &Json, baseline: Option<&Json>, tol: f64) -> Result<Tally, String> {
+    let kind_of = |doc: &Json| show(doc.get("bench").unwrap_or(&Json::Null));
+    let kind = kind_of(current);
+    if let Some(base_kind) = baseline.map(kind_of).filter(|k| *k != kind) {
+        return Err(format!("bench kinds differ: {kind} vs {base_kind}"));
+    }
+    let Some((_, fields)) = SCHEMAS.iter().find(|(name, _)| *name == kind) else {
+        return Err(format!("unknown bench kind: {kind}"));
+    };
+    let mut walker = Walker {
+        tol,
+        tally: Tally::new("diff"),
+    };
+    walker.object(fields, current, baseline, &kind);
+    Ok(walker.tally)
+}
+
+/// `prft-bench diff <current> <baseline> [--tolerance F]`: schema check
+/// of the current document plus regression gate against the baseline.
 fn diff_bench(current_path: &str, baseline_path: &str, tol: f64) -> ExitCode {
     let load = |path: &str| -> Result<Json, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         Json::parse(&text).map_err(|e| format!("{path}: {e}"))
     };
-    let (current, baseline) = match (load(current_path), load(baseline_path)) {
-        (Ok(c), Ok(b)) => (c, b),
-        (Err(e), _) | (_, Err(e)) => {
+    let tally = load(current_path).and_then(|current| {
+        let baseline = load(baseline_path)?;
+        walk_document(&current, Some(&baseline), tol)
+    });
+    match tally {
+        Ok(tally) => {
+            eprintln!(
+                "diff: {} of {} check(s) failed (tolerance {tol}, {current_path} vs \
+                 {baseline_path})",
+                tally.failed.len(),
+                tally.checks
+            );
+            tally.exit_code()
+        }
+        Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-    let (cur_kind, base_kind) = (
-        jx::str_at(&current, "bench").unwrap_or("?"),
-        jx::str_at(&baseline, "bench").unwrap_or("?"),
-    );
-    if cur_kind != base_kind {
-        eprintln!("error: bench kinds differ: {cur_kind} vs {base_kind}");
-        return ExitCode::FAILURE;
-    }
-    let mut checks = DiffChecks::new();
-    match cur_kind {
-        "queue" => diff_queue(&current, &baseline, tol, &mut checks),
-        "profile" => diff_profile(&current, &baseline, &mut checks),
-        "workload" => diff_workload(&current, &baseline, &mut checks),
-        "checkpoint" => diff_checkpoint(&current, &baseline, tol, &mut checks),
-        other => {
-            eprintln!("error: unknown bench kind: {other}");
-            return ExitCode::FAILURE;
-        }
-    }
-    eprintln!(
-        "diff: {} of {} check(s) failed ({cur_kind}, tolerance {tol}, {current_path} vs \
-         {baseline_path})",
-        checks.failures, checks.checks
-    );
-    if checks.failures == 0 && checks.checks > 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
     }
 }
 
@@ -1401,159 +1165,315 @@ fn usage() -> ExitCode {
          \x20      prft-bench checkpoint [--quick] [--out FILE] [--repeats R]\n\
          \x20      prft-bench diff <current.json> <baseline.json> [--tolerance F]\n\
          \n\
-         queue: sweeps committee sizes × event-queue backends over a\n\
-         queue-bound flood workload and emits a BENCH_queue.json document\n\
-         (schema: docs/PERFORMANCE.md). Exits non-zero if the calendar\n\
-         backend is slower than the heap reference at the largest swept n.\n\
-         \n\
-         profile: runs honest pRFT committees (accountable × plain,\n\
-         n = 16, 64, 128, 256, 512) and emits a BENCH_profile.json\n\
-         document of logical verify counts, memo hits/misses, clone\n\
-         bytes, and wall time per point (schema: docs/OBSERVABILITY.md).\n\
-         Build with --features profiling to add per-scope wall-clock\n\
-         timers. Exits non-zero if the logical verify count drifts >10%\n\
-         from the analytic model, the hashed count (verify.memo_miss)\n\
-         drifts >0.1% from the distinct-content model, memo hits + misses\n\
-         != sig verifies anywhere, or (--quick) the accountable n = 128\n\
-         point blows its wall-clock budget.\n\
-         \n\
-         workload: sweeps open-loop client populations (n = 100 … 10000)\n\
-         against an 8-replica committee and emits a BENCH_workload.json\n\
-         document of events/sec and commit-latency percentiles per point\n\
-         (schema: docs/WORKLOAD.md). Exits non-zero if any point leaks\n\
-         transactions or the largest population fails to commit its\n\
-         offered load.\n\
-         \n\
-         checkpoint: measures checkpoint/fork warm starts on three\n\
-         late-divergence grids — crash, delay with a late crash, and\n\
-         open-loop workload (cells sharing a long prefix, diverging\n\
-         near the horizon) — cold vs warm at one thread, and emits a\n\
-         BENCH_checkpoint.json document of per-cell event counts, walls,\n\
-         reuse accounting, and warm/cold speedup (schema:\n\
-         docs/CHECKPOINTING.md). Exits non-zero if warm records differ\n\
-         from cold anywhere or no grid reaches 2x cells/sec warm/cold.\n\
-         \n\
-         diff: compares a fresh bench JSON against a committed baseline\n\
-         (BENCH_*.json): deterministic counters must match exactly at\n\
-         every point both documents measured; wall-clock ratios (queue\n\
-         calendar/heap, checkpoint warm/cold) must stay within the\n\
-         tolerance of the baseline. Exits non-zero on any regression.\n\
+         queue       event-queue backends under a flood workload (BENCH_queue.json)\n\
+         profile     honest committees vs the verify-count models (BENCH_profile.json)\n\
+         workload    open-loop client populations on n = 8 (BENCH_workload.json)\n\
+         checkpoint  late-divergence grids, cold vs warm (BENCH_checkpoint.json)\n\
+         diff        schema check + regression gate against a committed baseline\n\
          \n\
          options:\n\
-         \x20 --quick        small sweep for CI smoke (queue: n = 16, 128;\n\
-         \x20                profile: n = 8, 16, 128; workload: 100, 1000;\n\
-         \x20                checkpoint: fewer divergence points, same\n\
-         \x20                horizon)\n\
+         \x20 --quick        small sweep for CI smoke\n\
          \x20 --out FILE     write the JSON to FILE instead of stdout\n\
-         \x20 --repeats R    best-of-R wall times per point (queue and\n\
-         \x20                checkpoint, default 3)\n\
-         \x20 --tolerance F  relative regression band for wall-clock\n\
-         \x20                ratios in diff (default 0.35)"
+         \x20 --repeats R    best-of-R wall times per point (default 3)\n\
+         \x20 --tolerance F  relative band for wall-clock ratios in diff (default 0.35)"
     );
     ExitCode::from(2)
 }
 
+/// Every flag of every subcommand, at its default.
+struct Opts {
+    quick: bool,
+    out: Option<String>,
+    repeats: u32,
+    tolerance: f64,
+    files: Vec<String>,
+}
+
+/// Parses `args` for a subcommand that accepts the `allowed` flags and
+/// exactly `files` positional arguments; `None` is a usage error.
+fn parse_opts(args: &[String], allowed: &[&str], files: usize) -> Option<Opts> {
+    let mut opts = Opts {
+        quick: false,
+        out: None,
+        repeats: 3,
+        tolerance: 0.35,
+        files: Vec::new(),
+    };
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            flag if flag.starts_with("--") && !allowed.contains(&flag) => return None,
+            "--quick" => opts.quick = true,
+            "--out" => opts.out = Some(it.next()?.clone()),
+            "--repeats" => opts.repeats = it.next()?.parse().ok().filter(|r| *r > 0)?,
+            "--tolerance" => {
+                let tolerance = it.next()?.parse().ok();
+                opts.tolerance = tolerance.filter(|t| (0.0..1.0).contains(t))?;
+            }
+            file => opts.files.push(file.to_string()),
+        }
+    }
+    (opts.files.len() == files).then_some(opts)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
+    let Some((command, rest)) = args.split_first() else {
         return usage();
     };
-    match command.as_str() {
-        "queue" => {
-            let mut quick = false;
-            let mut out: Option<String> = None;
-            let mut repeats = 3u32;
-            let mut it = args[1..].iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--quick" => quick = true,
-                    "--out" => match it.next() {
-                        Some(path) => out = Some(path.clone()),
-                        None => return usage(),
-                    },
-                    "--repeats" => match it.next().and_then(|r| r.parse().ok()) {
-                        Some(r) if r > 0 => repeats = r,
-                        _ => return usage(),
-                    },
-                    _ => return usage(),
-                }
-            }
-            queue_bench(quick, repeats, out.as_deref())
-        }
-        "profile" => {
-            let mut quick = false;
-            let mut out: Option<String> = None;
-            let mut it = args[1..].iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--quick" => quick = true,
-                    "--out" => match it.next() {
-                        Some(path) => out = Some(path.clone()),
-                        None => return usage(),
-                    },
-                    _ => return usage(),
-                }
-            }
-            profile_bench(quick, out.as_deref())
-        }
-        "workload" => {
-            let mut quick = false;
-            let mut out: Option<String> = None;
-            let mut it = args[1..].iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--quick" => quick = true,
-                    "--out" => match it.next() {
-                        Some(path) => out = Some(path.clone()),
-                        None => return usage(),
-                    },
-                    _ => return usage(),
-                }
-            }
-            workload_bench(quick, out.as_deref())
-        }
-        "checkpoint" => {
-            let mut quick = false;
-            let mut out: Option<String> = None;
-            let mut repeats = 3u32;
-            let mut it = args[1..].iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--quick" => quick = true,
-                    "--out" => match it.next() {
-                        Some(path) => out = Some(path.clone()),
-                        None => return usage(),
-                    },
-                    "--repeats" => match it.next().and_then(|r| r.parse().ok()) {
-                        Some(r) if r > 0 => repeats = r,
-                        _ => return usage(),
-                    },
-                    _ => return usage(),
-                }
-            }
-            checkpoint_bench(quick, repeats, out.as_deref())
-        }
-        "diff" => {
-            let (Some(current), Some(baseline)) = (args.get(1), args.get(2)) else {
-                return usage();
-            };
-            let mut tol = 0.35f64;
-            let mut it = args[3..].iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--tolerance" => match it.next().and_then(|t| t.parse().ok()) {
-                        Some(t) if (0.0..1.0).contains(&t) => tol = t,
-                        _ => return usage(),
-                    },
-                    _ => return usage(),
-                }
-            }
-            diff_bench(current, baseline, tol)
-        }
+    let (allowed, files) = match command.as_str() {
+        "queue" | "checkpoint" => (&["--quick", "--out", "--repeats"][..], 0),
+        "profile" | "workload" => (&["--quick", "--out"][..], 0),
+        "diff" => (&["--tolerance"][..], 2),
         "--help" | "-h" | "help" => {
             usage();
-            ExitCode::SUCCESS
+            return ExitCode::SUCCESS;
         }
-        _ => usage(),
+        _ => return usage(),
+    };
+    let Some(opts) = parse_opts(rest, allowed, files) else {
+        return usage();
+    };
+    // Each sweep at its `--quick` / full size. The checkpoint sizes share
+    // the horizon, so per-cell event counts compare exactly across them;
+    // quick just drops a divergence point.
+    let (quick, repeats) = (opts.quick, opts.repeats);
+    let sweep = match command.as_str() {
+        "queue" if quick => queue_bench(quick, &[16, 128], 400_000, repeats),
+        "queue" => queue_bench(quick, &[16, 64, 128, 256], 3_000_000, repeats),
+        "profile" if quick => profile_bench(quick, &[8, 16, 128]),
+        "profile" => profile_bench(quick, &[16, 64, 128, 256, 512]),
+        "workload" if quick => workload_bench(quick, &[100, 1000]),
+        "workload" => workload_bench(quick, &[100, 300, 1000, 3000, 10_000]),
+        "checkpoint" if quick => {
+            checkpoint_bench(quick, 120_000, &[100_000, 110_000, 115_000], repeats)
+        }
+        "checkpoint" => {
+            let ticks = [100_000, 105_000, 110_000, 115_000];
+            checkpoint_bench(quick, 120_000, &ticks, repeats)
+        }
+        _ => return diff_bench(&opts.files[0], &opts.files[1], opts.tolerance),
+    };
+    finish(sweep, opts.out.as_deref())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A two-grid-cell checkpoint document, small enough to read.
+    const CHECKPOINT_DOC: &str = r#"{
+        "bench": "checkpoint", "quick": true, "repeats": 1, "committee_n": 8, "horizon": 120000,
+        "grids": [{
+            "name": "crash-divergence",
+            "cells": [
+                {"label": "crash@100000", "divergence_tick": 100000, "events_dispatched": 500},
+                {"label": "no-divergence", "divergence_tick": null, "events_dispatched": 700}
+            ],
+            "cold_wall_ms": 30.5, "warm_wall_ms": 10, "cells_per_sec_cold": 65.5,
+            "cells_per_sec_warm": 200, "warm_over_cold": 3.0,
+            "reuse": {"created": 1, "forked": 1, "prefix_ticks_saved": 100000},
+            "identical": true
+        }],
+        "speedup_check": {"best_warm_over_cold": 3.0, "threshold": 2, "pass": true},
+        "identity_pass": true
+    }"#;
+
+    /// A one-point profile document carrying the `--quick` wall budget.
+    const PROFILE_DOC: &str = r#"{
+        "bench": "profile", "quick": true, "rounds": 2,
+        "points": [{
+            "n": 16, "accountable": true, "rounds": 2, "wall_ms": 5.5, "sig_verifies": 85158,
+            "predicted_sig_verifies": 85120, "verify.memo_hit": 83424, "verify.memo_miss": 1734,
+            "predicted_memo_misses": 1734, "clone_bytes": 161568, "events_dispatched": 2224,
+            "peak_queue_depth": 240
+        }],
+        "check": {"n": 16, "measured": 85158, "predicted": 85120, "ratio": 1.0004, "pass": true},
+        "memo_check": {"n": 16, "measured": 1734, "predicted": 1734, "ratio": 1, "pass": true},
+        "memo_identity_pass": true,
+        "wall_budget": {"n": 128, "wall_secs": 0.6, "budget_secs": 30, "pass": true}
+    }"#;
+
+    /// `text` with its one occurrence of `from` replaced, parsed.
+    fn edited(text: &str, from: &str, to: &str) -> Json {
+        assert_eq!(text.matches(from).count(), 1, "needle {from:?}");
+        Json::parse(&text.replace(from, to)).expect("test document parses")
+    }
+
+    /// The failed lines of diffing `current` against the pristine `text`.
+    fn failures(text: &str, current: &Json) -> Vec<String> {
+        let baseline = Json::parse(text).expect("test document parses");
+        let tally = walk_document(current, Some(&baseline), 0.35).expect("one known kind");
+        tally.failed
+    }
+
+    #[test]
+    fn a_document_diffed_against_itself_passes_every_check() {
+        for (text, checks) in [(CHECKPOINT_DOC, 9), (PROFILE_DOC, 14)] {
+            let doc = Json::parse(text).unwrap();
+            let tally = walk_document(&doc, Some(&doc), 0.35).unwrap();
+            assert_eq!(tally.failed, Vec::<String>::new());
+            assert_eq!(tally.checks, checks);
+        }
+    }
+
+    #[test]
+    fn renamed_cell_labels_fail_instead_of_vanishing() {
+        let current =
+            Json::parse(&CHECKPOINT_DOC.replace("\"label\": \"", "\"label\": \"x-")).unwrap();
+        let failed = failures(CHECKPOINT_DOC, &current);
+        assert_eq!(failed.len(), 1, "{failed:?}");
+        assert!(failed[0].contains("cells shares a row with the baseline"));
+    }
+
+    #[test]
+    fn shifted_n_fails_instead_of_vanishing() {
+        let failed = failures(
+            PROFILE_DOC,
+            &edited(PROFILE_DOC, "\"n\": 16, \"acc", "\"n\": 17, \"acc"),
+        );
+        assert_eq!(failed.len(), 1, "{failed:?}");
+        assert!(failed[0].contains("profile.points shares a row with the baseline"));
+    }
+
+    #[test]
+    fn baseline_rows_the_current_sweep_skipped_stay_skipped() {
+        // `--quick` against a full recording: the baseline's extra cell is
+        // not a failure as long as some current row found its twin.
+        let quick = edited(
+            CHECKPOINT_DOC,
+            r#"{"label": "crash@100000", "divergence_tick": 100000, "events_dispatched": 500},"#,
+            "",
+        );
+        assert_eq!(failures(CHECKPOINT_DOC, &quick), Vec::<String>::new());
+    }
+
+    #[test]
+    fn schema_violations_fail() {
+        let missing = edited(CHECKPOINT_DOC, "\"horizon\": 120000,", "");
+        let mistyped = edited(
+            CHECKPOINT_DOC,
+            "\"events_dispatched\": 700",
+            "\"events_dispatched\": 7.5",
+        );
+        let undeclared = edited(
+            PROFILE_DOC,
+            "\"wall_ms\": 5.5,",
+            "\"wall_ms\": 5.5, \"timers\": {},",
+        );
+        for (text, current, line) in [
+            (
+                CHECKPOINT_DOC,
+                missing,
+                "schema: checkpoint.horizon is missing",
+            ),
+            (
+                CHECKPOINT_DOC,
+                mistyped,
+                "schema: checkpoint.grids[name=crash-divergence].cells[label=no-divergence]\
+                 .events_dispatched is 7.5",
+            ),
+            (
+                PROFILE_DOC,
+                undeclared,
+                "schema: profile.points[n=16,accountable=true].timers is not a declared field",
+            ),
+        ] {
+            assert_eq!(failures(text, &current), [line]);
+            // The same violations surface without a baseline.
+            assert_eq!(walk_document(&current, None, 0.0).unwrap().failed, [line]);
+        }
+    }
+
+    #[test]
+    fn an_exact_field_drifting_by_one_fails() {
+        let failed = failures(CHECKPOINT_DOC, &edited(CHECKPOINT_DOC, "500}", "501}"));
+        assert_eq!(
+            failed,
+            [
+                "checkpoint.grids[name=crash-divergence].cells[label=crash@100000]\
+              .events_dispatched 501 vs baseline 500"
+            ]
+        );
+    }
+
+    #[test]
+    fn a_ratio_passes_at_its_floor_and_fails_just_under() {
+        // Baseline 3.0 at tolerance 0.35: the floor is 1.95.
+        let at = |ratio: &str| edited(CHECKPOINT_DOC, "\"warm_over_cold\": 3.0", ratio);
+        assert_eq!(
+            failures(CHECKPOINT_DOC, &at("\"warm_over_cold\": 1.951")),
+            Vec::<String>::new()
+        );
+        let failed = failures(CHECKPOINT_DOC, &at("\"warm_over_cold\": 1.949"));
+        assert_eq!(failed.len(), 1, "{failed:?}");
+        assert!(failed[0].ends_with("warm_over_cold 1.95 vs baseline 3.00 (floor 1.95)"));
+    }
+
+    #[test]
+    fn a_false_pass_flag_fails() {
+        let budget = edited(
+            PROFILE_DOC,
+            "\"budget_secs\": 30, \"pass\": true",
+            "\"budget_secs\": 30, \"pass\": false",
+        );
+        assert_eq!(
+            failures(PROFILE_DOC, &budget),
+            ["profile.wall_budget.pass holds"]
+        );
+        let grid = edited(
+            CHECKPOINT_DOC,
+            "\"identical\": true",
+            "\"identical\": false",
+        );
+        assert_eq!(
+            failures(CHECKPOINT_DOC, &grid),
+            ["checkpoint.grids[name=crash-divergence].identical holds"]
+        );
+    }
+
+    #[test]
+    fn documents_of_different_or_unknown_kinds_are_errors() {
+        let (checkpoint, profile) = (
+            Json::parse(CHECKPOINT_DOC).unwrap(),
+            Json::parse(PROFILE_DOC).unwrap(),
+        );
+        assert!(walk_document(&checkpoint, Some(&profile), 0.35).is_err());
+        assert!(walk_document(&Json::obj([("bench", Json::str("e2e"))]), None, 0.35).is_err());
+        assert!(walk_document(&Json::Null, None, 0.35).is_err());
+    }
+
+    /// Schema violations of `doc` alone (pass flags are the sweep's own
+    /// business: a tiny sweep need not clear the full-size bars).
+    fn schema_errors(doc: &Json) -> Vec<String> {
+        let mut failed = walk_document(doc, None, 0.0).expect("a known kind").failed;
+        failed.retain(|line| line.starts_with("schema:"));
+        failed
+    }
+
+    #[test]
+    fn every_sweep_emits_exactly_its_declared_fields() {
+        for (doc, _checks) in [
+            queue_bench(true, &[4, 8], 2_000, 1),
+            profile_bench(false, &[8, 16]),
+            workload_bench(true, &[20, 50]),
+            checkpoint_bench(true, 3_000, &[2_000], 1),
+        ] {
+            // Through the renderer and back, as `diff` reads it.
+            let doc = Json::parse(&doc.render_pretty()).unwrap();
+            assert_eq!(schema_errors(&doc), Vec::<String>::new());
+        }
+    }
+
+    #[test]
+    fn the_committed_baselines_match_their_tables_and_hold_their_flags() {
+        for (kind, _) in SCHEMAS {
+            let path = format!("{}/../../BENCH_{kind}.json", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(&path).expect("committed baseline");
+            let doc = Json::parse(&text).unwrap();
+            assert_eq!(show(doc.get("bench").unwrap()), kind);
+            let tally = walk_document(&doc, Some(&doc), 0.0).unwrap();
+            assert_eq!(tally.failed, Vec::<String>::new(), "{path}");
+        }
     }
 }

@@ -124,27 +124,25 @@ impl CommitCert {
     /// round and value from distinct signers. (An empty-vote `⊥` commit is
     /// accepted with `quorum == 0`.)
     pub fn validate(&self, registry: &KeyRegistry, quorum: usize) -> bool {
-        prft_sim::obs::timed("verify_cert", || {
-            if self.commit.payload.phase != Phase::Commit || !self.commit.verify(registry) {
+        if self.commit.payload.phase != Phase::Commit || !self.commit.verify(registry) {
+            return false;
+        }
+        let round = self.commit.payload.round;
+        let value = self.commit.payload.value;
+        let mut signers: Vec<NodeId> = Vec::with_capacity(self.votes.len());
+        for v in &self.votes {
+            if v.payload.phase != Phase::Vote
+                || v.payload.round != round
+                || v.payload.value != value
+                || !v.verify(registry)
+            {
                 return false;
             }
-            let round = self.commit.payload.round;
-            let value = self.commit.payload.value;
-            let mut signers: Vec<NodeId> = Vec::with_capacity(self.votes.len());
-            for v in &self.votes {
-                if v.payload.phase != Phase::Vote
-                    || v.payload.round != round
-                    || v.payload.value != value
-                    || !v.verify(registry)
-                {
-                    return false;
-                }
-                signers.push(v.signer());
-            }
-            signers.sort_unstable();
-            signers.dedup();
-            signers.len() >= quorum
-        })
+            signers.push(v.signer());
+        }
+        signers.sort_unstable();
+        signers.dedup();
+        signers.len() >= quorum
     }
 
     /// Wire size: commit ballot + votes.

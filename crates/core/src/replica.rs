@@ -790,15 +790,13 @@ impl Replica {
         // skips the tree probe for signers we already hold a vote from —
         // a vote's content is determined by (round, value, signer), so an
         // existing entry is always the identical ballot.
-        prft_sim::obs::timed("replica.harvest_votes", || {
-            let present = self.vote_present.entry(value).or_default();
-            let votes = self.votes.entry(value).or_default();
-            for vote in &cert.votes {
-                if Self::mark(present, vote.signer().0) {
-                    votes.insert(vote.signer(), vote.clone());
-                }
+        let present = self.vote_present.entry(value).or_default();
+        let votes = self.votes.entry(value).or_default();
+        for vote in &cert.votes {
+            if Self::mark(present, vote.signer().0) {
+                votes.insert(vote.signer(), vote.clone());
             }
-        });
+        }
         self.commits
             .entry(value)
             .or_default()
@@ -1385,35 +1383,15 @@ impl Replica {
     }
 
     fn dispatch(&mut self, ctx: &mut Context<PrftMsg>, _from: NodeId, msg: PrftMsg) {
-        // `timed` scopes are no-ops unless built with `--features
-        // profiling`; they exist so `prft-bench profile` can attribute
-        // wall time per message kind at large n.
-        use prft_sim::obs::timed;
         match msg {
-            PrftMsg::Propose { ballot, block } => {
-                timed("replica.handle_propose", || {
-                    self.handle_propose(ctx, ballot, block)
-                });
-            }
-            PrftMsg::Vote { ballot, propose } => {
-                timed("replica.handle_vote", || {
-                    self.handle_vote(ctx, ballot, propose)
-                });
-            }
-            PrftMsg::Commit { cert } => {
-                timed("replica.handle_commit", || self.handle_commit(ctx, cert));
-            }
-            PrftMsg::Reveal { ballot, certs } => {
-                timed("replica.handle_reveal", || {
-                    self.handle_reveal(ctx, ballot, certs)
-                });
-            }
+            PrftMsg::Propose { ballot, block } => self.handle_propose(ctx, ballot, block),
+            PrftMsg::Vote { ballot, propose } => self.handle_vote(ctx, ballot, propose),
+            PrftMsg::Commit { cert } => self.handle_commit(ctx, cert),
+            PrftMsg::Reveal { ballot, certs } => self.handle_reveal(ctx, ballot, certs),
             PrftMsg::Expose {
                 round, evidence, ..
             } => self.handle_expose(ctx, round, evidence),
-            PrftMsg::Final { ballot } => {
-                timed("replica.handle_final", || self.handle_final(ctx, ballot));
-            }
+            PrftMsg::Final { ballot } => self.handle_final(ctx, ballot),
             PrftMsg::ViewChange { req } => self.handle_view_change(ctx, req),
             PrftMsg::CommitView { cv, reqs } => self.handle_commit_view(ctx, cv, reqs),
             PrftMsg::SyncRequest { .. } => {} // answered in on_message

@@ -127,16 +127,16 @@ impl KeyRegistry {
     /// Verifies that `sig` is a valid signature by its claimed signer over
     /// `digest`. Returns `false` for unknown signers or bad tags.
     ///
-    /// Every call counts once toward the `crypto.sig_verifies` counter and
-    /// the `verify_sig` profiling scope — this is the chokepoint the
-    /// accountable path's `O(n³κ)` Reveal payloads hammer, so the ROADMAP
-    /// large-n optimization is gated on exactly this number.
+    /// Every call counts once toward the `crypto.sig_verifies` counter —
+    /// this is the chokepoint the accountable path's `O(n³κ)` Reveal
+    /// payloads hammer, so the ROADMAP large-n optimization is gated on
+    /// exactly this number.
     pub fn verify(&self, digest: Digest, sig: &Signature) -> bool {
         prft_sim::obs::hooks::count_sig_verify();
-        prft_sim::obs::timed("verify_sig", || match self.seeds.get(sig.signer.0) {
+        match self.seeds.get(sig.signer.0) {
             Some(seed) => Sha256::digest_parts(&[seed, &digest.0]) == sig.tag,
             None => false,
-        })
+        }
     }
 }
 

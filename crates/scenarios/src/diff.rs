@@ -58,14 +58,6 @@ fn type_name(v: &Json) -> &'static str {
     }
 }
 
-fn as_f64(v: &Json) -> Option<f64> {
-    match v {
-        Json::UInt(u) => Some(*u as f64),
-        Json::Num(n) => Some(*n),
-        _ => None,
-    }
-}
-
 fn numbers_match(x: f64, y: f64, eps: f64) -> bool {
     if x == y {
         return true; // covers infinities of the same sign
@@ -86,7 +78,7 @@ fn child_path(path: &str, key: &str) -> String {
 
 fn walk(a: &Json, b: &Json, eps: f64, path: &str, out: &mut Vec<DiffEntry>) {
     // Numbers first: UInt vs Num is a representation detail, not a diff.
-    if let (Some(x), Some(y)) = (as_f64(a), as_f64(b)) {
+    if let (Some(x), Some(y)) = (a.as_f64(), b.as_f64()) {
         if !numbers_match(x, y, eps) {
             let delta = y - x;
             out.push(DiffEntry::new(

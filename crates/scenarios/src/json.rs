@@ -44,6 +44,40 @@ impl Json {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
     }
 
+    /// The value under `key`, if `self` is an object that has one.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The number as an `f64` ([`Json::UInt`] or [`Json::Num`] — which of
+    /// the two a whole number parses back as is a rendering detail).
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::UInt(v) => Some(*v as f64),
+            Json::Num(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// The string's contents.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The array's items.
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
     /// Parses a JSON document (the inverse of [`Json::render`] /
     /// [`Json::render_pretty`]). Numbers that look like unsigned integers
     /// (no sign, fraction, or exponent) come back as [`Json::UInt`] so
@@ -405,6 +439,18 @@ mod tests {
             v.render(),
             r#"{"a":3,"b":0.5,"s":"x\"y\n","arr":[true,null],"empty":{}}"#
         );
+    }
+
+    #[test]
+    fn accessors_read_through_the_matching_variant_only() {
+        let v = Json::parse(r#"{"n": 2, "x": 2.5, "s": "hi", "a": [1]}"#).unwrap();
+        assert_eq!(v.get("n").and_then(Json::as_f64), Some(2.0));
+        assert_eq!(v.get("x").and_then(Json::as_f64), Some(2.5));
+        assert_eq!(v.get("s").and_then(Json::as_str), Some("hi"));
+        assert_eq!(v.get("a").and_then(Json::as_arr), Some(&[Json::u64(1)][..]));
+        assert_eq!(v.get("missing"), None);
+        assert_eq!(v.get("s").and_then(Json::as_f64), None);
+        assert_eq!(Json::Null.get("n"), None);
     }
 
     #[test]

@@ -109,18 +109,48 @@ fn chrome_trace_matches_golden_file() {
 
 #[test]
 fn chrome_trace_is_well_formed() {
+    use prft_lab::json::Json;
+    fn text<'a>(event: &'a Json, key: &str) -> Option<&'a str> {
+        event.get(key).and_then(Json::as_str)
+    }
     let spec = fig2_spec();
     let trace = prft_lab::chrome_trace_for(&spec, spec.base_seed);
     assert!(!trace.is_empty());
-    let rendered = trace.render();
-    assert!(rendered.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
-    assert!(rendered.ends_with("]}\n"));
-    // Thread metadata for each replica, phase spans, message instants.
-    assert!(rendered.contains("\"thread_name\""));
-    assert!(rendered.contains("\"ph\":\"X\""));
-    assert!(rendered.contains("\"ph\":\"i\""));
-    assert!(rendered.contains("\"cat\":\"phase\""));
-    assert!(rendered.contains("\"cat\":\"msg\""));
+    let doc = Json::parse(&trace.render()).expect("the trace is valid JSON");
+    assert_eq!(text(&doc, "displayTimeUnit"), Some("ms"));
+    let events = doc.get("traceEvents").and_then(Json::as_arr);
+    let events = events.expect("an event array");
+    assert!(!events.is_empty());
+    for event in events {
+        // Metadata, complete spans, instants — each on a (pid, tid) track,
+        // and everything but metadata timestamped.
+        let ph = text(event, "ph").expect("every event has a phase type");
+        assert!(["M", "X", "i"].contains(&ph), "{}", event.render());
+        assert!(event.get("pid").is_some() && event.get("tid").is_some());
+        assert!(ph == "M" || event.get("ts").is_some(), "{}", event.render());
+    }
+    let count = |key, value| {
+        events
+            .iter()
+            .filter(|e| text(e, key) == Some(value))
+            .count()
+    };
+    assert!(count("cat", "phase") > 0, "no phase spans");
+    assert!(count("cat", "msg") > 0, "no message instants");
+    assert!(count("ph", "X") > 0 && count("ph", "i") > 0);
+    // One named track per replica.
+    let tracks = events
+        .iter()
+        .filter(|e| text(e, "name") == Some("thread_name"));
+    let names: Vec<&str> = tracks
+        .map(|e| {
+            e.get("args")
+                .and_then(|args| text(args, "name"))
+                .expect("a track name")
+        })
+        .collect();
+    assert_eq!(names.len(), spec.n);
+    assert!(names.iter().all(|name| name.starts_with('P')), "{names:?}");
 }
 
 /// `--trace-out` on a workload scenario traces the run the report

@@ -136,10 +136,10 @@ impl<'a, M: Clone + WireMessage> Context<'a, M> {
 
     /// One broadcast copy: the clone is the accountable path's dominant
     /// memory cost (`O(n³κ)` Reveal payloads × n recipients), so it is
-    /// metered (`engine.clone_bytes`) and a profiling scope.
+    /// metered (`engine.clone_bytes`).
     fn clone_for_fanout(&self, msg: &M) -> M {
         crate::obs::hooks::add_clone_bytes(msg.clone_cost_bytes() as u64);
-        crate::obs::timed("broadcast_clone", || msg.clone())
+        msg.clone()
     }
 
     /// Arms a timer that fires `delay` from now; returns its id.
@@ -358,15 +358,13 @@ impl<N: Node> Simulation<N> {
         let seq = self.seq;
         self.seq += 1;
         self.queue_pushes += 1;
-        let queue = &mut self.queue;
-        crate::obs::timed("queue_push", || queue.push(at, seq, EventBody { to, kind }));
+        self.queue.push(at, seq, EventBody { to, kind });
         self.peak_queue_depth = self.peak_queue_depth.max(self.queue.len());
     }
 
-    /// Pops the next event, maintaining the pop counter and profiling scope.
+    /// Pops the next event, maintaining the pop counter.
     fn pop(&mut self) -> Option<(SimTime, u64, EventBody)> {
-        let queue = &mut self.queue;
-        let popped = crate::obs::timed("queue_pop", || queue.pop());
+        let popped = self.queue.pop();
         if popped.is_some() {
             self.queue_pops += 1;
         }

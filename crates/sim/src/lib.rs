@@ -16,9 +16,8 @@
 //!   [`WireMessage`]) and an optional message [`Trace`] used to regenerate
 //!   the paper's Figure 2a timeline;
 //! * deterministic observability ([`obs`]): a named counter/gauge registry
-//!   ([`ObsRegistry`]), thread-local hot-path hooks, a [`ChromeTrace`]
-//!   exporter for Perfetto, and wall-clock scopes behind the `profiling`
-//!   cargo feature;
+//!   ([`ObsRegistry`]), thread-local hot-path hooks, and a [`ChromeTrace`]
+//!   exporter for Perfetto;
 //! * crash support (for the CFT column of Table 1).
 //!
 //! Delay behaviour is pluggable through [`LinkModel`]; the concrete

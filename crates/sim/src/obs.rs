@@ -1,10 +1,11 @@
-//! Deterministic observability: counter registry, cross-crate hot-path
-//! hooks, and feature-gated wall-clock profiling.
+//! Deterministic observability: counter registry and cross-crate hot-path
+//! hooks.
 //!
 //! The paper's cost claims (Table 3: `O(n³)` messages, `O(κ·n⁴)` bits; the
 //! accountable path's `O(n³κ)` Reveal payloads) are only actionable if a
-//! run can *report* where those costs land. This module provides three
-//! layers, all deterministic where they need to be:
+//! run can *report* where those costs land. This module provides two
+//! deterministic layers (wall-clock attribution is measured from outside,
+//! by the `benchmark/` ledger):
 //!
 //! 1. [`ObsRegistry`] — named monotone counters and high-water gauges.
 //!    Registries merge order-independently (counters add, gauges max), so
@@ -16,10 +17,6 @@
 //!    every call site. Each seeded run executes entirely on one worker
 //!    thread, so `reset()` before / `snapshot()` after a run yields exact
 //!    per-run deltas.
-//! 3. [`timed`] — scoped wall-clock timers compiled to plain closure calls
-//!    unless the `profiling` cargo feature is on. Wall-clock numbers are
-//!    inherently nondeterministic, so they never enter reports — only the
-//!    explicitly wall-clock `prft-bench profile` table.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -196,94 +193,6 @@ pub mod hooks {
     }
 }
 
-/// Wall-clock statistics for one named scope.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TimerStat {
-    /// Number of [`timed`] invocations of this scope.
-    pub calls: u64,
-    /// Total inclusive wall-clock nanoseconds across those calls (nested
-    /// scopes are counted in their parents too).
-    pub total_ns: u64,
-}
-
-#[cfg(feature = "profiling")]
-mod profiling_impl {
-    use super::TimerStat;
-    use std::cell::RefCell;
-    use std::collections::BTreeMap;
-
-    thread_local! {
-        static TIMERS: RefCell<BTreeMap<&'static str, TimerStat>> =
-            RefCell::new(BTreeMap::new());
-    }
-
-    pub fn record(name: &'static str, ns: u64) {
-        TIMERS.with(|t| {
-            let mut map = t.borrow_mut();
-            let e = map.entry(name).or_default();
-            e.calls += 1;
-            e.total_ns += ns;
-        });
-    }
-
-    pub fn snapshot() -> Vec<(&'static str, TimerStat)> {
-        TIMERS.with(|t| t.borrow().iter().map(|(k, v)| (*k, *v)).collect())
-    }
-
-    pub fn reset() {
-        TIMERS.with(|t| t.borrow_mut().clear());
-    }
-}
-
-/// Runs `f`, attributing its wall-clock time to the scope `name`.
-///
-/// With the `profiling` cargo feature disabled (the default) this is a
-/// `#[inline(always)]` pass-through — the closure is called directly and
-/// nothing is recorded, so hot paths pay nothing.
-#[cfg(not(feature = "profiling"))]
-#[inline(always)]
-pub fn timed<T>(_name: &'static str, f: impl FnOnce() -> T) -> T {
-    f()
-}
-
-/// Runs `f`, attributing its wall-clock time to the scope `name`.
-///
-/// The `profiling` feature is enabled: two `Instant` reads bracket the
-/// call and the elapsed nanoseconds accumulate in a thread-local table
-/// readable via [`profile_snapshot`].
-#[cfg(feature = "profiling")]
-pub fn timed<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
-    let start = std::time::Instant::now();
-    let out = f();
-    let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    profiling_impl::record(name, ns);
-    out
-}
-
-/// Whether this build records wall-clock scopes (`profiling` feature).
-pub fn profiling_enabled() -> bool {
-    cfg!(feature = "profiling")
-}
-
-/// This thread's accumulated timer table, alphabetical by scope name.
-/// Always empty when the `profiling` feature is disabled.
-pub fn profile_snapshot() -> Vec<(&'static str, TimerStat)> {
-    #[cfg(feature = "profiling")]
-    {
-        profiling_impl::snapshot()
-    }
-    #[cfg(not(feature = "profiling"))]
-    {
-        Vec::new()
-    }
-}
-
-/// Clears this thread's timer table (no-op when profiling is disabled).
-pub fn profile_reset() {
-    #[cfg(feature = "profiling")]
-    profiling_impl::reset();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,41 +271,5 @@ mod tests {
         hooks::add_sig_verifies(41);
         assert_eq!(hooks::snapshot().sig_verifies, 42);
         hooks::reset();
-    }
-
-    #[test]
-    fn timed_returns_the_closure_value() {
-        profile_reset();
-        let v = timed("obs_test_scope", || 21 * 2);
-        assert_eq!(v, 42);
-    }
-
-    #[cfg(not(feature = "profiling"))]
-    #[test]
-    fn disabled_profiling_records_nothing() {
-        // The zero-overhead contract: with the feature off, `timed` is a
-        // pass-through and the snapshot stays empty no matter how many
-        // scopes run.
-        profile_reset();
-        for _ in 0..10 {
-            timed("obs_test_noop", || ());
-        }
-        assert!(!profiling_enabled());
-        assert!(profile_snapshot().is_empty());
-    }
-
-    #[cfg(feature = "profiling")]
-    #[test]
-    fn enabled_profiling_records_calls() {
-        profile_reset();
-        timed("obs_test_hot", || std::hint::black_box(1 + 1));
-        timed("obs_test_hot", || std::hint::black_box(2 + 2));
-        assert!(profiling_enabled());
-        let snap = profile_snapshot();
-        let (_, stat) = snap
-            .iter()
-            .find(|(k, _)| *k == "obs_test_hot")
-            .expect("scope recorded");
-        assert_eq!(stat.calls, 2);
     }
 }
