@@ -584,7 +584,7 @@ struct CheckpointGrid {
 const CHECKPOINT_DELTA: u64 = 100;
 
 /// Tick every delay-divergence cell lifts its shared delay rule at: late
-/// enough that forks across the live rule do real replay work, early
+/// enough that forks across the live rule skip real work, early
 /// enough to leave a long shared suffix past it.
 const DELAY_LIFT_TICK: u64 = 60_000;
 
@@ -643,7 +643,7 @@ fn checkpoint_grids(horizon: u64, ticks: &[u64]) -> [CheckpointGrid; 3] {
         ),
         // Every cell installs the same targeted delay rule at t = 0 and
         // lifts it at `DELAY_LIFT_TICK`. Forks here cross a live delay
-        // rule, so the bench also times the delay-replay path the
+        // rule, so the bench also times the link-stack rebuild the
         // equivalence suite pins for correctness — and because the shared
         // schedule ends at the lift, the crash cells can only fork deep
         // via **suffix captures**: the lift-only cell runs first and

@@ -558,10 +558,8 @@ impl Replica {
         self.propose_store
             .entry(block.id())
             .or_insert_with(|| ballot.clone());
-        let first_of_value = self
-            .proposals_seen
-            .insert(ballot.payload.value, ballot.clone())
-            .is_none();
+        self.proposals_seen
+            .insert(ballot.payload.value, ballot.clone());
 
         // Leader equivocation is itself double-sign evidence and a
         // view-change trigger.
@@ -570,7 +568,6 @@ impl Replica {
         if self.detector.convicted_count() > convicted_before {
             return; // equivocation: don't vote on either proposal
         }
-        let _ = first_of_value;
 
         if self.discontinued || self.voted {
             return;

@@ -6,16 +6,15 @@
 //! other half* but let collusion traffic race ahead". [`TargetedDelay`]
 //! wraps a base model and adds rule-based extra delay.
 //!
-//! The rule set lives behind a shared [`DelayRuleHandle`], so a driver can
-//! keep adding rules *after* the simulation has taken ownership of the
-//! model — the timeline executor in `prft-lab` schedules `AddDelayRule`
-//! events at deterministic ticks between run segments. Because rules carry
-//! their own absolute windows and rule evaluation draws no randomness,
-//! mid-run additions cannot perturb determinism.
+//! The rule set is fixed before the simulation takes ownership of the
+//! model. Rules carry their own absolute send-time windows and the
+//! engine's clock is monotone, so "install a rule at tick `t`, lift it at
+//! `t'`" *is* the rule over `[t, t')`: `prft-lab` resolves its scheduled
+//! `AddDelayRule` / `RemoveDelayRule` events into windows at build time
+//! and nothing mutates the model mid-run.
 
 use prft_sim::{LinkModel, SimRng, SimTime};
 use prft_types::NodeId;
-use std::sync::{Arc, Mutex};
 
 /// One scheduling rule: during `[from_time, until_time)`, messages matching
 /// the (sender, receiver) pattern get `extra` ticks of added delay.
@@ -76,38 +75,6 @@ impl DelayRule {
     }
 }
 
-/// A cloneable handle onto a [`TargetedDelay`]'s live rule set: the way to
-/// add rules after the wrapped model has been moved into a simulation.
-#[derive(Clone)]
-pub struct DelayRuleHandle {
-    rules: Arc<Mutex<Vec<DelayRule>>>,
-}
-
-impl DelayRuleHandle {
-    /// Adds a scheduling rule to the live model.
-    pub fn add_rule(&self, rule: DelayRule) {
-        self.rules.lock().expect("delay rules").push(rule);
-    }
-
-    /// Removes every installed rule whose `(from, to)` pattern equals the
-    /// given one (both wildcards compare as written, not as "matches"),
-    /// returning how many rules were dropped. Removal takes effect from
-    /// the *next* delivery computed — already-scheduled deliveries keep
-    /// the delay the rule imposed when they were sent, so a mid-run
-    /// removal cannot reorder in-flight traffic.
-    pub fn remove_matching(&self, from: Option<NodeId>, to: Option<NodeId>) -> usize {
-        let mut rules = self.rules.lock().expect("delay rules");
-        let before = rules.len();
-        rules.retain(|r| !(r.from == from && r.to == to));
-        before - rules.len()
-    }
-
-    /// Number of rules currently installed.
-    pub fn rule_count(&self) -> usize {
-        self.rules.lock().expect("delay rules").len()
-    }
-}
-
 /// A [`LinkModel`] wrapper applying [`DelayRule`]s on top of a base model.
 ///
 /// Composes by wrapping: the base may itself be a `PartitionedNet` over a
@@ -115,7 +82,7 @@ impl DelayRuleHandle {
 /// time and the extra delay lands on top of any partition hold.
 pub struct TargetedDelay {
     inner: Box<dyn LinkModel>,
-    rules: Arc<Mutex<Vec<DelayRule>>>,
+    rules: Vec<DelayRule>,
 }
 
 impl TargetedDelay {
@@ -123,22 +90,14 @@ impl TargetedDelay {
     pub fn new(inner: Box<dyn LinkModel>) -> Self {
         TargetedDelay {
             inner,
-            rules: Arc::new(Mutex::new(Vec::new())),
+            rules: Vec::new(),
         }
     }
 
     /// Adds a scheduling rule.
     pub fn add_rule(&mut self, rule: DelayRule) -> &mut Self {
-        self.rules.lock().expect("delay rules").push(rule);
+        self.rules.push(rule);
         self
-    }
-
-    /// A handle for adding rules after this model has been boxed into a
-    /// simulation (mid-run rule installation).
-    pub fn handle(&self) -> DelayRuleHandle {
-        DelayRuleHandle {
-            rules: Arc::clone(&self.rules),
-        }
     }
 }
 
@@ -147,8 +106,6 @@ impl LinkModel for TargetedDelay {
         let base = self.inner.deliver_at(from, to, sent, rng);
         let extra: u64 = self
             .rules
-            .lock()
-            .expect("delay rules")
             .iter()
             .filter(|r| r.matches(from, to, sent))
             .map(|r| r.extra.0)
@@ -214,57 +171,6 @@ mod tests {
             SimTime(50),
         ));
         assert_eq!(delivery(&mut net, 0, 2, 100), 102, "window is exclusive");
-    }
-
-    #[test]
-    fn handle_adds_rules_to_a_live_model() {
-        let mut net = TargetedDelay::new(Box::new(ConstantDelay(SimTime(2))));
-        let handle = net.handle();
-        assert_eq!(handle.rule_count(), 0);
-        // Simulate "the model is already owned elsewhere": add via handle.
-        handle.add_rule(DelayRule::slow_sender(
-            NodeId(0),
-            SimTime(0),
-            SimTime(100),
-            SimTime(50),
-        ));
-        assert_eq!(handle.rule_count(), 1);
-        assert_eq!(delivery(&mut net, 0, 2, 10), 62);
-        assert_eq!(delivery(&mut net, 1, 2, 10), 12);
-    }
-
-    #[test]
-    fn remove_matching_drops_exact_patterns_only() {
-        let mut net = TargetedDelay::new(Box::new(ConstantDelay(SimTime(2))));
-        let handle = net.handle();
-        handle.add_rule(DelayRule::slow_sender(
-            NodeId(0),
-            SimTime(0),
-            SimTime(100),
-            SimTime(50),
-        ));
-        handle.add_rule(DelayRule::slow_sender(
-            NodeId(0),
-            SimTime(0),
-            SimTime(100),
-            SimTime(7),
-        ));
-        handle.add_rule(DelayRule::slow_receiver(
-            NodeId(2),
-            SimTime(0),
-            SimTime(100),
-            SimTime(5),
-        ));
-        // Pattern mismatch removes nothing.
-        assert_eq!(handle.remove_matching(Some(NodeId(1)), None), 0);
-        assert_eq!(handle.remove_matching(None, None), 0);
-        // The (from=0, to=*) pattern drops both sender rules at once.
-        assert_eq!(handle.remove_matching(Some(NodeId(0)), None), 2);
-        assert_eq!(handle.rule_count(), 1);
-        // The receiver rule survives and still applies.
-        assert_eq!(delivery(&mut net, 0, 2, 10), 17);
-        assert_eq!(handle.remove_matching(None, Some(NodeId(2))), 1);
-        assert_eq!(delivery(&mut net, 0, 2, 10), 12);
     }
 
     #[test]

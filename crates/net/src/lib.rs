@@ -13,8 +13,9 @@
 //!   traffic until the window closes (messages are *delayed*, never dropped:
 //!   channels are reliable);
 //! * [`TargetedDelay`] — an adversarial scheduler that slows selected
-//!   sender/receiver pairs, used to build the split-vote schedules in the
-//!   impossibility experiments.
+//!   sender/receiver pairs over fixed send-time windows (resolved at build
+//!   time, never mutated mid-run), used to build the split-vote schedules
+//!   in the impossibility experiments.
 //!
 //! # Example
 //!
@@ -43,6 +44,6 @@ mod adversarial;
 mod delay;
 mod partition;
 
-pub use adversarial::{DelayRule, DelayRuleHandle, TargetedDelay};
+pub use adversarial::{DelayRule, TargetedDelay};
 pub use delay::{AsynchronousNet, PartiallySynchronousNet, SynchronousNet};
 pub use partition::{PartitionWindow, PartitionedNet};

@@ -16,10 +16,12 @@
 //! stays bit-deterministic: segment boundaries are pure functions of the
 //! spec, and no scheduled event draws randomness.
 //!
-//! Partition sugar ([`TimelineEvent::PartitionStart`]/`PartitionEnd`) is
-//! resolved statically into [`PartitionSpec`] windows at network-build
-//! time — partitions are window-based in `prft-net`, so they need no
-//! runtime action.
+//! Partition sugar ([`TimelineEvent::PartitionStart`]/`PartitionEnd`) and
+//! delay-rule events ([`TimelineEvent::AddDelayRule`]/`RemoveDelayRule`)
+//! are resolved statically into windows at network-build time — both are
+//! send-time-window-based in `prft-net` and the clock is monotone, so they
+//! need no runtime action and the link stack is a pure function of the
+//! spec.
 
 use crate::checkpoint::{
     boundaries, ordered_events, prefix_fingerprint, CheckpointEntry, CheckpointStore,
@@ -37,7 +39,7 @@ use prft_core::{
 };
 use prft_game::{PayoffTable, SystemState};
 use prft_metrics::{classify, StateObservation};
-use prft_net::{DelayRule, DelayRuleHandle, PartitionWindow, PartitionedNet, TargetedDelay};
+use prft_net::{DelayRule, PartitionWindow, PartitionedNet, TargetedDelay};
 use prft_sim::{LinkModel, Node, RunOutcome, SimTime, Simulation};
 use prft_types::{Block, Digest, NodeId, Round, Transaction, TxId};
 use prft_workload::{Actor, WorkloadRunStats};
@@ -129,12 +131,47 @@ fn scheduled_partitions(spec: &ScenarioSpec) -> Vec<PartitionSpec> {
     windows
 }
 
-/// Builds the link-model stack for `spec`: base synchrony flavour, wrapped
-/// by a [`PartitionedNet`] when any partition window exists (explicit or
-/// scheduled sugar), wrapped by a [`TargetedDelay`] when the schedule
-/// installs delay rules. Returns the handle for mid-run rule additions
-/// alongside the model.
-fn network_model(spec: &ScenarioSpec) -> (NetworkChoice, Option<DelayRuleHandle>) {
+/// Resolves the schedule's delay events into fixed send-time windows, in
+/// the executor's own order ([`ordered_events`]): `AddDelayRule` at `t`
+/// opens `[t, t + window)`; `RemoveDelayRule` at `t'` clips every rule
+/// *already added* under the exact `(from, to)` pattern (wildcards compare
+/// as written) to end at `t'`. A rule matches on send time and the clock
+/// is monotone, so this is indistinguishable from installing and lifting
+/// the rules mid-run — in-flight traffic keeps the delay it was sent with.
+fn scheduled_delay_rules(spec: &ScenarioSpec) -> Vec<DelayRule> {
+    let mut rules: Vec<DelayRule> = Vec::new();
+    for (tick, event) in ordered_events(spec) {
+        match *event {
+            TimelineEvent::AddDelayRule {
+                from,
+                to,
+                extra,
+                window,
+            } => rules.push(DelayRule {
+                from: from.map(NodeId),
+                to: to.map(NodeId),
+                from_time: SimTime(tick),
+                until_time: SimTime(tick.saturating_add(window)),
+                extra: SimTime(extra),
+            }),
+            TimelineEvent::RemoveDelayRule { from, to } => {
+                let pattern = (from.map(NodeId), to.map(NodeId));
+                for rule in rules.iter_mut().filter(|r| (r.from, r.to) == pattern) {
+                    rule.until_time = rule.until_time.min(SimTime(tick));
+                }
+            }
+            _ => {}
+        }
+    }
+    rules
+}
+
+/// Builds the link-model stack for `spec` — a pure function of it: base
+/// synchrony flavour, wrapped by a [`PartitionedNet`] when any partition
+/// window exists (explicit or scheduled sugar), wrapped by a
+/// [`TargetedDelay`] holding the resolved rules when the schedule has a
+/// delay event.
+fn network_model(spec: &ScenarioSpec) -> NetworkChoice {
     let base: Box<dyn LinkModel> = match spec.synchrony {
         Synchrony::Synchronous { delta } => Box::new(prft_net::SynchronousNet::new(SimTime(delta))),
         Synchrony::PartiallySynchronous { gst, delta } => Box::new(
@@ -175,11 +212,13 @@ fn network_model(spec: &ScenarioSpec) -> (NetworkChoice, Option<DelayRuleHandle>
         )
     });
     if needs_delay {
-        let targeted = TargetedDelay::new(partitioned);
-        let handle = targeted.handle();
-        (NetworkChoice::Custom(Box::new(targeted)), Some(handle))
+        let mut targeted = TargetedDelay::new(partitioned);
+        for rule in scheduled_delay_rules(spec) {
+            targeted.add_rule(rule);
+        }
+        NetworkChoice::Custom(Box::new(targeted))
     } else {
-        (NetworkChoice::Custom(partitioned), None)
+        NetworkChoice::Custom(partitioned)
     }
 }
 
@@ -226,27 +265,20 @@ fn behavior_for(
 
 /// A built simulation plus the shared state the timeline executor needs:
 /// the fork blackboard (scheduled colluders must join the *same* board as
-/// the initial ones) and the live delay-rule handle.
+/// the initial ones) and the censor collusion set.
 struct Built {
     sim: Simulation<Actor>,
     board: Option<Blackboard>,
     collusion: HashSet<NodeId>,
-    delay: Option<DelayRuleHandle>,
 }
 
 /// The configured harness for one cell (behaviors installed, txs
-/// preloaded) plus the adversary state and delay handle the timeline
-/// executor will need, and the resolved roles for the initial crashes.
+/// preloaded) plus the adversary state the timeline executor will need,
+/// and the resolved roles for the initial crashes.
 fn prepared(
     spec: &ScenarioSpec,
     seed: u64,
-) -> (
-    Harness,
-    Option<Blackboard>,
-    HashSet<NodeId>,
-    Option<DelayRuleHandle>,
-    Vec<Role>,
-) {
+) -> (Harness, Option<Blackboard>, HashSet<NodeId>, Vec<Role>) {
     let mut cfg = Config::for_committee(spec.n).with_max_rounds(spec.max_rounds);
     if let Some(t) = spec.phase_timeout {
         cfg = cfg.with_timeout(SimTime(t));
@@ -265,7 +297,7 @@ fn prepared(
     // Collusion spans the whole run: players censoring at any scheduled
     // point count as coalition members from the start.
     let collusion: HashSet<NodeId> = spec.censor_collusion().into_iter().map(NodeId).collect();
-    let (network, delay) = network_model(spec);
+    let network = network_model(spec);
 
     let mut h = Harness::new(spec.n, seed)
         .config(cfg)
@@ -291,7 +323,7 @@ fn prepared(
             behavior_for(spec, role, &board, &collusion).map(|b| (NodeId(i), b))
         })
         .collect();
-    (h.with_behaviors(behaviors), board, collusion, delay, roles)
+    (h.with_behaviors(behaviors), board, collusion, roles)
 }
 
 /// Assembles the one node population every scenario runs as: the
@@ -300,7 +332,7 @@ fn prepared(
 /// committee is a workload with zero clients). Crash roles are applied
 /// before returning.
 fn build(spec: &ScenarioSpec, seed: u64) -> Built {
-    let (h, board, collusion, delay, roles) = prepared(spec, seed);
+    let (h, board, collusion, roles) = prepared(spec, seed);
     let (replicas, network, seed, queue) = h.build_parts();
     let mut sim = match &spec.workload {
         Some(w) => prft_workload::assemble(replicas, w, network, seed, queue),
@@ -321,7 +353,6 @@ fn build(spec: &ScenarioSpec, seed: u64) -> Built {
         sim,
         board,
         collusion,
-        delay,
     }
 }
 
@@ -333,8 +364,8 @@ pub fn build_sim(spec: &ScenarioSpec, seed: u64) -> Simulation<Actor> {
     build(spec, seed).sim
 }
 
-/// Applies one scheduled event at the start of `tick`.
-fn apply_event(spec: &ScenarioSpec, built: &mut Built, tick: u64, event: &TimelineEvent) {
+/// Applies one scheduled event at the start of its tick.
+fn apply_event(spec: &ScenarioSpec, built: &mut Built, event: &TimelineEvent) {
     match event {
         TimelineEvent::Crash(player) => built.sim.crash(NodeId(*player)),
         TimelineEvent::Recover(player) => built.sim.recover(NodeId(*player)),
@@ -347,13 +378,8 @@ fn apply_event(spec: &ScenarioSpec, built: &mut Built, tick: u64, event: &Timeli
                 replica_mut(&mut built.sim, NodeId(*player)).set_behavior(behavior);
             }
         }
-        TimelineEvent::AddDelayRule { .. } | TimelineEvent::RemoveDelayRule { .. } => {
-            let handle = built
-                .delay
-                .as_ref()
-                .expect("network_model installs TargetedDelay for scheduled rules");
-            apply_delay_event(handle, tick, event);
-        }
+        // Resolved into rule windows at network build time.
+        TimelineEvent::AddDelayRule { .. } | TimelineEvent::RemoveDelayRule { .. } => {}
         TimelineEvent::InjectTx(tx) => {
             let transaction =
                 Transaction::new(tx.id, NodeId(tx.to.unwrap_or(0)), tx.payload.clone());
@@ -375,36 +401,6 @@ fn apply_event(spec: &ScenarioSpec, built: &mut Built, tick: u64, event: &Timeli
         TimelineEvent::PartitionStart { .. } | TimelineEvent::PartitionEnd => {
             unreachable!("partition sugar is resolved at network build time")
         }
-    }
-}
-
-/// Applies one scheduled delay-rule event to a live [`DelayRuleHandle`].
-///
-/// Shared between the timeline executor ([`apply_event`]) and the
-/// checkpoint-fork path, which replays the prefix's delay events onto a
-/// freshly built network stack — the rule a fork reconstructs must be
-/// field-for-field the rule the original run installed, so there is
-/// exactly one place that builds it. Non-delay events are ignored.
-fn apply_delay_event(handle: &DelayRuleHandle, tick: u64, event: &TimelineEvent) {
-    match event {
-        TimelineEvent::AddDelayRule {
-            from,
-            to,
-            extra,
-            window,
-        } => {
-            handle.add_rule(DelayRule {
-                from: from.map(NodeId),
-                to: to.map(NodeId),
-                from_time: SimTime(tick),
-                until_time: SimTime(tick.saturating_add(*window)),
-                extra: SimTime(*extra),
-            });
-        }
-        TimelineEvent::RemoveDelayRule { from, to } => {
-            handle.remove_matching(from.map(NodeId), to.map(NodeId));
-        }
-        _ => {}
     }
 }
 
@@ -475,7 +471,7 @@ fn execute_schedule(
             }
         }
         while i < events.len() && events[i].0 == tick {
-            apply_event(spec, built, tick, events[i].1);
+            apply_event(spec, built, events[i].1);
             i += 1;
         }
     }
@@ -630,27 +626,17 @@ pub fn run_one_with(spec: &ScenarioSpec, seed: u64, store: Option<&CheckpointSto
 /// meter, counters, and broadcast domain; the scenario layer re-supplies
 /// what the snapshot deliberately leaves out:
 ///
-/// - the **network stack**, rebuilt from the spec (a pure function of its
-///   static fields) with the prefix's delay-rule events replayed onto the
-///   fresh [`DelayRuleHandle`] — so a rule lifted before the capture
-///   stays lifted and one still active stays active;
+/// - the **network stack**, rebuilt from the consumer's spec, of which it
+///   is a pure function (delay rules and partitions are send-time windows
+///   resolved at build time, so there is no link state to carry over);
 /// - the **fork blackboard**, deep-copied into a fresh `Arc` and rebound
 ///   into every committee replica's behavior, so the fork never aliases
 ///   the producer run's live coordination state (and later scheduled
 ///   colluders join the fork's own board);
 /// - the consumer's own queue backend (checkpoints are backend-portable).
 fn fork_from(spec: &ScenarioSpec, entry: &CheckpointEntry) -> Built {
-    let (network, delay) = network_model(spec);
-    if let Some(handle) = &delay {
-        for (tick, event) in ordered_events(spec) {
-            if tick >= entry.tick {
-                break;
-            }
-            apply_delay_event(handle, tick, event);
-        }
-    }
-    let mut sim =
-        Simulation::restore_with_backend(&entry.snapshot, network.into_model(), spec.queue);
+    let network = network_model(spec).into_model();
+    let mut sim = Simulation::restore_with_backend(&entry.snapshot, network, spec.queue);
     let board: Option<Blackboard> = match (&entry.board, spec.uses_fork_blackboard()) {
         (Some(plan), _) => Some(std::sync::Arc::new(std::sync::Mutex::new(plan.clone()))),
         // The producer had no board but this spec schedules fork roles in
@@ -670,7 +656,6 @@ fn fork_from(spec: &ScenarioSpec, entry: &CheckpointEntry) -> Built {
         sim,
         board,
         collusion,
-        delay,
     }
 }
 
@@ -807,7 +792,7 @@ mod tests {
     /// (crash/recover is all the scenarios below schedule).
     fn reference_run(spec: &ScenarioSpec, seed: u64) -> (String, Vec<Delivery>) {
         prft_sim::obs::hooks::reset();
-        let (h, _board, _collusion, _delay, roles) = prepared(spec, seed);
+        let (h, _board, _collusion, roles) = prepared(spec, seed);
         let mut sim = h.build();
         sim.set_tracing(true);
         for (i, role) in roles.iter().enumerate() {
@@ -827,6 +812,97 @@ mod tests {
         }
         let outcome = sim.run_until(SimTime(spec.horizon));
         observed(spec, &sim, seed, outcome)
+    }
+
+    /// The delay-rule resolver on specs alone: each row is a schedule (in
+    /// insertion order) and the `(from, to, from_time, until_time)` windows
+    /// it must resolve to.
+    #[test]
+    fn delay_events_resolve_to_fixed_windows() {
+        type Pattern = (Option<usize>, Option<usize>);
+        type Window = (Pattern, u64, u64);
+        type Row = (&'static str, Vec<(u64, TimelineEvent)>, Vec<Window>);
+        const P0: Pattern = (Some(0), None);
+        let add = |(from, to): Pattern, window| TimelineEvent::AddDelayRule {
+            from,
+            to,
+            extra: 7,
+            window,
+        };
+        let remove = |(from, to): Pattern| TimelineEvent::RemoveDelayRule { from, to };
+        let horizon = 1_000;
+        let table: Vec<Row> = vec![
+            (
+                "add then remove clips to the removal tick",
+                vec![(10, add(P0, 500)), (40, remove(P0))],
+                vec![(P0, 10, 40)],
+            ),
+            (
+                "remove then add at one tick leaves the rule unclipped",
+                vec![(10, remove(P0)), (10, add(P0, 500))],
+                vec![(P0, 10, 510)],
+            ),
+            (
+                "add then remove at one tick is an empty window",
+                vec![(10, add(P0, 500)), (10, remove(P0))],
+                vec![(P0, 10, 10)],
+            ),
+            (
+                "patterns compare as written, in both positions",
+                vec![
+                    (10, add(P0, 500)),
+                    (10, add((None, Some(2)), 500)),
+                    (20, remove((Some(1), None))),
+                    (20, remove((None, None))),
+                    (20, remove((Some(0), Some(2)))),
+                ],
+                vec![(P0, 10, 510), ((None, Some(2)), 10, 510)],
+            ),
+            (
+                "one removal clips every earlier rule of the pattern",
+                vec![(10, add(P0, 500)), (30, add(P0, 20)), (40, remove(P0))],
+                vec![(P0, 10, 40), (P0, 30, 40)],
+            ),
+            (
+                "a removal never extends an expired window, a re-add is unclipped",
+                vec![(10, add(P0, 5)), (40, remove(P0)), (60, add(P0, 100))],
+                vec![(P0, 10, 15), (P0, 60, 160)],
+            ),
+            (
+                "execution order is by tick, not insertion",
+                vec![(40, remove(P0)), (10, add(P0, 500))],
+                vec![(P0, 10, 40)],
+            ),
+            (
+                "an unbounded window saturates",
+                vec![(10, add(P0, u64::MAX))],
+                vec![(P0, 10, u64::MAX)],
+            ),
+            (
+                "events past the horizon are dropped",
+                vec![
+                    (10, add(P0, 5_000)),
+                    (horizon + 1, remove(P0)),
+                    (horizon + 1, add(P0, 5)),
+                ],
+                vec![(P0, 10, 5_010)],
+            ),
+        ];
+        for (case, schedule, expected) in table {
+            let mut spec = ScenarioSpec::new(case, 4, 1).horizon(horizon);
+            for (tick, event) in schedule {
+                spec = spec.at(tick, event);
+            }
+            let resolved: Vec<Window> = scheduled_delay_rules(&spec)
+                .iter()
+                .map(|r| {
+                    assert_eq!(r.extra, SimTime(7), "{case}");
+                    let pattern = (r.from.map(|id| id.0), r.to.map(|id| id.0));
+                    (pattern, r.from_time.0, r.until_time.0)
+                })
+                .collect();
+            assert_eq!(resolved, expected, "{case}");
+        }
     }
 
     /// A zero-client `Actor` population is semantics-free: boxing the

@@ -65,7 +65,10 @@ pub const DEFAULT_CAPACITY: usize = 64;
 ///   (resolved statically into network windows at build time, so they are
 ///   static config regardless of their tick);
 /// - the *dynamic prefix*: every non-sugar scheduled event with
-///   `tick < tick_bound`, in execution order (stable tick sort).
+///   `tick < tick_bound`, in execution order (stable tick sort). Delay
+///   events count here although they too resolve into build-time
+///   windows: one at `t` only shapes sends from `t` on, so cells agreeing
+///   below the bound saw identical delays below it.
 ///
 /// It deliberately **excludes** fields that provably cannot affect the
 /// simulation state: `label`, `watched` and `utility` (post-run
@@ -171,9 +174,9 @@ pub(crate) fn boundaries(spec: &ScenarioSpec) -> Vec<u64> {
 /// state the engine cannot see ride alongside: the fork blackboard
 /// content (deep-copied so forks never alias the producer's live
 /// `Arc<Mutex<…>>`) and the thread-local observability hook counters
-/// accumulated over the prefix. Delay rules are deliberately *not*
-/// captured — the fork path replays the prefix's delay events onto a
-/// freshly built network stack instead (see `docs/CHECKPOINTING.md`).
+/// accumulated over the prefix. The link stack is not captured: it is
+/// rebuilt from the consumer's spec, of which it is a pure function (see
+/// `docs/CHECKPOINTING.md`).
 pub struct CheckpointEntry {
     /// Engine-level state at the capture point.
     pub(crate) snapshot: SimSnapshot<Actor>,

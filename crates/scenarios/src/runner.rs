@@ -13,7 +13,7 @@
 //!    thread count. `threads = 1` and `threads = 8` produce byte-identical
 //!    reports.
 
-use crate::build::{run_one, run_one_with};
+use crate::build::run_one_with;
 use crate::checkpoint::CheckpointStore;
 use crate::record::{BatchReport, RunRecord};
 use crate::spec::ScenarioSpec;
@@ -103,13 +103,11 @@ impl BatchRunner {
         effective_threads(self.threads)
     }
 
-    /// Runs `seeds` seeded simulations of `spec` and aggregates them.
+    /// Runs `seeds` seeded simulations of `spec` and aggregates them: the
+    /// one-point cold grid.
     pub fn run(&self, spec: &ScenarioSpec, seeds: u64) -> BatchReport {
-        let indices: Vec<u64> = (0..seeds).collect();
-        let records: Vec<RunRecord> = par_map(self.threads, &indices, |_, &i| {
-            run_one(spec, derive_seed(spec.base_seed, i))
-        });
-        BatchReport::from_records(spec.label.clone(), spec.n, records)
+        let mut reports = self.run_grid_with(std::slice::from_ref(spec), seeds, None);
+        reports.pop().expect("one report per grid point")
     }
 
     /// Runs every grid point of a scenario, each over `seeds` seeds, with
@@ -126,7 +124,7 @@ impl BatchRunner {
     /// re-simulating it (`None` = cold, every cell from `t = 0`).
     ///
     /// The whole grid is flattened into **one** `specs × seeds` work list
-    /// over the shared claim counter, so a grid of many small points
+    /// fanned out through [`par_map`], so a grid of many small points
     /// saturates the pool instead of draining it once per point. Cells
     /// are index-addressed — cell `s·seeds + i` is spec `s` under
     /// [`derive_seed`]`(base_s, i)` — and each grid point aggregates the
@@ -176,8 +174,7 @@ impl BatchRunner {
             .collect();
         let reports: Vec<Mutex<Option<BatchReport>>> =
             specs.iter().map(|_| Mutex::new(None)).collect();
-        let work = |c: usize| {
-            let (s, i) = cells[c];
+        par_map(self.threads, &cells, |_, &(s, i)| {
             let spec = &specs[s];
             let record = run_one_with(spec, derive_seed(spec.base_seed, i), store);
             let finished: Option<Vec<RunRecord>> = {
@@ -195,26 +192,7 @@ impl BatchRunner {
                 let report = BatchReport::from_records(spec.label.clone(), spec.n, records);
                 *reports[s].lock().expect("report slot") = Some(report);
             }
-        };
-        let threads = effective_threads(self.threads).min(cells.len());
-        if threads <= 1 {
-            for c in 0..cells.len() {
-                work(c);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| loop {
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        if c >= cells.len() {
-                            break;
-                        }
-                        work(c);
-                    });
-                }
-            });
-        }
+        });
         reports
             .into_iter()
             .map(|r| {
@@ -263,6 +241,18 @@ mod tests {
         let empty: Vec<u64> = vec![];
         assert!(par_map(4, &empty, |_, &x| x).is_empty());
         assert_eq!(par_map(4, &[5u64], |_, &x| x + 1), vec![6]);
+    }
+
+    #[test]
+    fn run_is_the_one_point_cold_grid() {
+        let spec = ScenarioSpec::new("tiny", 4, 2);
+        let runner = BatchRunner::new(2);
+        let json = |r: &BatchReport| r.to_json().render();
+        let single = runner.run(&spec, 3);
+        let grid = runner.run_grid_with(std::slice::from_ref(&spec), 3, None);
+        assert_eq!(grid.len(), 1);
+        assert_eq!(json(&single), json(&grid[0]));
+        assert_eq!(runner.run(&spec, 0).seeds, 0);
     }
 
     #[test]

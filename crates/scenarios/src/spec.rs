@@ -116,7 +116,9 @@ pub enum TimelineEvent {
     /// Add a targeted-delay rule active over `[tick, tick + window)`:
     /// messages matching the (sender, receiver) pattern — `None` is a
     /// wildcard — get `extra` ticks of added delay on top of whatever the
-    /// base network (and any partition) imposes.
+    /// base network (and any partition) imposes. Rules match on *send*
+    /// time, so the event is resolved into its window when the network is
+    /// built; nothing happens at run time.
     AddDelayRule {
         /// Matching sender (wildcard if `None`).
         from: Option<usize>,
@@ -130,9 +132,11 @@ pub enum TimelineEvent {
     /// Remove every live delay rule whose `(from, to)` pattern equals the
     /// given one — the inverse of [`TimelineEvent::AddDelayRule`], so a
     /// schedule can *lift* an attack instead of waiting out its window
-    /// ("T stops delaying at GST"). Deliveries already scheduled keep the
-    /// delay they were sent under; only future sends feel the removal.
-    /// Removing a pattern nothing matches is a no-op.
+    /// ("T stops delaying at GST"). Resolved at network build time by
+    /// clipping the window of every matching rule added earlier in
+    /// execution order to end at this tick: deliveries already scheduled
+    /// keep the delay they were sent under; only future sends feel the
+    /// removal. Removing a pattern nothing matches is a no-op.
     RemoveDelayRule {
         /// Matching sender pattern of the rules to drop (`None` = the
         /// wildcard pattern, compared as written).

@@ -14,10 +14,9 @@
 //! * `explore run-all` warm vs cold, with the reuse accounting asserted
 //!   (cross-game `shared` cells on lemma4-wide, checkpoint forks from
 //!   fork-defection's shared pre-defection prefix);
-//! * the delay-lift pair: a fork taken across a delay-rule boundary must
-//!   replay the prefix's `AddDelayRule`/`RemoveDelayRule` events onto its
-//!   fresh network stack — a checkpoint that carried (or dropped) live
-//!   rule state would resurrect a lifted delay or lose an active one;
+//! * the delay-lift pair: a fork taken across a delay-rule boundary runs
+//!   on the consumer's own link stack, rebuilt from its spec — inheriting
+//!   the producer's would lift a never-lifted delay;
 //! * workload (committee-plus-client) cells fork and capture like
 //!   committee cells, with the client conservation invariant
 //!   `submitted == committed + dropped + pending` intact under forks;
@@ -177,14 +176,15 @@ fn explore_run_all_warm_matches_cold_with_reuse() {
     );
 }
 
-/// The satellite pin for interior-mutability holes: `never-lifted` forks
-/// from `lift@gst`'s checkpoint at the lift tick (their prefixes agree
-/// below 2000), so the fork crosses a live, effectively-unbounded delay
-/// rule. The fork path must replay the prefix's delay events onto its
-/// fresh network — carrying the producer's live rule list (or dropping
-/// it) would lift a never-lifted delay or resurrect a lifted one.
+/// A fork across a rule boundary rebuilds the *consumer's* own link
+/// stack: `never-lifted` forks from `lift@gst`'s checkpoint at the lift
+/// tick (their prefixes agree below 2000), so the fork crosses a live,
+/// effectively-unbounded delay rule. The link stack is a pure function of
+/// the spec, so the fork runs on `never-lifted`'s unclipped window —
+/// inheriting the producer's stack (clipped at 2000) would lift a
+/// never-lifted delay.
 #[test]
-fn delay_lift_fork_replays_delay_rules() {
+fn delay_lift_fork_rebuilds_the_consumers_link_stack() {
     let scenario = find("delay-lift").expect("delay-lift registered");
     let lift = scenario
         .specs
@@ -217,7 +217,7 @@ fn delay_lift_fork_replays_delay_rules() {
     );
     assert_eq!(
         forked, reference,
-        "fork across the delay-rule boundary resurrected or lost rules"
+        "fork across the delay-rule boundary ran on the wrong link stack"
     );
 }
 

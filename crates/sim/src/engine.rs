@@ -187,94 +187,16 @@ struct EventBody {
     kind: EventKind,
 }
 
-/// A passive copy of a [`Simulation`]'s complete engine state at one
-/// instant, taken with [`Simulation::snapshot`] and revived — any number
-/// of times — with [`Simulation::restore`].
-///
-/// The snapshot captures everything the engine owns: nodes, the pending
-/// event set (with exact `(time, seq)` keys, drained backend-neutrally),
-/// the message arena (slot table *and* free-list, so outstanding
-/// [`MsgRef`] handles and future slot assignments round-trip exactly),
-/// the clock, sequence and timer counters, cancelled/crashed sets, the
-/// broadcast domain, every RNG stream, the meter, the trace, and all
-/// engine counters. It does **not** capture the link model (a boxed
-/// trait object the caller re-supplies on restore) or the process-global
-/// observability hooks (see `obs::hooks::snapshot`/`restore`).
-pub struct SimSnapshot<N: Node> {
+/// Everything the engine owns that a snapshot must carry — all of a
+/// [`Simulation`] except the link model (a boxed trait object the caller
+/// re-supplies) and the queue backend instance (drained and rebuilt).
+/// [`Simulation::snapshot`] and [`Simulation::restore`] clone this struct
+/// whole, so a field added here is captured by construction.
+#[derive(Clone)]
+struct EngineState<N: Node> {
     nodes: Vec<N>,
-    events: Vec<(SimTime, u64, EventBody)>,
     arena: Arena<N::Msg>,
     backend: QueueBackend,
-    now: SimTime,
-    seq: u64,
-    next_timer: u64,
-    cancelled: BTreeSet<TimerId>,
-    crashed: BTreeSet<NodeId>,
-    broadcast_domain: usize,
-    rng: SimRng,
-    node_rngs: Vec<SimRng>,
-    meter: Meter,
-    trace: Trace,
-    events_dispatched: u64,
-    peak_queue_depth: usize,
-    queue_pushes: u64,
-    queue_pops: u64,
-    peak_arena_occupancy: usize,
-    event_limit: u64,
-}
-
-impl<N: Node + Clone> Clone for SimSnapshot<N> {
-    fn clone(&self) -> Self {
-        SimSnapshot {
-            nodes: self.nodes.clone(),
-            events: self.events.clone(),
-            arena: self.arena.clone(),
-            backend: self.backend,
-            now: self.now,
-            seq: self.seq,
-            next_timer: self.next_timer,
-            cancelled: self.cancelled.clone(),
-            crashed: self.crashed.clone(),
-            broadcast_domain: self.broadcast_domain,
-            rng: self.rng.clone(),
-            node_rngs: self.node_rngs.clone(),
-            meter: self.meter.clone(),
-            trace: self.trace.clone(),
-            events_dispatched: self.events_dispatched,
-            peak_queue_depth: self.peak_queue_depth,
-            queue_pushes: self.queue_pushes,
-            queue_pops: self.queue_pops,
-            peak_arena_occupancy: self.peak_arena_occupancy,
-            event_limit: self.event_limit,
-        }
-    }
-}
-
-impl<N: Node> SimSnapshot<N> {
-    /// Virtual time at which the snapshot was taken.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of pending events captured in the snapshot.
-    pub fn pending_events(&self) -> usize {
-        self.events.len()
-    }
-
-    /// The queue backend the source simulation was draining (the default
-    /// backend for [`Simulation::restore`]).
-    pub fn backend(&self) -> QueueBackend {
-        self.backend
-    }
-}
-
-/// The simulation: `n` nodes, a link model, an event queue, and meters.
-pub struct Simulation<N: Node> {
-    nodes: Vec<N>,
-    link: Box<dyn LinkModel>,
-    backend: QueueBackend,
-    queue: Box<dyn EventQueue<EventBody>>,
-    arena: Arena<N::Msg>,
     now: SimTime,
     seq: u64,
     next_timer: u64,
@@ -296,7 +218,51 @@ pub struct Simulation<N: Node> {
     queue_pops: u64,
     peak_arena_occupancy: usize,
     /// Safety valve: maximum number of dispatched events per `run` call.
-    pub event_limit: u64,
+    event_limit: u64,
+}
+
+/// A passive copy of a [`Simulation`]'s complete engine state at one
+/// instant, taken with [`Simulation::snapshot`] and revived — any number
+/// of times — with [`Simulation::restore`].
+///
+/// The snapshot captures everything the engine owns: nodes, the pending
+/// event set (with exact `(time, seq)` keys, drained backend-neutrally),
+/// the message arena (slot table *and* free-list, so outstanding
+/// [`MsgRef`] handles and future slot assignments round-trip exactly),
+/// the clock, sequence and timer counters, cancelled/crashed sets, the
+/// broadcast domain, every RNG stream, the meter, the trace, and all
+/// engine counters. It does **not** capture the link model (a boxed
+/// trait object the caller re-supplies on restore) or the process-global
+/// observability hooks (see `obs::hooks::snapshot`/`restore`).
+#[derive(Clone)]
+pub struct SimSnapshot<N: Node> {
+    state: EngineState<N>,
+    events: Vec<(SimTime, u64, EventBody)>,
+}
+
+impl<N: Node> SimSnapshot<N> {
+    /// Virtual time at which the snapshot was taken.
+    pub fn now(&self) -> SimTime {
+        self.state.now
+    }
+
+    /// Number of pending events captured in the snapshot.
+    pub fn pending_events(&self) -> usize {
+        self.events.len()
+    }
+
+    /// The queue backend the source simulation was draining (the default
+    /// backend for [`Simulation::restore`]).
+    pub fn backend(&self) -> QueueBackend {
+        self.state.backend
+    }
+}
+
+/// The simulation: `n` nodes, a link model, an event queue, and meters.
+pub struct Simulation<N: Node> {
+    state: EngineState<N>,
+    link: Box<dyn LinkModel>,
+    queue: Box<dyn EventQueue<EventBody>>,
 }
 
 impl<N: Node> Simulation<N> {
@@ -325,12 +291,10 @@ impl<N: Node> Simulation<N> {
         let root = SimRng::new(seed);
         let node_rngs = (0..nodes.len()).map(|i| root.fork(1 + i as u64)).collect();
         let n = nodes.len();
-        let mut sim = Simulation {
+        let state = EngineState {
             nodes,
-            link,
-            backend,
-            queue: backend.build(),
             arena: Arena::new(),
+            backend,
             now: SimTime::ZERO,
             seq: 0,
             next_timer: 0,
@@ -348,6 +312,11 @@ impl<N: Node> Simulation<N> {
             peak_arena_occupancy: 0,
             event_limit: 50_000_000,
         };
+        let mut sim = Simulation {
+            state,
+            link,
+            queue: backend.build(),
+        };
         for i in 0..n {
             sim.push(SimTime::ZERO, NodeId(i), EventKind::Start);
         }
@@ -355,18 +324,18 @@ impl<N: Node> Simulation<N> {
     }
 
     fn push(&mut self, at: SimTime, to: NodeId, kind: EventKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue_pushes += 1;
+        let seq = self.state.seq;
+        self.state.seq += 1;
+        self.state.queue_pushes += 1;
         self.queue.push(at, seq, EventBody { to, kind });
-        self.peak_queue_depth = self.peak_queue_depth.max(self.queue.len());
+        self.state.peak_queue_depth = self.state.peak_queue_depth.max(self.queue.len());
     }
 
     /// Pops the next event, maintaining the pop counter.
     fn pop(&mut self) -> Option<(SimTime, u64, EventBody)> {
         let popped = self.queue.pop();
         if popped.is_some() {
-            self.queue_pops += 1;
+            self.state.queue_pops += 1;
         }
         popped
     }
@@ -374,44 +343,45 @@ impl<N: Node> Simulation<N> {
     /// Parks a payload in the arena, maintaining the occupancy high-water
     /// mark.
     fn park(&mut self, msg: N::Msg) -> MsgRef {
-        let r = self.arena.insert(msg);
-        self.peak_arena_occupancy = self.peak_arena_occupancy.max(self.arena.len());
+        let r = self.state.arena.insert(msg);
+        self.state.peak_arena_occupancy =
+            self.state.peak_arena_occupancy.max(self.state.arena.len());
         r
     }
 
     /// Number of nodes.
     pub fn n(&self) -> usize {
-        self.nodes.len()
+        self.state.nodes.len()
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.state.now
     }
 
     /// Immutable access to a node.
     pub fn node(&self, id: NodeId) -> &N {
-        &self.nodes[id.0]
+        &self.state.nodes[id.0]
     }
 
     /// Mutable access to a node (for harness-side injection between runs).
     pub fn node_mut(&mut self, id: NodeId) -> &mut N {
-        &mut self.nodes[id.0]
+        &mut self.state.nodes[id.0]
     }
 
     /// Iterates all nodes.
     pub fn nodes(&self) -> impl Iterator<Item = &N> {
-        self.nodes.iter()
+        self.state.nodes.iter()
     }
 
     /// The message meter.
     pub fn meter(&self) -> &Meter {
-        &self.meter
+        &self.state.meter
     }
 
     /// Which event-queue backend this simulation drains.
     pub fn queue_backend(&self) -> QueueBackend {
-        self.backend
+        self.state.backend
     }
 
     /// Number of events currently pending in the queue.
@@ -421,34 +391,34 @@ impl<N: Node> Simulation<N> {
 
     /// The deepest the event queue has ever been (bench observability).
     pub fn peak_queue_depth(&self) -> usize {
-        self.peak_queue_depth
+        self.state.peak_queue_depth
     }
 
-    /// Total events dispatched across every `run`/`step` call so far
+    /// Total events dispatched across every `run*` call so far
     /// (discarded events — crashed receivers, cancelled timers — are not
     /// dispatched and do not count).
     pub fn events_dispatched(&self) -> u64 {
-        self.events_dispatched
+        self.state.events_dispatched
     }
 
     /// Number of messages currently in flight (parked in the arena).
     pub fn in_flight_messages(&self) -> usize {
-        self.arena.len()
+        self.state.arena.len()
     }
 
     /// Total events ever pushed onto the queue (deliveries, timers, starts).
     pub fn queue_pushes(&self) -> u64 {
-        self.queue_pushes
+        self.state.queue_pushes
     }
 
     /// Total events ever popped off the queue (dispatched *or* discarded).
     pub fn queue_pops(&self) -> u64 {
-        self.queue_pops
+        self.state.queue_pops
     }
 
     /// The most messages ever simultaneously in flight (arena high-water).
     pub fn peak_arena_occupancy(&self) -> usize {
-        self.peak_arena_occupancy
+        self.state.peak_arena_occupancy
     }
 
     /// This simulation's engine-level observability registry: every
@@ -459,34 +429,32 @@ impl<N: Node> Simulation<N> {
     /// is identical across queue backends and worker thread counts.
     pub fn observability(&self) -> crate::obs::ObsRegistry {
         let mut reg = crate::obs::ObsRegistry::new();
-        reg.add("engine.events_dispatched", self.events_dispatched);
-        reg.add("engine.queue_pushes", self.queue_pushes);
-        reg.add("engine.queue_pops", self.queue_pops);
-        reg.gauge_max("engine.peak_queue_depth", self.peak_queue_depth as u64);
+        reg.add("engine.events_dispatched", self.state.events_dispatched);
+        reg.add("engine.queue_pushes", self.state.queue_pushes);
+        reg.add("engine.queue_pops", self.state.queue_pops);
+        reg.gauge_max(
+            "engine.peak_queue_depth",
+            self.state.peak_queue_depth as u64,
+        );
         reg.gauge_max(
             "engine.peak_arena_occupancy",
-            self.peak_arena_occupancy as u64,
+            self.state.peak_arena_occupancy as u64,
         );
-        for (kind, stats) in self.meter.iter() {
+        for (kind, stats) in self.state.meter.iter() {
             reg.add(&format!("send.{kind}.msgs"), stats.count);
             reg.add(&format!("send.{kind}.bytes"), stats.bytes);
         }
         reg
     }
 
-    /// Resets the meter (e.g. after warm-up rounds).
-    pub fn reset_meter(&mut self) {
-        self.meter.reset();
-    }
-
     /// The message trace (enable with [`Simulation::set_tracing`]).
     pub fn trace(&self) -> &Trace {
-        &self.trace
+        &self.state.trace
     }
 
     /// Enables or disables delivery tracing.
     pub fn set_tracing(&mut self, on: bool) {
-        self.trace.set_enabled(on);
+        self.state.trace.set_enabled(on);
     }
 
     /// Restricts [`Context::broadcast`] / [`Context::broadcast_others`] to
@@ -499,32 +467,32 @@ impl<N: Node> Simulation<N> {
     /// Panics unless `1 <= domain <= n`.
     pub fn set_broadcast_domain(&mut self, domain: usize) {
         assert!(
-            (1..=self.nodes.len()).contains(&domain),
+            (1..=self.state.nodes.len()).contains(&domain),
             "broadcast domain must be within the node population"
         );
-        self.broadcast_domain = domain;
+        self.state.broadcast_domain = domain;
     }
 
     /// The current broadcast-domain size (see
     /// [`Simulation::set_broadcast_domain`]).
     pub fn broadcast_domain(&self) -> usize {
-        self.broadcast_domain
+        self.state.broadcast_domain
     }
 
     /// Marks a node crashed: it receives no further deliveries or timers and
     /// its pending events are discarded on dispatch. Models the CFT column.
     pub fn crash(&mut self, node: NodeId) {
-        self.crashed.insert(node);
+        self.state.crashed.insert(node);
     }
 
     /// Un-crashes a node (recovery); it resumes receiving *new* messages.
     pub fn recover(&mut self, node: NodeId) {
-        self.crashed.remove(&node);
+        self.state.crashed.remove(&node);
     }
 
     /// Whether a node is currently crashed.
     pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.crashed.contains(&node)
+        self.state.crashed.contains(&node)
     }
 
     /// Injects a message from outside the system (e.g. a client submitting a
@@ -532,7 +500,7 @@ impl<N: Node> Simulation<N> {
     /// `from`.
     pub fn inject(&mut self, at: SimTime, from: NodeId, to: NodeId, msg: N::Msg) {
         let msg = self.park(msg);
-        self.push(at.max(self.now), to, EventKind::Deliver { from, msg });
+        self.push(at.max(self.state.now), to, EventKind::Deliver { from, msg });
     }
 
     /// Frees engine-side resources of an event dropped without dispatch
@@ -540,7 +508,7 @@ impl<N: Node> Simulation<N> {
     /// arena slot.
     fn discard(&mut self, kind: EventKind) {
         if let EventKind::Deliver { msg, .. } = kind {
-            drop(self.arena.take(msg));
+            drop(self.state.arena.take(msg));
         }
     }
 
@@ -548,34 +516,39 @@ impl<N: Node> Simulation<N> {
     fn dispatch(&mut self, to: NodeId, kind: EventKind) {
         let mut ctx = Context {
             me: to,
-            n: self.nodes.len(),
-            domain: self.broadcast_domain,
-            now: self.now,
-            next_timer: &mut self.next_timer,
+            n: self.state.nodes.len(),
+            domain: self.state.broadcast_domain,
+            now: self.state.now,
+            next_timer: &mut self.state.next_timer,
             actions: Vec::new(),
-            rng: &mut self.node_rngs[to.0],
+            rng: &mut self.state.node_rngs[to.0],
         };
         match kind {
-            EventKind::Start => self.nodes[to.0].on_start(&mut ctx),
+            EventKind::Start => self.state.nodes[to.0].on_start(&mut ctx),
             EventKind::Deliver { from, msg } => {
-                let msg = self.arena.take(msg);
-                self.nodes[to.0].on_message(&mut ctx, from, msg)
+                let msg = self.state.arena.take(msg);
+                self.state.nodes[to.0].on_message(&mut ctx, from, msg)
             }
-            EventKind::Timer(id) => self.nodes[to.0].on_timer(&mut ctx, id),
+            EventKind::Timer(id) => self.state.nodes[to.0].on_timer(&mut ctx, id),
         }
         let actions = ctx.actions;
         for action in actions {
             match action {
                 Action::Send { to: dest, msg } => {
-                    self.meter.record(msg.kind(), msg.wire_bytes());
+                    self.state.meter.record(msg.kind(), msg.wire_bytes());
                     let at = if dest == to {
-                        self.now // self-delivery is immediate
+                        self.state.now // self-delivery is immediate
                     } else {
-                        let t = self.link.deliver_at(to, dest, self.now, &mut self.rng);
-                        debug_assert!(t >= self.now, "link model may not travel back in time");
-                        t.max(self.now)
+                        let t = self
+                            .link
+                            .deliver_at(to, dest, self.state.now, &mut self.state.rng);
+                        debug_assert!(
+                            t >= self.state.now,
+                            "link model may not travel back in time"
+                        );
+                        t.max(self.state.now)
                     };
-                    self.trace.record(TraceEntry {
+                    self.state.trace.record(TraceEntry {
                         at,
                         from: to,
                         to: dest,
@@ -588,7 +561,7 @@ impl<N: Node> Simulation<N> {
                     self.push(fires, to, EventKind::Timer(id));
                 }
                 Action::CancelTimer(id) => {
-                    self.cancelled.insert(id);
+                    self.state.cancelled.insert(id);
                 }
             }
         }
@@ -623,23 +596,23 @@ impl<N: Node> Simulation<N> {
             if past_bound {
                 return RunOutcome::HorizonReached;
             }
-            if dispatched >= self.event_limit {
+            if dispatched >= self.state.event_limit {
                 return RunOutcome::EventLimit;
             }
             let (at, _, body) = self.pop().expect("peeked");
-            debug_assert!(at >= self.now, "time must be monotone");
-            self.now = at;
-            if self.crashed.contains(&body.to) {
+            debug_assert!(at >= self.state.now, "time must be monotone");
+            self.state.now = at;
+            if self.state.crashed.contains(&body.to) {
                 self.discard(body.kind); // crashed nodes see nothing
                 continue;
             }
             if let EventKind::Timer(id) = &body.kind {
-                if self.cancelled.remove(id) {
+                if self.state.cancelled.remove(id) {
                     continue;
                 }
             }
             dispatched += 1;
-            self.events_dispatched += 1;
+            self.state.events_dispatched += 1;
             self.dispatch(body.to, body.kind);
         }
         RunOutcome::Quiescent
@@ -668,31 +641,13 @@ impl<N: Node> Simulation<N> {
         while let Some(entry) = self.queue.pop() {
             events.push(entry);
         }
-        self.queue = self.backend.build();
+        self.queue = self.state.backend.build();
         for &(at, seq, body) in &events {
             self.queue.push(at, seq, body);
         }
         SimSnapshot {
-            nodes: self.nodes.clone(),
+            state: self.state.clone(),
             events,
-            arena: self.arena.clone(),
-            backend: self.backend,
-            now: self.now,
-            seq: self.seq,
-            next_timer: self.next_timer,
-            cancelled: self.cancelled.clone(),
-            crashed: self.crashed.clone(),
-            broadcast_domain: self.broadcast_domain,
-            rng: self.rng.clone(),
-            node_rngs: self.node_rngs.clone(),
-            meter: self.meter.clone(),
-            trace: self.trace.clone(),
-            events_dispatched: self.events_dispatched,
-            peak_queue_depth: self.peak_queue_depth,
-            queue_pushes: self.queue_pushes,
-            queue_pops: self.queue_pops,
-            peak_arena_occupancy: self.peak_arena_occupancy,
-            event_limit: self.event_limit,
         }
     }
 
@@ -700,16 +655,15 @@ impl<N: Node> Simulation<N> {
     /// snapshot was taken under.
     ///
     /// The link model is not part of the snapshot (it is a boxed trait
-    /// object the engine cannot clone); the caller re-supplies it. For a
-    /// faithful fork, pass a link model in the same state as the
-    /// original's at capture time — for the stateless models used
-    /// throughout this workspace, an identically configured fresh
-    /// instance.
+    /// object the engine cannot clone); the caller re-supplies it. Every
+    /// model in this workspace is a pure function of its configuration
+    /// (all randomness comes from the engine's RNG, which *is* captured),
+    /// so a faithful fork just builds the same stack again.
     pub fn restore(snapshot: &SimSnapshot<N>, link: Box<dyn LinkModel>) -> Simulation<N>
     where
         N: Clone,
     {
-        Simulation::restore_with_backend(snapshot, link, snapshot.backend)
+        Simulation::restore_with_backend(snapshot, link, snapshot.backend())
     }
 
     /// Revives a simulation from `snapshot` onto an explicitly chosen
@@ -729,48 +683,12 @@ impl<N: Node> Simulation<N> {
             queue.push(at, seq, body);
         }
         Simulation {
-            nodes: snapshot.nodes.clone(),
+            state: EngineState {
+                backend,
+                ..snapshot.state.clone()
+            },
             link,
-            backend,
             queue,
-            arena: snapshot.arena.clone(),
-            now: snapshot.now,
-            seq: snapshot.seq,
-            next_timer: snapshot.next_timer,
-            cancelled: snapshot.cancelled.clone(),
-            crashed: snapshot.crashed.clone(),
-            broadcast_domain: snapshot.broadcast_domain,
-            rng: snapshot.rng.clone(),
-            node_rngs: snapshot.node_rngs.clone(),
-            meter: snapshot.meter.clone(),
-            trace: snapshot.trace.clone(),
-            events_dispatched: snapshot.events_dispatched,
-            peak_queue_depth: snapshot.peak_queue_depth,
-            queue_pushes: snapshot.queue_pushes,
-            queue_pops: snapshot.queue_pops,
-            peak_arena_occupancy: snapshot.peak_arena_occupancy,
-            event_limit: snapshot.event_limit,
-        }
-    }
-
-    /// Processes exactly one event if one exists at or before `horizon`.
-    pub fn step(&mut self) -> bool {
-        if let Some((at, _, body)) = self.pop() {
-            self.now = at;
-            if self.crashed.contains(&body.to) {
-                self.discard(body.kind);
-                return true;
-            }
-            if let EventKind::Timer(id) = &body.kind {
-                if self.cancelled.remove(id) {
-                    return true;
-                }
-            }
-            self.events_dispatched += 1;
-            self.dispatch(body.to, body.kind);
-            true
-        } else {
-            false
         }
     }
 }
@@ -1193,6 +1111,24 @@ mod tests {
     }
 
     #[test]
+    fn restore_adopts_the_requested_backend_and_keeps_the_valve() {
+        let mut s = sim(3);
+        s.state.event_limit = 2;
+        let snap = s.snapshot();
+        let mut r = Simulation::restore_with_backend(
+            &snap,
+            Box::new(ConstantDelay(SimTime(5))),
+            QueueBackend::Heap,
+        );
+        assert_eq!(snap.backend(), QueueBackend::Calendar);
+        assert_eq!(r.queue_backend(), QueueBackend::Heap);
+        // The whole state struct rides in the snapshot — the safety valve
+        // set on the original trips in the fork too.
+        assert_eq!(r.run(), RunOutcome::EventLimit);
+        assert_eq!(r.events_dispatched(), 2);
+    }
+
+    #[test]
     fn event_limit_stops_runaway() {
         struct Storm;
         impl Node for Storm {
@@ -1207,7 +1143,7 @@ mod tests {
         }
         let mut s: Simulation<Storm> =
             Simulation::new(vec![Storm], Box::new(ConstantDelay(SimTime(0))), 1);
-        s.event_limit = 1000;
+        s.state.event_limit = 1000;
         assert_eq!(s.run(), RunOutcome::EventLimit);
     }
 }
