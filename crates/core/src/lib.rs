@@ -56,6 +56,6 @@ pub use messages::{
     SignedBallot, ViewChangeReq,
 };
 pub use pof::{construct_proof, signed_ballot, verify_expose, FraudDetector};
-pub use prft_crypto::VerifyMode;
+pub use prft_crypto::{KeyRegistry, VerifyMode};
 pub use replica::{Replica, ReplicaStats};
 pub use verify::{CertVerdict, VerifyCache};

@@ -87,7 +87,8 @@ pub fn theorem2_censor_utility(alpha: f64, delta: f64, r0: u64) -> f64 {
 
 /// Message-complexity model (paper Table 3): expected asymptotic exponents
 /// for message count and wire bits per protocol. `(msgs_exp, bits_exp,
-/// accountable)` — used by the Table 3 experiment to label expectations.
+/// accountable)` — the expected side of the `table3` claims row, whose
+/// measured normal-case exponents must stay at or below these.
 pub fn table3_row(protocol: &str) -> Option<(f64, f64, bool)> {
     match protocol {
         // The paper's table reports pBFT O(n³)/O(κn⁴); our measured counts

@@ -1,7 +1,8 @@
 //! Plain-text table rendering for experiment output.
 //!
-//! Every regenerated paper table/figure prints through this so the
-//! experiment binaries produce uniform, diff-friendly reports.
+//! Every terminal report (`prft-lab` listings, scenario and equilibrium
+//! tables, the claims table) prints through this, so they are uniform and
+//! diff-friendly.
 
 use std::fmt;
 

@@ -16,6 +16,7 @@
 //!                             [--warm-starts on|off] [--explain-reuse]
 //! prft-lab explore run-all [same options as explore run]
 //! prft-lab diff <a.json> <b.json> [--eps E]
+//! prft-lab claims [ID…] [--threads T] [--format table|json] [--out FILE]
 //! ```
 //!
 //! Aggregates are independent of `--threads`: `--threads 1` and
@@ -28,7 +29,7 @@
 //! in the stderr stats).
 
 use prft_lab::{
-    registry, report, BatchRunner, CheckpointStore, Exploration, GameDef, GameExplorer,
+    claims, registry, report, BatchRunner, CheckpointStore, Exploration, GameDef, GameExplorer,
     QueueBackend, Scenario, ScenarioSpec, UtilityCache, VerifyMode,
 };
 use std::io::Write;
@@ -682,6 +683,42 @@ fn diff_reports(args: &[String]) -> Result<(), String> {
     ))
 }
 
+/// `prft-lab claims [ID…] [options]`: evaluate the claims table. Seeds are
+/// constants of each row, so only the three shared output options apply
+/// (each takes a value, so flags sit at the even positions after the ids).
+fn claims_command(args: &[String]) -> Result<(), String> {
+    let first_flag = args.iter().position(|a| a.starts_with("--"));
+    let (ids, flags) = args.split_at(first_flag.unwrap_or(args.len()));
+    let allowed = ["--threads", "--format", "--out"];
+    if let Some(flag) = flags
+        .iter()
+        .step_by(2)
+        .find(|f| !allowed.contains(&f.as_str()))
+    {
+        return Err(format!(
+            "claims takes only {}, not {flag}",
+            allowed.join(", ")
+        ));
+    }
+    let opts = parse_options(flags)?;
+    let results = claims::evaluate(&BatchRunner::new(opts.threads), ids)?;
+    let content = match opts.format {
+        Format::Table => claims::table(&results),
+        Format::Json => claims::to_json(&results).render_pretty(),
+        Format::Csv => return Err("claims renders as table or json".to_string()),
+    };
+    emit(content, &opts.out)?;
+    claims_verdict(&results)
+}
+
+/// The exit path of `claims`: any disagreeing check is a failure.
+fn claims_verdict(results: &[(&claims::Claim, Vec<claims::Check>)]) -> Result<(), String> {
+    match claims::mismatches(results) {
+        0 => Ok(()),
+        n => Err(format!("{n} check(s) disagree with their expected verdict")),
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
@@ -720,6 +757,7 @@ fn main() -> ExitCode {
         }),
         "explore" => explore_command(&args[1..]),
         "diff" => diff_reports(&args[1..]),
+        "claims" => claims_command(&args[1..]),
         "--help" | "-h" | "help" => {
             usage();
             Ok(())
@@ -740,7 +778,24 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{manifest_doc, manifest_path_for, out_path_for, timeline_cell};
+    use super::{claims_verdict, manifest_doc, manifest_path_for, out_path_for, timeline_cell};
+
+    #[test]
+    fn a_check_observed_against_its_expectation_fails_claims() {
+        use prft_lab::claims::{Check, Expect, CLAIMS};
+        let check = |expected, observed| Check {
+            name: "injected".into(),
+            expected,
+            observed,
+            evidence: Vec::new(),
+        };
+        let agreeing = vec![check(Expect::Holds, true), check(Expect::Breaks, false)];
+        assert!(claims_verdict(&[(&CLAIMS[0], agreeing.clone())]).is_ok());
+        let mut injected = agreeing;
+        injected.push(check(Expect::Breaks, true));
+        let err = claims_verdict(&[(&CLAIMS[0], injected)]).unwrap_err();
+        assert!(err.starts_with("1 check(s) disagree"), "{err}");
+    }
 
     #[test]
     fn timeline_cells_count_scheduled_events() {

@@ -1,7 +1,7 @@
 //! Turning a [`ScenarioSpec`] into a live simulation, executing its
 //! timeline schedule, and turning a finished run into a [`RunRecord`].
 //! This is the one place in the workspace that assembles committees for
-//! experiments — the `prft-bench` binaries and the `prft-lab` CLI both
+//! experiments — the claims table, `prft-bench` and the `prft-lab` CLI all
 //! come through here.
 //!
 //! ## The timeline run loop
@@ -27,7 +27,7 @@ use crate::checkpoint::{
     boundaries, ordered_events, prefix_fingerprint, CheckpointEntry, CheckpointStore,
 };
 use crate::record::RunRecord;
-use crate::spec::{PartitionSpec, Role, ScenarioSpec, Synchrony, TimelineEvent, UtilitySpec};
+use crate::spec::{PartitionSpec, Role, ScenarioSpec, Synchrony, TimelineEvent};
 use prft_adversary::{
     blackboard, Abstain, Blackboard, DoubleVoter, EquivocatingLeader, ForkColluder, GarbageVoter,
     PartialCensor, SilentLeader,
@@ -505,35 +505,33 @@ pub fn run_workload_sim(
     run_sim(spec, seed, configure)
 }
 
-/// Classifies the σ state of a finished run, watching `watched` for
+/// Classifies the σ state of a finished run, watching `spec.watched` for
 /// censorship (the whole-run observation window).
-pub fn classify_watched<N: Node + AsReplica>(sim: &Simulation<N>, watched: &[TxId]) -> SystemState {
+pub fn classify_sim<N: Node + AsReplica>(spec: &ScenarioSpec, sim: &Simulation<N>) -> SystemState {
     let honest = honest_ids(sim);
     let chains = honest.iter().map(|&id| replica(sim, id).chain()).collect();
     classify(&StateObservation {
         chains,
-        watched: watched.to_vec(),
+        watched: spec.watched.iter().map(|&id| TxId(id)).collect(),
         baseline_height: 0,
     })
 }
 
-/// Classifies the σ state of a finished run, watching `spec.watched`.
-pub fn classify_sim<N: Node + AsReplica>(spec: &ScenarioSpec, sim: &Simulation<N>) -> SystemState {
-    let watched: Vec<TxId> = spec.watched.iter().map(|&id| TxId(id)).collect();
-    classify_watched(sim, &watched)
-}
-
-/// Measures `player`'s discounted utility over a finished run in `state`:
-/// `Σ_{r<R} δ^r · f(σ, θ) − L·[player burned]` (the utility stream runs
-/// over *time periods*, not protocol progress — a jammed system keeps
-/// paying the σ_NP penalty; the penalty applies iff any honest player's
-/// ledger burned `player`).
-pub fn discounted_utility<N: Node + AsReplica>(
+/// Measures `player`'s discounted utility over a finished run in `state`
+/// with the spec's economics (0 when the spec does not measure
+/// utilities): `Σ_{r<R} δ^r · f(σ, θ) − L·[player burned]` (the utility
+/// stream runs over *time periods*, not protocol progress — a jammed
+/// system keeps paying the σ_NP penalty; the penalty applies iff any
+/// honest player's ledger burned `player`).
+fn measure_utility_for<N: Node + AsReplica>(
+    spec: &ScenarioSpec,
     sim: &Simulation<N>,
     state: SystemState,
     player: NodeId,
-    u: &UtilitySpec,
 ) -> f64 {
+    let Some(u) = spec.utility else {
+        return 0.0;
+    };
     let table = PayoffTable::new(u.alpha);
     let per_round = table.f(state, u.theta);
     let mut total = 0.0;
@@ -549,20 +547,6 @@ pub fn discounted_utility<N: Node + AsReplica>(
         total -= u.penalty_l;
     }
     total
-}
-
-/// Measures `player`'s discounted utility with the spec's economics
-/// (0 when the spec does not measure utilities).
-pub fn measure_utility_for<N: Node + AsReplica>(
-    spec: &ScenarioSpec,
-    sim: &Simulation<N>,
-    state: SystemState,
-    player: NodeId,
-) -> f64 {
-    match spec.utility {
-        Some(u) => discounted_utility(sim, state, player, &u),
-        None => 0.0,
-    }
 }
 
 /// Builds, runs (timeline schedule included), and summarizes one seeded

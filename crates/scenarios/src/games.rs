@@ -131,20 +131,29 @@ fn abstain_quorum_spec(profile: &Profile) -> ScenarioSpec {
     spec
 }
 
-/// TRAP's Theorem 3 game at n = 20, t = 6, k = 3 with the paper's
-/// economics (G = 8, R = 2, L = 10): closed-form, fully symmetric.
-fn trap_eval(profile: &Profile) -> (Vec<f64>, prft_game::SystemState) {
+/// TRAP's Theorem 3 game at n = 20, t = 6 with the paper's economics
+/// (G = 8, R = 2, L = 10) for a collusion of `k` rational players.
+pub(crate) fn trap_game(k: usize) -> TrapGame {
     let params = UtilityParams {
         gain_g: 8.0,
         reward_r: 2.0,
         penalty_l: 10.0,
         ..UtilityParams::default()
     };
-    let game = TrapGame::new(20, 6, 3, params);
+    TrapGame::new(20, 6, k, params)
+}
+
+/// One profile of [`trap_game`]: strategy 0 = π_fork, 1 = π_bait.
+pub(crate) fn trap_play(game: &TrapGame, profile: &Profile) -> (Vec<f64>, prft_game::SystemState) {
     let strategies = [TrapStrategy::Fork, TrapStrategy::Bait];
     let chosen: Vec<TrapStrategy> = profile.iter().map(|&i| strategies[i]).collect();
     let outcome = game.play(&chosen);
     (outcome.utilities, outcome.state)
+}
+
+/// The registered k = 3 point: closed-form, fully symmetric.
+fn trap_eval(profile: &Profile) -> (Vec<f64>, prft_game::SystemState) {
+    trap_play(&trap_game(3), profile)
 }
 
 /// Builds the full game registry.

@@ -32,12 +32,11 @@
 //! * the `prft-lab` binary — `prft-lab list`, `prft-lab run <scenario>
 //!   --seeds N --threads T [--format json|csv|table] [--out FILE]`,
 //!   `prft-lab explore run <game> [--mixed] [--dynamics]` for
-//!   equilibrium sweeps, and `prft-lab explore run-all` for one
-//!   flattened batch over every registered game.
-//!
-//! The `prft-bench` experiment binaries are thin formatters over this
-//! crate: each defines (or references) scenario specs and drives them
-//! through [`BatchRunner`], so one engine owns run orchestration.
+//!   equilibrium sweeps, `prft-lab explore run-all` for one flattened
+//!   batch over every registered game, and `prft-lab claims`;
+//! * [`claims`] — the paper's theorems, tables, claims and figures as one
+//!   table of rows, each evaluated through [`BatchRunner`] into checks
+//!   with an expected and an observed verdict (`CLAIMS.json`).
 //!
 //! ## Example
 //!
@@ -57,6 +56,7 @@
 mod build;
 mod cache;
 mod checkpoint;
+pub mod claims;
 pub mod diff;
 mod explore;
 mod games;
@@ -69,8 +69,7 @@ mod spec;
 mod trace_export;
 
 pub use build::{
-    build_sim, classify_sim, classify_watched, discounted_utility, measure_utility_for, replica,
-    run_one, run_one_with, run_sim, run_workload_sim, summarize,
+    build_sim, classify_sim, replica, run_one, run_one_with, run_sim, run_workload_sim, summarize,
 };
 pub use cache::{CacheKey, UtilityCache};
 pub use checkpoint::{prefix_fingerprint, CheckpointEntry, CheckpointStore, ReuseStats};

@@ -7,7 +7,7 @@ use std::process::{Command, Stdio};
 /// panic with a backtrace and exit 101).
 #[test]
 fn closed_stdout_is_a_clean_exit() {
-    for args in [&["list"][..], &["explore", "list"]] {
+    for args in [&["list"][..], &["explore", "list"], &["claims", "fig2"]] {
         let mut child = Command::new(env!("CARGO_BIN_EXE_prft-lab"))
             .args(args)
             .stdout(Stdio::piped())

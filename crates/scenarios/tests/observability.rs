@@ -7,8 +7,8 @@ use prft_lab::{report, BatchRunner, QueueBackend, ScenarioSpec};
 use proptest::prelude::*;
 
 /// The fig2 single-round committee: small, crash-free, quiescent — the
-/// same spec `fig2_trace` renders, so the golden trace doubles as the
-/// paper-figure regression.
+/// same spec the `fig2` claims row runs, so the golden trace doubles as
+/// the paper-figure regression.
 fn fig2_spec() -> ScenarioSpec {
     ScenarioSpec::new("fig2", 4, 1)
         .base_seed(7)

@@ -41,8 +41,9 @@
 //! assert!(report.agreement);
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `crates/bench/src/bin/` for
-//! the per-table/figure experiment harness (indexed in DESIGN.md §5).
+//! See `examples/` for runnable scenarios and `prft-lab claims`
+//! (`crates/scenarios/src/claims.rs`, indexed in docs/REPRODUCING.md) for
+//! the per-theorem/table/figure checks.
 
 #![forbid(unsafe_code)]
 
