@@ -11,7 +11,7 @@
 //! `m > t0 + k + t − n/2` baiters would be needed.
 //!
 //! [`TrapGame::play`] resolves one round of that game for a strategy
-//! profile; combined with `prft_game::EmpiricalGame` it enumerates the
+//! profile; combined with `prft_game::UtilityTable::exact` it enumerates the
 //! equilibria the theorem talks about.
 
 use prft_game::{analytic, SystemState, UtilityParams};
@@ -144,7 +144,7 @@ impl TrapGame {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prft_game::EmpiricalGame;
+    use prft_game::{ProfileSpace, UtilityTable};
 
     /// Theorem 3's regime: n = 20, t0 = 6, t = 6, k = 3 — inside TRAP's
     /// advertised tolerance (3t < n, 2(k+t) < n) with k > 2 + t0 − t.
@@ -198,9 +198,10 @@ mod tests {
         let g = game();
         // Strategy space per rational player: 0 = Fork, 1 = Bait.
         let strategies = [TrapStrategy::Fork, TrapStrategy::Bait];
-        let eg = EmpiricalGame::explore(vec![2; g.k], |profile| {
+        let eg = UtilityTable::exact(ProfileSpace::uniform(g.k, 2), |profile| {
             let chosen: Vec<TrapStrategy> = profile.iter().map(|&i| strategies[i]).collect();
-            g.play(&chosen).utilities
+            let out = g.play(&chosen);
+            (out.utilities, out.state)
         });
         let ne = eg.nash_equilibria(1e-9);
         let all_fork = vec![0usize; g.k];

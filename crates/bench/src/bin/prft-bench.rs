@@ -56,6 +56,7 @@ use prft_sim::{
 };
 use prft_types::NodeId;
 use std::process::ExitCode;
+use std::sync::LazyLock;
 use std::time::Instant;
 
 /// A 64-byte inline payload: big enough that moving messages through a
@@ -500,30 +501,28 @@ fn run_workload_point(clients: usize) -> WorkloadPoint {
     }
 }
 
+/// The workload metrics a point records: the declared ones flagged for the
+/// bench row, in declaration order. The emitter and [`workload_schema`]
+/// both read this, so a new counter is its one declaration.
+fn bench_metrics() -> impl Iterator<Item = &'static prft_lab::WorkloadMetric> {
+    prft_lab::WORKLOAD_METRICS.iter().filter(|m| m.bench)
+}
+
 /// The `workload` sweep: one open-loop population per entry of `ns`.
 fn workload_bench(quick: bool, ns: &[usize]) -> (Json, Checks) {
     let mut points: Vec<WorkloadPoint> = Vec::new();
     let mut point_rows: Vec<Json> = Vec::new();
     for &clients in ns {
         let p = run_workload_point(clients);
-        let peak_occupancy = p.stats.mempool_peak_occupancy;
-        point_rows.push(progress(Json::obj([
+        let mut row = vec![
             ("clients", Json::u64(p.clients as u64)),
             ("rounds", Json::u64(p.rounds)),
             ("events", Json::u64(p.events)),
             ("wall_ms", Json::Num(p.wall_secs * 1e3)),
             ("events_per_sec", Json::Num(p.events as f64 / p.wall_secs)),
-            ("submitted", Json::u64(p.stats.submitted)),
-            ("committed", Json::u64(p.stats.committed)),
-            ("dropped", Json::u64(p.stats.dropped)),
-            ("pending", Json::u64(p.stats.pending)),
-            ("retries", Json::u64(p.stats.retries)),
-            ("latency_p50", Json::u64(p.stats.latency.p50)),
-            ("latency_p90", Json::u64(p.stats.latency.p90)),
-            ("latency_p99", Json::u64(p.stats.latency.p99)),
-            ("latency_max", Json::u64(p.stats.latency.max)),
-            ("mempool_peak_occupancy", Json::u64(peak_occupancy)),
-        ])));
+        ];
+        row.extend(bench_metrics().map(|m| (m.name, Json::u64((m.get)(&p.stats)))));
+        point_rows.push(progress(Json::obj(row)));
         points.push(p);
     }
     // Check 1 (CI greps this line): conservation at every point.
@@ -893,12 +892,14 @@ use Ty::{Bool, Num, Str, U64};
 /// trajectory is one more table here plus the sweep that measures it.
 /// (Laid out by hand, one line per group of related fields, so a whole
 /// document reads on one screen.)
-const SCHEMAS: [(&str, &[Field]); 4] = [
-    ("queue", QUEUE),
-    ("profile", PROFILE),
-    ("workload", WORKLOAD),
-    ("checkpoint", CHECKPOINT),
-];
+static SCHEMAS: LazyLock<[(&str, &[Field]); 4]> = LazyLock::new(|| {
+    [
+        ("queue", QUEUE),
+        ("profile", PROFILE),
+        ("workload", workload_schema()),
+        ("checkpoint", CHECKPOINT),
+    ]
+});
 
 #[rustfmt::skip]
 const QUEUE: &[Field] = &[
@@ -938,25 +939,28 @@ const MODEL_CHECK: &[Field] = &[
     Val("ratio", Num, Info), Flag("pass"),
 ];
 
+/// The one table that is not a literal: a point's metric fields are the
+/// declared [`bench_metrics`], each a deterministic (exact) counter. Built
+/// once, by [`SCHEMAS`].
 #[rustfmt::skip]
-const WORKLOAD: &[Field] = &[
-    Val("bench", Str, Key), Val("quick", Bool, Info),
-    Val("committee_n", U64, Exact), Val("arrival", Str, Exact),
-    Rows("points", &[
+fn workload_schema() -> &'static [Field] {
+    let mut point = vec![
         Val("clients", U64, Key), Val("rounds", U64, Exact), Val("events", U64, Exact),
         Val("wall_ms", Num, Info), Val("events_per_sec", Num, Info),
-        Val("submitted", U64, Exact), Val("committed", U64, Exact), Val("dropped", U64, Exact),
-        Val("pending", U64, Exact), Val("retries", U64, Exact),
-        Val("latency_p50", U64, Exact), Val("latency_p90", U64, Exact),
-        Val("latency_p99", U64, Exact), Val("latency_max", U64, Exact),
-        Val("mempool_peak_occupancy", U64, Exact),
-    ]),
-    Flag("conservation_pass"),
-    Obj("drain_check", &[
-        Val("clients", U64, Info), Val("committed", U64, Info), Val("submitted", U64, Info),
-        Flag("pass"),
-    ]),
-];
+    ];
+    point.extend(bench_metrics().map(|m| Val(m.name, U64, Exact)));
+    vec![
+        Val("bench", Str, Key), Val("quick", Bool, Info),
+        Val("committee_n", U64, Exact), Val("arrival", Str, Exact),
+        Rows("points", point.leak()),
+        Flag("conservation_pass"),
+        Obj("drain_check", &[
+            Val("clients", U64, Info), Val("committed", U64, Info), Val("submitted", U64, Info),
+            Flag("pass"),
+        ]),
+    ]
+    .leak()
+}
 
 #[rustfmt::skip]
 const CHECKPOINT: &[Field] = &[
@@ -1467,7 +1471,7 @@ mod tests {
 
     #[test]
     fn the_committed_baselines_match_their_tables_and_hold_their_flags() {
-        for (kind, _) in SCHEMAS {
+        for &(kind, _) in SCHEMAS.iter() {
             let path = format!("{}/../../BENCH_{kind}.json", env!("CARGO_MANIFEST_DIR"));
             let text = std::fs::read_to_string(&path).expect("committed baseline");
             let doc = Json::parse(&text).unwrap();

@@ -121,8 +121,11 @@ pub struct Replica {
     block_store: HashMap<Digest, Block>,
     /// Persistent Final tallies by value (survive round changes: laggards
     /// finalize from them; the signed ballots are kept so they can be
-    /// forwarded to recovering peers).
-    final_tally: HashMap<Digest, BTreeMap<NodeId, SignedBallot>>,
+    /// forwarded to recovering peers). Ordered, because [`Self::reconcile`]
+    /// acts on the entries in iteration order: which of two conflicting
+    /// majority values a laggard adopts must be a function of its state,
+    /// not of the process's hash seed.
+    final_tally: BTreeMap<Digest, BTreeMap<NodeId, SignedBallot>>,
     /// Signed propose ballots per block (for laggard catch-up).
     propose_store: HashMap<Digest, SignedBallot>,
     /// Highest round at which we already helped each laggard (rate limit).
@@ -213,7 +216,7 @@ impl Replica {
             chain: Chain::new(genesis),
             mempool: Mempool::new(),
             block_store,
-            final_tally: HashMap::new(),
+            final_tally: BTreeMap::new(),
             propose_store: HashMap::new(),
             helped_at: HashMap::new(),
             sync_requested: false,

@@ -222,3 +222,62 @@ fn mid_round_partition_no_stray_tentative_state() {
         assert!(chain.height() - chain.final_height() <= 1);
     }
 }
+
+/// Two conflicting values can both hold a `> n/2` Final tally (split
+/// Finals by double-signers). Which one a laggard adopts once their
+/// common parent lands must depend on what it received, never on hash
+/// iteration order: 32 fresh replicas fed the same messages all finalize
+/// the same block (each replica's maps are seeded differently, so an
+/// order-exposed hash walk would split them).
+#[test]
+fn conflicting_majority_tallies_resolve_identically_everywhere() {
+    use prft_core::{Ballot, Phase, PrftMsg};
+    use prft_crypto::{KeyRegistry, Signed};
+    use prft_types::{Block, Height, Round, Transaction};
+
+    let (n, seed, laggard) = (4, 31, NodeId(3));
+    let (_, keys) = KeyRegistry::trusted_setup(n, seed ^ 0x5eed);
+    let tx = |id: u64| Transaction::new(id, NodeId(0), vec![id as u8]);
+    let parent = Block::new(Round(0), Block::genesis().id(), NodeId(0), vec![tx(1)]);
+    let [a, b] = [2, 3].map(|id| Block::new(Round(1), parent.id(), NodeId(1), vec![tx(id)]));
+    let propose = |block: &Block| PrftMsg::Propose {
+        ballot: Signed::sign(
+            Ballot::new(block.round, Phase::Propose, block.id()),
+            &keys[block.proposer.0],
+        ),
+        block: block.clone(),
+    };
+    let finals = |block: &Block| {
+        let ballot = Ballot::new(block.round, Phase::Final, block.id());
+        [0, 1, 2].map(|signer| PrftMsg::Final {
+            ballot: Signed::sign(ballot, &keys[signer]),
+        })
+    };
+    // Both children reach a Final majority with their blocks known while
+    // the parent is still missing; the parent's own majority comes last.
+    let mut script = vec![propose(&a), propose(&b)];
+    script.extend(finals(&a).into_iter().chain(finals(&b)));
+    script.push(propose(&parent));
+    script.extend(finals(&parent));
+
+    let adopted: Vec<_> = (0..32)
+        .map(|_| {
+            let mut sim = Harness::new(n, seed).build();
+            for peer in (0..n).map(NodeId).filter(|&peer| peer != laggard) {
+                sim.crash(peer);
+            }
+            for (tick, msg) in script.iter().enumerate() {
+                sim.inject(SimTime(5 + tick as u64), NodeId(0), laggard, msg.clone());
+            }
+            sim.run_until(SimTime(100));
+            let chain = sim.node(laggard).chain();
+            assert_eq!(chain.final_height(), 2, "parent and one child final");
+            chain.at(Height(2)).expect("height 2").block.id()
+        })
+        .collect();
+    assert!([a.id(), b.id()].contains(&adopted[0]));
+    assert!(
+        adopted.iter().all(|id| *id == adopted[0]),
+        "replicas disagree on which conflicting value to adopt"
+    );
+}

@@ -32,46 +32,9 @@ pub enum VerifyMode {
     Fast,
 }
 
-impl VerifyMode {
-    /// Every mode, in a stable order (differential sweeps iterate this).
-    pub const ALL: [VerifyMode; 2] = [VerifyMode::Reference, VerifyMode::Fast];
-
-    /// The CLI/report name of the mode.
-    pub fn name(self) -> &'static str {
-        match self {
-            VerifyMode::Reference => "reference",
-            VerifyMode::Fast => "fast",
-        }
-    }
-
-    /// Parses a CLI/report name (`"reference"` / `"fast"`).
-    pub fn parse(s: &str) -> Option<VerifyMode> {
-        match s {
-            "reference" => Some(VerifyMode::Reference),
-            "fast" => Some(VerifyMode::Fast),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for VerifyMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::VerifyMode;
-
-    #[test]
-    fn names_round_trip() {
-        for mode in VerifyMode::ALL {
-            assert_eq!(VerifyMode::parse(mode.name()), Some(mode));
-            assert_eq!(format!("{mode}"), mode.name());
-        }
-        assert_eq!(VerifyMode::parse("bogus"), None);
-    }
 
     #[test]
     fn fast_is_the_default() {

@@ -18,7 +18,7 @@
 //! strategy index) — so a path is a pure function of `(table, start,
 //! eps)` and reports built from it are byte-stable across thread counts.
 
-use crate::empirical::Profile;
+use crate::space::Profile;
 use crate::utility_table::UtilityTable;
 use std::collections::BTreeMap;
 

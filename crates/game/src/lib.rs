@@ -6,12 +6,13 @@
 //!
 //! The crate is pure math — no simulation dependencies. Experiments feed it
 //! either analytic payoffs or utilities measured from `prft-core` runs
-//! (empirical game theory): build an [`EmpiricalGame`] from any
-//! profile-evaluation function and query its equilibria, or — for swept
-//! games — describe the strategy space as a [`ProfileSpace`] (with optional
-//! symmetry reduction) and analyse the measured [`UtilityTable`], whose
-//! Nash/DSIC certificates account for per-cell confidence intervals. The
-//! `prft-lab` explorer fills utility tables from simulation batches.
+//! (empirical game theory): describe the strategy space as a
+//! [`ProfileSpace`] (with optional symmetry reduction) and analyse the
+//! [`UtilityTable`] over it — filled exactly from any profile-evaluation
+//! function ([`UtilityTable::exact`]) or from simulation batches by the
+//! `prft-lab` explorer — whose Nash/DSIC certificates account for per-cell
+//! confidence intervals and which also answers the Pareto / focal-point
+//! questions of Theorem 3.
 //!
 //! Beyond pure strategies, the table supports *mixed* play — expected
 //! utilities under independent per-player distributions, with exact
@@ -41,7 +42,6 @@
 
 pub mod analytic;
 mod dynamics;
-mod empirical;
 mod mixed;
 mod payoff;
 mod repeated;
@@ -52,13 +52,12 @@ mod utility_table;
 pub use dynamics::{
     best_reply_path, best_reply_summary, BestReplyPath, DynamicsOutcome, DynamicsSummary,
 };
-pub use empirical::{EmpiricalGame, Profile};
 pub use mixed::{
     mixed_analysis, mixture_label, support_equilibria_2p, symmetric_mixed_equilibria,
     MixedAnalysis, MixedEquilibrium, MixedProfile,
 };
 pub use payoff::{discounted_sum, geometric_total, PayoffTable, UtilityParams};
 pub use repeated::GrimTrigger;
-pub use space::ProfileSpace;
+pub use space::{Profile, ProfileSpace};
 pub use types::{PlayerClass, Strategy, SystemState, Theta};
 pub use utility_table::{Certificate, Confidence, ProfileStats, UtilityTable};

@@ -13,7 +13,8 @@
 //! `C(s + p − 1, p)` (multisets), e.g. 27 → 10 for the paper's 3×3×3
 //! Lemma 4 game.
 
-use crate::empirical::Profile;
+/// A pure-strategy profile: one strategy index per player.
+pub type Profile = Vec<usize>;
 
 /// The strategy space of an empirical game: one strategy count per player,
 /// plus optional symmetry groups of interchangeable players.

@@ -9,8 +9,7 @@
 //! exactly, and everything downstream — Lemma 4's DSIC verdict, Theorem 3's
 //! double equilibrium — is a pure function of the finished table.
 
-use crate::empirical::{EmpiricalGame, Profile};
-use crate::space::ProfileSpace;
+use crate::space::{Profile, ProfileSpace};
 use crate::types::SystemState;
 use std::collections::BTreeMap;
 
@@ -28,8 +27,9 @@ pub struct ProfileStats {
     pub sigma: SystemState,
 }
 
-/// How robust a verdict is to the per-cell measurement noise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How robust a verdict is to the per-cell measurement noise, ordered from
+/// the stronger claim to the weaker (the `max` of several is the weakest).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Confidence {
     /// The verdict survives shifting every compared cell to the worst edge
     /// of its 95% confidence interval.
@@ -339,11 +339,33 @@ impl UtilityTable {
             .collect()
     }
 
-    /// The table as an [`EmpiricalGame`] over the mean utilities, for the
-    /// Pareto / focal-point analysis that crate already owns.
-    pub fn to_game(&self) -> EmpiricalGame {
-        let counts = self.space.counts().to_vec();
-        EmpiricalGame::explore(counts, |p| self.utilities(p).to_vec())
+    /// Whether profile `a` Pareto-dominates `b` for the given subset of
+    /// players (everyone in the subset at least as well off, someone
+    /// strictly better).
+    pub fn pareto_dominates_for(&self, a: &Profile, b: &Profile, players: &[usize]) -> bool {
+        let ua = self.utilities(a);
+        let ub = self.utilities(b);
+        let no_worse = players.iter().all(|&p| ua[p] >= ub[p]);
+        let strictly = players.iter().any(|&p| ua[p] > ub[p]);
+        no_worse && strictly
+    }
+
+    /// The focal equilibrium among `candidates` for the given players: the
+    /// one maximizing their total utility (Schelling's "attractive"
+    /// equilibrium — see paper Section 4.3). Ties break toward the last.
+    pub fn focal_among<'a>(
+        &self,
+        candidates: &'a [Profile],
+        players: &[usize],
+    ) -> Option<&'a Profile> {
+        let total = |profile: &Profile| -> f64 {
+            let us = self.utilities(profile);
+            players.iter().map(|&p| us[p]).sum()
+        };
+        candidates.iter().max_by(|a, b| {
+            let order = total(a).partial_cmp(&total(b));
+            order.unwrap_or(std::cmp::Ordering::Equal)
+        })
     }
 }
 
@@ -442,11 +464,63 @@ mod tests {
     }
 
     #[test]
-    fn to_game_round_trips_utilities() {
+    fn pareto_dominance_reads_the_mean_utilities() {
+        // Cooperation Pareto-dominates the dominant-strategy equilibrium —
+        // the PD tension — for both players and for either alone.
         let t = pd();
-        let g = t.to_game();
-        assert_eq!(g.utilities(&vec![0, 1]), &[0.0, 5.0]);
-        assert!(g.pareto_dominates_for(&vec![0, 0], &vec![1, 1], &[0, 1]));
+        assert!(t.pareto_dominates_for(&vec![0, 0], &vec![1, 1], &[0, 1]));
+        assert!(!t.pareto_dominates_for(&vec![1, 1], &vec![0, 0], &[0, 1]));
+        assert!(!t.pareto_dominates_for(&vec![0, 1], &vec![1, 1], &[0, 1]));
+        assert!(t.pareto_dominates_for(&vec![0, 1], &vec![1, 1], &[1]));
+    }
+
+    /// The paper's Table 3 example game (Section 4.3): three players with
+    /// two strategies each and two Nash equilibria, one focal.
+    #[test]
+    fn schelling_example_has_the_papers_two_equilibria() {
+        // Strategies: P1 ∈ {A=0, B=1}, P2 ∈ {a=0, b=1}, P3 ∈ {α=0, β=1}.
+        let t = UtilityTable::exact(ProfileSpace::uniform(3, 2), |p| {
+            let u = match (p[0], p[1], p[2]) {
+                (0, 0, 0) => vec![1.0, 1.0, 1.0],  // (A,a,α)
+                (0, 0, 1) => vec![1.0, 1.0, 0.0],  // (A,a,β)
+                (0, 1, 0) => vec![1.0, 0.0, 1.0],  // (A,b,α)
+                (0, 1, 1) => vec![-2.0, 2.0, 2.0], // (A,b,β)
+                (1, 0, 0) => vec![0.0, 1.0, 1.0],  // (B,a,α)
+                (1, 0, 1) => vec![1.0, -2.0, 1.0], // (B,a,β)
+                (1, 1, 0) => vec![2.0, 2.0, -2.0], // (B,b,α)
+                (1, 1, 1) => vec![0.0, 0.0, 0.0],  // (B,b,β)
+                _ => unreachable!(),
+            };
+            (u, SystemState::HonestExecution)
+        });
+        let ne = t.nash_equilibria(1e-9);
+        assert!(ne.contains(&vec![0, 0, 0]), "(A,a,α) is NE");
+        assert!(ne.contains(&vec![1, 1, 1]), "(B,b,β) is NE");
+        let focal = t.focal_among(&ne, &[0, 1, 2]).unwrap();
+        assert_eq!(focal, &vec![0, 0, 0], "(A,a,α) is the focal point");
+        assert!(t.pareto_dominates_for(&vec![0, 0, 0], &vec![1, 1, 1], &[0, 1, 2]));
+        assert_eq!(t.focal_among(&[], &[0, 1, 2]), None);
+    }
+
+    #[test]
+    fn asymmetric_strategy_counts() {
+        // Player 0 scripted (1 strategy), player 1 chooses among 3.
+        let t = UtilityTable::exact(ProfileSpace::new(vec![1, 3]), |p| {
+            let u = vec![0.0, [1.0, 5.0, 3.0][p[1]]];
+            (u, SystemState::HonestExecution)
+        });
+        assert!(t.is_nash(&vec![0, 1], 0.0));
+        assert!(!t.is_nash(&vec![0, 0], 0.0));
+        assert!(t.is_dominant(1, 1, 0.0));
+    }
+
+    #[test]
+    fn eps_tolerance_for_measured_noise() {
+        let t = UtilityTable::exact(ProfileSpace::new(vec![2]), |p| {
+            (vec![[1.0, 1.04][p[0]]], SystemState::HonestExecution)
+        });
+        assert!(!t.is_nash(&vec![0], 0.0));
+        assert!(t.is_nash(&vec![0], 0.1), "within noise tolerance");
     }
 
     #[test]

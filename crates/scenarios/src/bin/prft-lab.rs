@@ -30,7 +30,7 @@
 
 use prft_lab::{
     claims, registry, report, BatchRunner, CheckpointStore, Exploration, GameDef, GameExplorer,
-    QueueBackend, Scenario, ScenarioSpec, UtilityCache, VerifyMode,
+    Scenario, UtilityCache,
 };
 use std::io::Write;
 use std::process::ExitCode;
@@ -47,8 +47,6 @@ struct Options {
     mixed: bool,
     dynamics: bool,
     seeds_given: bool,
-    queue: Option<QueueBackend>,
-    verify: Option<VerifyMode>,
     trace_out: Option<String>,
     warm: bool,
     explain_reuse: bool,
@@ -84,6 +82,12 @@ fn usage() -> ExitCode {
          \x20                           (default 0 = byte-exact semantics)\n\
          \x20                           count as equal; exits non-zero and\n\
          \x20                           lists every path that drifted\n\
+         \x20 claims [ID…] [--threads T] [--format table|json] [--out FILE]\n\
+         \x20                           evaluate the paper's claims table\n\
+         \x20                           (all rows, or the given ids); exits\n\
+         \x20                           non-zero when an observed verdict\n\
+         \x20                           differs from the expected one\n\
+         \x20 help | --help | -h        print this message\n\
          \n\
          options:\n\
          \x20 --seeds N      seeded runs per grid point (default 16;\n\
@@ -94,14 +98,6 @@ fn usage() -> ExitCode {
          \x20                (run-all writes one FILE-<scenario> per\n\
          \x20                scenario plus a FILE-manifest index)\n\
          \x20 --runs         include per-run records in JSON output\n\
-         \x20 --queue B      event-queue backend: calendar (default) |\n\
-         \x20                heap (reference); results are byte-identical\n\
-         \x20                across backends (run / run-all only)\n\
-         \x20 --verify-mode M\n\
-         \x20                verification strategy: fast (default,\n\
-         \x20                memoized) | reference (re-verify on every\n\
-         \x20                arrival); results are byte-identical across\n\
-         \x20                modes (run / run-all only)\n\
          \x20 --trace-out F  also write a Chrome Trace Event JSON of one\n\
          \x20                traced run (seed index 0 of the first grid\n\
          \x20                point) to F — open in Perfetto or\n\
@@ -143,8 +139,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         mixed: false,
         dynamics: false,
         seeds_given: false,
-        queue: None,
-        verify: None,
         trace_out: None,
         warm: true,
         explain_reuse: false,
@@ -177,18 +171,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 };
             }
             "--out" => opts.out = Some(value("--out")?),
-            "--queue" => {
-                let name = value("--queue")?;
-                opts.queue = Some(QueueBackend::parse(&name).ok_or_else(|| {
-                    format!("unknown queue backend: {name} (use heap | calendar)")
-                })?);
-            }
-            "--verify-mode" => {
-                let name = value("--verify-mode")?;
-                opts.verify = Some(VerifyMode::parse(&name).ok_or_else(|| {
-                    format!("unknown verify mode: {name} (use fast | reference)")
-                })?);
-            }
             "--trace-out" => opts.trace_out = Some(value("--trace-out")?),
             "--warm-starts" => {
                 opts.warm = match value("--warm-starts")?.as_str() {
@@ -404,31 +386,6 @@ fn write_manifest(
     Ok(())
 }
 
-/// `--queue` applies to `run`/`run-all` only; explore builds its specs
-/// from game definitions. Reject rather than silently ignore it.
-fn reject_queue_flag(opts: &Options) -> Result<(), String> {
-    match opts.queue {
-        Some(_) => Err("--queue applies to run/run-all only (explore reports are \
-             byte-identical across backends anyway)"
-            .to_string()),
-        None => Ok(()),
-    }
-}
-
-/// `--verify-mode` applies to `run`/`run-all` only, for the same reason
-/// as `--queue`: explore builds its specs from game definitions, and its
-/// reports are pinned byte-identical across modes anyway.
-fn reject_verify_flag(opts: &Options) -> Result<(), String> {
-    match opts.verify {
-        Some(_) => Err(
-            "--verify-mode applies to run/run-all only (explore reports \
-             are byte-identical across modes anyway)"
-                .to_string(),
-        ),
-        None => Ok(()),
-    }
-}
-
 /// `--trace-out` applies to single `run` only: a trace is one seeded
 /// run's timeline, so `run-all` (many scenarios, one path) and explore
 /// (profile sweeps) have no single run to export.
@@ -474,16 +431,12 @@ fn explore_command(args: &[String]) -> Result<(), String> {
         }
         Some("run") => match args.get(1) {
             Some(name) => parse_options(&args[2..]).and_then(|opts| {
-                reject_queue_flag(&opts)?;
-                reject_verify_flag(&opts)?;
                 reject_trace_flag(&opts, "explore sweeps profiles, not one run")?;
                 explore_game(name, &opts)
             }),
             None => Err("explore run needs a game name".to_string()),
         },
         Some("run-all") => parse_options(&args[1..]).and_then(|opts| {
-            reject_queue_flag(&opts)?;
-            reject_verify_flag(&opts)?;
             reject_trace_flag(&opts, "explore sweeps profiles, not one run")?;
             explore_run_all(&opts)
         }),
@@ -534,40 +487,17 @@ fn list_scenarios(args: &[String]) -> Result<(), String> {
 fn run_scenario(scenario: &Scenario, opts: &Options, out: Option<String>) -> Result<(), String> {
     let runner = BatchRunner::new(opts.threads);
     eprintln!(
-        "running {} ({} grid points × {} seeds, {} threads{})",
+        "running {} ({} grid points × {} seeds, {} threads)",
         scenario.name,
         scenario.specs.len(),
         opts.seeds,
         runner.threads(),
-        match (opts.queue, opts.verify) {
-            (Some(b), Some(m)) => format!(", {b} queue, {m} verify"),
-            (Some(b), None) => format!(", {b} queue"),
-            (None, Some(m)) => format!(", {m} verify"),
-            (None, None) => String::new(),
-        }
     );
-    // `--queue` / `--verify-mode` override every grid point's backend and
-    // verification strategy; reports come out byte-identical either way
-    // (CI diffs them), so these are purely speed/debugging knobs.
-    let specs: Vec<ScenarioSpec> = scenario
-        .specs
-        .iter()
-        .map(|s| {
-            let mut s = s.clone();
-            if let Some(backend) = opts.queue {
-                s = s.queue(backend);
-            }
-            if let Some(mode) = opts.verify {
-                s = s.verify_mode(mode);
-            }
-            s
-        })
-        .collect();
     // Warm starts are a pure speed knob: grid points sharing a timeline
     // prefix fork from one captured state, and reports stay byte-identical
     // (the checkpoint_equiv suite pins this).
     let store = opts.warm.then(CheckpointStore::default);
-    let reports = runner.run_grid_with(&specs, opts.seeds, store.as_ref());
+    let reports = runner.run_grid_with(&scenario.specs, opts.seeds, store.as_ref());
     let content = match opts.format {
         Format::Table => report::scenario_table(scenario.name, opts.seeds, &reports),
         Format::Json => {
@@ -581,7 +511,7 @@ fn run_scenario(scenario: &Scenario, opts: &Options, out: Option<String>) -> Res
         // One traced run of the first grid point, at the same derived
         // seed the batch used for seed index 0, so the trace lines up
         // with the report next to it.
-        let spec = &specs[0];
+        let spec = &scenario.specs[0];
         let trace = prft_lab::chrome_trace_for(spec, prft_lab::derive_seed(spec.base_seed, 0));
         std::fs::write(path, trace.render()).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote trace {path} ({} events)", trace.len());

@@ -597,7 +597,7 @@ pub fn run_one_with(spec: &ScenarioSpec, seed: u64, store: Option<&CheckpointSto
     let mut rec = summarize(spec, &built.sim, seed, outcome);
     if spec.workload.is_some() {
         let stats = WorkloadRunStats::collect(&built.sim);
-        mirror_workload_obs(&mut rec, &stats);
+        stats.mirror_into(&mut rec.obs);
         rec.workload = Some(stats);
     }
     rec
@@ -641,32 +641,6 @@ fn fork_from(spec: &ScenarioSpec, entry: &CheckpointEntry) -> Built {
         board,
         collusion,
     }
-}
-
-/// Mirrors the workload stats into the record's observability registry, so
-/// the batch report's `observability` section carries the client-side view
-/// next to the protocol counters (counters sum across seeds, latency and
-/// occupancy gauges take the worst seed).
-fn mirror_workload_obs(rec: &mut RunRecord, stats: &WorkloadRunStats) {
-    let obs = &mut rec.obs;
-    obs.add("workload.txs_submitted", stats.submitted);
-    obs.add("workload.txs_committed", stats.committed);
-    obs.add("workload.txs_dropped", stats.dropped);
-    obs.add("workload.txs_pending", stats.pending);
-    obs.add("workload.retries", stats.retries);
-    obs.add("workload.backpressure_rejects", stats.backpressure_rejects);
-    obs.add(
-        "workload.mempool_rejected_full",
-        stats.mempool_rejected_full,
-    );
-    obs.gauge_max(
-        "workload.mempool_peak_occupancy",
-        stats.mempool_peak_occupancy,
-    );
-    obs.gauge_max("workload.latency_p50", stats.latency.p50);
-    obs.gauge_max("workload.latency_p90", stats.latency.p90);
-    obs.gauge_max("workload.latency_p99", stats.latency.p99);
-    obs.gauge_max("workload.latency_max", stats.latency.max);
 }
 
 /// Extracts the [`RunRecord`] from a finished simulation. Generic so that

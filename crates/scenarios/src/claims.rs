@@ -317,10 +317,10 @@ fn baseline_cost<N: Node>(nodes: Vec<N>, decided: fn(&N) -> usize) -> (f64, f64)
 
 /// Messages and bytes per finalized block of one pRFT grid point.
 fn report_cost(report: &BatchReport) -> (f64, f64) {
-    let decided = report.min_final_height.mean.max(1.0);
+    let decided = report.agg("min_final_height").mean.max(1.0);
     (
-        report.total_messages.mean / decided,
-        report.total_bytes.mean / decided,
+        report.agg("total_messages").mean / decided,
+        report.agg("total_bytes").mean / decided,
     )
 }
 
@@ -353,7 +353,10 @@ fn thm1(runner: &BatchRunner) -> Vec<Check> {
     let row = |(report, &pbft): (&BatchReport, &f64)| {
         let coalition = label_value(&report.label, "k+t=");
         let in_regime = analytic::in_impossibility_regime(n, coalition, 0);
-        let (prft, burned) = (report.min_final_height.mean, report.burned_players.mean);
+        let (prft, burned) = (
+            report.agg("min_final_height").mean,
+            report.agg("burned_players").mean,
+        );
         // The coalition's measured utility: its last seat, averaged.
         let u_abs = report.utilities[n - 1].mean;
         let unpunished_stall = prft == 0.0 && pbft == 0.0 && burned == 0.0;
@@ -389,7 +392,10 @@ fn thm2(runner: &BatchRunner) -> Vec<Check> {
         let included = |r: &RunRecord, tx: usize| *r.txs_included.get(tx).unwrap_or(&false);
         let censored_in = report.records.iter().any(|r| included(r, 0));
         let background_in = report.records.iter().all(|r| included(r, 1));
-        let (throughput, burned) = (report.throughput.mean, report.burned_players.mean);
+        let (throughput, burned) = (
+            report.agg("throughput").mean,
+            report.agg("burned_players").mean,
+        );
         let u_pc = report.utilities[0].mean;
         let share = coalition as f64 / n as f64;
         let sigma = report.modal_sigma();
@@ -404,8 +410,8 @@ fn thm2(runner: &BatchRunner) -> Vec<Check> {
             format!("k+t={coalition}: π_pc censors unpunished at ≈(k+t)/n throughput"),
             observed && background_in,
             vec![
-                ("blocks", num(report.min_final_height.mean)),
-                ("rounds", num(report.rounds_entered.mean)),
+                ("blocks", num(report.agg("min_final_height").mean)),
+                ("rounds", num(report.agg("rounds_entered").mean)),
                 ("throughput", num(throughput)),
                 ("leader_share", num(share)),
                 ("censored_tx_in_chain", flag(censored_in)),
@@ -439,8 +445,7 @@ fn thm3(_: &BatchRunner) -> Vec<Check> {
         let ne = table.nash_equilibria(1e-9);
         let (all_fork, all_bait) = (vec![0; k], vec![1; k]);
         let players: Vec<usize> = (0..k).collect();
-        let empirical = table.to_game();
-        let enumerated_focal = match empirical.focal_among(&ne, &players) {
+        let enumerated_focal = match table.focal_among(&ne, &players) {
             Some(p) if *p == all_fork => "π_fork",
             Some(p) if *p == all_bait => "π_bait",
             _ => "other",
@@ -859,21 +864,28 @@ fn claim2(runner: &BatchRunner) -> Vec<Check> {
         .synchrony(PSYNC_GST_2000)
         .horizon(2_000_000);
     let consistency = runner.run(&spec, 20);
-    let consistent = consistency.vc_consistent_rate == 1.0 && consistency.agreement_rate == 1.0;
-    let checked_rounds = consistency.view_changes.mean * consistency.seeds as f64;
+    let consistent =
+        consistency.rate("vc_consistent_rate") == 1.0 && consistency.rate("agreement_rate") == 1.0;
+    let checked_rounds = consistency.agg("view_changes").mean * consistency.seeds as f64;
     let mut checks = vec![holds(
         "consistency: no honest player finalizes a view-changed round",
         consistent && checked_rounds > 0.0,
         vec![
-            ("vc_consistent_rate", num(consistency.vc_consistent_rate)),
-            ("agreement_rate", num(consistency.agreement_rate)),
+            (
+                "vc_consistent_rate",
+                num(consistency.rate("vc_consistent_rate")),
+            ),
+            ("agreement_rate", num(consistency.rate("agreement_rate"))),
             ("view_changed_rounds_checked", num(checked_rounds)),
         ],
     )];
     let specs = scenario_specs("view-change-churn");
     for (spec, report) in specs.iter().zip(runner.run_grid(&specs, 8)) {
         let byzantine = label_value(&report.label, "byz=");
-        let (view_changes, blocks) = (report.view_changes.mean, report.min_final_height.mean);
+        let (view_changes, blocks) = (
+            report.agg("view_changes").mean,
+            report.agg("min_final_height").mean,
+        );
         checks.push(check(
             format!("robustness byz={byzantine}: no view change, every round finalizes"),
             Expect::of(byzantine <= 2),
@@ -883,9 +895,9 @@ fn claim2(runner: &BatchRunner) -> Vec<Check> {
                 ("blocks_finalized", num(blocks)),
             ],
         ));
-        let evidence = vec![("agreement_rate", num(report.agreement_rate))];
+        let evidence = vec![("agreement_rate", num(report.rate("agreement_rate")))];
         let name = format!("robustness byz={byzantine}: agreement kept");
-        checks.push(holds(name, report.agreement_rate == 1.0, evidence));
+        checks.push(holds(name, report.rate("agreement_rate") == 1.0, evidence));
     }
     checks
 }
@@ -1125,12 +1137,15 @@ fn ablation(runner: &BatchRunner) -> Vec<Check> {
     }
     let attack = runner.run_grid(&scenario_specs("ablation-accountability"), 1);
     for (variant, report, burns) in [("full", &attack[0], Holds), ("ablated", &attack[1], Breaks)] {
-        let (burned, blocks) = (report.burned_players.mean, report.min_final_height.mean);
+        let (burned, blocks) = (
+            report.agg("burned_players").mean,
+            report.agg("min_final_height").mean,
+        );
         let evidence = vec![
             ("deviators_burned", num(burned)),
             ("blocks_finalized", num(blocks)),
         ];
-        let prevented = report.agreement_rate == 1.0;
+        let prevented = report.rate("agreement_rate") == 1.0;
         checks.push(holds(
             format!("{variant}: fork prevented"),
             prevented,

@@ -13,20 +13,18 @@
 //! 2. **Caching** — each cell is keyed by `(profile, spec fingerprint,
 //!    seeds)` in an on-disk [`UtilityCache`]; re-sweeps only simulate new
 //!    cells, and a hit reproduces the computed cell bit-exactly.
-//! 3. **Deterministic parallelism** — cells × seeds are flattened into one
-//!    work list and fanned through [`par_map`] with the batch runner's
-//!    order-independent seeding, so `--threads 1` and `--threads 8`
-//!    produce byte-identical utility tables.
+//! 3. **Deterministic parallelism** — the missing cells run as one
+//!    [`BatchRunner::run_grid_with`] grid (cells × seeds flattened into one
+//!    work list, order-independent seeding), so `--threads 1` and
+//!    `--threads 8` produce byte-identical utility tables.
 //!
 //! The finished [`prft_game::UtilityTable`] carries per-cell 95% CIs, and
 //! its Nash/DSIC certificates report whether each verdict is robust to
 //! them.
 
-use crate::build::run_one_with;
 use crate::cache::{CacheKey, UtilityCache};
 use crate::checkpoint::{CheckpointStore, ReuseStats};
-use crate::record::BatchReport;
-use crate::runner::{derive_seed, par_map, BatchRunner};
+use crate::runner::BatchRunner;
 use crate::spec::ScenarioSpec;
 use prft_game::{Profile, ProfileSpace, ProfileStats, SystemState, UtilityTable};
 use std::collections::BTreeMap;
@@ -99,7 +97,7 @@ impl GameDef {
     }
 
     /// Formats a profile with strategy labels: `(π_0, π_abs, π_fork)`.
-    pub fn profile_label(&self, profile: &Profile) -> String {
+    pub fn profile_label(&self, profile: &[usize]) -> String {
         let parts: Vec<&str> = profile
             .iter()
             .enumerate()
@@ -183,10 +181,10 @@ impl GameExplorer {
     }
 
     /// Sweeps several games as **one** batch: every cache-missing cell
-    /// across all the games is collected into a single flattened
-    /// `cells × seeds` work list and fanned through one [`par_map`], so a
-    /// `run-all`-style batch of many small games saturates the pool the
-    /// same way one big game does. Results come back in `games` order.
+    /// across all the games becomes a grid point of a single
+    /// [`BatchRunner::run_grid_with`] call, so a `run-all`-style batch of
+    /// many small games saturates the pool the same way one big game
+    /// does. Results come back in `games` order.
     ///
     /// Games sharing a cache scope (and therefore a `spec_of` and seat
     /// vector — the [`CacheKey`] enforces agreement) additionally share
@@ -244,13 +242,13 @@ impl GameExplorer {
             sources: Vec<(Profile, Source)>,
         }
         struct WorkCell {
-            spec: ScenarioSpec,
             key: CacheKey,
             scope: &'static str,
             game: &'static str,
         }
 
         let mut work: Vec<WorkCell> = Vec::new();
+        let mut specs: Vec<ScenarioSpec> = Vec::new();
         let mut index_of: BTreeMap<(&str, CacheKey), usize> = BTreeMap::new();
         let mut results: Vec<Option<Exploration>> = Vec::with_capacity(games.len());
         let mut plans: Vec<Option<Plan>> = Vec::with_capacity(games.len());
@@ -310,8 +308,8 @@ impl GameExplorer {
                                 None => {
                                     let cell = work.len();
                                     index_of.insert((game.cache_scope, key.clone()), cell);
+                                    specs.push(spec);
                                     work.push(WorkCell {
-                                        spec,
                                         key,
                                         scope: game.cache_scope,
                                         game: game.name,
@@ -332,50 +330,21 @@ impl GameExplorer {
             }
         }
 
-        // Flatten every missing cell of every game × seeds into one work
-        // list so many small cells (and many small games) still saturate
-        // the pool; per-run seeds depend only on (spec base seed, seed
-        // index), so scheduling cannot perturb any run.
-        // Advertise the batch's event boundaries as capture hints: a cell
-        // whose own schedule ends early still captures at sibling fork
-        // ticks whose prefix fingerprints match (suffix captures), so
-        // late-diverging siblings resume past the divergence.
-        if let Some(store) = &store {
-            store.set_capture_hints_for(work.iter().map(|w| &w.spec));
-        }
-        let flat: Vec<(usize, u64)> = (0..work.len())
-            .flat_map(|cell| (0..sim_seeds).map(move |i| (cell, i)))
-            .collect();
-        let records = par_map(self.runner.threads(), &flat, |_, &(cell, i)| {
-            let spec = &work[cell].spec;
-            run_one_with(spec, derive_seed(spec.base_seed, i), store.as_ref())
-        });
-
+        // Every missing cell of every game is one grid point of a single
+        // `run_grid_with` batch (one flattened `cells × seeds` work list,
+        // capture hints advertised across all of it), so many small cells
+        // (and many small games) still saturate the pool, and a cell whose
+        // own schedule ends early still captures at sibling fork ticks.
+        let reports = self.runner.run_grid_with(&specs, sim_seeds, store.as_ref());
         let mut computed: Vec<ProfileStats> = Vec::with_capacity(work.len());
-        for (cell, chunk) in records.chunks(sim_seeds as usize).enumerate() {
-            let WorkCell {
-                spec, key, game, ..
-            } = &work[cell];
-            let report = BatchReport::from_records(spec.label.clone(), spec.n, chunk.to_vec());
+        for (report, WorkCell { key, game, .. }) in reports.iter().zip(&work) {
+            let seat = |s: &usize| {
+                let utility = report.utilities.get(*s);
+                utility.unwrap_or_else(|| panic!("game '{game}': no seat {s} in n={}", report.n))
+            };
             computed.push(ProfileStats {
-                utilities: key
-                    .seats
-                    .iter()
-                    .map(|&seat| {
-                        report
-                            .utilities
-                            .get(seat)
-                            .unwrap_or_else(|| {
-                                panic!("game '{game}': no seat {seat} in n={}", spec.n)
-                            })
-                            .mean
-                    })
-                    .collect(),
-                ci95: key
-                    .seats
-                    .iter()
-                    .map(|&seat| report.utilities[seat].ci95)
-                    .collect(),
+                utilities: key.seats.iter().map(|s| seat(s).mean).collect(),
+                ci95: key.seats.iter().map(|s| seat(s).ci95).collect(),
                 seeds: sim_seeds,
                 sigma: report.modal_sigma(),
             });

@@ -324,6 +324,6 @@ mod tests {
     #[test]
     fn profile_labels_render() {
         let g = find_game("lemma4-dsic").unwrap();
-        assert_eq!(g.profile_label(&vec![0, 1, 2]), "(π_0, π_abs, π_fork)");
+        assert_eq!(g.profile_label(&[0, 1, 2]), "(π_0, π_abs, π_fork)");
     }
 }

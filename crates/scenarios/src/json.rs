@@ -39,6 +39,11 @@ impl Json {
         Json::UInt(v)
     }
 
+    /// Array of `item(x)` for each `x` of `items`.
+    pub fn arr<T>(items: impl IntoIterator<Item = T>, item: impl FnMut(T) -> Json) -> Json {
+        Json::Arr(items.into_iter().map(item).collect())
+    }
+
     /// Object from `(key, value)` pairs.
     pub fn obj<K: Into<String>>(pairs: impl IntoIterator<Item = (K, Json)>) -> Json {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
@@ -50,6 +55,12 @@ impl Json {
             Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
+    }
+
+    /// The value at the end of `path`, descending one object key per
+    /// segment (the empty path is `self`).
+    pub fn at(&self, path: &[&str]) -> Option<&Json> {
+        path.iter().try_fold(self, |value, key| value.get(key))
     }
 
     /// The number as an `f64` ([`Json::UInt`] or [`Json::Num`] — which of
@@ -85,6 +96,7 @@ impl Json {
     /// is a [`Json::Num`]. Object key order is preserved as read.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -144,10 +156,11 @@ impl Json {
 const MAX_DEPTH: usize = 128;
 
 /// Recursive-descent parser over the document bytes. JSON structure is
-/// ASCII, so byte-wise scanning is safe; string contents pass through as
-/// UTF-8 (escapes decoded). Container recursion is bounded by
-/// [`MAX_DEPTH`].
+/// ASCII, so byte-wise scanning is safe; string contents are copied out of
+/// `text` a run at a time (escapes decoded). Container recursion is
+/// bounded by [`MAX_DEPTH`].
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -268,55 +281,44 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Everything up to the next quote or backslash is one slice of
+            // the input: both are ASCII, so the cut never splits a scalar.
             let rest = &self.bytes[self.pos..];
-            let Some(&c) = rest.first() else {
+            let Some(run) = rest.iter().position(|&c| c == b'"' || c == b'\\') else {
+                self.pos = self.bytes.len();
                 return Err(self.err("unterminated string"));
             };
-            match c {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if rest[run] == b'"' {
+                return Ok(out);
+            }
+            let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos..self.pos + 4)
+                        .and_then(|h| std::str::from_utf8(h).ok())
+                        .ok_or_else(|| self.err("bad \\u escape"))?;
+                    let code =
+                        u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+                    self.pos += 4;
+                    // Reports never emit surrogate pairs (the writer only
+                    // \u-escapes control characters), so a lone surrogate
+                    // is a parse error, not a pair start.
+                    out.push(char::from_u32(code).ok_or_else(|| self.err("bad \\u escape"))?);
                 }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Reports never emit surrogate pairs (the writer
-                            // only \u-escapes control characters), so a lone
-                            // surrogate is a parse error, not a pair start.
-                            out.push(
-                                char::from_u32(code).ok_or_else(|| self.err("bad \\u escape"))?,
-                            );
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Copy one UTF-8 scalar, however many bytes it spans.
-                    let tail = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid utf-8 in string"))?;
-                    let ch = tail.chars().next().expect("non-empty checked above");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                _ => return Err(self.err("unknown escape")),
             }
         }
     }
@@ -449,6 +451,10 @@ mod tests {
         assert_eq!(v.get("s").and_then(Json::as_str), Some("hi"));
         assert_eq!(v.get("a").and_then(Json::as_arr), Some(&[Json::u64(1)][..]));
         assert_eq!(v.get("missing"), None);
+        let nested = Json::parse(r#"{"a": {"b.c": {"d": 7}}}"#).unwrap();
+        assert_eq!(nested.at(&["a", "b.c", "d"]), Some(&Json::u64(7)));
+        assert_eq!(nested.at(&[]), Some(&nested));
+        assert_eq!(nested.at(&["a", "d"]), None);
         assert_eq!(v.get("s").and_then(Json::as_f64), None);
         assert_eq!(Json::Null.get("n"), None);
     }
@@ -488,6 +494,29 @@ mod tests {
         ]);
         assert_eq!(Json::parse(&v.render()).unwrap(), v);
         assert_eq!(Json::parse(&v.render_pretty()).unwrap(), v);
+    }
+
+    #[test]
+    fn parse_round_trips_a_megabyte_report_in_linear_time() {
+        // String contents are copied a run at a time; re-validating the
+        // whole remaining document per character would never finish here.
+        let row = Json::obj([
+            ("label", Json::str("σ_NP → (π_fork, π_bait) ± 0.5")),
+            (
+                "note",
+                Json::str("quote \" backslash \\ tab \t bell \u{7} é"),
+            ),
+            ("seed", Json::u64(u64::MAX)),
+            (
+                "utilities",
+                Json::Arr(vec![Json::Num(-0.25), Json::Num(1e-9)]),
+            ),
+        ]);
+        let doc = Json::obj([("batches", Json::Arr(vec![row; 6_000]))]);
+        let text = doc.render_pretty();
+        assert!(text.len() >= 1 << 20, "{} bytes", text.len());
+        assert_eq!(Json::parse(&text).unwrap(), doc);
+        assert_eq!(Json::parse(&doc.render()).unwrap(), doc);
     }
 
     #[test]

@@ -46,8 +46,8 @@
 //! let spec = ScenarioSpec::new("demo", 5, 2).horizon(200_000);
 //! let report = BatchRunner::new(2).run(&spec, 4);
 //! assert_eq!(report.seeds, 4);
-//! assert_eq!(report.agreement_rate, 1.0);
-//! assert!(report.min_final_height.mean >= 2.0);
+//! assert_eq!(report.rate("agreement_rate"), 1.0);
+//! assert!(report.agg("min_final_height").mean >= 2.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -77,8 +77,11 @@ pub use explore::{Exploration, GameDef, GameEval, GameExplorer};
 pub use games::{find_game, game_registry};
 pub use prft_core::VerifyMode;
 pub use prft_sim::QueueBackend;
-pub use prft_workload::{ArrivalModel, RejectAction, RetryPolicy, WorkloadRunStats, WorkloadSpec};
-pub use record::{Aggregate, BatchReport, RunRecord, WorkloadAggregates};
+pub use prft_workload::{
+    ArrivalModel, Metric as WorkloadMetric, RejectAction, RetryPolicy, WorkloadRunStats,
+    WorkloadSpec, METRICS as WORKLOAD_METRICS,
+};
+pub use record::{Aggregate, BatchMetric, BatchReport, RunRecord, BATCH_METRICS};
 pub use registry::{find, registry, Scenario};
 pub use runner::{derive_seed, effective_threads, par_map, BatchRunner};
 pub use spec::{PartitionSpec, Role, ScenarioSpec, Synchrony, TimelineEvent, TxSpec, UtilitySpec};

@@ -3,7 +3,7 @@
 use crate::json::Json;
 use prft_game::SystemState;
 use prft_sim::{ObsRegistry, RunOutcome};
-use prft_workload::WorkloadRunStats;
+use prft_workload::{Merge, WorkloadRunStats, METRICS as WORKLOAD_METRICS};
 
 /// Everything one seeded run produces that experiments read.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,33 +64,21 @@ pub struct RunRecord {
     pub utilities: Vec<f64>,
 }
 
-/// JSON object for one run's workload stats.
-fn workload_json(w: &WorkloadRunStats) -> Json {
-    Json::obj([
-        ("clients", Json::u64(w.clients)),
-        ("submitted", Json::u64(w.submitted)),
-        ("committed", Json::u64(w.committed)),
-        ("dropped", Json::u64(w.dropped)),
-        ("pending", Json::u64(w.pending)),
-        ("retries", Json::u64(w.retries)),
-        ("backpressure_rejects", Json::u64(w.backpressure_rejects)),
-        ("mempool_rejected_full", Json::u64(w.mempool_rejected_full)),
-        (
-            "mempool_peak_occupancy",
-            Json::u64(w.mempool_peak_occupancy),
-        ),
-        (
-            "latency",
-            Json::obj([
-                ("count", Json::u64(w.latency.count)),
-                ("p50", Json::u64(w.latency.p50)),
-                ("p90", Json::u64(w.latency.p90)),
-                ("p99", Json::u64(w.latency.p99)),
-                ("max", Json::u64(w.latency.max)),
-                ("mean", Json::u64(w.latency.mean())),
-            ]),
-        ),
-    ])
+/// JSON object for one run's workload stats: the declared metrics, the
+/// latency ones inside a `latency` object between its sample count and mean.
+fn stats_json(w: &WorkloadRunStats) -> Json {
+    let mut fields = Vec::new();
+    let mut latency = vec![("count", Json::u64(w.latency.count))];
+    for m in WORKLOAD_METRICS {
+        let value = Json::u64((m.get)(w));
+        match m.latency_key() {
+            Some(key) => latency.push((key, value)),
+            None => fields.push((m.name, value)),
+        }
+    }
+    latency.push(("mean", Json::u64(w.latency.mean())));
+    fields.push(("latency", Json::obj(latency)));
+    Json::obj(fields)
 }
 
 impl RunRecord {
@@ -107,6 +95,7 @@ impl RunRecord {
     /// the run carried one, so non-workload reports stay byte-identical to
     /// the previous schema.
     pub fn to_json(&self) -> Json {
+        let flags = |flags: &[bool]| Json::arr(flags, |&b| Json::Bool(b));
         let mut fields = vec![
             ("seed", Json::u64(self.seed)),
             ("outcome", Json::str(self.outcome_str())),
@@ -114,27 +103,13 @@ impl RunRecord {
             ("max_final_height", Json::u64(self.max_final_height)),
             ("agreement", Json::Bool(self.agreement)),
             ("strict_ordering", Json::Bool(self.strict_ordering)),
-            (
-                "burned",
-                Json::Arr(self.burned.iter().map(|&b| Json::u64(b as u64)).collect()),
-            ),
+            ("burned", Json::arr(&self.burned, |&b| Json::u64(b as u64))),
             ("view_changes", Json::u64(self.view_changes)),
             ("exposes", Json::u64(self.exposes)),
             ("rounds_entered", Json::u64(self.rounds_entered)),
             ("vc_consistent", Json::Bool(self.vc_consistent)),
-            (
-                "txs_included",
-                Json::Arr(self.txs_included.iter().map(|&b| Json::Bool(b)).collect()),
-            ),
-            (
-                "watched_finalized",
-                Json::Arr(
-                    self.watched_finalized
-                        .iter()
-                        .map(|&b| Json::Bool(b))
-                        .collect(),
-                ),
-            ),
+            ("txs_included", flags(&self.txs_included)),
+            ("watched_finalized", flags(&self.watched_finalized)),
             ("sigma", Json::str(self.sigma.symbol())),
             ("throughput", Json::Num(self.throughput)),
             ("total_messages", Json::u64(self.total_messages)),
@@ -144,36 +119,22 @@ impl RunRecord {
             ("in_flight_messages", Json::u64(self.in_flight_messages)),
         ];
         if let Some(w) = &self.workload {
-            fields.push(("workload", workload_json(w)));
+            fields.push(("workload", stats_json(w)));
         }
-        fields.push((
-            "utilities",
-            Json::Arr(self.utilities.iter().map(|&u| Json::Num(u)).collect()),
-        ));
+        fields.push(("utilities", Json::arr(&self.utilities, |&u| Json::Num(u))));
         Json::obj(fields)
     }
 }
 
 /// JSON object for an observability registry: counters then gauges, each
 /// alphabetical by key — deterministic by construction.
-pub fn obs_to_json(reg: &ObsRegistry) -> Json {
+fn obs_to_json(reg: &ObsRegistry) -> Json {
+    let section = |entries: &mut dyn Iterator<Item = (&str, u64)>| {
+        Json::obj(entries.map(|(k, v)| (k, Json::u64(v))))
+    };
     Json::obj([
-        (
-            "counters",
-            Json::obj(
-                reg.counters()
-                    .map(|(k, v)| (k.to_string(), Json::u64(v)))
-                    .collect::<Vec<_>>(),
-            ),
-        ),
-        (
-            "gauges",
-            Json::obj(
-                reg.gauges()
-                    .map(|(k, v)| (k.to_string(), Json::u64(v)))
-                    .collect::<Vec<_>>(),
-            ),
-        ),
+        ("counters", section(&mut reg.counters())),
+        ("gauges", section(&mut reg.gauges())),
     ])
 }
 
@@ -182,7 +143,7 @@ pub fn obs_to_json(reg: &ObsRegistry) -> Json {
 /// Always computed over the batch in seed-index order, so a parallel sweep
 /// and a serial sweep aggregate in the same floating-point order and
 /// produce byte-identical values.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Aggregate {
     /// Sample count.
     pub count: usize,
@@ -199,39 +160,23 @@ pub struct Aggregate {
 }
 
 impl Aggregate {
-    /// Aggregates `values` in the order given.
+    /// Aggregates `values` in the order given (all zero for no values).
     pub fn over(values: &[f64]) -> Aggregate {
         if values.is_empty() {
-            return Aggregate {
-                count: 0,
-                mean: 0.0,
-                min: 0.0,
-                max: 0.0,
-                std_dev: 0.0,
-                ci95: 0.0,
-            };
+            return Aggregate::default();
         }
         let n = values.len() as f64;
-        let mut sum = 0.0;
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        for &v in values {
-            sum += v;
-            min = min.min(v);
-            max = max.max(v);
-        }
-        let mean = sum / n;
-        let mut var = 0.0;
-        for &v in values {
-            var += (v - mean) * (v - mean);
-        }
-        var /= n;
+        let mean = values.iter().fold(0.0, |sum, v| sum + v) / n;
+        let var = values
+            .iter()
+            .fold(0.0, |var, v| var + (v - mean) * (v - mean))
+            / n;
         let std_dev = var.sqrt();
         Aggregate {
             count: values.len(),
             mean,
-            min,
-            max,
+            min: values.iter().copied().fold(f64::INFINITY, f64::min),
+            max: values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
             std_dev,
             ci95: 1.96 * std_dev / n.sqrt(),
         }
@@ -250,98 +195,56 @@ impl Aggregate {
     }
 }
 
-/// Per-seed workload aggregates for one grid point: conservation counters
-/// and latency percentiles, each aggregated over the batch in seed-index
-/// order (a percentile's aggregate is over the per-run percentile values,
-/// not a re-ranking of the pooled latencies — runs stay the unit).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkloadAggregates {
-    /// Client population size (constant across seeds of a grid point).
-    pub clients: u64,
-    /// Transactions submitted per run.
-    pub submitted: Aggregate,
-    /// Transactions committed (acked) per run.
-    pub committed: Aggregate,
-    /// Transactions dropped per run (retry budget exhausted / reject-drop).
-    pub dropped: Aggregate,
-    /// Transactions still pending at the horizon per run.
-    pub pending: Aggregate,
-    /// Retry sends per run.
-    pub retries: Aggregate,
-    /// Backpressure rejection acks received per run.
-    pub backpressure_rejects: Aggregate,
-    /// Mempool capacity rejections across replicas per run.
-    pub mempool_rejected_full: Aggregate,
-    /// Mempool occupancy high-water (max over replicas) per run.
-    pub mempool_peak_occupancy: Aggregate,
-    /// p50 submit→commit latency per run, in virtual-time ticks.
-    pub latency_p50: Aggregate,
-    /// p90 submit→commit latency per run.
-    pub latency_p90: Aggregate,
-    /// p99 submit→commit latency per run.
-    pub latency_p99: Aggregate,
-    /// Worst submit→commit latency per run.
-    pub latency_max: Aggregate,
+/// One declared per-run committee metric. The batch aggregation, the batch
+/// JSON object and the scenario CSV's columns are all read off this
+/// declaration (`docs/REPORT_SCHEMA.md` is checked against it by a test).
+pub struct BatchMetric {
+    /// Key in the batch JSON object.
+    pub name: &'static str,
+    /// Reads the metric off one run.
+    pub get: fn(&RunRecord) -> f64,
+    /// A rate is a 0/1 indicator reported as its mean, a plain number ahead
+    /// of the σ histogram; every other metric reports an [`Aggregate`]
+    /// object after it.
+    pub rate: bool,
+    /// Scenario-CSV columns: header and path below the metric's batch value
+    /// (`["mean"]` of its aggregate; `[]` = the value itself).
+    pub csv: &'static [(&'static str, &'static [&'static str])],
 }
 
-impl WorkloadAggregates {
-    /// Aggregates the workload sections of `records`; `None` when any run
-    /// lacks one (mixed batches never happen — the workload section is a
-    /// property of the spec, not the seed).
-    fn from_records(records: &[RunRecord]) -> Option<WorkloadAggregates> {
-        if records.is_empty() || records.iter().any(|r| r.workload.is_none()) {
-            return None;
-        }
-        let w = |f: &dyn Fn(&WorkloadRunStats) -> f64| {
-            Aggregate::over(
-                &records
-                    .iter()
-                    .map(|r| f(r.workload.as_ref().expect("checked above")))
-                    .collect::<Vec<_>>(),
-            )
-        };
-        Some(WorkloadAggregates {
-            clients: records[0].workload.as_ref().expect("checked above").clients,
-            submitted: w(&|s| s.submitted as f64),
-            committed: w(&|s| s.committed as f64),
-            dropped: w(&|s| s.dropped as f64),
-            pending: w(&|s| s.pending as f64),
-            retries: w(&|s| s.retries as f64),
-            backpressure_rejects: w(&|s| s.backpressure_rejects as f64),
-            mempool_rejected_full: w(&|s| s.mempool_rejected_full as f64),
-            mempool_peak_occupancy: w(&|s| s.mempool_peak_occupancy as f64),
-            latency_p50: w(&|s| s.latency.p50 as f64),
-            latency_p90: w(&|s| s.latency.p90 as f64),
-            latency_p99: w(&|s| s.latency.p99 as f64),
-            latency_max: w(&|s| s.latency.max as f64),
-        })
-    }
-
-    /// JSON object for these aggregates.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("clients", Json::u64(self.clients)),
-            ("submitted", self.submitted.to_json()),
-            ("committed", self.committed.to_json()),
-            ("dropped", self.dropped.to_json()),
-            ("pending", self.pending.to_json()),
-            ("retries", self.retries.to_json()),
-            ("backpressure_rejects", self.backpressure_rejects.to_json()),
-            (
-                "mempool_rejected_full",
-                self.mempool_rejected_full.to_json(),
-            ),
-            (
-                "mempool_peak_occupancy",
-                self.mempool_peak_occupancy.to_json(),
-            ),
-            ("latency_p50", self.latency_p50.to_json()),
-            ("latency_p90", self.latency_p90.to_json()),
-            ("latency_p99", self.latency_p99.to_json()),
-            ("latency_max", self.latency_max.to_json()),
-        ])
-    }
-}
+/// Every aggregated committee metric, in report order (laid out by hand).
+/// A new one is a [`RunRecord`] field and an entry here.
+#[rustfmt::skip]
+pub const BATCH_METRICS: &[BatchMetric] = &[
+    BatchMetric { name: "agreement_rate", get: |r| r.agreement as u8 as f64, rate: true,
+                  csv: &[("agreement_rate", &[])] },
+    BatchMetric { name: "strict_ordering_rate", get: |r| r.strict_ordering as u8 as f64, rate: true,
+                  csv: &[] },
+    BatchMetric { name: "vc_consistent_rate", get: |r| r.vc_consistent as u8 as f64, rate: true,
+                  csv: &[] },
+    BatchMetric { name: "min_final_height", get: |r| r.min_final_height as f64, rate: false,
+                  csv: &[("min_final_height_mean", &["mean"]), ("min_final_height_ci95", &["ci95"])] },
+    BatchMetric { name: "throughput", get: |r| r.throughput, rate: false,
+                  csv: &[("throughput_mean", &["mean"])] },
+    BatchMetric { name: "rounds_entered", get: |r| r.rounds_entered as f64, rate: false,
+                  csv: &[] },
+    BatchMetric { name: "view_changes", get: |r| r.view_changes as f64, rate: false,
+                  csv: &[("view_changes_mean", &["mean"])] },
+    BatchMetric { name: "exposes", get: |r| r.exposes as f64, rate: false,
+                  csv: &[("exposes_mean", &["mean"])] },
+    BatchMetric { name: "burned_players", get: |r| r.burned.len() as f64, rate: false,
+                  csv: &[("burned_mean", &["mean"])] },
+    BatchMetric { name: "total_messages", get: |r| r.total_messages as f64, rate: false,
+                  csv: &[("messages_mean", &["mean"])] },
+    BatchMetric { name: "total_bytes", get: |r| r.total_bytes as f64, rate: false,
+                  csv: &[("bytes_mean", &["mean"])] },
+    BatchMetric { name: "events_dispatched", get: |r| r.events_dispatched as f64, rate: false,
+                  csv: &[("events_dispatched_mean", &["mean"])] },
+    BatchMetric { name: "peak_queue_depth", get: |r| r.peak_queue_depth as f64, rate: false,
+                  csv: &[("peak_queue_depth_max", &["max"])] },
+    BatchMetric { name: "in_flight_messages", get: |r| r.in_flight_messages as f64, rate: false,
+                  csv: &[("in_flight_max", &["max"])] },
+];
 
 /// Aggregated report for one grid point of a scenario, over all its seeds.
 #[derive(Debug, Clone, PartialEq)]
@@ -352,43 +255,21 @@ pub struct BatchReport {
     pub n: usize,
     /// Number of seeded runs aggregated.
     pub seeds: u64,
-    /// Fraction of runs keeping agreement.
-    pub agreement_rate: f64,
-    /// Fraction of runs keeping 1-strict ordering.
-    pub strict_ordering_rate: f64,
-    /// Fraction of runs satisfying Claim 2 view-change consistency.
-    pub vc_consistent_rate: f64,
     /// σ-state histogram in [`SystemState::ALL`] order (NP, CP, Fork, σ_0).
     pub sigma_hist: [u64; 4],
-    /// Finalized-height aggregate (min over honest players, per run).
-    pub min_final_height: Aggregate,
-    /// Throughput aggregate.
-    pub throughput: Aggregate,
-    /// Rounds-entered aggregate (max over honest players, per run).
-    pub rounds_entered: Aggregate,
-    /// View-change aggregate.
-    pub view_changes: Aggregate,
-    /// Expose aggregate.
-    pub exposes: Aggregate,
-    /// Burned-player-count aggregate.
-    pub burned_players: Aggregate,
-    /// Message-count aggregate.
-    pub total_messages: Aggregate,
-    /// Wire-byte aggregate.
-    pub total_bytes: Aggregate,
-    /// Engine events-dispatched aggregate.
-    pub events_dispatched: Aggregate,
-    /// Queue-depth high-water aggregate.
-    pub peak_queue_depth: Aggregate,
-    /// End-of-run in-flight-message aggregate.
-    pub in_flight_messages: Aggregate,
+    /// One aggregate per [`BATCH_METRICS`] entry, in declaration order
+    /// (read by name through [`BatchReport::agg`] / [`BatchReport::rate`]).
+    pub metrics: Vec<Aggregate>,
     /// The merged observability registry over all runs (counters summed,
     /// gauges maxed — order-independent, so byte-identical at any thread
     /// count and across queue backends).
     pub observability: ObsRegistry,
-    /// Workload aggregates (`Some` only when the spec carries a workload
-    /// section — every seed of the batch then has per-run stats).
-    pub workload: Option<WorkloadAggregates>,
+    /// One aggregate per [`prft_workload::METRICS`] entry (`Some` only when
+    /// the spec carries a workload section — every seed of the batch then
+    /// has per-run stats). A percentile's aggregate is over the per-run
+    /// percentile values, not a re-ranking of the pooled latencies — runs
+    /// stay the unit.
+    pub workload: Option<Vec<Aggregate>>,
     /// Per-player utility aggregates (one per player index; empty unless
     /// the spec measures utilities).
     pub utilities: Vec<Aggregate>,
@@ -399,110 +280,118 @@ pub struct BatchReport {
 impl BatchReport {
     /// Aggregates `records` (already in seed-index order) for `label`.
     pub fn from_records(label: String, n: usize, records: Vec<RunRecord>) -> BatchReport {
-        let count = records.len().max(1) as f64;
-        let rate =
-            |f: &dyn Fn(&RunRecord) -> bool| records.iter().filter(|r| f(r)).count() as f64 / count;
-        let agg = |f: &dyn Fn(&RunRecord) -> f64| {
+        let over = |f: &dyn Fn(&RunRecord) -> f64| {
             Aggregate::over(&records.iter().map(f).collect::<Vec<_>>())
         };
-        let mut sigma_hist = [0u64; 4];
-        for r in &records {
-            let idx = SystemState::ALL
-                .iter()
-                .position(|s| *s == r.sigma)
-                .expect("state in ALL");
-            sigma_hist[idx] += 1;
-        }
+        let sigma_hist =
+            SystemState::ALL.map(|s| records.iter().filter(|r| r.sigma == s).count() as u64);
         let players = records.first().map_or(0, |r| r.utilities.len());
-        let utilities = (0..players)
-            .map(|p| agg(&|r: &RunRecord| r.utilities[p]))
-            .collect();
         let mut observability = ObsRegistry::new();
         for r in &records {
             observability.merge(&r.obs);
         }
-        let workload = WorkloadAggregates::from_records(&records);
+        // `None` when any run lacks stats (mixed batches never happen — the
+        // workload section is a property of the spec, not the seed).
+        let stats: Option<Vec<&WorkloadRunStats>> =
+            records.iter().map(|r| r.workload.as_ref()).collect();
+        let workload = stats.filter(|s| !s.is_empty()).map(|stats| {
+            let over = |m: &prft_workload::Metric| {
+                stats.iter().map(|s| (m.get)(s) as f64).collect::<Vec<_>>()
+            };
+            WORKLOAD_METRICS
+                .iter()
+                .map(|m| Aggregate::over(&over(m)))
+                .collect()
+        });
         BatchReport {
             label,
             n,
             seeds: records.len() as u64,
-            agreement_rate: rate(&|r| r.agreement),
-            strict_ordering_rate: rate(&|r| r.strict_ordering),
-            vc_consistent_rate: rate(&|r| r.vc_consistent),
             sigma_hist,
-            min_final_height: agg(&|r| r.min_final_height as f64),
-            throughput: agg(&|r| r.throughput),
-            rounds_entered: agg(&|r| r.rounds_entered as f64),
-            view_changes: agg(&|r| r.view_changes as f64),
-            exposes: agg(&|r| r.exposes as f64),
-            burned_players: agg(&|r| r.burned.len() as f64),
-            total_messages: agg(&|r| r.total_messages as f64),
-            total_bytes: agg(&|r| r.total_bytes as f64),
-            events_dispatched: agg(&|r| r.events_dispatched as f64),
-            peak_queue_depth: agg(&|r| r.peak_queue_depth as f64),
-            in_flight_messages: agg(&|r| r.in_flight_messages as f64),
+            metrics: BATCH_METRICS.iter().map(|m| over(&m.get)).collect(),
             observability,
             workload,
-            utilities,
+            utilities: (0..players).map(|p| over(&|r| r.utilities[p])).collect(),
             records,
         }
     }
 
-    /// The modal σ state of the batch (ties break toward severity).
-    pub fn modal_sigma(&self) -> SystemState {
-        let (idx, _) = self
-            .sigma_hist
-            .iter()
-            .enumerate()
-            .max_by_key(|&(i, c)| (*c, usize::MAX - i))
-            .expect("four states");
-        SystemState::ALL[idx]
+    /// The aggregate of the [`BATCH_METRICS`] entry called `name`.
+    ///
+    /// # Panics
+    /// Panics if no such metric is declared.
+    pub fn agg(&self, name: &str) -> &Aggregate {
+        let declared = BATCH_METRICS.iter().position(|m| m.name == name);
+        &self.metrics[declared.unwrap_or_else(|| panic!("no batch metric `{name}`"))]
     }
 
-    /// JSON object for this batch (aggregates plus per-run records). The
-    /// `workload` section appears only when the batch carried one.
-    pub fn to_json(&self) -> Json {
+    /// The fraction of runs for which the rate metric `name` held.
+    pub fn rate(&self, name: &str) -> f64 {
+        self.agg(name).mean
+    }
+
+    /// The aggregate of the [`prft_workload::METRICS`] entry called `name`,
+    /// for a batch that carried a workload.
+    pub fn workload_agg(&self, name: &str) -> Option<&Aggregate> {
+        let declared = WORKLOAD_METRICS.iter().position(|m| m.name == name)?;
+        Some(&self.workload.as_ref()?[declared])
+    }
+
+    /// The modal σ state of the batch (ties break toward severity).
+    pub fn modal_sigma(&self) -> SystemState {
+        let hist = SystemState::ALL.into_iter().zip(self.sigma_hist);
+        let modal = hist.rev().max_by_key(|&(_, count)| count);
+        modal.expect("four states").0
+    }
+
+    /// The batch object's fields ahead of `runs`. The `workload` section
+    /// appears only when the batch carried one; a constant renders as the
+    /// value itself, latency metrics after the others.
+    fn summary_fields(&self) -> Vec<(&'static str, Json)> {
+        let declared = |rate: bool| {
+            let of_shape = BATCH_METRICS.iter().zip(&self.metrics);
+            of_shape
+                .filter(move |(m, _)| m.rate == rate)
+                .map(move |(m, a)| (m.name, if rate { Json::Num(a.mean) } else { a.to_json() }))
+        };
         let mut fields = vec![
             ("label", Json::str(&self.label)),
             ("n", Json::u64(self.n as u64)),
             ("seeds", Json::u64(self.seeds)),
-            ("agreement_rate", Json::Num(self.agreement_rate)),
-            ("strict_ordering_rate", Json::Num(self.strict_ordering_rate)),
-            ("vc_consistent_rate", Json::Num(self.vc_consistent_rate)),
-            (
-                "sigma_hist",
-                Json::obj(
-                    SystemState::ALL
-                        .iter()
-                        .zip(self.sigma_hist.iter())
-                        .map(|(s, &c)| (s.symbol(), Json::u64(c)))
-                        .collect::<Vec<_>>(),
-                ),
-            ),
-            ("min_final_height", self.min_final_height.to_json()),
-            ("throughput", self.throughput.to_json()),
-            ("rounds_entered", self.rounds_entered.to_json()),
-            ("view_changes", self.view_changes.to_json()),
-            ("exposes", self.exposes.to_json()),
-            ("burned_players", self.burned_players.to_json()),
-            ("total_messages", self.total_messages.to_json()),
-            ("total_bytes", self.total_bytes.to_json()),
-            ("events_dispatched", self.events_dispatched.to_json()),
-            ("peak_queue_depth", self.peak_queue_depth.to_json()),
-            ("in_flight_messages", self.in_flight_messages.to_json()),
-            ("observability", obs_to_json(&self.observability)),
         ];
+        fields.extend(declared(true));
+        let hist = SystemState::ALL.iter().zip(self.sigma_hist);
+        let hist = hist.map(|(s, c)| (s.symbol(), Json::u64(c)));
+        fields.push(("sigma_hist", Json::obj(hist)));
+        fields.extend(declared(false));
+        fields.push(("observability", obs_to_json(&self.observability)));
         if let Some(w) = &self.workload {
-            fields.push(("workload", w.to_json()));
+            let section = |latency: bool| {
+                let metrics = WORKLOAD_METRICS.iter().zip(w);
+                metrics
+                    .filter(move |(m, _)| m.latency_key().is_some() == latency)
+                    .map(|(m, a)| match m.merge {
+                        Merge::Constant => (m.name, Json::u64(a.max as u64)),
+                        _ => (m.name, a.to_json()),
+                    })
+            };
+            let section = section(false).chain(section(true));
+            fields.push(("workload", Json::obj(section)));
         }
-        fields.push((
-            "utilities",
-            Json::Arr(self.utilities.iter().map(Aggregate::to_json).collect()),
-        ));
-        fields.push((
-            "runs",
-            Json::Arr(self.records.iter().map(RunRecord::to_json).collect()),
-        ));
+        fields.push(("utilities", Json::arr(&self.utilities, Aggregate::to_json)));
+        fields
+    }
+
+    /// JSON object for this batch without its `runs` — the document every
+    /// scenario view (JSON, CSV, terminal table) is read off.
+    pub fn summary_json(&self) -> Json {
+        Json::obj(self.summary_fields())
+    }
+
+    /// [`BatchReport::summary_json`] plus the per-run records under `runs`.
+    pub fn to_json(&self) -> Json {
+        let mut fields = self.summary_fields();
+        fields.push(("runs", Json::arr(&self.records, RunRecord::to_json)));
         Json::obj(fields)
     }
 }
@@ -565,7 +454,32 @@ mod tests {
         );
         assert_eq!(report.sigma_hist, [1, 0, 0, 2]);
         assert_eq!(report.modal_sigma(), SystemState::HonestExecution);
-        assert_eq!(report.agreement_rate, 1.0);
-        assert_eq!(report.min_final_height.mean, 2.0);
+        assert_eq!(report.rate("agreement_rate"), 1.0);
+        assert_eq!(report.agg("min_final_height").mean, 2.0);
+        assert_eq!(report.workload_agg("retries"), None);
+    }
+
+    #[test]
+    fn declared_names_keys_and_columns_are_unique() {
+        fn assert_unique(what: &str, mut names: Vec<&str>) {
+            let declared = names.len();
+            names.sort_unstable();
+            names.dedup();
+            assert_eq!(names.len(), declared, "duplicate {what}");
+        }
+        let (batch, workload) = (BATCH_METRICS, WORKLOAD_METRICS);
+        assert_unique("batch JSON name", batch.iter().map(|m| m.name).collect());
+        assert_unique(
+            "workload JSON name",
+            workload.iter().map(|m| m.name).collect(),
+        );
+        let obs_key = |m: &prft_workload::Metric| match m.merge {
+            Merge::Constant => None,
+            Merge::Counter(key) | Merge::Gauge(key) => Some(key),
+        };
+        assert_unique("obs key", workload.iter().filter_map(obs_key).collect());
+        let batch_csv = batch.iter().flat_map(|m| m.csv).map(|(header, _)| *header);
+        let workload_csv = workload.iter().filter_map(|m| Some(m.csv?.0));
+        assert_unique("CSV column", batch_csv.chain(workload_csv).collect());
     }
 }

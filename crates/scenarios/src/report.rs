@@ -1,14 +1,20 @@
 //! Report emission: JSON documents, CSV tables, and terminal summaries
 //! over one scenario's batch reports, plus the equilibrium reports of
 //! `prft-lab explore` (schemas documented in `docs/REPORT_SCHEMA.md`).
+//!
+//! Every reported number is computed or selected exactly once, into the
+//! JSON document ([`BatchReport::summary_json`], [`explore_json_with`]'s
+//! document). The CSV and terminal renderers are *views*: column and
+//! section lists read off that document, so a view cannot show what the
+//! document lacks, and a header and its cells cannot shift apart.
 
 use crate::checkpoint::ReuseStats;
 use crate::explore::{Exploration, GameDef};
 use crate::json::Json;
-use crate::record::BatchReport;
+use crate::record::{BatchReport, BATCH_METRICS};
 use prft_game::{
     best_reply_path, best_reply_summary, mixed_analysis, mixture_label, Confidence,
-    DynamicsOutcome, MixedAnalysis, SystemState, UtilityTable,
+    DynamicsOutcome, SystemState, UtilityTable,
 };
 use prft_metrics::AsciiTable;
 
@@ -35,24 +41,60 @@ pub fn scenario_json(
     reports: &[BatchReport],
     include_runs: bool,
 ) -> String {
-    let batches: Vec<Json> = reports
-        .iter()
-        .map(|r| {
-            let mut json = r.to_json();
-            if !include_runs {
-                if let Json::Obj(pairs) = &mut json {
-                    pairs.retain(|(k, _)| k != "runs");
-                }
-            }
-            json
-        })
-        .collect();
+    let batch = if include_runs {
+        BatchReport::to_json
+    } else {
+        BatchReport::summary_json
+    };
     Json::obj([
         ("scenario", Json::str(scenario)),
         ("seeds", Json::u64(seeds)),
-        ("batches", Json::Arr(batches)),
+        ("batches", Json::Arr(reports.iter().map(batch).collect())),
     ])
     .render_pretty()
+}
+
+/// The field `key` every report document of this shape carries.
+fn field<'a>(doc: &'a Json, key: &str) -> &'a Json {
+    doc.get(key)
+        .unwrap_or_else(|| panic!("report document lacks `{key}`"))
+}
+
+fn text<'a>(doc: &'a Json, key: &str) -> &'a str {
+    field(doc, key).as_str().unwrap_or_default()
+}
+
+fn num(doc: &Json, key: &str) -> f64 {
+    value(field(doc, key))
+}
+
+fn items<'a>(doc: &'a Json, key: &str) -> &'a [Json] {
+    field(doc, key).as_arr().unwrap_or_default()
+}
+
+/// An integer field, as it prints.
+fn int(doc: &Json, key: &str) -> String {
+    field(doc, key).render()
+}
+
+fn value(number: &Json) -> f64 {
+    number.as_f64().unwrap_or(f64::NAN)
+}
+
+fn holds(doc: &Json, key: &str) -> bool {
+    *field(doc, key) == Json::Bool(true)
+}
+
+fn joined(parts: impl Iterator<Item = String>, separator: &str) -> String {
+    parts.collect::<Vec<_>>().join(separator)
+}
+
+/// An object's `(key, count)` pairs (a σ histogram).
+fn counts(doc: &Json) -> impl DoubleEndedIterator<Item = (&str, u64)> {
+    let Json::Obj(pairs) = doc else {
+        panic!("a histogram is an object")
+    };
+    pairs.iter().map(|(k, v)| (k.as_str(), value(v) as u64))
 }
 
 /// Quotes a CSV field when it contains a delimiter, quote, or newline
@@ -65,156 +107,177 @@ fn csv_field(s: &str) -> String {
     }
 }
 
-/// CSV with one row per grid point (aggregate means plus rates). The
-/// workload columns read all-zero for batches without a workload section.
-pub fn scenario_csv(scenario: &str, reports: &[BatchReport]) -> String {
-    let mut out = String::from(
-        "scenario,label,n,seeds,agreement_rate,sigma_modal,sigma_np,sigma_cp,sigma_fork,sigma_0,\
-         min_final_height_mean,min_final_height_ci95,throughput_mean,view_changes_mean,\
-         exposes_mean,burned_mean,messages_mean,bytes_mean,events_dispatched_mean,\
-         peak_queue_depth_max,in_flight_max,sig_verifies_total,\
-         wl_clients,wl_submitted_mean,wl_committed_mean,wl_dropped_mean,wl_pending_mean,\
-         wl_retries_mean,wl_backpressure_mean,wl_latency_p50_mean,wl_latency_p90_mean,\
-         wl_latency_p99_mean,wl_mempool_peak_max\n",
-    );
-    for r in reports {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            csv_field(scenario),
-            csv_field(&r.label),
-            r.n,
-            r.seeds,
-            r.agreement_rate,
-            r.modal_sigma().symbol(),
-            r.sigma_hist[0],
-            r.sigma_hist[1],
-            r.sigma_hist[2],
-            r.sigma_hist[3],
-            r.min_final_height.mean,
-            r.min_final_height.ci95,
-            r.throughput.mean,
-            r.view_changes.mean,
-            r.exposes.mean,
-            r.burned_players.mean,
-            r.total_messages.mean,
-            r.total_bytes.mean,
-            r.events_dispatched.mean,
-            r.peak_queue_depth.max,
-            r.in_flight_messages.max,
-            r.observability.counter("crypto.sig_verifies"),
-        ));
-        match &r.workload {
-            Some(w) => out.push_str(&format!(
-                ",{},{},{},{},{},{},{},{},{},{},{}\n",
-                w.clients,
-                w.submitted.mean,
-                w.committed.mean,
-                w.dropped.mean,
-                w.pending.mean,
-                w.retries.mean,
-                w.backpressure_rejects.mean,
-                w.latency_p50.mean,
-                w.latency_p90.mean,
-                w.latency_p99.mean,
-                w.mempool_peak_occupancy.max,
-            )),
-            None => out.push_str(",0,0,0,0,0,0,0,0,0,0,0\n"),
-        }
+/// A document value as a CSV cell: numbers in shortest-roundtrip form, an
+/// index array dash-joined (`0-2-1`), and `0` where the document has no
+/// such value (a batch without a workload, a counter never touched).
+fn csv_cell(value: Option<&Json>) -> String {
+    match value {
+        None => "0".to_string(),
+        Some(Json::Str(s)) => csv_field(s),
+        Some(Json::Num(v)) => v.to_string(),
+        Some(Json::Arr(items)) => joined(items.iter().map(|i| csv_cell(Some(i))), "-"),
+        Some(other) => other.render(),
+    }
+}
+
+/// One CSV column: its header and how its cell reads off a row object.
+type Column<'a> = (String, Box<dyn Fn(&Json) -> String + 'a>);
+
+/// The column holding `value` in every row.
+fn constant<'a>(header: &str, value: &'a str) -> Column<'a> {
+    (header.to_string(), Box::new(move |_| csv_field(value)))
+}
+
+/// The column reading the value at `path` below the row.
+fn column<'a>(header: impl Into<String>, path: Vec<&'a str>) -> Column<'a> {
+    (header.into(), Box::new(move |row| csv_cell(row.at(&path))))
+}
+
+/// One column per key, each named after the row field it reads.
+fn keyed<'a>(keys: &'a [&'a str]) -> impl Iterator<Item = Column<'a>> {
+    keys.iter().map(|key| column(*key, vec![*key]))
+}
+
+/// The column reading item `i` of the row's array `key`.
+fn nth<'a>(header: String, key: &'a str, i: usize) -> Column<'a> {
+    let item = move |row: &Json| csv_cell(items(row, key).get(i));
+    (header, Box::new(item))
+}
+
+/// One CSV table: the header line, then a line per row.
+fn csv_table<'r>(columns: &[Column], rows: impl IntoIterator<Item = &'r Json>) -> String {
+    let line = |cells: Vec<String>| cells.join(",") + "\n";
+    let mut out = line(columns.iter().map(|(header, _)| header.clone()).collect());
+    for row in rows {
+        out.push_str(&line(columns.iter().map(|(_, cell)| cell(row)).collect()));
     }
     out
 }
 
-/// Human-readable table for the terminal.
+/// The modal key of a batch's σ histogram (ties break toward the earlier,
+/// more severe state).
+fn modal_sigma(batch: &Json) -> String {
+    let hist = counts(field(batch, "sigma_hist"));
+    let modal = hist.rev().max_by_key(|&(_, count)| count);
+    modal.map_or_else(String::new, |(state, _)| state.to_string())
+}
+
+/// The scenario CSV's columns over a batch object, in the object's own
+/// order: identity, declared rates, σ histogram, declared aggregates, the
+/// verify counter, then the declared workload columns.
+fn scenario_columns(scenario: &str) -> Vec<Column<'_>> {
+    let declared = |rate: bool| {
+        let metrics = BATCH_METRICS.iter().filter(move |m| m.rate == rate);
+        metrics.flat_map(|m| {
+            let csv = m.csv.iter();
+            csv.map(move |(header, below)| column(*header, [&[m.name], *below].concat()))
+        })
+    };
+    let mut columns = vec![constant("scenario", scenario)];
+    columns.extend(keyed(&["label", "n", "seeds"]));
+    columns.extend(declared(true));
+    columns.push(("sigma_modal".to_string(), Box::new(modal_sigma)));
+    columns.extend(SystemState::ALL.iter().map(|state| {
+        let header = state.symbol().replace("σ_", "sigma_").to_lowercase();
+        column(header, vec!["sigma_hist", state.symbol()])
+    }));
+    columns.extend(declared(false));
+    let verifies = vec!["observability", "counters", "crypto.sig_verifies"];
+    columns.push(column("sig_verifies_total", verifies));
+    columns.extend(prft_workload::METRICS.iter().filter_map(|m| {
+        let (header, below) = m.csv?;
+        Some(column(header, [&["workload", m.name], below].concat()))
+    }));
+    columns
+}
+
+/// CSV with one row per grid point (aggregate means plus rates). The
+/// workload columns read all-zero for batches without a workload section.
+pub fn scenario_csv(scenario: &str, reports: &[BatchReport]) -> String {
+    let batches: Vec<Json> = reports.iter().map(BatchReport::summary_json).collect();
+    csv_table(&scenario_columns(scenario), &batches)
+}
+
+/// Human-readable table for the terminal: like the CSV, header and cell
+/// pairs over the batch object.
 pub fn scenario_table(scenario: &str, seeds: u64, reports: &[BatchReport]) -> String {
-    let mut table = AsciiTable::new(vec![
-        "label",
-        "agree",
-        "σ (modal)",
-        "blocks (mean±ci95)",
-        "throughput",
-        "VCs",
-        "burned",
-        "msgs/run",
-    ])
-    .with_title(&format!("{scenario} — {seeds} seeded runs per grid point"));
-    for r in reports {
-        let hist = SystemState::ALL
-            .iter()
-            .zip(r.sigma_hist.iter())
-            .filter(|(_, &c)| c > 0)
-            .map(|(s, &c)| format!("{}:{c}", s.symbol()))
-            .collect::<Vec<_>>()
-            .join(" ");
-        table.row(vec![
-            r.label.clone(),
-            format!("{:.0}%", r.agreement_rate * 100.0),
-            hist,
-            format!(
-                "{:.2}±{:.2}",
-                r.min_final_height.mean, r.min_final_height.ci95
-            ),
-            format!("{:.2}", r.throughput.mean),
-            format!("{:.1}", r.view_changes.mean),
-            format!("{:.1}", r.burned_players.mean),
-            format!("{:.0}", r.total_messages.mean),
-        ]);
+    fn mean(batch: &Json, metric: &str) -> f64 {
+        num(field(batch, metric), "mean")
+    }
+    type Cell = fn(&Json) -> String;
+    let columns: [(&str, Cell); 8] = [
+        ("label", |b| text(b, "label").to_string()),
+        ("agree", |b| {
+            format!("{:.0}%", num(b, "agreement_rate") * 100.0)
+        }),
+        ("σ (modal)", |b| {
+            let seen = counts(field(b, "sigma_hist")).filter(|&(_, count)| count > 0);
+            joined(seen.map(|(state, count)| format!("{state}:{count}")), " ")
+        }),
+        ("blocks (mean±ci95)", |b| {
+            let blocks = field(b, "min_final_height");
+            format!("{:.2}±{:.2}", num(blocks, "mean"), num(blocks, "ci95"))
+        }),
+        ("throughput", |b| format!("{:.2}", mean(b, "throughput"))),
+        ("VCs", |b| format!("{:.1}", mean(b, "view_changes"))),
+        ("burned", |b| format!("{:.1}", mean(b, "burned_players"))),
+        ("msgs/run", |b| format!("{:.0}", mean(b, "total_messages"))),
+    ];
+    let mut table = AsciiTable::new(columns.iter().map(|(header, _)| *header).collect())
+        .with_title(&format!("{scenario} — {seeds} seeded runs per grid point"));
+    for batch in reports.iter().map(BatchReport::summary_json) {
+        table.row(columns.iter().map(|(_, cell)| cell(&batch)).collect());
     }
     table.render()
 }
 
-fn confidence_str(c: Confidence) -> &'static str {
-    match c {
+fn confidence(c: Confidence) -> Json {
+    Json::str(match c {
         Confidence::Certified => "certified",
         Confidence::Tentative => "tentative",
-    }
+    })
 }
 
 fn f64_arr(values: &[f64]) -> Json {
-    Json::Arr(values.iter().map(|&v| Json::Num(v)).collect())
+    Json::arr(values, |&v| Json::Num(v))
 }
 
-fn profile_arr(profile: &[usize]) -> Json {
-    Json::Arr(profile.iter().map(|&s| Json::u64(s as u64)).collect())
+fn index_arr(indices: &[usize]) -> Json {
+    Json::arr(indices, |&i| Json::u64(i as u64))
 }
 
-/// The rendered label of a mixed profile, using the game's strategy
-/// names: `(0.539·π_fork + 0.461·π_bait, …)`.
-fn mixed_label(game: &GameDef, distributions: &[Vec<f64>]) -> String {
-    mixture_label(distributions, |p, s| game.label(p, s).to_string())
-}
-
-fn outcome_str(outcome: DynamicsOutcome) -> &'static str {
-    match outcome {
-        DynamicsOutcome::Converged => "converged",
-        DynamicsOutcome::Cycled => "cycled",
-    }
+/// A document object about one profile: its `profile` and `label`, then
+/// `rest`.
+fn profile_obj<const N: usize>(
+    game: &GameDef,
+    profile: &[usize],
+    rest: [(&'static str, Json); N],
+) -> Json {
+    let label = Json::str(game.profile_label(profile));
+    let head = [("profile", index_arr(profile)), ("label", label)];
+    Json::obj(head.into_iter().chain(rest))
 }
 
 /// The `mixed` JSON section: solver method plus verified strictly mixed
 /// equilibria (pure equilibria stay in `nash`).
-fn mixed_json(game: &GameDef, analysis: &MixedAnalysis) -> Json {
+fn mixed_json(game: &GameDef, table: &UtilityTable, eps: f64) -> Json {
+    let analysis = mixed_analysis(table, eps);
+    let equilibrium = |eq: &prft_game::MixedEquilibrium| {
+        // `(0.539·π_fork + 0.461·π_bait, …)`, in the game's strategy names.
+        let label = mixture_label(&eq.distributions, |p, s| game.label(p, s).to_string());
+        Json::obj([
+            (
+                "distributions",
+                Json::arr(&eq.distributions, |d| f64_arr(d)),
+            ),
+            ("label", Json::str(label)),
+            ("expected", f64_arr(&eq.expected)),
+            ("regret", Json::Num(eq.regret)),
+        ])
+    };
     Json::obj([
         ("method", Json::str(analysis.method)),
-        (
-            "equilibria",
-            Json::Arr(
-                analysis
-                    .equilibria
-                    .iter()
-                    .map(|eq| {
-                        Json::obj([
-                            (
-                                "distributions",
-                                Json::Arr(eq.distributions.iter().map(|d| f64_arr(d)).collect()),
-                            ),
-                            ("label", Json::str(mixed_label(game, &eq.distributions))),
-                            ("expected", f64_arr(&eq.expected)),
-                            ("regret", Json::Num(eq.regret)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("equilibria", Json::arr(&analysis.equilibria, equilibrium)),
     ])
 }
 
@@ -223,64 +286,98 @@ fn mixed_json(game: &GameDef, analysis: &MixedAnalysis) -> Json {
 fn dynamics_json(game: &GameDef, table: &UtilityTable, eps: f64) -> Json {
     let from_honest = best_reply_path(table, game.honest.clone(), eps);
     let summary = best_reply_summary(table, eps);
+    let outcome = match from_honest.outcome {
+        DynamicsOutcome::Converged => "converged",
+        DynamicsOutcome::Cycled => "cycled",
+    };
+    let labels = |p: &Vec<usize>| Json::str(game.profile_label(p));
+    let cycle_start = from_honest.cycle_start.map(|i| Json::u64(i as u64));
+    let from_honest = Json::obj([
+        ("path", Json::arr(&from_honest.path, |p| index_arr(p))),
+        ("labels", Json::arr(&from_honest.path, labels)),
+        ("outcome", Json::str(outcome)),
+        ("steps", Json::u64(from_honest.steps() as u64)),
+        ("cycle_start", cycle_start.unwrap_or(Json::Null)),
+    ]);
+    let attractor = |(profile, basin): &(Vec<usize>, usize)| {
+        profile_obj(game, profile, [("basin", Json::u64(*basin as u64))])
+    };
     Json::obj([
-        (
-            "from_honest",
-            Json::obj([
-                (
-                    "path",
-                    Json::Arr(from_honest.path.iter().map(|p| profile_arr(p)).collect()),
-                ),
-                (
-                    "labels",
-                    Json::Arr(
-                        from_honest
-                            .path
-                            .iter()
-                            .map(|p| Json::str(game.profile_label(p)))
-                            .collect(),
-                    ),
-                ),
-                ("outcome", Json::str(outcome_str(from_honest.outcome))),
-                ("steps", Json::u64(from_honest.steps() as u64)),
-                (
-                    "cycle_start",
-                    match from_honest.cycle_start {
-                        Some(i) => Json::u64(i as u64),
-                        None => Json::Null,
-                    },
-                ),
-            ]),
-        ),
-        (
-            "attractors",
-            Json::Arr(
-                summary
-                    .attractors
-                    .iter()
-                    .map(|(profile, basin)| {
-                        Json::obj([
-                            ("profile", profile_arr(profile)),
-                            ("label", Json::str(game.profile_label(profile))),
-                            ("basin", Json::u64(*basin as u64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("from_honest", from_honest),
+        ("attractors", Json::arr(&summary.attractors, attractor)),
         ("cycling_starts", Json::u64(summary.cycling_starts as u64)),
         ("longest_path", Json::u64(summary.longest_path as u64)),
     ])
 }
 
-/// The equilibrium-report JSON for one explored game (`prft-lab explore
-/// run <name> --format json`), without the optional analyses.
-pub fn explore_json(game: &GameDef, exploration: &Exploration, eps: f64) -> String {
-    explore_json_with(game, exploration, eps, ExploreOpts::default())
+/// The equilibrium-report document for one explored game: the one place
+/// its analyses run, whatever format the report is then rendered in.
+fn explore_doc(game: &GameDef, exploration: &Exploration, eps: f64, opts: ExploreOpts) -> Json {
+    let table = &exploration.table;
+    let cell = |(profile, stats): (&Vec<usize>, &prft_game::ProfileStats)| {
+        let rest = [
+            ("sigma", Json::str(stats.sigma.symbol())),
+            ("utilities", f64_arr(&stats.utilities)),
+            ("ci95", f64_arr(&stats.ci95)),
+            ("seeds", Json::u64(stats.seeds)),
+        ];
+        profile_obj(game, profile, rest)
+    };
+    let equilibrium = |profile: Vec<usize>| {
+        let cert = table.certify_nash(&profile, eps);
+        let rest = [
+            ("confidence", confidence(cert.confidence)),
+            ("worst_gain", Json::Num(cert.worst_gain)),
+        ];
+        profile_obj(game, &profile, rest)
+    };
+    // One certificate per player × strategy; DSIC reads the honest ones.
+    let strategies = |p: usize| (0..game.strategies[p].len()).map(move |s| (p, s));
+    let certs: Vec<_> = (0..game.players())
+        .flat_map(strategies)
+        .map(|(p, s)| (p, s, table.certify_dominant(p, s, eps)))
+        .collect();
+    let dominance = |(player, s, cert): &(usize, usize, prft_game::Certificate)| {
+        Json::obj([
+            ("player", Json::u64(*player as u64)),
+            ("strategy", Json::u64(*s as u64)),
+            ("label", Json::str(game.label(*player, *s))),
+            ("dominant", Json::Bool(cert.holds)),
+            ("confidence", confidence(cert.confidence)),
+            ("worst_gain", Json::Num(cert.worst_gain)),
+        ])
+    };
+    let honest = certs.iter().filter(|(p, s, _)| game.honest[*p] == *s);
+    let holds = honest.clone().all(|(_, _, cert)| cert.holds);
+    let weakest = honest.map(|(_, _, cert)| cert.confidence).max();
+    let weakest = confidence(weakest.unwrap_or(Confidence::Certified));
+    let dsic = [("holds", Json::Bool(holds)), ("confidence", weakest)];
+    let strategy_names = |names: &Vec<&str>| Json::arr(names, |&name| Json::str(name));
+    let mut doc: Vec<(&str, Json)> = vec![
+        ("game", Json::str(game.name)),
+        ("seeds", Json::u64(exploration.seeds)),
+        ("eps", Json::Num(eps)),
+        ("players", Json::u64(game.players() as u64)),
+        ("strategies", Json::arr(&game.strategies, strategy_names)),
+        ("symmetry", Json::arr(&game.symmetry, |g| index_arr(g))),
+        ("cells", Json::arr(table.cells(), cell)),
+        ("nash", Json::arr(table.nash_equilibria(eps), equilibrium)),
+        ("dominant", Json::arr(&certs, dominance)),
+        ("dsic", profile_obj(game, &game.honest, dsic)),
+        ("regret", Json::arr(&table.regret_matrix(), |r| f64_arr(r))),
+    ];
+    if opts.mixed {
+        doc.push(("mixed", mixed_json(game, table, eps)));
+    }
+    if opts.dynamics {
+        doc.push(("dynamics", dynamics_json(game, table, eps)));
+    }
+    Json::obj(doc)
 }
 
-/// The equilibrium-report JSON for one explored game, with the optional
-/// `mixed` / `dynamics` sections selected by `opts`.
+/// The equilibrium-report JSON for one explored game (`prft-lab explore
+/// run <name> --format json`), with the optional `mixed` / `dynamics`
+/// sections selected by `opts`.
 ///
 /// Everything in the document is a pure function of `(game, seeds, eps,
 /// opts)` — cache state and thread count never appear, so cached and
@@ -291,203 +388,47 @@ pub fn explore_json_with(
     eps: f64,
     opts: ExploreOpts,
 ) -> String {
-    let table = &exploration.table;
-    let cells: Vec<Json> = table
-        .cells()
-        .map(|(profile, stats)| {
-            Json::obj([
-                ("profile", profile_arr(profile)),
-                ("label", Json::str(game.profile_label(profile))),
-                ("sigma", Json::str(stats.sigma.symbol())),
-                ("utilities", f64_arr(&stats.utilities)),
-                ("ci95", f64_arr(&stats.ci95)),
-                ("seeds", Json::u64(stats.seeds)),
-            ])
-        })
-        .collect();
-    let nash: Vec<Json> = table
-        .nash_equilibria(eps)
-        .into_iter()
-        .map(|profile| {
-            let cert = table.certify_nash(&profile, eps);
-            Json::obj([
-                ("profile", profile_arr(&profile)),
-                ("label", Json::str(game.profile_label(&profile))),
-                ("confidence", Json::str(confidence_str(cert.confidence))),
-                ("worst_gain", Json::Num(cert.worst_gain)),
-            ])
-        })
-        .collect();
-    let mut dominant = Vec::new();
-    for player in 0..game.players() {
-        for s in 0..game.strategies[player].len() {
-            let cert = table.certify_dominant(player, s, eps);
-            dominant.push(Json::obj([
-                ("player", Json::u64(player as u64)),
-                ("strategy", Json::u64(s as u64)),
-                ("label", Json::str(game.label(player, s))),
-                ("dominant", Json::Bool(cert.holds)),
-                ("confidence", Json::str(confidence_str(cert.confidence))),
-                ("worst_gain", Json::Num(cert.worst_gain)),
-            ]));
-        }
-    }
-    let dsic_certs: Vec<_> = (0..game.players())
-        .map(|p| table.certify_dominant(p, game.honest[p], eps))
-        .collect();
-    let dsic = Json::obj([
-        ("profile", profile_arr(&game.honest)),
-        ("label", Json::str(game.profile_label(&game.honest))),
-        ("holds", Json::Bool(dsic_certs.iter().all(|c| c.holds))),
-        (
-            "confidence",
-            Json::str(
-                if dsic_certs
-                    .iter()
-                    .all(|c| c.confidence == Confidence::Certified)
-                {
-                    "certified"
-                } else {
-                    "tentative"
-                },
-            ),
-        ),
-    ]);
-    let regret = Json::Arr(
-        table
-            .regret_matrix()
-            .iter()
-            .map(|row| f64_arr(row))
-            .collect(),
-    );
-    let mut doc: Vec<(&str, Json)> = vec![
-        ("game", Json::str(game.name)),
-        ("seeds", Json::u64(exploration.seeds)),
-        ("eps", Json::Num(eps)),
-        ("players", Json::u64(game.players() as u64)),
-        (
-            "strategies",
-            Json::Arr(
-                game.strategies
-                    .iter()
-                    .map(|s| Json::Arr(s.iter().map(|&l| Json::str(l)).collect()))
-                    .collect(),
-            ),
-        ),
-        (
-            "symmetry",
-            Json::Arr(
-                game.symmetry
-                    .iter()
-                    .map(|g| Json::Arr(g.iter().map(|&p| Json::u64(p as u64)).collect()))
-                    .collect(),
-            ),
-        ),
-        ("cells", Json::Arr(cells)),
-        ("nash", Json::Arr(nash)),
-        ("dominant", Json::Arr(dominant)),
-        ("dsic", dsic),
-        ("regret", regret),
-    ];
-    if opts.mixed {
-        doc.push(("mixed", mixed_json(game, &mixed_analysis(table, eps))));
-    }
-    if opts.dynamics {
-        doc.push(("dynamics", dynamics_json(game, table, eps)));
-    }
-    Json::obj(doc).render_pretty()
+    explore_doc(game, exploration, eps, opts).render_pretty()
 }
 
 /// CSV over the explored cells: one row per profile, per-player utility
-/// and CI columns.
-pub fn explore_csv(game: &GameDef, exploration: &Exploration) -> String {
-    explore_csv_with(game, exploration, 1e-9, ExploreOpts::default())
-}
-
-/// [`explore_csv`] plus the optional analyses: each enabled analysis
-/// appends, after a blank line, its own header + rows (a multi-table CSV
-/// file; `docs/REPORT_SCHEMA.md` documents the blocks).
+/// and CI columns. Each enabled analysis appends, after a blank line, its
+/// own header + rows (a multi-table CSV file; `docs/REPORT_SCHEMA.md`
+/// documents the blocks).
 pub fn explore_csv_with(
     game: &GameDef,
     exploration: &Exploration,
     eps: f64,
     opts: ExploreOpts,
 ) -> String {
-    let mut out = cells_csv(game, exploration);
-    if opts.mixed {
-        let analysis = mixed_analysis(&exploration.table, eps);
-        out.push('\n');
-        out.push_str("game,method,label,regret");
+    let doc = explore_doc(game, exploration, eps, opts);
+    let name = text(&doc, "game");
+    // Per-player columns over a row's arrays: `u0,ci0,u1,ci1,…`.
+    let per_player = |columns: &mut Vec<Column>, arrays: &[(&str, &'static str)]| {
         for p in 0..game.players() {
-            out.push_str(&format!(",eu{p}"));
+            let of_player = arrays.iter();
+            columns.extend(of_player.map(|(stem, key)| nth(format!("{stem}{p}"), key, p)));
         }
+    };
+    let mut columns = vec![constant("game", name), column("profile", vec!["profile"])];
+    columns.extend(keyed(&["label", "sigma", "seeds"]));
+    per_player(&mut columns, &[("u", "utilities"), ("ci", "ci95")]);
+    let mut out = csv_table(&columns, items(&doc, "cells"));
+    if let Some(mixed) = doc.get("mixed") {
+        let method = constant("method", text(mixed, "method"));
+        let mut columns = vec![constant("game", name), method];
+        columns.extend(keyed(&["label", "regret"]));
+        per_player(&mut columns, &[("eu", "expected")]);
         out.push('\n');
-        for eq in &analysis.equilibria {
-            out.push_str(&format!(
-                "{},{},{},{}",
-                csv_field(game.name),
-                analysis.method,
-                csv_field(&mixed_label(game, &eq.distributions)),
-                eq.regret,
-            ));
-            for p in 0..game.players() {
-                out.push_str(&format!(",{}", eq.expected[p]));
-            }
-            out.push('\n');
-        }
+        out.push_str(&csv_table(&columns, items(mixed, "equilibria")));
     }
-    if opts.dynamics {
-        let summary = best_reply_summary(&exploration.table, eps);
+    if let Some(dynamics) = doc.get("dynamics") {
+        let mut columns = vec![constant("game", name), column("attractor", vec!["profile"])];
+        columns.extend(keyed(&["label", "basin"]));
         out.push('\n');
-        out.push_str("game,attractor,label,basin\n");
-        for (profile, basin) in &summary.attractors {
-            let profile_str = profile
-                .iter()
-                .map(|s| s.to_string())
-                .collect::<Vec<_>>()
-                .join("-");
-            out.push_str(&format!(
-                "{},{},{},{}\n",
-                csv_field(game.name),
-                profile_str,
-                csv_field(&game.profile_label(profile)),
-                basin,
-            ));
-        }
-        out.push_str(&format!(
-            "{},cycling,—,{}\n",
-            csv_field(game.name),
-            summary.cycling_starts,
-        ));
-    }
-    out
-}
-
-/// The base cell block of the equilibrium CSV.
-fn cells_csv(game: &GameDef, exploration: &Exploration) -> String {
-    let mut out = String::from("game,profile,label,sigma,seeds");
-    for p in 0..game.players() {
-        out.push_str(&format!(",u{p},ci{p}"));
-    }
-    out.push('\n');
-    for (profile, stats) in exploration.table.cells() {
-        let profile_str = profile
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .join("-");
-        out.push_str(&format!(
-            "{},{},{},{},{}",
-            csv_field(game.name),
-            profile_str,
-            csv_field(&game.profile_label(profile)),
-            stats.sigma.symbol(),
-            stats.seeds,
-        ));
-        for p in 0..game.players() {
-            out.push_str(&format!(",{},{}", stats.utilities[p], stats.ci95[p]));
-        }
-        out.push('\n');
+        out.push_str(&csv_table(&columns, items(dynamics, "attractors")));
+        let cycling = csv_cell(dynamics.get("cycling_starts"));
+        out.push_str(&format!("{},cycling,—,{cycling}\n", csv_field(name)));
     }
     out
 }
@@ -530,160 +471,123 @@ pub fn explain_reuse_table(rows: &[(&str, &Exploration)], stats: ReuseStats) -> 
     out
 }
 
-/// Human-readable equilibrium report for the terminal.
-pub fn explore_table(game: &GameDef, exploration: &Exploration, eps: f64) -> String {
-    explore_table_with(game, exploration, eps, ExploreOpts::default())
-}
-
-/// [`explore_table`] plus the optional mixed/dynamics sections.
+/// Human-readable equilibrium report for the terminal, with the optional
+/// mixed/dynamics sections.
 pub fn explore_table_with(
     game: &GameDef,
     exploration: &Exploration,
     eps: f64,
     opts: ExploreOpts,
 ) -> String {
-    let table = &exploration.table;
-    let mut out = String::new();
+    let doc = explore_doc(game, exploration, eps, opts);
+    let (eps, seeds) = (num(&doc, "eps"), int(&doc, "seeds"));
+    let profiles = items(&doc, "cells").len();
 
     let mut headers = vec!["profile".to_string(), "σ".to_string()];
-    for p in 0..game.players() {
-        headers.push(format!("U(P{p})"));
-    }
+    headers.extend((0..game.players()).map(|p| format!("U(P{p})")));
+    let title = format!(
+        "{} — {profiles} profiles × {seeds} seeds",
+        text(&doc, "game")
+    );
     let mut cells =
-        AsciiTable::new(headers.iter().map(String::as_str).collect()).with_title(&format!(
-            "{} — {} profiles × {} seeds",
-            game.name,
-            table.space().len(),
-            exploration.seeds
-        ));
-    for (profile, stats) in table.cells() {
-        let mut row = vec![game.profile_label(profile), stats.sigma.symbol().into()];
-        for p in 0..game.players() {
-            row.push(if stats.ci95[p] > 0.0 {
-                format!("{:.3}±{:.3}", stats.utilities[p], stats.ci95[p])
-            } else {
-                format!("{:.3}", stats.utilities[p])
-            });
-        }
+        AsciiTable::new(headers.iter().map(String::as_str).collect()).with_title(&title);
+    for cell in items(&doc, "cells") {
+        let mut row = vec![text(cell, "label").to_string(), text(cell, "sigma").into()];
+        let per_player = items(cell, "utilities").iter().zip(items(cell, "ci95"));
+        row.extend(per_player.map(|(u, ci)| match (value(u), value(ci)) {
+            (u, ci) if ci > 0.0 => format!("{u:.3}±{ci:.3}"),
+            (u, _) => format!("{u:.3}"),
+        }));
         cells.row(row);
     }
-    out.push_str(&cells.render());
-    out.push('\n');
+    let mut out = cells.render() + "\n";
 
-    let ne = table.nash_equilibria(eps);
-    out.push_str(&format!("\nPure Nash equilibria (ε = {eps}):\n"));
-    if ne.is_empty() {
-        out.push_str("  (none)\n");
+    out += &format!("\nPure Nash equilibria (ε = {eps}):\n");
+    if items(&doc, "nash").is_empty() {
+        out += "  (none)\n";
     }
-    for profile in &ne {
-        let cert = table.certify_nash(profile, eps);
-        out.push_str(&format!(
-            "  {}  [{}; worst deviation gain {:.3}]\n",
-            game.profile_label(profile),
-            confidence_str(cert.confidence),
-            cert.worst_gain,
-        ));
+    for ne in items(&doc, "nash") {
+        let (label, confidence) = (text(ne, "label"), text(ne, "confidence"));
+        let gain = num(ne, "worst_gain");
+        out += &format!("  {label}  [{confidence}; worst deviation gain {gain:.3}]\n");
     }
 
-    let mut dom = AsciiTable::new(vec![
-        "player",
-        "strategy",
-        "dominant",
-        "confidence",
-        "max regret",
-    ])
-    .with_title("Dominance and regret (per player × strategy)");
-    for (player, regrets) in table.regret_matrix().iter().enumerate() {
-        for (s, &regret) in regrets.iter().enumerate() {
-            let cert = table.certify_dominant(player, s, eps);
-            dom.row(vec![
-                format!("P{player}"),
-                game.label(player, s).to_string(),
-                if cert.holds { "✓" } else { "✗" }.to_string(),
-                confidence_str(cert.confidence).to_string(),
-                format!("{regret:.3}"),
-            ]);
-        }
+    let headers = vec!["player", "strategy", "dominant", "confidence", "max regret"];
+    let mut dom =
+        AsciiTable::new(headers).with_title("Dominance and regret (per player × strategy)");
+    let regrets = items(&doc, "regret")
+        .iter()
+        .flat_map(|row| row.as_arr().unwrap_or_default());
+    for (cert, regret) in items(&doc, "dominant").iter().zip(regrets) {
+        dom.row(vec![
+            format!("P{}", int(cert, "player")),
+            text(cert, "label").to_string(),
+            if holds(cert, "dominant") {
+                "✓"
+            } else {
+                "✗"
+            }
+            .to_string(),
+            text(cert, "confidence").to_string(),
+            format!("{:.3}", value(regret)),
+        ]);
     }
-    out.push('\n');
-    out.push_str(&dom.render());
-    out.push('\n');
+    out += &format!("\n{}\n", dom.render());
 
-    let dsic_holds = (0..game.players()).all(|p| table.is_dominant(p, game.honest[p], eps));
-    out.push_str(&format!(
-        "\nDSIC at {}: {}\n",
-        game.profile_label(&game.honest),
-        if dsic_holds {
-            "✓ (every component is weakly dominant)"
-        } else {
-            "✗"
-        },
-    ));
+    let dsic = field(&doc, "dsic");
+    let verdict = if holds(dsic, "holds") {
+        "✓ (every component is weakly dominant)"
+    } else {
+        "✗"
+    };
+    out += &format!("\nDSIC at {}: {verdict}\n", text(dsic, "label"));
 
-    if opts.mixed {
-        let analysis = mixed_analysis(table, eps);
-        out.push_str(&format!(
-            "\nMixed equilibria ({}, ε = {eps}):\n",
-            analysis.method
-        ));
-        if analysis.equilibria.is_empty() {
-            out.push_str(if analysis.method == "unsupported" {
+    if let Some(mixed) = doc.get("mixed") {
+        let method = text(mixed, "method");
+        out += &format!("\nMixed equilibria ({method}, ε = {eps}):\n");
+        if items(mixed, "equilibria").is_empty() {
+            out += if method == "unsupported" {
                 "  (no exact solver for this game shape — see the dynamics analysis)\n"
             } else {
                 "  (none beyond the pure equilibria above)\n"
-            });
+            };
         }
-        for eq in &analysis.equilibria {
-            let expected = eq
-                .expected
+        for eq in items(mixed, "equilibria") {
+            let expected = items(eq, "expected")
                 .iter()
-                .map(|u| format!("{u:.3}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            out.push_str(&format!(
-                "  {}  [expected: {expected}; regret {:.3e}]\n",
-                mixed_label(game, &eq.distributions),
-                eq.regret,
-            ));
+                .map(|u| format!("{:.3}", value(u)));
+            let (label, expected, regret) =
+                (text(eq, "label"), joined(expected, ", "), num(eq, "regret"));
+            out += &format!("  {label}  [expected: {expected}; regret {regret:.3e}]\n");
         }
     }
 
-    if opts.dynamics {
-        let from_honest = best_reply_path(table, game.honest.clone(), eps);
-        let summary = best_reply_summary(table, eps);
-        out.push_str(&format!("\nBest-reply dynamics (ε = {eps}):\n"));
-        let trail = from_honest
-            .path
-            .iter()
-            .map(|p| game.profile_label(p))
-            .collect::<Vec<_>>()
-            .join(" → ");
-        match from_honest.outcome {
-            DynamicsOutcome::Converged => out.push_str(&format!(
-                "  from honest: converged in {} step(s): {trail}\n",
-                from_honest.steps(),
-            )),
-            DynamicsOutcome::Cycled => out.push_str(&format!(
-                "  from honest: cycles (first repeat at step {}): {trail}\n",
-                from_honest.cycle_start.unwrap_or(0),
-            )),
-        }
-        if summary.attractors.is_empty() {
-            out.push_str("  attractors: (none — every start cycles)\n");
+    if let Some(dynamics) = doc.get("dynamics") {
+        let from_honest = field(dynamics, "from_honest");
+        out += &format!("\nBest-reply dynamics (ε = {eps}):\n");
+        let labels = items(from_honest, "labels").iter().filter_map(Json::as_str);
+        let trail = joined(labels.map(str::to_string), " → ");
+        out += &if text(from_honest, "outcome") == "converged" {
+            let steps = int(from_honest, "steps");
+            format!("  from honest: converged in {steps} step(s): {trail}\n")
         } else {
-            out.push_str("  attractors (basin / starts):\n");
-            let total = table.space().len();
-            for (profile, basin) in &summary.attractors {
-                out.push_str(&format!(
-                    "    {}  {basin}/{total}\n",
-                    game.profile_label(profile)
-                ));
-            }
+            let repeat = field(from_honest, "cycle_start").as_f64().unwrap_or(0.0);
+            format!("  from honest: cycles (first repeat at step {repeat}): {trail}\n")
+        };
+        if items(dynamics, "attractors").is_empty() {
+            out += "  attractors: (none — every start cycles)\n";
+        } else {
+            out += "  attractors (basin / starts):\n";
         }
-        out.push_str(&format!(
-            "  cycling starts: {}; longest path: {} step(s)\n",
-            summary.cycling_starts, summary.longest_path
-        ));
+        for attractor in items(dynamics, "attractors") {
+            let (label, basin) = (text(attractor, "label"), int(attractor, "basin"));
+            out += &format!("    {label}  {basin}/{profiles}\n");
+        }
+        let (cycling, longest) = (
+            int(dynamics, "cycling_starts"),
+            int(dynamics, "longest_path"),
+        );
+        out += &format!("  cycling starts: {cycling}; longest path: {longest} step(s)\n");
     }
     out
 }
@@ -771,20 +675,21 @@ mod tests {
         use crate::runner::BatchRunner;
         let game = find_game("trap-k3").unwrap();
         let out = crate::explore::GameExplorer::new(BatchRunner::new(1)).explore(&game, 1);
-        let json = explore_json(&game, &out, 1e-9);
+        let opts = ExploreOpts::default();
+        let json = explore_json_with(&game, &out, 1e-9, opts);
         assert!(json.contains("\"game\": \"trap-k3\""));
         assert!(json.contains("\"nash\""));
         // Theorem 3: both all-fork and all-bait are equilibria.
         assert!(json.contains("(π_fork, π_fork, π_fork)"));
         assert!(json.contains("(π_bait, π_bait, π_bait)"));
-        let csv = explore_csv(&game, &out);
+        let csv = explore_csv_with(&game, &out, 1e-9, opts);
         assert_eq!(csv.lines().count(), 1 + 8, "header + 2^3 profiles");
         assert!(csv
             .lines()
             .next()
             .unwrap()
             .ends_with("u0,ci0,u1,ci1,u2,ci2"));
-        let table = explore_table(&game, &out, 1e-9);
+        let table = explore_table_with(&game, &out, 1e-9, opts);
         assert!(table.contains("Pure Nash equilibria"));
         assert!(table.contains("DSIC"));
     }

@@ -9,8 +9,8 @@
 //! * fork-at-each-boundary vs fresh, full single-run report compared as
 //!   bytes (the store is truncated per boundary so the fork is forced to
 //!   start exactly there, not just at the deepest capture);
-//! * warm vs cold grid runs across `--threads {1, 8}` and
-//!   `--queue {heap, calendar}`;
+//! * warm vs cold grid runs across threads {1, 8} and both queue
+//!   backends;
 //! * `explore run-all` warm vs cold, with the reuse accounting asserted
 //!   (cross-game `shared` cells on lemma4-wide, checkpoint forks from
 //!   fork-defection's shared pre-defection prefix);
@@ -152,8 +152,8 @@ fn explore_run_all_warm_matches_cold_with_reuse() {
         .explore_all_with_stats(&games, seeds);
     for ((game, c), w) in games.iter().zip(&cold).zip(&warm) {
         assert_eq!(
-            report::explore_json(game, w, 0.05),
-            report::explore_json(game, c, 0.05),
+            report::explore_json_with(game, w, 0.05, Default::default()),
+            report::explore_json_with(game, c, 0.05, Default::default()),
             "game {} diverged warm vs cold",
             game.name
         );

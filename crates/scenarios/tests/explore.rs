@@ -79,8 +79,8 @@ fn symmetry_reduction_reproduces_the_full_sweep() {
     }
     // And the rendered equilibrium reports are byte-identical.
     assert_eq!(
-        report::explore_json(&game, &reduced, 1e-9),
-        report::explore_json(&game, &full, 1e-9)
+        report::explore_json_with(&game, &reduced, 1e-9, Default::default()),
+        report::explore_json_with(&game, &full, 1e-9, Default::default())
     );
 }
 
@@ -109,8 +109,8 @@ fn cache_turns_resweeps_into_hits() {
         "re-sweep is pure reads"
     );
     assert_eq!(
-        report::explore_json(&game, &cold, 1e-9),
-        report::explore_json(&game, &warm, 1e-9),
+        report::explore_json_with(&game, &cold, 1e-9, Default::default()),
+        report::explore_json_with(&game, &warm, 1e-9, Default::default()),
         "a cache hit reproduces the computed report byte-exactly"
     );
 
@@ -169,16 +169,17 @@ fn explore_reports_are_thread_count_invariant() {
     let serial = GameExplorer::new(BatchRunner::new(1)).explore(&game, 4);
     let parallel = GameExplorer::new(BatchRunner::new(8)).explore(&game, 4);
     assert_eq!(
-        report::explore_json(&game, &serial, 1e-9),
-        report::explore_json(&game, &parallel, 1e-9)
+        report::explore_json_with(&game, &serial, 1e-9, Default::default()),
+        report::explore_json_with(&game, &parallel, 1e-9, Default::default())
+    );
+    let opts = report::ExploreOpts::default();
+    assert_eq!(
+        report::explore_csv_with(&game, &serial, 1e-9, opts),
+        report::explore_csv_with(&game, &parallel, 1e-9, opts)
     );
     assert_eq!(
-        report::explore_csv(&game, &serial),
-        report::explore_csv(&game, &parallel)
-    );
-    assert_eq!(
-        report::explore_table(&game, &serial, 1e-9),
-        report::explore_table(&game, &parallel, 1e-9)
+        report::explore_table_with(&game, &serial, 1e-9, opts),
+        report::explore_table_with(&game, &parallel, 1e-9, opts)
     );
 }
 
@@ -189,12 +190,11 @@ fn registered_trap_game_reproduces_theorem_3() {
     let ne = out.table.nash_equilibria(1e-9);
     assert!(ne.contains(&vec![0, 0, 0]), "all-fork is a NE");
     assert!(ne.contains(&vec![1, 1, 1]), "all-bait is a NE");
-    // G/k for the forkers; the focal analysis lives in to_game().
+    // G/k for the forkers.
     let fork_u = out.table.utilities(&vec![0, 0, 0]);
     assert!((fork_u[0] - 8.0 / 3.0).abs() < 1e-12);
-    let eg = out.table.to_game();
     assert_eq!(
-        eg.focal_among(&ne, &[0, 1, 2]).unwrap(),
+        out.table.focal_among(&ne, &[0, 1, 2]).unwrap(),
         &vec![0, 0, 0],
         "the insecure equilibrium is focal"
     );
@@ -221,8 +221,8 @@ fn batch_sweeps_share_cells_across_scope_mates() {
     for (game, batched) in games.iter().zip(&both) {
         let alone = GameExplorer::new(runner).explore(game, 2);
         assert_eq!(
-            report::explore_json(game, batched, 1e-9),
-            report::explore_json(game, &alone, 1e-9),
+            report::explore_json_with(game, batched, 1e-9, Default::default()),
+            report::explore_json_with(game, &alone, 1e-9, Default::default()),
             "{}: batching must not change the report",
             game.name
         );
@@ -231,8 +231,8 @@ fn batch_sweeps_share_cells_across_scope_mates() {
     let serial = GameExplorer::new(BatchRunner::new(1)).explore_all(&games, 2);
     for (game, (s, p)) in games.iter().zip(serial.iter().zip(&both)) {
         assert_eq!(
-            report::explore_json(game, s, 1e-9),
-            report::explore_json(game, p, 1e-9),
+            report::explore_json_with(game, s, 1e-9, Default::default()),
+            report::explore_json_with(game, p, 1e-9, Default::default()),
             "{}: T=1 vs T=2 batch",
             game.name
         );

@@ -33,15 +33,20 @@ fn churn_spec() -> ScenarioSpec {
 
 #[test]
 fn verify_mode_never_changes_a_report() {
-    let fast = churn_spec().verify_mode(VerifyMode::Fast);
-    let slow = churn_spec().verify_mode(VerifyMode::Reference);
-    const SEEDS: u64 = 6;
-    let f = BatchRunner::new(4).run(&fast, SEEDS);
-    let s = BatchRunner::new(4).run(&slow, SEEDS);
-    assert_eq!(f, s, "fast path changed a batch report");
-    let f_json = report::scenario_json("v", SEEDS, &[f], true);
-    let s_json = report::scenario_json("v", SEEDS, &[s], true);
-    assert_eq!(f_json, s_json, "fast path changed report bytes");
+    // Reference verification is a differential oracle constructed here,
+    // not a CLI option; the registry's crash-churn is the second input.
+    let churn = prft_lab::find("crash-churn").expect("registered");
+    for spec in [churn_spec(), churn.specs[0].clone()] {
+        let fast = spec.clone().verify_mode(VerifyMode::Fast);
+        let slow = spec.verify_mode(VerifyMode::Reference);
+        const SEEDS: u64 = 6;
+        let f = BatchRunner::new(4).run(&fast, SEEDS);
+        let s = BatchRunner::new(4).run(&slow, SEEDS);
+        assert_eq!(f, s, "fast path changed a batch report");
+        let f_json = report::scenario_json("v", SEEDS, &[f], true);
+        let s_json = report::scenario_json("v", SEEDS, &[s], true);
+        assert_eq!(f_json, s_json, "fast path changed report bytes");
+    }
 }
 
 #[test]

@@ -37,7 +37,12 @@ fn honest_scenarios_reach_sigma_0() {
     for name in ["honest-sync", "gst-sweep"] {
         let scenario = prft_lab::find(name).expect("registered");
         for report in runner.run_grid(&scenario.specs, 2) {
-            assert_eq!(report.agreement_rate, 1.0, "{name}/{}", report.label);
+            assert_eq!(
+                report.rate("agreement_rate"),
+                1.0,
+                "{name}/{}",
+                report.label
+            );
             assert_eq!(
                 report.modal_sigma(),
                 SystemState::HonestExecution,
@@ -45,7 +50,7 @@ fn honest_scenarios_reach_sigma_0() {
                 report.label
             );
             assert!(
-                report.min_final_height.mean >= 1.0,
+                report.agg("min_final_height").mean >= 1.0,
                 "{name}/{}",
                 report.label
             );
@@ -59,13 +64,13 @@ fn fork_attack_is_contained_and_punished() {
     let report = BatchRunner::all_cores().run(&scenario.specs[0], 4);
     // Theorem 5 / Lemma 4: agreement always holds, and across the batch
     // the deviators get burned whenever the attack progresses.
-    assert_eq!(report.agreement_rate, 1.0);
+    assert_eq!(report.rate("agreement_rate"), 1.0);
     assert!(
         report.sigma_hist[2] == 0,
         "σ_Fork must never be realized under full pRFT"
     );
     assert!(
-        report.burned_players.max > 0.0,
+        report.agg("burned_players").max > 0.0,
         "double-signers should burn in at least one run"
     );
 }
@@ -79,7 +84,11 @@ fn liveness_attack_stalls_at_large_coalitions() {
         .find(|s| s.label == "k+t=6")
         .expect("grid point");
     let report = BatchRunner::all_cores().run(big, 2);
-    assert_eq!(report.min_final_height.max, 0.0, "quorum must be starved");
+    assert_eq!(
+        report.agg("min_final_height").max,
+        0.0,
+        "quorum must be starved"
+    );
     assert_eq!(report.modal_sigma(), SystemState::NoProgress);
 }
 

@@ -223,12 +223,15 @@ fn registry_timeline_scenarios_hold_their_headlines() {
     // crash-churn: rolling ≤2-of-9 crashes never cost liveness/agreement.
     let churn = prft_lab::find("crash-churn").expect("registered");
     let report = runner.run(&churn.specs[0], 2);
-    assert_eq!(report.agreement_rate, 1.0);
-    assert!(report.min_final_height.mean >= 1.0, "churn must not stall");
+    assert_eq!(report.rate("agreement_rate"), 1.0);
+    assert!(
+        report.agg("min_final_height").mean >= 1.0,
+        "churn must not stall"
+    );
     // colluder-defection: agreement holds and the attack never lands.
     let defect = prft_lab::find("colluder-defection").expect("registered");
     let report = runner.run(&defect.specs[0], 2);
-    assert_eq!(report.agreement_rate, 1.0);
+    assert_eq!(report.rate("agreement_rate"), 1.0);
     assert_eq!(report.sigma_hist[2], 0, "σ_Fork must never be realized");
     // late-tx-flood: the injected watched tx stays censored.
     let flood = prft_lab::find("late-tx-flood").expect("registered");
@@ -245,11 +248,16 @@ fn registry_timeline_scenarios_hold_their_headlines() {
     let lift = prft_lab::find("delay-lift").expect("registered");
     let reports = runner.run_grid(&lift.specs, 8);
     for report in &reports {
-        assert_eq!(report.agreement_rate, 1.0, "{}", report.label);
-        assert!(report.min_final_height.mean >= 3.0, "{}", report.label);
+        assert_eq!(report.rate("agreement_rate"), 1.0, "{}", report.label);
+        assert!(
+            report.agg("min_final_height").mean >= 3.0,
+            "{}",
+            report.label
+        );
     }
     assert_ne!(
-        reports[0].total_messages, reports[1].total_messages,
+        reports[0].agg("total_messages"),
+        reports[1].agg("total_messages"),
         "the lifted rule must change message flow"
     );
 }

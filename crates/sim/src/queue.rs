@@ -55,20 +55,11 @@ impl QueueBackend {
     /// Every backend, in a stable order (bench sweeps iterate this).
     pub const ALL: [QueueBackend; 2] = [QueueBackend::Heap, QueueBackend::Calendar];
 
-    /// The CLI/report name of the backend.
+    /// The report name of the backend.
     pub fn name(self) -> &'static str {
         match self {
             QueueBackend::Heap => "heap",
             QueueBackend::Calendar => "calendar",
-        }
-    }
-
-    /// Parses a CLI/report name (`"heap"` / `"calendar"`).
-    pub fn parse(s: &str) -> Option<QueueBackend> {
-        match s {
-            "heap" => Some(QueueBackend::Heap),
-            "calendar" => Some(QueueBackend::Calendar),
-            _ => None,
         }
     }
 
@@ -441,12 +432,11 @@ mod tests {
     }
 
     #[test]
-    fn backend_names_round_trip() {
-        for b in QueueBackend::ALL {
-            assert_eq!(QueueBackend::parse(b.name()), Some(b));
-            assert_eq!(format!("{b}"), b.name());
-        }
-        assert_eq!(QueueBackend::parse("nope"), None);
+    fn backends_display_their_names() {
+        assert_eq!(
+            QueueBackend::ALL.map(|b| b.to_string()),
+            ["heap", "calendar"]
+        );
         assert_eq!(QueueBackend::default(), QueueBackend::Calendar);
     }
 

@@ -62,7 +62,7 @@ pub use client::{Client, ClientStats, CLIENT_TX_BASE, CLIENT_TX_STRIDE};
 pub use latency::{percentile, LatencySummary};
 pub use retry::{RejectAction, RetryPolicy};
 pub use spec::WorkloadSpec;
-pub use stats::WorkloadRunStats;
+pub use stats::{Merge, Metric, WorkloadRunStats, METRICS};
 
 use prft_core::{Config, Honest, Replica};
 use prft_crypto::KeyRegistry;

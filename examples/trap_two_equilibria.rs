@@ -8,7 +8,7 @@
 //! ```
 
 use prft::baselines::trap::{TrapGame, TrapStrategy};
-use prft::game::{analytic, EmpiricalGame, UtilityParams};
+use prft::game::{analytic, ProfileSpace, UtilityParams, UtilityTable};
 
 fn main() {
     // Theorem 3's regime: n = 20, t = 6 byzantine, k = 3 rational —
@@ -46,9 +46,10 @@ fn main() {
     // Enumerate the full 2^k game.
     let strategies = [TrapStrategy::Fork, TrapStrategy::Bait];
     let labels = ["π_fork", "π_bait"];
-    let eg = EmpiricalGame::explore(vec![2; k], |profile| {
+    let eg = UtilityTable::exact(ProfileSpace::uniform(k, 2), |profile| {
         let chosen: Vec<TrapStrategy> = profile.iter().map(|&i| strategies[i]).collect();
-        game.play(&chosen).utilities
+        let out = game.play(&chosen);
+        (out.utilities, out.state)
     });
 
     println!("full payoff table ({} profiles):", 1usize << k);
