@@ -517,4 +517,13 @@ mod tests {
         let b = Signed::sign(ballot(0, Phase::Final, 1), &keys[0]);
         assert_eq!(PrftMsg::Final { ballot: b }.kind(), "Final");
     }
+
+    /// Every event of every run moves one `PrftMsg` through the queue and
+    /// the arena, so its size is a cost on all workloads (`Vote` sets it).
+    /// A `Block` that cached its digest would make it 192.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn the_wire_type_is_176_bytes() {
+        assert_eq!(std::mem::size_of::<PrftMsg>(), 176);
+    }
 }

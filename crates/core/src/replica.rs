@@ -544,25 +544,54 @@ impl Replica {
         self.maybe_expose(ctx);
     }
 
+    /// The signature-free conditions of a valid proposal: a `Propose`
+    /// ballot by its round's leader whose value is the hash of `block`, a
+    /// block for that round. The signature check is the caller's, because
+    /// where it sits among these is observable (`crypto.sig_verifies`):
+    /// [`Self::handle_propose`] verifies any `Propose`-phase ballot,
+    /// [`Node::on_message`]'s stash only one that passed all of this.
+    fn proposal_binds(&self, ballot: &SignedBallot, block: &Block) -> bool {
+        let Ballot {
+            round,
+            phase,
+            value,
+        } = ballot.payload;
+        phase == Phase::Propose
+            && ballot.signer() == self.leader(round)
+            && block.round == round
+            && self.hashes_to(block, &value)
+    }
+
+    /// Whether `block.id() == *value`, hashing a block once per replica:
+    /// every `block_store` key was checked against its block when it was
+    /// inserted, so a later copy of a stored value is compared with that
+    /// block instead of hashed again (one `Propose` is looked at on
+    /// arrival, when its round starts, and whenever a helper re-sends it).
+    fn hashes_to(&self, block: &Block, value: &Digest) -> bool {
+        match self.block_store.get(value) {
+            Some(stored) => stored == block,
+            None => block.id() == *value,
+        }
+    }
+
     fn handle_propose(&mut self, ctx: &mut Context<PrftMsg>, ballot: SignedBallot, block: Block) {
-        let round = ballot.payload.round;
         // Validation: signature, phase, sender is the round's leader, hash
         // binds the block, block is for this round.
         if ballot.payload.phase != Phase::Propose
             || !self.cache.verify_ballot(&ballot, &self.registry)
-            || ballot.signer() != self.leader(round)
-            || block.id() != ballot.payload.value
-            || block.round != round
+            || !self.proposal_binds(&ballot, &block)
         {
             self.stats.invalid_proposals += 1;
             return;
         }
-        self.block_store.insert(block.id(), block.clone());
+        let value = ballot.payload.value;
+        self.block_store
+            .entry(value)
+            .or_insert_with(|| block.clone());
         self.propose_store
-            .entry(block.id())
+            .entry(value)
             .or_insert_with(|| ballot.clone());
-        self.proposals_seen
-            .insert(ballot.payload.value, ballot.clone());
+        self.proposals_seen.insert(value, ballot.clone());
 
         // Leader equivocation is itself double-sign evidence and a
         // view-change trigger.
@@ -593,8 +622,7 @@ impl Replica {
                 self.enter_phase(ctx, Phase::Vote);
             }
         }
-        let action = self.behavior.on_vote(self.round, ballot.payload.value);
-        let value = ballot.payload.value;
+        let action = self.behavior.on_vote(self.round, value);
         let sent = self.emit_ballot(ctx, Phase::Vote, value, action, &|this, b, v| {
             Some(PrftMsg::Vote {
                 ballot: b,
@@ -849,13 +877,13 @@ impl Replica {
         }
         // Tentative consensus requires knowing the block and that it
         // extends our chain.
-        let Some(block) = self.block_store.get(&value).cloned() else {
+        let Some(block) = self.block_store.get(&value) else {
             return;
         };
         if block.parent != self.chain.tip() {
             return;
         }
-        let height = match self.chain.append_tentative(block.clone()) {
+        let height = match self.chain.append_tentative_hashed(block.clone(), value) {
             Ok(h) => h,
             Err(_) => return,
         };
@@ -1063,21 +1091,37 @@ impl Replica {
         self.reconcile(ctx);
     }
 
+    /// The values [`Self::reconcile`] may still have to act on, in tally
+    /// order: a `> n/2` Final tally and not final in our chain yet.
+    /// Finality never rolls back, so a value that is final here stays a
+    /// no-op for good; leaving it out keeps a `Final` message's cost at what
+    /// is outstanding instead of at every block finalized so far. (The
+    /// tally itself is never pruned: [`Self::help_laggard`] forwards its
+    /// ballots.)
+    fn reconcile_candidates(&self) -> Vec<Digest> {
+        let majority = self.cfg.final_majority();
+        let final_height = self.chain.final_height();
+        self.final_tally
+            .iter()
+            .filter(|(value, who)| {
+                who.len() >= majority
+                    && self
+                        .chain
+                        .height_of(value)
+                        .is_none_or(|h| h.0 > final_height)
+            })
+            .map(|(value, _)| *value)
+            .collect()
+    }
+
     /// Adopts any block with a `> n/2` Final tally that connects to our
     /// chain; rolls back conflicting *tentative* suffixes. Runs to fixpoint
     /// so multi-round laggards catch up in one pass.
     fn reconcile(&mut self, ctx: &mut Context<PrftMsg>) {
-        let majority = self.cfg.final_majority();
         loop {
             let mut progressed = false;
-            let candidates: Vec<Digest> = self
-                .final_tally
-                .iter()
-                .filter(|(_, who)| who.len() >= majority)
-                .map(|(v, _)| *v)
-                .collect();
-            for value in candidates {
-                let Some(block) = self.block_store.get(&value).cloned() else {
+            for value in self.reconcile_candidates() {
+                let Some(block) = self.block_store.get(&value) else {
                     continue;
                 };
                 // Already in chain? Finalize it (and ancestors).
@@ -1105,8 +1149,7 @@ impl Replica {
                 }
                 // Connects to tip?
                 if block.parent == self.chain.tip() {
-                    if self.chain.append_tentative(block.clone()).is_ok() {
-                        let h = Height(self.chain.height());
+                    if let Ok(h) = self.chain.append_tentative_hashed(block.clone(), value) {
                         let _ = self.chain.finalize_upto(h);
                         self.mempool
                             .remove_included(block.txs.iter().map(|t| &t.id));
@@ -1252,20 +1295,18 @@ impl Replica {
         }
         self.helped_at.insert(peer, self.round);
         let majority = self.cfg.final_majority();
-        let entries: Vec<(Digest, Block)> = self
+        let finalized = self
             .chain
-            .iter()
+            .iter_with_ids()
             .skip(1) // genesis needs no help
-            .filter(|e| e.status == prft_types::BlockStatus::Final)
-            .map(|e| (e.block.id(), e.block.clone()))
-            .collect();
-        for (value, block) in entries {
+            .filter(|(_, e)| e.status == prft_types::BlockStatus::Final);
+        for (value, entry) in finalized {
             if let Some(pb) = self.propose_store.get(&value) {
                 ctx.send(
                     peer,
                     PrftMsg::Propose {
                         ballot: pb.clone(),
-                        block,
+                        block: entry.block.clone(),
                     },
                 );
             }
@@ -1437,15 +1478,13 @@ impl Node for Replica {
         // matter which round they belong to, so a laggard that round-syncs
         // past them can still reconstruct its chain from the Final tallies.
         if let PrftMsg::Propose { ballot, block } = &msg {
-            if ballot.payload.phase == Phase::Propose
-                && ballot.signer() == self.leader(ballot.payload.round)
-                && block.id() == ballot.payload.value
-                && block.round == ballot.payload.round
+            let value = ballot.payload.value;
+            if self.proposal_binds(ballot, block)
                 && self.cache.verify_ballot(ballot, &self.registry)
-                && !self.block_store.contains_key(&ballot.payload.value)
+                && !self.block_store.contains_key(&value)
             {
-                self.block_store.insert(block.id(), block.clone());
-                self.propose_store.insert(block.id(), ballot.clone());
+                self.block_store.insert(value, block.clone());
+                self.propose_store.insert(value, ballot.clone());
                 // A late block may unblock pending Final-tally adoptions.
                 self.reconcile(ctx);
                 if self.passive {
@@ -1510,5 +1549,133 @@ impl Node for Replica {
         if self.cfg.max_rounds == 0 || self.rounds_done < self.cfg.max_rounds {
             self.arm_timer(ctx);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::harness::Harness;
+    use crate::pof::signed_ballot;
+    use prft_sim::Simulation;
+
+    /// Delivers `msgs` to `to` at the current tick and runs that tick only,
+    /// so replies (at least one tick away) stay queued.
+    fn deliver_now(sim: &mut Simulation<Replica>, to: NodeId, msgs: Vec<(NodeId, PrftMsg)>) {
+        let now = sim.now();
+        for (from, msg) in msgs {
+            sim.inject(now, from, to, msg);
+        }
+        sim.run_until(now);
+    }
+
+    #[test]
+    fn finalized_values_are_not_reconcile_candidates() {
+        let mut sim = Harness::new(8, 19).build();
+        while sim.nodes().any(|r| r.chain().final_height() < 20) {
+            sim.run_until(SimTime(sim.now().0 + 50));
+        }
+        for r in sim.nodes() {
+            assert!(r.final_tally.len() >= 20, "the tally keeps every value");
+            assert_eq!(r.reconcile_candidates(), vec![], "P{}", r.id().0);
+        }
+        // A late duplicate `Final` for the first finalized block.
+        let (value, ballot) = {
+            let r = sim.node(NodeId(0));
+            let value = r.chain.iter_with_ids().nth(1).expect("height 1").0;
+            (value, r.final_tally[&value][&NodeId(3)].clone())
+        };
+        let signers = sim.node(NodeId(0)).final_tally[&value].len();
+        deliver_now(
+            &mut sim,
+            NodeId(0),
+            vec![(NodeId(3), PrftMsg::Final { ballot })],
+        );
+        let r = sim.node(NodeId(0));
+        assert_eq!(r.final_tally[&value].len(), signers);
+        assert_eq!(r.reconcile_candidates(), vec![]);
+    }
+
+    #[test]
+    fn a_laggard_lists_the_missing_values_and_adopts_them_when_the_block_arrives() {
+        // P7 sleeps through three rounds the other seven finalize.
+        let laggard = NodeId(7);
+        let mut sim = Harness::new(8, 23).max_rounds(3).build();
+        sim.crash(laggard);
+        sim.run();
+        sim.recover(laggard);
+        let helper = sim.node(NodeId(0)).clone();
+        assert_eq!(helper.chain.final_height(), 3);
+        let values: Vec<Digest> = helper.chain.iter_with_ids().skip(1).map(|e| e.0).collect();
+        // A bare majority of `Final` ballots per value (a replica that went
+        // passive on its last round holds no tally for it, so sign afresh).
+        let mut finals = Vec::new();
+        for value in &values {
+            let round = helper.block_store[value].round;
+            for signer in (0..helper.cfg.final_majority()).map(NodeId) {
+                let ballot = signed_ballot(&sim.node(signer).key, round, Phase::Final, *value);
+                finals.push((signer, PrftMsg::Final { ballot }));
+            }
+        }
+        let propose = |height: usize| {
+            let ballot = helper.propose_store[&values[height - 1]].clone();
+            let block = helper.block_store[&values[height - 1]].clone();
+            (ballot.signer(), PrftMsg::Propose { ballot, block })
+        };
+        let missing: BTreeSet<Digest> = values.iter().copied().collect();
+        let candidates = |sim: &Simulation<Replica>| {
+            BTreeSet::from_iter(sim.node(laggard).reconcile_candidates())
+        };
+
+        // Majority tallies without the blocks: every value is outstanding.
+        deliver_now(&mut sim, laggard, finals);
+        assert_eq!(candidates(&sim), missing);
+        // Blocks that do not connect yet change nothing.
+        deliver_now(&mut sim, laggard, vec![propose(3), propose(2)]);
+        assert_eq!(candidates(&sim), missing);
+        assert_eq!(sim.node(laggard).chain.height(), 0);
+        // The connecting block lets one pass adopt all three.
+        deliver_now(&mut sim, laggard, vec![propose(1)]);
+        assert_eq!(candidates(&sim), BTreeSet::new());
+        let r = sim.node(laggard);
+        assert_eq!(r.chain.final_height(), 3);
+        assert_eq!(r.chain.tip(), helper.chain.tip());
+        assert_eq!(r.stats.finalized_catchup, 3);
+    }
+
+    #[test]
+    fn a_block_not_hashing_to_the_signed_value_is_invalid_even_once_the_value_is_stored() {
+        // Round 0's leader stays down; the test proposes with its key.
+        let (leader, target) = (NodeId(0), NodeId(1));
+        let mut sim = Harness::new(4, 29).build();
+        sim.crash(leader);
+        let key = sim.node(leader).key.clone();
+        let parent = sim.node(target).chain.tip();
+        let block_of = |tx: u64| {
+            let txs = vec![Transaction::new(tx, NodeId(9), vec![tx as u8])];
+            Block::new(Round(0), parent, leader, txs)
+        };
+        let (signed, other) = (block_of(1), block_of(2));
+        let value = signed.id();
+        let ballot = signed_ballot(&key, Round(0), Phase::Propose, value);
+        let propose = |block: &Block| {
+            let (ballot, block) = (ballot.clone(), block.clone());
+            vec![(leader, PrftMsg::Propose { ballot, block })]
+        };
+
+        deliver_now(&mut sim, target, propose(&other));
+        let r = sim.node(target);
+        assert_eq!(r.stats.invalid_proposals, 1);
+        assert!(!r.block_store.contains_key(&value));
+
+        deliver_now(&mut sim, target, propose(&signed));
+        let r = sim.node(target);
+        assert_eq!(r.stats.invalid_proposals, 1);
+        assert_eq!(r.block_store.get(&value), Some(&signed));
+
+        deliver_now(&mut sim, target, propose(&other));
+        let r = sim.node(target);
+        assert_eq!(r.stats.invalid_proposals, 2);
+        assert_eq!(r.block_store.get(&value), Some(&signed));
     }
 }

@@ -73,6 +73,10 @@ pub struct Chain {
     /// Digest of `entries[h].block`, computed once at append time. Block
     /// hashing is the dominant cost of membership probes on long chains;
     /// caching it turns `tip()` into a copy and keeps `height_of` O(1).
+    /// The prefix and fork comparisons read it in place of the blocks: two
+    /// blocks are equal exactly when their digests are (the canonical
+    /// encoding is injective), and a digest compares in 32 bytes where a
+    /// block compares in its whole transaction batch.
     ids: Vec<Digest>,
     /// Block digest → height, for O(1) membership lookups.
     index: HashMap<Digest, u64>,
@@ -159,6 +163,24 @@ impl Chain {
     /// Returns [`ChainError::ParentMismatch`] if the block does not extend
     /// the current tip.
     pub fn append_tentative(&mut self, block: Block) -> Result<Height, ChainError> {
+        let id = block.id();
+        self.append_tentative_hashed(block, id)
+    }
+
+    /// [`Chain::append_tentative`] for a caller that already holds the
+    /// block's digest (a validated proposal's signed value), sparing the
+    /// SHA-256 over the whole block. `id` must be `block.id()`; debug
+    /// builds check it.
+    ///
+    /// # Errors
+    /// Returns [`ChainError::ParentMismatch`] if the block does not extend
+    /// the current tip.
+    pub fn append_tentative_hashed(
+        &mut self,
+        block: Block,
+        id: Digest,
+    ) -> Result<Height, ChainError> {
+        debug_assert_eq!(block.id(), id, "caller-supplied digest is the block's");
         let tip = self.tip();
         if block.parent != tip {
             return Err(ChainError::ParentMismatch {
@@ -166,7 +188,6 @@ impl Chain {
                 tip,
             });
         }
-        let id = block.id();
         self.entries.push(BlockEntry {
             block,
             status: BlockStatus::Tentative,
@@ -220,22 +241,22 @@ impl Chain {
         Chain::from_entries(self.entries[..keep].to_vec())
     }
 
+    /// The digests of `C^{⌊c}` ([`Chain::drop_suffix`]'s blocks), borrowed.
+    fn ids_without_suffix(&self, c: usize) -> &[Digest] {
+        &self.ids[..self.ids.len().saturating_sub(c).max(1)]
+    }
+
     /// Whether `self` is a prefix of `other` (block-wise, ignoring status).
     pub fn is_prefix_of(&self, other: &Chain) -> bool {
-        self.entries.len() <= other.entries.len()
-            && self
-                .entries
-                .iter()
-                .zip(&other.entries)
-                .all(|(a, b)| a.block == b.block)
+        other.ids.starts_with(&self.ids)
     }
 
     /// Length of the longest common prefix (in blocks) with `other`.
     pub fn common_prefix_len(&self, other: &Chain) -> usize {
-        self.entries
+        self.ids
             .iter()
-            .zip(&other.entries)
-            .take_while(|(a, b)| a.block == b.block)
+            .zip(&other.ids)
+            .take_while(|(a, b)| a == b)
             .count()
     }
 
@@ -247,7 +268,9 @@ impl Chain {
         } else {
             (c2, c1)
         };
-        shorter.drop_suffix(c).is_prefix_of(&longer.drop_suffix(c))
+        longer
+            .ids_without_suffix(c)
+            .starts_with(shorter.ids_without_suffix(c))
     }
 
     /// Whether a transaction is included in any block (at any status).
@@ -268,6 +291,11 @@ impl Chain {
         self.entries.iter()
     }
 
+    /// [`Chain::iter`] with each entry's cached block digest beside it.
+    pub fn iter_with_ids(&self) -> impl Iterator<Item = (Digest, &BlockEntry)> {
+        self.ids.iter().copied().zip(&self.entries)
+    }
+
     /// Detects disagreement (`σ_Fork`) between two ledgers: a height at which
     /// both have a block but the blocks differ. Returns the first such height.
     ///
@@ -279,12 +307,9 @@ impl Chain {
         } else {
             a.len().min(b.len())
         };
-        for h in 0..upto {
-            if a.entries[h].block != b.entries[h].block {
-                return Some(Height(h as u64));
-            }
-        }
-        None
+        (0..upto)
+            .find(|&h| a.ids[h] != b.ids[h])
+            .map(|h| Height(h as u64))
     }
 }
 

@@ -129,11 +129,18 @@ impl Mempool {
     }
 
     /// Removes transactions that appear in a decided block.
+    ///
+    /// `seen` holds exactly the pending ids, so the pass over the pool is
+    /// needed only when one of `ids` was pending here — rarely, since a
+    /// client transaction waits in the one pool it was submitted to while
+    /// every replica runs this for every block.
     pub fn remove_included<'a>(&mut self, ids: impl IntoIterator<Item = &'a TxId>) {
-        let remove: HashSet<TxId> = ids.into_iter().copied().collect();
-        self.pending.retain(|tx| !remove.contains(&tx.id));
-        for id in &remove {
-            self.seen.remove(id);
+        let mut was_pending = false;
+        for id in ids {
+            was_pending |= self.seen.remove(id);
+        }
+        if was_pending {
+            self.pending.retain(|tx| self.seen.contains(&tx.id));
         }
     }
 

@@ -5,20 +5,63 @@
 use prft::core::{construct_proof, signed_ballot, verify_expose, Config, Phase};
 use prft::crypto::{KeyRegistry, Sha256};
 use prft::game::analytic;
-use prft::types::{Block, Chain, Digest, Height, Mempool, NodeId, Round, Transaction};
+use prft::types::{
+    Block, Chain, Digest, Height, Mempool, MempoolError, NodeId, Round, Transaction, TxId,
+};
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 // ---------------------------------------------------------------- chains
+
+/// Appends `blocks` blocks to `c`, deterministically from a seed.
+fn extend(c: &mut Chain, blocks: usize, seed: u8) {
+    for _ in 0..blocks {
+        let r = c.height();
+        let tx = Transaction::new(r, NodeId(0), vec![seed]);
+        let b = Block::new(Round(r + 1), c.tip(), NodeId(0), vec![tx]);
+        c.append_tentative(b).unwrap();
+    }
+}
 
 /// Builds a chain of `len` blocks deterministically from a seed.
 fn chain_of(len: usize, seed: u8) -> Chain {
     let mut c = Chain::new(Block::genesis());
-    for r in 0..len {
-        let tx = Transaction::new(r as u64, NodeId(0), vec![seed]);
-        let b = Block::new(Round(r as u64 + 1), c.tip(), NodeId(0), vec![tx]);
-        c.append_tentative(b).unwrap();
-    }
+    extend(&mut c, len, seed);
     c
+}
+
+/// The structural definitions of the chain comparisons, block by block;
+/// `Chain` answers the same questions from its cached digests.
+mod structural {
+    use super::*;
+
+    fn blocks(c: &Chain) -> Vec<&Block> {
+        c.iter().map(|e| &e.block).collect()
+    }
+
+    pub fn common_prefix_len(a: &Chain, b: &Chain) -> usize {
+        let (a, b) = (blocks(a), blocks(b));
+        a.iter().zip(&b).take_while(|(x, y)| x == y).count()
+    }
+
+    pub fn is_prefix_of(a: &Chain, b: &Chain) -> bool {
+        a.len() <= b.len() && common_prefix_len(a, b) == a.len()
+    }
+
+    pub fn c_strict_ordering(a: &Chain, b: &Chain, c: usize) -> bool {
+        let (shorter, longer) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+        is_prefix_of(&shorter.drop_suffix(c), &longer.drop_suffix(c))
+    }
+
+    pub fn find_fork(a: &Chain, b: &Chain, final_only: bool) -> Option<Height> {
+        let upto = if final_only {
+            a.final_height().min(b.final_height()) as usize + 1
+        } else {
+            a.len().min(b.len())
+        };
+        let first_difference = common_prefix_len(a, b);
+        (first_difference < upto).then_some(Height(first_difference as u64))
+    }
 }
 
 proptest! {
@@ -58,6 +101,42 @@ proptest! {
         prop_assert_eq!(Chain::find_fork(&a, &b, false), Some(Height(common as u64 + 1)));
         // Tentative divergence is not a final fork.
         prop_assert_eq!(Chain::find_fork(&a, &b, true), None);
+    }
+
+    /// The digest-based comparisons agree with the structural definitions
+    /// on equal, prefix, forked and different-length pairs, at every
+    /// window size that can matter.
+    #[test]
+    fn digest_comparisons_match_the_structural_ones(
+        lens in (0usize..10, 0usize..5, 0usize..5),
+        forked in any::<bool>(),
+        finalized in (0usize..15, 0usize..15),
+    ) {
+        let (common, ext_a, ext_b) = lens;
+        let (mut a, mut b) = (chain_of(common, 5), chain_of(common, 5));
+        extend(&mut a, ext_a, 6);
+        extend(&mut b, ext_b, if forked { 7 } else { 6 });
+        a.finalize_upto(Height(finalized.0.min(common + ext_a) as u64)).unwrap();
+        b.finalize_upto(Height(finalized.1.min(common + ext_b) as u64)).unwrap();
+        for (x, y) in [(&a, &b), (&b, &a), (&a, &a)] {
+            prop_assert_eq!(x.is_prefix_of(y), structural::is_prefix_of(x, y));
+            prop_assert_eq!(x.common_prefix_len(y), structural::common_prefix_len(x, y));
+            for final_only in [false, true] {
+                prop_assert_eq!(
+                    Chain::find_fork(x, y, final_only),
+                    structural::find_fork(x, y, final_only)
+                );
+            }
+            for c in [0, 1, 2, x.len()] {
+                prop_assert_eq!(
+                    Chain::c_strict_ordering(x, y, c),
+                    structural::c_strict_ordering(x, y, c)
+                );
+            }
+        }
+        if forked && ext_a > 0 && ext_b > 0 {
+            prop_assert_eq!(Chain::find_fork(&a, &b, false), Some(Height(common as u64 + 1)));
+        }
     }
 
     /// finalize → rollback keeps exactly the finalized prefix.
@@ -160,29 +239,89 @@ proptest! {
 
 // ------------------------------------------------------------- mempool
 
+/// The mempool as the plain lists its documentation describes.
+#[derive(Default)]
+struct PoolModel {
+    pending: Vec<u64>,
+    ever: Vec<u64>,
+    capacity: Option<usize>,
+    peak: usize,
+    rejected_full: u64,
+}
+
+impl PoolModel {
+    fn push(&mut self, id: u64) -> Result<(), MempoolError> {
+        if self.ever.contains(&id) {
+            return Err(MempoolError::Duplicate);
+        }
+        if self.capacity.is_some_and(|cap| self.pending.len() >= cap) {
+            self.rejected_full += 1;
+            return Err(MempoolError::Full);
+        }
+        self.pending.push(id);
+        self.ever.push(id);
+        self.peak = self.peak.max(self.pending.len());
+        Ok(())
+    }
+
+    fn take_censoring(&mut self, max: usize, censor: &[u64]) -> Vec<u64> {
+        let mut batch = Vec::new();
+        self.pending.retain(|id| {
+            let taken = batch.len() < max && !censor.contains(id);
+            if taken {
+                batch.push(*id);
+            }
+            !taken
+        });
+        batch
+    }
+}
+
 proptest! {
-    /// The mempool never duplicates, never resurrects, and take(batch)
-    /// preserves FIFO order.
+    /// Model-based: random `push` / `take` / `take_censoring` /
+    /// `remove_included` (pending, already-taken and never-seen ids mixed)
+    /// leave the pool indistinguishable from the naive model — same batches
+    /// in the same FIFO order, same bookkeeping, `Duplicate` before `Full`.
     #[test]
-    fn mempool_invariants(ops in proptest::collection::vec((0u64..50, any::<bool>()), 0..100)) {
+    fn mempool_invariants(
+        capacity in 0usize..12,
+        ops in proptest::collection::vec((0u8..8, 0u64..40, 0usize..6), 0..120),
+    ) {
+        let ids = |batch: &[Transaction]| batch.iter().map(|tx| tx.id.0).collect::<Vec<_>>();
+        let capacity = (capacity > 0).then_some(capacity);
         let mut mp = Mempool::new();
-        let mut reference: Vec<u64> = Vec::new();
-        let mut ever: std::collections::HashSet<u64> = Default::default();
-        for (id, take) in ops {
-            if take {
-                let batch = mp.take(2);
-                for tx in &batch {
-                    prop_assert_eq!(tx.id.0, reference.remove(0));
+        mp.set_capacity(capacity);
+        let mut model = PoolModel { capacity, ..PoolModel::default() };
+        for (kind, id, k) in ops {
+            match kind {
+                0..=3 => {
+                    let pushed = mp.push(Transaction::new(id, NodeId(0), vec![]));
+                    prop_assert_eq!(pushed, model.push(id));
                 }
-            } else {
-                let added = mp.submit(Transaction::new(id, NodeId(0), vec![]));
-                prop_assert_eq!(added, !ever.contains(&id));
-                if added {
-                    reference.push(id);
-                    ever.insert(id);
+                4 => prop_assert_eq!(ids(&mp.take(k)), model.take_censoring(k, &[])),
+                5 => {
+                    let censor = [id, id + 1, id + 2];
+                    let censor_set: HashSet<TxId> = censor.iter().map(|&i| TxId(i)).collect();
+                    prop_assert_eq!(
+                        ids(&mp.take_censoring(k, &censor_set)),
+                        model.take_censoring(k, &censor)
+                    );
+                }
+                _ => {
+                    // Ids from 40 up are never pushed.
+                    let block: Vec<TxId> = (0..=k as u64).map(|i| TxId(id + 9 * i)).collect();
+                    mp.remove_included(&block);
+                    model.pending.retain(|id| !block.contains(&TxId(*id)));
                 }
             }
-            prop_assert_eq!(mp.len(), reference.len());
+            prop_assert_eq!(mp.iter().map(|tx| tx.id.0).collect::<Vec<_>>(), model.pending.clone());
+            prop_assert_eq!(mp.len(), model.pending.len());
+            prop_assert_eq!(mp.peak_len(), model.peak);
+            prop_assert_eq!(mp.rejected_full(), model.rejected_full);
+            for id in 0..90 {
+                prop_assert_eq!(mp.contains(TxId(id)), model.pending.contains(&id));
+                prop_assert_eq!(mp.ever_saw(TxId(id)), model.ever.contains(&id));
+            }
         }
     }
 }
