@@ -81,6 +81,11 @@ impl Ballot {
             value,
         }
     }
+
+    /// The vote payload a commit certificate for this ballot must carry.
+    pub(crate) fn justifying_vote(&self) -> Ballot {
+        Ballot::new(self.round, Phase::Vote, self.value)
+    }
 }
 
 impl Signable for Ballot {
@@ -108,17 +113,98 @@ pub type SignedBallot = Signed<Ballot>;
 /// Evidence that one player double-signed in some slot.
 pub type BallotEvidence = ConflictEvidence<Ballot>;
 
+/// A set of signer ids, one bit per id.
+///
+/// Ids come out of [`KeyRegistry::trusted_setup`], so the largest one is
+/// bounded by a committee somebody already allocated; insert-only, so two
+/// equal sets are bit-equal.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct SignerSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl SignerSet {
+    /// Adds `id`; returns whether it was new.
+    pub(crate) fn insert(&mut self, id: NodeId) -> bool {
+        let (word, bit) = (id.0 / 64, 1u64 << (id.0 % 64));
+        if self.words.len() <= word {
+            self.words.resize(word + 1, 0);
+        }
+        let new = self.words[word] & bit == 0;
+        self.words[word] |= bit;
+        self.len += usize::from(new);
+        new
+    }
+
+    /// Number of distinct ids.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether every id of `self` is in `other`.
+    pub(crate) fn is_subset(&self, other: &SignerSet) -> bool {
+        self.words
+            .iter()
+            .enumerate()
+            .all(|(i, w)| w & !other.words.get(i).copied().unwrap_or(0) == 0)
+    }
+}
+
 /// A commit certificate: the signed commit ballot plus the `n − t0` vote
 /// ballots that justify it (`⟨Commit, h*, s_pro, V_i, r⟩` in the paper).
+///
+/// Built only by [`CommitCert::new`], which derives once, at the sender,
+/// what every receiver of the shared allocation would otherwise re-derive
+/// from the votes. The summary is a function of `(commit, votes)`: it is
+/// not wire data and takes no part in byte accounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommitCert {
-    /// The commit ballot itself (phase = [`Phase::Commit`]).
-    pub commit: SignedBallot,
-    /// The vote certificate `V_i` (phase = [`Phase::Vote`], same value).
-    pub votes: Vec<SignedBallot>,
+    commit: SignedBallot,
+    votes: Vec<SignedBallot>,
+    /// The signers of `votes`.
+    signers: SignerSet,
+    /// Whether every vote is a [`Phase::Vote`] ballot for the commit's
+    /// round and value.
+    uniform: bool,
 }
 
 impl CommitCert {
+    /// A certificate of `commit` justified by `votes`.
+    pub fn new(commit: SignedBallot, votes: Vec<SignedBallot>) -> CommitCert {
+        let vote = commit.payload.justifying_vote();
+        let mut signers = SignerSet::default();
+        let mut uniform = true;
+        for v in &votes {
+            signers.insert(v.signer());
+            uniform &= v.payload == vote;
+        }
+        CommitCert {
+            commit,
+            votes,
+            signers,
+            uniform,
+        }
+    }
+
+    /// The commit ballot itself (phase = [`Phase::Commit`]).
+    pub fn commit(&self) -> &SignedBallot {
+        &self.commit
+    }
+
+    /// The vote certificate `V_i` (phase = [`Phase::Vote`], same value).
+    pub fn votes(&self) -> &[SignedBallot] {
+        &self.votes
+    }
+
+    pub(crate) fn signers(&self) -> &SignerSet {
+        &self.signers
+    }
+
+    pub(crate) fn uniform(&self) -> bool {
+        self.uniform
+    }
+
     /// Validates internal consistency and signatures: the commit ballot is
     /// valid, and `votes` holds ≥ `quorum` valid vote ballots for the same
     /// round and value from distinct signers. (An empty-vote `⊥` commit is
@@ -425,7 +511,7 @@ mod tests {
             .map(|k| Signed::sign(Ballot::new(Round(1), Phase::Vote, value), k))
             .collect();
         let commit = Signed::sign(Ballot::new(Round(1), Phase::Commit, value), &keys[0]);
-        let cert = CommitCert { commit, votes };
+        let cert = CommitCert::new(commit, votes);
         assert!(cert.validate(&reg, 3));
         assert!(!cert.validate(&reg, 4), "not enough votes for quorum 4");
     }
@@ -440,7 +526,7 @@ mod tests {
             Signed::sign(Ballot::new(Round(1), Phase::Vote, vb), &keys[1]),
         ];
         let commit = Signed::sign(Ballot::new(Round(1), Phase::Commit, va), &keys[0]);
-        assert!(!CommitCert { commit, votes }.validate(&reg, 2));
+        assert!(!CommitCert::new(commit, votes).validate(&reg, 2));
     }
 
     #[test]
@@ -450,7 +536,7 @@ mod tests {
         let vote = Signed::sign(Ballot::new(Round(1), Phase::Vote, v), &keys[0]);
         let votes = vec![vote.clone(), vote];
         let commit = Signed::sign(Ballot::new(Round(1), Phase::Commit, v), &keys[1]);
-        assert!(!CommitCert { commit, votes }.validate(&reg, 2));
+        assert!(!CommitCert::new(commit, votes).validate(&reg, 2));
     }
 
     #[test]
@@ -462,18 +548,64 @@ mod tests {
             &keys[0],
         )];
         let commit = Signed::sign(Ballot::new(Round(1), Phase::Commit, v), &keys[1]);
-        assert!(!CommitCert { commit, votes }.validate(&reg, 1));
+        assert!(!CommitCert::new(commit, votes).validate(&reg, 1));
     }
 
     #[test]
     fn bottom_commit_cert_is_valid_with_zero_quorum() {
         let (reg, keys) = setup(2);
         let commit = Signed::sign(Ballot::new(Round(1), Phase::Commit, Digest::ZERO), &keys[0]);
-        let cert = CommitCert {
-            commit,
-            votes: vec![],
-        };
+        let cert = CommitCert::new(commit, vec![]);
         assert!(cert.validate(&reg, 0));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// What `CommitCert::new` derives is what a receiver reading the
+        /// votes one by one would: the set of their signers (duplicates
+        /// once), and whether all of them are votes for the commit's round
+        /// and value. `picks` chooses each vote's signer, and — rarely —
+        /// one field to get wrong.
+        #[test]
+        fn the_certificate_summary_matches_its_definition(
+            picks in proptest::collection::vec((0usize..70, 0u8..16), 0..40),
+            other_picks in proptest::collection::vec(0usize..70, 0..40),
+        ) {
+            let (_, keys) = setup(70);
+            let value = Digest::of_bytes(b"v");
+            let votes: Vec<SignedBallot> = picks
+                .iter()
+                .map(|&(signer, wrong)| {
+                    let b = match wrong {
+                        0 => ballot(2, Phase::Vote, b'v'),
+                        1 => ballot(1, Phase::Commit, b'v'),
+                        2 => ballot(1, Phase::Vote, b'w'),
+                        _ => Ballot::new(Round(1), Phase::Vote, value),
+                    };
+                    Signed::sign(b, &keys[signer])
+                })
+                .collect();
+            let commit = Signed::sign(Ballot::new(Round(1), Phase::Commit, value), &keys[0]);
+            let cert = CommitCert::new(commit, votes.clone());
+
+            let distinct: std::collections::BTreeSet<NodeId> =
+                votes.iter().map(|v| v.signer()).collect();
+            proptest::prop_assert_eq!(cert.signers().len(), distinct.len());
+            let mut again = cert.signers().clone();
+            for id in (0..70).map(NodeId) {
+                proptest::prop_assert_eq!(!again.insert(id), distinct.contains(&id));
+            }
+            let uniform = picks.iter().all(|&(_, wrong)| wrong > 2);
+            proptest::prop_assert_eq!(cert.uniform(), uniform);
+
+            let mut other = SignerSet::default();
+            for &id in &other_picks {
+                other.insert(NodeId(id));
+            }
+            let subset = distinct.iter().all(|id| other_picks.contains(&id.0));
+            proptest::prop_assert_eq!(cert.signers().is_subset(&other), subset);
+        }
     }
 
     #[test]
@@ -485,10 +617,7 @@ mod tests {
             .map(|k| Signed::sign(Ballot::new(Round(1), Phase::Vote, value), k))
             .collect();
         let commit = Signed::sign(Ballot::new(Round(1), Phase::Commit, value), &keys[0]);
-        let cert = CommitCert {
-            commit: commit.clone(),
-            votes,
-        };
+        let cert = CommitCert::new(commit.clone(), votes);
         let vote_msg = PrftMsg::Vote {
             ballot: commit.clone(),
             propose: None,

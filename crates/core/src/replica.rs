@@ -37,7 +37,7 @@ use crate::collateral::CollateralLedger;
 use crate::config::Config;
 use crate::messages::{
     view_change_cert_digest, Ballot, CommitCert, CommitViewContent, Phase, PrftMsg, SignedBallot,
-    ViewChangeReq,
+    SignerSet, ViewChangeReq,
 };
 use crate::pof::{verify_expose, FraudDetector};
 use crate::verify::VerifyCache;
@@ -154,15 +154,15 @@ pub struct Replica {
     /// equivocating leader contributes several).
     proposals_seen: HashMap<Digest, SignedBallot>,
     votes: HashMap<Digest, BTreeMap<NodeId, SignedBallot>>,
-    /// Per-value signer bitmask mirroring `votes` membership, so the
-    /// per-certificate vote harvest skips its tree probe for every vote
-    /// already counted (the common case once the first certificate of a
-    /// round has been harvested).
-    vote_present: HashMap<Digest, Vec<bool>>,
-    /// Per-value signer bitmask of vote ballots already fed to the fraud
+    /// Per-value signer set mirroring `votes` membership, so the
+    /// per-certificate vote harvest is one subset test for a certificate
+    /// that brings no new vote (the common case once the first certificate
+    /// of a round has been harvested).
+    vote_present: HashMap<Digest, SignerSet>,
+    /// Per-value signer set of vote ballots already fed to the fraud
     /// detector out of certificates this round (fast verify mode only; see
     /// `observe_cert_votes`).
-    votes_observed: HashMap<Digest, Vec<bool>>,
+    votes_observed: HashMap<Digest, SignerSet>,
     commits: HashMap<Digest, BTreeMap<NodeId, Arc<CommitCert>>>,
     reveals: HashMap<Digest, BTreeSet<NodeId>>,
     detector: FraudDetector,
@@ -677,24 +677,15 @@ impl Replica {
             return;
         }
         let value = ballot.payload.value;
-        Self::mark(
-            self.vote_present.entry(value).or_default(),
-            ballot.signer().0,
-        );
+        self.vote_present
+            .entry(value)
+            .or_default()
+            .insert(ballot.signer());
         self.votes
             .entry(value)
             .or_default()
             .insert(ballot.signer(), ballot);
         self.try_commit(ctx, value);
-    }
-
-    /// Sets bit `i` of a signer bitmask, growing it as needed; returns
-    /// whether the bit was newly set.
-    fn mark(bits: &mut Vec<bool>, i: usize) -> bool {
-        if bits.len() <= i {
-            bits.resize(i + 1, false);
-        }
-        !std::mem::replace(&mut bits[i], true)
     }
 
     fn try_commit(&mut self, ctx: &mut Context<PrftMsg>, value: Digest) {
@@ -747,7 +738,7 @@ impl Replica {
                         votes_for
                     };
                     Some(PrftMsg::Commit {
-                        cert: Arc::new(CommitCert { commit: b, votes }),
+                        cert: Arc::new(CommitCert::new(b, votes)),
                     })
                 });
                 if sent {
@@ -777,10 +768,7 @@ impl Replica {
             let votes: Vec<SignedBallot> = self.votes[&v].values().take(quorum).cloned().collect();
             let ballot = Signed::sign(Ballot::new(self.round, Phase::Commit, v), &self.key);
             let msg = PrftMsg::Commit {
-                cert: Arc::new(CommitCert {
-                    commit: ballot,
-                    votes,
-                }),
+                cert: Arc::new(CommitCert::new(ballot, votes)),
             };
             for to in &recipients {
                 ctx.send(*to, msg.clone());
@@ -790,8 +778,8 @@ impl Replica {
     }
 
     fn handle_commit(&mut self, ctx: &mut Context<PrftMsg>, cert: Arc<CommitCert>) {
-        if cert.commit.payload.phase != Phase::Commit
-            || !self.cache.verify_ballot(&cert.commit, &self.registry)
+        if cert.commit().payload.phase != Phase::Commit
+            || !self.cache.verify_ballot(cert.commit(), &self.registry)
         {
             return;
         }
@@ -805,30 +793,32 @@ impl Replica {
         // observed earlier this round; re-observing identical ballots is
         // a detector no-op (see `CertVerdict::cached`), so skip it.
         if !verdict.cached {
-            self.observe_and_react(ctx, &cert.commit);
+            self.observe_and_react(ctx, cert.commit());
             self.observe_cert_votes(ctx, &cert);
         }
         if self.discontinued {
             return;
         }
-        let value = cert.commit.payload.value;
+        let value = cert.commit().payload.value;
         // Harvest the certificate's votes: a valid signed vote counts no
         // matter how it arrived (it may complete our own vote quorum). The
-        // walk already proved every vote endorses `value`, and the bitmask
-        // skips the tree probe for signers we already hold a vote from —
-        // a vote's content is determined by (round, value, signer), so an
+        // walk already proved every vote endorses `value`, and the signer
+        // set skips the tree probe for signers we already hold a vote from
+        // — a vote's content is determined by (round, value, signer), so an
         // existing entry is always the identical ballot.
         let present = self.vote_present.entry(value).or_default();
-        let votes = self.votes.entry(value).or_default();
-        for vote in &cert.votes {
-            if Self::mark(present, vote.signer().0) {
-                votes.insert(vote.signer(), vote.clone());
+        if !cert.signers().is_subset(present) {
+            let votes = self.votes.entry(value).or_default();
+            for vote in cert.votes() {
+                if present.insert(vote.signer()) {
+                    votes.insert(vote.signer(), vote.clone());
+                }
             }
         }
         self.commits
             .entry(value)
             .or_default()
-            .insert(cert.commit.signer(), cert);
+            .insert(cert.commit().signer(), cert);
         self.try_commit(ctx, value);
         self.try_reveal(ctx, value);
     }
@@ -839,26 +829,30 @@ impl Replica {
     /// are fully determined by (round, value, signer) — the MAC tag is a
     /// deterministic function of the payload — so the repeat is exactly
     /// the identical-content no-op `FraudDetector::observe` guarantees.
-    /// Equivocations still pair up because the bitmask is per value.
+    /// Equivocations still pair up because the signer set is per value.
     /// Reference mode observes unconditionally.
     fn observe_cert_votes(&mut self, ctx: &mut Context<PrftMsg>, cert: &CommitCert) {
+        if !self.cfg.accountable {
+            return; // `observe_and_react` would drop every vote
+        }
         if self.cache.mode() == VerifyMode::Fast {
             let seen = self
                 .votes_observed
-                .entry(cert.commit.payload.value)
+                .entry(cert.commit().payload.value)
                 .or_default();
-            let fresh: Vec<usize> = cert
-                .votes
+            if cert.signers().is_subset(seen) {
+                return;
+            }
+            let fresh: Vec<&SignedBallot> = cert
+                .votes()
                 .iter()
-                .enumerate()
-                .filter(|(_, v)| Self::mark(seen, v.signer().0))
-                .map(|(i, _)| i)
+                .filter(|v| seen.insert(v.signer()))
                 .collect();
-            for i in fresh {
-                self.observe_and_react(ctx, &cert.votes[i]);
+            for vote in fresh {
+                self.observe_and_react(ctx, vote);
             }
         } else {
-            for vote in &cert.votes {
+            for vote in cert.votes() {
                 self.observe_and_react(ctx, vote);
             }
         }
@@ -946,29 +940,20 @@ impl Replica {
         // Scan the revealed certificates — this is ConstructProof's input
         // matrix M. Invalid certificates are ignored wholesale. On the
         // fast path a certificate already validated at Commit time is a
-        // single memo hit here (same allocation), and first-time walks
+        // single probe here (same allocation), and first-time walks
         // dedupe their vote ballots against the whole batch. Cached
         // certificates also skip detector re-observation — the O(q³)
         // per-replica-round term that would otherwise dominate large-n
         // accountable wall time — because a hit proves the same ballots
         // were already observed this round (see `CertVerdict::cached`).
-        // Whole already-seen batches (same allocations, senders converge
-        // on the same first-quorum certificate set) replay their logical
-        // count in one memo hit without touching the scan at all.
         let quorum = self.quorum();
-        if !self.cache.replay_reveal_batch(&certs, quorum) {
-            let mut batch_verifies = 0u64;
-            for cert in certs.iter() {
-                let verdict = self.cache.validate_cert(cert, &self.registry, quorum);
-                batch_verifies += verdict.verifies;
-                if !verdict.ok || verdict.cached {
-                    continue;
-                }
-                self.observe_and_react(ctx, &cert.commit);
-                self.observe_cert_votes(ctx, cert);
+        for cert in certs.iter() {
+            let verdict = self.cache.validate_cert(cert, &self.registry, quorum);
+            if !verdict.ok || verdict.cached {
+                continue;
             }
-            self.cache
-                .record_reveal_batch(&certs, quorum, batch_verifies, self.round);
+            self.observe_and_react(ctx, cert.commit());
+            self.observe_cert_votes(ctx, cert);
         }
         if self.discontinued {
             return;
@@ -1408,7 +1393,7 @@ impl Replica {
             PrftMsg::Propose { ballot, .. }
             | PrftMsg::Vote { ballot, .. }
             | PrftMsg::Final { ballot } => Some(ballot.payload.round),
-            PrftMsg::Commit { cert } => Some(cert.commit.payload.round),
+            PrftMsg::Commit { cert } => Some(cert.commit().payload.round),
             PrftMsg::Reveal { ballot, .. } => Some(ballot.payload.round),
             PrftMsg::Expose { round, .. } => Some(*round),
             PrftMsg::ViewChange { req } => Some(req.payload.round),

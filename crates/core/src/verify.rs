@@ -5,19 +5,25 @@
 //! and the accountable Reveal phase re-checks every distinct commit
 //! certificate ~quorum times (the q(1+q(q+1)) term that makes accountable
 //! n = 64 cost 15.8M verifies for two rounds). [`VerifyCache`] collapses
-//! that to once per distinct content, per replica:
+//! that to once per distinct content, per replica, in two dense tables
+//! indexed by signer id:
 //!
-//! * **Ballot memo** — a map keyed on the *full* content of a signed
-//!   ballot (round, phase, value, signer, tag). Because the key covers
-//!   every byte that feeds verification, a cached verdict can never leak
-//!   to a tampered twin: change anything and you get a different key.
-//! * **Certificate memo** — keyed on the `Arc` allocation address of a
-//!   [`CommitCert`]. Commit broadcasts hand every replica the *same*
-//!   allocation, and Reveals carry those same `Arc`s onward, so the
-//!   O(q²)-signature re-validation of one already-seen certificate
-//!   becomes a single map hit. Each entry keeps a clone of the `Arc`, so
-//!   the allocation outlives the entry and the address can never be
-//!   recycled onto different content while cached.
+//! * **Valid-tag tables** — one per live signed payload (round, phase,
+//!   value), holding the payload's signing digest (hashed once, shared by
+//!   every signer) and the one MAC tag a valid signature by each signer
+//!   carries. A repeat is an array probe plus a 32-byte compare, and a
+//!   tampered twin can never reuse a cached `true`: change the payload and
+//!   it probes another table, change the signer or tag and the compare
+//!   fails. Negative verdicts sit in a side set keyed on the *full* ballot
+//!   content. Only a verified signature creates or grows a table, so
+//!   forged payloads and out-of-range signer ids allocate nothing here.
+//! * **Certificate table** — one slot per commit signer, identity being
+//!   the `Arc` allocation of the [`CommitCert`]. Commit broadcasts hand
+//!   every replica the *same* allocation, and Reveals carry those same
+//!   `Arc`s onward, so the O(q²)-signature re-validation of one
+//!   already-seen certificate becomes a single probe. Each entry keeps a
+//!   clone of the `Arc`, so the allocation outlives the entry and the
+//!   address can never be recycled onto different content while cached.
 //!
 //! **Counting discipline** (what keeps reports byte-identical across
 //! [`VerifyMode`]s): `crypto.sig_verifies` counts *logical* verifications
@@ -29,36 +35,28 @@
 //! only in `prft-bench profile` output — never in scenario reports,
 //! which must not depend on the knob.
 
-use crate::messages::{CommitCert, Phase, SignedBallot};
-use prft_crypto::{KeyRegistry, VerifyMode};
+use crate::messages::{Ballot, CommitCert, Phase, SignedBallot};
+use prft_crypto::{KeyRegistry, Signable, Signature, VerifyMode};
 use prft_sim::obs::hooks;
-use prft_types::{Digest, NodeId, Round};
-use std::collections::HashMap;
+use prft_types::{Digest, Round};
+use std::collections::HashSet;
 use std::sync::Arc;
 
-/// The full content of a signed ballot, as a hashable memo key.
-///
-/// Covers every field that feeds verification — the signed slot (round,
-/// phase), the endorsed value, the claimed signer, and the MAC tag — so
-/// two `SignedBallot`s map to the same key iff they are bit-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct BallotKey {
-    round: u64,
-    phase: u8,
-    value: Digest,
-    signer: NodeId,
-    tag: Digest,
+/// The valid signatures seen over one payload.
+#[derive(Clone)]
+struct TagTable {
+    payload: Ballot,
+    /// `payload.signing_digest()` — the same for every signer.
+    digest: Digest,
+    /// By signer id: the tag of that signer's verified signature. A valid
+    /// MAC tag is a deterministic function of (signer, payload), so a
+    /// slot never needs a second value.
+    tags: Vec<Option<Digest>>,
 }
 
-impl BallotKey {
-    fn of(ballot: &SignedBallot) -> BallotKey {
-        BallotKey {
-            round: ballot.payload.round.0,
-            phase: ballot.payload.phase.slot_id(),
-            value: ballot.payload.value,
-            signer: ballot.sig.signer(),
-            tag: ballot.sig.tag(),
-        }
+impl TagTable {
+    fn holds(&self, sig: &Signature) -> bool {
+        self.tags.get(sig.signer().0) == Some(&Some(sig.tag()))
     }
 }
 
@@ -66,10 +64,10 @@ impl BallotKey {
 #[derive(Clone)]
 struct CertEntry {
     /// Keeps the certificate allocation alive for the entry's lifetime:
-    /// the map key is this `Arc`'s address, and an address can only be
-    /// trusted to identify content while that allocation cannot be freed
-    /// and recycled.
-    _keep: Arc<CommitCert>,
+    /// an entry answers for this `Arc`'s address, and an address can only
+    /// be trusted to identify content while that allocation cannot be
+    /// freed and recycled.
+    keep: Arc<CommitCert>,
     /// The verdict `CommitCert::validate` reached.
     ok: bool,
     /// Quorum the verdict was computed against (re-validate on mismatch).
@@ -79,7 +77,8 @@ struct CertEntry {
     /// `crypto.sig_verifies` on every hit so the counter stays identical
     /// to the reference path's.
     verifies: u64,
-    /// Certificate round, for pruning.
+    /// Certificate round: read on every probe and when pruning, without
+    /// touching the allocation.
     round: Round,
 }
 
@@ -89,7 +88,7 @@ pub struct CertVerdict {
     /// Whether the certificate is valid — always exactly what
     /// `CommitCert::validate` would say.
     pub ok: bool,
-    /// Whether the verdict was answered from the certificate memo (always
+    /// Whether the verdict was answered from the certificate table (always
     /// `false` in [`VerifyMode::Reference`]). A cached verdict proves this
     /// replica already fully processed — walked *and*, when valid, fed to
     /// its fraud detector — the same allocation earlier in the current
@@ -97,67 +96,35 @@ pub struct CertVerdict {
     /// view changes always advance the round), so callers may skip the
     /// idempotent re-observation of its ballots.
     pub cached: bool,
-    /// Logical signature verifications this validation charged (what the
-    /// reference path would perform for it) — used by the Reveal batch
-    /// memo to record a whole batch's replay total. Zero in
-    /// [`VerifyMode::Reference`] (the reference path counts internally).
-    pub verifies: u64,
 }
 
-/// A cached Reveal-batch verdict: one entry summarizes the full
-/// certificate scan of one sender's Reveal payload.
-#[derive(Clone)]
-struct BatchEntry {
-    /// Keeps the outer `Vec` *and* every inner certificate allocation
-    /// alive, so the pointer identities the key hashes stay unique.
-    keep: Arc<Vec<Arc<CommitCert>>>,
-    /// Quorum the batch was scanned against.
-    quorum: usize,
-    /// Total logical verifications of one reference-path scan.
-    verifies: u64,
-    /// Round of the scan, for pruning.
-    round: Round,
-}
-
-/// Per-replica verification memo (ballot + certificate layers).
+/// Per-replica verification memo (tag tables + certificate table).
 ///
 /// In [`VerifyMode::Reference`] every call passes straight through to the
 /// original verify-on-every-arrival code path; in [`VerifyMode::Fast`]
 /// verdicts are cached per content as described on the module.
 ///
 /// `Clone` supports checkpoint/fork warm starts: the clone shares the
-/// same certificate/batch `Arc` allocations, so its address-keyed memo
-/// entries remain valid in the forked run (which also clones — and
-/// therefore shares — those allocations through the message arena).
+/// same certificate `Arc` allocations, so its address-matched entries
+/// remain valid in the forked run (which also clones — and therefore
+/// shares — those allocations through the message arena).
 #[derive(Clone)]
 pub struct VerifyCache {
     mode: VerifyMode,
-    ballots: HashMap<BallotKey, bool>,
-    certs: HashMap<usize, CertEntry>,
-    /// Dense per-(round, value) table of *valid* Vote-ballot MAC tags,
-    /// indexed by signer id — the walk's fast path. A slot holds the one
-    /// deterministic tag a valid vote from that signer for that (round,
-    /// value) can carry, so an in-cert vote whose tag matches is exactly a
-    /// ballot-memo hit at array-probe cost. Populated only by walks (on a
-    /// vote's first successful verification); mismatches fall back to the
-    /// full ballot memo, which also handles and caches negatives.
-    vote_tags: HashMap<(u64, Digest), Vec<Option<Digest>>>,
-    /// Reveal-batch memo, keyed on the hash of the batch's pointer
-    /// identities (outer scan order included) plus quorum.
-    batches: HashMap<u64, BatchEntry>,
-}
-
-/// Hash of a Reveal batch's identity: every inner allocation address in
-/// scan order, plus the quorum — collisions are resolved by the pointer
-/// equality re-check on lookup.
-fn batch_key(certs: &[Arc<CommitCert>], quorum: usize) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    quorum.hash(&mut h);
-    for c in certs {
-        (Arc::as_ptr(c) as usize).hash(&mut h);
-    }
-    h.finish()
+    /// Oldest first; a handful per live round (one per phase, more only
+    /// when somebody equivocates), so a lookup is a short scan from the
+    /// newest end.
+    tables: Vec<TagTable>,
+    /// Ballots that failed verification.
+    forged: HashSet<SignedBallot>,
+    /// By commit signer: that signer's newest-round certificate whose
+    /// commit ballot verified.
+    certs: Vec<Option<CertEntry>>,
+    /// Every other live certificate: an equivocating committer's second
+    /// side, and the previous round's (which [`Self::prune_before`]
+    /// keeps) once the current round's took the slot. No signer has an
+    /// entry here that is newer than its slot's.
+    overflow: Vec<CertEntry>,
 }
 
 impl VerifyCache {
@@ -165,16 +132,20 @@ impl VerifyCache {
     pub fn new(mode: VerifyMode) -> VerifyCache {
         VerifyCache {
             mode,
-            ballots: HashMap::new(),
-            certs: HashMap::new(),
-            vote_tags: HashMap::new(),
-            batches: HashMap::new(),
+            tables: Vec::new(),
+            forged: HashSet::new(),
+            certs: Vec::new(),
+            overflow: Vec::new(),
         }
     }
 
     /// The mode this cache operates in.
     pub fn mode(&self) -> VerifyMode {
         self.mode
+    }
+
+    fn table_of(&self, payload: &Ballot) -> Option<usize> {
+        self.tables.iter().rposition(|t| t.payload == *payload)
     }
 
     /// Verifies one signed ballot, memoized per content on the fast path.
@@ -186,23 +157,45 @@ impl VerifyCache {
         if self.mode == VerifyMode::Reference {
             return ballot.verify(registry);
         }
-        let key = BallotKey::of(ballot);
-        if let Some(&ok) = self.ballots.get(&key) {
+        let table = self.table_of(&ballot.payload);
+        let valid = table.is_some_and(|t| self.tables[t].holds(&ballot.sig));
+        if valid || self.forged.contains(ballot) {
             hooks::add_sig_verifies(1);
             hooks::add_memo_hits(1);
-            return ok;
+            return valid;
         }
         hooks::add_memo_misses(1);
-        let ok = ballot.verify(registry); // counts the sig_verify itself
-        self.ballots.insert(key, ok);
-        ok
+        let digest = match table {
+            Some(t) => self.tables[t].digest,
+            None => ballot.payload.signing_digest(),
+        };
+        // `KeyRegistry::verify` counts the sig_verify itself.
+        if !registry.verify(digest, &ballot.sig) {
+            self.forged.insert(ballot.clone());
+            return false;
+        }
+        let t = table.unwrap_or_else(|| {
+            self.tables.push(TagTable {
+                payload: ballot.payload,
+                digest,
+                tags: Vec::new(),
+            });
+            self.tables.len() - 1
+        });
+        // In range of the registry: the signature verified.
+        let (tags, signer) = (&mut self.tables[t].tags, ballot.signer().0);
+        if tags.len() <= signer {
+            tags.resize(signer + 1, None);
+        }
+        tags[signer] = Some(ballot.sig.tag());
+        true
     }
 
     /// Validates a commit certificate, memoized per allocation on the
-    /// fast path (with the ballot memo underneath for first-time walks,
-    /// which is also what dedupes across the certificates of one Reveal
-    /// batch: the first certificate's walk warms the vote ballots for
-    /// every later certificate sharing them).
+    /// fast path (with the tag tables underneath for first-time walks,
+    /// which is also what dedupes across the certificates of one Reveal:
+    /// the first certificate's walk tables the vote tags for every later
+    /// certificate sharing them).
     pub fn validate_cert(
         &mut self,
         cert: &Arc<CommitCert>,
@@ -213,163 +206,116 @@ impl VerifyCache {
             return CertVerdict {
                 ok: cert.validate(registry, quorum),
                 cached: false,
-                verifies: 0,
             };
         }
-        let key = Arc::as_ptr(cert) as usize;
-        if let Some(entry) = self.certs.get(&key) {
+        if let Some(entry) = self.cert_entry(cert) {
             if entry.quorum == quorum {
                 hooks::add_sig_verifies(entry.verifies);
                 hooks::add_memo_hits(entry.verifies);
                 return CertVerdict {
                     ok: entry.ok,
                     cached: true,
-                    verifies: entry.verifies,
                 };
             }
         }
-        let (ok, verifies) = self.walk_cert(cert, registry, quorum);
-        self.certs.insert(
-            key,
-            CertEntry {
-                _keep: Arc::clone(cert),
-                ok,
-                quorum,
-                verifies,
-                round: cert.commit.payload.round,
-            },
-        );
-        CertVerdict {
+        let commit = cert.commit();
+        // A certificate whose commit ballot fails is not remembered: its
+        // re-validation stops at the same ballot (a `forged` hit), and
+        // only a signer in the registry may claim a slot.
+        if commit.payload.phase != Phase::Commit || !self.verify_ballot(commit, registry) {
+            return CertVerdict {
+                ok: false,
+                cached: false,
+            };
+        }
+        let (ok, verifies) = self.walk_votes(cert, registry, quorum);
+        let fresh = CertEntry {
+            keep: Arc::clone(cert),
             ok,
-            cached: false,
-            verifies,
+            quorum,
+            verifies: 1 + verifies,
+            round: commit.payload.round,
+        };
+        match self.cert_entry(cert) {
+            Some(entry) => *entry = fresh,
+            None => self.remember_cert(fresh),
         }
+        CertVerdict { ok, cached: false }
     }
 
-    /// Answers a whole Reveal batch from the batch memo: returns `true`
-    /// (after replaying the batch's total logical verify count) iff this
-    /// exact sequence of certificate allocations was fully scanned against
-    /// the same quorum before. A hit means every per-certificate verdict
-    /// would come back `cached`, so the caller skips the scan outright.
-    /// Always `false` in [`VerifyMode::Reference`].
-    pub fn replay_reveal_batch(&mut self, certs: &[Arc<CommitCert>], quorum: usize) -> bool {
-        if self.mode == VerifyMode::Reference {
-            return false;
+    /// The entry answering for this allocation, if any.
+    fn cert_entry(&mut self, cert: &Arc<CommitCert>) -> Option<&mut CertEntry> {
+        let commit = cert.commit();
+        let held = self.certs.get_mut(commit.signer().0)?.as_mut()?;
+        if Arc::ptr_eq(&held.keep, cert) {
+            return Some(held);
         }
-        if let Some(entry) = self.batches.get(&batch_key(certs, quorum)) {
-            if entry.quorum == quorum
-                && entry.keep.len() == certs.len()
-                && entry.keep.iter().zip(certs).all(|(a, b)| Arc::ptr_eq(a, b))
-            {
-                hooks::add_sig_verifies(entry.verifies);
-                hooks::add_memo_hits(entry.verifies);
-                return true;
-            }
+        if held.round < commit.payload.round {
+            return None; // no entry in `overflow` is newer than its signer's slot
         }
-        false
+        self.overflow
+            .iter_mut()
+            .find(|e| Arc::ptr_eq(&e.keep, cert))
     }
 
-    /// Records one fully scanned Reveal batch for later replay. Call only
-    /// after every certificate in `certs` went through [`validate_cert`]
-    /// (so all first-time side effects — walks, detector observations —
-    /// have already happened); `verifies` is the summed
-    /// [`CertVerdict::verifies`] of that scan. No-op in
-    /// [`VerifyMode::Reference`].
+    /// Stores a new entry: in its signer's slot unless a certificate of
+    /// the same or a later round holds it — a Reveal scan probes the
+    /// current round's certificates, and those must not queue behind the
+    /// previous round's.
+    fn remember_cert(&mut self, entry: CertEntry) {
+        // In range of the registry: the commit ballot verified.
+        let signer = entry.keep.commit().signer().0;
+        if self.certs.len() <= signer {
+            self.certs.resize(signer + 1, None);
+        }
+        let slot = &mut self.certs[signer];
+        let displaced = match slot {
+            Some(held) if held.round >= entry.round => Some(entry),
+            _ => slot.replace(entry),
+        };
+        self.overflow.extend(displaced);
+    }
+
+    /// The votes' half of a certificate walk, mirroring
+    /// `CommitCert::validate`'s exact short-circuit structure (each vote's
+    /// phase/round/value checks before its verify; stop at the first
+    /// failure; distinct signers at the end). Returns the verdict and the
+    /// number of logical verifications the reference path performs on the
+    /// votes, for replay on later hits.
     ///
-    /// [`validate_cert`]: VerifyCache::validate_cert
-    pub fn record_reveal_batch(
-        &mut self,
-        certs: &Arc<Vec<Arc<CommitCert>>>,
-        quorum: usize,
-        verifies: u64,
-        round: Round,
-    ) {
-        if self.mode == VerifyMode::Reference {
-            return;
-        }
-        self.batches.insert(
-            batch_key(certs, quorum),
-            BatchEntry {
-                keep: Arc::clone(certs),
-                quorum,
-                verifies,
-                round,
-            },
-        );
-    }
-
-    /// One full certificate walk, mirroring `CommitCert::validate`'s exact
-    /// short-circuit structure (phase check before the commit verify; each
-    /// vote's phase/round/value checks before its verify; stop at the
-    /// first failure; signer dedup at the end). Returns the verdict and
-    /// the number of logical verifications the reference path performs for
-    /// this certificate, for replay on later hits.
-    ///
-    /// Each vote first probes the dense tag table for (round, value): a
-    /// tag match *is* a ballot-memo hit (the slot was written from that
-    /// vote's first successful verification, and a valid MAC tag is a
-    /// deterministic function of the payload) at array-index cost, with
-    /// the counter adds batched into one flush per walk. Anything else —
-    /// unknown signer, tag mismatch, forgery — takes the full ballot-memo
-    /// path, which performs and caches the verdict.
-    fn walk_cert(
+    /// Each vote probes the payload's tag table with the counter adds
+    /// batched into one flush per walk; anything else — first sight,
+    /// unknown signer, forgery — takes [`Self::verify_ballot`].
+    fn walk_votes(
         &mut self,
         cert: &CommitCert,
         registry: &KeyRegistry,
         quorum: usize,
     ) -> (bool, u64) {
-        if cert.commit.payload.phase != Phase::Commit {
-            return (false, 0);
-        }
-        let mut verifies = 1u64;
-        if !self.verify_ballot(&cert.commit, registry) {
-            return (false, verifies);
-        }
-        let round = cert.commit.payload.round;
-        let value = cert.commit.payload.value;
-        // Take the tag table out of the map for the walk so the fallback
-        // can borrow `self` mutably; walks are the table's only writer, so
-        // nothing repopulates the key underneath us.
-        let mut tags = self.vote_tags.remove(&(round.0, value)).unwrap_or_default();
-        let mut signers: Vec<NodeId> = Vec::with_capacity(cert.votes.len());
-        let mut table_hits = 0u64;
+        let vote = cert.commit().payload.justifying_vote();
+        let mut table = self.table_of(&vote);
+        let (mut verifies, mut table_hits) = (0u64, 0u64);
         let mut ok = true;
-        for v in &cert.votes {
-            if v.payload.phase != Phase::Vote
-                || v.payload.round != round
-                || v.payload.value != value
-            {
+        for v in cert.votes() {
+            if !cert.uniform() && v.payload != vote {
                 ok = false;
                 break;
             }
             verifies += 1;
-            let signer = v.signer();
-            if tags.get(signer.0).copied().flatten() == Some(v.sig.tag()) {
+            if table.is_some_and(|t| self.tables[t].holds(&v.sig)) {
                 table_hits += 1;
             } else if self.verify_ballot(v, registry) {
-                if tags.len() <= signer.0 {
-                    tags.resize(signer.0 + 1, None);
-                }
-                tags[signer.0] = Some(v.sig.tag());
+                table = table.or_else(|| self.table_of(&vote));
             } else {
                 ok = false;
                 break;
             }
-            signers.push(signer);
         }
         if table_hits > 0 {
             hooks::add_sig_verifies(table_hits);
             hooks::add_memo_hits(table_hits);
         }
-        self.vote_tags.insert((round.0, value), tags);
-        if !ok {
-            return (false, verifies);
-        }
-        if !signers.is_sorted() {
-            signers.sort_unstable();
-        }
-        signers.dedup();
-        (signers.len() >= quorum, verifies)
+        (ok && cert.signers().len() >= quorum, verifies)
     }
 
     /// Drops entries from rounds before `round − 1`. Finals of round r
@@ -378,10 +324,12 @@ impl VerifyCache {
     /// again (stale-round messages are dropped before verification).
     pub fn prune_before(&mut self, round: Round) {
         let keep = round.0.saturating_sub(1);
-        self.ballots.retain(|k, _| k.round >= keep);
-        self.certs.retain(|_, e| e.round.0 >= keep);
-        self.vote_tags.retain(|k, _| k.0 >= keep);
-        self.batches.retain(|_, e| e.round.0 >= keep);
+        self.tables.retain(|t| t.payload.round.0 >= keep);
+        self.forged.retain(|b| b.payload.round.0 >= keep);
+        for slot in &mut self.certs {
+            slot.take_if(|e| e.round.0 < keep);
+        }
+        self.overflow.retain(|e| e.round.0 >= keep);
     }
 }
 
@@ -391,6 +339,7 @@ mod tests {
     use crate::messages::Ballot;
     use crate::pof::{signed_ballot, FraudDetector};
     use prft_crypto::Signed;
+    use prft_types::NodeId;
 
     fn setup(n: usize) -> (KeyRegistry, Vec<prft_crypto::SecretKey>) {
         KeyRegistry::trusted_setup(n, 7)
@@ -406,10 +355,8 @@ mod tests {
             .take(voters)
             .map(|k| Signed::sign(Ballot::new(Round(round), Phase::Vote, v), k))
             .collect();
-        CommitCert {
-            commit: Signed::sign(Ballot::new(Round(round), Phase::Commit, v), &keys[0]),
-            votes,
-        }
+        let commit = Signed::sign(Ballot::new(Round(round), Phase::Commit, v), &keys[0]);
+        CommitCert::new(commit, votes)
     }
 
     #[test]
@@ -589,6 +536,96 @@ mod tests {
         assert!(cache.validate_cert(&old, &reg, 3).ok);
         assert!(hooks::snapshot().memo_misses > 0, "round 1 was pruned");
         hooks::reset();
+    }
+
+    #[test]
+    fn a_forged_tag_never_borrows_the_tabled_valid_one() {
+        // Signer 0's valid vote is tabled; a second ballot claims the same
+        // payload and signer under another tag (here: its signature over a
+        // different value). It probes the same slot, fails the compare, is
+        // hashed once and remembered as a negative.
+        let (reg, keys) = setup(2);
+        let honest = signed_ballot(&keys[0], Round(1), Phase::Vote, value(1));
+        let mut forged = signed_ballot(&keys[0], Round(1), Phase::Vote, value(2));
+        forged.payload = honest.payload;
+        let mut cache = VerifyCache::new(VerifyMode::Fast);
+        assert!(cache.verify_ballot(&honest, &reg));
+        hooks::reset();
+        assert!(!cache.verify_ballot(&forged, &reg));
+        assert_eq!(hooks::snapshot().memo_misses, 1);
+        assert!(!cache.verify_ballot(&forged, &reg), "never upgraded");
+        let s = hooks::snapshot();
+        assert_eq!((s.memo_hits, s.memo_misses, s.sig_verifies), (1, 1, 2));
+        assert!(
+            cache.verify_ballot(&honest, &reg),
+            "nor is the valid one lost"
+        );
+        assert_eq!(hooks::snapshot().memo_misses, 1);
+        hooks::reset();
+    }
+
+    #[test]
+    fn forged_payloads_and_unknown_signers_table_nothing() {
+        let (reg, _) = setup(2);
+        // Same master seed, larger committee: seat 5 is not in `reg`.
+        let (_, outsiders) = KeyRegistry::trusted_setup(6, 7);
+        let mut cache = VerifyCache::new(VerifyMode::Fast);
+        for round in 0..50 {
+            let unknown = signed_ballot(&outsiders[5], Round(round), Phase::Vote, value(1));
+            assert!(!cache.verify_ballot(&unknown, &reg));
+            let c = Arc::new(cert(&outsiders[5..], round, value(1), 1));
+            assert!(!cache.validate_cert(&c, &reg, 1).ok);
+        }
+        assert!(cache.tables.is_empty(), "only a valid tag makes a table");
+        assert!(cache.certs.is_empty() && cache.overflow.is_empty());
+    }
+
+    #[test]
+    fn two_certificates_by_one_committer_in_one_round_keep_their_own_verdicts() {
+        // An equivocating committer's two sides: P0 commits value 7 with a
+        // quorum and value 8 without one.
+        let (reg, keys) = setup(4);
+        let good = Arc::new(cert(&keys, 1, value(7), 3));
+        let short = Arc::new(cert(&keys, 1, value(8), 2));
+        let mut cache = VerifyCache::new(VerifyMode::Fast);
+        assert!(cache.validate_cert(&good, &reg, 3).ok);
+        assert!(!cache.validate_cert(&short, &reg, 3).ok);
+        hooks::reset();
+        for _ in 0..2 {
+            let v = cache.validate_cert(&good, &reg, 3);
+            assert!(v.ok && v.cached);
+            let v = cache.validate_cert(&short, &reg, 3);
+            assert!(!v.ok && v.cached);
+        }
+        let s = hooks::snapshot();
+        assert_eq!(s.memo_misses, 0);
+        assert_eq!(s.sig_verifies, 2 * (4 + 3), "each replays its own count");
+        hooks::reset();
+    }
+
+    #[test]
+    fn one_committer_stays_cached_across_two_rounds_in_either_arrival_order() {
+        let (reg, keys) = setup(4);
+        for newer_first in [false, true] {
+            let older = Arc::new(cert(&keys, 4, value(1), 3));
+            let newer = Arc::new(cert(&keys, 5, value(2), 3));
+            let mut cache = VerifyCache::new(VerifyMode::Fast);
+            let mut order = [&older, &newer];
+            if newer_first {
+                order.reverse();
+            }
+            for c in order {
+                assert!(!cache.validate_cert(c, &reg, 3).cached);
+            }
+            let slot = cache.certs[0].as_ref().expect("P0 committed");
+            assert_eq!(slot.round, Round(5), "the newer round holds the slot");
+            cache.prune_before(Round(5));
+            assert!(cache.validate_cert(&older, &reg, 3).cached);
+            assert!(cache.validate_cert(&newer, &reg, 3).cached);
+            cache.prune_before(Round(6));
+            assert!(!cache.validate_cert(&older, &reg, 3).cached, "pruned");
+            assert!(cache.validate_cert(&newer, &reg, 3).cached);
+        }
     }
 
     proptest::proptest! {

@@ -7,11 +7,15 @@
 //! have paid). These tests are what lets the fast path be the default,
 //! and what lets the `verify_mode` knob stay out of spec fingerprints.
 
-use prft_core::{analysis, Harness, NetworkChoice, VerifyMode};
+use prft_core::{
+    analysis, signed_ballot, CommitCert, Harness, KeyRegistry, NetworkChoice, Phase, VerifyCache,
+    VerifyMode,
+};
 use prft_sim::obs::hooks;
 use prft_sim::SimTime;
-use prft_types::NodeId;
+use prft_types::{Digest, NodeId, Round};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Runs one accountable committee under `mode` and renders every
 /// observable to a canonical string: all counters and gauges of the
@@ -136,5 +140,134 @@ proptest::proptest! {
             tau,
             crashes
         );
+    }
+}
+
+/// What one `validate_cert` call answered and what it charged to the hook
+/// counters: `(ok, cached, sig_verifies, memo_hits, memo_misses)`.
+type Charged = (bool, bool, u64, u64, u64);
+
+fn validate(
+    cache: &mut VerifyCache,
+    cert: &Arc<CommitCert>,
+    reg: &KeyRegistry,
+    quorum: usize,
+) -> Charged {
+    let before = hooks::snapshot();
+    let v = cache.validate_cert(cert, reg, quorum);
+    let after = hooks::snapshot();
+    (
+        v.ok,
+        v.cached,
+        after.sig_verifies - before.sig_verifies,
+        after.memo_hits - before.memo_hits,
+        after.memo_misses - before.memo_misses,
+    )
+}
+
+/// Ways a certificate over `voters` votes goes wrong at vote `k`.
+const DEFECTS: [&str; 10] = [
+    "none",
+    "forged tag",
+    "wrong round",
+    "wrong phase",
+    "wrong value",
+    "duplicate signer",
+    "short of quorum",
+    "vote signer not in the registry",
+    "commit signer not in the registry",
+    "commit ballot in the wrong phase",
+];
+
+proptest::proptest! {
+    #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+    /// One certificate, validated twice through a fresh cache of each
+    /// mode: the memo answers what `CommitCert::validate` answers and
+    /// charges `crypto.sig_verifies` what it charges — the reference stops
+    /// at the first failing check, so a defect at vote `k` is a count, not
+    /// only a verdict — with every logical verification either a hit or a
+    /// miss, and the repeat answered from the certificate table without
+    /// hashing. A certificate whose commit ballot fails is not remembered
+    /// (nothing in it is in the registry's range to index by); its repeat
+    /// still charges the same and hashes nothing.
+    #[test]
+    fn certificates_validate_and_charge_alike_in_both_modes(
+        n in 4usize..12,
+        seed in 0u64..1000,
+        defect in 0usize..DEFECTS.len(),
+        k in 0usize..12,
+    ) {
+        let (reg, _) = KeyRegistry::trusted_setup(n, seed);
+        // The same seats plus three the registry does not know.
+        let (_, keys) = KeyRegistry::trusted_setup(n + 3, seed);
+        let (round, value, other) = (Round(3), Digest::of_bytes(b"v"), Digest::of_bytes(b"w"));
+        let voters = n - 1;
+        let k = k % voters;
+        let mut votes: Vec<_> = keys[..voters]
+            .iter()
+            .map(|key| signed_ballot(key, round, Phase::Vote, value))
+            .collect();
+        let mut commit = signed_ballot(&keys[0], round, Phase::Commit, value);
+        let (mut quorum, mut remembered) = (voters, true);
+        // Logical verifications of one reference validation: the commit,
+        // then the votes up to and including the first whose signature is
+        // checked and fails.
+        let mut expected = 1 + voters as u64;
+        match DEFECTS[defect] {
+            "forged tag" => {
+                votes[k] = signed_ballot(&keys[k], round, Phase::Vote, other);
+                votes[k].payload.value = value;
+                expected = 1 + k as u64 + 1;
+            }
+            "wrong round" => {
+                votes[k] = signed_ballot(&keys[k], Round(4), Phase::Vote, value);
+                expected = 1 + k as u64;
+            }
+            "wrong phase" => {
+                votes[k] = signed_ballot(&keys[k], round, Phase::Commit, value);
+                expected = 1 + k as u64;
+            }
+            "wrong value" => {
+                votes[k] = signed_ballot(&keys[k], round, Phase::Vote, other);
+                expected = 1 + k as u64;
+            }
+            "duplicate signer" => votes[k] = votes[(k + 1) % voters].clone(),
+            "short of quorum" => quorum = voters + 1,
+            "vote signer not in the registry" => {
+                votes[k] = signed_ballot(&keys[n + k % 3], round, Phase::Vote, value);
+                expected = 1 + k as u64 + 1;
+            }
+            "commit signer not in the registry" => {
+                commit = signed_ballot(&keys[n + k % 3], round, Phase::Commit, value);
+                (expected, remembered) = (1, false);
+            }
+            "commit ballot in the wrong phase" => {
+                commit = signed_ballot(&keys[0], round, Phase::Reveal, value);
+                (expected, remembered) = (0, false);
+            }
+            _ => {}
+        }
+        let cert = Arc::new(CommitCert::new(commit, votes));
+
+        let mut reference = VerifyCache::new(VerifyMode::Reference);
+        let mut fast = VerifyCache::new(VerifyMode::Fast);
+        for repeat in [false, true] {
+            let (ok, _, charged, ..) = validate(&mut reference, &cert, &reg, quorum);
+            proptest::prop_assert_eq!(ok, defect == 0, "{}", DEFECTS[defect]);
+            proptest::prop_assert_eq!(charged, expected, "{} at {}", DEFECTS[defect], k);
+            let (fast_ok, cached, fast_charged, hits, misses) =
+                validate(&mut fast, &cert, &reg, quorum);
+            proptest::prop_assert_eq!(
+                (fast_ok, fast_charged),
+                (ok, charged),
+                "{} at {}, repeat {}", DEFECTS[defect], k, repeat
+            );
+            proptest::prop_assert_eq!(hits + misses, fast_charged);
+            proptest::prop_assert_eq!(cached, repeat && remembered, "{}", DEFECTS[defect]);
+            if repeat {
+                proptest::prop_assert_eq!(misses, 0);
+            }
+        }
     }
 }

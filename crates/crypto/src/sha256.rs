@@ -115,12 +115,17 @@ impl Sha256 {
     /// Pads, finishes, and returns the digest.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Append 0x80 then zeros until 56 mod 64, then the 64-bit bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0x00]);
+        // Append 0x80 then zeros until 56 mod 64, then the 64-bit bit
+        // length. `update` leaves `buf_len < 64`, so the 0x80 always fits;
+        // the length needs a block of its own when fewer than 8 bytes
+        // remain after it.
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            let block = self.buf;
+            self.compress(&block);
+            self.buf.fill(0);
         }
-        // Manual final block write: length must not perturb total_len's role.
         self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);
@@ -241,6 +246,86 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), Sha256::digest(&data), "split at {split}");
+        }
+    }
+
+    /// Byte `i` is `7i + 3 mod 256`.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 7 + 3) as u8).collect()
+    }
+
+    /// Lengths around the places padding changes shape: 55 is the longest
+    /// tail whose length field shares its block, 56–63 need one more block
+    /// for it, 64 leaves an empty tail; 119 and 120 are 55 and 56 again
+    /// behind a full block.
+    /// Expected digests from `python3 -c 'import hashlib; p = bytes((i * 7 +
+    /// 3) & 255 for i in range(120)); [print(n, hashlib.sha256(p[:n])
+    /// .hexdigest()) for n in (0, 55, 56, 63, 64, 119, 120)]'`.
+    #[test]
+    fn padding_boundary_known_answers() {
+        for (len, expected) in [
+            (
+                0,
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                55,
+                "e7313d333c272e639f790978283f9eb392e843d0f29b7016828bb1daa4aac70b",
+            ),
+            (
+                56,
+                "4324d65f3c103567f5589c710bc08f8523f929a9272e3af36fc968e52abc6c27",
+            ),
+            (
+                63,
+                "81c80242132f230c3bd41b3e63bbcff16107339549214a99614ff26664625055",
+            ),
+            (
+                64,
+                "39e3d7b6b5d075d37d053ad89b24b41bef4f3c29760c84447cab3f3be1882241",
+            ),
+            (
+                119,
+                "9ce7368e4daf32341631b492e80359dc9f594b48453cd0dd5bf0b19279cc177e",
+            ),
+            (
+                120,
+                "7836b787757e95e58b3ca5aec90b1b004e8deba1e50e9675af9cabf1a13a04b5",
+            ),
+        ] {
+            assert_eq!(hex(&Sha256::digest(&pattern(len))), expected, "len {len}");
+        }
+    }
+
+    /// Any way of cutting a message into `update` calls hashes like one
+    /// call: 500 messages of random length < 200, each cut at up to three
+    /// random points (empty pieces included).
+    #[test]
+    fn split_updates_equal_oneshot_at_random_split_points() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut below = |bound: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % bound
+        };
+        for _ in 0..500 {
+            let data = pattern(below(200));
+            let mut cuts = [0, 0, 0].map(|_| below(data.len() + 1));
+            cuts.sort_unstable();
+            let mut h = Sha256::new();
+            let mut from = 0;
+            for cut in cuts {
+                h.update(&data[from..cut]);
+                from = cut;
+            }
+            h.update(&data[from..]);
+            assert_eq!(
+                h.finalize(),
+                Sha256::digest(&data),
+                "len {} cuts {cuts:?}",
+                data.len()
+            );
         }
     }
 
