@@ -1663,4 +1663,190 @@ mod tests {
         assert_eq!(r.stats.invalid_proposals, 2);
         assert_eq!(r.block_store.get(&value), Some(&signed));
     }
+
+    /// What `r` holds for `value` in its current round: (a proposal was
+    /// seen, votes, commit certificates, reveals).
+    fn tally(r: &Replica, value: &Digest) -> (bool, usize, usize, usize) {
+        (
+            r.proposals_seen.contains_key(value),
+            r.votes.get(value).map_or(0, BTreeMap::len),
+            r.commits.get(value).map_or(0, BTreeMap::len),
+            r.reveals.get(value).map_or(0, BTreeSet::len),
+        )
+    }
+
+    /// The players `r`'s detector convicted in its current round (`D_i`).
+    fn convicted(r: &Replica) -> Vec<NodeId> {
+        r.detector.convicted()
+    }
+
+    #[test]
+    fn a_round_with_five_values_keeps_every_tally_apart() {
+        // The traffic no scenario produces: one round of P1 holding five
+        // validly signed values — three proposals of an equivocating
+        // leader that each gather a vote quorum, a value known from a vote
+        // alone and one known from a Reveal alone. τ = 3 of n = 10 lets
+        // three quorums form from distinct voters; t0 = 2 leaves room for
+        // two convictions before the third sends the `Expose`. Everybody
+        // else is down: the test signs with their keys.
+        let target = NodeId(1);
+        let p = NodeId;
+        let mut sim = Harness::new(10, 31).tau(3).build();
+        for i in (0..10).filter(|i| *i != target.0) {
+            sim.crash(p(i));
+        }
+        let keys: Vec<SecretKey> = sim.nodes().map(|r| r.key.clone()).collect();
+        let parent = sim.node(target).chain.tip();
+        let block_of = |tx: u64| {
+            let txs = vec![Transaction::new(tx, p(20), vec![tx as u8])];
+            Block::new(Round(0), parent, p(0), txs)
+        };
+        let (a, b, c) = (block_of(1), block_of(2), block_of(3));
+        let (va, vb, vc) = (a.id(), b.id(), c.id());
+        let (vd, ve) = (Digest::of_bytes(b"d"), Digest::of_bytes(b"e"));
+        let sign =
+            |who: usize, phase: Phase, v: Digest| signed_ballot(&keys[who], Round(0), phase, v);
+        let propose = |block: &Block| {
+            let ballot = sign(0, Phase::Propose, block.id());
+            let block = block.clone();
+            (p(0), PrftMsg::Propose { ballot, block })
+        };
+        let vote = |who: usize, v: Digest, propose: Option<SignedBallot>| {
+            let ballot = sign(who, Phase::Vote, v);
+            (p(who), PrftMsg::Vote { ballot, propose })
+        };
+        let commit = |who: usize, v: Digest, voters: [usize; 3]| {
+            let votes = voters.iter().map(|w| sign(*w, Phase::Vote, v)).collect();
+            let cert = Arc::new(CommitCert::new(sign(who, Phase::Commit, v), votes));
+            (p(who), PrftMsg::Commit { cert })
+        };
+        let reveal = |who: usize, v: Digest, certs: Vec<Arc<CommitCert>>| {
+            let (ballot, certs) = (sign(who, Phase::Reveal, v), Arc::new(certs));
+            (p(who), PrftMsg::Reveal { ballot, certs })
+        };
+
+        // 1. Before any proposal: a bare vote for `d`, a Reveal for `e`,
+        // then a bare vote for `e` — knowing a value from its Reveal does
+        // not make up for the missing proposal.
+        let msgs = vec![vote(9, vd, None), reveal(3, ve, vec![]), vote(4, ve, None)];
+        deliver_now(&mut sim, target, msgs);
+        let r = sim.node(target);
+        assert_eq!(tally(r, &vd), (false, 0, 0, 0));
+        assert_eq!(tally(r, &ve), (false, 0, 0, 1));
+        assert_eq!((r.stats.fraud_detections, convicted(r)), (0, vec![]));
+
+        // 2. The leader's three proposals; `c` is first heard of through
+        // the `s_pro` attached to a vote, which is what convicts P0.
+        let s_pro = sign(0, Phase::Propose, vc);
+        let msgs = vec![
+            propose(&a),
+            vote(8, vc, Some(s_pro)),
+            propose(&b),
+            propose(&c),
+        ];
+        deliver_now(&mut sim, target, msgs);
+        let r = sim.node(target);
+        assert_eq!(tally(r, &va), (true, 1, 0, 0), "P1's own vote");
+        assert_eq!(tally(r, &vb), (true, 0, 0, 0));
+        assert_eq!(tally(r, &vc), (true, 1, 0, 0));
+        assert_eq!((r.stats.fraud_detections, convicted(r)), (1, vec![p(0)]));
+        assert_eq!(r.stats.leader_equivocations, 1);
+        assert_eq!((r.stats.invalid_proposals, r.phase()), (0, Phase::Vote));
+
+        // 3. Votes: `b`, `a` and `c` each reach the vote quorum, in that
+        // order, so P1 — which voted `a` — commits `b`. P9 voted `d` in
+        // step 1: uncounted there, but seen, and convicted here. P0 is
+        // convicted already and may sign anything at no further cost.
+        let msgs = vec![
+            vote(5, vb, None),
+            vote(6, vb, None),
+            vote(0, vb, None),
+            vote(2, va, None),
+            vote(3, va, None),
+            vote(9, vc, None),
+            vote(0, vc, None),
+        ];
+        deliver_now(&mut sim, target, msgs);
+        let r = sim.node(target);
+        assert_eq!(tally(r, &va), (true, 3, 0, 0));
+        assert_eq!(tally(r, &vb), (true, 3, 1, 0), "P1's own commit");
+        assert_eq!(tally(r, &vc), (true, 3, 0, 0));
+        assert_eq!(tally(r, &vd), (false, 0, 0, 0));
+        assert_eq!(
+            (r.stats.fraud_detections, convicted(r)),
+            (2, vec![p(0), p(9)])
+        );
+        assert_eq!((r.stats.exposes_sent, r.phase()), (0, Phase::Commit));
+
+        // 4. Commits: `c` reaches the commit quorum first and becomes the
+        // tentative block; `a` reaches it too, too late. P7's vote for `a`
+        // arrives only inside certificates and is harvested from there.
+        let msgs = vec![
+            commit(2, va, [2, 3, 7]),
+            commit(3, va, [2, 3, 7]),
+            commit(8, vc, [0, 8, 9]),
+            commit(9, vc, [0, 8, 9]),
+            commit(0, vc, [0, 8, 9]),
+            commit(7, va, [2, 3, 7]),
+        ];
+        let cert_a = match &msgs[0].1 {
+            PrftMsg::Commit { cert } => Arc::clone(cert),
+            _ => unreachable!(),
+        };
+        deliver_now(&mut sim, target, msgs);
+        let r = sim.node(target);
+        assert_eq!(tally(r, &va), (true, 4, 3, 0));
+        assert_eq!(tally(r, &vb), (true, 3, 1, 0));
+        assert_eq!(tally(r, &vc), (true, 3, 3, 1), "P1's own reveal");
+        assert_eq!((r.chain.height(), r.chain.tip()), (1, vc));
+        assert_eq!((r.chain.final_height(), r.phase()), (0, Phase::Reveal));
+        assert_eq!(
+            (r.stats.fraud_detections, convicted(r)),
+            (2, vec![p(0), p(9)])
+        );
+
+        // 5. Reveals: P2's carries a certificate seen before and a new one
+        // for `b`. P3 revealed `e` in step 1, so its Reveal for `c` is the
+        // third conviction: it completes the reveal quorum and the PoF in
+        // one message, and the `Expose` wins (Figure 1's order).
+        let cert_b = match commit(6, vb, [0, 5, 6]).1 {
+            PrftMsg::Commit { cert } => cert,
+            _ => unreachable!(),
+        };
+        deliver_now(&mut sim, target, vec![reveal(2, vc, vec![cert_a, cert_b])]);
+        let r = sim.node(target);
+        assert_eq!(tally(r, &vc), (true, 3, 3, 2));
+        assert_eq!(
+            tally(r, &vb),
+            (true, 3, 1, 0),
+            "a revealed certificate is only scanned"
+        );
+        assert_eq!(tally(r, &ve), (false, 0, 0, 1));
+        assert_eq!((r.stats.fraud_detections, r.round()), (2, Round(0)));
+        deliver_now(&mut sim, target, vec![reveal(3, vc, vec![])]);
+        let r = sim.node(target);
+        assert_eq!(r.stats.fraud_detections, 3);
+        assert_eq!((r.stats.exposes_sent, r.stats.exposes_applied), (1, 1));
+        let burned: Vec<NodeId> = r.collateral.burned().collect();
+        assert_eq!(burned, vec![p(0), p(3), p(9)]);
+        assert_eq!(
+            (r.round(), &r.stats.exposed_rounds),
+            (Round(1), &vec![Round(0)])
+        );
+        assert_eq!((r.stats.finalized_own, r.chain.final_height()), (0, 0));
+        assert_eq!(tally(r, &vc), (false, 0, 0, 0), "round 1 starts empty");
+        assert_eq!(convicted(r), vec![]);
+
+        // 6. The abandoned round's tentative block stays and is finalized
+        // by a majority of `Final`s.
+        let finals = (2..8).map(|w| {
+            let ballot = sign(w, Phase::Final, vc);
+            (p(w), PrftMsg::Final { ballot })
+        });
+        deliver_now(&mut sim, target, finals.collect());
+        let r = sim.node(target);
+        assert_eq!((r.chain.final_height(), r.chain.tip()), (1, vc));
+        assert_eq!((r.stats.finalized_own, r.stats.finalized_catchup), (0, 0));
+        assert_eq!((r.round(), r.stats.view_changes), (Round(1), 0));
+    }
 }
