@@ -127,13 +127,6 @@ impl Config {
         self.accountable = on;
         self
     }
-
-    /// Builder-style override of the verification strategy.
-    #[must_use]
-    pub fn with_verify_mode(mut self, mode: VerifyMode) -> Config {
-        self.verify_mode = mode;
-        self
-    }
 }
 
 #[cfg(test)]

@@ -75,14 +75,6 @@ impl FraudDetector {
         v.sort_by_key(ConflictEvidence::accused);
         v
     }
-
-    /// Clears per-round state. Evidence survives rounds only through the
-    /// collateral ledger (burns are permanent); the detector itself is
-    /// per-round because slots include the round number anyway.
-    pub fn clear(&mut self) {
-        self.first_seen.clear();
-        self.evidence.clear();
-    }
 }
 
 /// The paper's batch `ConstructProof(M, t0)`: scan a whole collection of
@@ -226,17 +218,5 @@ mod tests {
         assert!(verify_expose(&[pair(0)], &reg, t0).is_none());
         let out = verify_expose(&[pair(0), pair(1)], &reg, t0).unwrap();
         assert_eq!(out, vec![NodeId(0), NodeId(1)]);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let (_, keys) = setup(1);
-        let mut det = FraudDetector::new();
-        det.observe(&signed_ballot(&keys[0], Round(1), Phase::Vote, value(1)));
-        det.observe(&signed_ballot(&keys[0], Round(1), Phase::Vote, value(2)));
-        assert_eq!(det.convicted_count(), 1);
-        det.clear();
-        assert_eq!(det.convicted_count(), 0);
-        assert!(det.evidence().is_empty());
     }
 }

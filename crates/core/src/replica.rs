@@ -99,6 +99,137 @@ impl ReplicaStats {
     }
 }
 
+/// At most one `T` per signer, read back in signer-id order (certificates
+/// list the first quorum, so the order is in the emitted bytes). Only
+/// verified signers are inserted, so the committee bounds the slots.
+#[derive(Clone)]
+struct SignerTable<T> {
+    slots: Vec<Option<T>>,
+    /// The occupied slots; its `len` is the table's.
+    signers: SignerSet,
+}
+
+impl<T> Default for SignerTable<T> {
+    fn default() -> Self {
+        SignerTable {
+            slots: Vec::new(),
+            signers: SignerSet::default(),
+        }
+    }
+}
+
+impl<T: Clone> SignerTable<T> {
+    /// Stores `item` as `id`'s, replacing what `id` had.
+    fn insert(&mut self, id: NodeId, item: T) {
+        if self.slots.len() <= id.0 {
+            // A word of signers at a time and no spare capacity: doubling
+            // from wherever the first arrivals land wastes half the table.
+            let len = (id.0 / 64 + 1) * 64;
+            self.slots.reserve_exact(len - self.slots.len());
+            self.slots.resize(len, None);
+        }
+        self.slots[id.0] = Some(item);
+        self.signers.insert(id);
+    }
+
+    fn contains(&self, id: NodeId) -> bool {
+        self.slots.get(id.0).is_some_and(Option::is_some)
+    }
+
+    /// The items of the `k` lowest signer ids (all of them if fewer).
+    fn first(&self, k: usize) -> Vec<T> {
+        self.slots.iter().flatten().take(k).cloned().collect()
+    }
+}
+
+/// What a round holds about one value (Figure 1's `V_i`, `W_i` and `M`
+/// rows for that block hash).
+#[derive(Clone, Default)]
+struct ValueState {
+    /// The leader's propose ballot for this value, once seen. Anything
+    /// naming a value makes its entry — a certificate, a Reveal — so "a
+    /// proposal was seen" is this field, never the entry's existence.
+    propose: Option<SignedBallot>,
+    votes: SignerTable<SignedBallot>,
+    /// Signers whose vote was already fed to the fraud detector out of a
+    /// certificate (fast verify mode only; see `observe_cert_votes`).
+    votes_observed: SignerSet,
+    commits: SignerTable<Arc<CommitCert>>,
+    reveals: SignerSet,
+}
+
+/// What one round of the Figure 1 machine, and of the view change that
+/// may end it, has collected. Entering a round assigns a fresh one, so
+/// nothing here can leak into the next.
+#[derive(Clone, Default)]
+struct RoundState {
+    /// By value, oldest first. Honest traffic has one value per round and
+    /// an equivocator adds a second, so a lookup scans from the newest end.
+    values: Vec<(Digest, ValueState)>,
+    detector: FraudDetector,
+    voted: bool,
+    committed: bool,
+    revealed: bool,
+    final_sent: bool,
+    exposed: bool,
+    tentative: Option<(Digest, Height)>,
+    /// Whether we already asked for sync this round (rate limit).
+    sync_requested: bool,
+    /// Byzantine split commits waiting for their side's vote certificate:
+    /// (value, recipients).
+    // BTreeSet so queued split sides emit in a stable recipient order —
+    // deterministic replay is a workspace-wide invariant.
+    pending_commit_splits: Vec<(Digest, BTreeSet<NodeId>)>,
+    vc_reqs: BTreeMap<NodeId, Signed<ViewChangeReq>>,
+    vc_sent: bool,
+    cv_senders: BTreeSet<NodeId>,
+    cv_sent: bool,
+    discontinued: bool,
+}
+
+impl RoundState {
+    /// What this round holds about `value`, if anything named it.
+    fn value(&self, value: &Digest) -> Option<&ValueState> {
+        let found = self.values.iter().rev().find(|(v, _)| v == value);
+        found.map(|(_, held)| held)
+    }
+
+    /// The votes held for `value` by the `k` lowest signer ids (`V_i`).
+    fn votes_for(&self, value: &Digest, k: usize) -> Vec<SignedBallot> {
+        self.value(value)
+            .map_or_else(Vec::new, |e| e.votes.first(k))
+    }
+
+    /// The commit certificates held for `value`, likewise (`W_i`).
+    fn commits_for(&self, value: &Digest, k: usize) -> Vec<Arc<CommitCert>> {
+        self.value(value)
+            .map_or_else(Vec::new, |e| e.commits.first(k))
+    }
+
+    /// As [`Self::value`], making the entry if nothing named `value` yet.
+    fn value_mut(&mut self, value: Digest) -> &mut ValueState {
+        let at = self.values.iter().rposition(|(v, _)| *v == value);
+        let at = at.unwrap_or_else(|| {
+            self.values.push((value, ValueState::default()));
+            self.values.len() - 1
+        });
+        &mut self.values[at].1
+    }
+}
+
+/// Why a round ends.
+enum RoundExit {
+    /// The block of this round became final — or, for a laggard adopting
+    /// from the `Final` tallies, the block of the later round named.
+    Finalized(Round),
+    /// A valid `Expose` named this round.
+    Exposed,
+    /// The view change completed.
+    ViewChanged,
+    /// `t0 + 1` peers were heard at the round named.
+    Synced(Round),
+}
+
 /// One player's pRFT state machine. Implements [`prft_sim::Node`].
 ///
 /// `Clone` supports checkpoint/fork warm starts: the clone is a deep copy
@@ -128,10 +259,8 @@ pub struct Replica {
     final_tally: BTreeMap<Digest, BTreeMap<NodeId, SignedBallot>>,
     /// Signed propose ballots per block (for laggard catch-up).
     propose_store: HashMap<Digest, SignedBallot>,
-    /// Highest round at which we already helped each laggard (rate limit).
-    helped_at: HashMap<NodeId, Round>,
-    /// Whether we already asked for sync this round (rate limit).
-    sync_requested: bool,
+    /// By peer: the highest round at which we already helped it (rate limit).
+    helped_at: Vec<Option<Round>>,
     /// Client-submitted tx ids seen in finalized blocks: answers retried
     /// `Submit`s with an immediate ack instead of re-pooling an
     /// already-final tx (exactly-once inclusion under client retry).
@@ -147,41 +276,8 @@ pub struct Replica {
     passive: bool,
     rounds_done: u64,
     timer: Option<(TimerId, Round, Phase)>,
-
-    // ---- per-round state ----
-    proposal: Option<SignedBallot>,
-    /// Every valid propose ballot seen this round, by value (an
-    /// equivocating leader contributes several).
-    proposals_seen: HashMap<Digest, SignedBallot>,
-    votes: HashMap<Digest, BTreeMap<NodeId, SignedBallot>>,
-    /// Per-value signer set mirroring `votes` membership, so the
-    /// per-certificate vote harvest is one subset test for a certificate
-    /// that brings no new vote (the common case once the first certificate
-    /// of a round has been harvested).
-    vote_present: HashMap<Digest, SignerSet>,
-    /// Per-value signer set of vote ballots already fed to the fraud
-    /// detector out of certificates this round (fast verify mode only; see
-    /// `observe_cert_votes`).
-    votes_observed: HashMap<Digest, SignerSet>,
-    commits: HashMap<Digest, BTreeMap<NodeId, Arc<CommitCert>>>,
-    reveals: HashMap<Digest, BTreeSet<NodeId>>,
-    detector: FraudDetector,
-    voted: bool,
-    committed: bool,
-    revealed: bool,
-    final_sent: bool,
-    exposed: bool,
-    tentative: Option<(Digest, Height)>,
-    /// Byzantine split commits waiting for their side's vote certificate:
-    /// (value, recipients).
-    // BTreeSet so queued split sides emit in a stable recipient order —
-    // deterministic replay is a workspace-wide invariant.
-    pending_commit_splits: Vec<(Digest, BTreeSet<NodeId>)>,
-    vc_reqs: BTreeMap<NodeId, Signed<ViewChangeReq>>,
-    vc_sent: bool,
-    cv_senders: BTreeSet<NodeId>,
-    cv_sent: bool,
-    discontinued: bool,
+    /// What the current round holds; [`Self::start_round`] replaces it whole.
+    rs: RoundState,
 
     // ---- cross-round machinery ----
     future: BTreeMap<u64, Vec<(NodeId, PrftMsg)>>,
@@ -218,8 +314,7 @@ impl Replica {
             block_store,
             final_tally: BTreeMap::new(),
             propose_store: HashMap::new(),
-            helped_at: HashMap::new(),
-            sync_requested: false,
+            helped_at: vec![None; n],
             finalized_client_txs: HashSet::new(),
             acked_upto: 0,
             round: Round(0),
@@ -228,26 +323,7 @@ impl Replica {
             passive: false,
             rounds_done: 0,
             timer: None,
-            proposal: None,
-            proposals_seen: HashMap::new(),
-            votes: HashMap::new(),
-            vote_present: HashMap::new(),
-            votes_observed: HashMap::new(),
-            commits: HashMap::new(),
-            reveals: HashMap::new(),
-            detector: FraudDetector::new(),
-            voted: false,
-            committed: false,
-            revealed: false,
-            final_sent: false,
-            exposed: false,
-            tentative: None,
-            pending_commit_splits: Vec::new(),
-            vc_reqs: BTreeMap::new(),
-            vc_sent: false,
-            cv_senders: BTreeSet::new(),
-            cv_sent: false,
-            discontinued: false,
+            rs: RoundState::default(),
             future: BTreeMap::new(),
             peer_round: vec![0; n],
             stats: ReplicaStats::default(),
@@ -339,55 +415,48 @@ impl Replica {
             return;
         }
         self.stats.rounds_entered += 1;
-        self.stats
-            .phase_transitions
-            .push((self.round, Phase::Propose, ctx.now()));
-        self.phase = Phase::Propose;
-        self.proposal = None;
-        self.proposals_seen.clear();
-        self.votes.clear();
-        self.vote_present.clear();
-        self.votes_observed.clear();
-        self.commits.clear();
-        self.reveals.clear();
-        self.detector.clear();
+        self.rs = RoundState::default();
         self.cache.prune_before(self.round);
-        self.voted = false;
-        self.committed = false;
-        self.revealed = false;
-        self.final_sent = false;
-        self.exposed = false;
-        self.tentative = None;
-        self.sync_requested = false;
-        self.pending_commit_splits.clear();
-        self.vc_reqs.clear();
-        self.vc_sent = false;
-        self.cv_senders.clear();
-        self.cv_sent = false;
-        self.discontinued = false;
-
-        self.arm_timer(ctx);
+        self.enter_phase(ctx, Phase::Propose);
 
         if self.leader(self.round) == self.id() {
             self.propose(ctx);
         }
 
-        // Replay any buffered messages for this round.
-        let mut drained = Vec::new();
-        let stale: Vec<u64> = self
-            .future
-            .range(..=self.round.0)
-            .map(|(r, _)| *r)
-            .collect();
-        for r in stale {
-            let msgs = self.future.remove(&r).unwrap_or_default();
-            if r == self.round.0 {
-                drained = msgs;
-            }
-        }
-        for (from, msg) in drained {
+        // Replay the messages buffered for this round; older ones are stale.
+        let later = self.future.split_off(&(self.round.0 + 1));
+        let mut due = std::mem::replace(&mut self.future, later);
+        for (from, msg) in due.remove(&self.round.0).unwrap_or_default() {
             self.dispatch(ctx, from, msg);
         }
+    }
+
+    /// The one way out of a round: books why it ended — in the stats and
+    /// in the timeout backoff — and enters the round that follows.
+    fn exit_round(&mut self, ctx: &mut Context<PrftMsg>, why: RoundExit) {
+        let to = match why {
+            RoundExit::Finalized(round) => {
+                self.stats.finalize_times.push((round, ctx.now()));
+                self.consecutive_failures = 0;
+                round.next()
+            }
+            RoundExit::Exposed => {
+                self.stats.exposed_rounds.push(self.round);
+                self.consecutive_failures = self.consecutive_failures.saturating_add(1);
+                self.round.next()
+            }
+            RoundExit::ViewChanged => {
+                self.stats.view_changes += 1;
+                self.stats.view_changed_rounds.push(self.round);
+                self.consecutive_failures = self.consecutive_failures.saturating_add(1);
+                self.round.next()
+            }
+            RoundExit::Synced(round) => {
+                self.stats.round_syncs += 1;
+                round
+            }
+        };
+        self.advance_round(ctx, to);
     }
 
     fn advance_round(&mut self, ctx: &mut Context<PrftMsg>, to: Round) {
@@ -532,7 +601,7 @@ impl Replica {
         if !self.cfg.accountable {
             return; // ablation: no fraud detection at all
         }
-        let Some(evidence) = self.detector.observe(ballot) else {
+        let Some(evidence) = self.rs.detector.observe(ballot) else {
             return;
         };
         self.stats.fraud_detections += 1;
@@ -591,17 +660,17 @@ impl Replica {
         self.propose_store
             .entry(value)
             .or_insert_with(|| ballot.clone());
-        self.proposals_seen.insert(value, ballot.clone());
+        self.rs.value_mut(value).propose = Some(ballot.clone());
 
         // Leader equivocation is itself double-sign evidence and a
         // view-change trigger.
-        let convicted_before = self.detector.convicted_count();
+        let convicted_before = self.rs.detector.convicted_count();
         self.observe_and_react(ctx, &ballot);
-        if self.detector.convicted_count() > convicted_before {
+        if self.rs.detector.convicted_count() > convicted_before {
             return; // equivocation: don't vote on either proposal
         }
 
-        if self.discontinued || self.voted {
+        if self.rs.discontinued || self.rs.voted {
             return;
         }
         // Vote only on proposals extending our tip (validity of txs wrt
@@ -610,26 +679,23 @@ impl Replica {
             // If the parent is nowhere in our chain, we are missing history
             // (e.g. after a crash): ask the committee to re-send it.
             let parent_known = self.chain.height_of(&block.parent).is_some();
-            if !parent_known && !self.sync_requested {
-                self.sync_requested = true;
+            if !parent_known && !self.rs.sync_requested {
+                self.rs.sync_requested = true;
                 ctx.broadcast_others(PrftMsg::SyncRequest { round: self.round });
             }
             return;
         }
-        if self.proposal.is_none() {
-            self.proposal = Some(ballot.clone());
-            if self.phase == Phase::Propose {
-                self.enter_phase(ctx, Phase::Vote);
-            }
+        if self.phase == Phase::Propose {
+            self.enter_phase(ctx, Phase::Vote);
         }
         let action = self.behavior.on_vote(self.round, value);
         let sent = self.emit_ballot(ctx, Phase::Vote, value, action, &|this, b, v| {
             Some(PrftMsg::Vote {
                 ballot: b,
-                propose: this.proposals_seen.get(&v).cloned(),
+                propose: this.rs.value(&v).and_then(|e| e.propose.clone()),
             })
         });
-        self.voted = sent;
+        self.rs.voted = sent;
     }
 
     fn handle_vote(
@@ -659,32 +725,26 @@ impl Replica {
                 {
                     return; // malformed attachment: don't count the vote
                 }
-                self.proposals_seen
-                    .entry(p.payload.value)
-                    .or_insert_with(|| p.clone());
+                let seen = &mut self.rs.value_mut(p.payload.value).propose;
+                seen.get_or_insert_with(|| p.clone());
                 let p = p.clone();
                 self.observe_and_react(ctx, &p);
             }
             None => {
                 // Without `s_pro` the vote only counts if we already hold
                 // the proposal it endorses.
-                if !self.proposals_seen.contains_key(&ballot.payload.value) {
+                let held = self.rs.value(&ballot.payload.value);
+                if held.is_none_or(|e| e.propose.is_none()) {
                     return;
                 }
             }
         }
-        if self.discontinued {
+        if self.rs.discontinued {
             return;
         }
         let value = ballot.payload.value;
-        self.vote_present
-            .entry(value)
-            .or_default()
-            .insert(ballot.signer());
-        self.votes
-            .entry(value)
-            .or_default()
-            .insert(ballot.signer(), ballot);
+        let votes = &mut self.rs.value_mut(value).votes;
+        votes.insert(ballot.signer(), ballot);
         self.try_commit(ctx, value);
     }
 
@@ -692,14 +752,11 @@ impl Replica {
         // Byzantine split commits wait for each side's certificate; drain
         // any that have become emittable before the `committed` guard.
         self.emit_pending_commit_splits(ctx);
-        if self.committed || self.discontinued {
+        if self.rs.committed || self.rs.discontinued {
             return;
         }
         let quorum = self.quorum();
-        let Some(votes) = self.votes.get(&value) else {
-            return;
-        };
-        if votes.len() < quorum {
+        if self.rs.value(&value).map_or(0, |e| e.votes.signers.len()) < quorum {
             return;
         }
         let action = self.behavior.on_commit(self.round, value);
@@ -715,34 +772,30 @@ impl Replica {
                     .map(NodeId)
                     .filter(|id| !b_recipients.contains(id))
                     .collect();
-                self.pending_commit_splits.push((value, a_recipients));
-                self.pending_commit_splits
+                self.rs.pending_commit_splits.push((value, a_recipients));
+                self.rs
+                    .pending_commit_splits
                     .push((b, b_recipients.into_iter().collect()));
-                self.committed = true;
+                self.rs.committed = true;
                 if self.phase == Phase::Vote {
                     self.enter_phase(ctx, Phase::Commit);
                 }
                 self.emit_pending_commit_splits(ctx);
             }
             action => {
-                let vote_cert: Vec<SignedBallot> = votes.values().take(quorum).cloned().collect();
+                // A replaced value is certified by whatever votes are held
+                // for it; by the honest value's if there are none.
                 let sent = self.emit_ballot(ctx, Phase::Commit, value, action, &|this, b, v| {
-                    let votes_for = this
-                        .votes
-                        .get(&v)
-                        .map(|m| m.values().take(quorum).cloned().collect::<Vec<_>>())
-                        .unwrap_or_default();
-                    let votes = if votes_for.is_empty() {
-                        vote_cert.clone()
-                    } else {
-                        votes_for
-                    };
+                    let mut votes = this.rs.votes_for(&v, quorum);
+                    if votes.is_empty() {
+                        votes = this.rs.votes_for(&value, quorum);
+                    }
                     Some(PrftMsg::Commit {
                         cert: Arc::new(CommitCert::new(b, votes)),
                     })
                 });
                 if sent {
-                    self.committed = true;
+                    self.rs.committed = true;
                     if self.phase == Phase::Vote {
                         self.enter_phase(ctx, Phase::Commit);
                     }
@@ -753,19 +806,18 @@ impl Replica {
 
     /// Emits queued split-commit sides whose vote certificate is ready.
     fn emit_pending_commit_splits(&mut self, ctx: &mut Context<PrftMsg>) {
-        if self.pending_commit_splits.is_empty() {
+        if self.rs.pending_commit_splits.is_empty() {
             return;
         }
         let quorum = self.quorum();
         let mut remaining = Vec::new();
-        let pending = std::mem::take(&mut self.pending_commit_splits);
+        let pending = std::mem::take(&mut self.rs.pending_commit_splits);
         for (v, recipients) in pending {
-            let ready = self.votes.get(&v).map_or(0, BTreeMap::len) >= quorum;
-            if !ready {
+            let votes = self.rs.votes_for(&v, quorum);
+            if votes.len() < quorum {
                 remaining.push((v, recipients));
                 continue;
             }
-            let votes: Vec<SignedBallot> = self.votes[&v].values().take(quorum).cloned().collect();
             let ballot = Signed::sign(Ballot::new(self.round, Phase::Commit, v), &self.key);
             let msg = PrftMsg::Commit {
                 cert: Arc::new(CommitCert::new(ballot, votes)),
@@ -774,7 +826,7 @@ impl Replica {
                 ctx.send(*to, msg.clone());
             }
         }
-        self.pending_commit_splits = remaining;
+        self.rs.pending_commit_splits = remaining;
     }
 
     fn handle_commit(&mut self, ctx: &mut Context<PrftMsg>, cert: Arc<CommitCert>) {
@@ -796,29 +848,25 @@ impl Replica {
             self.observe_and_react(ctx, cert.commit());
             self.observe_cert_votes(ctx, &cert);
         }
-        if self.discontinued {
+        if self.rs.discontinued {
             return;
         }
         let value = cert.commit().payload.value;
         // Harvest the certificate's votes: a valid signed vote counts no
         // matter how it arrived (it may complete our own vote quorum). The
-        // walk already proved every vote endorses `value`, and the signer
-        // set skips the tree probe for signers we already hold a vote from
-        // — a vote's content is determined by (round, value, signer), so an
-        // existing entry is always the identical ballot.
-        let present = self.vote_present.entry(value).or_default();
-        if !cert.signers().is_subset(present) {
-            let votes = self.votes.entry(value).or_default();
+        // walk already proved every vote endorses `value`, and a certificate
+        // bringing no new vote (most, once the round's first is harvested)
+        // costs one subset test — a vote's content is determined by (round,
+        // value, signer), so a held one is always the identical ballot.
+        let entry = self.rs.value_mut(value);
+        if !cert.signers().is_subset(&entry.votes.signers) {
             for vote in cert.votes() {
-                if present.insert(vote.signer()) {
-                    votes.insert(vote.signer(), vote.clone());
+                if !entry.votes.contains(vote.signer()) {
+                    entry.votes.insert(vote.signer(), vote.clone());
                 }
             }
         }
-        self.commits
-            .entry(value)
-            .or_default()
-            .insert(cert.commit().signer(), cert);
+        entry.commits.insert(cert.commit().signer(), cert);
         self.try_commit(ctx, value);
         self.try_reveal(ctx, value);
     }
@@ -836,10 +884,8 @@ impl Replica {
             return; // `observe_and_react` would drop every vote
         }
         if self.cache.mode() == VerifyMode::Fast {
-            let seen = self
-                .votes_observed
-                .entry(cert.commit().payload.value)
-                .or_default();
+            let value = cert.commit().payload.value;
+            let seen = &mut self.rs.value_mut(value).votes_observed;
             if cert.signers().is_subset(seen) {
                 return;
             }
@@ -859,14 +905,11 @@ impl Replica {
     }
 
     fn try_reveal(&mut self, ctx: &mut Context<PrftMsg>, value: Digest) {
-        if self.revealed || self.discontinued {
+        if self.rs.revealed || self.rs.discontinued {
             return;
         }
         let quorum = self.quorum();
-        let Some(commits) = self.commits.get(&value) else {
-            return;
-        };
-        if commits.len() < quorum {
+        if self.rs.value(&value).map_or(0, |e| e.commits.signers.len()) < quorum {
             return;
         }
         // Tentative consensus requires knowing the block and that it
@@ -881,44 +924,37 @@ impl Replica {
             Ok(h) => h,
             Err(_) => return,
         };
-        self.tentative = Some((value, height));
+        self.rs.tentative = Some((value, height));
         self.mempool
             .remove_included(block.txs.iter().map(|t| &t.id));
 
         // Ablation: without the Reveal phase the commit quorum is final —
         // cheaper by a factor of n in bits, but double-signers go uncaught.
         if !self.cfg.accountable {
-            self.revealed = true;
-            let action = self.behavior.on_final(self.round, value);
-            let sent = self.emit_ballot(ctx, Phase::Final, value, action, &|_, b, _| {
-                Some(PrftMsg::Final { ballot: b })
-            });
-            if sent {
-                self.final_sent = true;
-            }
-            self.finalize_current(ctx, value, height, true);
+            self.rs.revealed = true;
+            self.finalize_current(ctx, value, height);
             return;
         }
 
         // `W_i`: Arc handles onto the certificate allocations already in
         // flight (the Commit broadcasts), shared under one outer Arc so a
         // Reveal fan-out clones 8 bytes per recipient, not q certificates
-        // — and receivers' cert memos hit on the very same allocations.
-        let certs: Arc<Vec<Arc<CommitCert>>> =
-            Arc::new(commits.values().take(quorum).cloned().collect());
+        // — and receivers' cert memos hit on the very same allocations. A
+        // replaced value reveals the certificates held for it; the honest
+        // value's if there are none.
         let action = self.behavior.on_reveal(self.round, value);
         let sent = self.emit_ballot(ctx, Phase::Reveal, value, action, &|this, b, v| {
-            let certs_for = this
-                .commits
-                .get(&v)
-                .map(|m| Arc::new(m.values().take(quorum).cloned().collect::<Vec<_>>()));
+            let mut certs = this.rs.commits_for(&v, quorum);
+            if certs.is_empty() {
+                certs = this.rs.commits_for(&value, quorum);
+            }
             Some(PrftMsg::Reveal {
                 ballot: b,
-                certs: certs_for.unwrap_or_else(|| Arc::clone(&certs)),
+                certs: Arc::new(certs),
             })
         });
         if sent {
-            self.revealed = true;
+            self.rs.revealed = true;
             if self.phase == Phase::Commit {
                 self.enter_phase(ctx, Phase::Reveal);
             }
@@ -955,81 +991,66 @@ impl Replica {
             self.observe_and_react(ctx, cert.commit());
             self.observe_cert_votes(ctx, cert);
         }
-        if self.discontinued {
+        if self.rs.discontinued {
             return;
         }
         let value = ballot.payload.value;
-        self.reveals
-            .entry(value)
-            .or_default()
-            .insert(ballot.signer());
+        let reveals = &mut self.rs.value_mut(value).reveals;
+        reveals.insert(ballot.signer());
         self.try_finalize(ctx);
     }
 
     fn try_finalize(&mut self, ctx: &mut Context<PrftMsg>) {
-        if self.final_sent || self.exposed || self.discontinued {
+        if self.rs.final_sent || self.rs.exposed || self.rs.discontinued {
             return;
         }
         // Figure 1 ordering: Expose takes priority over Final.
-        if self.detector.convicted_count() > self.cfg.t0 {
+        if self.rs.detector.convicted_count() > self.cfg.t0 {
             self.maybe_expose(ctx);
             return;
         }
-        let Some((value, height)) = self.tentative else {
+        let Some((value, height)) = self.rs.tentative else {
             return;
         };
-        let reveal_count = self.reveals.get(&value).map_or(0, BTreeSet::len);
-        if reveal_count < self.quorum() {
+        if self.rs.value(&value).map_or(0, |e| e.reveals.len()) < self.quorum() {
             return;
         }
+        self.finalize_current(ctx, value, height);
+    }
+
+    /// Broadcasts `Final` for the tentative block and finalizes it.
+    /// Reaching the Final broadcast conditions *is* final consensus for
+    /// this player (paper Section 5.1), whatever its strategy then sends.
+    fn finalize_current(&mut self, ctx: &mut Context<PrftMsg>, value: Digest, height: Height) {
+        debug_assert_eq!(self.rs.tentative.map(|(v, _)| v), Some(value));
         let action = self.behavior.on_final(self.round, value);
         let sent = self.emit_ballot(ctx, Phase::Final, value, action, &|_, b, _| {
             Some(PrftMsg::Final { ballot: b })
         });
         if sent {
-            self.final_sent = true;
+            self.rs.final_sent = true;
         }
-        // Reaching the Final broadcast conditions *is* final consensus for
-        // this player (paper Section 5.1), regardless of strategy quirks.
-        self.finalize_current(ctx, value, height, true);
-    }
-
-    fn finalize_current(
-        &mut self,
-        ctx: &mut Context<PrftMsg>,
-        value: Digest,
-        height: Height,
-        own: bool,
-    ) {
-        debug_assert_eq!(self.tentative.map(|(v, _)| v), Some(value));
         if self.chain.finalize_upto(height).is_err() {
             return;
         }
         self.ack_finalized(ctx);
-        if own {
-            self.stats.finalized_own += 1;
-        } else {
-            self.stats.finalized_catchup += 1;
-        }
-        self.stats.finalize_times.push((self.round, ctx.now()));
-        self.consecutive_failures = 0;
-        let next = self.round.next();
-        self.advance_round(ctx, next);
+        self.stats.finalized_own += 1;
+        self.exit_round(ctx, RoundExit::Finalized(self.round));
     }
 
     fn maybe_expose(&mut self, ctx: &mut Context<PrftMsg>) {
-        if self.exposed || self.detector.convicted_count() <= self.cfg.t0 {
+        if self.rs.exposed || self.rs.detector.convicted_count() <= self.cfg.t0 {
             return;
         }
         if !self.behavior.send_expose() {
             return;
         }
-        self.exposed = true;
+        self.rs.exposed = true;
         self.stats.exposes_sent += 1;
         ctx.broadcast(PrftMsg::Expose {
             round: self.round,
             accuser: self.id(),
-            evidence: self.detector.evidence(),
+            evidence: self.rs.detector.evidence(),
         });
     }
 
@@ -1052,10 +1073,7 @@ impl Replica {
         // tentative block (if any) stays in the chain to be finalized or
         // reconciled later (Algorand-style).
         if round == self.round {
-            self.stats.exposed_rounds.push(self.round);
-            self.consecutive_failures = self.consecutive_failures.saturating_add(1);
-            let next = self.round.next();
-            self.advance_round(ctx, next);
+            self.exit_round(ctx, RoundExit::Exposed);
         }
     }
 
@@ -1119,15 +1137,12 @@ impl Replica {
                     {
                         let _ = self.chain.finalize_upto(h);
                         progressed = true;
-                        if self.tentative.map(|(v, _)| v) == Some(value)
+                        if self.rs.tentative.map(|(v, _)| v) == Some(value)
                             && self.round == block.round
                         {
                             // Our own round resolved externally.
                             self.stats.finalized_catchup += 1;
-                            self.stats.finalize_times.push((self.round, ctx.now()));
-                            self.consecutive_failures = 0;
-                            let next = self.round.next();
-                            self.advance_round(ctx, next);
+                            self.exit_round(ctx, RoundExit::Finalized(self.round));
                         }
                     }
                     continue;
@@ -1141,12 +1156,7 @@ impl Replica {
                         self.stats.finalized_catchup += 1;
                         progressed = true;
                         if self.round <= block.round {
-                            let next = Round(block.round.0 + 1);
-                            if next > self.round {
-                                self.stats.finalize_times.push((block.round, ctx.now()));
-                                self.consecutive_failures = 0;
-                                self.advance_round(ctx, next);
-                            }
+                            self.exit_round(ctx, RoundExit::Finalized(block.round));
                         }
                     }
                     continue;
@@ -1178,13 +1188,13 @@ impl Replica {
     // ------------------------------------------------------- view change
 
     fn trigger_view_change(&mut self, ctx: &mut Context<PrftMsg>) {
-        if self.vc_sent || self.passive {
+        if self.rs.vc_sent || self.passive {
             return;
         }
         if !self.behavior.join_view_change() {
             return;
         }
-        self.vc_sent = true;
+        self.rs.vc_sent = true;
         self.stats
             .phase_transitions
             .push((self.round, Phase::ViewChange, ctx.now()));
@@ -1202,22 +1212,27 @@ impl Replica {
         if req.payload.round != self.round || !req.verify(&self.registry) {
             return;
         }
-        self.vc_reqs.insert(req.signer(), req);
+        self.rs.vc_reqs.insert(req.signer(), req);
         // Amplification: t0+1 requests imply a non-byzantine player is
         // stuck; join them (Claim 2 consistency).
-        if self.vc_reqs.len() > self.cfg.t0 {
+        if self.rs.vc_reqs.len() > self.cfg.t0 {
             self.trigger_view_change(ctx);
         }
-        if self.vc_reqs.len() >= self.quorum() && self.vc_sent && !self.cv_sent {
+        if self.rs.vc_reqs.len() >= self.quorum() && self.rs.vc_sent && !self.rs.cv_sent {
             self.send_commit_view(ctx);
         }
     }
 
     fn send_commit_view(&mut self, ctx: &mut Context<PrftMsg>) {
-        self.cv_sent = true;
-        self.discontinued = true;
-        let reqs: Vec<Signed<ViewChangeReq>> =
-            self.vc_reqs.values().take(self.quorum()).cloned().collect();
+        self.rs.cv_sent = true;
+        self.rs.discontinued = true;
+        let reqs: Vec<Signed<ViewChangeReq>> = self
+            .rs
+            .vc_reqs
+            .values()
+            .take(self.quorum())
+            .cloned()
+            .collect();
         let cv = Signed::sign(
             CommitViewContent {
                 round: self.round,
@@ -1252,33 +1267,32 @@ impl Replica {
         if signers.len() < self.quorum() {
             return;
         }
-        self.cv_senders.insert(cv.signer());
+        self.rs.cv_senders.insert(cv.signer());
         // Echo: commit to the view change ourselves (paper step 4).
-        if !self.cv_sent && self.behavior.join_view_change() {
+        if !self.rs.cv_sent && self.behavior.join_view_change() {
             for r in reqs {
-                self.vc_reqs.insert(r.signer(), r);
+                self.rs.vc_reqs.insert(r.signer(), r);
             }
-            self.vc_sent = true;
+            self.rs.vc_sent = true;
             self.send_commit_view(ctx);
-            self.cv_senders.insert(self.id());
+            self.rs.cv_senders.insert(self.id());
         }
         // Completion (paper step 5, read as ≥ n − t0; see DESIGN.md §4).
-        if self.cv_senders.len() >= self.quorum() {
-            self.stats.view_changes += 1;
-            self.stats.view_changed_rounds.push(self.round);
-            self.consecutive_failures = self.consecutive_failures.saturating_add(1);
-            let next = self.round.next();
-            self.advance_round(ctx, next);
+        if self.rs.cv_senders.len() >= self.quorum() {
+            self.exit_round(ctx, RoundExit::ViewChanged);
         }
     }
 
     /// Forwards our finalized chain's proposals and Final certificates to a
     /// peer that is visibly behind. Rate-limited to once per round per peer.
     fn help_laggard(&mut self, ctx: &mut Context<PrftMsg>, peer: NodeId) {
-        if self.helped_at.get(&peer).copied() >= Some(self.round) {
+        let Some(helped) = self.helped_at.get_mut(peer.0) else {
+            return; // not a committee member
+        };
+        if *helped >= Some(self.round) {
             return;
         }
-        self.helped_at.insert(peer, self.round);
+        *helped = Some(self.round);
         let majority = self.cfg.final_majority();
         let finalized = self
             .chain
@@ -1377,13 +1391,6 @@ impl Replica {
         let idx = self.cfg.t0;
         let target = *rounds.get(idx)?;
         (target > self.round.0).then_some(Round(target))
-    }
-
-    fn maybe_round_sync(&mut self, ctx: &mut Context<PrftMsg>) {
-        if let Some(target) = self.round_sync_target() {
-            self.stats.round_syncs += 1;
-            self.advance_round(ctx, target);
-        }
     }
 
     // ------------------------------------------------------- dispatch
@@ -1494,7 +1501,9 @@ impl Node for Replica {
                     PrftMsg::Final { .. } | PrftMsg::Expose { .. } => self.dispatch(ctx, from, msg),
                     _ => {
                         self.future.entry(round.0).or_default().push((from, msg));
-                        self.maybe_round_sync(ctx);
+                        if let Some(target) = self.round_sync_target() {
+                            self.exit_round(ctx, RoundExit::Synced(target));
+                        }
                     }
                 }
             }
@@ -1667,17 +1676,18 @@ mod tests {
     /// What `r` holds for `value` in its current round: (a proposal was
     /// seen, votes, commit certificates, reveals).
     fn tally(r: &Replica, value: &Digest) -> (bool, usize, usize, usize) {
+        let e = r.rs.value(value);
         (
-            r.proposals_seen.contains_key(value),
-            r.votes.get(value).map_or(0, BTreeMap::len),
-            r.commits.get(value).map_or(0, BTreeMap::len),
-            r.reveals.get(value).map_or(0, BTreeSet::len),
+            e.is_some_and(|e| e.propose.is_some()),
+            e.map_or(0, |e| e.votes.signers.len()),
+            e.map_or(0, |e| e.commits.signers.len()),
+            e.map_or(0, |e| e.reveals.len()),
         )
     }
 
     /// The players `r`'s detector convicted in its current round (`D_i`).
     fn convicted(r: &Replica) -> Vec<NodeId> {
-        r.detector.convicted()
+        r.rs.detector.convicted()
     }
 
     #[test]

@@ -122,12 +122,6 @@ impl UtilityTable {
         self.expected_utilities(&pinned)[player]
     }
 
-    /// `player`'s expected gain from abandoning their mixture for pure
-    /// strategy `alt` (positive = the deviation pays).
-    pub fn mixed_deviation_gain(&self, mixed: &[Vec<f64>], player: usize, alt: usize) -> f64 {
-        self.expected_pure_vs_mixed(player, alt, mixed) - self.expected_utilities(mixed)[player]
-    }
-
     /// The largest expected gain any player gets from any pure deviation
     /// against `mixed` (never negative; 0 at an exact equilibrium). Pure
     /// deviations suffice: a mixed deviation is a convex combination of

@@ -97,11 +97,6 @@ impl ProfileSpace {
         &self.counts
     }
 
-    /// The declared symmetry groups (sorted, disjoint).
-    pub fn symmetry_groups(&self) -> &[Vec<usize>] {
-        &self.symmetry
-    }
-
     /// Total number of profiles (the full product space).
     pub fn len(&self) -> usize {
         self.counts.iter().product()

@@ -44,11 +44,6 @@ impl Trace {
         self.enabled = enabled;
     }
 
-    /// Whether recording is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records a delivery if enabled.
     pub fn record(&mut self, entry: TraceEntry) {
         if self.enabled {

@@ -139,11 +139,6 @@ impl Chain {
         *self.ids.last().expect("chain is never empty")
     }
 
-    /// The tip entry.
-    pub fn tip_entry(&self) -> &BlockEntry {
-        self.entries.last().expect("chain is never empty")
-    }
-
     /// Height of the highest *final* block.
     pub fn final_height(&self) -> u64 {
         self.entries

@@ -25,14 +25,6 @@ pub enum Actor {
 }
 
 impl Actor {
-    /// The client behind this actor, if it is one.
-    pub fn as_client(&self) -> Option<&Client> {
-        match self {
-            Actor::Client(c) => Some(c),
-            Actor::Replica(_) => None,
-        }
-    }
-
     /// The replica behind this actor, mutably (timeline events such as
     /// role changes and transaction injection need write access).
     pub fn as_replica_mut(&mut self) -> Option<&mut Replica> {

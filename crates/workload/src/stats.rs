@@ -86,16 +86,6 @@ impl WorkloadRunStats {
     pub fn conserved(&self) -> bool {
         self.submitted == self.committed + self.dropped + self.pending
     }
-
-    /// Committed transactions per 1000 ticks of virtual time (0 when the
-    /// run had no duration).
-    pub fn throughput_per_kilotick(&self, duration_ticks: u64) -> f64 {
-        if duration_ticks == 0 {
-            0.0
-        } else {
-            self.committed as f64 * 1000.0 / duration_ticks as f64
-        }
-    }
 }
 
 /// How a metric combines across the seeds of a grid point, and with it the
