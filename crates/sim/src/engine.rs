@@ -5,6 +5,12 @@
 //! [`EventQueue`] backend the simulation was built with. Message payloads
 //! are parked in an [`Arena`] while in flight, so queued events are small
 //! PODs regardless of the protocol's message type.
+//!
+//! A broadcast is the unit of traffic (every phase of the paper's Figure 1
+//! is all-to-all): the sender buffers one action, and the engine reads the
+//! payload's kind and size, meters it and parks it **once**, in one arena
+//! slot that the n delivery events share. The only per-recipient copy is
+//! made at delivery, for all but the last recipient.
 
 use crate::queue::{EventQueue, QueueBackend};
 use crate::{Arena, Meter, MsgRef, SimRng, SimTime, Trace, TraceEntry, WireMessage};
@@ -70,8 +76,20 @@ pub struct Context<'a, M> {
 }
 
 enum Action<M> {
-    Send { to: NodeId, msg: M },
-    SetTimer { id: TimerId, fires: SimTime },
+    Send {
+        to: NodeId,
+        msg: M,
+    },
+    /// One payload for the whole broadcast domain (minus the sender if
+    /// `skip_self`), expanded into deliveries by the engine.
+    Broadcast {
+        msg: M,
+        skip_self: bool,
+    },
+    SetTimer {
+        id: TimerId,
+        fires: SimTime,
+    },
     CancelTimer(TimerId),
 }
 
@@ -114,32 +132,23 @@ impl<'a, M: Clone + WireMessage> Context<'a, M> {
     /// delay). Matching the paper, a player counts its own vote/commit like
     /// any other, so protocols need no self special-casing.
     pub fn broadcast(&mut self, msg: M) {
-        for i in 0..self.domain {
-            self.actions.push(Action::Send {
-                to: NodeId(i),
-                msg: self.clone_for_fanout(&msg),
-            });
-        }
+        self.fan_out(msg, false);
     }
 
     /// Broadcasts to every player except self.
     pub fn broadcast_others(&mut self, msg: M) {
-        for i in 0..self.domain {
-            if i != self.me.0 {
-                self.actions.push(Action::Send {
-                    to: NodeId(i),
-                    msg: self.clone_for_fanout(&msg),
-                });
-            }
-        }
+        self.fan_out(msg, true);
     }
 
-    /// One broadcast copy: the clone is the accountable path's dominant
-    /// memory cost (`O(n³κ)` Reveal payloads × n recipients), so it is
-    /// metered (`engine.clone_bytes`).
-    fn clone_for_fanout(&self, msg: &M) -> M {
-        crate::obs::hooks::add_clone_bytes(msg.clone_cost_bytes() as u64);
-        msg.clone()
+    /// Buffers one broadcast. Every recipient ends up with its own copy of
+    /// the payload — the accountable path's dominant memory cost (`O(n³κ)`
+    /// Reveal payloads × n recipients) — so the copies are metered here,
+    /// once for all of them (`engine.clone_bytes`), though the engine only
+    /// makes each one when its delivery is dispatched.
+    fn fan_out(&mut self, msg: M, skip_self: bool) {
+        let recipients = fanout_recipients(self.domain, self.me, skip_self);
+        crate::obs::hooks::add_clone_bytes(msg.clone_cost_bytes() as u64 * recipients as u64);
+        self.actions.push(Action::Broadcast { msg, skip_self });
     }
 
     /// Arms a timer that fires `delay` from now; returns its id.
@@ -159,6 +168,12 @@ impl<'a, M: Clone + WireMessage> Context<'a, M> {
     }
 }
 
+/// How many nodes a broadcast by `sender` reaches: the whole domain, less
+/// the sender when it asks to be skipped and is in the domain at all.
+fn fanout_recipients(domain: usize, sender: NodeId, skip_self: bool) -> usize {
+    domain - usize::from(skip_self && sender.0 < domain)
+}
+
 /// Why [`Simulation::run`] returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunOutcome {
@@ -171,7 +186,8 @@ pub enum RunOutcome {
 }
 
 /// What a queued event does when dispatched. Delivery payloads live in
-/// the simulation's [`Arena`]; the queue only carries the 4-byte handle.
+/// the simulation's [`Arena`]; the queue only carries the 4-byte handle,
+/// which the deliveries of one broadcast share.
 #[derive(Debug, Clone, Copy)]
 enum EventKind {
     Deliver { from: NodeId, msg: MsgRef },
@@ -340,10 +356,11 @@ impl<N: Node> Simulation<N> {
         popped
     }
 
-    /// Parks a payload in the arena, maintaining the occupancy high-water
-    /// mark.
-    fn park(&mut self, msg: N::Msg) -> MsgRef {
-        let r = self.state.arena.insert(msg);
+    /// Parks a payload in the arena for `deliveries` receivers,
+    /// maintaining the occupancy high-water mark (in deliveries).
+    fn park(&mut self, msg: N::Msg, deliveries: usize) -> MsgRef {
+        let claims = u32::try_from(deliveries).expect("fan-out exceeded u32");
+        let r = self.state.arena.insert(msg, claims);
         self.state.peak_arena_occupancy =
             self.state.peak_arena_occupancy.max(self.state.arena.len());
         r
@@ -401,7 +418,8 @@ impl<N: Node> Simulation<N> {
         self.state.events_dispatched
     }
 
-    /// Number of messages currently in flight (parked in the arena).
+    /// Number of message deliveries currently in flight (a parked
+    /// broadcast counts once per receiver still to get it).
     pub fn in_flight_messages(&self) -> usize {
         self.state.arena.len()
     }
@@ -416,7 +434,8 @@ impl<N: Node> Simulation<N> {
         self.state.queue_pops
     }
 
-    /// The most messages ever simultaneously in flight (arena high-water).
+    /// The most message deliveries ever simultaneously in flight (arena
+    /// high-water, counted per receiver, not per parked payload).
     pub fn peak_arena_occupancy(&self) -> usize {
         self.state.peak_arena_occupancy
     }
@@ -499,17 +518,45 @@ impl<N: Node> Simulation<N> {
     /// transaction), delivered to `to` at absolute time `at` claiming sender
     /// `from`.
     pub fn inject(&mut self, at: SimTime, from: NodeId, to: NodeId, msg: N::Msg) {
-        let msg = self.park(msg);
+        let msg = self.park(msg, 1);
         self.push(at.max(self.state.now), to, EventKind::Deliver { from, msg });
     }
 
     /// Frees engine-side resources of an event dropped without dispatch
-    /// (crashed receiver): a parked delivery payload must release its
-    /// arena slot.
+    /// (crashed receiver): a delivery releases its claim on the parked
+    /// payload, a timer its entry in the cancelled set.
     fn discard(&mut self, kind: EventKind) {
-        if let EventKind::Deliver { msg, .. } = kind {
-            drop(self.state.arena.take(msg));
+        match kind {
+            EventKind::Deliver { msg, .. } => self.state.arena.release(msg),
+            EventKind::Timer(id) => {
+                self.state.cancelled.remove(&id);
+            }
+            EventKind::Start => {}
         }
+    }
+
+    /// Schedules one delivery of the parked payload `msg` from `from` to
+    /// `dest`: draws the link delay, traces it, queues the event.
+    fn deliver(&mut self, from: NodeId, dest: NodeId, kind: &'static str, msg: MsgRef) {
+        let at = if dest == from {
+            self.state.now // self-delivery is immediate
+        } else {
+            let t = self
+                .link
+                .deliver_at(from, dest, self.state.now, &mut self.state.rng);
+            debug_assert!(
+                t >= self.state.now,
+                "link model may not travel back in time"
+            );
+            t.max(self.state.now)
+        };
+        self.state.trace.record(TraceEntry {
+            at,
+            from,
+            to: dest,
+            kind,
+        });
+        self.push(at, dest, EventKind::Deliver { from, msg });
     }
 
     /// Runs a node callback and converts its buffered actions into events.
@@ -535,27 +582,27 @@ impl<N: Node> Simulation<N> {
         for action in actions {
             match action {
                 Action::Send { to: dest, msg } => {
-                    self.state.meter.record(msg.kind(), msg.wire_bytes());
-                    let at = if dest == to {
-                        self.state.now // self-delivery is immediate
-                    } else {
-                        let t = self
-                            .link
-                            .deliver_at(to, dest, self.state.now, &mut self.state.rng);
-                        debug_assert!(
-                            t >= self.state.now,
-                            "link model may not travel back in time"
-                        );
-                        t.max(self.state.now)
-                    };
-                    self.state.trace.record(TraceEntry {
-                        at,
-                        from: to,
-                        to: dest,
-                        kind: msg.kind(),
-                    });
-                    let msg = self.park(msg);
-                    self.push(at, dest, EventKind::Deliver { from: to, msg });
+                    let kind = msg.kind();
+                    self.state.meter.record(kind, msg.wire_bytes());
+                    let msg = self.park(msg, 1);
+                    self.deliver(to, dest, kind, msg);
+                }
+                Action::Broadcast { msg, skip_self } => {
+                    let domain = self.state.broadcast_domain;
+                    let recipients = fanout_recipients(domain, to, skip_self);
+                    if recipients == 0 {
+                        continue; // a one-node domain skipping itself
+                    }
+                    let kind = msg.kind();
+                    self.state
+                        .meter
+                        .record_fanout(kind, msg.wire_bytes(), recipients as u64);
+                    let msg = self.park(msg, recipients);
+                    for dest in (0..domain).map(NodeId) {
+                        if !(skip_self && dest == to) {
+                            self.deliver(to, dest, kind, msg);
+                        }
+                    }
                 }
                 Action::SetTimer { id, fires } => {
                     self.push(fires, to, EventKind::Timer(id));
@@ -861,6 +908,31 @@ mod tests {
     }
 
     #[test]
+    fn a_crashed_nodes_cancelled_timer_leaves_the_cancelled_set() {
+        struct ArmAndCancel;
+        impl Node for ArmAndCancel {
+            type Msg = TestMsg;
+            fn on_start(&mut self, ctx: &mut Context<TestMsg>) {
+                let t = ctx.set_timer(SimTime(10));
+                ctx.cancel_timer(t);
+            }
+            fn on_message(&mut self, _: &mut Context<TestMsg>, _: NodeId, _: TestMsg) {}
+            fn on_timer(&mut self, _: &mut Context<TestMsg>, _: TimerId) {
+                panic!("cancelled, and its node is crashed");
+            }
+        }
+        let mut s: Simulation<ArmAndCancel> =
+            Simulation::new(vec![ArmAndCancel], Box::new(ConstantDelay(SimTime(1))), 1);
+        s.run_before(SimTime(10));
+        assert_eq!(s.state.cancelled.len(), 1, "armed and cancelled at start");
+        // The node is down when its dead timer pops: the event is
+        // discarded, and the id must not stay behind in every snapshot.
+        s.crash(NodeId(0));
+        assert_eq!(s.run(), RunOutcome::Quiescent);
+        assert!(s.state.cancelled.is_empty());
+    }
+
+    #[test]
     fn broadcast_others_skips_self() {
         struct OthersOnly {
             received: u32,
@@ -903,6 +975,60 @@ mod tests {
         assert!(s.node(NodeId(3)).received.is_empty());
         assert!(s.node(NodeId(4)).received.is_empty());
         assert_eq!(s.meter().kind("Hello").count, 3);
+    }
+
+    #[test]
+    fn an_out_of_domain_actor_broadcasts_to_the_whole_domain() {
+        struct Client {
+            received: u32,
+        }
+        impl Node for Client {
+            type Msg = TestMsg;
+            fn on_start(&mut self, ctx: &mut Context<TestMsg>) {
+                if ctx.me() == NodeId(4) {
+                    // Not a broadcast target itself, so there is no self
+                    // to skip: all three domain seats are reached.
+                    ctx.broadcast_others(TestMsg::Hello(1));
+                }
+            }
+            fn on_message(&mut self, _: &mut Context<TestMsg>, _: NodeId, _: TestMsg) {
+                self.received += 1;
+            }
+            fn on_timer(&mut self, _: &mut Context<TestMsg>, _: TimerId) {}
+        }
+        let mut s: Simulation<Client> = Simulation::new(
+            (0..5).map(|_| Client { received: 0 }).collect(),
+            Box::new(ConstantDelay(SimTime(1))),
+            2,
+        );
+        s.set_broadcast_domain(3);
+        crate::obs::hooks::reset();
+        s.run();
+        let received: Vec<u32> = s.nodes().map(|c| c.received).collect();
+        assert_eq!(received, vec![1, 1, 1, 0, 0]);
+        assert_eq!(s.meter().kind("Hello").count, 3);
+        assert_eq!(s.peak_arena_occupancy(), 3);
+        assert_eq!(crate::obs::hooks::snapshot().clone_bytes, 12);
+    }
+
+    #[test]
+    fn a_lone_node_skipping_itself_sends_nothing() {
+        struct Lonely;
+        impl Node for Lonely {
+            type Msg = TestMsg;
+            fn on_start(&mut self, ctx: &mut Context<TestMsg>) {
+                ctx.broadcast_others(TestMsg::Hello(1));
+            }
+            fn on_message(&mut self, _: &mut Context<TestMsg>, _: NodeId, _: TestMsg) {}
+            fn on_timer(&mut self, _: &mut Context<TestMsg>, _: TimerId) {}
+        }
+        let mut s: Simulation<Lonely> =
+            Simulation::new(vec![Lonely], Box::new(ConstantDelay(SimTime(1))), 2);
+        assert_eq!(s.run(), RunOutcome::Quiescent);
+        assert_eq!(s.events_dispatched(), 1);
+        // No recipient, so no meter entry for a report to print as zero.
+        assert_eq!(s.meter().iter().count(), 0);
+        assert_eq!(s.peak_arena_occupancy(), 0);
     }
 
     #[test]
@@ -991,13 +1117,14 @@ mod tests {
         // Every push was eventually popped (the queue drained).
         assert_eq!(s.queue_pushes(), s.queue_pops());
         assert_eq!(reg.gauge("engine.peak_queue_depth"), 7);
-        // The broadcast parked 4 messages; the self-delivery is taken
-        // before the other three, so the high-water mark is 4.
+        // The broadcast parked one payload for 4 deliveries; the gauge
+        // counts deliveries, and the self-delivery is taken before the
+        // other three, so the high-water mark is 4.
         assert_eq!(reg.gauge("engine.peak_arena_occupancy"), 4);
         // The send meter is mirrored per kind.
         assert_eq!(reg.counter("send.Hello.msgs"), 4);
         assert_eq!(reg.counter("send.Hello.bytes"), 16);
-        // The broadcast cloned 4 copies of a 4-byte payload.
+        // The broadcast is charged 4 copies of a 4-byte payload.
         let hooks = crate::obs::hooks::snapshot();
         assert_eq!(hooks.clone_bytes, 16);
     }

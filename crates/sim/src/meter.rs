@@ -50,9 +50,19 @@ impl Meter {
 
     /// Records one point-to-point send of `bytes` for `kind`.
     pub fn record(&mut self, kind: &'static str, bytes: usize) {
+        self.record_fanout(kind, bytes, 1);
+    }
+
+    /// Records `copies` point-to-point sends of `bytes` each for `kind` —
+    /// one broadcast — in a single entry lookup. Zero copies record
+    /// nothing (and create no entry).
+    pub fn record_fanout(&mut self, kind: &'static str, bytes: usize, copies: u64) {
+        if copies == 0 {
+            return;
+        }
         let e = self.kinds.entry(kind).or_default();
-        e.count += 1;
-        e.bytes += bytes as u64;
+        e.count += copies;
+        e.bytes += bytes as u64 * copies;
     }
 
     /// Stats for one kind (zero if never seen).
@@ -109,6 +119,20 @@ mod tests {
         );
         assert_eq!(m.total_messages(), 3);
         assert_eq!(m.total_bytes(), 35);
+    }
+
+    #[test]
+    fn a_fanout_records_like_that_many_sends() {
+        let mut one_by_one = Meter::new();
+        for _ in 0..5 {
+            one_by_one.record("Vote", 12);
+        }
+        let mut at_once = Meter::new();
+        at_once.record_fanout("Vote", 12, 5);
+        assert_eq!(at_once.kind("Vote"), one_by_one.kind("Vote"));
+        // An empty fan-out leaves no entry behind for a report to print.
+        at_once.record_fanout("Reveal", 99, 0);
+        assert_eq!(at_once.iter().count(), 1);
     }
 
     #[test]
