@@ -31,7 +31,7 @@ impl SecretKey {
     pub fn sign(&self, digest: Digest) -> Signature {
         Signature {
             signer: self.signer,
-            tag: Sha256::digest_parts(&[&self.seed, &digest.0]),
+            tag: Sha256::digest_halves(&self.seed, &digest.0),
         }
     }
 }
@@ -134,7 +134,7 @@ impl KeyRegistry {
     pub fn verify(&self, digest: Digest, sig: &Signature) -> bool {
         prft_sim::obs::hooks::count_sig_verify();
         match self.seeds.get(sig.signer.0) {
-            Some(seed) => Sha256::digest_parts(&[seed, &digest.0]) == sig.tag,
+            Some(seed) => Sha256::digest_halves(seed, &digest.0) == sig.tag,
             None => false,
         }
     }

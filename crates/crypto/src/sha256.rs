@@ -3,8 +3,16 @@
 //! Built for the reproduction rather than pulled in as a dependency: the
 //! whole cryptographic substrate of the paper (hashes, signatures, PoF
 //! verification) must be auditable in-repo, and the simulation only needs
-//! the standard compression function — no SIMD, no streaming beyond the
+//! the standard compression function and no streaming beyond the
 //! [`Sha256::update`] API.
+//!
+//! The compression function exists twice. [`compress_portable`] is the
+//! FIPS 180-4 loop: the path every host without SHA extensions runs, and
+//! the reference the tests hold the other one to. On an x86-64 CPU that
+//! reports `sha`, `sse4.1` and `ssse3` at run time, [`compress`] runs the
+//! same 64 rounds on the CPU's SHA-256 instructions instead (two rounds
+//! per `sha256rnds2`, the message schedule on `sha256msg1`/`msg2`) —
+//! nothing selects between them but the CPU, and every digest is equal.
 
 use prft_types::Digest;
 
@@ -92,17 +100,17 @@ impl Sha256 {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
+                compress(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
         // Whole blocks straight from input.
         while data.len() >= 64 {
             let (block, rest) = data.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
+            compress(
+                &mut self.state,
+                block.try_into().expect("split at one block"),
+            );
             data = rest;
         }
         // Stash the tail.
@@ -122,66 +130,175 @@ impl Sha256 {
         self.buf[self.buf_len] = 0x80;
         self.buf[self.buf_len + 1..].fill(0);
         if self.buf_len >= 56 {
-            let block = self.buf;
-            self.compress(&block);
+            compress(&mut self.state, &self.buf);
             self.buf.fill(0);
         }
         self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
-
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..(i + 1) * 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Digest(out)
+        compress(&mut self.state, &self.buf);
+        digest_of(&self.state)
     }
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let temp1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
-        }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+    /// `SHA-256(a ‖ b)` for two 32-byte halves — the keyed-MAC shape of
+    /// every signature (`seed ‖ digest`). The message is exactly one
+    /// block and its padding is a constant second block, so this is two
+    /// compressions with none of the streaming buffer's copies.
+    pub(crate) fn digest_halves(a: &[u8; 32], b: &[u8; 32]) -> Digest {
+        let mut block = [0u8; 64];
+        block[..32].copy_from_slice(a);
+        block[32..].copy_from_slice(b);
+        let mut state = H0;
+        compress(&mut state, &block);
+        compress(&mut state, &PADDING_AFTER_ONE_BLOCK);
+        digest_of(&state)
     }
+}
+
+/// The padding block of a 64-byte message: `0x80`, zeros, and the bit
+/// length (512) as a big-endian `u64`.
+const PADDING_AFTER_ONE_BLOCK: [u8; 64] = {
+    let mut block = [0u8; 64];
+    block[0] = 0x80;
+    block[62] = 0x02;
+    block
+};
+
+/// The big-endian serialization of a final state.
+fn digest_of(state: &[u32; 8]) -> Digest {
+    let mut out = [0u8; 32];
+    for (i, word) in state.iter().enumerate() {
+        out[i * 4..(i + 1) * 4].copy_from_slice(&word.to_be_bytes());
+    }
+    Digest(out)
+}
+
+/// Folds one block into `state`, on the CPU's SHA extensions where it has
+/// them and by [`compress_portable`] everywhere else.
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    if !compress_accelerated(state, block) {
+        compress_portable(state, block);
+    }
+}
+
+/// Folds one block into `state` on the CPU's SHA extensions; `false`, with
+/// `state` untouched, if this CPU has none.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+fn compress_accelerated(state: &mut [u32; 8], block: &[u8; 64]) -> bool {
+    if !(std::arch::is_x86_feature_detected!("sha")
+        && std::arch::is_x86_feature_detected!("sse4.1")
+        && std::arch::is_x86_feature_detected!("ssse3"))
+    {
+        return false;
+    }
+    // SAFETY: `compress_sha_ni` is a safe function whose only requirement
+    // is that the CPU supports the `sha`, `sse4.1` and `ssse3` target
+    // features it is compiled with; all three were detected just above.
+    unsafe { compress_sha_ni(state, block) };
+    true
+}
+
+/// No SHA extensions to use off x86-64.
+#[cfg(not(target_arch = "x86_64"))]
+fn compress_accelerated(_state: &mut [u32; 8], _block: &[u8; 64]) -> bool {
+    false
+}
+
+/// The 64 rounds on x86 SHA extensions: sixteen groups of four rounds over
+/// a four-register message schedule. The state travels as the two
+/// registers `sha256rnds2` wants — `(a, b, e, f)` and `(c, d, g, h)`, first
+/// named in the highest lane — and each `sha256rnds2` advances two rounds,
+/// turning the old `(a, b, e, f)` into the new `(c, d, g, h)`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sha,sse4.1,ssse3")]
+fn compress_sha_ni(state: &mut [u32; 8], block: &[u8; 64]) {
+    use std::arch::x86_64::*;
+
+    // Message words are big-endian: reverse the bytes of every lane.
+    let big_endian = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+    let mut w = [_mm_setzero_si128(); 4];
+    for (words, bytes) in w.iter_mut().zip(block.chunks_exact(16)) {
+        let v = u128::from_le_bytes(bytes.try_into().expect("a block is four 16-byte chunks"));
+        *words = _mm_shuffle_epi8(_mm_set_epi64x((v >> 64) as i64, v as i64), big_endian);
+    }
+
+    let [a, b, c, d, e, f, g, h] = state.map(|word| word as i32);
+    let mut abef = _mm_set_epi32(a, b, e, f);
+    let mut cdgh = _mm_set_epi32(c, d, g, h);
+    for i in 0..16 {
+        // `w[i % 4]` holds W[4i..4i+4], word 4i in the lowest lane.
+        let [k0, k1, k2, k3] = [0, 1, 2, 3].map(|lane| K[4 * i + lane] as i32);
+        let wk = _mm_add_epi32(w[i % 4], _mm_set_epi32(k3, k2, k1, k0));
+        cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+        abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0E>(wk));
+        if i < 12 {
+            // W[4i+16..4i+20] from the four groups in hand; it takes the
+            // place of the group just consumed.
+            let (w0, w1, w2, w3) = (w[i % 4], w[(i + 1) % 4], w[(i + 2) % 4], w[(i + 3) % 4]);
+            let partial = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8::<4>(w3, w2));
+            w[i % 4] = _mm_sha256msg2_epu32(partial, w3);
+        }
+    }
+
+    let worked = [
+        _mm_extract_epi32::<3>(abef),
+        _mm_extract_epi32::<2>(abef),
+        _mm_extract_epi32::<3>(cdgh),
+        _mm_extract_epi32::<2>(cdgh),
+        _mm_extract_epi32::<1>(abef),
+        _mm_extract_epi32::<0>(abef),
+        _mm_extract_epi32::<1>(cdgh),
+        _mm_extract_epi32::<0>(cdgh),
+    ];
+    for (word, add) in state.iter_mut().zip(worked) {
+        *word = word.wrapping_add(add as u32);
+    }
+}
+
+/// The 64 rounds as FIPS 180-4 writes them.
+fn compress_portable(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let temp1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let temp2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(temp1);
+        d = c;
+        c = b;
+        b = a;
+        a = temp1.wrapping_add(temp2);
+    }
+
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+    state[4] = state[4].wrapping_add(e);
+    state[5] = state[5].wrapping_add(f);
+    state[6] = state[6].wrapping_add(g);
+    state[7] = state[7].wrapping_add(h);
 }
 
 #[cfg(test)]
@@ -192,41 +309,45 @@ mod tests {
         d.0.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    // FIPS 180-4 / NIST CAVP known-answer tests.
+    /// FIPS 180-4 / NIST CAVP known answers: the empty message, "abc",
+    /// the 448-bit and the 896-bit message.
+    const NIST: [(&[u8], &str); 4] = [
+        (
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ),
+        (
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+        ),
+        (
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+        ),
+        (
+            b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+        ),
+    ];
+
     #[test]
     fn nist_empty() {
-        assert_eq!(
-            hex(&Sha256::digest(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
+        assert_eq!(hex(&Sha256::digest(NIST[0].0)), NIST[0].1);
     }
 
     #[test]
     fn nist_abc() {
-        assert_eq!(
-            hex(&Sha256::digest(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
+        assert_eq!(hex(&Sha256::digest(NIST[1].0)), NIST[1].1);
     }
 
     #[test]
     fn nist_448_bits() {
-        assert_eq!(
-            hex(&Sha256::digest(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
+        assert_eq!(hex(&Sha256::digest(NIST[2].0)), NIST[2].1);
     }
 
     #[test]
     fn nist_896_bits() {
-        assert_eq!(
-            hex(&Sha256::digest(
-                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"
-            )),
-            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
-        );
+        assert_eq!(hex(&Sha256::digest(NIST[3].0)), NIST[3].1);
     }
 
     #[test]
@@ -261,39 +382,141 @@ mod tests {
     /// Expected digests from `python3 -c 'import hashlib; p = bytes((i * 7 +
     /// 3) & 255 for i in range(120)); [print(n, hashlib.sha256(p[:n])
     /// .hexdigest()) for n in (0, 55, 56, 63, 64, 119, 120)]'`.
+    const PADDING_BOUNDARY: [(usize, &str); 7] = [
+        (
+            0,
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ),
+        (
+            55,
+            "e7313d333c272e639f790978283f9eb392e843d0f29b7016828bb1daa4aac70b",
+        ),
+        (
+            56,
+            "4324d65f3c103567f5589c710bc08f8523f929a9272e3af36fc968e52abc6c27",
+        ),
+        (
+            63,
+            "81c80242132f230c3bd41b3e63bbcff16107339549214a99614ff26664625055",
+        ),
+        (
+            64,
+            "39e3d7b6b5d075d37d053ad89b24b41bef4f3c29760c84447cab3f3be1882241",
+        ),
+        (
+            119,
+            "9ce7368e4daf32341631b492e80359dc9f594b48453cd0dd5bf0b19279cc177e",
+        ),
+        (
+            120,
+            "7836b787757e95e58b3ca5aec90b1b004e8deba1e50e9675af9cabf1a13a04b5",
+        ),
+    ];
+
     #[test]
     fn padding_boundary_known_answers() {
-        for (len, expected) in [
-            (
-                0,
-                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-            ),
-            (
-                55,
-                "e7313d333c272e639f790978283f9eb392e843d0f29b7016828bb1daa4aac70b",
-            ),
-            (
-                56,
-                "4324d65f3c103567f5589c710bc08f8523f929a9272e3af36fc968e52abc6c27",
-            ),
-            (
-                63,
-                "81c80242132f230c3bd41b3e63bbcff16107339549214a99614ff26664625055",
-            ),
-            (
-                64,
-                "39e3d7b6b5d075d37d053ad89b24b41bef4f3c29760c84447cab3f3be1882241",
-            ),
-            (
-                119,
-                "9ce7368e4daf32341631b492e80359dc9f594b48453cd0dd5bf0b19279cc177e",
-            ),
-            (
-                120,
-                "7836b787757e95e58b3ca5aec90b1b004e8deba1e50e9675af9cabf1a13a04b5",
-            ),
-        ] {
+        for (len, expected) in PADDING_BOUNDARY {
             assert_eq!(hex(&Sha256::digest(&pattern(len))), expected, "len {len}");
+        }
+    }
+
+    /// Either compression function, as the tests pass it around.
+    type Compress = fn(&mut [u32; 8], &[u8; 64]);
+
+    /// SHA-256 with the padding spelled out here, over a chosen
+    /// compression function: a known answer then holds each of the two
+    /// to the standard by itself, whichever one `Sha256` dispatches to.
+    fn digest_with(compress: Compress, data: &[u8]) -> Digest {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in padded.chunks_exact(64) {
+            compress(&mut state, block.try_into().unwrap());
+        }
+        digest_of(&state)
+    }
+
+    /// The accelerated compression function, or `None` — said aloud, so a
+    /// CI log shows which half ran — on a host without SHA extensions.
+    fn accelerated() -> Option<Compress> {
+        if compress_accelerated(&mut H0.clone(), &[0; 64]) {
+            println!("sha256 path: x86 SHA extensions, held to the portable rounds");
+            Some(|state, block| assert!(compress_accelerated(state, block)))
+        } else {
+            println!(
+                "sha256 path: portable rounds only; accelerated half SKIPPED (no SHA extensions)"
+            );
+            None
+        }
+    }
+
+    #[test]
+    fn both_compress_functions_meet_the_known_answers() {
+        let vectors = (NIST
+            .iter()
+            .map(|&(data, expected)| (data.to_vec(), expected)))
+        .chain(
+            PADDING_BOUNDARY
+                .iter()
+                .map(|&(len, expected)| (pattern(len), expected)),
+        );
+        let fast = accelerated();
+        for (data, expected) in vectors {
+            let len = data.len();
+            assert_eq!(
+                hex(&digest_with(compress_portable, &data)),
+                expected,
+                "portable, len {len}"
+            );
+            if let Some(fast) = fast {
+                assert_eq!(
+                    hex(&digest_with(fast, &data)),
+                    expected,
+                    "accelerated, len {len}"
+                );
+            }
+        }
+    }
+
+    /// 10 000 pseudo-random (state, block) pairs — states no message
+    /// prefix need ever reach — compress alike on both functions.
+    #[test]
+    fn accelerated_rounds_equal_portable_rounds_on_random_inputs() {
+        let Some(fast) = accelerated() else { return };
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 32) as u32
+        };
+        for case in 0..10_000 {
+            let state: [u32; 8] = std::array::from_fn(|_| next());
+            let block: [u8; 64] = std::array::from_fn(|_| next() as u8);
+            let (mut portable, mut accelerated) = (state, state);
+            compress_portable(&mut portable, &block);
+            fast(&mut accelerated, &block);
+            assert_eq!(
+                accelerated, portable,
+                "case {case}: {state:08x?} {block:02x?}"
+            );
+        }
+    }
+
+    /// The signing shortcut is SHA-256 of the 64 concatenated bytes.
+    #[test]
+    fn digest_halves_equals_the_streamed_digest() {
+        for seed in 0..64usize {
+            let a: [u8; 32] = pattern(32 + seed)[seed..].try_into().unwrap();
+            let b: [u8; 32] = pattern(96 + seed)[64 + seed..].try_into().unwrap();
+            assert_eq!(
+                Sha256::digest_halves(&a, &b),
+                Sha256::digest_parts(&[&a, &b])
+            );
         }
     }
 
