@@ -1280,7 +1280,7 @@ fn main() -> ExitCode {
         "queue" if quick => queue_bench(quick, &[16, 128], 400_000, repeats),
         "queue" => queue_bench(quick, &[16, 64, 128, 256], 3_000_000, repeats),
         "profile" if quick => profile_bench(quick, &[8, 16, 128, 256]),
-        "profile" => profile_bench(quick, &[16, 64, 128, 256, 512]),
+        "profile" => profile_bench(quick, &[16, 64, 128, 256, 512, 1024]),
         "workload" if quick => workload_bench(quick, &[100, 1000]),
         "workload" => workload_bench(quick, &[100, 300, 1000, 3000, 10_000]),
         "checkpoint" if quick => {

@@ -25,14 +25,6 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MsgRef(u32);
 
-/// One parked payload and the deliveries still to claim it (`claims == 0`
-/// exactly when `msg` is `None`).
-#[derive(Debug, Clone)]
-struct Slot<M> {
-    msg: Option<M>,
-    claims: u32,
-}
-
 /// A slab of counted `M` slots with free-list recycling.
 ///
 /// `Clone` (for `M: Clone`) copies slots, claim counts *and* free-list
@@ -41,7 +33,9 @@ struct Slot<M> {
 /// checkpoint/fork equivalence.
 #[derive(Debug, Clone)]
 pub struct Arena<M> {
-    slots: Vec<Slot<M>>,
+    /// A live slot holds its payload and the deliveries still to claim
+    /// it (at least one); a free slot holds nothing.
+    slots: Vec<Option<(M, u32)>>,
     free: Vec<u32>,
     /// Outstanding claims across all slots.
     claims: usize,
@@ -67,13 +61,10 @@ impl<M> Arena<M> {
     pub fn insert(&mut self, msg: M, claims: u32) -> MsgRef {
         assert!(claims > 0, "a parked message needs at least one claim");
         self.claims += claims as usize;
-        let slot = Slot {
-            msg: Some(msg),
-            claims,
-        };
+        let slot = Some((msg, claims));
         match self.free.pop() {
             Some(idx) => {
-                debug_assert!(self.slots[idx as usize].msg.is_none(), "free slot occupied");
+                debug_assert!(self.slots[idx as usize].is_none(), "free slot occupied");
                 self.slots[idx as usize] = slot;
                 MsgRef(idx)
             }
@@ -94,14 +85,12 @@ impl<M> Arena<M> {
     where
         M: Clone,
     {
-        let slot = &mut self.slots[r.0 as usize];
-        if slot.claims > 1 {
-            slot.claims -= 1;
-            self.claims -= 1;
-            return slot.msg.clone().expect("claimed slot holds a message");
-        }
-        self.settle_last(r)
-            .expect("message claimed more often than parked")
+        self.settle(r).unwrap_or_else(|| {
+            let (msg, _) = self.slots[r.0 as usize]
+                .as_ref()
+                .expect("a slot with claims left holds its message");
+            msg.clone()
+        })
     }
 
     /// Settles one claim without the payload (the receiver crashed): no
@@ -110,27 +99,23 @@ impl<M> Arena<M> {
     /// # Panics
     /// Panics if every claim was already settled.
     pub fn release(&mut self, r: MsgRef) {
-        let slot = &mut self.slots[r.0 as usize];
-        if slot.claims > 1 {
-            slot.claims -= 1;
-            self.claims -= 1;
-        } else {
-            drop(
-                self.settle_last(r)
-                    .expect("message claimed more often than parked"),
-            );
-        }
+        self.settle(r);
     }
 
-    /// Settles a slot's final claim: empties and frees it. `None` if the
-    /// slot was already empty.
-    fn settle_last(&mut self, r: MsgRef) -> Option<M> {
+    /// Settles one claim on a slot. The last one frees the slot and gets
+    /// the parked original; `None` while other claims remain.
+    fn settle(&mut self, r: MsgRef) -> Option<M> {
         let slot = &mut self.slots[r.0 as usize];
-        let msg = slot.msg.take()?;
-        slot.claims = 0;
+        let (_, claims) = slot
+            .as_mut()
+            .expect("message claimed more often than parked");
         self.claims -= 1;
+        if *claims > 1 {
+            *claims -= 1;
+            return None;
+        }
         self.free.push(r.0);
-        Some(msg)
+        slot.take().map(|(msg, _)| msg)
     }
 
     /// Number of outstanding claims — deliveries in flight, not slots.

@@ -54,12 +54,8 @@ impl Meter {
     }
 
     /// Records `copies` point-to-point sends of `bytes` each for `kind` —
-    /// one broadcast — in a single entry lookup. Zero copies record
-    /// nothing (and create no entry).
+    /// one broadcast — in a single entry lookup.
     pub fn record_fanout(&mut self, kind: &'static str, bytes: usize, copies: u64) {
-        if copies == 0 {
-            return;
-        }
         let e = self.kinds.entry(kind).or_default();
         e.count += copies;
         e.bytes += bytes as u64 * copies;
@@ -130,9 +126,6 @@ mod tests {
         let mut at_once = Meter::new();
         at_once.record_fanout("Vote", 12, 5);
         assert_eq!(at_once.kind("Vote"), one_by_one.kind("Vote"));
-        // An empty fan-out leaves no entry behind for a report to print.
-        at_once.record_fanout("Reveal", 99, 0);
-        assert_eq!(at_once.iter().count(), 1);
     }
 
     #[test]
