@@ -1,9 +1,10 @@
 //! Protocol-level observability assembly: one [`ObsRegistry`] and one
 //! [`ChromeTrace`] per finished run.
 //!
-//! The sim crate owns the mechanics (counters, hooks, trace builder); this
-//! module knows what a *pRFT* run looks like — which replica statistics
-//! become counters, and how phase-transition logs become Perfetto spans.
+//! The sim crate owns the mechanics (counters, the send and delivery
+//! ledgers, hooks, trace builder); this module knows what a *pRFT* run
+//! looks like — which seats are replicas, which replica statistics become
+//! counters, and how phase-transition logs become Perfetto spans.
 //! Both outputs derive solely from the pinned dispatch order, so they are
 //! byte-identical across queue backends and worker thread counts.
 //!
@@ -17,8 +18,8 @@ use prft_sim::{ChromeTrace, Node, ObsRegistry, Simulation};
 
 /// Assembles the full counter registry for one finished run: the engine's
 /// `engine.*`/`send.*` counters, the crypto hook deltas captured in
-/// `hooks`, and the per-replica protocol counters (`replica.*`,
-/// `recv.P<i>.<kind>.*`).
+/// `hooks`, the per-replica protocol counters (`replica.*`), and each
+/// replica seat's deliveries from the engine's ledger (`recv.P<i>.*`).
 ///
 /// `hooks` must be the delta for exactly this run: call
 /// [`prft_sim::obs::hooks::reset`] before building the simulation and
@@ -27,7 +28,6 @@ use prft_sim::{ChromeTrace, Node, ObsRegistry, Simulation};
 pub fn collect<N: Node + AsReplica>(sim: &Simulation<N>, hooks: &HookSnapshot) -> ObsRegistry {
     let mut reg = sim.observability();
     reg.add("crypto.sig_verifies", hooks.sig_verifies);
-    reg.add("engine.clone_bytes", hooks.clone_bytes);
     for replica in sim.nodes().filter_map(AsReplica::as_replica) {
         let stats = replica.stats();
         reg.add("replica.rounds_entered", stats.rounds_entered);
@@ -35,10 +35,10 @@ pub fn collect<N: Node + AsReplica>(sim: &Simulation<N>, hooks: &HookSnapshot) -
         reg.add("replica.fraud_detections", stats.fraud_detections);
         reg.add("replica.exposes_sent", stats.exposes_sent);
         reg.add("replica.exposes_applied", stats.exposes_applied);
-        let id = replica.id().0;
-        for (kind, ks) in &stats.recv_msgs {
-            reg.add(&format!("recv.P{id}.{kind}.msgs"), ks.count);
-            reg.add(&format!("recv.P{id}.{kind}.bytes"), ks.bytes);
+        let id = replica.id();
+        for (kind, ks) in sim.meter().received(id) {
+            reg.add(&format!("recv.P{}.{kind}.msgs", id.0), ks.count);
+            reg.add(&format!("recv.P{}.{kind}.bytes", id.0), ks.bytes);
         }
     }
     reg

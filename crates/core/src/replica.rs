@@ -42,7 +42,7 @@ use crate::messages::{
 use crate::pof::{verify_expose, FraudDetector};
 use crate::verify::VerifyCache;
 use prft_crypto::{KeyRegistry, SecretKey, Signed, VerifyMode};
-use prft_sim::{Context, KindStats, Node, SimTime, TimerId, WireMessage};
+use prft_sim::{Context, Node, SimTime, TimerId};
 use prft_types::{
     Block, Chain, Digest, Height, Mempool, MempoolError, NodeId, Round, Transaction, TxId,
 };
@@ -79,24 +79,11 @@ pub struct ReplicaStats {
     /// Fraud-detector convictions this replica produced (each `observe`
     /// call that returned fresh equivocation evidence).
     pub fraud_detections: u64,
-    /// Every message delivered to this replica, counted and byte-metered
-    /// by kind. Feeds the `recv.P<i>.<kind>.*` observability counters and
-    /// cross-checks the engine's send-side [`prft_sim::Meter`].
-    pub recv_msgs: BTreeMap<&'static str, KindStats>,
     /// Phase-transition log `(round, phase, entered_at)`: each entry opens
     /// a span that the next entry (or the end of the run) closes. The
     /// protocol phases plus `ViewChange` — the raw material for the
     /// Chrome-trace export (`prft_core::obs::chrome_trace`).
     pub phase_transitions: Vec<(Round, Phase, SimTime)>,
-}
-
-impl ReplicaStats {
-    /// Records one delivered message of `kind` with `bytes` on the wire.
-    fn record_recv(&mut self, kind: &'static str, bytes: usize) {
-        let e = self.recv_msgs.entry(kind).or_default();
-        e.count += 1;
-        e.bytes += bytes as u64;
-    }
 }
 
 /// At most one `T` per signer, read back in signer-id order (certificates
@@ -1441,7 +1428,6 @@ impl Node for Replica {
     }
 
     fn on_message(&mut self, ctx: &mut Context<PrftMsg>, from: NodeId, msg: PrftMsg) {
-        self.stats.record_recv(msg.kind(), msg.wire_bytes());
         // Client submissions are round-independent and survive passivity:
         // a passive replica still acks already-final txs, so late retries
         // converge instead of spinning against an exhausted committee.

@@ -975,7 +975,8 @@ fn claim3(runner: &BatchRunner) -> Vec<Check> {
 /// Commit → Reveal at every replica; the leader broadcast (n messages),
 /// each all-to-all wave (n²) and the absent kinds (0: Expose and the
 /// view-change messages never appear) are counted identically by the
-/// engine's Meter (sent) and the replicas' `recv.*` counters (received).
+/// engine's send ledger (the Meter) and its delivery ledger (`recv.*`):
+/// in a crash-free run that drains, every message sent is delivered once.
 fn fig2(_: &BatchRunner) -> Vec<Check> {
     const N: usize = 4;
     let spec = ScenarioSpec::new("fig2", N, 1)

@@ -1,18 +1,22 @@
 //! The discrete-event engine: event queue, node dispatch, timers, crashes.
 //!
-//! The queue itself is pluggable (see [`crate::queue`]): the engine keys
-//! every event by `(time, insertion sequence)` and drains whichever
-//! [`EventQueue`] backend the simulation was built with. Message payloads
-//! are parked in an [`Arena`] while in flight, so queued events are small
-//! PODs regardless of the protocol's message type.
+//! The engine keys every event by `(time, insertion sequence)` and drains
+//! whichever queue backend (see [`crate::queue`]) the simulation was built
+//! with. Message payloads are parked in an [`Arena`] while in flight, so
+//! queued events are small PODs regardless of the protocol's message type.
 //!
 //! A broadcast is the unit of traffic (every phase of the paper's Figure 1
 //! is all-to-all): the sender buffers one action, and the engine reads the
 //! payload's kind and size, meters it and parks it **once**, in one arena
 //! slot that the n delivery events share. The only per-recipient copy is
 //! made at delivery, for all but the last recipient.
+//!
+//! The engine keeps the run's books, once per message and for every
+//! protocol alike: the [`Meter`]'s send side at each send, its receive
+//! side and the [`Trace`] at each dispatched delivery. All of it — queue
+//! included — is one `EngineState` value, so a snapshot is one clone.
 
-use crate::queue::{EventQueue, QueueBackend};
+use crate::queue::{Queue, QueueBackend};
 use crate::{Arena, Meter, MsgRef, SimRng, SimTime, Trace, TraceEntry, WireMessage};
 use prft_types::NodeId;
 use std::collections::BTreeSet;
@@ -132,22 +136,13 @@ impl<'a, M: Clone + WireMessage> Context<'a, M> {
     /// delay). Matching the paper, a player counts its own vote/commit like
     /// any other, so protocols need no self special-casing.
     pub fn broadcast(&mut self, msg: M) {
-        self.fan_out(msg, false);
+        let skip_self = false;
+        self.actions.push(Action::Broadcast { msg, skip_self });
     }
 
     /// Broadcasts to every player except self.
     pub fn broadcast_others(&mut self, msg: M) {
-        self.fan_out(msg, true);
-    }
-
-    /// Buffers one broadcast. Every recipient ends up with its own copy of
-    /// the payload — the accountable path's dominant memory cost (`O(n³κ)`
-    /// Reveal payloads × n recipients) — so the copies are metered here,
-    /// once for all of them (`engine.clone_bytes`), though the engine only
-    /// makes each one when its delivery is dispatched.
-    fn fan_out(&mut self, msg: M, skip_self: bool) {
-        let recipients = fanout_recipients(self.domain, self.me, skip_self);
-        crate::obs::hooks::add_clone_bytes(msg.clone_cost_bytes() as u64 * recipients as u64);
+        let skip_self = true;
         self.actions.push(Action::Broadcast { msg, skip_self });
     }
 
@@ -166,12 +161,6 @@ impl<'a, M: Clone + WireMessage> Context<'a, M> {
     pub fn cancel_timer(&mut self, id: TimerId) {
         self.actions.push(Action::CancelTimer(id));
     }
-}
-
-/// How many nodes a broadcast by `sender` reaches: the whole domain, less
-/// the sender when it asks to be skipped and is in the domain at all.
-fn fanout_recipients(domain: usize, sender: NodeId, skip_self: bool) -> usize {
-    domain - usize::from(skip_self && sender.0 < domain)
 }
 
 /// Why [`Simulation::run`] returned.
@@ -203,16 +192,32 @@ struct EventBody {
     kind: EventKind,
 }
 
-/// Everything the engine owns that a snapshot must carry — all of a
-/// [`Simulation`] except the link model (a boxed trait object the caller
-/// re-supplies) and the queue backend instance (drained and rebuilt).
+/// A payload in flight, beside the kind and wire size its send read, so
+/// its deliveries are recorded without asking the message again.
+#[derive(Clone)]
+struct Parked<M> {
+    msg: M,
+    kind: &'static str,
+    bytes: usize,
+}
+
+impl<M: WireMessage> Parked<M> {
+    fn new(msg: M) -> Self {
+        let (kind, bytes) = (msg.kind(), msg.wire_bytes());
+        Parked { msg, kind, bytes }
+    }
+}
+
+/// Everything the engine owns — all of a [`Simulation`] except the link
+/// model (a boxed trait object the caller re-supplies).
 /// [`Simulation::snapshot`] and [`Simulation::restore`] clone this struct
 /// whole, so a field added here is captured by construction.
 #[derive(Clone)]
 struct EngineState<N: Node> {
     nodes: Vec<N>,
-    arena: Arena<N::Msg>,
-    backend: QueueBackend,
+    /// Pending events; its variant is the backend the run drains.
+    queue: Queue<EventBody>,
+    arena: Arena<Parked<N::Msg>>,
     now: SimTime,
     seq: u64,
     next_timer: u64,
@@ -226,13 +231,19 @@ struct EngineState<N: Node> {
     broadcast_domain: usize,
     rng: SimRng,
     node_rngs: Vec<SimRng>,
+    /// Sends at each send, deliveries at each dispatch.
     meter: Meter,
+    /// Deliveries at each dispatch, when enabled.
     trace: Trace,
     events_dispatched: u64,
     peak_queue_depth: usize,
     queue_pushes: u64,
     queue_pops: u64,
     peak_arena_occupancy: usize,
+    /// `engine.clone_bytes`: `clone_cost_bytes × recipients` per broadcast
+    /// — the accountable path's dominant memory cost (`O(n³κ)` Reveal
+    /// payloads × n recipients), charged whether or not a copy is taken.
+    clone_bytes: u64,
     /// Safety valve: maximum number of dispatched events per `run` call.
     event_limit: u64,
 }
@@ -241,19 +252,18 @@ struct EngineState<N: Node> {
 /// instant, taken with [`Simulation::snapshot`] and revived — any number
 /// of times — with [`Simulation::restore`].
 ///
-/// The snapshot captures everything the engine owns: nodes, the pending
-/// event set (with exact `(time, seq)` keys, drained backend-neutrally),
+/// The snapshot is a clone of everything the engine owns: nodes, the
+/// event queue (every pending event with its exact `(time, seq)` key),
 /// the message arena (slot table *and* free-list, so outstanding
 /// [`MsgRef`] handles and future slot assignments round-trip exactly),
 /// the clock, sequence and timer counters, cancelled/crashed sets, the
 /// broadcast domain, every RNG stream, the meter, the trace, and all
 /// engine counters. It does **not** capture the link model (a boxed
-/// trait object the caller re-supplies on restore) or the process-global
-/// observability hooks (see `obs::hooks::snapshot`/`restore`).
+/// trait object the caller re-supplies on restore) or the thread-local
+/// crypto hooks (see `obs::hooks::snapshot`/`restore`).
 #[derive(Clone)]
 pub struct SimSnapshot<N: Node> {
     state: EngineState<N>,
-    events: Vec<(SimTime, u64, EventBody)>,
 }
 
 impl<N: Node> SimSnapshot<N> {
@@ -264,13 +274,13 @@ impl<N: Node> SimSnapshot<N> {
 
     /// Number of pending events captured in the snapshot.
     pub fn pending_events(&self) -> usize {
-        self.events.len()
+        self.state.queue.len()
     }
 
     /// The queue backend the source simulation was draining (the default
     /// backend for [`Simulation::restore`]).
     pub fn backend(&self) -> QueueBackend {
-        self.state.backend
+        self.state.queue.backend()
     }
 }
 
@@ -278,7 +288,6 @@ impl<N: Node> SimSnapshot<N> {
 pub struct Simulation<N: Node> {
     state: EngineState<N>,
     link: Box<dyn LinkModel>,
-    queue: Box<dyn EventQueue<EventBody>>,
 }
 
 impl<N: Node> Simulation<N> {
@@ -309,8 +318,8 @@ impl<N: Node> Simulation<N> {
         let n = nodes.len();
         let state = EngineState {
             nodes,
+            queue: backend.build(),
             arena: Arena::new(),
-            backend,
             now: SimTime::ZERO,
             seq: 0,
             next_timer: 0,
@@ -326,13 +335,10 @@ impl<N: Node> Simulation<N> {
             queue_pushes: 0,
             queue_pops: 0,
             peak_arena_occupancy: 0,
+            clone_bytes: 0,
             event_limit: 50_000_000,
         };
-        let mut sim = Simulation {
-            state,
-            link,
-            queue: backend.build(),
-        };
+        let mut sim = Simulation { state, link };
         for i in 0..n {
             sim.push(SimTime::ZERO, NodeId(i), EventKind::Start);
         }
@@ -343,22 +349,14 @@ impl<N: Node> Simulation<N> {
         let seq = self.state.seq;
         self.state.seq += 1;
         self.state.queue_pushes += 1;
-        self.queue.push(at, seq, EventBody { to, kind });
-        self.state.peak_queue_depth = self.state.peak_queue_depth.max(self.queue.len());
-    }
-
-    /// Pops the next event, maintaining the pop counter.
-    fn pop(&mut self) -> Option<(SimTime, u64, EventBody)> {
-        let popped = self.queue.pop();
-        if popped.is_some() {
-            self.state.queue_pops += 1;
-        }
-        popped
+        self.state.queue.push(at, seq, EventBody { to, kind });
+        let depth = self.state.queue.len();
+        self.state.peak_queue_depth = self.state.peak_queue_depth.max(depth);
     }
 
     /// Parks a payload in the arena for `deliveries` receivers,
     /// maintaining the occupancy high-water mark (in deliveries).
-    fn park(&mut self, msg: N::Msg, deliveries: usize) -> MsgRef {
+    fn park(&mut self, msg: Parked<N::Msg>, deliveries: usize) -> MsgRef {
         let claims = u32::try_from(deliveries).expect("fan-out exceeded u32");
         let r = self.state.arena.insert(msg, claims);
         self.state.peak_arena_occupancy =
@@ -398,12 +396,12 @@ impl<N: Node> Simulation<N> {
 
     /// Which event-queue backend this simulation drains.
     pub fn queue_backend(&self) -> QueueBackend {
-        self.state.backend
+        self.state.queue.backend()
     }
 
     /// Number of events currently pending in the queue.
     pub fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.state.queue.len()
     }
 
     /// The deepest the event queue has ever been (bench observability).
@@ -442,7 +440,8 @@ impl<N: Node> Simulation<N> {
 
     /// This simulation's engine-level observability registry: every
     /// protocol-independent counter and gauge the engine maintains, under
-    /// `engine.*` keys, plus the per-kind send meter under `send.*`.
+    /// `engine.*` keys, plus the per-kind send meter under `send.*`. (The
+    /// meter's receive side is per node; the protocol layer names it.)
     ///
     /// All values derive from the pinned dispatch order, so the registry
     /// is identical across queue backends and worker thread counts.
@@ -451,6 +450,7 @@ impl<N: Node> Simulation<N> {
         reg.add("engine.events_dispatched", self.state.events_dispatched);
         reg.add("engine.queue_pushes", self.state.queue_pushes);
         reg.add("engine.queue_pops", self.state.queue_pops);
+        reg.add("engine.clone_bytes", self.state.clone_bytes);
         reg.gauge_max(
             "engine.peak_queue_depth",
             self.state.peak_queue_depth as u64,
@@ -516,28 +516,16 @@ impl<N: Node> Simulation<N> {
 
     /// Injects a message from outside the system (e.g. a client submitting a
     /// transaction), delivered to `to` at absolute time `at` claiming sender
-    /// `from`.
+    /// `from`. It is not metered as a send, but recorded as a delivery
+    /// like any other.
     pub fn inject(&mut self, at: SimTime, from: NodeId, to: NodeId, msg: N::Msg) {
-        let msg = self.park(msg, 1);
+        let msg = self.park(Parked::new(msg), 1);
         self.push(at.max(self.state.now), to, EventKind::Deliver { from, msg });
     }
 
-    /// Frees engine-side resources of an event dropped without dispatch
-    /// (crashed receiver): a delivery releases its claim on the parked
-    /// payload, a timer its entry in the cancelled set.
-    fn discard(&mut self, kind: EventKind) {
-        match kind {
-            EventKind::Deliver { msg, .. } => self.state.arena.release(msg),
-            EventKind::Timer(id) => {
-                self.state.cancelled.remove(&id);
-            }
-            EventKind::Start => {}
-        }
-    }
-
     /// Schedules one delivery of the parked payload `msg` from `from` to
-    /// `dest`: draws the link delay, traces it, queues the event.
-    fn deliver(&mut self, from: NodeId, dest: NodeId, kind: &'static str, msg: MsgRef) {
+    /// `dest`: draws the link delay, queues the event.
+    fn deliver(&mut self, from: NodeId, dest: NodeId, msg: MsgRef) {
         let at = if dest == from {
             self.state.now // self-delivery is immediate
         } else {
@@ -550,16 +538,12 @@ impl<N: Node> Simulation<N> {
             );
             t.max(self.state.now)
         };
-        self.state.trace.record(TraceEntry {
-            at,
-            from,
-            to: dest,
-            kind,
-        });
         self.push(at, dest, EventKind::Deliver { from, msg });
     }
 
     /// Runs a node callback and converts its buffered actions into events.
+    /// A delivery is recorded here, once: on the meter's receive side and
+    /// in the trace.
     fn dispatch(&mut self, to: NodeId, kind: EventKind) {
         let mut ctx = Context {
             me: to,
@@ -573,7 +557,10 @@ impl<N: Node> Simulation<N> {
         match kind {
             EventKind::Start => self.state.nodes[to.0].on_start(&mut ctx),
             EventKind::Deliver { from, msg } => {
-                let msg = self.state.arena.take(msg);
+                let Parked { msg, kind, bytes } = self.state.arena.take(msg);
+                self.state.meter.record_delivery(to, kind, bytes);
+                let at = self.state.now;
+                self.state.trace.record(TraceEntry { at, from, to, kind });
                 self.state.nodes[to.0].on_message(&mut ctx, from, msg)
             }
             EventKind::Timer(id) => self.state.nodes[to.0].on_timer(&mut ctx, id),
@@ -582,25 +569,27 @@ impl<N: Node> Simulation<N> {
         for action in actions {
             match action {
                 Action::Send { to: dest, msg } => {
-                    let kind = msg.kind();
-                    self.state.meter.record(kind, msg.wire_bytes());
+                    let msg = Parked::new(msg);
+                    self.state.meter.record(msg.kind, msg.bytes, 1);
                     let msg = self.park(msg, 1);
-                    self.deliver(to, dest, kind, msg);
+                    self.deliver(to, dest, msg);
                 }
                 Action::Broadcast { msg, skip_self } => {
+                    // The whole domain, less the sender when it asks to
+                    // be skipped and is in the domain at all.
                     let domain = self.state.broadcast_domain;
-                    let recipients = fanout_recipients(domain, to, skip_self);
+                    let recipients = domain - usize::from(skip_self && to.0 < domain);
                     if recipients == 0 {
                         continue; // a one-node domain skipping itself
                     }
-                    let kind = msg.kind();
-                    self.state
-                        .meter
-                        .record_fanout(kind, msg.wire_bytes(), recipients as u64);
+                    let copies = recipients as u64;
+                    self.state.clone_bytes += msg.clone_cost_bytes() as u64 * copies;
+                    let msg = Parked::new(msg);
+                    self.state.meter.record(msg.kind, msg.bytes, copies);
                     let msg = self.park(msg, recipients);
                     for dest in (0..domain).map(NodeId) {
                         if !(skip_self && dest == to) {
-                            self.deliver(to, dest, kind, msg);
+                            self.deliver(to, dest, msg);
                         }
                     }
                 }
@@ -638,7 +627,7 @@ impl<N: Node> Simulation<N> {
 
     fn run_bounded(&mut self, bound: SimTime, inclusive: bool) -> RunOutcome {
         let mut dispatched = 0u64;
-        while let Some((at, _seq)) = self.queue.peek_key() {
+        while let Some((at, _seq)) = self.state.queue.peek_key() {
             let past_bound = if inclusive { at > bound } else { at >= bound };
             if past_bound {
                 return RunOutcome::HorizonReached;
@@ -646,11 +635,20 @@ impl<N: Node> Simulation<N> {
             if dispatched >= self.state.event_limit {
                 return RunOutcome::EventLimit;
             }
-            let (at, _, body) = self.pop().expect("peeked");
+            let (at, _, body) = self.state.queue.pop().expect("peeked");
+            self.state.queue_pops += 1;
             debug_assert!(at >= self.state.now, "time must be monotone");
             self.state.now = at;
             if self.state.crashed.contains(&body.to) {
-                self.discard(body.kind); // crashed nodes see nothing
+                // Crashed nodes see nothing: a delivery releases its claim
+                // on the parked payload, a timer its cancelled-set entry.
+                match body.kind {
+                    EventKind::Deliver { msg, .. } => self.state.arena.release(msg),
+                    EventKind::Timer(id) => {
+                        self.state.cancelled.remove(&id);
+                    }
+                    EventKind::Start => {}
+                }
                 continue;
             }
             if let EventKind::Timer(id) = &body.kind {
@@ -665,36 +663,15 @@ impl<N: Node> Simulation<N> {
         RunOutcome::Quiescent
     }
 
-    /// Captures the complete engine state as a [`SimSnapshot`].
-    ///
-    /// Takes `&mut self` because the only backend-neutral way to read the
-    /// pending event set is to drain it: events are popped in dispatch
-    /// order (identical across backends, which is exactly what makes the
-    /// snapshot backend-portable), recorded with their original
-    /// `(time, seq)` keys, and re-pushed into a freshly built queue of the
-    /// same backend. Observable behavior is unchanged: a fresh calendar
-    /// queue accepts the (sorted) re-pushes with its cursor at zero and
-    /// then pops them in the same pinned order, and `queue_pushes` /
-    /// `queue_pops` / `peak_queue_depth` are maintained outside the
-    /// backend so the drain/rebuild does not perturb them.
-    ///
-    /// The snapshot is independent of the live simulation — both can keep
-    /// running — and one snapshot can seed many forks.
-    pub fn snapshot(&mut self) -> SimSnapshot<N>
+    /// Captures the complete engine state as a [`SimSnapshot`]: one
+    /// clone, which leaves the live simulation untouched. Both can keep
+    /// running, and one snapshot can seed many forks.
+    pub fn snapshot(&self) -> SimSnapshot<N>
     where
         N: Clone,
     {
-        let mut events = Vec::with_capacity(self.queue.len());
-        while let Some(entry) = self.queue.pop() {
-            events.push(entry);
-        }
-        self.queue = self.state.backend.build();
-        for &(at, seq, body) in &events {
-            self.queue.push(at, seq, body);
-        }
         SimSnapshot {
             state: self.state.clone(),
-            events,
         }
     }
 
@@ -716,7 +693,8 @@ impl<N: Node> Simulation<N> {
     /// Revives a simulation from `snapshot` onto an explicitly chosen
     /// queue backend — pop order is pinned identical across backends, so
     /// a snapshot taken under one backend replays byte-identically under
-    /// another.
+    /// another. The pending events are re-placed only when `backend`
+    /// differs from the snapshot's.
     pub fn restore_with_backend(
         snapshot: &SimSnapshot<N>,
         link: Box<dyn LinkModel>,
@@ -725,25 +703,22 @@ impl<N: Node> Simulation<N> {
     where
         N: Clone,
     {
-        let mut queue = backend.build();
-        for &(at, seq, body) in &snapshot.events {
-            queue.push(at, seq, body);
+        let mut state = snapshot.state.clone();
+        if state.queue.backend() != backend {
+            let mut queue = backend.build();
+            while let Some((at, seq, body)) = state.queue.pop() {
+                queue.push(at, seq, body);
+            }
+            state.queue = queue;
         }
-        Simulation {
-            state: EngineState {
-                backend,
-                ..snapshot.state.clone()
-            },
-            link,
-            queue,
-        }
+        Simulation { state, link }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ConstantDelay;
+    use crate::{ConstantDelay, KindStats};
 
     #[derive(Clone, Debug)]
     enum TestMsg {
@@ -1002,13 +977,12 @@ mod tests {
             2,
         );
         s.set_broadcast_domain(3);
-        crate::obs::hooks::reset();
         s.run();
         let received: Vec<u32> = s.nodes().map(|c| c.received).collect();
         assert_eq!(received, vec![1, 1, 1, 0, 0]);
         assert_eq!(s.meter().kind("Hello").count, 3);
         assert_eq!(s.peak_arena_occupancy(), 3);
-        assert_eq!(crate::obs::hooks::snapshot().clone_bytes, 12);
+        assert_eq!(s.observability().counter("engine.clone_bytes"), 12);
     }
 
     #[test]
@@ -1105,7 +1079,6 @@ mod tests {
     #[test]
     fn observability_registry_tracks_engine_counters() {
         let mut s = sim(4);
-        crate::obs::hooks::reset();
         s.run();
         let reg = s.observability();
         assert_eq!(reg.counter("engine.events_dispatched"), 8);
@@ -1125,8 +1098,41 @@ mod tests {
         assert_eq!(reg.counter("send.Hello.msgs"), 4);
         assert_eq!(reg.counter("send.Hello.bytes"), 16);
         // The broadcast is charged 4 copies of a 4-byte payload.
-        let hooks = crate::obs::hooks::snapshot();
-        assert_eq!(hooks.clone_bytes, 16);
+        assert_eq!(reg.counter("engine.clone_bytes"), 16);
+    }
+
+    #[test]
+    fn the_trace_and_the_receive_ledger_record_dispatched_deliveries() {
+        let mut s = sim(3);
+        s.set_tracing(true);
+        s.inject(SimTime(3), NodeId(9), NodeId(1), TestMsg::Hello(2));
+        // Node 0's broadcast reaches itself at 0 and the others at 5.
+        s.run_before(SimTime(1));
+        s.crash(NodeId(2));
+        s.run();
+        let entry = |at, from, to| TraceEntry {
+            at: SimTime(at),
+            from: NodeId(from),
+            to: NodeId(to),
+            kind: "Hello",
+        };
+        // In delivery order, the injection included, and nothing for the
+        // copy node 2 discarded — though it was sent.
+        let delivered = [entry(0, 0, 0), entry(3, 9, 1), entry(5, 0, 1)];
+        assert_eq!(s.trace().entries(), delivered);
+        assert_eq!(s.meter().kind("Hello").count, 3);
+        let hello = |count| {
+            [(
+                "Hello",
+                KindStats {
+                    count,
+                    bytes: 4 * count,
+                },
+            )]
+        };
+        assert_eq!(s.meter().received(NodeId(0)), hello(1));
+        assert_eq!(s.meter().received(NodeId(1)), hello(2));
+        assert!(s.meter().received(NodeId(2)).is_empty());
     }
 
     #[test]

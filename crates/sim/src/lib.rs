@@ -5,18 +5,18 @@
 //! provides the substrate those runs execute on:
 //!
 //! * a seeded, reproducible PRNG ([`SimRng`], SplitMix64 → Xoshiro256**);
-//! * virtual time ([`SimTime`]) and a totally ordered, **pluggable** event
-//!   queue ([`EventQueue`]: the reference [`HeapQueue`] and the fast
+//! * virtual time ([`SimTime`]) and a totally ordered event queue on one
+//!   of two backends (the reference [`HeapQueue`] and the fast
 //!   [`CalendarQueue`], selected by [`QueueBackend`]) with in-flight
 //!   message payloads parked in an [`Arena`] — two runs with the same seed
 //!   produce byte-identical traces, whichever backend drains them;
 //! * the [`Node`] trait protocols implement, with a [`Context`] for sending,
 //!   broadcasting, and timer management;
-//! * message metering (per-kind counts and κ-scaled byte sizes via
-//!   [`WireMessage`]) and an optional message [`Trace`] used to regenerate
-//!   the paper's Figure 2a timeline;
+//! * message metering ([`WireMessage`] kinds and κ-scaled sizes, at every
+//!   send and, per receiver, at every delivery) and an optional delivery
+//!   [`Trace`] used to regenerate the paper's Figure 2a timeline;
 //! * deterministic observability ([`obs`]): a named counter/gauge registry
-//!   ([`ObsRegistry`]), thread-local hot-path hooks, and a [`ChromeTrace`]
+//!   ([`ObsRegistry`]), thread-local crypto hooks, and a [`ChromeTrace`]
 //!   exporter for Perfetto;
 //! * crash support (for the CFT column of Table 1).
 //!
@@ -75,7 +75,7 @@ pub use arena::{Arena, MsgRef};
 pub use engine::{Context, LinkModel, Node, RunOutcome, SimSnapshot, Simulation, TimerId};
 pub use meter::{KindStats, Meter, WireMessage};
 pub use obs::ObsRegistry;
-pub use queue::{CalendarQueue, EventQueue, HeapQueue, QueueBackend};
+pub use queue::{CalendarQueue, HeapQueue, QueueBackend};
 pub use rng::SimRng;
 pub use time::SimTime;
 pub use trace::{ChromeTrace, Trace, TraceEntry};

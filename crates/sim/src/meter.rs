@@ -1,9 +1,11 @@
-//! Message metering: per-kind counts and byte totals.
+//! Message metering: per-kind counts and byte totals, sent and delivered.
 //!
 //! The paper's Table 3 reports message complexity (`O(n³)`) and message size
 //! (`O(κ·n⁴)`). Every protocol message type implements [`WireMessage`] so
-//! the engine can account counts and bytes without the protocol's help.
+//! the engine can account counts and bytes without the protocol's help:
+//! once at each send, and once at each dispatched delivery, per receiver.
 
+use prft_types::NodeId;
 use std::collections::BTreeMap;
 
 /// A message that can be metered on the wire.
@@ -30,16 +32,22 @@ pub trait WireMessage {
 /// Counters for a single message kind.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KindStats {
-    /// Number of point-to-point deliveries of this kind.
+    /// Number of point-to-point messages of this kind.
     pub count: u64,
-    /// Total wire bytes across those deliveries.
+    /// Total wire bytes across those messages.
     pub bytes: u64,
 }
 
-/// Aggregated meter over a simulation run.
+/// A run's wire ledger: every send by kind, and every dispatched delivery
+/// by receiver and kind (a delivery a crashed receiver discards is sent
+/// but never received).
 #[derive(Debug, Clone, Default)]
 pub struct Meter {
     kinds: BTreeMap<&'static str, KindStats>,
+    /// By receiver seat: a short list, one entry per kind it was
+    /// delivered — a node sees a handful of kinds, and a workload run
+    /// hosts thousands of client nodes, so no map per node.
+    received: Vec<Vec<(&'static str, KindStats)>>,
 }
 
 impl Meter {
@@ -48,14 +56,9 @@ impl Meter {
         Meter::default()
     }
 
-    /// Records one point-to-point send of `bytes` for `kind`.
-    pub fn record(&mut self, kind: &'static str, bytes: usize) {
-        self.record_fanout(kind, bytes, 1);
-    }
-
     /// Records `copies` point-to-point sends of `bytes` each for `kind` —
-    /// one broadcast — in a single entry lookup.
-    pub fn record_fanout(&mut self, kind: &'static str, bytes: usize, copies: u64) {
+    /// one unicast, or one broadcast in a single entry lookup.
+    pub fn record(&mut self, kind: &'static str, bytes: usize, copies: u64) {
         let e = self.kinds.entry(kind).or_default();
         e.count += copies;
         e.bytes += bytes as u64 * copies;
@@ -81,18 +84,28 @@ impl Meter {
         self.kinds.iter().map(|(k, v)| (*k, *v))
     }
 
-    /// Resets all counters (e.g. between warm-up and measured rounds).
-    pub fn reset(&mut self) {
-        self.kinds.clear();
+    /// Records one delivery of `bytes` for `kind`, dispatched to `to`.
+    pub(crate) fn record_delivery(&mut self, to: NodeId, kind: &'static str, bytes: usize) {
+        if self.received.len() <= to.0 {
+            self.received.resize_with(to.0 + 1, Vec::new);
+        }
+        let seen = &mut self.received[to.0];
+        // A kind is one `&'static str` per `kind()` arm: compare addresses
+        // first, text only if that misses.
+        let at = (seen.iter().position(|&(k, _)| std::ptr::eq(k, kind)))
+            .or_else(|| seen.iter().position(|&(k, _)| k == kind))
+            .unwrap_or_else(|| {
+                seen.reserve_exact(1); // a client only ever sees a kind or two
+                seen.push((kind, KindStats::default()));
+                seen.len() - 1
+            });
+        seen[at].1.count += 1;
+        seen[at].1.bytes += bytes as u64;
     }
 
-    /// Merges another meter into this one.
-    pub fn merge(&mut self, other: &Meter) {
-        for (k, s) in other.iter() {
-            let e = self.kinds.entry(k).or_default();
-            e.count += s.count;
-            e.bytes += s.bytes;
-        }
+    /// What `node` was delivered, per kind, in order of first delivery.
+    pub fn received(&self, node: NodeId) -> &[(&'static str, KindStats)] {
+        self.received.get(node.0).map_or(&[], Vec::as_slice)
     }
 }
 
@@ -103,9 +116,9 @@ mod tests {
     #[test]
     fn record_accumulates() {
         let mut m = Meter::new();
-        m.record("Vote", 10);
-        m.record("Vote", 20);
-        m.record("Commit", 5);
+        m.record("Vote", 10, 1);
+        m.record("Vote", 20, 1);
+        m.record("Commit", 5, 1);
         assert_eq!(
             m.kind("Vote"),
             KindStats {
@@ -121,10 +134,10 @@ mod tests {
     fn a_fanout_records_like_that_many_sends() {
         let mut one_by_one = Meter::new();
         for _ in 0..5 {
-            one_by_one.record("Vote", 12);
+            one_by_one.record("Vote", 12, 1);
         }
         let mut at_once = Meter::new();
-        at_once.record_fanout("Vote", 12, 5);
+        at_once.record("Vote", 12, 5);
         assert_eq!(at_once.kind("Vote"), one_by_one.kind("Vote"));
     }
 
@@ -137,22 +150,28 @@ mod tests {
     #[test]
     fn iteration_is_stable() {
         let mut m = Meter::new();
-        m.record("b", 1);
-        m.record("a", 1);
+        m.record("b", 1, 1);
+        m.record("a", 1, 1);
         let kinds: Vec<&str> = m.iter().map(|(k, _)| k).collect();
         assert_eq!(kinds, vec!["a", "b"]);
     }
 
     #[test]
-    fn merge_and_reset() {
-        let mut a = Meter::new();
-        a.record("x", 1);
-        let mut b = Meter::new();
-        b.record("x", 2);
-        b.record("y", 3);
-        a.merge(&b);
-        assert_eq!(a.kind("x"), KindStats { count: 2, bytes: 3 });
-        a.reset();
-        assert_eq!(a.total_messages(), 0);
+    fn deliveries_are_recorded_per_receiver_and_kind() {
+        let mut m = Meter::new();
+        m.record_delivery(NodeId(2), "Vote", 10);
+        m.record_delivery(NodeId(2), "Commit", 5);
+        m.record_delivery(NodeId(2), "Vote", 20);
+        // The same text at another address is the same kind.
+        m.record_delivery(NodeId(2), String::from("Vote").leak(), 1);
+        let vote = KindStats {
+            count: 3,
+            bytes: 31,
+        };
+        let commit = KindStats { count: 1, bytes: 5 };
+        assert_eq!(m.received(NodeId(2)), [("Vote", vote), ("Commit", commit)]);
+        assert!(m.received(NodeId(0)).is_empty());
+        assert!(m.received(NodeId(9)).is_empty());
+        assert_eq!(m.total_messages(), 0, "a delivery is not a send");
     }
 }

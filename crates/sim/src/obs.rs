@@ -11,12 +11,12 @@
 //!    Registries merge order-independently (counters add, gauges max), so
 //!    a batch aggregated over seeds is byte-identical at any `--threads`
 //!    and across queue backends.
-//! 2. [`hooks`] — thread-local `Cell<u64>` counters incremented from hot
-//!    paths in *other* crates (`prft-crypto` signature verification, the
-//!    engine's broadcast clones) without threading `&mut` state through
-//!    every call site. Each seeded run executes entirely on one worker
-//!    thread, so `reset()` before / `snapshot()` after a run yields exact
-//!    per-run deltas.
+//! 2. [`hooks`] — thread-local `Cell<u64>` counters for the crypto hot
+//!    paths in *other* crates (signature verification, the verify memo),
+//!    which cannot see the simulation, so no `&mut` state is threaded
+//!    through every call site. Each seeded run executes entirely on one
+//!    worker thread, so `reset()` before / `snapshot()` after a run yields
+//!    exact per-run deltas.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -103,7 +103,6 @@ pub mod hooks {
 
     thread_local! {
         static SIG_VERIFIES: Cell<u64> = const { Cell::new(0) };
-        static CLONE_BYTES: Cell<u64> = const { Cell::new(0) };
         static MEMO_HITS: Cell<u64> = const { Cell::new(0) };
         static MEMO_MISSES: Cell<u64> = const { Cell::new(0) };
     }
@@ -117,8 +116,6 @@ pub mod hooks {
         /// plus verifications *answered from* a memo cache — the logical
         /// verify count, identical across `VerifyMode`s.
         pub sig_verifies: u64,
-        /// Wire bytes of message payloads cloned for broadcast fan-out.
-        pub clone_bytes: u64,
         /// Logical verifications answered from a verification memo cache
         /// (no hash computed). Zero on the reference path.
         pub memo_hits: u64,
@@ -142,13 +139,6 @@ pub mod hooks {
         SIG_VERIFIES.with(|c| c.set(c.get() + k));
     }
 
-    /// Accounts `bytes` of payload cloned for a broadcast copy. Called by
-    /// the engine's `Context::broadcast`/`broadcast_others`.
-    #[inline]
-    pub fn add_clone_bytes(bytes: u64) {
-        CLONE_BYTES.with(|c| c.set(c.get() + bytes));
-    }
-
     /// Accounts `k` memo-cache hits (logical verifies answered cached).
     #[inline]
     pub fn add_memo_hits(k: u64) {
@@ -165,7 +155,6 @@ pub mod hooks {
     pub fn snapshot() -> HookSnapshot {
         HookSnapshot {
             sig_verifies: SIG_VERIFIES.with(|c| c.get()),
-            clone_bytes: CLONE_BYTES.with(|c| c.get()),
             memo_hits: MEMO_HITS.with(|c| c.get()),
             memo_misses: MEMO_MISSES.with(|c| c.get()),
         }
@@ -174,7 +163,6 @@ pub mod hooks {
     /// Zeroes this thread's hook counters (call before a measured run).
     pub fn reset() {
         SIG_VERIFIES.with(|c| c.set(0));
-        CLONE_BYTES.with(|c| c.set(0));
         MEMO_HITS.with(|c| c.set(0));
         MEMO_MISSES.with(|c| c.set(0));
     }
@@ -187,7 +175,6 @@ pub mod hooks {
     /// run's.
     pub fn restore(s: HookSnapshot) {
         SIG_VERIFIES.with(|c| c.set(s.sig_verifies));
-        CLONE_BYTES.with(|c| c.set(s.clone_bytes));
         MEMO_HITS.with(|c| c.set(s.memo_hits));
         MEMO_MISSES.with(|c| c.set(s.memo_misses));
     }
@@ -252,12 +239,10 @@ mod tests {
         hooks::reset();
         hooks::count_sig_verify();
         hooks::count_sig_verify();
-        hooks::add_clone_bytes(100);
         hooks::add_memo_hits(3);
         hooks::add_memo_misses(4);
         let s = hooks::snapshot();
         assert_eq!(s.sig_verifies, 2);
-        assert_eq!(s.clone_bytes, 100);
         assert_eq!(s.memo_hits, 3);
         assert_eq!(s.memo_misses, 4);
         hooks::reset();

@@ -1,9 +1,10 @@
-//! Pluggable event-queue backends for the simulation engine.
+//! Event-queue backends for the simulation engine.
 //!
 //! Every run drains one totally ordered queue of `(time, seq)`-keyed
 //! events — the hot path under every scenario, sweep, and explorer cell.
-//! The [`EventQueue`] trait abstracts that queue so the engine can swap
-//! implementations without touching dispatch, and two backends ship:
+//! Two backends ship, and the engine holds whichever it drains by value,
+//! as one variant of a two-variant enum (so cloning the engine state
+//! clones its pending events too):
 //!
 //! * [`HeapQueue`] — the original `BinaryHeap`, kept as the reference
 //!   implementation ("what the seed engine did, bit for bit");
@@ -23,7 +24,7 @@
 //!
 //! # Ordering contract
 //!
-//! Implementations may rely on how the engine drives them:
+//! Both backends may rely on how the engine drives them:
 //!
 //! 1. **Monotone time**: `push(at, ..)` is never called with `at` earlier
 //!    than the time of the last popped entry (virtual time never rewinds).
@@ -63,11 +64,11 @@ impl QueueBackend {
         }
     }
 
-    /// Builds a boxed queue of this backend.
-    pub fn build<T: Send + 'static>(self) -> Box<dyn EventQueue<T>> {
+    /// An empty queue of this backend.
+    pub(crate) fn build<T>(self) -> Queue<T> {
         match self {
-            QueueBackend::Heap => Box::new(HeapQueue::new()),
-            QueueBackend::Calendar => Box::new(CalendarQueue::new()),
+            QueueBackend::Heap => Queue::Heap(HeapQueue::new()),
+            QueueBackend::Calendar => Queue::Calendar(CalendarQueue::new()),
         }
     }
 }
@@ -78,33 +79,55 @@ impl std::fmt::Display for QueueBackend {
     }
 }
 
-/// A totally ordered event queue: pop-earliest by `(time, seq)`.
-///
-/// `Send` is a supertrait for the same reason as `LinkModel`'s: a boxed
-/// queue (and with it a whole `Simulation`) is built on one thread and run
-/// on another by the batch runner. See the module docs for the ordering
-/// contract implementations may rely on.
-pub trait EventQueue<T>: Send {
-    /// Enqueues `item` keyed by `(at, seq)`.
-    fn push(&mut self, at: SimTime, seq: u64, item: T);
+/// A totally ordered event queue, pop-earliest by `(time, seq)`, on one
+/// of the two backends, whose methods it forwards. A plain value: a clone
+/// holds every pending entry with its key, so the engine state that owns
+/// one snapshots it whole.
+#[derive(Clone)]
+pub(crate) enum Queue<T> {
+    Heap(HeapQueue<T>),
+    Calendar(CalendarQueue<T>),
+}
 
-    /// The key of the earliest pending entry, without removing it.
-    /// (`&mut` so implementations may settle internal cursors.)
-    fn peek_key(&mut self) -> Option<(SimTime, u64)>;
+impl<T> Queue<T> {
+    /// Which backend this is.
+    pub(crate) fn backend(&self) -> QueueBackend {
+        match self {
+            Queue::Heap(_) => QueueBackend::Heap,
+            Queue::Calendar(_) => QueueBackend::Calendar,
+        }
+    }
 
-    /// Removes and returns the earliest entry: minimal `at`, ties broken
-    /// by minimal `seq`.
-    fn pop(&mut self) -> Option<(SimTime, u64, T)>;
+    pub(crate) fn push(&mut self, at: SimTime, seq: u64, item: T) {
+        match self {
+            Queue::Heap(q) => q.push(at, seq, item),
+            Queue::Calendar(q) => q.push(at, seq, item),
+        }
+    }
 
-    /// Number of pending entries.
-    fn len(&self) -> usize;
+    pub(crate) fn peek_key(&mut self) -> Option<(SimTime, u64)> {
+        match self {
+            Queue::Heap(q) => q.peek_key(),
+            Queue::Calendar(q) => q.peek_key(),
+        }
+    }
 
-    /// Whether the queue is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, u64, T)> {
+        match self {
+            Queue::Heap(q) => q.pop(),
+            Queue::Calendar(q) => q.pop(),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Queue::Heap(q) => q.len(),
+            Queue::Calendar(q) => q.len(),
+        }
     }
 }
 
+#[derive(Clone)]
 struct HeapEntry<T> {
     at: SimTime,
     seq: u64,
@@ -135,6 +158,7 @@ impl<T> Ord for HeapEntry<T> {
 
 /// The reference backend: a `BinaryHeap` keyed `(at, seq)`, exactly the
 /// structure the engine used before queues became pluggable.
+#[derive(Clone)]
 pub struct HeapQueue<T> {
     heap: BinaryHeap<HeapEntry<T>>,
 }
@@ -147,23 +171,22 @@ impl<T> HeapQueue<T> {
         }
     }
 
-    /// See [`EventQueue::push`] (inherent so internal callers need no
-    /// `T: Send` bound).
+    /// Enqueues `item` keyed by `(at, seq)`.
     pub fn push(&mut self, at: SimTime, seq: u64, item: T) {
         self.heap.push(HeapEntry { at, seq, item });
     }
 
-    /// See [`EventQueue::peek_key`].
+    /// The key of the earliest pending entry, without removing it.
     pub fn peek_key(&self) -> Option<(SimTime, u64)> {
         self.heap.peek().map(|e| (e.at, e.seq))
     }
 
-    /// See [`EventQueue::pop`].
+    /// Removes and returns the earliest entry (ties by minimal `seq`).
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
         self.heap.pop().map(|e| (e.at, e.seq, e.item))
     }
 
-    /// See [`EventQueue::len`].
+    /// Number of pending entries.
     pub fn len(&self) -> usize {
         self.heap.len()
     }
@@ -177,24 +200,6 @@ impl<T> HeapQueue<T> {
 impl<T> Default for HeapQueue<T> {
     fn default() -> Self {
         HeapQueue::new()
-    }
-}
-
-impl<T: Send> EventQueue<T> for HeapQueue<T> {
-    fn push(&mut self, at: SimTime, seq: u64, item: T) {
-        HeapQueue::push(self, at, seq, item);
-    }
-
-    fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        HeapQueue::peek_key(self)
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, u64, T)> {
-        HeapQueue::pop(self)
-    }
-
-    fn len(&self) -> usize {
-        HeapQueue::len(self)
     }
 }
 
@@ -219,6 +224,7 @@ const MAX_BUCKETS: usize = 1 << 16;
 ///   to `MAX_BUCKETS` = 2^16 slots) and everything is re-placed; amortized by the
 ///   doubling, and bucket storage is reused across wraps, so steady-state
 ///   operation allocates nothing.
+#[derive(Clone)]
 pub struct CalendarQueue<T> {
     buckets: Vec<VecDeque<(SimTime, u64, T)>>,
     /// `buckets.len() - 1`; the ring length is a power of two.
@@ -259,11 +265,6 @@ impl<T> CalendarQueue<T> {
             last_popped: 0,
             len: 0,
         }
-    }
-
-    /// Current ring size (test/bench introspection).
-    pub fn ring_len(&self) -> usize {
-        self.buckets.len()
     }
 
     fn in_ring_window(&self, at: SimTime) -> bool {
@@ -357,16 +358,9 @@ impl<T> CalendarQueue<T> {
             _ => false,
         }
     }
-}
 
-impl<T> Default for CalendarQueue<T> {
-    fn default() -> Self {
-        CalendarQueue::new()
-    }
-}
-
-impl<T: Send> EventQueue<T> for CalendarQueue<T> {
-    fn push(&mut self, at: SimTime, seq: u64, item: T) {
+    /// Enqueues `item` keyed by `(at, seq)` (see the ordering contract).
+    pub fn push(&mut self, at: SimTime, seq: u64, item: T) {
         debug_assert!(
             at.0 >= self.last_popped,
             "push at {at:?} before the last popped tick ({}) violates the monotone-time contract",
@@ -381,7 +375,9 @@ impl<T: Send> EventQueue<T> for CalendarQueue<T> {
         }
     }
 
-    fn peek_key(&mut self) -> Option<(SimTime, u64)> {
+    /// The key of the earliest pending entry, without removing it
+    /// (`&mut`: it settles the cursor).
+    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
         if self.len == 0 {
             return None;
         }
@@ -395,7 +391,8 @@ impl<T: Send> EventQueue<T> for CalendarQueue<T> {
         Some((front.0, front.1))
     }
 
-    fn pop(&mut self) -> Option<(SimTime, u64, T)> {
+    /// Removes and returns the earliest entry (ties by minimal `seq`).
+    pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
         if self.len == 0 {
             return None;
         }
@@ -414,8 +411,20 @@ impl<T: Send> EventQueue<T> for CalendarQueue<T> {
         Some(entry)
     }
 
-    fn len(&self) -> usize {
+    /// Number of pending entries.
+    pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// Whether the queue is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+impl<T> Default for CalendarQueue<T> {
+    fn default() -> Self {
+        CalendarQueue::new()
     }
 }
 
@@ -423,12 +432,8 @@ impl<T: Send> EventQueue<T> for CalendarQueue<T> {
 mod tests {
     use super::*;
 
-    fn drain<T>(q: &mut dyn EventQueue<T>) -> Vec<(SimTime, u64, T)> {
-        let mut out = Vec::new();
-        while let Some(e) = q.pop() {
-            out.push(e);
-        }
-        out
+    fn drain<T>(pop: impl FnMut() -> Option<(SimTime, u64, T)>) -> Vec<(SimTime, u64, T)> {
+        std::iter::from_fn(pop).collect()
     }
 
     #[test]
@@ -450,7 +455,7 @@ mod tests {
             q.push(SimTime(0), 3, "t0");
             assert_eq!(q.len(), 4);
             assert_eq!(q.peek_key(), Some((SimTime(0), 3)));
-            let order: Vec<&str> = drain(&mut *q).into_iter().map(|(_, _, x)| x).collect();
+            let order: Vec<&str> = drain(|| q.pop()).into_iter().map(|(_, _, x)| x).collect();
             assert_eq!(
                 order,
                 vec!["t0", "t1", "early-seq-at-5", "late-seq-at-5"],
@@ -469,7 +474,7 @@ mod tests {
             // Push at the popped time (self-delivery) and beyond.
             q.push(SimTime(10), 2, 2);
             q.push(SimTime(15), 3, 3);
-            let rest: Vec<u32> = drain(&mut *q).into_iter().map(|(_, _, x)| x).collect();
+            let rest: Vec<u32> = drain(|| q.pop()).into_iter().map(|(_, _, x)| x).collect();
             assert_eq!(rest, vec![2, 3, 1], "{backend}");
         }
     }
@@ -488,7 +493,7 @@ mod tests {
             assert_eq!(q.peek_key(), Some((SimTime(100), 0))); // settles cursor at 100
             q.push(SimTime(50), 1, "early");
             assert_eq!(q.peek_key(), Some((SimTime(50), 1)), "{backend}");
-            let order: Vec<&str> = drain(&mut *q).into_iter().map(|(_, _, x)| x).collect();
+            let order: Vec<&str> = drain(|| q.pop()).into_iter().map(|(_, _, x)| x).collect();
             assert_eq!(order, vec!["early", "late"], "{backend}");
         }
         // Same shape with same-tick company behind the cursor and a
@@ -499,7 +504,7 @@ mod tests {
         q.push(SimTime(40), 1, 1);
         q.push(SimTime(40), 2, 2);
         q.push(SimTime(199), 3, 3);
-        let order: Vec<u32> = drain(&mut q).into_iter().map(|(_, _, x)| x).collect();
+        let order: Vec<u32> = drain(|| q.pop()).into_iter().map(|(_, _, x)| x).collect();
         assert_eq!(order, vec![1, 2, 3, 0]);
     }
 
@@ -530,35 +535,35 @@ mod tests {
         // Window now covers tick 100: a direct push lands behind the
         // migrated entries.
         q.push(SimTime(100), 3, 3);
-        let order: Vec<u32> = drain(&mut q).into_iter().map(|(_, _, x)| x).collect();
+        let order: Vec<u32> = drain(|| q.pop()).into_iter().map(|(_, _, x)| x).collect();
         assert_eq!(order, vec![0, 1, 3]);
     }
 
     #[test]
     fn calendar_lazily_grows_its_ring() {
         let mut q = CalendarQueue::with_buckets(2);
-        assert_eq!(q.ring_len(), 2);
+        assert_eq!(q.buckets.len(), 2);
         // A burst spread over many ticks overflows the tiny ring and
         // forces growth; order is preserved through the rebuild.
         for i in 0..64u64 {
             q.push(SimTime(i * 3), i, i);
         }
-        assert!(q.ring_len() > 2, "ring should have grown");
-        let order: Vec<u64> = drain(&mut q).into_iter().map(|(_, _, x)| x).collect();
+        assert!(q.buckets.len() > 2, "ring should have grown");
+        let order: Vec<u64> = drain(|| q.pop()).into_iter().map(|(_, _, x)| x).collect();
         assert_eq!(order, (0..64).collect::<Vec<_>>());
     }
 
     #[test]
     fn calendar_ring_is_capped() {
         let q: CalendarQueue<u8> = CalendarQueue::with_buckets(usize::MAX >> 8);
-        assert_eq!(q.ring_len(), MAX_BUCKETS);
+        assert_eq!(q.buckets.len(), MAX_BUCKETS);
     }
 
     #[test]
     fn empty_queue_behaviour() {
         for backend in QueueBackend::ALL {
             let mut q = backend.build::<u8>();
-            assert!(q.is_empty());
+            assert_eq!(q.len(), 0);
             assert_eq!(q.peek_key(), None);
             assert_eq!(q.pop(), None);
         }

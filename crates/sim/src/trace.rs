@@ -1,7 +1,8 @@
 //! Traces: delivery records for timeline rendering (paper Figure 2a) and
 //! a [`ChromeTrace`] builder emitting Chrome Trace Event Format JSON.
 //!
-//! A [`Trace`] is the raw chronological record the engine fills in; a
+//! A [`Trace`] is the raw chronological record the engine fills in at
+//! each dispatched delivery; a
 //! [`ChromeTrace`] is an export surface — phase spans and message-delivery
 //! instants assembled by a higher layer open directly in Perfetto
 //! (<https://ui.perfetto.dev>) or `chrome://tracing`. One virtual tick is
@@ -25,8 +26,9 @@ pub struct TraceEntry {
     pub kind: &'static str,
 }
 
-/// A chronological record of deliveries (only populated when enabled on the
-/// simulation — tracing every message is memory-heavy for large sweeps).
+/// Deliveries in dispatch order (`at` never decreases; one discarded at a
+/// crashed receiver is absent), recorded only when enabled on the
+/// simulation — tracing every message is memory-heavy for large sweeps.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     entries: Vec<TraceEntry>,
@@ -54,21 +56,6 @@ impl Trace {
     /// All recorded entries in delivery order.
     pub fn entries(&self) -> &[TraceEntry] {
         &self.entries
-    }
-
-    /// Entries of one kind.
-    pub fn of_kind<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = &'a TraceEntry> + 'a {
-        self.entries.iter().filter(move |e| e.kind == kind)
-    }
-
-    /// First delivery time of a kind, if any.
-    pub fn first_of_kind(&self, kind: &str) -> Option<SimTime> {
-        self.of_kind(kind).map(|e| e.at).next()
-    }
-
-    /// Clears the record.
-    pub fn clear(&mut self) {
-        self.entries.clear();
     }
 }
 
@@ -262,19 +249,7 @@ mod tests {
         t.set_enabled(true);
         t.record(entry(1, "Vote"));
         t.record(entry(2, "Commit"));
-        assert_eq!(t.entries().len(), 2);
-        assert_eq!(t.of_kind("Vote").count(), 1);
-        assert_eq!(t.first_of_kind("Commit"), Some(SimTime(2)));
-        assert_eq!(t.first_of_kind("Final"), None);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut t = Trace::new();
-        t.set_enabled(true);
-        t.record(entry(1, "Vote"));
-        t.clear();
-        assert!(t.entries().is_empty());
+        assert_eq!(t.entries(), [entry(1, "Vote"), entry(2, "Commit")]);
     }
 
     #[test]

@@ -6,9 +6,14 @@
 //! mixing `broadcast`, `broadcast_others`, unicasts and timers inside the
 //! nodes with `crash` / `recover` / `snapshot`-`restore` between
 //! `run_before` segments outside them, the two spellings must agree on
-//! the delivery trace, the meter, every engine counter (arena occupancy
-//! is counted per delivery, not per parked payload) and the final node
-//! states. Run this after any edit to `engine.rs` or `arena.rs`.
+//! the delivery trace, the meter's send and delivery sides, every engine
+//! counter (arena occupancy is counted per delivery, not per parked
+//! payload) and the final node states. Each run also checks the engine's
+//! books against themselves and the nodes: the delivery ledger is what
+//! every node counted of its own `on_message` calls, no kind is received
+//! more than sent (exactly as often when nothing crashed), and the trace
+//! is in delivery order. Run this after any edit to `engine.rs` or
+//! `arena.rs`.
 
 use prft_sim::{
     Context, KindStats, LinkModel, Node, SimRng, SimTime, Simulation, TimerId, TraceEntry,
@@ -16,6 +21,7 @@ use prft_sim::{
 };
 use prft_types::NodeId;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// A payload that still has `hops` re-broadcasts in it.
 #[derive(Clone, Debug, PartialEq)]
@@ -182,10 +188,29 @@ struct Artifacts {
     peak_arena_occupancy: usize,
     /// `(in_flight_messages, queue_len)` at every schedule boundary.
     boundaries: Vec<(usize, usize)>,
+    /// The meter's delivery side, per node.
+    received: Vec<Vec<(&'static str, KindStats)>>,
     nodes: Vec<Fan>,
 }
 
-fn run(mut sim: Simulation<Fan>, steps: &[(u64, Step)]) -> Artifacts {
+/// `entries` summed per kind.
+fn by_kind(
+    entries: impl IntoIterator<Item = (&'static str, KindStats)>,
+) -> BTreeMap<&'static str, KindStats> {
+    let mut out: BTreeMap<_, KindStats> = BTreeMap::new();
+    for (kind, ks) in entries {
+        let e = out.entry(kind).or_default();
+        e.count += ks.count;
+        e.bytes += ks.bytes;
+    }
+    out
+}
+
+/// Runs the schedule to quiescence and checks the engine's books: the
+/// delivery ledger against each node's own record and against the send
+/// side. Returns the artifacts and `engine.clone_bytes`, which only the
+/// shared spelling charges.
+fn run(mut sim: Simulation<Fan>, steps: &[(u64, Step)]) -> (Artifacts, u64) {
     let mut boundaries = Vec::new();
     for &(tick, step) in steps {
         sim.run_before(SimTime(tick));
@@ -195,14 +220,40 @@ fn run(mut sim: Simulation<Fan>, steps: &[(u64, Step)]) -> Artifacts {
             Step::Recover(i) => sim.recover(NodeId(i)),
             Step::Fork => {
                 let snap = sim.snapshot();
+                let books = sim.observability();
                 sim = Simulation::restore(&snap, Box::new(Jitter));
+                assert_eq!(sim.observability(), books, "the fork carries the books");
             }
         }
     }
     sim.run();
     assert_eq!(sim.in_flight_messages(), 0, "arena drained at quiescence");
-    Artifacts {
-        trace: sim.trace().entries().to_vec(),
+    let ledger = |i| sim.meter().received(NodeId(i)).iter();
+    for (i, node) in sim.nodes().enumerate() {
+        let own = node.received.iter().map(|(_, m)| {
+            let bytes = m.wire_bytes() as u64;
+            (m.kind(), KindStats { count: 1, bytes })
+        });
+        assert_eq!(
+            by_kind(ledger(i).copied()),
+            by_kind(own),
+            "node {i}'s deliveries"
+        );
+    }
+    let received = by_kind((0..sim.n()).flat_map(ledger).copied());
+    let crashed = steps.iter().any(|(_, step)| matches!(step, Step::Crash(_)));
+    for (kind, sent) in sim.meter().iter() {
+        let got = received.get(kind).copied().unwrap_or_default();
+        assert!(got.count <= sent.count && got.bytes <= sent.bytes, "{kind}");
+        assert!(crashed || got == sent, "{kind}: every send delivered");
+    }
+    let trace = sim.trace().entries();
+    assert!(
+        trace.windows(2).all(|w| w[0].at <= w[1].at),
+        "delivery order"
+    );
+    let artifacts = Artifacts {
+        trace: trace.to_vec(),
         meter: sim.meter().iter().collect(),
         events_dispatched: sim.events_dispatched(),
         queue_pushes: sim.queue_pushes(),
@@ -210,6 +261,7 @@ fn run(mut sim: Simulation<Fan>, steps: &[(u64, Step)]) -> Artifacts {
         peak_queue_depth: sim.peak_queue_depth(),
         peak_arena_occupancy: sim.peak_arena_occupancy(),
         boundaries,
+        received: (0..sim.n()).map(|i| ledger(i).copied().collect()).collect(),
         // The flag is the one field that differs by construction.
         nodes: sim
             .nodes()
@@ -218,7 +270,13 @@ fn run(mut sim: Simulation<Fan>, steps: &[(u64, Step)]) -> Artifacts {
                 ..node.clone()
             })
             .collect(),
-    }
+    };
+    (artifacts, sim.observability().counter("engine.clone_bytes"))
+}
+
+fn without_forks(steps: &[(u64, Step)]) -> Vec<(u64, Step)> {
+    let kept = steps.iter().filter(|(_, step)| !matches!(step, Step::Fork));
+    kept.copied().collect()
 }
 
 proptest! {
@@ -232,23 +290,36 @@ proptest! {
         raw in proptest::collection::vec((0u64..120, 0u8..4, 0usize..11), 0..8),
     ) {
         let steps = schedule(&raw, committee + clients);
-        let shared = run(build(committee, clients, seed, false), &steps);
-        let unrolled = run(build(committee, clients, seed, true), &steps);
+        let (shared, clone_bytes) = run(build(committee, clients, seed, false), &steps);
+        let (unrolled, unicast_clones) = run(build(committee, clients, seed, true), &steps);
         prop_assert_eq!(shared, unrolled);
+        // Only a broadcast is charged its copies, and forks carry the
+        // charge exactly.
+        prop_assert_eq!(unicast_clones, 0);
+        let straight = run(build(committee, clients, seed, false), &without_forks(&steps));
+        prop_assert_eq!(straight.1, clone_bytes);
     }
 }
 
-/// Whether `trace` holds a full-domain fan-out (one entry per committee
-/// seat, in seat order, from one sender) of which some deliveries are due
-/// before `t` and others at or after it.
-fn half_delivered(trace: &[TraceEntry], committee: usize, t: SimTime) -> bool {
-    trace.windows(committee).any(|w| {
-        w.iter()
-            .enumerate()
-            .all(|(i, e)| e.to == NodeId(i) && e.from == w[0].from)
-            && w.iter().any(|e| e.at < t)
-            && w.iter().any(|e| e.at >= t)
-    })
+/// Whether `sim`, crash-free so far, holds a fan-out some committee seats
+/// have received and others still wait for. Every send carries a fresh
+/// random `v`, and a fan-out reaches at least `committee - 1` seats, so a
+/// payload two to `committee - 2` seats hold is one; the books must
+/// balance meanwhile: sent = received (the engine's ledger) + in flight.
+fn half_delivered(sim: &Simulation<Fan>, committee: usize) -> bool {
+    let received: u64 = (0..committee)
+        .flat_map(|i| sim.meter().received(NodeId(i)))
+        .map(|(_, ks)| ks.count)
+        .sum();
+    let sent = sim.meter().total_messages();
+    assert_eq!(sent, received + sim.in_flight_messages() as u64);
+    let mut holders: BTreeMap<u64, usize> = BTreeMap::new();
+    for node in sim.nodes() {
+        for (_, note) in &node.received {
+            *holders.entry(note.v).or_default() += 1;
+        }
+    }
+    holders.values().any(|&k| (2..=committee - 2).contains(&k))
 }
 
 /// The case the property test only hits by chance, pinned: a snapshot
@@ -261,21 +332,23 @@ fn a_fork_inherits_a_half_delivered_broadcast() {
     let tick = (8..25)
         .find(|&tick| {
             probe.run_before(SimTime(tick));
-            half_delivered(probe.trace().entries(), committee, SimTime(tick))
+            half_delivered(&probe, committee)
         })
         .expect("some broadcast straddles a tick below the jitter bound");
     assert!(probe.in_flight_messages() > 0);
 
     let forked = [(tick, Step::Fork), (tick + 2, Step::Crash(3))];
-    let shared = run(build(committee, 0, seed, false), &forked);
-    let unrolled = run(build(committee, 0, seed, true), &forked);
+    let (shared, clone_bytes) = run(build(committee, 0, seed, false), &forked);
+    let (unrolled, _) = run(build(committee, 0, seed, true), &forked);
     assert_eq!(shared.boundaries[0].0, probe.in_flight_messages());
     assert_eq!(shared, unrolled);
     // And the fork matches the run that never forked.
-    let straight = run(
+    let (straight, straight_clones) = run(
         build(committee, 0, seed, false),
         &[(tick + 2, Step::Crash(3))],
     );
     assert_eq!(shared.trace, straight.trace);
+    assert_eq!(shared.received, straight.received);
     assert_eq!(shared.nodes, straight.nodes);
+    assert_eq!(clone_bytes, straight_clones);
 }

@@ -9,7 +9,7 @@
 //! replay would diverge with it, so the property is driven hard here
 //! (devstubs-proptest samples deterministic pseudo-random schedules).
 
-use prft_sim::{CalendarQueue, EventQueue, HeapQueue, SimTime};
+use prft_sim::{CalendarQueue, HeapQueue, SimTime};
 use proptest::prelude::*;
 
 /// The popped `(tick, seq, payload)` stream of one backend.
@@ -44,14 +44,14 @@ fn apply_schedule(ops: &[Op]) -> (Popped, Popped) {
         match op {
             Op::Push(gap) => {
                 let at = SimTime(last_popped + gap);
-                EventQueue::push(&mut heap, at, seq, payload);
-                EventQueue::push(&mut calendar, at, seq, payload);
+                heap.push(at, seq, payload);
+                calendar.push(at, seq, payload);
                 seq += 1;
                 payload = payload.wrapping_mul(31).wrapping_add(1);
             }
             Op::Pop => {
-                let h = EventQueue::pop(&mut heap);
-                let c = EventQueue::pop(&mut calendar);
+                let h = heap.pop();
+                let c = calendar.pop();
                 if let Some((at, _, _)) = h {
                     last_popped = at.0;
                 }
@@ -59,20 +59,16 @@ fn apply_schedule(ops: &[Op]) -> (Popped, Popped) {
                 cal_pops.extend(c.map(|(at, s, p)| (at.0, s, p)));
             }
             Op::Peek => {
-                assert_eq!(
-                    EventQueue::peek_key(&mut heap),
-                    EventQueue::peek_key(&mut calendar),
-                    "peek keys diverged"
-                );
+                assert_eq!(heap.peek_key(), calendar.peek_key(), "peek keys diverged");
             }
         }
-        assert_eq!(EventQueue::len(&heap), EventQueue::len(&calendar));
+        assert_eq!(heap.len(), calendar.len());
     }
     // Drain both to the end: whatever was left must agree too.
-    while let Some((at, s, p)) = EventQueue::pop(&mut heap) {
+    while let Some((at, s, p)) = heap.pop() {
         heap_pops.push((at.0, s, p));
     }
-    while let Some((at, s, p)) = EventQueue::pop(&mut calendar) {
+    while let Some((at, s, p)) = calendar.pop() {
         cal_pops.push((at.0, s, p));
     }
     (heap_pops, cal_pops)

@@ -2,15 +2,17 @@
 //! level: for a random committee size, seed, snapshot tick, and fault
 //! schedule, `run_before(t); snapshot(); restore(); run to end` is
 //! indistinguishable from an uninterrupted run — event traces, the
-//! observability registry, node state, and every engine counter agree
-//! exactly. Also pins snapshot idempotence (snapshotting twice at the
-//! same tick yields equivalent snapshots and does not perturb the live
-//! simulation) and backend portability (a snapshot taken under one queue
-//! backend replays byte-identically restored onto the other).
+//! observability registry, the delivery ledger, node state, and every
+//! engine counter agree exactly. Also pins that taking snapshots has no
+//! side effect on the live run (a snapshot is a clone of the engine
+//! state), snapshot idempotence (snapshotting twice at the same tick
+//! yields equivalent snapshots) and backend portability (a snapshot taken
+//! under one queue backend replays byte-identically restored onto the
+//! other).
 
 use prft_sim::{
-    ConstantDelay, Context, LinkModel, Node, ObsRegistry, QueueBackend, SimSnapshot, SimTime,
-    Simulation, TimerId, TraceEntry, WireMessage,
+    ConstantDelay, Context, KindStats, LinkModel, Node, ObsRegistry, QueueBackend, SimSnapshot,
+    SimTime, Simulation, TimerId, TraceEntry, WireMessage,
 };
 use prft_types::NodeId;
 use proptest::prelude::*;
@@ -124,7 +126,10 @@ fn build(n: usize, seed: u64, backend: QueueBackend) -> Simulation<Gossip> {
 #[derive(Debug, PartialEq)]
 struct Artifacts {
     trace: Vec<TraceEntry>,
+    /// The engine counters and the meter's send side.
     obs: ObsRegistry,
+    /// The meter's delivery side, per node.
+    received: Vec<Vec<(&'static str, KindStats)>>,
     nodes: Vec<Gossip>,
     now: SimTime,
     in_flight: usize,
@@ -139,6 +144,9 @@ fn finish(mut sim: Simulation<Gossip>, faults: &[(u64, Fault)], horizon: u64) ->
     Artifacts {
         trace: sim.trace().entries().to_vec(),
         obs: sim.observability(),
+        received: (0..sim.n())
+            .map(|i| sim.meter().received(NodeId(i)).to_vec())
+            .collect(),
         nodes: sim.nodes().cloned().collect(),
         now: sim.now(),
         in_flight: sim.in_flight_messages(),
@@ -181,14 +189,13 @@ proptest! {
         let (snap, rest) = snapshot_at(&mut live, &faults, t);
         let forked = finish(Simulation::restore(&snap, link()), &rest, HORIZON);
         prop_assert_eq!(&forked, &reference);
-        // The live simulation the snapshot was drained from is unharmed.
+        // The live simulation the snapshot was taken from is unharmed.
         let resumed = finish(live, &rest, HORIZON);
         prop_assert_eq!(&resumed, &reference);
     }
 
     /// Snapshotting twice at the same tick is idempotent: both snapshots
-    /// seed identical forks, and the double-drain leaves the live run
-    /// unperturbed.
+    /// seed identical forks, and the live run is unperturbed.
     #[test]
     fn snapshot_is_idempotent(
         n in 2usize..6,
@@ -209,6 +216,31 @@ proptest! {
         prop_assert_eq!(&a, &reference);
         let resumed = finish(live, &rest, HORIZON);
         prop_assert_eq!(&resumed, &reference);
+    }
+
+    /// Snapshots taken at random ticks leave the run that takes them
+    /// exactly as it would have been without them: trace, send and
+    /// delivery ledgers, `queue_pushes` / `queue_pops`,
+    /// `peak_queue_depth` and every other counter.
+    #[test]
+    fn snapshots_leave_the_live_run_untouched(
+        n in 2usize..7,
+        seed in 0u64..10_000,
+        ticks in proptest::collection::vec(1u64..450, 1..6),
+        raw in proptest::collection::vec((0u64..450, 0u8..3, 0usize..8), 0..6),
+    ) {
+        let faults = schedule(&raw, n);
+        let reference = finish(build(n, seed, QueueBackend::Calendar), &faults, HORIZON);
+        let mut live = build(n, seed, QueueBackend::Calendar);
+        let mut rest = faults;
+        let mut ticks = ticks;
+        ticks.sort_unstable();
+        for t in ticks {
+            let (snap, after) = snapshot_at(&mut live, &rest, t);
+            prop_assert_eq!(snap.now(), live.now());
+            rest = after;
+        }
+        prop_assert_eq!(&finish(live, &rest, HORIZON), &reference);
     }
 
     /// A snapshot taken under either backend restores onto the other with
