@@ -1,5 +1,6 @@
-//! Post-run analysis over a pRFT simulation: agreement, liveness,
-//! censorship, forks, and burns — the observables every experiment reads.
+//! Post-run analysis over a pRFT simulation: one pass over the honest
+//! replicas of a finished run yields every verdict the experiments read —
+//! agreement, ordering, liveness, burns, and Claim 2 consistency.
 //!
 //! Every function here is generic over the node type via [`AsReplica`]:
 //! a bare `Simulation<Replica>` works, and so does the scenario layer's
@@ -11,6 +12,7 @@
 use crate::replica::Replica;
 use prft_sim::{Node, Simulation};
 use prft_types::{Chain, NodeId, TxId};
+use std::collections::HashSet;
 
 /// Views a simulation actor as a protocol replica, when it is one.
 ///
@@ -51,10 +53,18 @@ pub struct RunReport {
     pub view_changes: u64,
     /// Total valid exposes applied across honest replicas.
     pub exposes: u64,
+    /// Largest `rounds_entered` among honest replicas.
+    pub rounds_entered: u64,
+    /// Claim 2 consistency: no honest player finalized a round another
+    /// honest player abandoned via view change.
+    pub vc_consistent: bool,
+    /// Average finalized height per entered round across honest replicas,
+    /// in [0, 1]: ≈1 means every round produced a block (liveness), ≈0
+    /// means no progress (`σ_NP`).
+    pub throughput: f64,
 }
 
-/// Whether a replica is honest for analysis purposes.
-pub fn is_honest(replica: &Replica) -> bool {
+fn is_honest(replica: &Replica) -> bool {
     replica.behavior_label() == "honest"
 }
 
@@ -67,7 +77,7 @@ fn replica_at<N: Node + AsReplica>(sim: &Simulation<N>, id: NodeId) -> &Replica 
 /// Ids of all honest replicas. Crashed players are excluded: the paper's
 /// properties quantify over correct (non-faulty) honest players. Client
 /// actors (in workload runs) are not replicas and never appear here.
-pub fn honest_ids<N: Node + AsReplica>(sim: &Simulation<N>) -> Vec<NodeId> {
+fn honest_ids<N: Node + AsReplica>(sim: &Simulation<N>) -> Vec<NodeId> {
     (0..sim.n())
         .map(NodeId)
         .filter(|&id| {
@@ -78,60 +88,74 @@ pub fn honest_ids<N: Node + AsReplica>(sim: &Simulation<N>) -> Vec<NodeId> {
         .collect()
 }
 
+// Both verdicts below are pairwise prefix-consistency. A family of
+// prefixes is pairwise consistent exactly when each member is a prefix of
+// the longest one, so each seat is checked once against that reference.
+
+/// `(t,k)`-agreement: no two finalized prefixes differ at a height.
+fn agreement(chains: &[&Chain]) -> bool {
+    let reference = chains.iter().max_by_key(|c| c.final_height());
+    reference.is_none_or(|r| {
+        chains
+            .iter()
+            .all(|c| Chain::find_fork(c, r, true).is_none())
+    })
+}
+
+/// 1-strict ordering between every pair of full ledgers.
+fn strict_ordering(chains: &[&Chain]) -> bool {
+    let reference = chains.iter().max_by_key(|c| c.len());
+    reference.is_none_or(|r| chains.iter().all(|c| Chain::c_strict_ordering(c, r, 1)))
+}
+
 /// Computes the [`RunReport`] for a finished simulation.
 pub fn analyze<N: Node + AsReplica>(sim: &Simulation<N>) -> RunReport {
     let honest = honest_ids(sim);
-    let chains: Vec<&Chain> = honest
+    let replicas: Vec<&Replica> = honest.iter().map(|&id| replica_at(sim, id)).collect();
+    let chains: Vec<&Chain> = replicas.iter().map(|r| r.chain()).collect();
+    let final_heights = chains.iter().map(|c| c.final_height());
+
+    let mut burned: Vec<NodeId> = replicas
         .iter()
-        .map(|&id| replica_at(sim, id).chain())
-        .collect();
-
-    let min_final_height = chains.iter().map(|c| c.final_height()).min().unwrap_or(0);
-    let max_final_height = chains.iter().map(|c| c.final_height()).max().unwrap_or(0);
-
-    let mut agreement = true;
-    let mut strict_ordering = true;
-    for i in 0..chains.len() {
-        for j in (i + 1)..chains.len() {
-            if Chain::find_fork(chains[i], chains[j], true).is_some() {
-                agreement = false;
-            }
-            if !Chain::c_strict_ordering(chains[i], chains[j], 1) {
-                strict_ordering = false;
-            }
-        }
-    }
-
-    let mut burned: Vec<NodeId> = honest
-        .iter()
-        .flat_map(|&id| {
-            replica_at(sim, id)
-                .collateral()
-                .burned()
-                .collect::<Vec<_>>()
-        })
+        .flat_map(|r| r.collateral().burned())
         .collect();
     burned.sort_unstable();
     burned.dedup();
 
-    let view_changes = honest
+    let finalized: HashSet<_> = replicas
         .iter()
-        .map(|&id| replica_at(sim, id).stats().view_changes)
-        .sum();
-    let exposes = honest
+        .flat_map(|r| r.stats().finalize_times.iter().map(|&(round, _)| round))
+        .collect();
+    let vc_consistent = replicas
         .iter()
-        .map(|&id| replica_at(sim, id).stats().exposes_applied)
-        .sum();
+        .flat_map(|r| &r.stats().view_changed_rounds)
+        .all(|round| !finalized.contains(round));
+
+    let throughput = if replicas.is_empty() {
+        0.0
+    } else {
+        let per_seat = replicas
+            .iter()
+            .map(|r| r.chain().final_height() as f64 / r.stats().rounds_entered.max(1) as f64);
+        per_seat.sum::<f64>() / replicas.len() as f64
+    };
 
     RunReport {
-        honest,
-        min_final_height,
-        max_final_height,
-        agreement,
-        strict_ordering,
+        min_final_height: final_heights.clone().min().unwrap_or(0),
+        max_final_height: final_heights.max().unwrap_or(0),
+        agreement: agreement(&chains),
+        strict_ordering: strict_ordering(&chains),
         burned,
-        view_changes,
-        exposes,
+        view_changes: replicas.iter().map(|r| r.stats().view_changes).sum(),
+        exposes: replicas.iter().map(|r| r.stats().exposes_applied).sum(),
+        rounds_entered: replicas
+            .iter()
+            .map(|r| r.stats().rounds_entered)
+            .max()
+            .unwrap_or(0),
+        vc_consistent,
+        throughput,
+        honest,
     }
 }
 
@@ -150,19 +174,88 @@ pub fn tx_included_anywhere<N: Node + AsReplica>(sim: &Simulation<N>, tx: TxId) 
         .any(|&id| replica_at(sim, id).chain().contains_tx(tx))
 }
 
-/// Average finalized height per entered round across honest replicas — a
-/// throughput measure in [0, 1]; ≈1 means every round produced a block
-/// (liveness), ≈0 means no progress (`σ_NP`).
-pub fn throughput<N: Node + AsReplica>(sim: &Simulation<N>) -> f64 {
-    let honest = honest_ids(sim);
-    if honest.is_empty() {
-        return 0.0;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use prft_types::{Block, Height, Round, Transaction};
+
+    /// A ledger of `len` blocks over genesis, finalized up to `fin`. Block
+    /// `h` is the shared trunk's block unless the seat left the trunk at
+    /// or below `h`, in which case it carries the seat's `branch` tag.
+    /// Every block extends its own chain's tip, so seats that never left
+    /// the trunk (or left it at one height for one branch) share blocks.
+    fn ledger(len: u64, fin: u64, fork_at: Option<(u64, u64)>) -> Chain {
+        let mut chain = Chain::new(Block::genesis());
+        for h in 1..=len {
+            let tag = match fork_at {
+                Some((at, branch)) if h >= at => branch,
+                _ => 0,
+            };
+            let txs = vec![Transaction::new(tag, NodeId(0), vec![])];
+            let block = Block::new(Round(h), chain.tip(), NodeId(0), txs);
+            chain.append_tentative(block).unwrap();
+        }
+        chain.finalize_upto(Height(fin)).unwrap();
+        chain
     }
-    let mut total = 0.0;
-    for &id in &honest {
-        let node = replica_at(sim, id);
-        let rounds = node.stats().rounds_entered.max(1) as f64;
-        total += node.chain().final_height() as f64 / rounds;
+
+    /// The pairwise definitions the reference-chain verdicts replace.
+    fn pairwise(chains: &[&Chain], holds: impl Fn(&Chain, &Chain) -> bool) -> bool {
+        chains
+            .iter()
+            .enumerate()
+            .all(|(i, a)| chains[i + 1..].iter().all(|b| holds(a, b)))
     }
-    total / honest.len() as f64
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Random families of honest ledgers — one trunk, a finalized
+        /// height and a tentative suffix per seat, and now and then a seat
+        /// that leaves the trunk for one of two branches — get the same
+        /// agreement and 1-strict-ordering verdicts from one reference
+        /// chain as from every pair.
+        #[test]
+        fn reference_chain_verdicts_equal_the_pairwise_definitions(
+            seats in proptest::collection::vec((0u64..8, 0u64..9, 0u64..24, 1u64..3), 0..7),
+        ) {
+            let family: Vec<Chain> = seats
+                .iter()
+                .map(|&(len, fin, at, branch)| {
+                    let fork_at = (1..=len).contains(&at).then_some((at, branch));
+                    ledger(len, fin.min(len), fork_at)
+                })
+                .collect();
+            let chains: Vec<&Chain> = family.iter().collect();
+            proptest::prop_assert_eq!(
+                agreement(&chains),
+                pairwise(&chains, |a, b| Chain::find_fork(a, b, true).is_none()),
+                "agreement over {:?}", seats
+            );
+            proptest::prop_assert_eq!(
+                strict_ordering(&chains),
+                pairwise(&chains, |a, b| Chain::c_strict_ordering(a, b, 1)),
+                "strict ordering over {:?}", seats
+            );
+        }
+    }
+
+    #[test]
+    fn finalized_divergence_breaks_agreement() {
+        let a = ledger(2, 2, None);
+        let b = ledger(2, 2, Some((2, 1)));
+        assert!(!agreement(&[&a, &b]));
+        assert!(!agreement(&[&a, &a, &b]));
+    }
+
+    #[test]
+    fn tentative_divergence_is_not_a_fork() {
+        let a = ledger(2, 1, None);
+        let b = ledger(2, 1, Some((2, 1)));
+        assert!(agreement(&[&a, &b]));
+        assert!(
+            strict_ordering(&[&a, &b]),
+            "1-strict ordering drops the tip"
+        );
+    }
 }

@@ -8,46 +8,22 @@
 use prft_types::NodeId;
 use std::collections::BTreeSet;
 
-/// Per-player deposits with burn tracking and the paper's q-block lock:
-/// "this collateral is locked unless some specified q number of blocks are
-/// mined" (Section 5.3.1) — a withdrawal is only possible once the chain
-/// has grown `q` blocks past the deposit height, so PoF from recent rounds
-/// can always still reach the deposit.
+/// Per-player deposits with burn tracking.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CollateralLedger {
     deposit: u64,
     burned: BTreeSet<NodeId>,
     n: usize,
-    lock_blocks: u64,
 }
 
 impl CollateralLedger {
-    /// Opens the ledger with `n` players each depositing `deposit` (= `L`),
-    /// with no withdrawal lock.
+    /// Opens the ledger with `n` players each depositing `deposit` (= `L`).
     pub fn new(n: usize, deposit: u64) -> Self {
-        Self::with_lock(n, deposit, 0)
-    }
-
-    /// Opens the ledger with a `q`-block withdrawal lock.
-    pub fn with_lock(n: usize, deposit: u64, lock_blocks: u64) -> Self {
         CollateralLedger {
             deposit,
             burned: BTreeSet::new(),
             n,
-            lock_blocks,
         }
-    }
-
-    /// The q-block lock parameter.
-    pub fn lock_blocks(&self) -> u64 {
-        self.lock_blocks
-    }
-
-    /// Whether `player` could withdraw its deposit when the chain has
-    /// `chain_height` blocks and the deposit was made at height 0: requires
-    /// `q` mined blocks and an unburned deposit.
-    pub fn withdrawable(&self, player: NodeId, chain_height: u64) -> bool {
-        !self.is_burned(player) && chain_height >= self.lock_blocks
     }
 
     /// The deposit amount `L`.
@@ -84,16 +60,6 @@ impl CollateralLedger {
     pub fn burned(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.burned.iter().copied()
     }
-
-    /// Number of burned players.
-    pub fn burned_count(&self) -> usize {
-        self.burned.len()
-    }
-
-    /// Total value destroyed so far.
-    pub fn total_burned(&self) -> u64 {
-        self.burned.len() as u64 * self.deposit
-    }
 }
 
 #[cfg(test)]
@@ -105,8 +71,7 @@ mod tests {
         let mut l = CollateralLedger::new(4, 100);
         assert!(l.burn(NodeId(2)));
         assert!(!l.burn(NodeId(2)));
-        assert_eq!(l.burned_count(), 1);
-        assert_eq!(l.total_burned(), 100);
+        assert_eq!(l.burned().collect::<Vec<_>>(), vec![NodeId(2)]);
     }
 
     #[test]
@@ -131,21 +96,5 @@ mod tests {
     #[should_panic(expected = "unknown player")]
     fn out_of_range_burn_panics() {
         CollateralLedger::new(2, 1).burn(NodeId(5));
-    }
-
-    #[test]
-    fn q_block_lock_gates_withdrawal() {
-        let mut l = CollateralLedger::with_lock(3, 100, 5);
-        assert_eq!(l.lock_blocks(), 5);
-        assert!(!l.withdrawable(NodeId(0), 4), "locked until q blocks");
-        assert!(l.withdrawable(NodeId(0), 5));
-        l.burn(NodeId(0));
-        assert!(!l.withdrawable(NodeId(0), 100), "burned is gone forever");
-    }
-
-    #[test]
-    fn default_ledger_has_no_lock() {
-        let l = CollateralLedger::new(2, 1);
-        assert!(l.withdrawable(NodeId(1), 0));
     }
 }

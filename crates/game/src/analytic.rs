@@ -36,23 +36,6 @@ pub fn double_quorum_feasible(n: usize, t0: usize, k: usize, t: usize) -> bool {
     k + t + 2 * t0 >= n
 }
 
-/// Theorem 3 / TRAP: utility of joining the fork collusion — the gain `G`
-/// split among the `k` rational colluders.
-///
-/// # Panics
-/// Panics if `k == 0`.
-pub fn trap_fork_utility(gain_g: f64, k: usize) -> f64 {
-    assert!(k > 0, "no rational colluders");
-    gain_g / k as f64
-}
-
-/// Theorem 3 / TRAP: expected utility of unilaterally baiting — the reward
-/// `R` only pays if the fork is actually averted (`σ_0`), which happens
-/// with probability `p_avert`.
-pub fn trap_bait_utility(reward_r: f64, p_avert: f64) -> f64 {
-    reward_r * p_avert.clamp(0.0, 1.0)
-}
-
 /// Theorem 3: the minimum number `m` of simultaneous baiters needed to stop
 /// the fork: `m > t0 + k + t − n/2` (Appendix D derivation). Returns the
 /// real-valued bound; the fork survives any `m` at or below it.
@@ -74,15 +57,15 @@ pub fn trap_tolerates(n: usize, k: usize, t: usize) -> bool {
 }
 
 /// Theorem 1: the discounted utility of `π_abs` for a θ=3 player — per
-/// round `f(σ_NP, 3) = α` with no penalty, forever.
+/// round `f(σ_NP, 3) = α` with no penalty, forever: `α / (1 − δ)`.
 pub fn theorem1_abstain_utility(alpha: f64, delta: f64) -> f64 {
-    crate::payoff::geometric_total(alpha, delta)
+    alpha / (1.0 - delta)
 }
 
 /// Theorem 2: the discounted utility of `π_pc` for a θ=2 player from round
 /// `r0` — per round `f(σ_CP, 2) = α` with no penalty.
 pub fn theorem2_censor_utility(alpha: f64, delta: f64, r0: u64) -> f64 {
-    crate::payoff::geometric_total(alpha, delta) * delta.powi(r0 as i32)
+    theorem1_abstain_utility(alpha, delta) * delta.powi(r0 as i32)
 }
 
 /// Message-complexity model (paper Table 3): expected asymptotic exponents
@@ -162,12 +145,6 @@ mod tests {
         // Paper example regime: k > 2 + t0 − t.
         assert!(trap_fork_is_nash(4, 1, 2));
         assert!(!trap_fork_is_nash(2, 1, 3));
-        // Fork utility beats unilateral baiting when the fork cannot be
-        // averted (p_avert = 0).
-        let fork = trap_fork_utility(8.0, 4);
-        let bait = trap_bait_utility(2.0, 0.0);
-        assert!(fork > bait);
-        assert_eq!(bait, 0.0);
         // m > t0 + k + t − n/2: with n=10, t0=3, k=4, t=1 ⇒ m > 3.
         assert_eq!(trap_min_baiters(10, 3, 4, 1), 3.0);
     }

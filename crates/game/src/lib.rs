@@ -44,7 +44,6 @@ pub mod analytic;
 mod dynamics;
 mod mixed;
 mod payoff;
-mod repeated;
 mod space;
 mod types;
 mod utility_table;
@@ -56,8 +55,7 @@ pub use mixed::{
     mixed_analysis, mixture_label, support_equilibria_2p, symmetric_mixed_equilibria,
     MixedAnalysis, MixedEquilibrium, MixedProfile,
 };
-pub use payoff::{discounted_sum, geometric_total, PayoffTable, UtilityParams};
-pub use repeated::GrimTrigger;
+pub use payoff::{discounted_sum, PayoffTable, UtilityParams};
 pub use space::{Profile, ProfileSpace};
-pub use types::{PlayerClass, Strategy, SystemState, Theta};
+pub use types::{SystemState, Theta};
 pub use utility_table::{Certificate, Confidence, ProfileStats, UtilityTable};

@@ -67,18 +67,6 @@ impl PayoffTable {
             (Honest, _) => -a,
         }
     }
-
-    /// One round's utility: `u = f(σ, θ) − L·D` where `D ∈ {0, 1}` flags a
-    /// penalty (the player's collateral was burned this round).
-    pub fn round_utility(
-        &self,
-        state: SystemState,
-        theta: Theta,
-        penalized: bool,
-        penalty_l: f64,
-    ) -> f64 {
-        self.f(state, theta) - if penalized { penalty_l } else { 0.0 }
-    }
 }
 
 /// Discounted sum `Σ_r δ^r · u_r` over an explicit utility stream.
@@ -90,16 +78,6 @@ pub fn discounted_sum(utilities: &[f64], delta: f64) -> f64 {
         weight *= delta;
     }
     acc
-}
-
-/// Closed form for a constant per-round utility forever:
-/// `u · Σ_{r≥0} δ^r = u / (1 − δ)`.
-///
-/// # Panics
-/// Panics unless `0 ≤ δ < 1`.
-pub fn geometric_total(per_round: f64, delta: f64) -> f64 {
-    assert!((0.0..1.0).contains(&delta), "δ must be in [0, 1)");
-    per_round / (1.0 - delta)
 }
 
 #[cfg(test)]
@@ -134,20 +112,10 @@ mod tests {
     }
 
     #[test]
-    fn penalty_subtracts_l() {
-        let t = PayoffTable::new(1.0);
-        let u = t.round_utility(SystemState::Fork, Theta::ForkSeeking, true, 10.0);
-        assert_eq!(u, 1.0 - 10.0);
-        let u = t.round_utility(SystemState::Fork, Theta::ForkSeeking, false, 10.0);
-        assert_eq!(u, 1.0);
-    }
-
-    #[test]
     fn discounting() {
         assert_eq!(discounted_sum(&[1.0, 1.0, 1.0], 0.5), 1.75);
-        assert!((geometric_total(1.0, 0.5) - 2.0).abs() < 1e-12);
         assert!(
-            (discounted_sum(&vec![1.0; 200], 0.9) - geometric_total(1.0, 0.9)).abs() < 1e-6,
+            (discounted_sum(&vec![1.0; 200], 0.9) - 1.0 / (1.0 - 0.9)).abs() < 1e-6,
             "long finite sums approach the closed form"
         );
     }
@@ -156,11 +124,5 @@ mod tests {
     #[should_panic(expected = "α must be positive")]
     fn zero_alpha_rejected() {
         let _ = PayoffTable::new(0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "δ must be in")]
-    fn delta_one_rejected() {
-        let _ = geometric_total(1.0, 1.0);
     }
 }

@@ -37,12 +37,6 @@ impl Theta {
             Theta::LivenessAttacking => 3,
         }
     }
-
-    /// A mixed set of rational players is analysed at the worst type
-    /// present: `θ(K) = max{ i | K_i ≠ ∅ }` (paper Section 4.1.1).
-    pub fn worst_of(types: impl IntoIterator<Item = Theta>) -> Theta {
-        types.into_iter().max().unwrap_or(Theta::Honest)
-    }
 }
 
 impl fmt::Display for Theta {
@@ -90,55 +84,6 @@ impl fmt::Display for SystemState {
     }
 }
 
-/// The strategy space available to a rational player (paper Section 4.1.2,
-/// extended with the composite strategies used in the proofs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Strategy {
-    /// `π_0`: follow the protocol.
-    Honest,
-    /// `π_abs`: send nothing.
-    Abstain,
-    /// `π_ds`: sign two conflicting messages in one slot.
-    DoubleSign,
-    /// `π_pc`: censor as leader, abstain under honest leaders (Thm 2).
-    PartialCensor,
-    /// `π_fork`: coordinated double-signing toward disagreement (Thm 3).
-    Fork,
-    /// `π_bait`: follow TRAP's baiting side-protocol.
-    Bait,
-}
-
-impl Strategy {
-    /// Short label used in experiment tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            Strategy::Honest => "π_0",
-            Strategy::Abstain => "π_abs",
-            Strategy::DoubleSign => "π_ds",
-            Strategy::PartialCensor => "π_pc",
-            Strategy::Fork => "π_fork",
-            Strategy::Bait => "π_bait",
-        }
-    }
-}
-
-impl fmt::Display for Strategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// The three player classes of the threat model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PlayerClass {
-    /// Follows the protocol (individually rational participation).
-    Honest,
-    /// Utility-maximizing with a type θ.
-    Rational(Theta),
-    /// Arbitrary, incentive-immune.
-    Byzantine,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,18 +96,8 @@ mod tests {
     }
 
     #[test]
-    fn worst_of_takes_max() {
-        assert_eq!(
-            Theta::worst_of([Theta::ForkSeeking, Theta::CensorSeeking]),
-            Theta::CensorSeeking
-        );
-        assert_eq!(Theta::worst_of([]), Theta::Honest);
-    }
-
-    #[test]
     fn display_forms() {
         assert_eq!(Theta::ForkSeeking.to_string(), "θ=1");
         assert_eq!(SystemState::Fork.to_string(), "σ_Fork");
-        assert_eq!(Strategy::Fork.to_string(), "π_fork");
     }
 }

@@ -1,6 +1,7 @@
 //! Measurement substrate for the experiments: system-state classification
-//! (σ), log-log complexity fitting for Table 3, and ASCII table rendering
-//! for every regenerated paper artifact.
+//! (σ, Table 2's precedence over the verdicts of the one post-run analysis
+//! pass), log-log complexity fitting for Table 3, and ASCII table
+//! rendering for every regenerated paper artifact.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,178 +1,111 @@
 //! Classifying a run into the paper's system states σ (Section 4.1.1).
 
 use prft_game::SystemState;
-use prft_types::{Chain, TxId};
 
-/// A snapshot of the honest players' views after (part of) a run.
-#[derive(Debug)]
-pub struct StateObservation<'a> {
-    /// The honest players' ledgers.
-    pub chains: Vec<&'a Chain>,
-    /// Transactions that were input to **all** honest players and are being
-    /// watched for censorship (the set `Z` of the paper).
-    pub watched: Vec<TxId>,
-    /// Finalized height at the start of the observation window (0 for a
-    /// whole-run observation).
-    pub baseline_height: u64,
+/// The verdicts σ is read from, taken off the honest players' views after
+/// a run (`prft_core::analysis::analyze` computes the first two).
+#[derive(Debug, Clone, Copy)]
+pub struct StateObservation {
+    /// Whether all honest finalized prefixes agree.
+    pub agreement: bool,
+    /// Largest finalized height among honest players.
+    pub max_final_height: u64,
+    /// Whether some transaction input to **all** honest players (the set
+    /// `Z` of the paper) is final in no honest ledger.
+    pub censored: bool,
 }
 
 /// Classifies the observation:
 ///
 /// 1. `σ_Fork` if two honest ledgers finalize different blocks at a height;
-/// 2. `σ_NP` if no new block finalized anywhere during the window;
+/// 2. `σ_NP` if no block finalized anywhere;
 /// 3. `σ_CP` if progress happened but some watched transaction is missing
 ///    from every honest finalized ledger;
 /// 4. `σ_0` otherwise.
 ///
 /// The precedence (fork ≻ no-progress ≻ censorship) matches the payoff
 /// severity ordering of Table 2.
-pub fn classify(obs: &StateObservation<'_>) -> SystemState {
-    let chains = &obs.chains;
-    if chains.is_empty() {
-        return SystemState::NoProgress;
+pub fn classify(obs: &StateObservation) -> SystemState {
+    if !obs.agreement {
+        SystemState::Fork
+    } else if obs.max_final_height == 0 {
+        SystemState::NoProgress
+    } else if obs.censored {
+        SystemState::Censorship
+    } else {
+        SystemState::HonestExecution
     }
-    for i in 0..chains.len() {
-        for j in (i + 1)..chains.len() {
-            if Chain::find_fork(chains[i], chains[j], true).is_some() {
-                return SystemState::Fork;
-            }
-        }
-    }
-    let max_final = chains.iter().map(|c| c.final_height()).max().unwrap_or(0);
-    if max_final <= obs.baseline_height {
-        return SystemState::NoProgress;
-    }
-    let censored = obs
-        .watched
-        .iter()
-        .any(|&tx| chains.iter().all(|c| !c.contains_tx_final(tx)));
-    if censored {
-        return SystemState::Censorship;
-    }
-    SystemState::HonestExecution
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prft_types::{Block, Digest, Height, NodeId, Round, Transaction};
+    use SystemState::*;
 
-    fn block_on(chain: &Chain, round: u64, tx_ids: &[u64]) -> Block {
-        let txs = tx_ids
-            .iter()
-            .map(|&i| Transaction::new(i, NodeId(0), vec![]))
-            .collect();
-        Block::new(Round(round), chain.tip(), NodeId(0), txs)
+    fn classified(agreement: bool, max_final_height: u64, censored: bool) -> SystemState {
+        classify(&StateObservation {
+            agreement,
+            max_final_height,
+            censored,
+        })
     }
 
-    fn grown_chain(tx_rounds: &[&[u64]]) -> Chain {
-        let mut c = Chain::new(Block::genesis());
-        for (i, txs) in tx_rounds.iter().enumerate() {
-            let b = block_on(&c, i as u64 + 1, txs);
-            c.append_tentative(b).unwrap();
+    /// Every combination of the three verdicts, with a stalled and a
+    /// progressing height.
+    const TABLE: [(bool, u64, bool, SystemState); 8] = [
+        (false, 0, false, Fork),
+        (false, 0, true, Fork),
+        (false, 2, false, Fork),
+        (false, 2, true, Fork),
+        (true, 0, false, NoProgress),
+        (true, 0, true, NoProgress),
+        (true, 2, true, Censorship),
+        (true, 2, false, HonestExecution),
+    ];
+
+    #[test]
+    fn every_verdict_combination_follows_table_2_precedence() {
+        for (agreement, height, censored, state) in TABLE {
+            assert_eq!(
+                classified(agreement, height, censored),
+                state,
+                "agreement={agreement} height={height} censored={censored}"
+            );
         }
-        let h = c.height();
-        c.finalize_upto(Height(h)).unwrap();
-        c
-    }
-
-    #[test]
-    fn honest_execution() {
-        let a = grown_chain(&[&[1], &[2]]);
-        let b = a.clone();
-        let obs = StateObservation {
-            chains: vec![&a, &b],
-            watched: vec![TxId(1)],
-            baseline_height: 0,
-        };
-        assert_eq!(classify(&obs), SystemState::HonestExecution);
-    }
-
-    #[test]
-    fn no_progress() {
-        let a = Chain::new(Block::genesis());
-        let obs = StateObservation {
-            chains: vec![&a],
-            watched: vec![],
-            baseline_height: 0,
-        };
-        assert_eq!(classify(&obs), SystemState::NoProgress);
-    }
-
-    #[test]
-    fn no_progress_relative_to_baseline() {
-        let a = grown_chain(&[&[1]]);
-        let obs = StateObservation {
-            chains: vec![&a],
-            watched: vec![],
-            baseline_height: 1,
-        };
-        assert_eq!(classify(&obs), SystemState::NoProgress);
-    }
-
-    #[test]
-    fn censorship() {
-        let a = grown_chain(&[&[1], &[2]]);
-        let b = a.clone();
-        let obs = StateObservation {
-            chains: vec![&a, &b],
-            watched: vec![TxId(99)],
-            baseline_height: 0,
-        };
-        assert_eq!(classify(&obs), SystemState::Censorship);
     }
 
     #[test]
     fn fork_takes_precedence() {
-        let base = grown_chain(&[&[1]]);
-        let mut a = base.clone();
-        let mut b = base.clone();
-        a.append_tentative(block_on(&a, 2, &[100])).unwrap();
-        b.append_tentative(block_on(&b, 2, &[200])).unwrap();
-        a.finalize_upto(Height(2)).unwrap();
-        b.finalize_upto(Height(2)).unwrap();
-        let obs = StateObservation {
-            chains: vec![&a, &b],
-            watched: vec![TxId(99)], // censorship also true, fork wins
-            baseline_height: 0,
-        };
-        assert_eq!(classify(&obs), SystemState::Fork);
+        assert_eq!(classified(false, 2, true), Fork, "censorship also true");
+        assert_eq!(classified(false, 0, true), Fork, "no progress also true");
     }
 
-    #[test]
-    fn tentative_divergence_is_not_a_fork() {
-        let base = grown_chain(&[&[1]]);
-        let mut a = base.clone();
-        let mut b = base.clone();
-        a.append_tentative(block_on(&a, 2, &[100])).unwrap();
-        b.append_tentative(block_on(&b, 2, &[200])).unwrap();
-        let obs = StateObservation {
-            chains: vec![&a, &b],
-            watched: vec![],
-            baseline_height: 0,
-        };
-        assert_eq!(classify(&obs), SystemState::HonestExecution);
-    }
-
+    /// An empty committee agrees vacuously, finalizes nothing, and has
+    /// every watched transaction final in none of its (zero) ledgers.
     #[test]
     fn empty_observation_is_no_progress() {
-        let obs = StateObservation {
-            chains: vec![],
-            watched: vec![],
-            baseline_height: 0,
-        };
-        assert_eq!(classify(&obs), SystemState::NoProgress);
+        assert_eq!(classified(true, 0, true), NoProgress);
+    }
+
+    #[test]
+    fn honest_execution() {
+        assert_eq!(classified(true, 2, false), HonestExecution);
+    }
+
+    #[test]
+    fn no_progress() {
+        assert_eq!(classified(true, 0, false), NoProgress);
+    }
+
+    #[test]
+    fn censorship() {
+        assert_eq!(classified(true, 2, true), Censorship);
     }
 
     #[test]
     fn watched_tx_present_is_not_censorship() {
-        let a = grown_chain(&[&[1], &[99]]);
-        let obs = StateObservation {
-            chains: vec![&a],
-            watched: vec![TxId(99)],
-            baseline_height: 0,
-        };
-        assert_eq!(classify(&obs), SystemState::HonestExecution);
-        let _ = Digest::ZERO;
+        for (agreement, height) in [(true, 0), (true, 2), (false, 0), (false, 2)] {
+            assert_ne!(classified(agreement, height, false), Censorship);
+        }
     }
 }

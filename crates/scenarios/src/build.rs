@@ -32,16 +32,16 @@ use prft_adversary::{
     blackboard, Abstain, Blackboard, DoubleVoter, EquivocatingLeader, ForkColluder, GarbageVoter,
     PartialCensor, SilentLeader,
 };
-use prft_core::analysis::{analyze, honest_ids, tx_finalized_everywhere, tx_included_anywhere};
+use prft_core::analysis::analyze;
 use prft_core::{
     AsReplica, BallotAction, Behavior, Config, Harness, Honest, NetworkChoice, ProposeAction,
     Replica,
 };
-use prft_game::{PayoffTable, SystemState};
+use prft_game::{discounted_sum, PayoffTable};
 use prft_metrics::{classify, StateObservation};
 use prft_net::{DelayRule, PartitionWindow, PartitionedNet, TargetedDelay};
 use prft_sim::{LinkModel, Node, RunOutcome, SimTime, Simulation};
-use prft_types::{Block, Digest, NodeId, Round, Transaction, TxId};
+use prft_types::{Block, Chain, Digest, NodeId, Round, Transaction, TxId};
 use prft_workload::{Actor, WorkloadRunStats};
 use std::collections::HashSet;
 
@@ -505,50 +505,6 @@ pub fn run_workload_sim(
     run_sim(spec, seed, configure)
 }
 
-/// Classifies the σ state of a finished run, watching `spec.watched` for
-/// censorship (the whole-run observation window).
-pub fn classify_sim<N: Node + AsReplica>(spec: &ScenarioSpec, sim: &Simulation<N>) -> SystemState {
-    let honest = honest_ids(sim);
-    let chains = honest.iter().map(|&id| replica(sim, id).chain()).collect();
-    classify(&StateObservation {
-        chains,
-        watched: spec.watched.iter().map(|&id| TxId(id)).collect(),
-        baseline_height: 0,
-    })
-}
-
-/// Measures `player`'s discounted utility over a finished run in `state`
-/// with the spec's economics (0 when the spec does not measure
-/// utilities): `Σ_{r<R} δ^r · f(σ, θ) − L·[player burned]` (the utility
-/// stream runs over *time periods*, not protocol progress — a jammed
-/// system keeps paying the σ_NP penalty; the penalty applies iff any
-/// honest player's ledger burned `player`).
-fn measure_utility_for<N: Node + AsReplica>(
-    spec: &ScenarioSpec,
-    sim: &Simulation<N>,
-    state: SystemState,
-    player: NodeId,
-) -> f64 {
-    let Some(u) = spec.utility else {
-        return 0.0;
-    };
-    let table = PayoffTable::new(u.alpha);
-    let per_round = table.f(state, u.theta);
-    let mut total = 0.0;
-    let mut weight = 1.0;
-    for _ in 0..u.rounds {
-        total += weight * per_round;
-        weight *= u.delta;
-    }
-    let burned = honest_ids(sim)
-        .iter()
-        .any(|&id| replica(sim, id).collateral().is_burned(player));
-    if burned {
-        total -= u.penalty_l;
-    }
-    total
-}
-
 /// Builds, runs (timeline schedule included), and summarizes one seeded
 /// run of `spec`, cold: [`run_one_with`] without a store.
 pub fn run_one(spec: &ScenarioSpec, seed: u64) -> RunRecord {
@@ -643,10 +599,17 @@ fn fork_from(spec: &ScenarioSpec, entry: &CheckpointEntry) -> Built {
     }
 }
 
-/// Extracts the [`RunRecord`] from a finished simulation. Generic so that
-/// callers wrapping the nodes (the benchmark's timing wrappers) can still
-/// summarize; the workload section is attached by [`run_one_with`], not
-/// here.
+/// Extracts the [`RunRecord`] from a finished simulation: one [`analyze`]
+/// pass over the honest seats, σ classified from its verdicts, and the
+/// spec's transaction columns read off the same honest chains. Generic so
+/// that callers wrapping the nodes (the benchmark's timing wrappers) can
+/// still summarize; the workload section is attached by [`run_one_with`],
+/// not here.
+///
+/// Utilities are `Σ_{r<R} δ^r · f(σ, θ) − L·[player burned]`: the stream
+/// runs over *time periods*, not protocol progress (a jammed system keeps
+/// paying the σ_NP penalty), and the penalty applies iff any honest
+/// player's ledger burned the player.
 pub fn summarize<N: Node + AsReplica>(
     spec: &ScenarioSpec,
     sim: &Simulation<N>,
@@ -654,46 +617,41 @@ pub fn summarize<N: Node + AsReplica>(
     outcome: prft_sim::RunOutcome,
 ) -> RunRecord {
     let report = analyze(sim);
-    let state = classify_sim(spec, sim);
-    let utilities = if spec.utility.is_some() {
-        (0..spec.n)
-            .map(|i| measure_utility_for(spec, sim, state, NodeId(i)))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let honest = honest_ids(sim);
-    let rounds_entered = honest
+    let chains: Vec<&Chain> = report
+        .honest
         .iter()
-        .map(|&id| replica(sim, id).stats().rounds_entered)
-        .max()
-        .unwrap_or(0);
-    // Claim 2 consistency: a round abandoned by any honest player via view
-    // change must not be finalized by any honest player.
-    let mut vc_consistent = true;
-    for &abandoner in &honest {
-        for &vc_round in &replica(sim, abandoner).stats().view_changed_rounds {
-            for &other in &honest {
-                if replica(sim, other)
-                    .stats()
-                    .finalize_times
-                    .iter()
-                    .any(|(r, _)| *r == vc_round)
-                {
-                    vc_consistent = false;
+        .map(|&id| replica(sim, id).chain())
+        .collect();
+    let final_nowhere = |&id: &u64| chains.iter().all(|c| !c.contains_tx_final(TxId(id)));
+    let sigma = classify(&StateObservation {
+        agreement: report.agreement,
+        max_final_height: report.max_final_height,
+        censored: spec.watched.iter().any(final_nowhere),
+    });
+    let utilities = match spec.utility {
+        Some(u) => {
+            let per_round = PayoffTable::new(u.alpha).f(sigma, u.theta);
+            let stream = discounted_sum(&vec![per_round; u.rounds as usize], u.delta);
+            let utility = |i| {
+                if report.burned.contains(&NodeId(i)) {
+                    stream - u.penalty_l
+                } else {
+                    stream
                 }
-            }
+            };
+            (0..spec.n).map(utility).collect()
         }
-    }
+        None => Vec::new(),
+    };
     let txs_included = spec
         .txs
         .iter()
-        .map(|tx| tx_included_anywhere(sim, TxId(tx.id)))
+        .map(|tx| chains.iter().any(|c| c.contains_tx(TxId(tx.id))))
         .collect();
     let watched_finalized = spec
         .watched
         .iter()
-        .map(|&id| tx_finalized_everywhere(sim, TxId(id)))
+        .map(|&id| chains.iter().all(|c| c.contains_tx_final(TxId(id))))
         .collect();
     RunRecord {
         seed,
@@ -705,12 +663,12 @@ pub fn summarize<N: Node + AsReplica>(
         burned: report.burned.iter().map(|id| id.0).collect(),
         view_changes: report.view_changes,
         exposes: report.exposes,
-        rounds_entered,
-        vc_consistent,
+        rounds_entered: report.rounds_entered,
+        vc_consistent: report.vc_consistent,
         txs_included,
         watched_finalized,
-        sigma: state,
-        throughput: prft_core::analysis::throughput(sim),
+        sigma,
+        throughput: report.throughput,
         total_messages: sim.meter().total_messages(),
         total_bytes: sim.meter().total_bytes(),
         events_dispatched: sim.events_dispatched(),

@@ -21,7 +21,7 @@ use crate::registry::find;
 use crate::runner::{derive_seed, BatchRunner};
 use crate::spec::{PartitionSpec, Role, ScenarioSpec, Synchrony};
 use prft_baselines::{bracha, hotstuff, pbft, raft_lite, sync_ba};
-use prft_core::analysis::{analyze, honest_ids};
+use prft_core::analysis::analyze;
 use prft_core::{construct_proof, signed_ballot, verify_expose, KeyRegistry, Phase, SignedBallot};
 use prft_game::{
     analytic, PayoffTable, ProfileSpace, SystemState, Theta, UtilityParams, UtilityTable,
@@ -940,7 +940,8 @@ fn claim3(runner: &BatchRunner) -> Vec<Check> {
         sim.run_until(SimTime(spec.horizon));
         let (mut finalized, mut timed_out) = (BTreeSet::new(), BTreeSet::new());
         let mut values_per_round = BTreeMap::new();
-        for id in honest_ids(&sim) {
+        let report = analyze(&sim);
+        for &id in &report.honest {
             let node = replica(&sim, id);
             finalized.extend(node.stats().finalize_times.iter().map(|(r, _)| *r));
             timed_out.extend(node.stats().view_changed_rounds.iter().copied());
@@ -953,7 +954,7 @@ fn claim3(runner: &BatchRunner) -> Vec<Check> {
             }
         }
         let double_agreement = values_per_round.values().any(|v| v.len() > 1);
-        let agreement = analyze(&sim).agreement;
+        let agreement = report.agreement;
         let sides = &spec.partitions[0].groups;
         let quorum_side = sides[0].len().max(sides[1].len()) + T >= N - T0;
         holds(

@@ -68,9 +68,7 @@ mod runner;
 mod spec;
 mod trace_export;
 
-pub use build::{
-    build_sim, classify_sim, replica, run_one, run_one_with, run_sim, run_workload_sim, summarize,
-};
+pub use build::{build_sim, replica, run_one, run_one_with, run_sim, run_workload_sim, summarize};
 pub use cache::{CacheKey, UtilityCache};
 pub use checkpoint::{prefix_fingerprint, CheckpointEntry, CheckpointStore, ReuseStats};
 pub use explore::{Exploration, GameDef, GameEval, GameExplorer};

@@ -456,19 +456,6 @@ impl ScenarioSpec {
         hash
     }
 
-    /// The role assigned to `index` at t = 0 (honest when unlisted; last
-    /// write wins). One-off lookup; bulk consumers (the sim builder)
-    /// resolve the whole committee once via
-    /// [`ScenarioSpec::resolved_roles`] instead of scanning per seat.
-    pub fn role_of(&self, index: usize) -> Role {
-        self.roles
-            .iter()
-            .rev()
-            .find(|(i, _)| *i == index)
-            .map(|(_, r)| r.clone())
-            .unwrap_or(Role::Honest)
-    }
-
     /// The t = 0 role of every seat as a dense vector (index = player),
     /// resolved in one pass: unlisted seats are honest, last write wins.
     ///
@@ -545,8 +532,9 @@ mod tests {
         let spec = ScenarioSpec::new("x", 4, 1)
             .role(1, Role::Abstain)
             .role(1, Role::Crash);
-        assert_eq!(spec.role_of(0), Role::Honest);
-        assert_eq!(spec.role_of(1), Role::Crash);
+        let resolved = spec.resolved_roles();
+        assert_eq!(resolved[0], Role::Honest);
+        assert_eq!(resolved[1], Role::Crash);
     }
 
     #[test]
@@ -615,11 +603,24 @@ mod tests {
             .role(1, Role::Abstain)
             .role(1, Role::Crash)
             .role(3, Role::GarbageVoter);
+        // Per-seat reference lookup: the last listed role wins, unlisted
+        // seats are honest.
+        let role_of = |index: usize| {
+            spec.roles
+                .iter()
+                .rev()
+                .find(|(i, _)| *i == index)
+                .map_or(Role::Honest, |(_, r)| r.clone())
+        };
         let resolved = spec.resolved_roles();
         assert_eq!(resolved.len(), 4);
         for (i, role) in resolved.iter().enumerate() {
-            assert_eq!(*role, spec.role_of(i), "seat {i}");
+            assert_eq!(*role, role_of(i), "seat {i}");
         }
+        assert_eq!(
+            resolved,
+            [Role::Honest, Role::Crash, Role::Honest, Role::GarbageVoter]
+        );
     }
 
     #[test]

@@ -71,9 +71,10 @@ impl Mempool {
     /// Submits a transaction, reporting *why* it was not admitted:
     /// duplicates (by id, pending or ever-included) and capacity
     /// rejections are distinct — backpressure means "retry later",
-    /// a duplicate means "stop resending".
+    /// a duplicate means "stop resending". Every pending id is also in
+    /// `ever_seen`, so that one set decides duplicates.
     pub fn push(&mut self, tx: Transaction) -> Result<(), MempoolError> {
-        if self.seen.contains(&tx.id) || self.ever_seen.contains(&tx.id) {
+        if self.ever_seen.contains(&tx.id) {
             return Err(MempoolError::Duplicate);
         }
         if let Some(cap) = self.capacity {

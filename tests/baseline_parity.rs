@@ -67,7 +67,7 @@ fn all_protocols_decide_under_identical_conditions() {
 #[test]
 fn mixed_theta_committee_fails_at_worst_type() {
     assert_eq!(
-        Theta::worst_of([Theta::CensorSeeking, Theta::LivenessAttacking]),
+        Theta::CensorSeeking.max(Theta::LivenessAttacking),
         Theta::LivenessAttacking
     );
 

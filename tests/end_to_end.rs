@@ -2,7 +2,7 @@
 //! the adversary strategies, the game layer, and the baselines together.
 
 use prft::adversary::{blackboard, Abstain, EquivocatingLeader, ForkColluder, PartialCensor};
-use prft::core::analysis::{analyze, tx_finalized_everywhere, tx_included_anywhere};
+use prft::core::analysis::{analyze, tx_finalized_everywhere, tx_included_anywhere, RunReport};
 use prft::core::{Config, Harness, NetworkChoice};
 use prft::game::{analytic, SystemState, Theta, UtilityParams};
 use prft::metrics::{classify, StateObservation};
@@ -11,6 +11,15 @@ use prft::types::{NodeId, Round, Transaction, TxId};
 use std::collections::HashSet;
 
 const HORIZON: SimTime = SimTime(2_000_000);
+
+/// The σ observation of a run that watches no transaction.
+fn observed(report: &RunReport) -> StateObservation {
+    StateObservation {
+        agreement: report.agreement,
+        max_final_height: report.max_final_height,
+        censored: false,
+    }
+}
 
 /// The full DSIC story in one test: honest run earns 0; the fork attack
 /// earns −L; abstention earns −α per stalled round (all at θ=1).
@@ -25,19 +34,10 @@ fn rational_incentives_end_to_end() {
         .max_rounds(3)
         .build();
     honest_sim.run_until(HORIZON);
-    let honest_state = {
-        let chains = analyze(&honest_sim)
-            .honest
-            .iter()
-            .map(|&id| honest_sim.node(id).chain())
-            .collect();
-        classify(&StateObservation {
-            chains,
-            watched: vec![],
-            baseline_height: 0,
-        })
-    };
-    assert_eq!(honest_state, SystemState::HonestExecution);
+    assert_eq!(
+        classify(&observed(&analyze(&honest_sim))),
+        SystemState::HonestExecution
+    );
 
     // Fork attack → burned.
     let board = blackboard();
@@ -196,16 +196,7 @@ fn theta_changes_the_sign_of_the_same_attack() {
     let mut sim = h.build();
     sim.run_until(SimTime(100_000));
 
-    let chains = analyze(&sim)
-        .honest
-        .iter()
-        .map(|&id| sim.node(id).chain())
-        .collect();
-    let state = classify(&StateObservation {
-        chains,
-        watched: vec![],
-        baseline_height: 0,
-    });
+    let state = classify(&observed(&analyze(&sim)));
     assert_eq!(state, SystemState::NoProgress);
 
     let table = prft::game::PayoffTable::new(1.0);
