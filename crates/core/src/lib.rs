@@ -52,7 +52,7 @@ pub use collateral::CollateralLedger;
 pub use config::Config;
 pub use harness::{Harness, NetworkChoice};
 pub use messages::{
-    ballot_bytes, Ballot, BallotEvidence, CommitCert, CommitViewContent, Phase, PrftMsg,
+    ballot_bytes, Ballot, BallotEvidence, CommitCert, CommitViewContent, Phase, PrftMsg, RevealSet,
     SignedBallot, ViewChangeReq,
 };
 pub use pof::{construct_proof, signed_ballot, verify_expose, FraudDetector};

@@ -137,6 +137,12 @@ impl SignerSet {
         new
     }
 
+    /// Whether `id` is in the set.
+    pub(crate) fn contains(&self, id: NodeId) -> bool {
+        let (word, bit) = (id.0 / 64, 1u64 << (id.0 % 64));
+        self.words.get(word).is_some_and(|w| w & bit != 0)
+    }
+
     /// Number of distinct ids.
     pub(crate) fn len(&self) -> usize {
         self.len
@@ -167,6 +173,10 @@ pub struct CommitCert {
     /// Whether every vote is a [`Phase::Vote`] ballot for the commit's
     /// round and value.
     uniform: bool,
+    /// The votes' signer ids in vote order.
+    vote_ids: Vec<NodeId>,
+    /// The votes' MAC tags in vote order.
+    vote_tags: Vec<Digest>,
 }
 
 impl CommitCert {
@@ -180,6 +190,8 @@ impl CommitCert {
             uniform &= v.payload == vote;
         }
         CommitCert {
+            vote_ids: votes.iter().map(|v| v.signer()).collect(),
+            vote_tags: votes.iter().map(|v| v.sig.tag()).collect(),
             commit,
             votes,
             signers,
@@ -203,6 +215,11 @@ impl CommitCert {
 
     pub(crate) fn uniform(&self) -> bool {
         self.uniform
+    }
+
+    /// The votes' signer ids and their tags, both in vote order.
+    pub(crate) fn packed_votes(&self) -> (&[NodeId], &[Digest]) {
+        (&self.vote_ids, &self.vote_tags)
     }
 
     /// Validates internal consistency and signatures: the commit ballot is
@@ -234,6 +251,39 @@ impl CommitCert {
     /// Wire size: commit ballot + votes.
     pub fn wire_bytes(&self) -> usize {
         ballot_bytes() + self.votes.len() * ballot_bytes()
+    }
+}
+
+/// A Reveal's `W_i`: the commit certificates it carries, and each one's
+/// committer id, derived once at the sender like [`CommitCert`]'s summary
+/// (not wire data). A receiver probes its certificate table by committer
+/// and address without reading the certificates themselves.
+#[derive(Debug, Clone)]
+pub struct RevealSet {
+    certs: Vec<Arc<CommitCert>>,
+    /// The certificates' commit signers in order.
+    committers: Vec<NodeId>,
+}
+
+impl RevealSet {
+    /// The set of `certs`.
+    pub fn new(certs: Vec<Arc<CommitCert>>) -> RevealSet {
+        RevealSet {
+            committers: certs.iter().map(|c| c.commit.signer()).collect(),
+            certs,
+        }
+    }
+
+    pub(crate) fn committers(&self) -> &[NodeId] {
+        &self.committers
+    }
+}
+
+impl std::ops::Deref for RevealSet {
+    type Target = [Arc<CommitCert>];
+
+    fn deref(&self) -> &[Arc<CommitCert>] {
+        &self.certs
     }
 }
 
@@ -348,15 +398,15 @@ pub enum PrftMsg {
     /// drives the `O(κ·n⁴)` aggregate message size.
     ///
     /// Doubly `Arc`-shared: the certificates inside are the same `Arc`s
-    /// the Commit broadcasts delivered, and the whole `W_i` vector is
-    /// behind one more `Arc` so the n-recipient fan-out of an O(n²)-byte
-    /// payload clones one handle, not q pointers (at n = 512 the inner
-    /// vector alone is ~3 KB × n² messages in flight).
+    /// the Commit broadcasts delivered, and the whole `W_i` set is behind
+    /// one more `Arc` so the n-recipient fan-out of an O(n²)-byte payload
+    /// clones one handle, not q pointers (at n = 512 the inner vector
+    /// alone is ~3 KB × n² messages in flight).
     Reveal {
         /// Signed reveal ballot.
         ballot: SignedBallot,
         /// The commit certificates `W_i`, shared across recipients.
-        certs: Arc<Vec<Arc<CommitCert>>>,
+        certs: Arc<RevealSet>,
     },
     /// `(⟨Expose, D_i, r⟩, s_exp)`: a Proof-of-Fraud naming > t0 players.
     Expose {
@@ -564,9 +614,10 @@ mod tests {
 
         /// What `CommitCert::new` derives is what a receiver reading the
         /// votes one by one would: the set of their signers (duplicates
-        /// once), and whether all of them are votes for the commit's round
-        /// and value. `picks` chooses each vote's signer, and — rarely —
-        /// one field to get wrong.
+        /// once), whether all of them are votes for the commit's round
+        /// and value, and their signer ids and tags in vote order. `picks`
+        /// chooses each vote's signer, and — rarely — one field to get
+        /// wrong.
         #[test]
         fn the_certificate_summary_matches_its_definition(
             picks in proptest::collection::vec((0usize..70, 0u8..16), 0..40),
@@ -598,6 +649,11 @@ mod tests {
             }
             let uniform = picks.iter().all(|&(_, wrong)| wrong > 2);
             proptest::prop_assert_eq!(cert.uniform(), uniform);
+            let (ids, tags) = cert.packed_votes();
+            let signers: Vec<NodeId> = picks.iter().map(|&(signer, _)| NodeId(signer)).collect();
+            proptest::prop_assert_eq!(ids, &signers[..]);
+            let vote_tags: Vec<Digest> = votes.iter().map(|v| v.sig.tag()).collect();
+            proptest::prop_assert_eq!(tags, &vote_tags[..]);
 
             let mut other = SignerSet::default();
             for &id in &other_picks {
@@ -605,6 +661,33 @@ mod tests {
             }
             let subset = distinct.iter().all(|id| other_picks.contains(&id.0));
             proptest::prop_assert_eq!(cert.signers().is_subset(&other), subset);
+            for id in (0..70).map(NodeId) {
+                proptest::prop_assert_eq!(other.contains(id), other_picks.contains(&id.0));
+            }
+        }
+
+        /// A Reveal set is its certificates, the same allocations in the
+        /// same order, and names each one's committer.
+        #[test]
+        fn the_reveal_set_names_each_certificates_committer(
+            committers in proptest::collection::vec(0usize..70, 0..40),
+        ) {
+            let (_, keys) = setup(70);
+            let value = Digest::of_bytes(b"v");
+            let certs: Vec<Arc<CommitCert>> = committers
+                .iter()
+                .map(|&who| {
+                    let commit = Signed::sign(Ballot::new(Round(1), Phase::Commit, value), &keys[who]);
+                    Arc::new(CommitCert::new(commit, vec![]))
+                })
+                .collect();
+            let set = RevealSet::new(certs.clone());
+            proptest::prop_assert_eq!(set.len(), certs.len());
+            for (i, cert) in certs.iter().enumerate() {
+                proptest::prop_assert!(Arc::ptr_eq(&set[i], cert));
+                proptest::prop_assert_eq!(set.committers()[i], NodeId(committers[i]));
+            }
+            proptest::prop_assert_eq!(set.committers().len(), certs.len());
         }
     }
 
@@ -628,7 +711,7 @@ mod tests {
         };
         let reveal_msg = PrftMsg::Reveal {
             ballot: commit,
-            certs: Arc::new(vec![Arc::clone(&cert), cert]),
+            certs: Arc::new(RevealSet::new(vec![Arc::clone(&cert), cert])),
         };
         assert!(vote_msg.wire_bytes() < commit_msg.wire_bytes());
         assert!(commit_msg.wire_bytes() < reveal_msg.wire_bytes());

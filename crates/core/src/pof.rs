@@ -11,15 +11,33 @@ use prft_crypto::{ConflictEvidence, KeyRegistry, Signable, Slot};
 use prft_types::NodeId;
 use std::collections::HashMap;
 
+/// The first ballot of each signer in one (round, phase) slot.
+#[derive(Debug, Clone)]
+struct SlotTable {
+    slot: Slot,
+    /// By signer id: the detector's capacity, or up to the largest signer
+    /// seen in the slot where that is more.
+    first: Vec<Option<SignedBallot>>,
+}
+
 /// Incremental double-sign detector.
 ///
 /// Feed it every signed ballot observed on the wire; it remembers the first
 /// ballot per (signer, slot) and yields evidence the moment a conflicting
 /// one arrives. Detection is O(1) amortized per ballot — the quadratic scan
 /// of the paper's Figure 4 pseudocode is realized as this index.
+///
+/// Each slot's first ballots sit in a dense table indexed by signer id. A
+/// table starts at the detector's capacity and grows to the largest id it
+/// holds — like a certificate's `SignerSet`, it assumes ids bounded by a
+/// committee. A replica's detector lives for one round, so it holds a
+/// handful of tables.
 #[derive(Debug, Default, Clone)]
 pub struct FraudDetector {
-    first_seen: HashMap<(NodeId, Slot), SignedBallot>,
+    /// The length a new table starts at.
+    capacity: usize,
+    /// Oldest first, so a lookup scans from the newest end.
+    tables: Vec<SlotTable>,
     evidence: HashMap<NodeId, BallotEvidence>,
 }
 
@@ -29,6 +47,15 @@ impl FraudDetector {
         FraudDetector::default()
     }
 
+    /// Creates an empty detector whose tables start with a place for the
+    /// signers `0..n`, so a committee of `n` never grows one.
+    pub fn with_capacity(n: usize) -> Self {
+        FraudDetector {
+            capacity: n,
+            ..FraudDetector::default()
+        }
+    }
+
     /// Observes a ballot. Returns new evidence if this ballot convicts a
     /// player not previously convicted.
     ///
@@ -36,24 +63,26 @@ impl FraudDetector {
     /// replica validates everything at ingress); evidence assembled here is
     /// re-verified by every receiver of an `Expose` anyway.
     pub fn observe(&mut self, ballot: &SignedBallot) -> Option<BallotEvidence> {
-        let signer = ballot.signer();
-        let key = (signer, ballot.payload.slot());
-        match self.first_seen.get(&key) {
-            None => {
-                self.first_seen.insert(key, ballot.clone());
-                None
-            }
-            Some(first) if first.payload == ballot.payload => None,
-            Some(first) => {
-                if self.evidence.contains_key(&signer) {
-                    return None; // already convicted; one pair suffices
-                }
-                let ev = ConflictEvidence::try_new(first.clone(), ballot.clone())
-                    .expect("same signer+slot, different payload");
-                self.evidence.insert(signer, ev.clone());
-                Some(ev)
-            }
+        let (signer, slot) = (ballot.signer(), ballot.payload.slot());
+        let at = self.tables.iter().rposition(|t| t.slot == slot);
+        let at = at.unwrap_or_else(|| {
+            let first = vec![None; self.capacity];
+            self.tables.push(SlotTable { slot, first });
+            self.tables.len() - 1
+        });
+        let first = &mut self.tables[at].first;
+        if first.len() <= signer.0 {
+            first.resize(signer.0 + 1, None);
         }
+        let first = first[signer.0].get_or_insert_with(|| ballot.clone());
+        // A first sight is its own first ballot.
+        if first.payload == ballot.payload || self.evidence.contains_key(&signer) {
+            return None; // or already convicted: one pair suffices
+        }
+        let ev = ConflictEvidence::try_new(first.clone(), ballot.clone())
+            .expect("same signer+slot, different payload");
+        self.evidence.insert(signer, ev.clone());
+        Some(ev)
     }
 
     /// Number of distinct players with evidence against them (`|D_i|`).
@@ -203,6 +232,61 @@ mod tests {
             assert_eq!(ev.verify(&reg), None);
         }
         assert!(verify_expose(&det.evidence(), &reg, 0).is_none());
+    }
+
+    /// The detector's definition, keyed the obvious way: the first ballot
+    /// per (signer, slot), and one evidence pair per signer, made by the
+    /// first ballot that conflicts with its slot's first.
+    #[derive(Default)]
+    struct Oracle {
+        first_seen: HashMap<(NodeId, Slot), SignedBallot>,
+        evidence: HashMap<NodeId, BallotEvidence>,
+    }
+
+    impl Oracle {
+        fn observe(&mut self, ballot: &SignedBallot) -> Option<BallotEvidence> {
+            let signer = ballot.signer();
+            let first = self
+                .first_seen
+                .entry((signer, ballot.slot()))
+                .or_insert_with(|| ballot.clone());
+            if first.payload == ballot.payload || self.evidence.contains_key(&signer) {
+                return None;
+            }
+            let ev = ConflictEvidence::try_new(first.clone(), ballot.clone())?;
+            self.evidence.insert(signer, ev.clone());
+            Some(ev)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The dense detector is its definition: on a stream of repeats
+        /// and equivocations over several rounds and phases, by signers
+        /// inside the capacity and past it (so a slot's table grows past
+        /// ballots it already holds), every `observe` answers what the
+        /// oracle answers, and so do `convicted` and `evidence` at the end.
+        #[test]
+        fn the_dense_detector_matches_its_definition(
+            n in 0usize..9,
+            stream in proptest::collection::vec((0usize..12, 0u64..3, 0u8..4, 0u8..3), 0..120),
+        ) {
+            let (_, keys) = setup(12);
+            let phases = [Phase::Propose, Phase::Vote, Phase::Commit, Phase::Reveal];
+            let mut det = FraudDetector::with_capacity(n);
+            let mut oracle = Oracle::default();
+            for &(signer, round, phase, v) in &stream {
+                let ballot = signed_ballot(&keys[signer], Round(round), phases[phase as usize], value(v));
+                proptest::prop_assert_eq!(det.observe(&ballot), oracle.observe(&ballot));
+            }
+            let mut convicted: Vec<NodeId> = oracle.evidence.keys().copied().collect();
+            convicted.sort_unstable();
+            proptest::prop_assert_eq!(det.convicted(), convicted);
+            let mut evidence: Vec<BallotEvidence> = oracle.evidence.into_values().collect();
+            evidence.sort_by_key(ConflictEvidence::accused);
+            proptest::prop_assert_eq!(det.evidence(), evidence);
+        }
     }
 
     #[test]

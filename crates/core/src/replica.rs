@@ -36,8 +36,8 @@ use crate::behavior::{BallotAction, Behavior, ProposeAction};
 use crate::collateral::CollateralLedger;
 use crate::config::Config;
 use crate::messages::{
-    view_change_cert_digest, Ballot, CommitCert, CommitViewContent, Phase, PrftMsg, SignedBallot,
-    SignerSet, ViewChangeReq,
+    view_change_cert_digest, Ballot, CommitCert, CommitViewContent, Phase, PrftMsg, RevealSet,
+    SignedBallot, SignerSet, ViewChangeReq,
 };
 use crate::pof::{verify_expose, FraudDetector};
 use crate::verify::VerifyCache;
@@ -175,6 +175,14 @@ struct RoundState {
 }
 
 impl RoundState {
+    /// A round of a committee of `n`, holding nothing yet.
+    fn new(n: usize) -> RoundState {
+        RoundState {
+            detector: FraudDetector::with_capacity(n),
+            ..RoundState::default()
+        }
+    }
+
     /// What this round holds about `value`, if anything named it.
     fn value(&self, value: &Digest) -> Option<&ValueState> {
         let found = self.values.iter().rev().find(|(v, _)| v == value);
@@ -244,6 +252,10 @@ pub struct Replica {
     /// majority values a laggard adopts must be a function of its state,
     /// not of the process's hash seed.
     final_tally: BTreeMap<Digest, BTreeMap<NodeId, SignedBallot>>,
+    /// The values whose tally reached [`Config::final_majority`] and that
+    /// were not yet seen final in our chain: what [`Self::reconcile`] may
+    /// still have to act on, in tally order.
+    final_pending: BTreeSet<Digest>,
     /// Signed propose ballots per block (for laggard catch-up).
     propose_store: HashMap<Digest, SignedBallot>,
     /// By peer: the highest round at which we already helped it (rate limit).
@@ -300,6 +312,7 @@ impl Replica {
             mempool: Mempool::new(),
             block_store,
             final_tally: BTreeMap::new(),
+            final_pending: BTreeSet::new(),
             propose_store: HashMap::new(),
             helped_at: vec![None; n],
             finalized_client_txs: HashSet::new(),
@@ -310,7 +323,7 @@ impl Replica {
             passive: false,
             rounds_done: 0,
             timer: None,
-            rs: RoundState::default(),
+            rs: RoundState::new(n),
             future: BTreeMap::new(),
             peer_round: vec![0; n],
             stats: ReplicaStats::default(),
@@ -402,7 +415,7 @@ impl Replica {
             return;
         }
         self.stats.rounds_entered += 1;
-        self.rs = RoundState::default();
+        self.rs = RoundState::new(self.cfg.n);
         self.cache.prune_before(self.round);
         self.enter_phase(ctx, Phase::Propose);
 
@@ -937,7 +950,7 @@ impl Replica {
             }
             Some(PrftMsg::Reveal {
                 ballot: b,
-                certs: Arc::new(certs),
+                certs: Arc::new(RevealSet::new(certs)),
             })
         });
         if sent {
@@ -952,7 +965,7 @@ impl Replica {
         &mut self,
         ctx: &mut Context<PrftMsg>,
         ballot: SignedBallot,
-        certs: Arc<Vec<Arc<CommitCert>>>,
+        certs: Arc<RevealSet>,
     ) {
         if ballot.payload.phase != Phase::Reveal
             || !self.cache.verify_ballot(&ballot, &self.registry)
@@ -969,14 +982,12 @@ impl Replica {
         // per-replica-round term that would otherwise dominate large-n
         // accountable wall time — because a hit proves the same ballots
         // were already observed this round (see `CertVerdict::cached`).
+        // Validation and observation touch disjoint state, so the whole
+        // batch is validated first.
         let quorum = self.quorum();
-        for cert in certs.iter() {
-            let verdict = self.cache.validate_cert(cert, &self.registry, quorum);
-            if !verdict.ok || verdict.cached {
-                continue;
-            }
-            self.observe_and_react(ctx, cert.commit());
-            self.observe_cert_votes(ctx, cert);
+        for i in self.cache.validate_reveal(&certs, &self.registry, quorum) {
+            self.observe_and_react(ctx, certs[i].commit());
+            self.observe_cert_votes(ctx, &certs[i]);
         }
         if self.rs.discontinued {
             return;
@@ -1074,34 +1085,26 @@ impl Replica {
             self.observe_and_react(ctx, &ballot);
         }
         let value = ballot.payload.value;
-        self.final_tally
-            .entry(value)
-            .or_default()
-            .insert(ballot.signer(), ballot);
+        let tally = self.final_tally.entry(value).or_default();
+        tally.insert(ballot.signer(), ballot);
+        if tally.len() >= self.cfg.final_majority() {
+            self.final_pending.insert(value);
+        }
         self.reconcile(ctx);
     }
 
     /// The values [`Self::reconcile`] may still have to act on, in tally
     /// order: a `> n/2` Final tally and not final in our chain yet.
     /// Finality never rolls back, so a value that is final here stays a
-    /// no-op for good; leaving it out keeps a `Final` message's cost at what
-    /// is outstanding instead of at every block finalized so far. (The
-    /// tally itself is never pruned: [`Self::help_laggard`] forwards its
-    /// ballots.)
-    fn reconcile_candidates(&self) -> Vec<Digest> {
-        let majority = self.cfg.final_majority();
-        let final_height = self.chain.final_height();
-        self.final_tally
-            .iter()
-            .filter(|(value, who)| {
-                who.len() >= majority
-                    && self
-                        .chain
-                        .height_of(value)
-                        .is_none_or(|h| h.0 > final_height)
-            })
-            .map(|(value, _)| *value)
-            .collect()
+    /// no-op for good and leaves `final_pending` now; that keeps a `Final`
+    /// message's cost at what is outstanding instead of at every block
+    /// finalized so far. (The tally itself is never pruned:
+    /// [`Self::help_laggard`] forwards its ballots.)
+    fn reconcile_candidates(&mut self) -> Vec<Digest> {
+        let (chain, final_height) = (&self.chain, self.chain.final_height());
+        self.final_pending
+            .retain(|value| chain.height_of(value).is_none_or(|h| h.0 > final_height));
+        self.final_pending.iter().copied().collect()
     }
 
     /// Adopts any block with a `> n/2` Final tally that connects to our
@@ -1549,6 +1552,28 @@ mod tests {
         sim.run_until(now);
     }
 
+    /// The values `r` would reconcile, read off the whole tally: every
+    /// value with a majority of `Final`s that is not final in its chain.
+    /// (What the candidates were before `final_pending` kept them.)
+    fn candidates_by_tally(r: &Replica) -> Vec<Digest> {
+        let majority = r.cfg.final_majority();
+        let final_height = r.chain.final_height();
+        r.final_tally
+            .iter()
+            .filter(|(value, who)| {
+                who.len() >= majority && r.chain.height_of(value).is_none_or(|h| h.0 > final_height)
+            })
+            .map(|(value, _)| *value)
+            .collect()
+    }
+
+    /// `r`'s reconcile candidates, checked against [`candidates_by_tally`].
+    fn candidates(r: &Replica) -> Vec<Digest> {
+        let pending = r.clone().reconcile_candidates();
+        assert_eq!(pending, candidates_by_tally(r), "P{}", r.id().0);
+        pending
+    }
+
     #[test]
     fn finalized_values_are_not_reconcile_candidates() {
         let mut sim = Harness::new(8, 19).build();
@@ -1557,7 +1582,7 @@ mod tests {
         }
         for r in sim.nodes() {
             assert!(r.final_tally.len() >= 20, "the tally keeps every value");
-            assert_eq!(r.reconcile_candidates(), vec![], "P{}", r.id().0);
+            assert_eq!(candidates(r), vec![], "P{}", r.id().0);
         }
         // A late duplicate `Final` for the first finalized block.
         let (value, ballot) = {
@@ -1573,7 +1598,7 @@ mod tests {
         );
         let r = sim.node(NodeId(0));
         assert_eq!(r.final_tally[&value].len(), signers);
-        assert_eq!(r.reconcile_candidates(), vec![]);
+        assert_eq!(candidates(r), vec![]);
     }
 
     #[test]
@@ -1603,24 +1628,58 @@ mod tests {
             (ballot.signer(), PrftMsg::Propose { ballot, block })
         };
         let missing: BTreeSet<Digest> = values.iter().copied().collect();
-        let candidates = |sim: &Simulation<Replica>| {
-            BTreeSet::from_iter(sim.node(laggard).reconcile_candidates())
-        };
+        let outstanding =
+            |sim: &Simulation<Replica>| BTreeSet::from_iter(candidates(sim.node(laggard)));
 
-        // Majority tallies without the blocks: every value is outstanding.
-        deliver_now(&mut sim, laggard, finals);
-        assert_eq!(candidates(&sim), missing);
+        // Majority tallies without the blocks, one `Final` at a time:
+        // every value is outstanding once its majority is in.
+        for fin in finals {
+            deliver_now(&mut sim, laggard, vec![fin]);
+            outstanding(&sim);
+        }
+        assert_eq!(outstanding(&sim), missing);
         // Blocks that do not connect yet change nothing.
         deliver_now(&mut sim, laggard, vec![propose(3), propose(2)]);
-        assert_eq!(candidates(&sim), missing);
+        assert_eq!(outstanding(&sim), missing);
         assert_eq!(sim.node(laggard).chain.height(), 0);
         // The connecting block lets one pass adopt all three.
         deliver_now(&mut sim, laggard, vec![propose(1)]);
-        assert_eq!(candidates(&sim), BTreeSet::new());
+        assert_eq!(outstanding(&sim), BTreeSet::new());
         let r = sim.node(laggard);
         assert_eq!(r.chain.final_height(), 3);
         assert_eq!(r.chain.tip(), helper.chain.tip());
         assert_eq!(r.stats.finalized_catchup, 3);
+    }
+
+    #[test]
+    fn the_pending_values_are_the_tally_filter_whenever_a_final_arrives() {
+        // 220 rounds of n = 8. P5 is down for a stretch of them and catches
+        // up from the `Final` tallies, so values wait in `final_pending`.
+        let mut sim = Harness::new(8, 41).max_rounds(220).build();
+        sim.set_tracing(true);
+        let (mut seen, mut checked, mut outstanding) = (0, 0, 0);
+        // Every round is over by tick 10 000; what the queue holds after
+        // that is a backed-off timer of a passive replica.
+        for tick in 0..12_000 {
+            match tick {
+                3_000 => sim.crash(NodeId(5)),
+                6_000 => sim.recover(NodeId(5)),
+                _ => {}
+            }
+            sim.run_until(SimTime(tick));
+            let delivered = &sim.trace().entries()[seen..];
+            seen += delivered.len();
+            let finals = delivered.iter().filter(|e| e.kind == "Final");
+            for to in finals.map(|e| e.to).collect::<BTreeSet<_>>() {
+                outstanding += usize::from(!candidates(sim.node(to)).is_empty());
+                checked += 1;
+            }
+        }
+        assert!(sim.nodes().all(|r| r.chain().final_height() >= 200));
+        assert!(
+            checked > 1_000 && outstanding > 0,
+            "{checked}, {outstanding}"
+        );
     }
 
     #[test]
@@ -1717,7 +1776,8 @@ mod tests {
             (p(who), PrftMsg::Commit { cert })
         };
         let reveal = |who: usize, v: Digest, certs: Vec<Arc<CommitCert>>| {
-            let (ballot, certs) = (sign(who, Phase::Reveal, v), Arc::new(certs));
+            let ballot = sign(who, Phase::Reveal, v);
+            let certs = Arc::new(RevealSet::new(certs));
             (p(who), PrftMsg::Reveal { ballot, certs })
         };
 

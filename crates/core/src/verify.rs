@@ -6,24 +6,32 @@
 //! certificate ~quorum times (the q(1+q(q+1)) term that makes accountable
 //! n = 64 cost 15.8M verifies for two rounds). [`VerifyCache`] collapses
 //! that to once per distinct content, per replica, in two dense tables
-//! indexed by signer id:
+//! indexed by signer id. Each is laid out so a check reads only the bytes
+//! it compares:
 //!
 //! * **Valid-tag tables** — one per live signed payload (round, phase,
 //!   value), holding the payload's signing digest (hashed once, shared by
-//!   every signer) and the one MAC tag a valid signature by each signer
-//!   carries. A repeat is an array probe plus a 32-byte compare, and a
-//!   tampered twin can never reuse a cached `true`: change the payload and
-//!   it probes another table, change the signer or tag and the compare
-//!   fails. Negative verdicts sit in a side set keyed on the *full* ballot
+//!   every signer), the one MAC tag a valid signature by each signer
+//!   carries, and the set of signers that have one. A repeat is a bit test
+//!   plus a 32-byte compare, and a tampered twin can never reuse a cached
+//!   `true`: change the payload and it probes another table, change the
+//!   signer or tag and the compare fails. A uniform certificate's votes
+//!   are compared in one pass over the packed ids and tags it carries
+//!   ([`CommitCert::packed_votes`]), up to the first vote that misses.
+//!   Negative verdicts sit in a side set keyed on the *full* ballot
 //!   content. Only a verified signature creates or grows a table, so
 //!   forged payloads and out-of-range signer ids allocate nothing here.
-//! * **Certificate table** — one slot per commit signer, identity being
-//!   the `Arc` allocation of the [`CommitCert`]. Commit broadcasts hand
-//!   every replica the *same* allocation, and Reveals carry those same
-//!   `Arc`s onward, so the O(q²)-signature re-validation of one
-//!   already-seen certificate becomes a single probe. Each entry keeps a
-//!   clone of the `Arc`, so the allocation outlives the entry and the
-//!   address can never be recycled onto different content while cached.
+//! * **Certificate table** — one 24-byte slot per commit signer: the
+//!   address, round and quorum of its newest certificate and the verdict,
+//!   which is all a hit reads. Identity is the `Arc` allocation of the
+//!   [`CommitCert`]. Commit broadcasts hand every replica the *same*
+//!   allocation, and Reveals carry those same `Arc`s onward, so the
+//!   O(q²)-signature re-validation of one already-seen certificate becomes
+//!   a single probe. A Reveal names each certificate's committer
+//!   ([`RevealSet`]), so its scan probes the slots without reading the
+//!   certificates. A keep-alive array beside the slots holds a clone of
+//!   each `Arc`, so the allocation outlives the verdict and the address can
+//!   never be recycled onto different content while cached.
 //!
 //! **Counting discipline** (what keeps reports byte-identical across
 //! [`VerifyMode`]s): `crypto.sig_verifies` counts *logical* verifications
@@ -35,10 +43,10 @@
 //! only in `prft-bench profile` output — never in scenario reports,
 //! which must not depend on the knob.
 
-use crate::messages::{Ballot, CommitCert, Phase, SignedBallot};
+use crate::messages::{Ballot, CommitCert, Phase, RevealSet, SignedBallot, SignerSet};
 use prft_crypto::{KeyRegistry, Signable, Signature, VerifyMode};
 use prft_sim::obs::hooks;
-use prft_types::{Digest, Round};
+use prft_types::{Digest, NodeId, Round};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -48,38 +56,154 @@ struct TagTable {
     payload: Ballot,
     /// `payload.signing_digest()` — the same for every signer.
     digest: Digest,
-    /// By signer id: the tag of that signer's verified signature. A valid
-    /// MAC tag is a deterministic function of (signer, payload), so a
-    /// slot never needs a second value.
-    tags: Vec<Option<Digest>>,
+    /// By signer id, one per registry member: the tag of that signer's
+    /// verified signature where `filled` has the signer. A valid MAC tag is
+    /// a deterministic function of (signer, payload), so a slot never needs
+    /// a second value.
+    tags: Vec<Digest>,
+    filled: SignerSet,
 }
 
 impl TagTable {
     fn holds(&self, sig: &Signature) -> bool {
-        self.tags.get(sig.signer().0) == Some(&Some(sig.tag()))
+        let signer = sig.signer();
+        self.filled.contains(signer) && self.tags[signer.0] == sig.tag()
+    }
+
+    /// How many of a certificate's leading votes, given as packed ids and
+    /// tags, carry their signer's tabled tag.
+    fn leading_hits(&self, ids: &[NodeId], tags: &[Digest]) -> usize {
+        ids.iter()
+            .zip(tags)
+            .take_while(|&(&id, tag)| self.filled.contains(id) && self.tags[id.0] == *tag)
+            .count()
     }
 }
 
-/// A cached certificate verdict.
-#[derive(Clone)]
-struct CertEntry {
-    /// Keeps the certificate allocation alive for the entry's lifetime:
-    /// an entry answers for this `Arc`'s address, and an address can only
-    /// be trusted to identify content while that allocation cannot be
-    /// freed and recycled.
-    keep: Arc<CommitCert>,
-    /// The verdict `CommitCert::validate` reached.
-    ok: bool,
-    /// Quorum the verdict was computed against (re-validate on mismatch).
-    quorum: usize,
-    /// Logical signature verifications the reference path performs for
-    /// one validation of this certificate — replayed into
-    /// `crypto.sig_verifies` on every hit so the counter stays identical
-    /// to the reference path's.
-    verifies: u64,
+/// Adds `n` logical verifications answered from the memo to the counters.
+fn replay(n: u64) {
+    if n > 0 {
+        hooks::add_sig_verifies(n);
+        hooks::add_memo_hits(n);
+    }
+}
+
+/// The address a certificate verdict answers for.
+fn address(cert: &Arc<CommitCert>) -> usize {
+    Arc::as_ptr(cert) as usize
+}
+
+/// A cached certificate verdict: everything a hit reads.
+#[derive(Clone, Copy)]
+struct CertSlot {
+    /// [`address`] of the certificate, or 0 in an empty slot.
+    addr: usize,
     /// Certificate round: read on every probe and when pruning, without
     /// touching the allocation.
     round: Round,
+    /// Quorum the verdict was computed against (re-validate on mismatch).
+    quorum: u32,
+    /// The verdict `CommitCert::validate` reached in the low bit, above it
+    /// the logical signature verifications the reference path performs
+    /// for one validation of this certificate — replayed into
+    /// `crypto.sig_verifies` on every hit so the counter stays identical
+    /// to the reference path's.
+    verdict: u32,
+}
+
+impl CertSlot {
+    const EMPTY: CertSlot = CertSlot {
+        addr: 0,
+        round: Round(0),
+        quorum: 0,
+        verdict: 0,
+    };
+
+    /// The slot of a verdict on `cert`. The counts fit 32 bits: a verify
+    /// count past 2^31 takes 2^31 votes.
+    fn new(cert: &Arc<CommitCert>, quorum: usize, ok: bool, verifies: u64) -> CertSlot {
+        debug_assert!(quorum <= u32::MAX as usize && verifies < 1 << 31);
+        CertSlot {
+            addr: address(cert),
+            round: cert.commit().payload.round,
+            quorum: quorum as u32,
+            verdict: (verifies << 1 | u64::from(ok)) as u32,
+        }
+    }
+
+    fn ok(self) -> bool {
+        self.verdict & 1 == 1
+    }
+
+    fn verifies(self) -> u64 {
+        u64::from(self.verdict >> 1)
+    }
+}
+
+/// The certificate table: by commit signer, the verdict on that signer's
+/// newest-round certificate whose commit ballot verified.
+#[derive(Clone, Default)]
+struct CertTable {
+    slots: Vec<CertSlot>,
+    /// By commit signer: the allocation its slot answers for. A verdict
+    /// answers for an address, and an address can only be trusted to
+    /// identify content while that allocation cannot be freed and recycled.
+    pins: Vec<Option<Arc<CommitCert>>>,
+    /// Every other live verdict, with its allocation: an equivocating
+    /// committer's second side, and the previous round's (which
+    /// [`VerifyCache::prune_before`] keeps) once the current round's took
+    /// the slot. No signer has an entry here that is newer than its slot's.
+    overflow: Vec<(CertSlot, Arc<CommitCert>)>,
+}
+
+impl CertTable {
+    /// The verdict answering for this allocation by `committer`, if any.
+    /// A hit on the committer's slot reads nothing of the certificate.
+    fn find(&mut self, committer: NodeId, cert: &Arc<CommitCert>) -> Option<&mut CertSlot> {
+        let addr = address(cert);
+        let slot = self.slots.get_mut(committer.0)?;
+        if slot.addr == addr {
+            return Some(slot);
+        }
+        if slot.addr == 0 || slot.round < cert.commit().payload.round {
+            return None; // no entry in `overflow` is newer than its signer's slot
+        }
+        let held = self.overflow.iter_mut().find(|(s, _)| s.addr == addr);
+        held.map(|(s, _)| s)
+    }
+
+    /// Stores a new verdict on `cert`: in its signer's slot unless a
+    /// certificate of the same or a later round holds it — a Reveal scan
+    /// probes the current round's certificates, and those must not queue
+    /// behind the previous round's.
+    fn remember(&mut self, slot: CertSlot, cert: &Arc<CommitCert>) {
+        // In range of the registry: the commit ballot verified.
+        let signer = cert.commit().signer().0;
+        if self.slots.len() <= signer {
+            self.slots.resize(signer + 1, CertSlot::EMPTY);
+            self.pins.resize(signer + 1, None);
+        }
+        let held = &mut self.slots[signer];
+        if held.addr != 0 && held.round >= slot.round {
+            self.overflow.push((slot, Arc::clone(cert)));
+            return;
+        }
+        let displaced = std::mem::replace(held, slot);
+        if let Some(pin) = self.pins[signer].replace(Arc::clone(cert)) {
+            self.overflow.push((displaced, pin));
+        }
+    }
+
+    /// Drops the verdicts on certificates of rounds before `keep`.
+    fn prune_before(&mut self, keep: u64) {
+        for (slot, pin) in self.slots.iter_mut().zip(&mut self.pins) {
+            if slot.round.0 < keep {
+                *slot = CertSlot::EMPTY;
+                *pin = None;
+            }
+        }
+        self.overflow.retain(|(s, _)| s.round.0 >= keep);
+    }
 }
 
 /// Outcome of one certificate validation through the cache.
@@ -117,14 +241,7 @@ pub struct VerifyCache {
     tables: Vec<TagTable>,
     /// Ballots that failed verification.
     forged: HashSet<SignedBallot>,
-    /// By commit signer: that signer's newest-round certificate whose
-    /// commit ballot verified.
-    certs: Vec<Option<CertEntry>>,
-    /// Every other live certificate: an equivocating committer's second
-    /// side, and the previous round's (which [`Self::prune_before`]
-    /// keeps) once the current round's took the slot. No signer has an
-    /// entry here that is newer than its slot's.
-    overflow: Vec<CertEntry>,
+    certs: CertTable,
 }
 
 impl VerifyCache {
@@ -134,8 +251,7 @@ impl VerifyCache {
             mode,
             tables: Vec::new(),
             forged: HashSet::new(),
-            certs: Vec::new(),
-            overflow: Vec::new(),
+            certs: CertTable::default(),
         }
     }
 
@@ -160,8 +276,7 @@ impl VerifyCache {
         let table = self.table_of(&ballot.payload);
         let valid = table.is_some_and(|t| self.tables[t].holds(&ballot.sig));
         if valid || self.forged.contains(ballot) {
-            hooks::add_sig_verifies(1);
-            hooks::add_memo_hits(1);
+            replay(1);
             return valid;
         }
         hooks::add_memo_misses(1);
@@ -178,16 +293,15 @@ impl VerifyCache {
             self.tables.push(TagTable {
                 payload: ballot.payload,
                 digest,
-                tags: Vec::new(),
+                tags: vec![Digest::ZERO; registry.len()],
+                filled: SignerSet::default(),
             });
             self.tables.len() - 1
         });
         // In range of the registry: the signature verified.
-        let (tags, signer) = (&mut self.tables[t].tags, ballot.signer().0);
-        if tags.len() <= signer {
-            tags.resize(signer + 1, None);
-        }
-        tags[signer] = Some(ballot.sig.tag());
+        let (table, signer) = (&mut self.tables[t], ballot.signer());
+        table.tags[signer.0] = ballot.sig.tag();
+        table.filled.insert(signer);
         true
     }
 
@@ -202,22 +316,77 @@ impl VerifyCache {
         registry: &KeyRegistry,
         quorum: usize,
     ) -> CertVerdict {
+        let mut replayed = 0;
+        let committer = cert.commit().signer();
+        let verdict = self.check_cert(committer, cert, registry, quorum, &mut replayed);
+        replay(replayed);
+        verdict
+    }
+
+    /// Validates a Reveal's certificates in order, as one
+    /// [`Self::validate_cert`] call each would, and returns the positions
+    /// of the valid ones that were not answered from the certificate
+    /// table: those whose ballots the caller has yet to observe. A
+    /// certificate whose committer's slot answers for its address costs a
+    /// probe of that slot alone, and the verifications those hits replay
+    /// reach the counters in one add per Reveal.
+    pub fn validate_reveal(
+        &mut self,
+        certs: &RevealSet,
+        registry: &KeyRegistry,
+        quorum: usize,
+    ) -> Vec<usize> {
+        let (mut replayed, mut fresh) = (0, Vec::new());
+        for (i, (cert, &committer)) in certs.iter().zip(certs.committers()).enumerate() {
+            let verdict = self.check_cert(committer, cert, registry, quorum, &mut replayed);
+            if verdict.ok && !verdict.cached {
+                fresh.push(i);
+            }
+        }
+        replay(replayed);
+        fresh
+    }
+
+    /// [`Self::validate_cert`] of `cert`, committed by `committer`, except
+    /// that a cached verdict's verifications are added to `replayed`
+    /// instead of to the counters. The hit is decided here, for both
+    /// callers; it is inlined into the Reveal scan, where a call per
+    /// certificate cost as much as the probe itself.
+    #[inline(always)]
+    fn check_cert(
+        &mut self,
+        committer: NodeId,
+        cert: &Arc<CommitCert>,
+        registry: &KeyRegistry,
+        quorum: usize,
+        replayed: &mut u64,
+    ) -> CertVerdict {
         if self.mode == VerifyMode::Reference {
             return CertVerdict {
                 ok: cert.validate(registry, quorum),
                 cached: false,
             };
         }
-        if let Some(entry) = self.cert_entry(cert) {
-            if entry.quorum == quorum {
-                hooks::add_sig_verifies(entry.verifies);
-                hooks::add_memo_hits(entry.verifies);
-                return CertVerdict {
-                    ok: entry.ok,
+        match self.certs.find(committer, cert) {
+            Some(held) if held.quorum as usize == quorum => {
+                *replayed += held.verifies();
+                CertVerdict {
+                    ok: held.ok(),
                     cached: true,
-                };
+                }
             }
+            _ => self.walk_cert(committer, cert, registry, quorum),
         }
+    }
+
+    /// Validates `cert` in full and remembers the verdict.
+    fn walk_cert(
+        &mut self,
+        committer: NodeId,
+        cert: &Arc<CommitCert>,
+        registry: &KeyRegistry,
+        quorum: usize,
+    ) -> CertVerdict {
         let commit = cert.commit();
         // A certificate whose commit ballot fails is not remembered: its
         // re-validation stops at the same ballot (a `forged` hit), and
@@ -229,51 +398,12 @@ impl VerifyCache {
             };
         }
         let (ok, verifies) = self.walk_votes(cert, registry, quorum);
-        let fresh = CertEntry {
-            keep: Arc::clone(cert),
-            ok,
-            quorum,
-            verifies: 1 + verifies,
-            round: commit.payload.round,
-        };
-        match self.cert_entry(cert) {
-            Some(entry) => *entry = fresh,
-            None => self.remember_cert(fresh),
+        let fresh = CertSlot::new(cert, quorum, ok, 1 + verifies);
+        match self.certs.find(committer, cert) {
+            Some(held) => *held = fresh,
+            None => self.certs.remember(fresh, cert),
         }
         CertVerdict { ok, cached: false }
-    }
-
-    /// The entry answering for this allocation, if any.
-    fn cert_entry(&mut self, cert: &Arc<CommitCert>) -> Option<&mut CertEntry> {
-        let commit = cert.commit();
-        let held = self.certs.get_mut(commit.signer().0)?.as_mut()?;
-        if Arc::ptr_eq(&held.keep, cert) {
-            return Some(held);
-        }
-        if held.round < commit.payload.round {
-            return None; // no entry in `overflow` is newer than its signer's slot
-        }
-        self.overflow
-            .iter_mut()
-            .find(|e| Arc::ptr_eq(&e.keep, cert))
-    }
-
-    /// Stores a new entry: in its signer's slot unless a certificate of
-    /// the same or a later round holds it — a Reveal scan probes the
-    /// current round's certificates, and those must not queue behind the
-    /// previous round's.
-    fn remember_cert(&mut self, entry: CertEntry) {
-        // In range of the registry: the commit ballot verified.
-        let signer = entry.keep.commit().signer().0;
-        if self.certs.len() <= signer {
-            self.certs.resize(signer + 1, None);
-        }
-        let slot = &mut self.certs[signer];
-        let displaced = match slot {
-            Some(held) if held.round >= entry.round => Some(entry),
-            _ => slot.replace(entry),
-        };
-        self.overflow.extend(displaced);
     }
 
     /// The votes' half of a certificate walk, mirroring
@@ -283,9 +413,12 @@ impl VerifyCache {
     /// number of logical verifications the reference path performs on the
     /// votes, for replay on later hits.
     ///
-    /// Each vote probes the payload's tag table with the counter adds
-    /// batched into one flush per walk; anything else — first sight,
-    /// unknown signer, forgery — takes [`Self::verify_ballot`].
+    /// A uniform certificate whose payload has a tag table first runs
+    /// [`TagTable::leading_hits`] over its packed votes; from the first
+    /// vote that misses, each vote probes the table on its own. The
+    /// counter adds are batched into one flush per walk; anything else —
+    /// first sight, unknown signer, forgery — takes
+    /// [`Self::verify_ballot`].
     fn walk_votes(
         &mut self,
         cert: &CommitCert,
@@ -294,9 +427,16 @@ impl VerifyCache {
     ) -> (bool, u64) {
         let vote = cert.commit().payload.justifying_vote();
         let mut table = self.table_of(&vote);
-        let (mut verifies, mut table_hits) = (0u64, 0u64);
+        let leading = match table {
+            Some(t) if cert.uniform() => {
+                let (ids, tags) = cert.packed_votes();
+                self.tables[t].leading_hits(ids, tags)
+            }
+            _ => 0,
+        };
+        let (mut verifies, mut table_hits) = (leading as u64, leading as u64);
         let mut ok = true;
-        for v in cert.votes() {
+        for v in &cert.votes()[leading..] {
             if !cert.uniform() && v.payload != vote {
                 ok = false;
                 break;
@@ -311,10 +451,7 @@ impl VerifyCache {
                 break;
             }
         }
-        if table_hits > 0 {
-            hooks::add_sig_verifies(table_hits);
-            hooks::add_memo_hits(table_hits);
-        }
+        replay(table_hits);
         (ok && cert.signers().len() >= quorum, verifies)
     }
 
@@ -326,10 +463,7 @@ impl VerifyCache {
         let keep = round.0.saturating_sub(1);
         self.tables.retain(|t| t.payload.round.0 >= keep);
         self.forged.retain(|b| b.payload.round.0 >= keep);
-        for slot in &mut self.certs {
-            slot.take_if(|e| e.round.0 < keep);
-        }
-        self.overflow.retain(|e| e.round.0 >= keep);
+        self.certs.prune_before(keep);
     }
 }
 
@@ -577,7 +711,7 @@ mod tests {
             assert!(!cache.validate_cert(&c, &reg, 1).ok);
         }
         assert!(cache.tables.is_empty(), "only a valid tag makes a table");
-        assert!(cache.certs.is_empty() && cache.overflow.is_empty());
+        assert!(cache.certs.slots.is_empty() && cache.certs.overflow.is_empty());
     }
 
     #[test]
@@ -617,7 +751,8 @@ mod tests {
             for c in order {
                 assert!(!cache.validate_cert(c, &reg, 3).cached);
             }
-            let slot = cache.certs[0].as_ref().expect("P0 committed");
+            let slot = cache.certs.slots[0];
+            assert_eq!(slot.addr, address(&newer), "P0's newer certificate");
             assert_eq!(slot.round, Round(5), "the newer round holds the slot");
             cache.prune_before(Round(5));
             assert!(cache.validate_cert(&older, &reg, 3).cached);
@@ -625,6 +760,80 @@ mod tests {
             cache.prune_before(Round(6));
             assert!(!cache.validate_cert(&older, &reg, 3).cached, "pruned");
             assert!(cache.validate_cert(&newer, &reg, 3).cached);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// A Reveal scan is one `validate_cert` call per certificate: after
+        /// the same certificates were seen, it names the same fresh valid
+        /// positions and charges every counter the same, whether its
+        /// certificates hit a committer's slot, the overflow list (an
+        /// equivocating committer's second side, the previous round's) or
+        /// nothing (a first sight, a twin allocation, a forgery). Both
+        /// reach `CommitCert::validate`'s verdicts and charge its
+        /// `sig_verifies` — also for the forged tag of a signer whose valid
+        /// tag the packed pass finds tabled.
+        #[test]
+        fn a_reveal_scan_is_its_certificates_one_by_one(
+            seen in proptest::collection::vec(0usize..9, 0..9),
+            revealed in proptest::collection::vec(0usize..9, 0..14),
+        ) {
+            let (reg, keys) = setup(4);
+            let by = |who: usize, round: u64, v: u8, voters: usize| {
+                let votes = keys[..voters]
+                    .iter()
+                    .map(|k| signed_ballot(k, Round(round), Phase::Vote, value(v)))
+                    .collect();
+                let commit = signed_ballot(&keys[who], Round(round), Phase::Commit, value(v));
+                Arc::new(CommitCert::new(commit, votes))
+            };
+            let forged = {
+                let mut votes = by(2, 2, 1, 3).votes().to_vec();
+                votes[1] = signed_ballot(&keys[1], Round(2), Phase::Vote, value(9));
+                votes[1].payload.value = value(1);
+                let commit = signed_ballot(&keys[2], Round(2), Phase::Commit, value(1));
+                CommitCert::new(commit, votes)
+            };
+            let pool = [
+                by(0, 2, 1, 3),
+                by(1, 2, 1, 3),
+                by(2, 2, 1, 4),
+                by(0, 2, 2, 3),
+                by(1, 2, 3, 2),
+                by(3, 1, 1, 3),
+                by(3, 2, 1, 3),
+                Arc::new(forged),
+                Arc::new(by(0, 2, 1, 3).as_ref().clone()),
+            ];
+            let mut scan = VerifyCache::new(VerifyMode::Fast);
+            let mut each = VerifyCache::new(VerifyMode::Fast);
+            for &i in &seen {
+                scan.validate_cert(&pool[i], &reg, 3);
+                each.validate_cert(&pool[i], &reg, 3);
+            }
+            let set = RevealSet::new(revealed.iter().map(|&i| Arc::clone(&pool[i])).collect());
+            hooks::reset();
+            let reference: Vec<bool> = set.iter().map(|c| c.validate(&reg, 3)).collect();
+            let reference_charged = hooks::snapshot().sig_verifies;
+            hooks::reset();
+            let fresh = scan.validate_reveal(&set, &reg, 3);
+            let scan_charged = hooks::snapshot();
+            hooks::reset();
+            let mut expected = Vec::new();
+            for (i, ok) in reference.into_iter().enumerate() {
+                let v = each.validate_cert(&set[i], &reg, 3);
+                proptest::prop_assert_eq!(v.ok, ok, "certificate {}", revealed[i]);
+                if v.ok && !v.cached {
+                    expected.push(i);
+                }
+            }
+            let each_charged = hooks::snapshot();
+            hooks::reset();
+            proptest::prop_assert_eq!(fresh, expected);
+            proptest::prop_assert_eq!(scan_charged, each_charged);
+            proptest::prop_assert_eq!(scan_charged.sig_verifies, reference_charged);
         }
     }
 

@@ -3,6 +3,7 @@
 use crate::Sha256;
 use prft_types::{Digest, NodeId};
 use std::fmt;
+use std::sync::Arc;
 
 /// Security parameter κ in bytes: the wire size of one signature.
 ///
@@ -83,9 +84,12 @@ impl fmt::Debug for Signature {
 /// public keys (Section 3.3). Here the registry holds the per-player seeds
 /// and acts as the verification oracle; protocol code only ever calls
 /// [`KeyRegistry::verify`].
+///
+/// Every replica holds the registry, and so does every snapshot of one:
+/// the seed table is shared, so a clone copies a handle, not the table.
 #[derive(Debug, Clone)]
 pub struct KeyRegistry {
-    seeds: Vec<[u8; 32]>,
+    seeds: Arc<[[u8; 32]]>,
 }
 
 impl KeyRegistry {
@@ -111,6 +115,7 @@ impl KeyRegistry {
                 seed,
             });
         }
+        let seeds = seeds.into();
         (KeyRegistry { seeds }, keys)
     }
 
