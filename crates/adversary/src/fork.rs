@@ -144,7 +144,7 @@ impl Behavior for EquivocatingLeader {
         }
         // Block b: same parent, same round, but a conflicting payload —
         // here a marker transaction, so the two hashes always differ.
-        let mut txs = honest_block.txs.clone();
+        let mut txs = honest_block.txs.to_vec();
         txs.push(Transaction::new(
             u64::MAX - round.0,
             honest_block.proposer,
@@ -268,11 +268,16 @@ mod tests {
         let board = blackboard();
         let b_group: HashSet<NodeId> = [NodeId(2), NodeId(3)].into_iter().collect();
         let mut leader = EquivocatingLeader::new(board.clone(), b_group.clone(), 4);
-        let honest = Block::new(Round(0), Digest::ZERO, NodeId(0), vec![]);
+        let tx = Transaction::new(1, NodeId(9), b"pay".to_vec());
+        let honest = Block::new(Round(0), Digest::ZERO, NodeId(0), vec![tx]);
         match leader.on_propose(Round(0), &honest) {
             ProposeAction::Equivocate { a, b, b_recipients } => {
                 assert_eq!(a.id(), honest.id());
                 assert_ne!(a.id(), b.id());
+                // `a` is the honest block's batch; `b` is a batch of its own.
+                assert!(Arc::ptr_eq(&a.txs, &honest.txs));
+                assert!(!Arc::ptr_eq(&a.txs, &b.txs));
+                assert_eq!(b.txs[..1], a.txs[..]);
                 assert_eq!(b_recipients, b_group);
                 assert_eq!(board.lock().unwrap().pair(Round(0)), Some((a.id(), b.id())));
             }

@@ -510,12 +510,15 @@ impl WireMessage for PrftMsg {
 
     fn clone_cost_bytes(&self) -> usize {
         // The `Arc`-shared certificate bodies clone as one 8-byte handle
-        // per shared allocation; everything else copies its wire size.
+        // per shared allocation, and a proposal as its ballot and block
+        // header (the batch is a shared handle too, uncounted like the
+        // `Vec` header it replaced); everything else copies its wire size.
         // Wire accounting (`send.*`/`recv.*`, the paper's O(κ·n⁴) Table 3
         // figures) still uses `wire_bytes` — this only changes what the
         // broadcast fan-out *memcpy* costs, which is what the
         // `engine.clone_bytes` counter exists to measure.
         match self {
+            PrftMsg::Propose { .. } => ballot_bytes() + Block::HEADER_WIRE_BYTES,
             PrftMsg::Commit { .. } => 8,
             PrftMsg::Reveal { .. } => ballot_bytes() + 8,
             other => other.wire_bytes(),
@@ -721,6 +724,27 @@ mod tests {
         assert_eq!(commit_msg.clone_cost_bytes(), 8);
         assert_eq!(reveal_msg.clone_cost_bytes(), ballot_bytes() + 8);
         assert_eq!(vote_msg.clone_cost_bytes(), vote_msg.wire_bytes());
+    }
+
+    #[test]
+    fn a_proposal_clones_its_header_not_its_batch() {
+        let (_, keys) = setup(1);
+        let propose = |txs: u64| {
+            let txs = (0..txs)
+                .map(|i| Transaction::new(i, NodeId(1), vec![0; 64]))
+                .collect();
+            let block = Block::new(Round(1), Digest::ZERO, NodeId(0), txs);
+            let ballot = Signed::sign(Ballot::new(Round(1), Phase::Propose, block.id()), &keys[0]);
+            PrftMsg::Propose { ballot, block }
+        };
+        let (empty, full) = (propose(0), propose(512));
+        // The charge of an empty block is what it was when the whole wire
+        // size was charged; a full batch adds nothing to it.
+        assert_eq!(empty.clone_cost_bytes(), empty.wire_bytes());
+        assert_eq!(empty.clone_cost_bytes(), ballot_bytes() + 48);
+        assert_eq!(full.clone_cost_bytes(), empty.clone_cost_bytes());
+        // The wire still carries every transaction.
+        assert_eq!(full.wire_bytes(), empty.wire_bytes() + 512 * (16 + 64));
     }
 
     #[test]

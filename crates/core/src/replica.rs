@@ -636,6 +636,10 @@ impl Replica {
     /// inserted, so a later copy of a stored value is compared with that
     /// block instead of hashed again (one `Propose` is looked at on
     /// arrival, when its round starts, and whenever a helper re-sends it).
+    /// A re-delivered proposal shares the stored block's batch, so that
+    /// compare is the header plus one pointer compare (`Arc` equality
+    /// tries the pointer first); only a separately built copy is compared
+    /// transaction by transaction.
     fn hashes_to(&self, block: &Block, value: &Digest) -> bool {
         match self.block_store.get(value) {
             Some(stored) => stored == block,
@@ -1550,6 +1554,37 @@ mod tests {
             sim.inject(now, from, to, msg);
         }
         sim.run_until(now);
+    }
+
+    #[test]
+    fn every_seat_holds_the_leaders_batch_not_a_copy() {
+        // Each seat's mempool gets its own transactions, so each leader
+        // proposes a batch of its own. (A committee sender draws no acks.)
+        let n = 4;
+        let mut harness = Harness::new(n, 17).max_rounds(8);
+        for seat in (0..n).map(NodeId) {
+            for j in 0..3 {
+                let tx = Transaction::new(10 * seat.0 as u64 + j, seat, vec![j as u8; 8]);
+                harness = harness.submit(Some(seat), tx);
+            }
+        }
+        let mut sim = harness.build();
+        sim.run();
+        let snapshot: Vec<Replica> = sim.nodes().cloned().collect();
+        let mut batches = 0;
+        for (value, entry) in sim.node(NodeId(0)).chain.iter_with_ids().skip(1) {
+            let leader = sim.node(entry.block.proposer);
+            let batch = &leader.block_store[&value].txs;
+            batches += usize::from(!batch.is_empty());
+            for r in sim.nodes().chain(&snapshot) {
+                let held = r.chain.height_of(&value).and_then(|h| r.chain.at(h));
+                let held = held.expect("every seat finalized the value");
+                assert_eq!(held.status, prft_types::BlockStatus::Final);
+                assert!(Arc::ptr_eq(&held.block.txs, batch), "P{}", r.id().0);
+                assert!(Arc::ptr_eq(&r.block_store[&value].txs, batch));
+            }
+        }
+        assert_eq!(batches, n, "one non-empty batch per leader");
     }
 
     /// The values `r` would reconcile, read off the whole tally: every

@@ -37,6 +37,7 @@ pub use mempool::{Mempool, MempoolError};
 pub use transaction::{Transaction, TxId};
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A block: the unit of agreement in Atomic Broadcast.
 ///
@@ -45,6 +46,12 @@ use std::fmt;
 /// identity is the digest of its canonical encoding (computed via
 /// [`Block::id`]). Digests here are *content addresses*; protocol signatures
 /// always go through `prft-crypto`.
+///
+/// The batch is immutable once built and `Arc`-shared: a clone — the
+/// `Propose` fan-out, a replica's block store and chain, a snapshot —
+/// copies the 48-byte header and a handle, never the transactions.
+/// Equality and hashing are by content (std's `Arc` equality tries the
+/// pointer first), so sharing is invisible to every digest and report.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Block {
     /// The consensus round in which this block was proposed.
@@ -53,19 +60,18 @@ pub struct Block {
     pub parent: Digest,
     /// The proposing leader.
     pub proposer: NodeId,
-    /// The transaction batch.
-    pub txs: Vec<Transaction>,
+    /// The transaction batch, shared by every clone of the block.
+    pub txs: Arc<[Transaction]>,
 }
 
 impl Block {
+    /// Wire size of a block with no transactions: round, parent digest
+    /// and proposer.
+    pub const HEADER_WIRE_BYTES: usize = 8 + Digest::LEN + 8;
+
     /// The genesis block: round 0 sentinel with no parent and no payload.
     pub fn genesis() -> Self {
-        Block {
-            round: Round(0),
-            parent: Digest::ZERO,
-            proposer: NodeId(0),
-            txs: Vec::new(),
-        }
+        Block::new(Round(0), Digest::ZERO, NodeId(0), Vec::new())
     }
 
     /// Creates a block proposed in `round` on top of `parent` by `proposer`.
@@ -74,7 +80,7 @@ impl Block {
             round,
             parent,
             proposer,
-            txs,
+            txs: txs.into(),
         }
     }
 
@@ -90,7 +96,7 @@ impl Block {
         enc.bytes(&self.parent.0);
         enc.u64(self.proposer.0 as u64);
         enc.u64(self.txs.len() as u64);
-        for tx in &self.txs {
+        for tx in self.txs.iter() {
             enc.u64(tx.id.0);
             enc.u64(tx.sender.0 as u64);
             enc.bytes(&tx.payload);
@@ -114,7 +120,7 @@ impl Block {
 
     /// Size of the block in "wire bytes" for message-size accounting.
     pub fn wire_bytes(&self) -> usize {
-        8 + 32 + 8 + self.txs.iter().map(Transaction::wire_bytes).sum::<usize>()
+        Self::HEADER_WIRE_BYTES + self.txs.iter().map(Transaction::wire_bytes).sum::<usize>()
     }
 }
 
@@ -169,6 +175,54 @@ mod block_tests {
         let b = Block::new(Round(1), Digest::ZERO, NodeId(0), vec![tx]);
         assert!(b.contains_tx(TxId(7)));
         assert!(!b.contains_tx(TxId(8)));
+    }
+
+    /// A fixed three-transaction block whose content addresses are pinned.
+    fn pinned_block() -> Block {
+        let txs = (1..=3u64)
+            .map(|i| Transaction::new(i, NodeId(4 + i as usize), vec![i as u8; 10 * i as usize]))
+            .collect();
+        Block::new(Round(7), Digest::of_bytes(b"parent"), NodeId(3), txs)
+    }
+
+    /// What a store or chain entry holds per block: a 48-byte header and
+    /// a 16-byte handle to the shared batch (a `Vec` made it 72 bytes plus
+    /// a private copy of the batch).
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn a_block_is_a_header_and_a_handle() {
+        assert_eq!(std::mem::size_of::<Block>(), 64);
+    }
+
+    #[test]
+    fn a_shared_batch_keeps_every_content_address() {
+        // Recorded when the batch was still a `Vec`: sharing it must move
+        // no encoding, id or wire size.
+        let block = pinned_block();
+        let hex: String = block.id().0.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(block.canonical_bytes().len(), 196);
+        assert_eq!(
+            hex,
+            "b802214cc4fc934ca60c38bcb6f7bbcc709d6bbe3b71c634f61b30c3858178d3"
+        );
+        assert_eq!(block.wire_bytes(), 156);
+
+        // Two separately built equal blocks are equal, by content.
+        let twin = pinned_block();
+        assert!(!Arc::ptr_eq(&block.txs, &twin.txs));
+        assert_eq!(block, twin);
+        let set: std::collections::HashSet<Block> = [block.clone(), twin].into_iter().collect();
+        assert_eq!(set.len(), 1);
+        // A clone shares the batch.
+        let copy = block.clone();
+        assert!(Arc::ptr_eq(&block.txs, &copy.txs));
+        assert_eq!(copy, block);
+        // An unshared batch that differs in one payload byte is unequal.
+        let mut txs = block.txs.to_vec();
+        txs[2].payload[0] ^= 1;
+        let other = Block::new(block.round, block.parent, block.proposer, txs);
+        assert_ne!(other, block);
+        assert_ne!(other.id(), block.id());
     }
 
     #[test]
