@@ -41,7 +41,7 @@ use crate::messages::{
 };
 use crate::pof::{verify_expose, FraudDetector};
 use crate::verify::VerifyCache;
-use prft_crypto::{KeyRegistry, SecretKey, Signed, VerifyMode};
+use prft_crypto::{KeyRegistry, SecretKey, Signed};
 use prft_sim::{Context, Node, SimTime, TimerId};
 use prft_types::{
     Block, Chain, Digest, Height, Mempool, MempoolError, NodeId, Round, Transaction, TxId,
@@ -282,8 +282,8 @@ pub struct Replica {
     future: BTreeMap<u64, Vec<(NodeId, PrftMsg)>>,
     peer_round: Vec<u64>,
     /// Memoized ballot/certificate verification (the large-n fast path;
-    /// pass-through in [`prft_crypto::VerifyMode::Reference`]). Pruned at
-    /// round starts, so it spans the rounds that can still be looked up.
+    /// pass-through in reference mode). Pruned at round starts, so it
+    /// spans the rounds that can still be looked up.
     cache: VerifyCache,
 
     stats: ReplicaStats,
@@ -517,23 +517,28 @@ impl Replica {
                 block: block.clone(),
             }
         };
+        let msg = make(&self.key, self.round, &block);
         match alt {
-            None => {
-                let msg = make(&self.key, self.round, &block);
-                ctx.broadcast(msg);
-            }
+            None => ctx.broadcast(msg),
             Some((block_b, b_recipients)) => {
-                let msg_a = make(&self.key, self.round, &block);
                 let msg_b = make(&self.key, self.round, &block_b);
-                for i in 0..self.cfg.n {
-                    let to = NodeId(i);
-                    if b_recipients.contains(&to) {
-                        ctx.send(to, msg_b.clone());
-                    } else {
-                        ctx.send(to, msg_a.clone());
-                    }
-                }
+                self.send_split(ctx, msg, msg_b, &b_recipients);
             }
+        }
+    }
+
+    /// Sends `b` to every seat in `b_recipients` and `a` to every other
+    /// seat, in seat order.
+    fn send_split(
+        &self,
+        ctx: &mut Context<PrftMsg>,
+        a: PrftMsg,
+        b: PrftMsg,
+        b_recipients: &HashSet<NodeId>,
+    ) {
+        for to in (0..self.cfg.n).map(NodeId) {
+            let msg = if b_recipients.contains(&to) { &b } else { &a };
+            ctx.send(to, msg.clone());
         }
     }
 
@@ -546,49 +551,23 @@ impl Replica {
         phase: Phase,
         value: Digest,
         action: BallotAction,
-        wrap: &dyn Fn(&Replica, SignedBallot, Digest) -> Option<PrftMsg>,
+        wrap: &dyn Fn(&Replica, SignedBallot, Digest) -> PrftMsg,
     ) -> bool {
         let sign =
             |this: &Replica, v: Digest| Signed::sign(Ballot::new(this.round, phase, v), &this.key);
-        match action {
-            BallotAction::Honest => {
-                let ballot = sign(self, value);
-                if let Some(msg) = wrap(self, ballot, value) {
-                    ctx.broadcast(msg);
-                    return true;
-                }
-                false
-            }
-            BallotAction::Replace(v) => {
-                let ballot = sign(self, v);
-                if let Some(msg) = wrap(self, ballot, v) {
-                    ctx.broadcast(msg);
-                    return true;
-                }
-                false
-            }
+        let v = match action {
+            BallotAction::Honest => value,
+            BallotAction::Replace(v) => v,
             BallotAction::Split { b, b_recipients } => {
-                let ballot_a = sign(self, value);
-                let ballot_b = sign(self, b);
-                let msg_a = wrap(self, ballot_a, value);
-                let msg_b = wrap(self, ballot_b, b);
-                let mut sent = false;
-                for i in 0..self.cfg.n {
-                    let to = NodeId(i);
-                    let msg = if b_recipients.contains(&to) {
-                        msg_b.clone()
-                    } else {
-                        msg_a.clone()
-                    };
-                    if let Some(m) = msg {
-                        ctx.send(to, m);
-                        sent = true;
-                    }
-                }
-                sent
+                let msg_a = wrap(self, sign(self, value), value);
+                let msg_b = wrap(self, sign(self, b), b);
+                self.send_split(ctx, msg_a, msg_b, &b_recipients);
+                return true;
             }
-            BallotAction::Silent => false,
-        }
+            BallotAction::Silent => return false,
+        };
+        ctx.broadcast(wrap(self, sign(self, v), v));
+        true
     }
 
     // ------------------------------------------------------------ handlers
@@ -694,10 +673,10 @@ impl Replica {
         }
         let action = self.behavior.on_vote(self.round, value);
         let sent = self.emit_ballot(ctx, Phase::Vote, value, action, &|this, b, v| {
-            Some(PrftMsg::Vote {
+            PrftMsg::Vote {
                 ballot: b,
                 propose: this.rs.value(&v).and_then(|e| e.propose.clone()),
-            })
+            }
         });
         self.rs.voted = sent;
     }
@@ -794,9 +773,9 @@ impl Replica {
                     if votes.is_empty() {
                         votes = this.rs.votes_for(&value, quorum);
                     }
-                    Some(PrftMsg::Commit {
+                    PrftMsg::Commit {
                         cert: Arc::new(CommitCert::new(b, votes)),
-                    })
+                    }
                 });
                 if sent {
                     self.rs.committed = true;
@@ -876,35 +855,29 @@ impl Replica {
     }
 
     /// Feeds a freshly validated certificate's votes to the fraud
-    /// detector. On the fast path, a (value, signer) pair already observed
-    /// out of a certificate this round is skipped: a *valid* vote's bytes
-    /// are fully determined by (round, value, signer) — the MAC tag is a
-    /// deterministic function of the payload — so the repeat is exactly
-    /// the identical-content no-op `FraudDetector::observe` guarantees.
-    /// Equivocations still pair up because the signer set is per value.
-    /// Reference mode observes unconditionally.
+    /// detector, skipping a (value, signer) pair already observed out of a
+    /// certificate this round: a *valid* vote's bytes are fully determined
+    /// by (round, value, signer) — the MAC tag is a deterministic function
+    /// of the payload — so the repeat is exactly the identical-content
+    /// no-op `FraudDetector::observe` guarantees, whichever verify mode
+    /// validated it. Equivocations still pair up because the signer set is
+    /// per value.
     fn observe_cert_votes(&mut self, ctx: &mut Context<PrftMsg>, cert: &CommitCert) {
         if !self.cfg.accountable {
             return; // `observe_and_react` would drop every vote
         }
-        if self.cache.mode() == VerifyMode::Fast {
-            let value = cert.commit().payload.value;
-            let seen = &mut self.rs.value_mut(value).votes_observed;
-            if cert.signers().is_subset(seen) {
-                return;
-            }
-            let fresh: Vec<&SignedBallot> = cert
-                .votes()
-                .iter()
-                .filter(|v| seen.insert(v.signer()))
-                .collect();
-            for vote in fresh {
-                self.observe_and_react(ctx, vote);
-            }
-        } else {
-            for vote in cert.votes() {
-                self.observe_and_react(ctx, vote);
-            }
+        let value = cert.commit().payload.value;
+        let seen = &mut self.rs.value_mut(value).votes_observed;
+        if cert.signers().is_subset(seen) {
+            return;
+        }
+        let fresh: Vec<&SignedBallot> = cert
+            .votes()
+            .iter()
+            .filter(|v| seen.insert(v.signer()))
+            .collect();
+        for vote in fresh {
+            self.observe_and_react(ctx, vote);
         }
     }
 
@@ -952,10 +925,10 @@ impl Replica {
             if certs.is_empty() {
                 certs = this.rs.commits_for(&value, quorum);
             }
-            Some(PrftMsg::Reveal {
+            PrftMsg::Reveal {
                 ballot: b,
                 certs: Arc::new(RevealSet::new(certs)),
-            })
+            }
         });
         if sent {
             self.rs.revealed = true;
@@ -1027,7 +1000,7 @@ impl Replica {
         debug_assert_eq!(self.rs.tentative.map(|(v, _)| v), Some(value));
         let action = self.behavior.on_final(self.round, value);
         let sent = self.emit_ballot(ctx, Phase::Final, value, action, &|_, b, _| {
-            Some(PrftMsg::Final { ballot: b })
+            PrftMsg::Final { ballot: b }
         });
         if sent {
             self.rs.final_sent = true;

@@ -255,11 +255,6 @@ impl VerifyCache {
         }
     }
 
-    /// The mode this cache operates in.
-    pub fn mode(&self) -> VerifyMode {
-        self.mode
-    }
-
     fn table_of(&self, payload: &Ballot) -> Option<usize> {
         self.tables.iter().rposition(|t| t.payload == *payload)
     }

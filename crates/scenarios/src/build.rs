@@ -16,18 +16,17 @@
 //! stays bit-deterministic: segment boundaries are pure functions of the
 //! spec, and no scheduled event draws randomness.
 //!
-//! Partition sugar ([`TimelineEvent::PartitionStart`]/`PartitionEnd`) and
-//! delay-rule events ([`TimelineEvent::AddDelayRule`]/`RemoveDelayRule`)
-//! are resolved statically into windows at network-build time — both are
-//! send-time-window-based in `prft-net` and the clock is monotone, so they
-//! need no runtime action and the link stack is a pure function of the
-//! spec.
+//! Delay-rule events ([`TimelineEvent::AddDelayRule`]/`RemoveDelayRule`)
+//! are resolved statically into windows at network-build time, beside the
+//! spec's partition windows — both are send-time-window-based in
+//! `prft-net` and the clock is monotone, so they need no runtime action
+//! and the link stack is a pure function of the spec.
 
 use crate::checkpoint::{
     boundaries, ordered_events, prefix_fingerprint, CheckpointEntry, CheckpointStore,
 };
 use crate::record::RunRecord;
-use crate::spec::{PartitionSpec, Role, ScenarioSpec, Synchrony, TimelineEvent};
+use crate::spec::{Role, ScenarioSpec, Synchrony, TimelineEvent};
 use prft_adversary::{
     blackboard, Abstain, Blackboard, DoubleVoter, EquivocatingLeader, ForkColluder, GarbageVoter,
     PartialCensor, SilentLeader,
@@ -85,52 +84,6 @@ impl Behavior for VcSpammer {
     }
 }
 
-/// Expands the schedule's partition sugar into explicit windows:
-/// `PartitionStart` opens at its tick, `PartitionEnd` closes the most
-/// recently opened (still open) scheduled partition, and anything left
-/// open runs to the horizon.
-///
-/// # Panics
-/// Panics on a `PartitionEnd` with no open scheduled partition.
-fn scheduled_partitions(spec: &ScenarioSpec) -> Vec<PartitionSpec> {
-    let mut sugar: Vec<(u64, &TimelineEvent)> = spec
-        .schedule
-        .iter()
-        .filter(|(_, e)| e.is_partition_sugar())
-        .map(|(t, e)| (*t, e))
-        .collect();
-    // Stable sort: same-tick sugar stays in insertion order. Open
-    // partitions are half-built windows (end = horizon); PartitionEnd
-    // tightens the most recent one still open.
-    sugar.sort_by_key(|(t, _)| *t);
-    let mut open: Vec<PartitionSpec> = Vec::new();
-    let mut windows = Vec::new();
-    for (tick, event) in sugar {
-        match event {
-            TimelineEvent::PartitionStart { groups, bridges } => {
-                open.push(PartitionSpec {
-                    start: tick,
-                    end: spec.horizon,
-                    groups: groups.clone(),
-                    bridges: bridges.clone(),
-                });
-            }
-            TimelineEvent::PartitionEnd => {
-                let mut window = open
-                    .pop()
-                    .expect("PartitionEnd without an open scheduled partition");
-                window.end = tick;
-                if window.end > window.start {
-                    windows.push(window);
-                }
-            }
-            _ => unreachable!("filtered to partition sugar"),
-        }
-    }
-    windows.extend(open.into_iter().filter(|w| w.end > w.start));
-    windows
-}
-
 /// Resolves the schedule's delay events into fixed send-time windows, in
 /// the executor's own order ([`ordered_events`]): `AddDelayRule` at `t`
 /// opens `[t, t + window)`; `RemoveDelayRule` at `t'` clips every rule
@@ -167,10 +120,9 @@ fn scheduled_delay_rules(spec: &ScenarioSpec) -> Vec<DelayRule> {
 }
 
 /// Builds the link-model stack for `spec` — a pure function of it: base
-/// synchrony flavour, wrapped by a [`PartitionedNet`] when any partition
-/// window exists (explicit or scheduled sugar), wrapped by a
-/// [`TargetedDelay`] holding the resolved rules when the schedule has a
-/// delay event.
+/// synchrony flavour, wrapped by a [`PartitionedNet`] when the spec has
+/// a partition window, wrapped by a [`TargetedDelay`] holding the
+/// resolved rules when the schedule has a delay event.
 fn network_model(spec: &ScenarioSpec) -> NetworkChoice {
     let base: Box<dyn LinkModel> = match spec.synchrony {
         Synchrony::Synchronous { delta } => Box::new(prft_net::SynchronousNet::new(SimTime(delta))),
@@ -179,13 +131,11 @@ fn network_model(spec: &ScenarioSpec) -> NetworkChoice {
         ),
         Synchrony::Asynchronous => Box::new(prft_net::AsynchronousNet::typical()),
     };
-    let mut windows: Vec<PartitionSpec> = spec.partitions.clone();
-    windows.extend(scheduled_partitions(spec));
-    let partitioned: Box<dyn LinkModel> = if windows.is_empty() {
+    let partitioned: Box<dyn LinkModel> = if spec.partitions.is_empty() {
         base
     } else {
         let mut net = PartitionedNet::new(base);
-        for p in &windows {
+        for p in &spec.partitions {
             let groups: Vec<Vec<NodeId>> = p
                 .groups
                 .iter()
@@ -397,9 +347,6 @@ fn apply_event(spec: &ScenarioSpec, built: &mut Built, event: &TimelineEvent) {
                     }
                 }
             }
-        }
-        TimelineEvent::PartitionStart { .. } | TimelineEvent::PartitionEnd => {
-            unreachable!("partition sugar is resolved at network build time")
         }
     }
 }

@@ -55,16 +55,15 @@ pub const DEFAULT_CAPACITY: usize = 64;
 /// The hash covers, in a canonical form:
 ///
 /// - every *static* field that shapes the build: `n`, `max_rounds`,
-///   `horizon`, `synchrony`, `partitions`, `roles`, `censored`,
+///   `horizon`, `synchrony`, `partitions` (every window, whatever its
+///   ticks: the link stack is built at `t = 0`), `roles`, `censored`,
 ///   `fork_b_group`, `txs`, `tau_override`, `accountable`,
 ///   `phase_timeout`;
 /// - the whole-schedule-derived build inputs: the censor collusion set
 ///   (baked into `PartialCensor` behaviors at `t = 0` even when the
-///   censoring seat is only scheduled later), the presence of a
-///   `TargetedDelay` wrapper, and **all** partition sugar events
-///   (resolved statically into network windows at build time, so they are
-///   static config regardless of their tick);
-/// - the *dynamic prefix*: every non-sugar scheduled event with
+///   censoring seat is only scheduled later) and the presence of a
+///   `TargetedDelay` wrapper;
+/// - the *dynamic prefix*: every scheduled event with
 ///   `tick < tick_bound`, in execution order (stable tick sort). Delay
 ///   events count here although they too resolve into build-time
 ///   windows: one at `t` only shapes sends from `t` on, so cells agreeing
@@ -92,14 +91,6 @@ pub fn prefix_fingerprint(spec: &ScenarioSpec, tick_bound: u64) -> u64 {
     canonical.queue = Default::default();
     canonical.verify_mode = Default::default();
     canonical.schedule = Vec::new();
-    // Sugar is static network config; keep insertion order (PartitionEnd
-    // pairing is order-sensitive).
-    let sugar: Vec<(u64, &TimelineEvent)> = spec
-        .schedule
-        .iter()
-        .filter(|(_, e)| e.is_partition_sugar())
-        .map(|(t, e)| (*t, e))
-        .collect();
     let prefix = ordered_events(spec)
         .into_iter()
         .filter(|(t, _)| *t < tick_bound)
@@ -116,7 +107,7 @@ pub fn prefix_fingerprint(spec: &ScenarioSpec, tick_bound: u64) -> u64 {
     // Bumping the salt makes every pre-v2 prefix read as a miss — never a
     // stale hit.
     let text = format!(
-        "ckpt-v2|{canonical:?}|sugar:{sugar:?}|collusion:{collusion:?}|delay:{delay_wrapped}|prefix:{prefix:?}"
+        "ckpt-v2|{canonical:?}|collusion:{collusion:?}|delay:{delay_wrapped}|prefix:{prefix:?}"
     );
     let mut hash = FNV_OFFSET;
     for byte in text.bytes() {
@@ -126,21 +117,21 @@ pub fn prefix_fingerprint(spec: &ScenarioSpec, tick_bound: u64) -> u64 {
     hash
 }
 
-/// The spec's non-sugar schedule in execution order (ascending tick,
-/// same-tick events in insertion order, events beyond the horizon
-/// dropped) — exactly the order the timeline executor applies them.
+/// The spec's schedule in execution order (ascending tick, same-tick
+/// events in insertion order, events beyond the horizon dropped) —
+/// exactly the order the timeline executor applies them.
 pub(crate) fn ordered_events(spec: &ScenarioSpec) -> Vec<(u64, &TimelineEvent)> {
     let mut events: Vec<(u64, &TimelineEvent)> = spec
         .schedule
         .iter()
-        .filter(|(tick, e)| !e.is_partition_sugar() && *tick <= spec.horizon)
+        .filter(|(tick, _)| *tick <= spec.horizon)
         .map(|(t, e)| (*t, e))
         .collect();
     events.sort_by_key(|(t, _)| *t); // stable: same-tick in insertion order
     events
 }
 
-/// The spec's distinct non-sugar event ticks in `(0, horizon]`,
+/// The spec's distinct event ticks in `(0, horizon]`,
 /// ascending — the boundaries a warm run captures at, and the
 /// capture-hint contribution a grid sibling advertises.
 pub(crate) fn event_ticks(spec: &ScenarioSpec) -> Vec<u64> {
@@ -154,7 +145,7 @@ pub(crate) fn event_ticks(spec: &ScenarioSpec) -> Vec<u64> {
 }
 
 /// The candidate fork boundaries of a spec, ascending: every distinct
-/// non-sugar event tick `> 0`, plus the horizon as a pseudo-boundary so a
+/// event tick `> 0`, plus the horizon as a pseudo-boundary so a
 /// schedule-free cell can still fork from a sibling's captured prefix.
 /// An event scheduled exactly at the horizon contributes one boundary
 /// (the trailing `dedup` collapses it into the pseudo-boundary).
@@ -439,7 +430,7 @@ impl CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::Role;
+    use crate::spec::{PartitionSpec, Role};
 
     fn spec() -> ScenarioSpec {
         ScenarioSpec::new("base", 4, 3)
@@ -486,17 +477,16 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_sees_all_partition_sugar() {
+    fn fingerprint_sees_every_partition_window() {
         let a = spec();
-        let b = spec().at(
-            900,
-            TimelineEvent::PartitionStart {
-                groups: vec![vec![0, 1], vec![2, 3]],
-                bridges: vec![],
-            },
-        );
-        // Sugar at tick 900 is static network config: even a bound of 10
-        // must see it.
+        let b = spec().partition(PartitionSpec {
+            start: 900,
+            end: 2_000,
+            groups: vec![vec![0, 1], vec![2, 3]],
+            bridges: vec![],
+        });
+        // A window opening at tick 900 is static network config: even a
+        // bound of 10 must see it.
         assert_ne!(prefix_fingerprint(&a, 10), prefix_fingerprint(&b, 10));
     }
 

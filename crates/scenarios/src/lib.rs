@@ -6,12 +6,12 @@
 //! aggregate the observables*. This crate owns that shape:
 //!
 //! * [`ScenarioSpec`] — a plain-data description of one committee
-//!   configuration: size, synchrony flavour, partition schedule,
+//!   configuration: size, synchrony flavour, partition windows,
 //!   per-player roles (the strategy space), preloaded transactions,
 //!   protocol overrides, payoff economics, and — spec v2 — a declarative
 //!   **timeline** of [`TimelineEvent`]s (mid-run crash/recovery, role
-//!   switches, targeted-delay rules, tx injection, partition sugar)
-//!   executed deterministically between run segments;
+//!   switches, targeted-delay rules, tx injection) executed
+//!   deterministically between run segments;
 //! * [`registry`] — ≥10 named scenarios covering the paper's experiments
 //!   plus new workloads (mixed-rational committees, GST sweeps, partition
 //!   storms, collateral sweeps, committee scaling);

@@ -378,29 +378,25 @@ pub fn registry() -> Vec<Scenario> {
         Scenario {
             name: "scheduled-split",
             description:
-                "timeline: partition sugar opens and heals two mid-run splits over partial synchrony",
+                "two mid-run partition windows open and heal after GST over partial synchrony",
             specs: vec![ScenarioSpec::new("2-splits", 9, 6)
                 .base_seed(0x59117)
                 .synchrony(Synchrony::PartiallySynchronous {
                     gst: 500,
                     delta: 10,
                 })
-                .at(
-                    10_000,
-                    TimelineEvent::PartitionStart {
-                        groups: vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7, 8]],
-                        bridges: vec![],
-                    },
-                )
-                .at(25_000, TimelineEvent::PartitionEnd)
-                .at(
-                    40_000,
-                    TimelineEvent::PartitionStart {
-                        groups: vec![vec![0, 2, 4, 6, 8], vec![1, 3, 5, 7]],
-                        bridges: vec![],
-                    },
-                )
-                .at(55_000, TimelineEvent::PartitionEnd)
+                .partition(PartitionSpec {
+                    start: 10_000,
+                    end: 25_000,
+                    groups: vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7, 8]],
+                    bridges: vec![],
+                })
+                .partition(PartitionSpec {
+                    start: 40_000,
+                    end: 55_000,
+                    groups: vec![vec![0, 2, 4, 6, 8], vec![1, 3, 5, 7]],
+                    bridges: vec![],
+                })
                 .horizon(1_000_000)],
         },
         Scenario {
@@ -536,7 +532,6 @@ mod tests {
             "delay-lift",
             "colluder-defection",
             "late-tx-flood",
-            "scheduled-split",
             "load-crash",
         ] {
             let scenario = find(name).expect("registered");

@@ -147,29 +147,6 @@ pub enum TimelineEvent {
     /// Inject a transaction into mempools at the scheduled tick (to every
     /// player when `to` is `None`) — late tx floods under censorship.
     InjectTx(TxSpec),
-    /// Open a partition at the scheduled tick — sugar over
-    /// [`PartitionSpec`]: the window runs until the matching
-    /// [`TimelineEvent::PartitionEnd`] (or the horizon if never closed).
-    PartitionStart {
-        /// The isolated player groups (player indices).
-        groups: Vec<Vec<usize>>,
-        /// Players bridging every group (byzantine bridges).
-        bridges: Vec<usize>,
-    },
-    /// Close the most recently opened (and still open) scheduled
-    /// partition at the scheduled tick.
-    PartitionEnd,
-}
-
-impl TimelineEvent {
-    /// Whether this event is resolved statically at build time (partition
-    /// sugar) rather than applied by the run loop between segments.
-    pub fn is_partition_sugar(&self) -> bool {
-        matches!(
-            self,
-            TimelineEvent::PartitionStart { .. } | TimelineEvent::PartitionEnd
-        )
-    }
 }
 
 /// Economic parameters for per-player utility measurement (Table 2 payoffs
@@ -712,16 +689,5 @@ mod tests {
             .at(100, TimelineEvent::SetRole(4, Role::PartialCensor))
             .at(200, TimelineEvent::SetRole(2, Role::Honest));
         assert_eq!(spec.censor_collusion(), vec![2, 4]);
-    }
-
-    #[test]
-    fn partition_sugar_is_detected() {
-        assert!(TimelineEvent::PartitionStart {
-            groups: vec![],
-            bridges: vec![]
-        }
-        .is_partition_sugar());
-        assert!(TimelineEvent::PartitionEnd.is_partition_sugar());
-        assert!(!TimelineEvent::Crash(0).is_partition_sugar());
     }
 }

@@ -48,13 +48,12 @@ fn full_report(spec: &ScenarioSpec, record: RunRecord) -> String {
     report::scenario_json(&spec.label, 1, &[report_], true)
 }
 
-/// The spec's distinct fork boundaries: non-sugar event ticks in
-/// `(0, horizon]`.
+/// The spec's distinct fork boundaries: event ticks in `(0, horizon]`.
 fn event_boundaries(spec: &ScenarioSpec) -> Vec<u64> {
     let mut ticks: Vec<u64> = spec
         .schedule
         .iter()
-        .filter(|(t, e)| !e.is_partition_sugar() && *t > 0 && *t <= spec.horizon)
+        .filter(|(t, _)| *t > 0 && *t <= spec.horizon)
         .map(|(t, _)| *t)
         .collect();
     ticks.sort_unstable();

@@ -3,7 +3,7 @@
 //! scenarios hold their headline property.
 
 use prft_game::SystemState;
-use prft_lab::{registry, BatchRunner};
+use prft_lab::{game_registry, registry, BatchRunner, GameEval};
 use prft_sim::RunOutcome;
 
 /// Every scenario's *first* grid point completes one run (the full grids
@@ -92,10 +92,10 @@ fn liveness_attack_stalls_at_large_coalitions() {
     assert_eq!(report.modal_sigma(), SystemState::NoProgress);
 }
 
-/// Cache and checkpoint keys are unchanged by the one-population refactor:
-/// every cached cell keyed `spec-v5` / `ckpt-v2` stays valid. Each pin
-/// folds one key function over every registry spec, in registry order;
-/// the values were captured at the commit before the refactor.
+/// Cache and checkpoint keys move only on purpose. Each pin folds one key
+/// function over every registry spec, in registry order; a change to a
+/// registry spec or to the key text moves them, and the commit that does
+/// so states why.
 #[test]
 fn registry_fingerprints_match_the_pinned_keys() {
     let fold = |key: &dyn Fn(&prft_lab::ScenarioSpec) -> u64| {
@@ -104,13 +104,32 @@ fn registry_fingerprints_match_the_pinned_keys() {
             .flat_map(|s| &s.specs)
             .fold(0u64, |acc, spec| acc.rotate_left(5) ^ key(spec))
     };
-    assert_eq!(fold(&|s| s.fingerprint()), 0x6e7e_0492_9989_a5ea);
+    assert_eq!(fold(&|s| s.fingerprint()), 0x18cb_6aa1_82cf_3dd2);
     assert_eq!(
         fold(&|s| prft_lab::prefix_fingerprint(s, 1)),
-        0x502f_0129_bfcc_a1f8
+        0x37b6_f30c_bb9e_5365
     );
     assert_eq!(
         fold(&|s| prft_lab::prefix_fingerprint(s, s.horizon)),
-        0xfd6f_bf01_898c_fbef
+        0x50fc_0797_1568_22b3
     );
+}
+
+/// The on-disk `UtilityCache` keys: every simulated game's spec
+/// fingerprint over its full (unreduced) profile space, in registry
+/// order. Cached cells written by an earlier build stay valid only while
+/// this holds; moving it needs a `spec-v*` salt bump.
+#[test]
+fn game_fingerprints_match_the_pinned_key() {
+    let (mut acc, mut profiles) = (0u64, 0usize);
+    for game in game_registry() {
+        if let GameEval::Simulated { spec_of, .. } = game.eval {
+            for p in game.space(false).profiles() {
+                acc = acc.rotate_left(5) ^ spec_of(&p).fingerprint();
+                profiles += 1;
+            }
+        }
+    }
+    assert_eq!(profiles, 111);
+    assert_eq!(acc, 0x9c8c_7d24_8c52_3c4d);
 }

@@ -117,34 +117,6 @@ fn same_tick_events_apply_in_insertion_order() {
 }
 
 #[test]
-fn partition_sugar_matches_explicit_window() {
-    let explicit = ScenarioSpec::new("explicit", 6, 4)
-        .base_seed(0x9a9)
-        .partition(prft_lab::PartitionSpec {
-            start: 1_000,
-            end: 8_000,
-            groups: vec![vec![0, 1, 2], vec![3, 4, 5]],
-            bridges: vec![],
-        })
-        .horizon(400_000);
-    let sugared = ScenarioSpec::new("explicit", 6, 4)
-        .base_seed(0x9a9)
-        .at(
-            1_000,
-            TimelineEvent::PartitionStart {
-                groups: vec![vec![0, 1, 2], vec![3, 4, 5]],
-                bridges: vec![],
-            },
-        )
-        .at(8_000, TimelineEvent::PartitionEnd)
-        .horizon(400_000);
-    assert_eq!(trace_of(&explicit, 3), trace_of(&sugared, 3));
-    // Sugar and explicit windows are different spec encodings, though:
-    // the fingerprint (cache key) must keep them apart.
-    assert_ne!(explicit.fingerprint(), sugared.fingerprint());
-}
-
-#[test]
 fn set_role_swaps_the_live_behavior() {
     let spec = ScenarioSpec::new("defect", 9, 3)
         .base_seed(0xf0_17c)

@@ -22,22 +22,15 @@
 //! ## Quick start
 //!
 //! ```
-//! use prft_core::{Config, Harness, NetworkChoice};
-//! use prft_sim::{QueueBackend, SimTime};
+//! use prft_core::Harness;
+//! use prft_sim::SimTime;
 //! use prft_workload::{assemble, WorkloadRunStats, WorkloadSpec};
 //!
-//! let n = 8;
 //! let spec = WorkloadSpec::steady(20, 400).txs_per_client(2);
-//! // Build the committee as usual, then hand the replicas to the
-//! // workload assembler (here via a throwaway harness build).
-//! let replicas = prft_workload::committee(n, 42, Config::for_committee(n).with_max_rounds(40));
-//! let mut sim = assemble(
-//!     replicas,
-//!     &spec,
-//!     Box::new(prft_net::SynchronousNet::new(SimTime(10))),
-//!     42,
-//!     QueueBackend::Heap,
-//! );
+//! // Build the committee as usual, then hand its parts to the workload
+//! // assembler, which appends the clients.
+//! let (replicas, network, seed, queue) = Harness::new(8, 42).max_rounds(40).build_parts();
+//! let mut sim = assemble(replicas, &spec, network, seed, queue);
 //! sim.run_until(SimTime(1_000_000));
 //! let stats = WorkloadRunStats::collect(&sim);
 //! assert!(stats.conserved());
@@ -63,17 +56,3 @@ pub use latency::{percentile, LatencySummary};
 pub use retry::{RejectAction, RetryPolicy};
 pub use spec::WorkloadSpec;
 pub use stats::{Merge, Metric, WorkloadRunStats, METRICS};
-
-use prft_core::{Config, Honest, Replica};
-use prft_crypto::KeyRegistry;
-
-/// Builds an all-honest committee of `n` replicas with the same trusted
-/// setup the scenario harness uses (`seed ^ 0x5eed`), ready for
-/// [`assemble`]. Callers needing mixed behaviors or custom networks build
-/// replicas through their own path and call [`assemble`] directly.
-pub fn committee(n: usize, seed: u64, cfg: Config) -> Vec<Replica> {
-    let (registry, keys) = KeyRegistry::trusted_setup(n, seed ^ 0x5eed);
-    keys.into_iter()
-        .map(|key| Replica::new(cfg.clone(), key, registry.clone(), Box::new(Honest)))
-        .collect()
-}
