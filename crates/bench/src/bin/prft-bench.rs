@@ -6,7 +6,7 @@
 //! prft-bench profile [--quick] [--out FILE]
 //! prft-bench workload [--quick] [--out FILE]
 //! prft-bench checkpoint [--quick] [--out FILE] [--repeats R]
-//! prft-bench diff <current.json> <baseline.json> [--tolerance F]
+//! prft-bench diff <current.json> <baseline.json>
 //! ```
 //!
 //! Four sweeps, one pipeline. A sweep only measures: it returns its JSON
@@ -42,7 +42,7 @@
 //! undeclared key may appear; each field is then judged by its [`Class`]:
 //! `exact` fields (deterministic counters) must equal the committed
 //! baseline, `ratio-floor` fields (wall-clock ratios) must reach
-//! `baseline × (1 − tolerance)` (default 0.35), `informational` fields
+//! `baseline × (1 − RATIO_TOLERANCE)` (0.35), `informational` fields
 //! are only type-checked, and pass flags must hold. Rows pair up by their
 //! key fields: a baseline row the current sweep did not measure is
 //! skipped (`--quick` against a full recording), a current row without a
@@ -877,6 +877,9 @@ fn finish((doc, checks): (Json, Checks), out: Option<&str>) -> ExitCode {
     tally.exit_code()
 }
 
+/// The relative band `diff` allows a wall-clock ratio below its baseline.
+const RATIO_TOLERANCE: f64 = 0.35;
+
 /// How `prft-bench diff` judges a declared scalar against the baseline.
 #[derive(Clone, Copy)]
 enum Class {
@@ -885,7 +888,7 @@ enum Class {
     Key,
     /// A deterministic counter or constant: must equal the baseline.
     Exact,
-    /// A wall-clock ratio: must reach `baseline × (1 − tolerance)`.
+    /// A wall-clock ratio: must reach `baseline × (1 − RATIO_TOLERANCE)`.
     RatioFloor,
     /// Recorded, type-checked, never compared: wall times and whatever
     /// scales with the sweep size, which `--quick` shrinks.
@@ -1051,7 +1054,6 @@ fn row_key(fields: &[Field], row: &Json) -> String {
 /// print as `schema: …`), then the pass flags, then — wherever a baseline
 /// twin exists — each field by its [`Class`].
 struct Walker {
-    tol: f64,
     tally: Tally,
 }
 
@@ -1118,7 +1120,7 @@ impl Walker {
             (Val(_, _, RatioFloor), Some(base)) => {
                 let ratio = |v: &Json| v.as_f64().unwrap_or(f64::NAN);
                 let (c, b) = (ratio(cur), ratio(base));
-                let floor = b * (1.0 - self.tol);
+                let floor = b * (1.0 - RATIO_TOLERANCE);
                 let line = format!("{path} {c:.2} vs baseline {b:.2} (floor {floor:.2})");
                 self.tally.check(c >= floor, line);
             }
@@ -1150,7 +1152,7 @@ impl Walker {
 /// Walks `current` along its kind's table — against `baseline` where one
 /// is given (both must be of one kind), schema and pass flags only
 /// otherwise.
-fn walk_document(current: &Json, baseline: Option<&Json>, tol: f64) -> Result<Tally, String> {
+fn walk_document(current: &Json, baseline: Option<&Json>) -> Result<Tally, String> {
     let kind_of = |doc: &Json| show(doc.get("bench").unwrap_or(&Json::Null));
     let kind = kind_of(current);
     if let Some(base_kind) = baseline.map(kind_of).filter(|k| *k != kind) {
@@ -1160,28 +1162,27 @@ fn walk_document(current: &Json, baseline: Option<&Json>, tol: f64) -> Result<Ta
         return Err(format!("unknown bench kind: {kind}"));
     };
     let mut walker = Walker {
-        tol,
         tally: Tally::new("diff"),
     };
     walker.object(fields, current, baseline, &kind);
     Ok(walker.tally)
 }
 
-/// `prft-bench diff <current> <baseline> [--tolerance F]`: schema check
-/// of the current document plus regression gate against the baseline.
-fn diff_bench(current_path: &str, baseline_path: &str, tol: f64) -> ExitCode {
+/// `prft-bench diff <current> <baseline>`: schema check of the current
+/// document plus regression gate against the baseline.
+fn diff_bench(current_path: &str, baseline_path: &str) -> ExitCode {
     let load = |path: &str| -> Result<Json, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         Json::parse(&text).map_err(|e| format!("{path}: {e}"))
     };
     let tally = load(current_path).and_then(|current| {
         let baseline = load(baseline_path)?;
-        walk_document(&current, Some(&baseline), tol)
+        walk_document(&current, Some(&baseline))
     });
     match tally {
         Ok(tally) => {
             eprintln!(
-                "diff: {} of {} check(s) failed (tolerance {tol}, {current_path} vs \
+                "diff: {} of {} check(s) failed (tolerance {RATIO_TOLERANCE}, {current_path} vs \
                  {baseline_path})",
                 tally.failed.len(),
                 tally.checks
@@ -1201,7 +1202,7 @@ fn usage() -> ExitCode {
          \x20      prft-bench profile [--quick] [--out FILE]\n\
          \x20      prft-bench workload [--quick] [--out FILE]\n\
          \x20      prft-bench checkpoint [--quick] [--out FILE] [--repeats R]\n\
-         \x20      prft-bench diff <current.json> <baseline.json> [--tolerance F]\n\
+         \x20      prft-bench diff <current.json> <baseline.json>\n\
          \n\
          queue       event-queue backends under a flood workload (BENCH_queue.json)\n\
          profile     honest committees vs the verify-count models (BENCH_profile.json)\n\
@@ -1212,8 +1213,7 @@ fn usage() -> ExitCode {
          options:\n\
          \x20 --quick        small sweep for CI smoke\n\
          \x20 --out FILE     write the JSON to FILE instead of stdout\n\
-         \x20 --repeats R    best-of-R wall times per point (default 3)\n\
-         \x20 --tolerance F  relative band for wall-clock ratios in diff (default 0.35)"
+         \x20 --repeats R    best-of-R wall times per point (default 3)"
     );
     ExitCode::from(2)
 }
@@ -1223,7 +1223,6 @@ struct Opts {
     quick: bool,
     out: Option<String>,
     repeats: u32,
-    tolerance: f64,
     files: Vec<String>,
 }
 
@@ -1234,7 +1233,6 @@ fn parse_opts(args: &[String], allowed: &[&str], files: usize) -> Option<Opts> {
         quick: false,
         out: None,
         repeats: 3,
-        tolerance: 0.35,
         files: Vec::new(),
     };
     let mut it = args.iter();
@@ -1244,10 +1242,6 @@ fn parse_opts(args: &[String], allowed: &[&str], files: usize) -> Option<Opts> {
             "--quick" => opts.quick = true,
             "--out" => opts.out = Some(it.next()?.clone()),
             "--repeats" => opts.repeats = it.next()?.parse().ok().filter(|r| *r > 0)?,
-            "--tolerance" => {
-                let tolerance = it.next()?.parse().ok();
-                opts.tolerance = tolerance.filter(|t| (0.0..1.0).contains(t))?;
-            }
             file => opts.files.push(file.to_string()),
         }
     }
@@ -1262,7 +1256,7 @@ fn main() -> ExitCode {
     let (allowed, files) = match command.as_str() {
         "queue" | "checkpoint" => (&["--quick", "--out", "--repeats"][..], 0),
         "profile" | "workload" => (&["--quick", "--out"][..], 0),
-        "diff" => (&["--tolerance"][..], 2),
+        "diff" => (&[][..], 2),
         "--help" | "-h" | "help" => {
             usage();
             return ExitCode::SUCCESS;
@@ -1290,7 +1284,7 @@ fn main() -> ExitCode {
             let ticks = [100_000, 105_000, 110_000, 115_000];
             checkpoint_bench(quick, 120_000, &ticks, repeats)
         }
-        _ => return diff_bench(&opts.files[0], &opts.files[1], opts.tolerance),
+        _ => return diff_bench(&opts.files[0], &opts.files[1]),
     };
     finish(sweep, opts.out.as_deref())
 }
@@ -1341,7 +1335,7 @@ mod tests {
     /// The failed lines of diffing `current` against the pristine `text`.
     fn failures(text: &str, current: &Json) -> Vec<String> {
         let baseline = Json::parse(text).expect("test document parses");
-        let tally = walk_document(current, Some(&baseline), 0.35).expect("one known kind");
+        let tally = walk_document(current, Some(&baseline)).expect("one known kind");
         tally.failed
     }
 
@@ -1349,7 +1343,7 @@ mod tests {
     fn a_document_diffed_against_itself_passes_every_check() {
         for (text, checks) in [(CHECKPOINT_DOC, 9), (PROFILE_DOC, 14)] {
             let doc = Json::parse(text).unwrap();
-            let tally = walk_document(&doc, Some(&doc), 0.35).unwrap();
+            let tally = walk_document(&doc, Some(&doc)).unwrap();
             assert_eq!(tally.failed, Vec::<String>::new());
             assert_eq!(tally.checks, checks);
         }
@@ -1419,7 +1413,7 @@ mod tests {
         ] {
             assert_eq!(failures(text, &current), [line]);
             // The same violations surface without a baseline.
-            assert_eq!(walk_document(&current, None, 0.0).unwrap().failed, [line]);
+            assert_eq!(walk_document(&current, None).unwrap().failed, [line]);
         }
     }
 
@@ -1480,7 +1474,7 @@ mod tests {
         let full = workload_doc(&[(100, 1.0), (300, 1.1), (1000, 1.2)]);
         let failed = |rate: f64| {
             let quick = workload_doc(&[(100, 1.0), (1000, rate)]);
-            walk_document(&quick, Some(&full), 0.35).unwrap().failed
+            walk_document(&quick, Some(&full)).unwrap().failed
         };
         assert_eq!(failed(0.79), Vec::<String>::new());
         assert_eq!(
@@ -1517,15 +1511,15 @@ mod tests {
             Json::parse(CHECKPOINT_DOC).unwrap(),
             Json::parse(PROFILE_DOC).unwrap(),
         );
-        assert!(walk_document(&checkpoint, Some(&profile), 0.35).is_err());
-        assert!(walk_document(&Json::obj([("bench", Json::str("e2e"))]), None, 0.35).is_err());
-        assert!(walk_document(&Json::Null, None, 0.35).is_err());
+        assert!(walk_document(&checkpoint, Some(&profile)).is_err());
+        assert!(walk_document(&Json::obj([("bench", Json::str("e2e"))]), None).is_err());
+        assert!(walk_document(&Json::Null, None).is_err());
     }
 
     /// Schema violations of `doc` alone (pass flags are the sweep's own
     /// business: a tiny sweep need not clear the full-size bars).
     fn schema_errors(doc: &Json) -> Vec<String> {
-        let mut failed = walk_document(doc, None, 0.0).expect("a known kind").failed;
+        let mut failed = walk_document(doc, None).expect("a known kind").failed;
         failed.retain(|line| line.starts_with("schema:"));
         failed
     }
@@ -1551,7 +1545,7 @@ mod tests {
             let text = std::fs::read_to_string(&path).expect("committed baseline");
             let doc = Json::parse(&text).unwrap();
             assert_eq!(show(doc.get("bench").unwrap()), kind);
-            let tally = walk_document(&doc, Some(&doc), 0.0).unwrap();
+            let tally = walk_document(&doc, Some(&doc)).unwrap();
             assert_eq!(tally.failed, Vec::<String>::new(), "{path}");
         }
     }

@@ -1,59 +1,94 @@
 //! The `prft-lab` CLI: list and run registered scenarios and explore
 //! registered empirical games.
 //!
-//! ```text
-//! prft-lab list [--timeline]
-//! prft-lab run <scenario> [--seeds N] [--threads T]
-//!                         [--format table|json|csv] [--out FILE] [--runs]
-//!                         [--trace-out FILE] [--warm-starts on|off]
-//! prft-lab run-all [--seeds N] [--threads T] [--out FILE]
-//!                  [--warm-starts on|off]
-//! prft-lab explore list
-//! prft-lab explore run <game> [--seeds N] [--threads T]
-//!                             [--format table|json|csv] [--out FILE]
-//!                             [--cache DIR] [--full] [--eps E]
-//!                             [--mixed] [--dynamics]
-//!                             [--warm-starts on|off] [--explain-reuse]
-//! prft-lab explore run-all [same options as explore run]
-//! prft-lab diff <a.json> <b.json> [--eps E]
-//! prft-lab claims [ID…] [--threads T] [--format table|json] [--out FILE]
-//! ```
-//!
-//! Aggregates are independent of `--threads`: `--threads 1` and
-//! `--threads 8` emit byte-identical JSON, for scenario reports and
-//! equilibrium reports alike. `run-all --out FILE` (and `explore
-//! run-all --out FILE`) also writes a machine-readable manifest mapping
-//! each scenario (game) to its report file. `explore run-all` sweeps
-//! every registered game as **one** flattened work list, so games
-//! sharing a cache scope evaluate shared cells once (the `shared` count
-//! in the stderr stats).
+//! `prft-lab help` prints every command and flag; [`COMMANDS`] is the
+//! table of which command takes which flag, and a flag outside its
+//! command's row is an error. Aggregates are independent of `--threads`:
+//! `--threads 1` and `--threads 8` emit byte-identical JSON, for scenario
+//! reports and equilibrium reports alike. `run` and `run-all` run their
+//! scenarios' grid points as **one** flattened warm-started batch, and
+//! `explore run` / `run-all` sweep their games the same way, so games
+//! sharing a cache scope evaluate shared cells once (the `shared` count in
+//! the stderr stats). The `-all` forms with `--out FILE` also write a
+//! machine-readable manifest mapping each scenario (game) to its report
+//! file.
 
 use prft_lab::{
-    claims, registry, report, BatchRunner, CheckpointStore, Exploration, GameDef, GameExplorer,
-    Scenario, UtilityCache,
+    claims, registry, report, BatchRunner, Exploration, GameDef, GameEval, GameExplorer, Scenario,
+    ScenarioSpec, UtilityCache,
 };
 use std::io::Write;
 use std::process::ExitCode;
 
+/// One command of the CLI: its words, how many operands (words that are
+/// neither a flag nor a flag's value) it takes — `None` for any number,
+/// the claim ids of `claims` — every flag it accepts, and what runs it.
+struct Command {
+    name: &'static str,
+    operands: Option<usize>,
+    flags: &'static [&'static str],
+    run: fn(&Options) -> Result<(), String>,
+}
+
+/// The CLI, one row per command. `tests/cli.rs` reads this table's quoted
+/// words as the commands and flags `usage()` must list, so no other
+/// string literal belongs in it.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "list", operands: Some(0), flags: &[], run: list_scenarios },
+    Command {
+        name: "run", operands: Some(1),
+        flags: &["--seeds", "--threads", "--format", "--out", "--runs", "--trace-out"],
+        run: |opts| run_scenarios(&[scenario(&opts.operands[0])?], opts, false),
+    },
+    Command {
+        name: "run-all", operands: Some(0),
+        flags: &["--seeds", "--threads", "--format", "--out", "--runs"],
+        run: |opts| run_scenarios(&registry(), opts, true),
+    },
+    Command { name: "explore list", operands: Some(0), flags: &[], run: list_games },
+    Command {
+        name: "explore run", operands: Some(1),
+        flags: &["--seeds", "--threads", "--format", "--out", "--cache", "--full", "--eps",
+                 "--mixed", "--dynamics", "--explain-reuse"],
+        run: |opts| explore_games(&[game(&opts.operands[0])?], opts, false),
+    },
+    Command {
+        name: "explore run-all", operands: Some(0),
+        flags: &["--seeds", "--threads", "--format", "--out", "--cache", "--full", "--eps",
+                 "--mixed", "--dynamics", "--explain-reuse"],
+        run: |opts| explore_games(&prft_lab::game_registry(), opts, true),
+    },
+    Command {
+        name: "claims", operands: None,
+        flags: &["--threads", "--format", "--out"], run: claims_command,
+    },
+    Command { name: "diff", operands: Some(2), flags: &["--eps"], run: diff_reports },
+];
+
+/// What one command line set. A flag the command does not take stays at
+/// its zero value; `seeds` and `eps` stay `None` unless given, and each
+/// command applies its own default.
+#[derive(Debug, Default)]
 struct Options {
-    seeds: u64,
+    operands: Vec<String>,
+    seeds: Option<u64>,
     threads: usize,
     format: Format,
     out: Option<String>,
-    include_runs: bool,
+    runs: bool,
+    trace_out: Option<String>,
     cache: Option<String>,
     full: bool,
-    eps: f64,
+    eps: Option<f64>,
     mixed: bool,
     dynamics: bool,
-    seeds_given: bool,
-    trace_out: Option<String>,
-    warm: bool,
     explain_reuse: bool,
 }
 
-#[derive(PartialEq, Clone, Copy)]
+#[derive(Debug, Default, PartialEq, Clone, Copy)]
 enum Format {
+    #[default]
     Table,
     Json,
     Csv,
@@ -61,142 +96,124 @@ enum Format {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: prft-lab <command>\n\
+        "usage: prft-lab <command> [operands] [flags]\n\
          \n\
          commands:\n\
-         \x20 list [--timeline]         list registered scenarios\n\
-         \x20                           (--timeline adds a column showing\n\
-         \x20                           which carry fault schedules)\n\
-         \x20 run <scenario> [options]  run one scenario's grid\n\
-         \x20 run-all [options]         run every registered scenario\n\
-         \x20 explore list              list registered empirical games\n\
-         \x20 explore run <game> [options]\n\
-         \x20                           sweep a game's strategy space and\n\
-         \x20                           report its equilibria\n\
-         \x20 explore run-all [options]\n\
-         \x20                           sweep every registered game as one\n\
-         \x20                           batch (shared cells evaluate once)\n\
+         \x20 list                     registered scenarios, which carry fault schedules\n\
+         \x20 run <scenario> [flags]   run one scenario's grid\n\
+         \x20 run-all [flags]          run every registered scenario as one batch\n\
+         \x20 explore list             registered empirical games\n\
+         \x20 explore run <game> [flags]\n\
+         \x20                          sweep a game's strategy space, report its equilibria\n\
+         \x20 explore run-all [flags]  sweep every registered game as one batch (shared\n\
+         \x20                          cells evaluate once)\n\
          \x20 diff <a.json> <b.json> [--eps E]\n\
-         \x20                           compare two JSON reports; numeric\n\
-         \x20                           leaves within the relative band E\n\
-         \x20                           (default 0 = byte-exact semantics)\n\
-         \x20                           count as equal; exits non-zero and\n\
-         \x20                           lists every path that drifted\n\
+         \x20                          compare two JSON reports, numeric leaves equal within\n\
+         \x20                          the relative band E (default 0); exits non-zero and\n\
+         \x20                          lists every path that drifted\n\
          \x20 claims [ID…] [--threads T] [--format table|json] [--out FILE]\n\
-         \x20                           evaluate the paper's claims table\n\
-         \x20                           (all rows, or the given ids); exits\n\
-         \x20                           non-zero when an observed verdict\n\
-         \x20                           differs from the expected one\n\
-         \x20 help | --help | -h        print this message\n\
+         \x20                          evaluate the paper's claims table (all rows, or the\n\
+         \x20                          given ids); exits non-zero when a verdict disagrees\n\
+         \x20 help | --help | -h       print this message\n\
          \n\
-         options:\n\
-         \x20 --seeds N      seeded runs per grid point (default 16;\n\
-         \x20                explore default 8 per profile)\n\
+         run flags (a flag outside its command's list is an error):\n\
+         \x20 --seeds N      seeded runs per grid point (default 16)\n\
          \x20 --threads T    worker threads, 0 = all cores (default 0)\n\
          \x20 --format F     table | json | csv (default table)\n\
-         \x20 --out FILE     write the report to FILE instead of stdout\n\
-         \x20                (run-all writes one FILE-<scenario> per\n\
-         \x20                scenario plus a FILE-manifest index)\n\
+         \x20 --out FILE     write the report to FILE instead of stdout (the -all forms\n\
+         \x20                write one FILE-<name> per report plus a FILE-manifest index)\n\
          \x20 --runs         include per-run records in JSON output\n\
-         \x20 --trace-out F  also write a Chrome Trace Event JSON of one\n\
-         \x20                traced run (seed index 0 of the first grid\n\
-         \x20                point) to F — open in Perfetto or\n\
-         \x20                chrome://tracing (run only)\n\
-         \x20 --warm-starts on|off\n\
-         \x20                checkpoint/fork warm starts: cells sharing a\n\
-         \x20                timeline prefix fork from one captured state\n\
-         \x20                instead of re-simulating it (default on;\n\
-         \x20                results are byte-identical either way)\n\
+         \x20 --trace-out F  (run only) also write a Chrome Trace Event JSON of one traced\n\
+         \x20                run (seed index 0 of the first grid point) to F — open in\n\
+         \x20                Perfetto or chrome://tracing\n\
          \n\
-         explore options:\n\
-         \x20 --cache DIR    reuse finished profile cells from DIR and\n\
-         \x20                persist new ones (skips already-swept cells)\n\
-         \x20 --full         evaluate every profile even when the game\n\
-         \x20                declares a player symmetry\n\
-         \x20 --eps E        equilibrium tolerance (default 1e-9)\n\
+         explore flags: --seeds N (default 8 per profile), --threads, --format, --out,\n\
+         \x20 --cache DIR    reuse finished profile cells from DIR and persist new ones\n\
+         \x20 --full         evaluate every profile even when the game declares a symmetry\n\
+         \x20 --eps E        equilibrium tolerance, finite and >= 0 (default 1e-9)\n\
          \x20 --mixed        append the mixed-strategy equilibrium analysis\n\
-         \x20                (support enumeration / symmetric indifference)\n\
          \x20 --dynamics     append the best-reply dynamics analysis\n\
-         \x20                (path from honest, attractor basins, cycles)\n\
          \x20 --explain-reuse\n\
-         \x20                print a per-game cell-reuse table (cached /\n\
-         \x20                shared / symmetry) plus the batch's checkpoint\n\
+         \x20                print the per-game cell-reuse table and the batch's checkpoint\n\
          \x20                warm-start accounting to stderr"
     );
     ExitCode::from(2)
 }
 
-fn parse_options(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options {
-        seeds: 16,
-        threads: 0,
-        format: Format::Table,
-        out: None,
-        include_runs: false,
-        cache: None,
-        full: false,
-        eps: 1e-9,
-        mixed: false,
-        dynamics: false,
-        seeds_given: false,
-        trace_out: None,
-        warm: true,
-        explain_reuse: false,
-    };
+/// Fills [`Options`] from the words after `command`'s name. Every flag
+/// must be in the command's row, a valued flag must be followed by a word
+/// that is not itself a flag, and the operands must be as many as the
+/// command takes. Errors name the command. Pure: nothing is read,
+/// written or run.
+fn parse(command: &Command, args: &[String]) -> Result<Options, String> {
+    fill(command, args).map_err(|e| format!("{}: {e}", command.name))
+}
+
+fn fill(command: &Command, args: &[String]) -> Result<Options, String> {
+    let mut opts = Options::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
+        let flag = arg.as_str();
+        if !flag.starts_with("--") {
+            opts.operands.push(arg.clone());
+            continue;
+        }
+        if !command.flags.contains(&flag) {
+            return Err(match command.flags {
+                [] => format!("takes no flags, got {flag}"),
+                flags => format!("does not take {flag} (its flags: {})", flags.join(" ")),
+            });
+        }
+        let mut value = || {
             it.next()
-                .cloned()
+                .filter(|v| !v.starts_with("--"))
                 .ok_or_else(|| format!("{flag} needs a value"))
         };
-        match arg.as_str() {
-            "--seeds" => {
-                opts.seeds = value("--seeds")?
-                    .parse()
-                    .map_err(|_| "--seeds must be a number".to_string())?;
-                opts.seeds_given = true;
-            }
-            "--threads" => {
-                opts.threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| "--threads must be a number".to_string())?;
-            }
+        match flag {
+            "--seeds" => match number(flag, value()?)? {
+                0 => return Err("--seeds must be at least 1".to_string()),
+                seeds => opts.seeds = Some(seeds),
+            },
+            "--threads" => opts.threads = number(flag, value()?)?,
             "--format" => {
-                opts.format = match value("--format")?.as_str() {
+                opts.format = match value()?.as_str() {
                     "table" => Format::Table,
                     "json" => Format::Json,
                     "csv" => Format::Csv,
                     other => return Err(format!("unknown format: {other}")),
                 };
             }
-            "--out" => opts.out = Some(value("--out")?),
-            "--trace-out" => opts.trace_out = Some(value("--trace-out")?),
-            "--warm-starts" => {
-                opts.warm = match value("--warm-starts")?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("--warm-starts must be on or off, got {other}")),
-                };
+            "--out" => opts.out = Some(value()?.clone()),
+            "--trace-out" => opts.trace_out = Some(value()?.clone()),
+            "--cache" => opts.cache = Some(value()?.clone()),
+            "--eps" => {
+                let eps: f64 = number(flag, value()?)?;
+                if !(eps.is_finite() && eps >= 0.0) {
+                    return Err(format!("--eps must be finite and >= 0, got {eps}"));
+                }
+                // `-0` passes the check; the reports print it as 0.
+                opts.eps = Some(eps.abs());
             }
-            "--explain-reuse" => opts.explain_reuse = true,
-            "--runs" => opts.include_runs = true,
-            "--cache" => opts.cache = Some(value("--cache")?),
+            "--runs" => opts.runs = true,
             "--full" => opts.full = true,
             "--mixed" => opts.mixed = true,
             "--dynamics" => opts.dynamics = true,
-            "--eps" => {
-                opts.eps = value("--eps")?
-                    .parse()
-                    .map_err(|_| "--eps must be a number".to_string())?;
-            }
-            other => return Err(format!("unknown option: {other}")),
+            "--explain-reuse" => opts.explain_reuse = true,
+            _ => return Err(format!("lists {flag}, which no parse arm reads")),
         }
     }
-    if opts.seeds == 0 {
-        return Err("--seeds must be at least 1".to_string());
+    match command.operands {
+        Some(n) if opts.operands.len() != n => Err(format!(
+            "takes {n} operand(s), got {} (see `prft-lab help`)",
+            opts.operands.len()
+        )),
+        _ => Ok(opts),
     }
-    Ok(opts)
+}
+
+fn number<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, String> {
+    text.parse()
+        .map_err(|_| format!("{flag} must be a number, got {text}"))
 }
 
 /// Writes `content` to stdout through one locked handle — every byte the
@@ -227,135 +244,162 @@ fn emit(content: String, out: &Option<String>) -> Result<(), String> {
     }
 }
 
-/// The output path for one scenario: `--out` verbatim for a single run;
-/// for `run-all`, the scenario name is spliced in before the extension so
-/// each scenario's report survives (instead of the last one overwriting
-/// the file).
-fn out_path_for(out: &Option<String>, scenario: &str, multi: bool) -> Option<String> {
-    out.as_ref().map(|path| {
-        if !multi {
-            return path.clone();
+/// Emits one `(name, report)` per scenario or game: to `--out` verbatim
+/// (or stdout) for a single report; for an `-all` command (`manifest`
+/// names it), to one `--out` path per name plus a manifest indexing them.
+fn emit_reports<'a>(
+    reports: impl Iterator<Item = (&'a str, String)>,
+    opts: &Options,
+    seeds: u64,
+    manifest: Option<&str>,
+) -> Result<(), String> {
+    let mut written: Vec<(String, String)> = Vec::new();
+    for (name, content) in reports {
+        let out = out_path_for(&opts.out, name, manifest.is_some());
+        if let Some(path) = &out {
+            written.push((name.to_string(), path.clone()));
         }
-        // Split off the directory first: a dot in a directory component
-        // (`runs.v2/report`) is not an extension separator.
-        let (dir, file) = match path.rsplit_once('/') {
-            Some((dir, file)) => (Some(dir), file),
-            None => (None, path.as_str()),
-        };
-        let file = match file.rsplit_once('.') {
-            Some((stem, ext)) if !stem.is_empty() => format!("{stem}-{scenario}.{ext}"),
-            _ => format!("{file}-{scenario}"),
-        };
-        match dir {
-            Some(dir) => format!("{dir}/{file}"),
-            None => file,
-        }
+        emit(content, &out)?;
+    }
+    match (manifest, &opts.out) {
+        (Some(command), Some(out)) => emit(
+            manifest_doc(command, seeds, &written),
+            &Some(manifest_path_for(out)),
+        ),
+        // Nothing written to disk: nothing to index.
+        _ => Ok(()),
+    }
+}
+
+/// `path` as (directory with its slash, file stem, extension with its
+/// dot). A dot in a directory (`runs.v2/report`) or opening the file name
+/// (`.hidden`) does not start an extension.
+fn split_path(path: &str) -> (&str, &str, &str) {
+    let (dir, file) = path.split_at(path.rfind('/').map_or(0, |i| i + 1));
+    let stem = match file.rfind('.') {
+        Some(dot) if dot > 0 => dot,
+        _ => file.len(),
+    };
+    (dir, &file[..stem], &file[stem..])
+}
+
+/// The output path for one report: `--out` verbatim for a single one; for
+/// an `-all` command, the name is spliced in before the extension so each
+/// report survives (instead of the last one overwriting the file).
+fn out_path_for(out: &Option<String>, name: &str, multi: bool) -> Option<String> {
+    out.as_ref().map(|path| match split_path(path) {
+        (dir, stem, ext) if multi => format!("{dir}{stem}-{name}{ext}"),
+        _ => path.clone(),
     })
 }
 
-/// Builds the configured explorer for the explore subcommands.
-fn explorer_for(opts: &Options) -> GameExplorer {
-    let mut explorer = GameExplorer::new(BatchRunner::new(opts.threads)).warm_starts(opts.warm);
+fn scenario(name: &str) -> Result<Scenario, String> {
+    prft_lab::find(name).ok_or_else(|| format!("unknown scenario: {name} (try `prft-lab list`)"))
+}
+
+fn game(name: &str) -> Result<GameDef, String> {
+    prft_lab::find_game(name)
+        .ok_or_else(|| format!("unknown game: {name} (try `prft-lab explore list`)"))
+}
+
+/// `run` and `run-all`: every grid point of `scenarios` as one flattened
+/// batch with checkpoint/fork warm starts (grid points sharing a timeline
+/// prefix fork from one captured state; the checkpoint_equiv suite pins
+/// the reports byte-identical to cold runs), then one report per scenario.
+fn run_scenarios(scenarios: &[Scenario], opts: &Options, all: bool) -> Result<(), String> {
+    let seeds = opts.seeds.unwrap_or(16);
+    let runner = BatchRunner::new(opts.threads);
+    for scenario in scenarios {
+        eprintln!(
+            "running {} ({} grid points × {} seeds, {} threads)",
+            scenario.name,
+            scenario.specs.len(),
+            seeds,
+            runner.threads(),
+        );
+    }
+    let specs: Vec<ScenarioSpec> = scenarios.iter().flat_map(|s| s.specs.clone()).collect();
+    let mut reports = runner.run_grid(&specs, seeds).into_iter();
+    // The trace file goes first: a closed stdout ends the process inside
+    // `emit`, and must not cost the user the file they asked for.
+    if let Some(path) = &opts.trace_out {
+        // One traced run of the first grid point, at the same derived
+        // seed the batch used for seed index 0, so the trace lines up
+        // with the report next to it.
+        let spec = &specs[0];
+        let trace = prft_lab::chrome_trace_for(spec, prft_lab::derive_seed(spec.base_seed, 0));
+        std::fs::write(path, trace.render()).map_err(|e| format!("writing {path}: {e}"))?;
+        eprintln!("wrote trace {path} ({} events)", trace.len());
+    }
+    let rendered = scenarios.iter().map(|scenario| {
+        let reports: Vec<_> = reports.by_ref().take(scenario.specs.len()).collect();
+        let content = match opts.format {
+            Format::Table => report::scenario_table(scenario.name, seeds, &reports),
+            Format::Json => report::scenario_json(scenario.name, seeds, &reports, opts.runs),
+            Format::Csv => report::scenario_csv(scenario.name, &reports),
+        };
+        (scenario.name, content)
+    });
+    // The run-all manifest is a machine-readable index of what was just
+    // produced, so downstream tooling never has to re-derive the
+    // per-scenario file-naming scheme (schema: docs/REPORT_SCHEMA.md).
+    emit_reports(rendered, opts, seeds, all.then_some("run-all"))
+}
+
+/// `explore run` and `explore run-all`: `games` swept as one flattened
+/// batch, then one equilibrium report per game. Cost accounting goes to
+/// stderr: a report is a pure function of (game, seeds, eps, analyses),
+/// byte-identical whatever the cache held or the batch shared.
+fn explore_games(games: &[GameDef], opts: &Options, all: bool) -> Result<(), String> {
+    let seeds = opts.seeds.unwrap_or(8);
+    let eps = opts.eps.unwrap_or(1e-9);
+    let runner = BatchRunner::new(opts.threads);
+    for game in games {
+        // Analytic games are evaluated exactly once per profile; announce
+        // what will actually happen rather than the requested seed count.
+        let per_profile = match (&game.eval, opts.seeds) {
+            (GameEval::Analytic(_), None) => "exact evaluation".to_string(),
+            (GameEval::Analytic(_), Some(_)) => "exact evaluation, --seeds ignored".to_string(),
+            _ => format!("{seeds} seeds"),
+        };
+        let space = game.space(!opts.full);
+        eprintln!(
+            "exploring {} ({} profiles, {} to evaluate, {per_profile} per profile, {} threads)",
+            game.name,
+            space.len(),
+            space.canonical_profiles().len(),
+            runner.threads(),
+        );
+    }
+    let mut explorer = GameExplorer::new(runner);
     if let Some(dir) = &opts.cache {
         explorer = explorer.with_cache(UtilityCache::new(dir));
     }
     if opts.full {
         explorer = explorer.without_symmetry();
     }
-    explorer
-}
-
-fn report_opts(opts: &Options) -> report::ExploreOpts {
-    report::ExploreOpts {
+    let (explorations, reuse) = explorer.explore_all_with_stats(games, seeds);
+    let analyses = report::ExploreOpts {
         mixed: opts.mixed,
         dynamics: opts.dynamics,
-    }
-}
-
-/// Emits one game's equilibrium report. Cost accounting goes to stderr:
-/// the report itself is a pure function of (game, seeds, eps, analyses),
-/// byte-identical whatever the cache held or the batch shared.
-fn emit_exploration(
-    game: &GameDef,
-    exploration: &Exploration,
-    opts: &Options,
-    out: Option<String>,
-) -> Result<(), String> {
-    eprintln!(
-        "{}: evaluated {} cells, {} from cache, {} shared, {} by symmetry",
-        game.name,
-        exploration.evaluated,
-        exploration.cached,
-        exploration.shared,
-        exploration.expanded
-    );
-    let content = match opts.format {
-        Format::Table => report::explore_table_with(game, exploration, opts.eps, report_opts(opts)),
-        Format::Json => report::explore_json_with(game, exploration, opts.eps, report_opts(opts)),
-        Format::Csv => report::explore_csv_with(game, exploration, opts.eps, report_opts(opts)),
     };
-    emit(content, &out)
-}
-
-fn explore_game(name: &str, opts: &Options) -> Result<(), String> {
-    let Some(game) = prft_lab::find_game(name) else {
-        return Err(format!(
-            "unknown game: {name} (try `prft-lab explore list`)"
-        ));
-    };
-    let seeds = if opts.seeds_given { opts.seeds } else { 8 };
-    // Analytic games are evaluated exactly once per profile; announce what
-    // will actually happen rather than the requested seed count.
-    let analytic = matches!(game.eval, prft_lab::GameEval::Analytic(_));
-    if analytic && opts.seeds_given {
-        eprintln!("note: {} is analytic — --seeds is ignored", game.name);
-    }
-    let space = game.space(!opts.full);
-    eprintln!(
-        "exploring {} ({} profiles, {} to evaluate, {} per profile, {} threads)",
-        game.name,
-        space.len(),
-        space.canonical_profiles().len(),
-        if analytic {
-            "exact evaluation".to_string()
-        } else {
-            format!("{seeds} seeds")
-        },
-        BatchRunner::new(opts.threads).threads(),
-    );
-    let (explorations, reuse) =
-        explorer_for(opts).explore_all_with_stats(std::slice::from_ref(&game), seeds);
-    let exploration = &explorations[0];
-    emit_exploration(&game, exploration, opts, opts.out.clone())?;
-    if opts.explain_reuse {
-        eprint!(
-            "{}",
-            report::explain_reuse_table(&[(game.name, exploration)], reuse)
+    let rendered = games.iter().zip(&explorations).map(|(game, exploration)| {
+        eprintln!(
+            "{}: evaluated {} cells, {} from cache, {} shared, {} by symmetry",
+            game.name,
+            exploration.evaluated,
+            exploration.cached,
+            exploration.shared,
+            exploration.expanded
         );
-    }
-    Ok(())
-}
-
-/// `explore run-all`: every registered game as one flattened batch.
-fn explore_run_all(opts: &Options) -> Result<(), String> {
-    let games = prft_lab::game_registry();
-    let seeds = if opts.seeds_given { opts.seeds } else { 8 };
-    eprintln!(
-        "exploring {} games ({} seeds per simulated cell, {} threads, one flattened batch)",
-        games.len(),
-        seeds,
-        BatchRunner::new(opts.threads).threads(),
-    );
-    let (explorations, reuse) = explorer_for(opts).explore_all_with_stats(&games, seeds);
-    let mut written: Vec<(String, String)> = Vec::new();
-    for (game, exploration) in games.iter().zip(&explorations) {
-        let out = out_path_for(&opts.out, game.name, true);
-        if let Some(path) = &out {
-            written.push((game.name.to_string(), path.clone()));
-        }
-        emit_exploration(game, exploration, opts, out)?;
-    }
-    write_manifest("explore run-all", seeds, &written, &opts.out)?;
+        let content = match opts.format {
+            Format::Table => report::explore_table_with(game, exploration, eps, analyses),
+            Format::Json => report::explore_json_with(game, exploration, eps, analyses),
+            Format::Csv => report::explore_csv_with(game, exploration, eps, analyses),
+        };
+        (game.name, content)
+    });
+    emit_reports(rendered, opts, seeds, all.then_some("explore run-all"))?;
     if opts.explain_reuse {
         let rows: Vec<(&str, &Exploration)> = games
             .iter()
@@ -367,85 +411,28 @@ fn explore_run_all(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// Writes the multi-report manifest next to the per-report files — a
-/// no-op without `--out` (nothing was written to disk to index).
-fn write_manifest(
-    command: &str,
-    seeds: u64,
-    written: &[(String, String)],
-    out: &Option<String>,
-) -> Result<(), String> {
-    if written.is_empty() {
-        return Ok(());
+fn list_games(_: &Options) -> Result<(), String> {
+    let mut table =
+        prft_metrics::AsciiTable::new(vec!["game", "space", "evaluated", "description"])
+            .with_title("registered games (prft-lab explore run <name>)");
+    // Stable name order: the listing is diffable whatever the registry's
+    // declaration order becomes.
+    let mut games = prft_lab::game_registry();
+    games.sort_by_key(|g| g.name);
+    for g in games {
+        let space = g.space(true);
+        table.row(vec![
+            g.name.to_string(),
+            space.len().to_string(),
+            space.canonical_profiles().len().to_string(),
+            g.description.to_string(),
+        ]);
     }
-    let manifest_path = manifest_path_for(out.as_ref().expect("out is set"));
-    let manifest = manifest_doc(command, seeds, written);
-    std::fs::write(&manifest_path, manifest)
-        .map_err(|e| format!("writing {manifest_path}: {e}"))?;
-    eprintln!("wrote {manifest_path}");
-    Ok(())
+    print_stdout(&format!("{}\n", table.render()))
 }
 
-/// `--trace-out` applies to single `run` only: a trace is one seeded
-/// run's timeline, so `run-all` (many scenarios, one path) and explore
-/// (profile sweeps) have no single run to export.
-fn reject_trace_flag(opts: &Options, context: &str) -> Result<(), String> {
-    match opts.trace_out {
-        Some(_) => Err(format!(
-            "--trace-out applies to `run <scenario>` only ({context})"
-        )),
-        None => Ok(()),
-    }
-}
-
-/// `--explain-reuse` applies to the explore subcommands only: scenario
-/// grids have no cell-reuse plan (no cache, no symmetry, no cross-game
-/// sharing) to explain.
-fn reject_explain_flag(opts: &Options) -> Result<(), String> {
-    if opts.explain_reuse {
-        return Err("--explain-reuse applies to explore run/run-all only".to_string());
-    }
-    Ok(())
-}
-
-fn explore_command(args: &[String]) -> Result<(), String> {
-    match args.first().map(String::as_str) {
-        Some("list") => {
-            let mut table =
-                prft_metrics::AsciiTable::new(vec!["game", "space", "evaluated", "description"])
-                    .with_title("registered games (prft-lab explore run <name>)");
-            // Stable name order: the listing is diffable whatever the
-            // registry's declaration order becomes.
-            let mut games = prft_lab::game_registry();
-            games.sort_by_key(|g| g.name);
-            for g in games {
-                let space = g.space(true);
-                table.row(vec![
-                    g.name.to_string(),
-                    space.len().to_string(),
-                    space.canonical_profiles().len().to_string(),
-                    g.description.to_string(),
-                ]);
-            }
-            print_stdout(&format!("{}\n", table.render()))
-        }
-        Some("run") => match args.get(1) {
-            Some(name) => parse_options(&args[2..]).and_then(|opts| {
-                reject_trace_flag(&opts, "explore sweeps profiles, not one run")?;
-                explore_game(name, &opts)
-            }),
-            None => Err("explore run needs a game name".to_string()),
-        },
-        Some("run-all") => parse_options(&args[1..]).and_then(|opts| {
-            reject_trace_flag(&opts, "explore sweeps profiles, not one run")?;
-            explore_run_all(&opts)
-        }),
-        _ => Err("usage: prft-lab explore <list | run <game> | run-all>".to_string()),
-    }
-}
-
-/// Renders the `--timeline` column for one scenario: the number of
-/// scheduled events across its grid, or a dash for static scenarios.
+/// Renders the timeline column for one scenario: the number of scheduled
+/// events across its grid, or a dash for static scenarios.
 fn timeline_cell(scenario: &Scenario) -> String {
     let events: usize = scenario.specs.iter().map(|s| s.schedule.len()).sum();
     match events {
@@ -455,86 +442,27 @@ fn timeline_cell(scenario: &Scenario) -> String {
     }
 }
 
-fn list_scenarios(args: &[String]) -> Result<(), String> {
-    let mut timeline = false;
-    for arg in args {
-        if arg == "--timeline" {
-            timeline = true;
-        } else {
-            return Err(format!(
-                "unknown list option: {arg} (the only list option is --timeline)"
-            ));
-        }
-    }
-    let headers = if timeline {
-        vec!["scenario", "grid", "timeline", "description"]
-    } else {
-        vec!["scenario", "grid", "description"]
-    };
+fn list_scenarios(_: &Options) -> Result<(), String> {
+    let headers = vec!["scenario", "grid", "timeline", "description"];
     let mut table = prft_metrics::AsciiTable::new(headers)
         .with_title("registered scenarios (prft-lab run <name>)");
     for s in registry() {
-        let mut row = vec![s.name.to_string(), s.specs.len().to_string()];
-        if timeline {
-            row.push(timeline_cell(&s));
-        }
-        row.push(s.description.to_string());
-        table.row(row);
+        table.row(vec![
+            s.name.to_string(),
+            s.specs.len().to_string(),
+            timeline_cell(&s),
+            s.description.to_string(),
+        ]);
     }
     print_stdout(&format!("{}\n", table.render()))
 }
 
-fn run_scenario(scenario: &Scenario, opts: &Options, out: Option<String>) -> Result<(), String> {
-    let runner = BatchRunner::new(opts.threads);
-    eprintln!(
-        "running {} ({} grid points × {} seeds, {} threads)",
-        scenario.name,
-        scenario.specs.len(),
-        opts.seeds,
-        runner.threads(),
-    );
-    // Warm starts are a pure speed knob: grid points sharing a timeline
-    // prefix fork from one captured state, and reports stay byte-identical
-    // (the checkpoint_equiv suite pins this).
-    let store = opts.warm.then(CheckpointStore::default);
-    let reports = runner.run_grid_with(&scenario.specs, opts.seeds, store.as_ref());
-    let content = match opts.format {
-        Format::Table => report::scenario_table(scenario.name, opts.seeds, &reports),
-        Format::Json => {
-            report::scenario_json(scenario.name, opts.seeds, &reports, opts.include_runs)
-        }
-        Format::Csv => report::scenario_csv(scenario.name, &reports),
-    };
-    // The trace file goes first: a closed stdout ends the process inside
-    // `emit`, and must not cost the user the file they asked for.
-    if let Some(path) = &opts.trace_out {
-        // One traced run of the first grid point, at the same derived
-        // seed the batch used for seed index 0, so the trace lines up
-        // with the report next to it.
-        let spec = &scenario.specs[0];
-        let trace = prft_lab::chrome_trace_for(spec, prft_lab::derive_seed(spec.base_seed, 0));
-        std::fs::write(path, trace.render()).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote trace {path} ({} events)", trace.len());
-    }
-    emit(content, &out)
-}
-
-/// The manifest path for a `run-all --out` base path: the stem plus
+/// The manifest path for an `-all --out` base path: the stem plus
 /// `-manifest.json`, whatever the report format was (the manifest itself
 /// is always JSON).
 fn manifest_path_for(out: &str) -> String {
-    let (dir, file) = match out.rsplit_once('/') {
-        Some((dir, file)) => (Some(dir), file),
-        None => (None, out),
-    };
-    let stem = match file.rsplit_once('.') {
-        Some((stem, _)) if !stem.is_empty() => stem,
-        _ => file,
-    };
-    match dir {
-        Some(dir) => format!("{dir}/{stem}-manifest.json"),
-        None => format!("{stem}-manifest.json"),
-    }
+    let (dir, stem, _) = split_path(out);
+    format!("{dir}{stem}-manifest.json")
 }
 
 /// The manifest document for a multi-report command (`run-all`,
@@ -564,27 +492,11 @@ fn manifest_doc(command: &str, seeds: u64, written: &[(String, String)]) -> Stri
 /// "same report" (within eps), 1 means drift — scriptable, so CI can pin
 /// the determinism contract (`--eps` defaults to 0) without shipping a
 /// JSON toolchain.
-fn diff_reports(args: &[String]) -> Result<(), String> {
-    let (Some(path_a), Some(path_b)) = (args.first(), args.get(1)) else {
-        return Err("diff needs two report files: prft-lab diff <a.json> <b.json>".to_string());
+fn diff_reports(opts: &Options) -> Result<(), String> {
+    let [path_a, path_b] = &opts.operands[..] else {
+        unreachable!("the diff row takes two operands")
     };
-    let mut eps = 0.0f64;
-    let mut it = args[2..].iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--eps" => {
-                eps = it
-                    .next()
-                    .ok_or("--eps needs a value")?
-                    .parse()
-                    .map_err(|_| "--eps must be a number".to_string())?;
-                if eps.is_nan() || eps < 0.0 {
-                    return Err("--eps must be non-negative".to_string());
-                }
-            }
-            other => return Err(format!("unknown diff option: {other}")),
-        }
-    }
+    let eps = opts.eps.unwrap_or(0.0);
     let load = |path: &String| -> Result<prft_lab::json::Json, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         prft_lab::json::Json::parse(&text).map_err(|e| format!("{path}: {e}"))
@@ -613,29 +525,16 @@ fn diff_reports(args: &[String]) -> Result<(), String> {
     ))
 }
 
-/// `prft-lab claims [ID…] [options]`: evaluate the claims table. Seeds are
-/// constants of each row, so only the three shared output options apply
-/// (each takes a value, so flags sit at the even positions after the ids).
-fn claims_command(args: &[String]) -> Result<(), String> {
-    let first_flag = args.iter().position(|a| a.starts_with("--"));
-    let (ids, flags) = args.split_at(first_flag.unwrap_or(args.len()));
-    let allowed = ["--threads", "--format", "--out"];
-    if let Some(flag) = flags
-        .iter()
-        .step_by(2)
-        .find(|f| !allowed.contains(&f.as_str()))
-    {
-        return Err(format!(
-            "claims takes only {}, not {flag}",
-            allowed.join(", ")
-        ));
+/// `prft-lab claims [ID…] [options]`: evaluate the claims table (all rows,
+/// or the ones the operands name). Seeds are constants of each row.
+fn claims_command(opts: &Options) -> Result<(), String> {
+    if opts.format == Format::Csv {
+        return Err("claims renders as table or json".to_string());
     }
-    let opts = parse_options(flags)?;
-    let results = claims::evaluate(&BatchRunner::new(opts.threads), ids)?;
+    let results = claims::evaluate(&BatchRunner::new(opts.threads), &opts.operands)?;
     let content = match opts.format {
-        Format::Table => claims::table(&results),
         Format::Json => claims::to_json(&results).render_pretty(),
-        Format::Csv => return Err("claims renders as table or json".to_string()),
+        _ => claims::table(&results),
     };
     emit(content, &opts.out)?;
     claims_verdict(&results)
@@ -649,55 +548,29 @@ fn claims_verdict(results: &[(&claims::Claim, Vec<claims::Check>)]) -> Result<()
     }
 }
 
+/// The table row `args` names, and the words after the command's name.
+fn command_for(args: &[String]) -> Option<(&'static Command, &[String])> {
+    COMMANDS.iter().find_map(|command| {
+        let words = command.name.split(' ').count();
+        (args.get(..words)?.join(" ") == command.name).then(|| (command, &args[words..]))
+    })
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
+    match args.first().map(String::as_str) {
+        None => return usage(),
+        Some("help" | "--help" | "-h") => {
+            usage();
+            return ExitCode::SUCCESS;
+        }
+        Some(_) => {}
+    }
+    let Some((command, rest)) = command_for(&args) else {
+        eprintln!("unknown command: {}\n", args.join(" "));
         return usage();
     };
-    let result = match command.as_str() {
-        "list" => list_scenarios(&args[1..]),
-        "run" => {
-            let Some(name) = args.get(1) else {
-                return usage();
-            };
-            match prft_lab::find(name) {
-                Some(scenario) => parse_options(&args[2..]).and_then(|opts| {
-                    reject_explain_flag(&opts)?;
-                    let out = out_path_for(&opts.out, scenario.name, false);
-                    run_scenario(&scenario, &opts, out)
-                }),
-                None => Err(format!("unknown scenario: {name} (try `prft-lab list`)")),
-            }
-        }
-        "run-all" => parse_options(&args[1..]).and_then(|opts| {
-            reject_trace_flag(&opts, "run-all would overwrite one trace per scenario")?;
-            reject_explain_flag(&opts)?;
-            let mut written: Vec<(String, String)> = Vec::new();
-            for scenario in registry() {
-                let out = out_path_for(&opts.out, scenario.name, true);
-                if let Some(path) = &out {
-                    written.push((scenario.name.to_string(), path.clone()));
-                }
-                run_scenario(&scenario, &opts, out)?;
-            }
-            // A machine-readable index of what was just produced, so
-            // downstream tooling never has to re-derive the per-scenario
-            // file-naming scheme (schema: docs/REPORT_SCHEMA.md).
-            write_manifest("run-all", opts.seeds, &written, &opts.out)
-        }),
-        "explore" => explore_command(&args[1..]),
-        "diff" => diff_reports(&args[1..]),
-        "claims" => claims_command(&args[1..]),
-        "--help" | "-h" | "help" => {
-            usage();
-            Ok(())
-        }
-        _ => {
-            eprintln!("unknown command: {command}\n");
-            return usage();
-        }
-    };
-    match result {
+    match parse(command, rest).and_then(|opts| (command.run)(&opts)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -708,7 +581,102 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{claims_verdict, manifest_doc, manifest_path_for, out_path_for, timeline_cell};
+    use super::{
+        claims_verdict, command_for, manifest_doc, manifest_path_for, out_path_for, parse,
+        timeline_cell, Options, COMMANDS,
+    };
+    use proptest::prelude::*;
+
+    fn every_flag() -> Vec<&'static str> {
+        let mut flags: Vec<&str> = COMMANDS.iter().flat_map(|c| c.flags).copied().collect();
+        flags.sort_unstable();
+        flags.dedup();
+        flags
+    }
+
+    /// `line` split at its spaces, looked up in the table and parsed.
+    fn parse_line(line: &str) -> Result<Options, String> {
+        let args: Vec<String> = line.split(' ').map(String::from).collect();
+        let (command, rest) = command_for(&args).ok_or("no such command")?;
+        parse(command, rest)
+    }
+
+    #[test]
+    fn each_command_accepts_exactly_the_flags_its_row_lists() {
+        let flags = every_flag();
+        assert_eq!(flags.len(), 12, "{flags:?}");
+        for command in COMMANDS {
+            let operands = " x".repeat(command.operands.unwrap_or(0));
+            for flag in &flags {
+                let value = match *flag {
+                    "--seeds" | "--threads" => " 4",
+                    "--format" => " json",
+                    "--eps" => " 0.5",
+                    "--out" | "--trace-out" | "--cache" => " f",
+                    _ => "",
+                };
+                let line = format!("{}{operands} {flag}{value}", command.name);
+                let parsed = parse_line(&line);
+                assert_eq!(parsed.is_ok(), command.flags.contains(flag), "{line}");
+                if let Err(e) = parsed {
+                    assert!(e.starts_with(&format!("{}: ", command.name)), "{e}");
+                }
+            }
+            let bare = parse_line(&format!("{}{operands}", command.name)).expect("bare command");
+            assert_eq!((bare.seeds, bare.eps), (None, None));
+        }
+    }
+
+    #[test]
+    fn malformed_values_and_operand_counts_are_errors() {
+        for eps in ["NaN", "inf", "-inf", "-1", "x", "--full"] {
+            for (command, operands) in [("explore run", "g"), ("diff", "a b")] {
+                let e = parse_line(&format!("{command} {operands} --eps {eps}")).unwrap_err();
+                assert!(e.starts_with(&format!("{command}: ")), "{e}");
+            }
+        }
+        let eps = parse_line("explore run g --eps -0").unwrap().eps;
+        assert_eq!(eps.map(f64::to_bits), Some(0));
+        let malformed = "run x --seeds 0|run x --format xml|run x --out|run|explore run|diff a";
+        for line in malformed.split('|').chain(["explore", "bogus"]) {
+            assert!(parse_line(line).is_err(), "{line}");
+        }
+        let claims = parse_line("claims thm1 fig2").unwrap();
+        assert_eq!(claims.operands, ["thm1", "fig2"]);
+    }
+
+    /// The fuzz vocabulary besides the flags: every command word, values
+    /// of each shape a flag reads, and junk.
+    #[rustfmt::skip]
+    const WORDS: &[&str] = &[
+        "list", "run", "run-all", "explore", "claims", "diff", "help", "4", "0", "-1", "NaN",
+        "inf", "1e-9", "json", "csv", "table", "on", "off", "honest-sync", "", "--", "--bogus",
+        "-h",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn parse_never_panics_and_rejects_every_flag_outside_its_row(
+            row in 0..COMMANDS.len(),
+            picks in proptest::collection::vec(0..WORDS.len() + every_flag().len(), 0..8),
+        ) {
+            let (command, flags) = (&COMMANDS[row], every_flag());
+            let word = |i: usize| WORDS.get(i).copied().unwrap_or_else(|| flags[i - WORDS.len()]);
+            let args: Vec<String> = picks.iter().map(|&i| word(i).to_string()).collect();
+            let parsed = parse(command, &args);
+            if args.iter().any(|a| a.starts_with("--") && !command.flags.contains(&a.as_str())) {
+                prop_assert!(parsed.is_err(), "{} {args:?}", command.name);
+            }
+            if let Ok(opts) = parsed {
+                if let Some(n) = command.operands {
+                    prop_assert_eq!(opts.operands.len(), n);
+                }
+                prop_assert!(opts.eps.is_none_or(|e| e.is_finite() && e >= 0.0));
+                prop_assert!(opts.seeds != Some(0));
+            }
+        }
+    }
 
     #[test]
     fn a_check_observed_against_its_expectation_fails_claims() {

@@ -155,13 +155,7 @@ fn network_model(spec: &ScenarioSpec) -> NetworkChoice {
         }
         Box::new(net)
     };
-    let needs_delay = spec.schedule.iter().any(|(_, e)| {
-        matches!(
-            e,
-            TimelineEvent::AddDelayRule { .. } | TimelineEvent::RemoveDelayRule { .. }
-        )
-    });
-    if needs_delay {
+    if spec.uses_targeted_delay() {
         let mut targeted = TargetedDelay::new(partitioned);
         for rule in scheduled_delay_rules(spec) {
             targeted.add_rule(rule);

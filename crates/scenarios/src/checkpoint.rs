@@ -31,7 +31,7 @@
 //! contract (what is and is not in a checkpoint, and why the reuse
 //! counters deliberately stay out of per-run reports).
 
-use crate::spec::{ScenarioSpec, TimelineEvent};
+use crate::spec::{fnv1a, ScenarioSpec, TimelineEvent};
 use prft_adversary::ForkPlan;
 use prft_sim::obs::hooks::HookSnapshot;
 use prft_sim::SimSnapshot;
@@ -81,8 +81,6 @@ pub const DEFAULT_CAPACITY: usize = 64;
 /// prefixes when their workloads agree exactly (a plain committee,
 /// `workload: None`, included).
 pub fn prefix_fingerprint(spec: &ScenarioSpec, tick_bound: u64) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut canonical = spec.clone();
     canonical.label = String::new();
     canonical.base_seed = 0;
@@ -96,25 +94,14 @@ pub fn prefix_fingerprint(spec: &ScenarioSpec, tick_bound: u64) -> u64 {
         .filter(|(t, _)| *t < tick_bound)
         .collect::<Vec<_>>();
     let collusion = spec.censor_collusion();
-    let delay_wrapped = spec.schedule.iter().any(|(_, e)| {
-        matches!(
-            e,
-            TimelineEvent::AddDelayRule { .. } | TimelineEvent::RemoveDelayRule { .. }
-        )
-    });
+    let delay_wrapped = spec.uses_targeted_delay();
     // Salt v2: workload specs joined the store (they previously bypassed
     // it), so workload knobs became significant for sharing decisions.
     // Bumping the salt makes every pre-v2 prefix read as a miss — never a
     // stale hit.
-    let text = format!(
+    fnv1a(&format!(
         "ckpt-v2|{canonical:?}|collusion:{collusion:?}|delay:{delay_wrapped}|prefix:{prefix:?}"
-    );
-    let mut hash = FNV_OFFSET;
-    for byte in text.bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
+    ))
 }
 
 /// The spec's schedule in execution order (ascending tick, same-tick

@@ -160,9 +160,9 @@ impl GameExplorer {
         self
     }
 
-    /// Toggles checkpoint/fork warm starts across the sweep's cells
-    /// (`prft-lab … --warm-starts on|off`). Results are byte-identical
-    /// either way; off trades the reuse for zero capture overhead.
+    /// Toggles checkpoint/fork warm starts across the sweep's cells (on by
+    /// default; off is the cold reference `checkpoint_equiv.rs` compares
+    /// against). Results are byte-identical either way.
     #[must_use]
     pub fn warm_starts(mut self, on: bool) -> Self {
         self.warm_starts = on;

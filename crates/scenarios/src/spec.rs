@@ -9,6 +9,15 @@ use prft_game::Theta;
 use prft_sim::QueueBackend;
 use prft_workload::WorkloadSpec;
 
+/// 64-bit FNV-1a over `text`'s bytes: the hash behind every stable key a
+/// spec yields ([`ScenarioSpec::fingerprint`],
+/// [`crate::checkpoint::prefix_fingerprint`]).
+pub(crate) fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Which synchrony flavour the run executes under (Section 3.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Synchrony {
@@ -420,17 +429,10 @@ impl ScenarioSpec {
     /// byte-identical across those knobs, so two specs differing only in
     /// them describe the same experiment and must share cache cells.
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut canonical = self.clone();
         canonical.queue = QueueBackend::default();
         canonical.verify_mode = VerifyMode::default();
-        let mut hash = FNV_OFFSET;
-        for byte in format!("spec-v5|{canonical:?}").bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-        hash
+        fnv1a(&format!("spec-v5|{canonical:?}"))
     }
 
     /// The t = 0 role of every seat as a dense vector (index = player),
@@ -468,6 +470,14 @@ impl ScenarioSpec {
     pub fn uses_fork_blackboard(&self) -> bool {
         self.all_roles()
             .any(|r| matches!(r, Role::ForkColluder | Role::EquivocatingLeader { .. }))
+    }
+
+    /// Whether the schedule adds or removes a delay rule, so the network
+    /// needs its `TargetedDelay` wrapper.
+    pub(crate) fn uses_targeted_delay(&self) -> bool {
+        use TimelineEvent::{AddDelayRule, RemoveDelayRule};
+        let delay = |e: &TimelineEvent| matches!(e, AddDelayRule { .. } | RemoveDelayRule { .. });
+        self.schedule.iter().any(|(_, e)| delay(e))
     }
 
     /// Players who censor at any point of the run (initial or scheduled

@@ -26,40 +26,30 @@ fn closed_stdout_is_a_clean_exit() {
     }
 }
 
-/// The string literals opening a match arm (`"run-all" => …`, `"--help" |
-/// "-h" => …`) of the function starting at `from` in the binary's source.
-fn arm_literals<'a>(source: &'a str, from: &str) -> Vec<&'a str> {
-    let body = &source[source.find(from).expect("function in prft-lab.rs")..];
-    let body = &body[..body.find("\n}\n").expect("end of function")];
-    let arms = body
-        .lines()
-        .map(str::trim_start)
-        .filter(|line| line.starts_with('"'))
-        .filter_map(|line| line.split_once("=>"));
-    arms.flat_map(|(pattern, _)| pattern.split('"').skip(1).step_by(2))
-        .collect()
+/// The quoted words of the binary's `COMMANDS` table: every command name
+/// and every flag a command takes.
+fn table_words(source: &str) -> Vec<&str> {
+    let table = &source[source.find("const COMMANDS").expect("the flag table")..];
+    let table = &table[..table.find("\n];").expect("end of the flag table")];
+    table.split('"').skip(1).step_by(2).collect()
 }
 
-/// `usage()` is the CLI's only reference: every command `main` dispatches
-/// and every flag `parse_options` accepts must appear in it.
+/// `usage()` is the CLI's only reference: every command and every flag of
+/// the flag table must appear in it.
 #[test]
 fn usage_lists_every_command_and_flag() {
-    let source = include_str!("../src/bin/prft-lab.rs");
     let help = Command::new(env!("CARGO_BIN_EXE_prft-lab"))
         .arg("help")
         .output()
         .expect("run prft-lab help");
     assert!(help.status.success());
     let usage = String::from_utf8(help.stderr).expect("utf-8 usage");
-    let commands = arm_literals(source, "fn main()");
-    let mut flags = arm_literals(source, "fn parse_options(");
-    flags.retain(|arm| arm.starts_with("--")); // not the value arms (`"json"`, `"on"`)
-    assert!(commands.contains(&"claims") && commands.contains(&"run-all"));
-    assert!(flags.contains(&"--seeds") && flags.contains(&"--explain-reuse"));
-    for word in commands.iter().chain(&flags) {
+    let words = table_words(include_str!("../src/bin/prft-lab.rs"));
+    assert!(words.contains(&"explore run-all") && words.contains(&"--explain-reuse"));
+    for word in words {
         let listed = usage.lines().any(|line| {
-            let mut words = line.split([' ', '|', '[', ']']);
-            words.any(|w| w == *word)
+            let line = line.replace(['|', '[', ']', ','], " ");
+            format!(" {line} ").contains(&format!(" {word} "))
         });
         assert!(listed, "usage() does not list `{word}`");
     }
