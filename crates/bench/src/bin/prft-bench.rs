@@ -276,11 +276,13 @@ fn predicted_verifies(n: usize, rounds: u64, accountable: bool) -> u64 {
     n64 * (rounds * per_replica_round + rounds.saturating_sub(1) * n64)
 }
 
-/// Distinct-content model: how many verifications the memoized fast path
-/// actually hashes (`verify.memo_miss`). Each replica verifies every
-/// distinct signed content exactly once; all re-checks — vote attachments,
-/// certificate walks, Reveal-phase certificate re-validation — are memo
-/// hits because their contents arrived earlier in the same round (votes
+/// Distinct-content model: how many verifications a replica's own memo
+/// cannot answer (`verify.memo_miss`). Each replica misses every
+/// distinct signed content exactly once (hashing it, unless another
+/// replica already proved the certificate it came in); all re-checks —
+/// vote attachments, certificate walks, Reveal-phase certificate
+/// re-validation — are memo hits because their contents arrived earlier
+/// in the same round (votes
 /// precede the certificates quoting them; the `Arc`-shared certificate
 /// allocations in a Reveal are the very ones validated at Commit):
 /// * Propose: 1 distinct leader ballot;

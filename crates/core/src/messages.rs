@@ -9,7 +9,7 @@
 use prft_crypto::{ConflictEvidence, KeyRegistry, Signable, Signed, Slot, KAPPA};
 use prft_sim::WireMessage;
 use prft_types::{Block, Digest, Encoder, NodeId, Round, Transaction, TxId};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Protocol phases, also used as the `phase` component of signature slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -148,12 +148,47 @@ impl SignerSet {
         self.len
     }
 
-    /// Whether every id of `self` is in `other`.
-    pub(crate) fn is_subset(&self, other: &SignerSet) -> bool {
-        self.words
-            .iter()
-            .enumerate()
-            .all(|(i, w)| w & !other.words.get(i).copied().unwrap_or(0) == 0)
+    /// Adds every id of `from` that `self` lacks, calling `f` with each
+    /// one's rank in `from` (how many of `from`'s ids are smaller), in
+    /// ascending id order. It reads `from` a word of 64 ids at a time, so
+    /// the ids `self` already has cost nothing beyond their word.
+    pub(crate) fn absorb(&mut self, from: &SignerSet, mut f: impl FnMut(usize)) {
+        let mut below = 0;
+        for (i, &theirs) in from.words.iter().enumerate() {
+            let mut new = theirs & !self.words.get(i).copied().unwrap_or(0);
+            if new != 0 {
+                if self.words.len() <= i {
+                    self.words.resize(i + 1, 0);
+                }
+                self.words[i] |= new;
+                self.len += new.count_ones() as usize;
+            }
+            while new != 0 {
+                let bit = new & new.wrapping_neg();
+                f(below + (theirs & (bit - 1)).count_ones() as usize);
+                new ^= bit;
+            }
+            below += theirs.count_ones() as usize;
+        }
+    }
+}
+
+/// The registry under which a certificate's commit ballot and every vote
+/// verified, once one replica's walk found them all valid. Every replica
+/// of a committee holds the same registry, so the other receivers of the
+/// allocation need not hash one of its signatures again: see `VerifyCache`.
+/// The clone pins the registry's seed table, so the address it is
+/// recognised by cannot be reused.
+#[derive(Clone, Default)]
+struct CertProof(OnceLock<KeyRegistry>);
+
+impl std::fmt::Debug for CertProof {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(if self.0.get().is_some() {
+            "proven"
+        } else {
+            "unproven"
+        })
     }
 }
 
@@ -162,9 +197,10 @@ impl SignerSet {
 ///
 /// Built only by [`CommitCert::new`], which derives once, at the sender,
 /// what every receiver of the shared allocation would otherwise re-derive
-/// from the votes. The summary is a function of `(commit, votes)`: it is
-/// not wire data and takes no part in byte accounting.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// from the votes. The summary is a function of `(commit, votes)`, and the
+/// proof a receiver records is a fact about them: neither is wire data,
+/// and neither takes part in byte accounting or in equality.
+#[derive(Debug, Clone)]
 pub struct CommitCert {
     commit: SignedBallot,
     votes: Vec<SignedBallot>,
@@ -173,11 +209,23 @@ pub struct CommitCert {
     /// Whether every vote is a [`Phase::Vote`] ballot for the commit's
     /// round and value.
     uniform: bool,
+    /// Whether the signer ids strictly ascend in vote order, as in every
+    /// certificate a replica builds.
+    ascending: bool,
     /// The votes' signer ids in vote order.
     vote_ids: Vec<NodeId>,
     /// The votes' MAC tags in vote order.
     vote_tags: Vec<Digest>,
+    proof: CertProof,
 }
+
+impl PartialEq for CommitCert {
+    fn eq(&self, other: &CommitCert) -> bool {
+        self.commit == other.commit && self.votes == other.votes
+    }
+}
+
+impl Eq for CommitCert {}
 
 impl CommitCert {
     /// A certificate of `commit` justified by `votes`.
@@ -189,13 +237,16 @@ impl CommitCert {
             signers.insert(v.signer());
             uniform &= v.payload == vote;
         }
+        let vote_ids: Vec<NodeId> = votes.iter().map(|v| v.signer()).collect();
         CommitCert {
-            vote_ids: votes.iter().map(|v| v.signer()).collect(),
+            ascending: vote_ids.windows(2).all(|w| w[0] < w[1]),
+            vote_ids,
             vote_tags: votes.iter().map(|v| v.sig.tag()).collect(),
             commit,
             votes,
             signers,
             uniform,
+            proof: CertProof::default(),
         }
     }
 
@@ -220,6 +271,37 @@ impl CommitCert {
     /// The votes' signer ids and their tags, both in vote order.
     pub(crate) fn packed_votes(&self) -> (&[NodeId], &[Digest]) {
         (&self.vote_ids, &self.vote_tags)
+    }
+
+    /// Adds to `held` the signers it lacks, calling `f` with the position
+    /// of each one's first vote, in vote order. When the signer ids ascend,
+    /// a vote's position is its signer's rank among [`Self::signers`], so
+    /// only the signers `held` lacks are visited; otherwise the votes are
+    /// read in order.
+    pub(crate) fn absorb_signers(&self, held: &mut SignerSet, mut f: impl FnMut(usize)) {
+        if self.ascending {
+            held.absorb(&self.signers, f);
+            return;
+        }
+        for (i, &id) in self.vote_ids.iter().enumerate() {
+            if held.insert(id) {
+                f(i);
+            }
+        }
+    }
+
+    /// Whether a walk found every signature valid under `registry`, on
+    /// this allocation or on the one it was cloned from: the commit ballot
+    /// is a [`Phase::Commit`] ballot, and every vote a [`Phase::Vote`]
+    /// ballot for its round and value. The quorum is not part of it.
+    pub(crate) fn proven(&self, registry: &KeyRegistry) -> bool {
+        self.proof.0.get().is_some_and(|r| r.same(registry))
+    }
+
+    /// Records that every signature is valid under `registry`. The first
+    /// record stays: a certificate has one registry in a run.
+    pub(crate) fn prove(&self, registry: &KeyRegistry) {
+        let _ = self.proof.0.set(registry.clone());
     }
 
     /// Validates internal consistency and signatures: the commit ballot is
@@ -662,10 +744,33 @@ mod tests {
             for &id in &other_picks {
                 other.insert(NodeId(id));
             }
-            let subset = distinct.iter().all(|id| other_picks.contains(&id.0));
-            proptest::prop_assert_eq!(cert.signers().is_subset(&other), subset);
             for id in (0..70).map(NodeId) {
                 proptest::prop_assert_eq!(other.contains(id), other_picks.contains(&id.0));
+            }
+            // Absorbing names the first vote of each signer `other` lacks,
+            // in vote order, whether the ids ascend (a word-wise difference
+            // of the sets) or not (a read of the votes).
+            let sorted: Vec<SignedBallot> = distinct
+                .iter()
+                .map(|id| Signed::sign(Ballot::new(Round(1), Phase::Vote, value), &keys[id.0]))
+                .collect();
+            let commit = cert.commit().clone();
+            for cert in [cert, CommitCert::new(commit, sorted)] {
+                let ids = cert.packed_votes().0.to_vec();
+                let lacking: Vec<usize> = (0..ids.len())
+                    .filter(|&i| !ids[..i].contains(&ids[i]) && !other.contains(ids[i]))
+                    .collect();
+                let mut held = other.clone();
+                let mut named = Vec::new();
+                cert.absorb_signers(&mut held, |i| named.push(i));
+                proptest::prop_assert_eq!(&named, &lacking);
+                for id in (0..70).map(NodeId) {
+                    proptest::prop_assert_eq!(
+                        held.contains(id),
+                        other.contains(id) || distinct.contains(&id)
+                    );
+                }
+                proptest::prop_assert_eq!(held.len(), other.len() + lacking.len());
             }
         }
 

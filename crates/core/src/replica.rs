@@ -105,22 +105,23 @@ impl<T> Default for SignerTable<T> {
     }
 }
 
+/// Stores `item` in `id`'s slot of a [`SignerTable`]'s `slots`.
+fn put<T: Clone>(slots: &mut Vec<Option<T>>, id: NodeId, item: T) {
+    if slots.len() <= id.0 {
+        // A word of signers at a time and no spare capacity: doubling from
+        // wherever the first arrivals land wastes half the table.
+        let len = (id.0 / 64 + 1) * 64;
+        slots.reserve_exact(len - slots.len());
+        slots.resize(len, None);
+    }
+    slots[id.0] = Some(item);
+}
+
 impl<T: Clone> SignerTable<T> {
     /// Stores `item` as `id`'s, replacing what `id` had.
     fn insert(&mut self, id: NodeId, item: T) {
-        if self.slots.len() <= id.0 {
-            // A word of signers at a time and no spare capacity: doubling
-            // from wherever the first arrivals land wastes half the table.
-            let len = (id.0 / 64 + 1) * 64;
-            self.slots.reserve_exact(len - self.slots.len());
-            self.slots.resize(len, None);
-        }
-        self.slots[id.0] = Some(item);
+        put(&mut self.slots, id, item);
         self.signers.insert(id);
-    }
-
-    fn contains(&self, id: NodeId) -> bool {
-        self.slots.get(id.0).is_some_and(Option::is_some)
     }
 
     /// The items of the `k` lowest signer ids (all of them if fewer).
@@ -813,9 +814,7 @@ impl Replica {
     }
 
     fn handle_commit(&mut self, ctx: &mut Context<PrftMsg>, cert: Arc<CommitCert>) {
-        if cert.commit().payload.phase != Phase::Commit
-            || !self.cache.verify_ballot(cert.commit(), &self.registry)
-        {
+        if !self.cache.verify_commit(&cert, &self.registry) {
             return;
         }
         // Commit certificates must carry a valid vote quorum.
@@ -837,18 +836,15 @@ impl Replica {
         let value = cert.commit().payload.value;
         // Harvest the certificate's votes: a valid signed vote counts no
         // matter how it arrived (it may complete our own vote quorum). The
-        // walk already proved every vote endorses `value`, and a certificate
-        // bringing no new vote (most, once the round's first is harvested)
-        // costs one subset test — a vote's content is determined by (round,
-        // value, signer), so a held one is always the identical ballot.
+        // walk already proved every vote endorses `value`, and only the
+        // signers not held yet are visited (none, mostly, once the round's
+        // first certificate is harvested) — a vote's content is determined
+        // by (round, value, signer), so a held one is the identical ballot.
         let entry = self.rs.value_mut(value);
-        if !cert.signers().is_subset(&entry.votes.signers) {
-            for vote in cert.votes() {
-                if !entry.votes.contains(vote.signer()) {
-                    entry.votes.insert(vote.signer(), vote.clone());
-                }
-            }
-        }
+        let (slots, votes) = (&mut entry.votes.slots, cert.votes());
+        cert.absorb_signers(&mut entry.votes.signers, |i| {
+            put(slots, votes[i].signer(), votes[i].clone());
+        });
         entry.commits.insert(cert.commit().signer(), cert);
         self.try_commit(ctx, value);
         self.try_reveal(ctx, value);
@@ -867,17 +863,11 @@ impl Replica {
             return; // `observe_and_react` would drop every vote
         }
         let value = cert.commit().payload.value;
+        let mut fresh = Vec::new();
         let seen = &mut self.rs.value_mut(value).votes_observed;
-        if cert.signers().is_subset(seen) {
-            return;
-        }
-        let fresh: Vec<&SignedBallot> = cert
-            .votes()
-            .iter()
-            .filter(|v| seen.insert(v.signer()))
-            .collect();
-        for vote in fresh {
-            self.observe_and_react(ctx, vote);
+        cert.absorb_signers(seen, |i| fresh.push(i));
+        for i in fresh {
+            self.observe_and_react(ctx, &cert.votes()[i]);
         }
     }
 

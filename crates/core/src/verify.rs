@@ -32,16 +32,25 @@
 //!   certificates. A keep-alive array beside the slots holds a clone of
 //!   each `Arc`, so the allocation outlives the verdict and the address can
 //!   never be recycled onto different content while cached.
+//! * **Certificate proof** — shared by every seat, on the allocation
+//!   itself. The first seat whose walk finds a certificate's commit ballot
+//!   and votes valid records the registry on the certificate
+//!   ([`CommitCert::prove`]). Every other receiver of that allocation then
+//!   hashes none of its signatures: it tables the tags its own tables lack,
+//!   visiting only those signers (a word-wise difference of signer sets),
+//!   and reads nothing of the votes it already holds.
 //!
 //! **Counting discipline** (what keeps reports byte-identical across
 //! [`VerifyMode`]s): `crypto.sig_verifies` counts *logical* verifications
 //! — a memo hit adds the same count the reference path would have paid,
-//! via one batched add. The new `memo_hits`/`memo_misses` hook counters
-//! split that logical total into answered-from-cache vs actually-hashed,
-//! so `memo_hits + memo_misses == sig_verifies` on the fast path and the
-//! miss count is the true SHA-256 workload. The memo counters surface
-//! only in `prft-bench profile` output — never in scenario reports,
-//! which must not depend on the knob.
+//! via one batched add. The `memo_hits`/`memo_misses` hook counters split
+//! that logical total into answered from this seat's tables vs not, so
+//! `memo_hits + memo_misses == sig_verifies` on the fast path. A miss is
+//! hashed unless another seat proved its certificate, so the counters are
+//! the same whichever seat walks first, on whatever thread, and a fork
+//! charges what a fresh run does. The memo counters surface only in
+//! `prft-bench profile` output — never in scenario reports, which must
+//! not depend on the knob.
 
 use crate::messages::{Ballot, CommitCert, Phase, RevealSet, SignedBallot, SignerSet};
 use prft_crypto::{KeyRegistry, Signable, Signature, VerifyMode};
@@ -265,12 +274,27 @@ impl VerifyCache {
     /// a hit adds the one verification the reference path would have
     /// performed.
     pub fn verify_ballot(&mut self, ballot: &SignedBallot, registry: &KeyRegistry) -> bool {
+        self.admit(ballot, registry, false)
+    }
+
+    /// Verifies a certificate's commit ballot: [`Self::verify_ballot`]
+    /// of a [`Phase::Commit`] ballot, which hashes nothing once another
+    /// seat proved the allocation.
+    pub(crate) fn verify_commit(&mut self, cert: &CommitCert, registry: &KeyRegistry) -> bool {
+        let commit = cert.commit();
+        commit.payload.phase == Phase::Commit && self.admit(commit, registry, cert.proven(registry))
+    }
+
+    /// [`Self::verify_ballot`], where `proven` says the ballot is known to
+    /// be valid under `registry`: a miss then tables its tag unhashed, and
+    /// is charged as the miss it is for this seat.
+    fn admit(&mut self, ballot: &SignedBallot, registry: &KeyRegistry, proven: bool) -> bool {
         if self.mode == VerifyMode::Reference {
             return ballot.verify(registry);
         }
         let table = self.table_of(&ballot.payload);
         let valid = table.is_some_and(|t| self.tables[t].holds(&ballot.sig));
-        if valid || self.forged.contains(ballot) {
+        if valid || (!proven && self.forged.contains(ballot)) {
             replay(1);
             return valid;
         }
@@ -279,25 +303,31 @@ impl VerifyCache {
             Some(t) => self.tables[t].digest,
             None => ballot.payload.signing_digest(),
         };
-        // `KeyRegistry::verify` counts the sig_verify itself.
-        if !registry.verify(digest, &ballot.sig) {
+        if proven {
+            hooks::add_sig_verifies(1);
+        } else if !registry.verify(digest, &ballot.sig) {
+            // `KeyRegistry::verify` counts the sig_verify itself.
             self.forged.insert(ballot.clone());
             return false;
         }
-        let t = table.unwrap_or_else(|| {
-            self.tables.push(TagTable {
-                payload: ballot.payload,
-                digest,
-                tags: vec![Digest::ZERO; registry.len()],
-                filled: SignerSet::default(),
-            });
-            self.tables.len() - 1
-        });
+        let t = table.unwrap_or_else(|| self.new_table(ballot.payload, digest, registry));
         // In range of the registry: the signature verified.
         let (table, signer) = (&mut self.tables[t], ballot.signer());
         table.tags[signer.0] = ballot.sig.tag();
         table.filled.insert(signer);
         true
+    }
+
+    /// Adds an empty tag table for `payload`, whose signing digest is
+    /// `digest`, and returns its index. Only a verified signature may.
+    fn new_table(&mut self, payload: Ballot, digest: Digest, registry: &KeyRegistry) -> usize {
+        self.tables.push(TagTable {
+            payload,
+            digest,
+            tags: vec![Digest::ZERO; registry.len()],
+            filled: SignerSet::default(),
+        });
+        self.tables.len() - 1
     }
 
     /// Validates a commit certificate, memoized per allocation on the
@@ -382,17 +412,25 @@ impl VerifyCache {
         registry: &KeyRegistry,
         quorum: usize,
     ) -> CertVerdict {
-        let commit = cert.commit();
         // A certificate whose commit ballot fails is not remembered: its
         // re-validation stops at the same ballot (a `forged` hit), and
         // only a signer in the registry may claim a slot.
-        if commit.payload.phase != Phase::Commit || !self.verify_ballot(commit, registry) {
+        if !self.verify_commit(cert, registry) {
             return CertVerdict {
                 ok: false,
                 cached: false,
             };
         }
-        let (ok, verifies) = self.walk_votes(cert, registry, quorum);
+        let (valid, verifies) = if cert.proven(registry) {
+            self.absorb_proven(cert, registry)
+        } else {
+            let walked = self.walk_votes(cert, registry);
+            if walked.0 {
+                cert.prove(registry);
+            }
+            walked
+        };
+        let ok = valid && cert.signers().len() >= quorum;
         let fresh = CertSlot::new(cert, quorum, ok, 1 + verifies);
         match self.certs.find(committer, cert) {
             Some(held) => *held = fresh,
@@ -404,9 +442,9 @@ impl VerifyCache {
     /// The votes' half of a certificate walk, mirroring
     /// `CommitCert::validate`'s exact short-circuit structure (each vote's
     /// phase/round/value checks before its verify; stop at the first
-    /// failure; distinct signers at the end). Returns the verdict and the
-    /// number of logical verifications the reference path performs on the
-    /// votes, for replay on later hits.
+    /// failure). Returns whether every vote is valid, leaving the quorum
+    /// to the caller, and the number of logical verifications the
+    /// reference path performs on the votes, for replay on later hits.
     ///
     /// A uniform certificate whose payload has a tag table first runs
     /// [`TagTable::leading_hits`] over its packed votes; from the first
@@ -414,12 +452,7 @@ impl VerifyCache {
     /// counter adds are batched into one flush per walk; anything else —
     /// first sight, unknown signer, forgery — takes
     /// [`Self::verify_ballot`].
-    fn walk_votes(
-        &mut self,
-        cert: &CommitCert,
-        registry: &KeyRegistry,
-        quorum: usize,
-    ) -> (bool, u64) {
+    fn walk_votes(&mut self, cert: &CommitCert, registry: &KeyRegistry) -> (bool, u64) {
         let vote = cert.commit().payload.justifying_vote();
         let mut table = self.table_of(&vote);
         let leading = match table {
@@ -447,7 +480,35 @@ impl VerifyCache {
             }
         }
         replay(table_hits);
-        (ok && cert.signers().len() >= quorum, verifies)
+        (ok, verifies)
+    }
+
+    /// [`Self::walk_votes`] of a proven certificate, which visits only the
+    /// signers whose tag the table lacks: their tags are valid, so they
+    /// are tabled unhashed. Every vote is charged as the walk charges it,
+    /// a hit where the table held the signer's tag (a valid tag is a
+    /// function of signer and payload) and a miss where it did not.
+    fn absorb_proven(&mut self, cert: &CommitCert, registry: &KeyRegistry) -> (bool, u64) {
+        let votes = cert.votes().len() as u64;
+        if votes == 0 {
+            return (true, 0);
+        }
+        let vote = cert.commit().payload.justifying_vote();
+        let t = match self.table_of(&vote) {
+            Some(t) => t,
+            None => self.new_table(vote, vote.signing_digest(), registry),
+        };
+        let TagTable { tags, filled, .. } = &mut self.tables[t];
+        let (ids, vote_tags) = cert.packed_votes();
+        let mut misses = 0;
+        cert.absorb_signers(filled, |i| {
+            tags[ids[i].0] = vote_tags[i];
+            misses += 1;
+        });
+        hooks::add_sig_verifies(votes);
+        hooks::add_memo_hits(votes - misses);
+        hooks::add_memo_misses(misses);
+        (true, votes)
     }
 
     /// Drops entries from rounds before `round − 1`. Finals of round r
@@ -592,6 +653,44 @@ mod tests {
             !reference.validate_cert(&c, &reg, 3).cached,
             "reference mode never answers from cache"
         );
+    }
+
+    #[test]
+    fn a_certificate_is_proven_once_per_allocation_and_registry() {
+        let (reg, keys) = setup(4);
+        let c = Arc::new(cert(&keys, 1, value(7), 3));
+        let mut reference = VerifyCache::new(VerifyMode::Reference);
+        assert!(reference.validate_cert(&c, &reg, 3).ok);
+        assert!(!c.proven(&reg), "the reference path proves nothing");
+        let mut seat = VerifyCache::new(VerifyMode::Fast);
+        assert!(!seat.validate_cert(&c, &reg, 4).ok, "short of quorum 4");
+        assert!(c.proven(&reg), "the proof is of the signatures alone");
+        assert!(Arc::new(c.as_ref().clone()).proven(&reg), "a clone has it");
+        let other = Arc::new(cert(&keys, 1, value(7), 3));
+        assert!(!other.proven(&reg), "an equal allocation does not");
+        let (twin_setup, _) = setup(4);
+        assert!(
+            !c.proven(&twin_setup),
+            "nor another setup of the same seeds"
+        );
+        let mut votes = c.votes().to_vec();
+        votes[1] = signed_ballot(&keys[1], Round(1), Phase::Vote, value(8));
+        votes[1].payload.value = value(7);
+        let forged = Arc::new(CommitCert::new(c.commit().clone(), votes));
+        assert!(!seat.validate_cert(&forged, &reg, 3).ok);
+        assert!(!forged.proven(&reg), "a forged vote is never proven");
+    }
+
+    /// Every tag a cache holds, as (payload, signer, tag).
+    fn tabled(cache: &VerifyCache, reg: &KeyRegistry) -> Vec<(Ballot, NodeId, Digest)> {
+        let ids = || (0..reg.len()).map(NodeId);
+        let each = |t: &TagTable| -> Vec<_> {
+            ids()
+                .filter(|&id| t.filled.contains(id))
+                .map(|id| (t.payload, id, t.tags[id.0]))
+                .collect()
+        };
+        cache.tables.iter().flat_map(each).collect()
     }
 
     #[test]
@@ -829,6 +928,53 @@ mod tests {
             proptest::prop_assert_eq!(fresh, expected);
             proptest::prop_assert_eq!(scan_charged, each_charged);
             proptest::prop_assert_eq!(scan_charged.sig_verifies, reference_charged);
+        }
+
+        /// A seat receiving a certificate another seat already proved
+        /// reaches the verdict, charges the counters and tables the tags
+        /// that walking an unproven allocation of the same content does,
+        /// whatever it held before: some of the votes received on their
+        /// own, the commit ballot or not. `voters` may repeat a signer or
+        /// break id order, which sends the seat down the votes-in-order
+        /// path instead of the word-wise one.
+        #[test]
+        fn a_proven_certificate_charges_and_tables_what_its_walk_would(
+            held in proptest::collection::vec(0usize..70, 0..40),
+            voters in proptest::collection::vec(0usize..70, 0..40),
+            sorted in proptest::any::<bool>(),
+            commit_held in proptest::any::<bool>(),
+            quorum in 0usize..50,
+        ) {
+            let (reg, keys) = setup(70);
+            let mut voters = voters;
+            if sorted {
+                voters.sort_unstable();
+                voters.dedup();
+            }
+            let vote = |i: usize| signed_ballot(&keys[i], Round(1), Phase::Vote, value(1));
+            let votes: Vec<SignedBallot> = voters.iter().map(|&i| vote(i)).collect();
+            let committer = &keys[voters.first().map_or(0, |&i| i)];
+            let commit = signed_ballot(committer, Round(1), Phase::Commit, value(1));
+            let proven = Arc::new(CommitCert::new(commit.clone(), votes.clone()));
+            let unproven = Arc::new(CommitCert::new(commit.clone(), votes));
+            VerifyCache::new(VerifyMode::Fast).validate_cert(&proven, &reg, 0);
+            proptest::prop_assert!(proven.proven(&reg) && !unproven.proven(&reg));
+            let mut seen = Vec::new();
+            for cert in [&unproven, &proven] {
+                let mut seat = VerifyCache::new(VerifyMode::Fast);
+                for &i in &held {
+                    seat.verify_ballot(&vote(i), &reg);
+                }
+                if commit_held {
+                    seat.verify_ballot(&commit, &reg);
+                }
+                hooks::reset();
+                let commit_ok = seat.verify_commit(cert, &reg);
+                let verdict = seat.validate_cert(cert, &reg, quorum);
+                seen.push((commit_ok, verdict, hooks::snapshot(), tabled(&seat, &reg)));
+            }
+            hooks::reset();
+            proptest::prop_assert_eq!(&seen[0], &seen[1]);
         }
     }
 

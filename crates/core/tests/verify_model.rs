@@ -7,12 +7,14 @@
 //!   per-round structure `1 + 2n + n(q+2) + q(1 + q(q+1))` per replica,
 //!   plus `n` Finals per non-final round — within 10% (the tail of the
 //!   last round depends on delivery order).
-//! * The **hashed** count (`verify.memo_miss`) follows the
+//! * The **miss** count (`verify.memo_miss`) follows the
 //!   distinct-content model `1 + 2n + q` per replica-round, plus the same
 //!   Final term — within 0.1%. This is the memoization doing its job:
 //!   every re-check of already-seen content is a cache hit.
 //! * Conservation: `memo_hits + memo_misses == sig_verifies`, exactly —
-//!   every logical verification is either answered from cache or hashed.
+//!   every logical verification is either answered from the replica's
+//!   own tables or missed there (and hashed, unless another replica
+//!   proved the certificate it came in).
 
 use prft_core::{Harness, NetworkChoice, VerifyMode};
 use prft_sim::obs::hooks;

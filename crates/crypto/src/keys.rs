@@ -129,6 +129,12 @@ impl KeyRegistry {
         self.seeds.is_empty()
     }
 
+    /// Whether `other` is this registry: one trusted setup, shared by
+    /// handle. A separate setup is another registry, whatever its seeds.
+    pub fn same(&self, other: &KeyRegistry) -> bool {
+        Arc::ptr_eq(&self.seeds, &other.seeds)
+    }
+
     /// Verifies that `sig` is a valid signature by its claimed signer over
     /// `digest`. Returns `false` for unknown signers or bad tags.
     ///

@@ -119,8 +119,10 @@ pub mod hooks {
         /// Logical verifications answered from a verification memo cache
         /// (no hash computed). Zero on the reference path.
         pub memo_hits: u64,
-        /// Memo-cache lookups that fell through to a real verification —
-        /// the count of *distinct-content* verifications actually done.
+        /// Memo-cache lookups the seat's own tables could not answer —
+        /// the count of *distinct-content* verifications per seat. Each
+        /// is hashed, unless another seat already proved the certificate
+        /// it arrived in.
         pub memo_misses: u64,
     }
 
@@ -145,7 +147,8 @@ pub mod hooks {
         MEMO_HITS.with(|c| c.set(c.get() + k));
     }
 
-    /// Accounts `k` memo-cache misses (verifications really performed).
+    /// Accounts `k` memo-cache misses (verifications the memo could not
+    /// answer).
     #[inline]
     pub fn add_memo_misses(k: u64) {
         MEMO_MISSES.with(|c| c.set(c.get() + k));
