@@ -1,6 +1,6 @@
 //! `π_abs`: total abstention (the θ=3 liveness attack).
 
-use prft_core::{BallotAction, Behavior, ProposeAction};
+use prft_core::{BallotAction, Behavior, Phase, ProposeAction};
 use prft_types::{Block, Digest, Round};
 
 /// The abstention strategy: never send a protocol message.
@@ -21,19 +21,7 @@ impl Behavior for Abstain {
         ProposeAction::Silent
     }
 
-    fn on_vote(&mut self, _round: Round, _value: Digest) -> BallotAction {
-        BallotAction::Silent
-    }
-
-    fn on_commit(&mut self, _round: Round, _value: Digest) -> BallotAction {
-        BallotAction::Silent
-    }
-
-    fn on_reveal(&mut self, _round: Round, _value: Digest) -> BallotAction {
-        BallotAction::Silent
-    }
-
-    fn on_final(&mut self, _round: Round, _value: Digest) -> BallotAction {
+    fn on_ballot(&mut self, _phase: Phase, _round: Round, _value: Digest) -> BallotAction {
         BallotAction::Silent
     }
 
@@ -58,22 +46,12 @@ mod tests {
             a.on_propose(Round(1), &Block::genesis()),
             ProposeAction::Silent
         ));
-        assert!(matches!(
-            a.on_vote(Round(1), Digest::ZERO),
-            BallotAction::Silent
-        ));
-        assert!(matches!(
-            a.on_commit(Round(1), Digest::ZERO),
-            BallotAction::Silent
-        ));
-        assert!(matches!(
-            a.on_reveal(Round(1), Digest::ZERO),
-            BallotAction::Silent
-        ));
-        assert!(matches!(
-            a.on_final(Round(1), Digest::ZERO),
-            BallotAction::Silent
-        ));
+        for phase in [Phase::Vote, Phase::Commit, Phase::Reveal, Phase::Final] {
+            assert!(matches!(
+                a.on_ballot(phase, Round(1), Digest::ZERO),
+                BallotAction::Silent
+            ));
+        }
         assert!(!a.send_expose());
         assert!(!a.join_view_change());
     }

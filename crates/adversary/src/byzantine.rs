@@ -1,11 +1,12 @@
 //! Unconditional byzantine behaviours: noise, equivocation fodder, and
 //! silence — strategies "immune to incentive manipulation".
 
-use prft_core::{BallotAction, Behavior, ProposeAction};
+use prft_core::{BallotAction, Behavior, Phase, ProposeAction};
 use prft_types::{Block, Digest, NodeId, Round};
 use std::collections::HashSet;
 
-/// Votes (and commits, reveals, finals) for garbage values nobody proposed.
+/// Votes, commits and reveals garbage values nobody proposed; its `Final`
+/// ballot is the honest one.
 ///
 /// Harmless to safety — garbage never gathers a quorum — but exercises the
 /// validation paths and shows byzantine noise does not trip the penalty
@@ -22,16 +23,13 @@ impl Behavior for GarbageVoter {
         "garbage"
     }
 
-    fn on_vote(&mut self, round: Round, _value: Digest) -> BallotAction {
-        BallotAction::Replace(garbage(round, 1))
-    }
-
-    fn on_commit(&mut self, round: Round, _value: Digest) -> BallotAction {
-        BallotAction::Replace(garbage(round, 2))
-    }
-
-    fn on_reveal(&mut self, round: Round, _value: Digest) -> BallotAction {
-        BallotAction::Replace(garbage(round, 3))
+    fn on_ballot(&mut self, phase: Phase, round: Round, _value: Digest) -> BallotAction {
+        match phase {
+            Phase::Vote => BallotAction::Replace(garbage(round, 1)),
+            Phase::Commit => BallotAction::Replace(garbage(round, 2)),
+            Phase::Reveal => BallotAction::Replace(garbage(round, 3)),
+            _ => BallotAction::Honest,
+        }
     }
 
     fn send_expose(&self) -> bool {
@@ -62,16 +60,14 @@ impl Behavior for DoubleVoter {
         "double-voter"
     }
 
-    fn on_vote(&mut self, round: Round, _value: Digest) -> BallotAction {
+    fn on_ballot(&mut self, phase: Phase, round: Round, _value: Digest) -> BallotAction {
+        let salt = match phase {
+            Phase::Vote => 11,
+            Phase::Commit => 12,
+            _ => return BallotAction::Honest,
+        };
         BallotAction::Split {
-            b: garbage(round, 11),
-            b_recipients: self.second_half.clone(),
-        }
-    }
-
-    fn on_commit(&mut self, round: Round, _value: Digest) -> BallotAction {
-        BallotAction::Split {
-            b: garbage(round, 12),
+            b: garbage(round, salt),
             b_recipients: self.second_half.clone(),
         }
     }
@@ -109,7 +105,7 @@ mod tests {
     #[test]
     fn double_voter_splits_to_upper_half() {
         let mut dv = DoubleVoter::new(4);
-        match dv.on_vote(Round(0), Digest::ZERO) {
+        match dv.on_ballot(Phase::Vote, Round(0), Digest::ZERO) {
             BallotAction::Split { b_recipients, .. } => {
                 assert_eq!(
                     b_recipients,
@@ -128,7 +124,7 @@ mod tests {
             ProposeAction::Silent
         ));
         assert!(matches!(
-            sl.on_vote(Round(0), Digest::ZERO),
+            sl.on_ballot(Phase::Vote, Round(0), Digest::ZERO),
             BallotAction::Honest
         ));
         assert!(sl.send_expose());

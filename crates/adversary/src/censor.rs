@@ -1,7 +1,7 @@
 //! `π_pc`: partial censorship (the θ=2 attack of Theorem 2).
 
-use prft_core::{BallotAction, Behavior, ProposeAction};
-use prft_types::{Block, Digest, NodeId, Round, TxId};
+use prft_core::{BallotAction, Behavior, Phase};
+use prft_types::{Digest, NodeId, Round, TxId};
 use std::collections::HashSet;
 
 /// The partial-censorship strategy from the proof of Theorem 2:
@@ -33,10 +33,6 @@ impl PartialCensor {
             censor,
         }
     }
-
-    fn leader_is_colluding(&self, round: Round) -> bool {
-        self.collusion.contains(&round.leader(self.n))
-    }
 }
 
 impl Behavior for PartialCensor {
@@ -44,44 +40,15 @@ impl Behavior for PartialCensor {
         "censor"
     }
 
+    // The replica applies this set when it assembles the honest block, so
+    // the default (honest) `on_propose` proposes the censored block: as
+    // leader this player is in the collusion by definition.
     fn censor_set(&self) -> Option<&HashSet<TxId>> {
         Some(&self.censor)
     }
 
-    fn on_propose(&mut self, _round: Round, _honest_block: &Block) -> ProposeAction {
-        // As leader we are in the collusion by definition; the censor set
-        // was already applied when the honest block was assembled (the
-        // replica consults `censor_set()`), so "honest" here proposes the
-        // censored block.
-        ProposeAction::Honest
-    }
-
-    fn on_vote(&mut self, round: Round, _value: Digest) -> BallotAction {
-        if self.leader_is_colluding(round) {
-            BallotAction::Honest
-        } else {
-            BallotAction::Silent
-        }
-    }
-
-    fn on_commit(&mut self, round: Round, _value: Digest) -> BallotAction {
-        if self.leader_is_colluding(round) {
-            BallotAction::Honest
-        } else {
-            BallotAction::Silent
-        }
-    }
-
-    fn on_reveal(&mut self, round: Round, _value: Digest) -> BallotAction {
-        if self.leader_is_colluding(round) {
-            BallotAction::Honest
-        } else {
-            BallotAction::Silent
-        }
-    }
-
-    fn on_final(&mut self, round: Round, _value: Digest) -> BallotAction {
-        if self.leader_is_colluding(round) {
+    fn on_ballot(&mut self, _phase: Phase, round: Round, _value: Digest) -> BallotAction {
+        if self.collusion.contains(&round.leader(self.n)) {
             BallotAction::Honest
         } else {
             BallotAction::Silent
@@ -114,11 +81,11 @@ mod tests {
         let mut s = strategy();
         // Round 0 → leader P0 (colluding), round 1 → P1 (colluding).
         assert!(matches!(
-            s.on_vote(Round(0), Digest::ZERO),
+            s.on_ballot(Phase::Vote, Round(0), Digest::ZERO),
             BallotAction::Honest
         ));
         assert!(matches!(
-            s.on_commit(Round(1), Digest::ZERO),
+            s.on_ballot(Phase::Commit, Round(1), Digest::ZERO),
             BallotAction::Honest
         ));
     }
@@ -128,11 +95,11 @@ mod tests {
         let mut s = strategy();
         // Round 2 → leader P2 (honest), round 3 → P3 (honest).
         assert!(matches!(
-            s.on_vote(Round(2), Digest::ZERO),
+            s.on_ballot(Phase::Vote, Round(2), Digest::ZERO),
             BallotAction::Silent
         ));
         assert!(matches!(
-            s.on_reveal(Round(3), Digest::ZERO),
+            s.on_ballot(Phase::Reveal, Round(3), Digest::ZERO),
             BallotAction::Silent
         ));
     }

@@ -18,7 +18,7 @@
 //! blackboard is an `Arc<Mutex<…>>` so colluding replicas stay `Send` and a
 //! whole committee can run on a `prft-lab` worker thread.
 
-use prft_core::{BallotAction, Behavior, ProposeAction};
+use prft_core::{BallotAction, Behavior, Phase, ProposeAction};
 use prft_types::{Block, Digest, NodeId, Round, Transaction};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
@@ -92,10 +92,6 @@ impl EquivocatingLeader {
             .as_ref()
             .is_none_or(|set| set.contains(&round))
     }
-
-    fn split(&self, round: Round, value: Digest) -> BallotAction {
-        split_by_plan(&self.board, &self.b_group, self.n, round, value)
-    }
 }
 
 /// Shared collusion logic: double-sign toward the group that should see
@@ -162,20 +158,8 @@ impl Behavior for EquivocatingLeader {
         }
     }
 
-    fn on_vote(&mut self, round: Round, value: Digest) -> BallotAction {
-        self.split(round, value)
-    }
-
-    fn on_commit(&mut self, round: Round, value: Digest) -> BallotAction {
-        self.split(round, value)
-    }
-
-    fn on_reveal(&mut self, round: Round, value: Digest) -> BallotAction {
-        self.split(round, value)
-    }
-
-    fn on_final(&mut self, round: Round, value: Digest) -> BallotAction {
-        self.split(round, value)
+    fn on_ballot(&mut self, _phase: Phase, round: Round, value: Digest) -> BallotAction {
+        split_by_plan(&self.board, &self.b_group, self.n, round, value)
     }
 
     fn send_expose(&self) -> bool {
@@ -207,11 +191,6 @@ impl ForkColluder {
     pub fn new(board: Blackboard, b_group: HashSet<NodeId>, n: usize) -> Self {
         ForkColluder { board, b_group, n }
     }
-
-    /// Double-sign toward the group that should see the *other* value.
-    fn split(&self, round: Round, value: Digest) -> BallotAction {
-        split_by_plan(&self.board, &self.b_group, self.n, round, value)
-    }
 }
 
 impl Behavior for ForkColluder {
@@ -219,20 +198,8 @@ impl Behavior for ForkColluder {
         "fork"
     }
 
-    fn on_vote(&mut self, round: Round, value: Digest) -> BallotAction {
-        self.split(round, value)
-    }
-
-    fn on_commit(&mut self, round: Round, value: Digest) -> BallotAction {
-        self.split(round, value)
-    }
-
-    fn on_reveal(&mut self, round: Round, value: Digest) -> BallotAction {
-        self.split(round, value)
-    }
-
-    fn on_final(&mut self, round: Round, value: Digest) -> BallotAction {
-        self.split(round, value)
+    fn on_ballot(&mut self, _phase: Phase, round: Round, value: Digest) -> BallotAction {
+        split_by_plan(&self.board, &self.b_group, self.n, round, value)
     }
 
     fn send_expose(&self) -> bool {
@@ -304,7 +271,7 @@ mod tests {
         let b_group: HashSet<NodeId> = [NodeId(3)].into_iter().collect();
         let mut colluder = ForkColluder::new(board, b_group.clone(), 4);
 
-        match colluder.on_vote(Round(1), a) {
+        match colluder.on_ballot(Phase::Vote, Round(1), a) {
             BallotAction::Split {
                 b: alt,
                 b_recipients,
@@ -314,7 +281,7 @@ mod tests {
             }
             other => panic!("expected split, got {other:?}"),
         }
-        match colluder.on_vote(Round(1), b) {
+        match colluder.on_ballot(Phase::Vote, Round(1), b) {
             BallotAction::Split {
                 b: alt,
                 b_recipients,
@@ -334,7 +301,7 @@ mod tests {
         let board = blackboard();
         let mut colluder = ForkColluder::new(board, HashSet::new(), 4);
         assert!(matches!(
-            colluder.on_vote(Round(9), Digest::of_bytes(b"x")),
+            colluder.on_ballot(Phase::Vote, Round(9), Digest::of_bytes(b"x")),
             BallotAction::Honest
         ));
         assert!(!colluder.send_expose());

@@ -1,7 +1,11 @@
 //! Adversarial strategies for the rational threat model `RFT(t, k)`.
 //!
 //! Each strategy from the paper's strategy space is a [`prft_core::Behavior`]
-//! implementation:
+//! implementation. A strategy answers one question per decision point:
+//! `on_propose` when it leads a round (honest, equivocate or silent) and
+//! `on_ballot(phase, round, value)` for each vote, commit, reveal and final
+//! ballot it is about to sign (honest, replace, split or silent), plus
+//! whether to expose fraud and whether to join view changes:
 //!
 //! * [`Abstain`] — `π_abs`: send nothing; indistinguishable from a crash
 //!   (the θ=3 liveness attack of Theorem 1);

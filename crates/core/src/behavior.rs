@@ -4,11 +4,13 @@
 //! There is exactly one protocol state machine ([`crate::Replica`]); every
 //! player — honest, byzantine, or rational — runs it. Deviation happens at
 //! well-defined decision points where the replica consults its [`Behavior`]:
-//! what to propose, whether/what to vote, commit, reveal, whether to expose
-//! fraud and whether to join view changes. This mirrors the paper's model:
-//! strategies are per-phase actions (abstain / double-sign / honest), and
-//! the collusion can coordinate them arbitrarily.
+//! what to propose, what to sign at each ballot phase (vote, commit,
+//! reveal, final), whether to expose fraud and whether to join view
+//! changes. This mirrors the paper's model: strategies are per-phase
+//! actions (abstain / double-sign / honest), and the collusion can
+//! coordinate them arbitrarily.
 
+use crate::messages::Phase;
 use prft_types::{Block, Digest, NodeId, Round, TxId};
 use std::any::Any;
 use std::collections::HashSet;
@@ -16,10 +18,9 @@ use std::collections::HashSet;
 /// What a leader does in the Propose phase.
 #[derive(Debug, Clone)]
 pub enum ProposeAction {
-    /// `π_0`: propose the honestly assembled block.
+    /// `π_0`: propose the honestly assembled block (a censoring leader's
+    /// censor set is already applied to it, see [`Behavior::censor_set`]).
     Honest,
-    /// Propose a different block (e.g. with censored transactions removed).
-    Replace(Block),
     /// `π_ds` as leader: send block `a` to everyone except `b_recipients`,
     /// and block `b` to `b_recipients` — the classic equivocation that
     /// seeds a fork.
@@ -35,8 +36,8 @@ pub enum ProposeAction {
     Silent,
 }
 
-/// What a player does at a ballot decision point (vote / commit / reveal /
-/// final).
+/// What a player does at a ballot decision point (a [`Phase::Vote`],
+/// [`Phase::Commit`], [`Phase::Reveal`] or [`Phase::Final`] ballot).
 #[derive(Debug, Clone)]
 pub enum BallotAction {
     /// `π_0`: sign the honest value.
@@ -92,27 +93,14 @@ pub trait Behavior: Send + Sync + BehaviorClone {
         None
     }
 
-    /// Vote decision on a validated proposal with hash `value`.
-    fn on_vote(&mut self, round: Round, value: Digest) -> BallotAction {
-        let _ = (round, value);
-        BallotAction::Honest
-    }
-
-    /// Commit decision once a vote quorum for `value` is assembled.
-    fn on_commit(&mut self, round: Round, value: Digest) -> BallotAction {
-        let _ = (round, value);
-        BallotAction::Honest
-    }
-
-    /// Reveal decision once a commit quorum for `value` is assembled.
-    fn on_reveal(&mut self, round: Round, value: Digest) -> BallotAction {
-        let _ = (round, value);
-        BallotAction::Honest
-    }
-
-    /// Final decision when ready to finalize `value`.
-    fn on_final(&mut self, round: Round, value: Digest) -> BallotAction {
-        let _ = (round, value);
+    /// Ballot decision: what to sign in `phase` of `round`, where `value`
+    /// is what `π_0` would sign. The replica asks once per ballot it is
+    /// about to send: [`Phase::Vote`] on a validated proposal,
+    /// [`Phase::Commit`] once a vote quorum is assembled,
+    /// [`Phase::Reveal`] once a commit quorum is assembled and
+    /// [`Phase::Final`] when ready to finalize.
+    fn on_ballot(&mut self, phase: Phase, round: Round, value: Digest) -> BallotAction {
+        let _ = (phase, round, value);
         BallotAction::Honest
     }
 
@@ -181,22 +169,12 @@ mod tests {
             h.on_propose(Round(1), &Block::genesis()),
             ProposeAction::Honest
         ));
-        assert!(matches!(
-            h.on_vote(Round(1), Digest::ZERO),
-            BallotAction::Honest
-        ));
-        assert!(matches!(
-            h.on_commit(Round(1), Digest::ZERO),
-            BallotAction::Honest
-        ));
-        assert!(matches!(
-            h.on_reveal(Round(1), Digest::ZERO),
-            BallotAction::Honest
-        ));
-        assert!(matches!(
-            h.on_final(Round(1), Digest::ZERO),
-            BallotAction::Honest
-        ));
+        for phase in [Phase::Vote, Phase::Commit, Phase::Reveal, Phase::Final] {
+            assert!(matches!(
+                h.on_ballot(phase, Round(1), Digest::ZERO),
+                BallotAction::Honest
+            ));
+        }
         assert!(h.send_expose());
         assert!(h.join_view_change());
         assert!(h.censor_set().is_none());

@@ -497,7 +497,6 @@ impl Replica {
         let action = self.behavior.on_propose(self.round, &honest);
         match action {
             ProposeAction::Honest => self.broadcast_proposal(ctx, honest, None),
-            ProposeAction::Replace(block) => self.broadcast_proposal(ctx, block, None),
             ProposeAction::Equivocate { a, b, b_recipients } => {
                 self.broadcast_proposal(ctx, a, Some((b, b_recipients)));
             }
@@ -672,7 +671,7 @@ impl Replica {
         if self.phase == Phase::Propose {
             self.enter_phase(ctx, Phase::Vote);
         }
-        let action = self.behavior.on_vote(self.round, value);
+        let action = self.behavior.on_ballot(Phase::Vote, self.round, value);
         let sent = self.emit_ballot(ctx, Phase::Vote, value, action, &|this, b, v| {
             PrftMsg::Vote {
                 ballot: b,
@@ -743,7 +742,7 @@ impl Replica {
         if self.rs.value(&value).map_or(0, |e| e.votes.signers.len()) < quorum {
             return;
         }
-        let action = self.behavior.on_commit(self.round, value);
+        let action = self.behavior.on_ballot(Phase::Commit, self.round, value);
         match action {
             BallotAction::Split { b, b_recipients } => {
                 // Queue both sides; each is emitted as soon as a valid vote
@@ -909,7 +908,7 @@ impl Replica {
         // — and receivers' cert memos hit on the very same allocations. A
         // replaced value reveals the certificates held for it; the honest
         // value's if there are none.
-        let action = self.behavior.on_reveal(self.round, value);
+        let action = self.behavior.on_ballot(Phase::Reveal, self.round, value);
         let sent = self.emit_ballot(ctx, Phase::Reveal, value, action, &|this, b, v| {
             let mut certs = this.rs.commits_for(&v, quorum);
             if certs.is_empty() {
@@ -988,7 +987,7 @@ impl Replica {
     /// this player (paper Section 5.1), whatever its strategy then sends.
     fn finalize_current(&mut self, ctx: &mut Context<PrftMsg>, value: Digest, height: Height) {
         debug_assert_eq!(self.rs.tentative.map(|(v, _)| v), Some(value));
-        let action = self.behavior.on_final(self.round, value);
+        let action = self.behavior.on_ballot(Phase::Final, self.round, value);
         let sent = self.emit_ballot(ctx, Phase::Final, value, action, &|_, b, _| {
             PrftMsg::Final { ballot: b }
         });

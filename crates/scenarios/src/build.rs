@@ -33,8 +33,8 @@ use prft_adversary::{
 };
 use prft_core::analysis::analyze;
 use prft_core::{
-    AsReplica, BallotAction, Behavior, Config, Harness, Honest, NetworkChoice, ProposeAction,
-    Replica,
+    AsReplica, BallotAction, Behavior, Config, Harness, Honest, NetworkChoice, Phase,
+    ProposeAction, Replica,
 };
 use prft_game::{discounted_sum, PayoffTable};
 use prft_metrics::{classify, StateObservation};
@@ -61,8 +61,9 @@ fn replica_mut(sim: &mut Simulation<Actor>, id: NodeId) -> &mut Replica {
         .expect("committee seats 0..n are replicas")
 }
 
-/// The Claim 2 adversary: silent in every protocol phase but participating
-/// in view changes, pressing the committee to abandon rounds.
+/// The Claim 2 adversary: proposes, votes, commits and reveals nothing but
+/// participates in view changes, pressing the committee to abandon rounds.
+/// Its `Final` ballot is the honest one.
 #[derive(Debug, Default, Clone)]
 struct VcSpammer;
 
@@ -73,14 +74,11 @@ impl Behavior for VcSpammer {
     fn on_propose(&mut self, _round: Round, _b: &Block) -> ProposeAction {
         ProposeAction::Silent
     }
-    fn on_vote(&mut self, _r: Round, _v: Digest) -> BallotAction {
-        BallotAction::Silent
-    }
-    fn on_commit(&mut self, _r: Round, _v: Digest) -> BallotAction {
-        BallotAction::Silent
-    }
-    fn on_reveal(&mut self, _r: Round, _v: Digest) -> BallotAction {
-        BallotAction::Silent
+    fn on_ballot(&mut self, phase: Phase, _r: Round, _v: Digest) -> BallotAction {
+        match phase {
+            Phase::Final => BallotAction::Honest,
+            _ => BallotAction::Silent,
+        }
     }
 }
 
@@ -169,7 +167,7 @@ fn network_model(spec: &ScenarioSpec) -> NetworkChoice {
 fn behavior_for(
     spec: &ScenarioSpec,
     role: &Role,
-    board: &Option<Blackboard>,
+    board: &Blackboard,
     collusion: &HashSet<NodeId>,
 ) -> Option<Box<dyn Behavior>> {
     let b_group: HashSet<NodeId> = spec.fork_b_group.iter().map(|&i| NodeId(i)).collect();
@@ -184,17 +182,9 @@ fn behavior_for(
                 censor,
             )))
         }
-        Role::ForkColluder => Some(Box::new(ForkColluder::new(
-            board.clone().expect("fork role requires blackboard"),
-            b_group,
-            spec.n,
-        ))),
+        Role::ForkColluder => Some(Box::new(ForkColluder::new(board.clone(), b_group, spec.n))),
         Role::EquivocatingLeader { only_round } => {
-            let leader = EquivocatingLeader::new(
-                board.clone().expect("fork role requires blackboard"),
-                b_group,
-                spec.n,
-            );
+            let leader = EquivocatingLeader::new(board.clone(), b_group, spec.n);
             Some(Box::new(match only_round {
                 Some(r) => leader.only_rounds([Round(*r)]),
                 None => leader,
@@ -208,21 +198,18 @@ fn behavior_for(
 }
 
 /// A built simulation plus the shared state the timeline executor needs:
-/// the fork blackboard (scheduled colluders must join the *same* board as
-/// the initial ones) and the censor collusion set.
+/// the run's fork blackboard (scheduled colluders must join the *same*
+/// board as the initial ones) and the censor collusion set.
 struct Built {
     sim: Simulation<Actor>,
-    board: Option<Blackboard>,
+    board: Blackboard,
     collusion: HashSet<NodeId>,
 }
 
 /// The configured harness for one cell (behaviors installed, txs
 /// preloaded) plus the adversary state the timeline executor will need,
 /// and the resolved roles for the initial crashes.
-fn prepared(
-    spec: &ScenarioSpec,
-    seed: u64,
-) -> (Harness, Option<Blackboard>, HashSet<NodeId>, Vec<Role>) {
+fn prepared(spec: &ScenarioSpec, seed: u64) -> (Harness, Blackboard, HashSet<NodeId>, Vec<Role>) {
     let mut cfg = Config::for_committee(spec.n).with_max_rounds(spec.max_rounds);
     if let Some(t) = spec.phase_timeout {
         cfg = cfg.with_timeout(SimTime(t));
@@ -233,11 +220,9 @@ fn prepared(
         cfg = cfg.with_max_batch(batch);
     }
 
-    let board = if spec.uses_fork_blackboard() {
-        Some(blackboard())
-    } else {
-        None
-    };
+    // Every run has one coalition board, empty unless an equivocating
+    // leader publishes to it.
+    let board = blackboard();
     // Collusion spans the whole run: players censoring at any scheduled
     // point count as coalition members from the start.
     let collusion: HashSet<NodeId> = spec.censor_collusion().into_iter().map(NodeId).collect();
@@ -404,7 +389,7 @@ fn execute_schedule(
             if !store.contains(fp, seed, tick) {
                 let entry = CheckpointEntry {
                     snapshot: built.sim.snapshot(),
-                    board: built.board.as_ref().map(|b| b.lock().unwrap().clone()),
+                    board: built.board.lock().unwrap().clone(),
                     hooks: prft_sim::obs::hooks::snapshot(),
                     tick,
                 };
@@ -513,24 +498,16 @@ pub fn run_one_with(spec: &ScenarioSpec, seed: u64, store: Option<&CheckpointSto
 /// - the **fork blackboard**, deep-copied into a fresh `Arc` and rebound
 ///   into every committee replica's behavior, so the fork never aliases
 ///   the producer run's live coordination state (and later scheduled
-///   colluders join the fork's own board);
+///   colluders join the fork's own board; uncoordinated behaviors ignore
+///   the rebind);
 /// - the consumer's own queue backend (checkpoints are backend-portable).
 fn fork_from(spec: &ScenarioSpec, entry: &CheckpointEntry) -> Built {
     let network = network_model(spec).into_model();
     let mut sim = Simulation::restore_with_backend(&entry.snapshot, network, spec.queue);
-    let board: Option<Blackboard> = match (&entry.board, spec.uses_fork_blackboard()) {
-        (Some(plan), _) => Some(std::sync::Arc::new(std::sync::Mutex::new(plan.clone()))),
-        // The producer had no board but this spec schedules fork roles in
-        // its suffix: give them a fresh (empty) board, exactly what a
-        // fresh run of this spec would have built at t = 0.
-        (None, true) => Some(blackboard()),
-        (None, false) => None,
-    };
-    if let Some(b) = &board {
-        // Only committee seats (0..n) carry behaviors; clients have none.
-        for i in 0..spec.n {
-            replica_mut(&mut sim, NodeId(i)).rebind_behavior_state(b);
-        }
+    let board: Blackboard = std::sync::Arc::new(std::sync::Mutex::new(entry.board.clone()));
+    // Only committee seats (0..n) carry behaviors; clients have none.
+    for i in 0..spec.n {
+        replica_mut(&mut sim, NodeId(i)).rebind_behavior_state(&board);
     }
     let collusion: HashSet<NodeId> = spec.censor_collusion().into_iter().map(NodeId).collect();
     Built {
@@ -759,6 +736,90 @@ mod tests {
                 })
                 .collect();
             assert_eq!(resolved, expected, "{case}");
+        }
+    }
+
+    /// Every role's ballot answers, pinned: each phase × {the round-0 plan's
+    /// `a`, its `b`, an unrelated `u`} × round 0 (planned; led by P0, the
+    /// censor coalition) and round 1 (no plan; led by honest P1). An answer
+    /// reads `H` honest, `-` silent, `R<v>` sign `v` instead, `S<v><ids>`
+    /// also sign `v` toward seats `ids`; `?` is a value outside `a b u`.
+    /// Phases are separated by `|` in the order Vote, Commit, Reveal, Final.
+    #[test]
+    fn every_role_answers_every_ballot_phase_as_pinned() {
+        let (a, b, u) = (
+            Digest::of_bytes(b"a"),
+            Digest::of_bytes(b"b"),
+            Digest::of_bytes(b"u"),
+        );
+        let name = |v: Digest| {
+            [(a, "a"), (b, "b"), (u, "u")]
+                .iter()
+                .find(|p| p.0 == v)
+                .map_or("?", |p| p.1)
+        };
+        let answer = |action: BallotAction| match action {
+            BallotAction::Honest => "H".to_string(),
+            BallotAction::Silent => "-".to_string(),
+            BallotAction::Replace(v) => format!("R{}", name(v)),
+            BallotAction::Split { b, b_recipients } => {
+                let mut ids: Vec<usize> = b_recipients.iter().map(|id| id.0).collect();
+                ids.sort_unstable();
+                let ids: String = ids.iter().map(usize::to_string).collect();
+                format!("S{}{ids}", name(b))
+            }
+        };
+        let spec = ScenarioSpec::new("ballots", 4, 1).fork_b_group([3]);
+        let board = blackboard();
+        board.lock().unwrap().publish(Round(0), a, b);
+        let collusion: HashSet<NodeId> = [NodeId(0)].into_iter().collect();
+
+        const HONEST: &str = "H,H,H | H,H,H | H,H,H | H,H,H";
+        const SILENT: &str = "-,-,- | -,-,- | -,-,- | -,-,-";
+        const FORK: &str = "Sb3,Sa012,H | Sb3,Sa012,H | Sb3,Sa012,H | Sb3,Sa012,H";
+        let table: Vec<(Role, [&str; 2])> = vec![
+            (Role::Honest, [HONEST; 2]),
+            (Role::Crash, [HONEST; 2]),
+            (Role::Abstain, [SILENT; 2]),
+            (Role::PartialCensor, [HONEST, SILENT]),
+            (Role::ForkColluder, [FORK, HONEST]),
+            (
+                Role::EquivocatingLeader { only_round: None },
+                [FORK, HONEST],
+            ),
+            (
+                Role::EquivocatingLeader {
+                    only_round: Some(1),
+                },
+                [FORK, HONEST],
+            ),
+            (
+                Role::GarbageVoter,
+                ["R?,R?,R? | R?,R?,R? | R?,R?,R? | H,H,H"; 2],
+            ),
+            (
+                Role::DoubleVoter,
+                ["S?23,S?23,S?23 | S?23,S?23,S?23 | H,H,H | H,H,H"; 2],
+            ),
+            (Role::SilentLeader, [HONEST; 2]),
+            (Role::VcSpammer, ["-,-,- | -,-,- | -,-,- | H,H,H"; 2]),
+        ];
+        for (role, expected) in table {
+            let mut behavior =
+                behavior_for(&spec, &role, &board, &collusion).unwrap_or_else(|| Box::new(Honest));
+            for (round, expected) in (0..).map(Round).zip(expected) {
+                let observed: Vec<String> =
+                    [Phase::Vote, Phase::Commit, Phase::Reveal, Phase::Final]
+                        .into_iter()
+                        .map(|phase| {
+                            let answers: Vec<String> = [a, b, u]
+                                .map(|v| answer(behavior.on_ballot(phase, round, v)))
+                                .into();
+                            answers.join(",")
+                        })
+                        .collect();
+                assert_eq!(observed.join(" | "), expected, "{role:?} in {round}");
+            }
         }
     }
 

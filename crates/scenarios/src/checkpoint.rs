@@ -158,9 +158,8 @@ pub(crate) fn boundaries(spec: &ScenarioSpec) -> Vec<u64> {
 pub struct CheckpointEntry {
     /// Engine-level state at the capture point.
     pub(crate) snapshot: SimSnapshot<Actor>,
-    /// Deep copy of the fork blackboard content at the capture point
-    /// (`None` when the producer run had no blackboard).
-    pub(crate) board: Option<ForkPlan>,
+    /// Deep copy of the fork blackboard content at the capture point.
+    pub(crate) board: ForkPlan,
     /// Thread-local observability hook counters at the capture point.
     pub(crate) hooks: HookSnapshot,
     /// The capture boundary: state reflects `run_before(tick)`, before
@@ -543,7 +542,7 @@ mod tests {
         let store = CheckpointStore::new(2);
         let entry = |tick| CheckpointEntry {
             snapshot: fake_snapshot(),
-            board: None,
+            board: ForkPlan::default(),
             hooks: HookSnapshot::default(),
             tick,
         };
@@ -566,7 +565,7 @@ mod tests {
         let store = CheckpointStore::new(2);
         let entry = |tick| CheckpointEntry {
             snapshot: fake_snapshot(),
-            board: None,
+            board: ForkPlan::default(),
             hooks: HookSnapshot::default(),
             tick,
         };
@@ -596,7 +595,7 @@ mod tests {
                 1,
                 CheckpointEntry {
                     snapshot: fake_snapshot(),
-                    board: None,
+                    board: ForkPlan::default(),
                     hooks: HookSnapshot::default(),
                     tick,
                 },

@@ -75,14 +75,15 @@ pub enum Role {
         /// Attack only this round (attack every led round if `None`).
         only_round: Option<u64>,
     },
-    /// Byzantine noise: votes for garbage values.
+    /// Byzantine noise: votes, commits and reveals garbage values.
     GarbageVoter,
     /// Byzantine noise: double-signs unconditionally.
     DoubleVoter,
     /// Byzantine: proposes nothing when leading, otherwise honest.
     SilentLeader,
-    /// Byzantine: silent in every phase but echoes view changes — the
-    /// "T tries to force a view change" adversary of Claim 2.
+    /// Byzantine: proposes, votes, commits and reveals nothing (its Final
+    /// ballot is honest) but echoes view changes — the "T tries to force
+    /// a view change" adversary of Claim 2.
     VcSpammer,
 }
 
@@ -453,25 +454,6 @@ impl ScenarioSpec {
         resolved
     }
 
-    /// Every role a player can hold during the run: t = 0 assignments plus
-    /// scheduled [`TimelineEvent::SetRole`] targets.
-    fn all_roles(&self) -> impl Iterator<Item = &Role> {
-        self.roles
-            .iter()
-            .map(|(_, r)| r)
-            .chain(self.schedule.iter().filter_map(|(_, e)| match e {
-                TimelineEvent::SetRole(_, r) => Some(r),
-                _ => None,
-            }))
-    }
-
-    /// Whether any player's role (initial or scheduled) needs the shared
-    /// fork blackboard.
-    pub fn uses_fork_blackboard(&self) -> bool {
-        self.all_roles()
-            .any(|r| matches!(r, Role::ForkColluder | Role::EquivocatingLeader { .. }))
-    }
-
     /// Whether the schedule adds or removes a delay rule, so the network
     /// needs its `TargetedDelay` wrapper.
     pub(crate) fn uses_targeted_delay(&self) -> bool {
@@ -565,23 +547,6 @@ mod tests {
                 .workload(WorkloadSpec::steady(10, 50).mempool_capacity(8))
                 .fingerprint()
         );
-    }
-
-    #[test]
-    fn blackboard_detection() {
-        assert!(!ScenarioSpec::new("x", 4, 1).uses_fork_blackboard());
-        assert!(ScenarioSpec::new("x", 4, 1)
-            .role(
-                0,
-                Role::EquivocatingLeader {
-                    only_round: Some(0)
-                }
-            )
-            .uses_fork_blackboard());
-        // A scheduled role switch needs the blackboard too.
-        assert!(ScenarioSpec::new("x", 4, 1)
-            .at(100, TimelineEvent::SetRole(1, Role::ForkColluder))
-            .uses_fork_blackboard());
     }
 
     #[test]

@@ -28,8 +28,8 @@
 
 use prft_lab::{
     derive_seed, find, game_registry, registry, report, run_one, run_one_with, BatchReport,
-    BatchRunner, CheckpointStore, Exploration, GameExplorer, QueueBackend, ReuseStats, RunRecord,
-    Scenario, ScenarioSpec, TimelineEvent, WorkloadSpec,
+    BatchRunner, CheckpointStore, Exploration, GameExplorer, QueueBackend, ReuseStats, Role,
+    RunRecord, Scenario, ScenarioSpec, TimelineEvent, WorkloadSpec,
 };
 
 /// Registry scenarios with at least one scheduled event.
@@ -419,5 +419,70 @@ fn at_horizon_event_fork_matches_fresh() {
             forked, reference,
             "fork at boundary {tb} mishandled the at-horizon event"
         );
+    }
+}
+
+/// A grid whose shared prefix has no fork role: the coalition — an
+/// equivocating leader for one later round plus fork colluders P1–P3 —
+/// arrives by `SetRole` in the suffix. Every cell shares the prefix below
+/// tick 40, so a warm cell can resume from a capture taken before any
+/// coalition member existed and its suffix colluders then coordinate on
+/// the board the fork rebound.
+fn suffix_coalition_grid() -> Vec<ScenarioSpec> {
+    let cell = |label: &str| {
+        ScenarioSpec::new(label, 9, 12)
+            .base_seed(0xc0a1)
+            .fork_b_group([7, 8])
+            .horizon(600_000)
+    };
+    let coalition = |label: &str, tick: u64, round: u64| {
+        let leader = TimelineEvent::SetRole(
+            (round % 9) as usize,
+            Role::EquivocatingLeader {
+                only_round: Some(round),
+            },
+        );
+        let mut spec = cell(label).at(tick, leader);
+        for colluder in 1..=3 {
+            spec = spec.at(tick, TimelineEvent::SetRole(colluder, Role::ForkColluder));
+        }
+        spec
+    };
+    vec![
+        cell("honest"),
+        coalition("coalition@40/r4", 40, 4),
+        coalition("coalition@80/r4", 80, 4),
+        coalition("coalition@80/r6", 80, 6),
+    ]
+}
+
+/// Fork ≡ fresh when the coalition arrives in the suffix: warm grid
+/// records equal cold ones at one and eight threads, the serial warm run
+/// really forks, and the suffix coalition really attacks (the cold run
+/// burns deposits), so the comparison covers a live board.
+#[test]
+fn suffix_coalition_warm_grid_matches_cold() {
+    let specs = suffix_coalition_grid();
+    let seeds = 2;
+    let cold = BatchRunner::new(1).run_grid_with(&specs, seeds, None);
+    assert!(
+        cold.iter()
+            .flat_map(|point| &point.records)
+            .any(|run| !run.burned.is_empty()),
+        "the suffix coalition never got caught: the grid exercises no board"
+    );
+    let cold_json = report::scenario_json("suffix-coalition", seeds, &cold, true);
+    for threads in [1, 8] {
+        let store = CheckpointStore::default();
+        let warm = BatchRunner::new(threads).run_grid_with(&specs, seeds, Some(&store));
+        let warm_json = report::scenario_json("suffix-coalition", seeds, &warm, true);
+        assert_eq!(
+            warm_json, cold_json,
+            "suffix-coalition grid diverged warm vs cold (threads={threads})"
+        );
+        if threads == 1 {
+            let stats = store.stats();
+            assert!(stats.forked > 0, "the serial grid must fork: {stats:?}");
+        }
     }
 }

@@ -115,7 +115,9 @@ impl Digest {
             *lane ^= b as u64;
             *lane = lane.wrapping_mul(0x1000_0000_01b3);
         }
-        // Length + cross-lane avalanche so prefixes don't collide.
+        // Length + avalanche so prefixes don't collide: output word `i`
+        // mixes the two adjacent lanes `i` and `i + 1 (mod 4)`, so no one
+        // word sees every input byte.
         let len = data.len() as u64;
         let mut out = [0u8; 32];
         for i in 0..4 {
@@ -130,9 +132,16 @@ impl Digest {
         Digest(out)
     }
 
-    /// Short hex prefix for human-readable logs.
+    /// Short hex tag for human-readable logs: the four 64-bit words
+    /// XOR-folded to 32 bits, so it depends on every input byte (a single
+    /// word of [`Digest::of_bytes`] sees only half the lanes).
     pub fn short(&self) -> String {
-        self.0[..4].iter().map(|b| format!("{b:02x}")).collect()
+        let x = self
+            .0
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
+            .fold(0, |acc, w| acc ^ w);
+        format!("{:08x}", (x ^ (x >> 32)) as u32)
     }
 }
 
@@ -195,6 +204,17 @@ mod tests {
         assert_ne!(Digest::of_bytes(b"a"), Digest::of_bytes(b"b"));
         assert_ne!(Digest::of_bytes(b""), Digest::of_bytes(b"\0"));
         assert_ne!(Digest::of_bytes(b"ab"), Digest::of_bytes(b"ba"));
+    }
+
+    /// "block A" and "block B" differ only at byte 6, which lane 2 hashes:
+    /// word 0 of the digest cannot see it, the printed tag must.
+    #[test]
+    fn short_tags_differ_for_a_difference_word_zero_cannot_see() {
+        let (a, b) = (Digest::of_bytes(b"block A"), Digest::of_bytes(b"block B"));
+        assert_eq!(a.0[..8], b.0[..8], "word 0 mixes lanes 0 and 1 only");
+        assert_ne!(a.short(), b.short());
+        assert_ne!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!(format!("{a}").len(), 9, "# plus eight hex digits");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! A rational θ=1 collusion tries the fork attack against pRFT — and pays
-//! for it: the Reveal phase exposes the double signatures, everyone burns
-//! their deposits, and no fork materializes. The attackers' utility is
-//! strictly negative; Lemma 4 in action.
+//! for it: the Reveal phase exposes the double signatures, more than t0 of
+//! the colluders burn their deposits, and no fork materializes (Lemma 4).
+//! The chain does not grow either: the colluders never join a view change,
+//! and k + t = 4 of n = 9 is inside Theorem 1's no-liveness regime.
 //!
 //! ```sh
 //! cargo run --example rational_attack
@@ -46,8 +47,8 @@ fn main() {
     println!("exposes applied by honest players: {}", report.exposes);
     println!("burned deposits: {:?}", report.burned);
     println!(
-        "blocks still finalized (liveness intact): {}",
-        report.min_final_height
+        "blocks finalized by every honest player: {} (rounds entered: {})",
+        report.min_final_height, report.rounds_entered
     );
 
     // The deviators' ledger view from an honest replica.
@@ -77,7 +78,16 @@ fn main() {
             "no honest player is ever framed"
         );
     }
-    println!("\nDeviation was dominated: the attack produced no fork, cost the");
-    println!("collusion its deposits, and the chain kept growing — exactly the");
-    println!("DSIC incentive structure of Lemma 4.");
+    assert_eq!(
+        report.min_final_height, 0,
+        "the colluders' view-change refusal stalls the chain"
+    );
+    println!("\nThe fork was dominated: the attack produced no fork and cost the");
+    println!("collusion its deposits — the DSIC incentive structure of Lemma 4.");
+    println!("Liveness is lost all the same. Round 1's leader P1 proposes on top");
+    println!("of its own tentative round-0 block, which P4–P8 never received, so");
+    println!("the honest seats try to abandon the round; P0–P3 never join a view");
+    println!("change, and 5 honest seats cannot reach the quorum of 7. k + t = 4");
+    println!("of n = 9 lies in Theorem 1's regime ⌈n/3⌉ ≤ k + t ≤ ⌈n/2⌉ − 1, where");
+    println!("a coalition that withholds its messages can stall any protocol.");
 }
