@@ -1229,7 +1229,8 @@ struct Opts {
 }
 
 /// Parses `args` for a subcommand that accepts the `allowed` flags and
-/// exactly `files` positional arguments; `None` is a usage error.
+/// exactly `files` positional arguments; `None` is a usage error. A valued
+/// flag must be followed by a word that is not itself a flag.
 fn parse_opts(args: &[String], allowed: &[&str], files: usize) -> Option<Opts> {
     let mut opts = Opts {
         quick: false,
@@ -1239,11 +1240,12 @@ fn parse_opts(args: &[String], allowed: &[&str], files: usize) -> Option<Opts> {
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        let mut value = || it.next().filter(|v| !v.starts_with("--"));
         match arg.as_str() {
             flag if flag.starts_with("--") && !allowed.contains(&flag) => return None,
             "--quick" => opts.quick = true,
-            "--out" => opts.out = Some(it.next()?.clone()),
-            "--repeats" => opts.repeats = it.next()?.parse().ok().filter(|r| *r > 0)?,
+            "--out" => opts.out = Some(value()?.clone()),
+            "--repeats" => opts.repeats = value()?.parse().ok().filter(|r| *r > 0)?,
             file => opts.files.push(file.to_string()),
         }
     }
@@ -1339,6 +1341,21 @@ mod tests {
         let baseline = Json::parse(text).expect("test document parses");
         let tally = walk_document(current, Some(&baseline)).expect("one known kind");
         tally.failed
+    }
+
+    #[test]
+    fn a_valued_flag_followed_by_a_flag_is_a_usage_error() {
+        let parse = |line: &str| {
+            let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+            parse_opts(&args, &["--quick", "--out", "--repeats"], 0)
+        };
+        let malformed = "--out --quick|--repeats --quick|--quick --out|--repeats 0|--repeats x";
+        for line in malformed.split('|').chain(["--bogus", "stray"]) {
+            assert!(parse(line).is_none(), "{line}");
+        }
+        let opts = parse("--out f.json --quick --repeats 5").expect("well-formed");
+        assert_eq!(opts.out.as_deref(), Some("f.json"));
+        assert_eq!((opts.quick, opts.repeats), (true, 5));
     }
 
     #[test]

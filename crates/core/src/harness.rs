@@ -130,18 +130,6 @@ impl Harness {
         self
     }
 
-    /// Assigns strategies in bulk (the scenario-spec path in `prft-lab`).
-    #[must_use]
-    pub fn with_behaviors(
-        mut self,
-        behaviors: impl IntoIterator<Item = (NodeId, Box<dyn Behavior>)>,
-    ) -> Self {
-        for (node, behavior) in behaviors {
-            self.behaviors.insert(node, behavior);
-        }
-        self
-    }
-
     /// Overrides the agreement threshold τ (Claim 1 experiments only).
     #[must_use]
     pub fn tau(mut self, tau: usize) -> Self {

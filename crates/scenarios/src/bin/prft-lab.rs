@@ -49,13 +49,13 @@ const COMMANDS: &[Command] = &[
     Command { name: "explore list", operands: Some(0), flags: &[], run: list_games },
     Command {
         name: "explore run", operands: Some(1),
-        flags: &["--seeds", "--threads", "--format", "--out", "--cache", "--full", "--eps",
+        flags: &["--seeds", "--threads", "--format", "--out", "--cache", "--eps",
                  "--mixed", "--dynamics", "--explain-reuse"],
         run: |opts| explore_games(&[game(&opts.operands[0])?], opts, false),
     },
     Command {
         name: "explore run-all", operands: Some(0),
-        flags: &["--seeds", "--threads", "--format", "--out", "--cache", "--full", "--eps",
+        flags: &["--seeds", "--threads", "--format", "--out", "--cache", "--eps",
                  "--mixed", "--dynamics", "--explain-reuse"],
         run: |opts| explore_games(&prft_lab::game_registry(), opts, true),
     },
@@ -79,7 +79,6 @@ struct Options {
     runs: bool,
     trace_out: Option<String>,
     cache: Option<String>,
-    full: bool,
     eps: Option<f64>,
     mixed: bool,
     dynamics: bool,
@@ -129,7 +128,6 @@ fn usage() -> ExitCode {
          \n\
          explore flags: --seeds N (default 8 per profile), --threads, --format, --out,\n\
          \x20 --cache DIR    reuse finished profile cells from DIR and persist new ones\n\
-         \x20 --full         evaluate every profile even when the game declares a symmetry\n\
          \x20 --eps E        equilibrium tolerance, finite and >= 0 (default 1e-9)\n\
          \x20 --mixed        append the mixed-strategy equilibrium analysis\n\
          \x20 --dynamics     append the best-reply dynamics analysis\n\
@@ -195,7 +193,6 @@ fn fill(command: &Command, args: &[String]) -> Result<Options, String> {
                 opts.eps = Some(eps.abs());
             }
             "--runs" => opts.runs = true,
-            "--full" => opts.full = true,
             "--mixed" => opts.mixed = true,
             "--dynamics" => opts.dynamics = true,
             "--explain-reuse" => opts.explain_reuse = true,
@@ -362,7 +359,7 @@ fn explore_games(games: &[GameDef], opts: &Options, all: bool) -> Result<(), Str
             (GameEval::Analytic(_), Some(_)) => "exact evaluation, --seeds ignored".to_string(),
             _ => format!("{seeds} seeds"),
         };
-        let space = game.space(!opts.full);
+        let space = game.space(true);
         eprintln!(
             "exploring {} ({} profiles, {} to evaluate, {per_profile} per profile, {} threads)",
             game.name,
@@ -374,9 +371,6 @@ fn explore_games(games: &[GameDef], opts: &Options, all: bool) -> Result<(), Str
     let mut explorer = GameExplorer::new(runner);
     if let Some(dir) = &opts.cache {
         explorer = explorer.with_cache(UtilityCache::new(dir));
-    }
-    if opts.full {
-        explorer = explorer.without_symmetry();
     }
     let (explorations, reuse) = explorer.explore_all_with_stats(games, seeds);
     let analyses = report::ExploreOpts {
@@ -604,7 +598,7 @@ mod tests {
     #[test]
     fn each_command_accepts_exactly_the_flags_its_row_lists() {
         let flags = every_flag();
-        assert_eq!(flags.len(), 12, "{flags:?}");
+        assert_eq!(flags.len(), 11, "{flags:?}");
         for command in COMMANDS {
             let operands = " x".repeat(command.operands.unwrap_or(0));
             for flag in &flags {

@@ -206,10 +206,9 @@ struct Built {
     collusion: HashSet<NodeId>,
 }
 
-/// The configured harness for one cell (behaviors installed, txs
-/// preloaded) plus the adversary state the timeline executor will need,
-/// and the resolved roles for the initial crashes.
-fn prepared(spec: &ScenarioSpec, seed: u64) -> (Harness, Blackboard, HashSet<NodeId>, Vec<Role>) {
+/// The configured all-honest harness for one cell (txs preloaded) plus the
+/// adversary state every strategy of the run shares.
+fn prepared(spec: &ScenarioSpec, seed: u64) -> (Harness, Blackboard, HashSet<NodeId>) {
     let mut cfg = Config::for_committee(spec.n).with_max_rounds(spec.max_rounds);
     if let Some(t) = spec.phase_timeout {
         cfg = cfg.with_timeout(SimTime(t));
@@ -243,27 +242,19 @@ fn prepared(spec: &ScenarioSpec, seed: u64) -> (Harness, Blackboard, HashSet<Nod
             Transaction::new(tx.id, NodeId(tx.to.unwrap_or(0)), tx.payload.clone()),
         );
     }
-    // Roles resolved once into a dense vector — no per-seat reverse scans.
-    let roles = spec.resolved_roles();
-    let behaviors: Vec<(NodeId, Box<dyn Behavior>)> = roles
-        .iter()
-        .enumerate()
-        .filter_map(|(i, role)| {
-            behavior_for(spec, role, &board, &collusion).map(|b| (NodeId(i), b))
-        })
-        .collect();
-    (h.with_behaviors(behaviors), board, collusion, roles)
+    (h, board, collusion)
 }
 
 /// Assembles the one node population every scenario runs as: the
 /// committee boxed as [`Actor::Replica`] on seats `0..n`, followed by the
 /// workload's clients when the spec has a workload section (a plain
-/// committee is a workload with zero clients). Crash roles are applied
-/// before returning.
+/// committee is a workload with zero clients). The committee is built
+/// all-honest; each seat's static role is then installed exactly as a
+/// scheduled `SetRole` at tick 0 would be, so a `Crash` role crashes it.
 fn build(spec: &ScenarioSpec, seed: u64) -> Built {
-    let (h, board, collusion, roles) = prepared(spec, seed);
+    let (h, board, collusion) = prepared(spec, seed);
     let (replicas, network, seed, queue) = h.build_parts();
-    let mut sim = match &spec.workload {
+    let sim = match &spec.workload {
         Some(w) => prft_workload::assemble(replicas, w, network, seed, queue),
         None => {
             let committee = replicas
@@ -273,22 +264,24 @@ fn build(spec: &ScenarioSpec, seed: u64) -> Built {
             Simulation::with_backend(committee, network, seed, queue)
         }
     };
-    for (i, role) in roles.iter().enumerate() {
-        if matches!(role, Role::Crash) {
-            sim.crash(NodeId(i));
-        }
-    }
-    Built {
+    let mut built = Built {
         sim,
         board,
         collusion,
+    };
+    for (i, role) in spec.resolved_roles().into_iter().enumerate() {
+        if role != Role::Honest {
+            apply_event(spec, &mut built, &TimelineEvent::SetRole(i, role));
+        }
     }
+    built
 }
 
-/// Builds the simulation for `spec` under one derived `seed`. Crash roles
-/// are applied before returning. The spec's timeline schedule is **not**
-/// executed — callers driving the simulation by hand get the t = 0 state;
-/// use [`run_sim`] (or [`run_one`]) to run a spec schedule and all.
+/// Builds the simulation for `spec` under one derived `seed`. Static
+/// roles, crashes included, are installed before returning. The spec's
+/// timeline schedule is **not** executed — callers driving the simulation
+/// by hand get the t = 0 state; use [`run_sim`] (or [`run_one`]) to run a
+/// spec schedule and all.
 pub fn build_sim(spec: &ScenarioSpec, seed: u64) -> Simulation<Actor> {
     build(spec, seed).sim
 }
@@ -622,11 +615,18 @@ mod tests {
     }
 
     /// The reference path: a bare `Simulation<Replica>` straight from the
-    /// prepared harness, driven by a minimal schedule loop of its own
-    /// (crash/recover is all the scenarios below schedule).
+    /// prepared harness, its roles installed through the harness and its
+    /// crashes applied by hand, driven by a minimal schedule loop of its
+    /// own (crash/recover is all the scenarios below schedule).
     fn reference_run(spec: &ScenarioSpec, seed: u64) -> (String, Vec<Delivery>) {
         prft_sim::obs::hooks::reset();
-        let (h, _board, _collusion, roles) = prepared(spec, seed);
+        let (mut h, board, collusion) = prepared(spec, seed);
+        let roles = spec.resolved_roles();
+        for (i, role) in roles.iter().enumerate() {
+            if let Some(behavior) = behavior_for(spec, role, &board, &collusion) {
+                h = h.with_behavior(NodeId(i), behavior);
+            }
+        }
         let mut sim = h.build();
         sim.set_tracing(true);
         for (i, role) in roles.iter().enumerate() {

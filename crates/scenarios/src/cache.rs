@@ -21,8 +21,10 @@
 //! Floats are written with Rust's shortest-roundtrip formatting, so a
 //! cache hit reproduces the computed cell *bit-exactly* and cached and
 //! uncached sweeps emit byte-identical reports. Unreadable lines are
-//! treated as misses (the cell is simply recomputed and re-appended); the
-//! last line for a key wins.
+//! treated as misses (the cell is simply recomputed and re-appended): a
+//! line is a hit only if it is exactly what [`UtilityCache::append`] would
+//! write for finite utilities and finite, non-negative CIs. The last line
+//! for a key wins.
 
 use prft_game::{Profile, ProfileStats, SystemState};
 use std::collections::BTreeMap;
@@ -158,20 +160,27 @@ fn parse_line(line: &str) -> Option<(CacheKey, ProfileStats)> {
     if utilities.len() != ci95.len() || utilities.is_empty() {
         return None;
     }
-    Some((
-        CacheKey {
-            fingerprint,
-            seeds,
-            profile,
-            seats,
-        },
-        ProfileStats {
-            utilities,
-            ci95,
-            seeds,
-            sigma,
-        },
-    ))
+    // `f64` parses `NaN` and `inf`, but no sweep measures them, and every
+    // deviation comparison against a NaN cell would read as "no gain".
+    let finite = utilities.iter().chain(&ci95).all(|v| v.is_finite());
+    if !finite || ci95.iter().any(|&c| c < 0.0) {
+        return None;
+    }
+    let key = CacheKey {
+        fingerprint,
+        seeds,
+        profile,
+        seats,
+    };
+    let stats = ProfileStats {
+        utilities,
+        ci95,
+        seeds,
+        sigma,
+    };
+    // Only the exact bytes `render_line` writes are a hit: a line that
+    // parses but is spelled otherwise (`+4`, `1.0`, short hex) was edited.
+    (render_line(&key, &stats) == line).then_some((key, stats))
 }
 
 #[cfg(test)]
@@ -206,14 +215,26 @@ mod tests {
 
     #[test]
     fn malformed_lines_are_misses() {
+        // Each line differs from this hit in the one field it names.
+        let line = |version, fp, sigma, utilities, ci95| {
+            format!("{version}\t{fp}\t1\t0\t0\t{sigma}\t{utilities}\t{ci95}")
+        };
+        let fp = "000000000000ffff";
+        assert!(parse_line(&line("v1", fp, "σ_0", "1", "0")).is_some());
         assert!(parse_line("").is_none());
-        assert!(parse_line("v0\tffff\t1\t0\t0\tσ_0\t1\t0").is_none());
-        assert!(parse_line("v1\tnot-hex\t1\t0\t0\tσ_0\t1\t0").is_none());
-        assert!(parse_line("v1\tffff\t1\t0\t0\tσ_??\t1\t0").is_none());
+        assert!(parse_line(&line("v0", fp, "σ_0", "1", "0")).is_none());
+        assert!(parse_line(&line("v1", "not-hex", "σ_0", "1", "0")).is_none());
+        assert!(parse_line(&line("v1", fp, "σ_??", "1", "0")).is_none());
         // Arity mismatch between utilities and CIs.
-        assert!(parse_line("v1\tffff\t1\t0\t0\tσ_0\t1,2\t0").is_none());
+        assert!(parse_line(&line("v1", fp, "σ_0", "1,2", "0")).is_none());
         // A pre-seats line (the old 7-field shape) is a miss, not a panic.
-        assert!(parse_line("v1\tffff\t1\t0\tσ_0\t1\t0").is_none());
+        assert!(parse_line(&format!("v1\t{fp}\t1\t0\tσ_0\t1\t0")).is_none());
+        // `f64` parses these, but a cell is finite and its CIs are >= 0.
+        let cells = ["NaN 0", "inf 0", "-inf 0", "1 NaN", "1 inf", "1 -0.5"];
+        for (utilities, ci95) in cells.map(|c| c.split_once(' ').unwrap()) {
+            let tampered = line("v1", fp, "σ_0", utilities, ci95);
+            assert!(parse_line(&tampered).is_none(), "{tampered}");
+        }
     }
 
     #[test]

@@ -229,17 +229,14 @@ impl GameExplorer {
 
         /// Where one target cell's stats come from.
         enum Source {
+            /// Evaluated in closed form (an analytic game).
+            Exact(ProfileStats),
             /// Served from the on-disk cache.
             Cached(ProfileStats),
             /// Simulated by this batch (index into the work list).
             Fresh(usize),
             /// Same work another game in this batch already claimed.
             Shared(usize),
-        }
-        struct Plan {
-            space: ProfileSpace,
-            expanded: usize,
-            sources: Vec<(Profile, Source)>,
         }
         struct WorkCell {
             key: CacheKey,
@@ -250,44 +247,26 @@ impl GameExplorer {
         let mut work: Vec<WorkCell> = Vec::new();
         let mut specs: Vec<ScenarioSpec> = Vec::new();
         let mut index_of: BTreeMap<(&str, CacheKey), usize> = BTreeMap::new();
-        let mut results: Vec<Option<Exploration>> = Vec::with_capacity(games.len());
-        let mut plans: Vec<Option<Plan>> = Vec::with_capacity(games.len());
+        let mut plans: Vec<(ProfileSpace, Vec<(Profile, Source)>)> =
+            Vec::with_capacity(games.len());
 
         for game in games {
             let space = game.space(self.use_symmetry);
-            let targets = space.canonical_profiles();
-            let expanded = space.len() - targets.len();
-            match &game.eval {
-                GameEval::Analytic(eval) => {
-                    let mut cells = BTreeMap::new();
-                    for profile in &targets {
-                        let (utilities, sigma) = eval(profile);
+            let mut sources = Vec::new();
+            for profile in space.canonical_profiles() {
+                let source = match &game.eval {
+                    GameEval::Analytic(eval) => {
+                        let (utilities, sigma) = eval(&profile);
                         assert_eq!(utilities.len(), game.players(), "one utility per player");
-                        cells.insert(
-                            profile.clone(),
-                            ProfileStats {
-                                ci95: vec![0.0; game.players()],
-                                seeds: 1,
-                                utilities,
-                                sigma,
-                            },
-                        );
+                        Source::Exact(ProfileStats {
+                            ci95: vec![0.0; game.players()],
+                            seeds: 1,
+                            utilities,
+                            sigma,
+                        })
                     }
-                    results.push(Some(Exploration {
-                        table: UtilityTable::from_canonical(space, &cells),
-                        seeds: 1,
-                        evaluated: targets.len(),
-                        cached: 0,
-                        shared: 0,
-                        expanded,
-                    }));
-                    plans.push(None);
-                }
-                GameEval::Simulated { players, spec_of } => {
-                    let cached_cells = known.get(game.cache_scope);
-                    let mut sources = Vec::with_capacity(targets.len());
-                    for profile in &targets {
-                        let spec = spec_of(profile);
+                    GameEval::Simulated { players, spec_of } => {
+                        let spec = spec_of(&profile);
                         assert!(
                             spec.utility.is_some(),
                             "game '{}' spec for {profile:?} must measure utilities",
@@ -299,7 +278,8 @@ impl GameExplorer {
                             profile: profile.clone(),
                             seats: players.to_vec(),
                         };
-                        let source = match cached_cells.and_then(|c| c.get(&key)) {
+                        let cached = known.get(game.cache_scope).and_then(|c| c.get(&key));
+                        match cached {
                             Some(stats) if stats.utilities.len() == game.players() => {
                                 Source::Cached(stats.clone())
                             }
@@ -317,17 +297,12 @@ impl GameExplorer {
                                     Source::Fresh(cell)
                                 }
                             },
-                        };
-                        sources.push((profile.clone(), source));
+                        }
                     }
-                    results.push(None);
-                    plans.push(Some(Plan {
-                        space,
-                        expanded,
-                        sources,
-                    }));
-                }
+                };
+                sources.push((profile, source));
             }
+            plans.push((space, sources));
         }
 
         // Every missing cell of every game is one grid point of a single
@@ -367,44 +342,46 @@ impl GameExplorer {
             }
         }
 
-        for (slot, plan) in results.iter_mut().zip(plans) {
-            let Some(plan) = plan else { continue };
-            let mut cells = BTreeMap::new();
-            let (mut evaluated, mut cached, mut shared) = (0, 0, 0);
-            for (profile, source) in plan.sources {
-                let stats = match source {
-                    Source::Cached(stats) => {
-                        cached += 1;
-                        stats
-                    }
-                    Source::Fresh(cell) => {
-                        evaluated += 1;
-                        computed[cell].clone()
-                    }
-                    Source::Shared(cell) => {
-                        shared += 1;
-                        computed[cell].clone()
-                    }
-                };
-                cells.insert(profile, stats);
-            }
-            *slot = Some(Exploration {
-                table: UtilityTable::from_canonical(plan.space, &cells),
-                seeds: sim_seeds,
-                evaluated,
-                cached,
-                shared,
-                expanded: plan.expanded,
-            });
-        }
-        let stats = store.map(|s| s.stats()).unwrap_or_default();
-        (
-            results
-                .into_iter()
-                .map(|r| r.expect("every game explored"))
-                .collect(),
-            stats,
-        )
+        let explorations = games
+            .iter()
+            .zip(plans)
+            .map(|(game, (space, sources))| {
+                let expanded = space.len() - sources.len();
+                let mut cells = BTreeMap::new();
+                let (mut evaluated, mut cached, mut shared) = (0, 0, 0);
+                for (profile, source) in sources {
+                    let stats = match source {
+                        Source::Exact(stats) => {
+                            evaluated += 1;
+                            stats
+                        }
+                        Source::Cached(stats) => {
+                            cached += 1;
+                            stats
+                        }
+                        Source::Fresh(cell) => {
+                            evaluated += 1;
+                            computed[cell].clone()
+                        }
+                        Source::Shared(cell) => {
+                            shared += 1;
+                            computed[cell].clone()
+                        }
+                    };
+                    cells.insert(profile, stats);
+                }
+                let analytic = matches!(game.eval, GameEval::Analytic(_));
+                Exploration {
+                    table: UtilityTable::from_canonical(space, &cells),
+                    seeds: if analytic { 1 } else { sim_seeds },
+                    evaluated,
+                    cached,
+                    shared,
+                    expanded,
+                }
+            })
+            .collect();
+        (explorations, store.map(|s| s.stats()).unwrap_or_default())
     }
 }
 

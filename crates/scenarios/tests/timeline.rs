@@ -233,3 +233,37 @@ fn registry_timeline_scenarios_hold_their_headlines() {
         "the lifted rule must change message flow"
     );
 }
+
+/// A role held from t = 0 is a deviation at step 0: for every grid point
+/// of the registry scenarios with static roles, moving `spec.roles` into
+/// tick-0 `SetRole` events (in order, ahead of any scheduled event) runs
+/// the same record.
+#[test]
+fn static_roles_equal_set_role_events_at_tick_zero() {
+    let names = [
+        "fork-attack",
+        "crash-cft",
+        "censorship-attack",
+        "liveness-attack",
+        "byzantine-noise",
+    ];
+    for name in names {
+        let scenario = prft_lab::find(name).expect("registered");
+        assert!(scenario.specs.iter().any(|s| !s.roles.is_empty()), "{name}");
+        for spec in &scenario.specs {
+            let mut scheduled = spec.clone();
+            let roles = std::mem::take(&mut scheduled.roles);
+            let events = roles
+                .into_iter()
+                .map(|(i, role)| (0, TimelineEvent::SetRole(i, role)));
+            scheduled.schedule = events.chain(spec.schedule.iter().cloned()).collect();
+            let seed = prft_lab::derive_seed(spec.base_seed, 0);
+            assert_eq!(
+                prft_lab::run_one(spec, seed).to_json().render(),
+                prft_lab::run_one(&scheduled, seed).to_json().render(),
+                "{name}/{}",
+                spec.label
+            );
+        }
+    }
+}
