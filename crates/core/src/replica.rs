@@ -266,8 +266,8 @@ pub struct Replica {
     /// already-final tx (exactly-once inclusion under client retry).
     finalized_client_txs: HashSet<TxId>,
     /// Chain height up to which finalized blocks have been scanned for
-    /// client-tx acknowledgements (the scan is monotone: finalized
-    /// prefixes never roll back).
+    /// client-tx acknowledgements and mempool removal (the scan is
+    /// monotone: finalized prefixes never roll back).
     acked_upto: u64,
 
     round: Round,
@@ -481,14 +481,20 @@ impl Replica {
         self.arm_timer(ctx);
     }
 
+    /// The leader's block: a batch read from the mempool, passing over
+    /// the txs already carried by our own not-yet-final chain suffix.
     fn honest_block(&mut self) -> Block {
-        let txs = match self.behavior.censor_set() {
-            Some(censor) => {
-                let censor = censor.clone();
-                self.mempool.take_censoring(self.cfg.max_batch, &censor)
-            }
-            None => self.mempool.take(self.cfg.max_batch),
-        };
+        let in_suffix: HashSet<TxId> = self
+            .chain
+            .iter()
+            .skip(self.chain.final_height() as usize + 1)
+            .flat_map(|e| e.block.txs.iter().map(|tx| tx.id))
+            .collect();
+        let txs = self
+            .mempool
+            .batch(self.cfg.max_batch, self.behavior.censor_set(), |id| {
+                in_suffix.contains(&id)
+            });
         Block::new(self.round, self.chain.tip(), self.id(), txs)
     }
 
@@ -891,8 +897,6 @@ impl Replica {
             Err(_) => return,
         };
         self.rs.tentative = Some((value, height));
-        self.mempool
-            .remove_included(block.txs.iter().map(|t| &t.id));
 
         // Ablation: without the Reveal phase the commit quorum is final —
         // cheaper by a factor of n in bits, but double-signers go uncaught.
@@ -994,10 +998,9 @@ impl Replica {
         if sent {
             self.rs.final_sent = true;
         }
-        if self.chain.finalize_upto(height).is_err() {
+        if self.finalize_to(ctx, height).is_err() {
             return;
         }
-        self.ack_finalized(ctx);
         self.stats.finalized_own += 1;
         self.exit_round(ctx, RoundExit::Finalized(self.round));
     }
@@ -1083,6 +1086,7 @@ impl Replica {
                 let Some(block) = self.block_store.get(&value) else {
                     continue;
                 };
+                let round = block.round;
                 // Already in chain? Finalize it (and ancestors).
                 if let Some(h) = self.chain.height_of(&value) {
                     if self
@@ -1091,11 +1095,9 @@ impl Replica {
                         .map(|e| e.status == prft_types::BlockStatus::Tentative)
                         .unwrap_or(false)
                     {
-                        let _ = self.chain.finalize_upto(h);
+                        let _ = self.finalize_to(ctx, h);
                         progressed = true;
-                        if self.rs.tentative.map(|(v, _)| v) == Some(value)
-                            && self.round == block.round
-                        {
+                        if self.rs.tentative.map(|(v, _)| v) == Some(value) && self.round == round {
                             // Our own round resolved externally.
                             self.stats.finalized_catchup += 1;
                             self.exit_round(ctx, RoundExit::Finalized(self.round));
@@ -1106,13 +1108,11 @@ impl Replica {
                 // Connects to tip?
                 if block.parent == self.chain.tip() {
                     if let Ok(h) = self.chain.append_tentative_hashed(block.clone(), value) {
-                        let _ = self.chain.finalize_upto(h);
-                        self.mempool
-                            .remove_included(block.txs.iter().map(|t| &t.id));
+                        let _ = self.finalize_to(ctx, h);
                         self.stats.finalized_catchup += 1;
                         progressed = true;
-                        if self.round <= block.round {
-                            self.exit_round(ctx, RoundExit::Finalized(block.round));
+                        if self.round <= round {
+                            self.exit_round(ctx, RoundExit::Finalized(round));
                         }
                     }
                     continue;
@@ -1138,7 +1138,6 @@ impl Replica {
                 break;
             }
         }
-        self.ack_finalized(ctx);
     }
 
     // ------------------------------------------------------- view change
@@ -1292,43 +1291,37 @@ impl Replica {
         }
     }
 
-    /// Scans newly finalized blocks for client-submitted transactions
-    /// (`tx.sender` ≥ `n` names a client actor) and acknowledges the ones
-    /// this replica was a submission target for. The `ever_saw` gate keeps
-    /// the ack fan-in at the client's retry spread instead of `n` replies
-    /// per tx; the finalized-id set answers late retries in
+    /// Finalizes our chain up to `height`, then walks the newly finalized
+    /// blocks: acknowledges the client-submitted transactions (`tx.sender`
+    /// ≥ `n` names a client actor) this replica was a submission target
+    /// for, and removes each block's txs from the mempool — the pool's only
+    /// exit, taken before any later proposal. The `ever_saw` gate keeps the
+    /// ack fan-in at the client's retry spread instead of `n` replies per
+    /// tx; the finalized-id set answers late retries in
     /// [`Replica::handle_submit`]. Monotone in height — finalized prefixes
-    /// never roll back — so each tx is acked at most once per replica.
-    fn ack_finalized(&mut self, ctx: &mut Context<PrftMsg>) {
-        let height = self.chain.height();
-        while self.acked_upto < height {
-            let next = self.acked_upto + 1;
-            let finalized = self
-                .chain
-                .at(Height(next))
-                .map(|e| e.status == prft_types::BlockStatus::Final)
-                .unwrap_or(false);
-            if !finalized {
+    /// never roll back, and a batch passes over the txs of the suffix it
+    /// extends — so each tx is acked at most once per replica.
+    fn finalize_to(
+        &mut self,
+        ctx: &mut Context<PrftMsg>,
+        height: Height,
+    ) -> Result<(), prft_types::ChainError> {
+        self.chain.finalize_upto(height)?;
+        while let Some(entry) = self.chain.at(Height(self.acked_upto + 1)) {
+            if entry.status != prft_types::BlockStatus::Final {
                 break;
             }
-            let acks: Vec<(NodeId, TxId)> = self
-                .chain
-                .at(Height(next))
-                .expect("probed above")
-                .block
-                .txs
-                .iter()
-                .filter(|tx| tx.sender.0 >= self.cfg.n)
-                .map(|tx| (tx.sender, tx.id))
-                .collect();
-            self.acked_upto = next;
-            for (sender, id) in acks {
-                self.finalized_client_txs.insert(id);
-                if self.mempool.ever_saw(id) {
-                    ctx.send(sender, PrftMsg::TxCommitted { id });
+            let txs = &entry.block.txs;
+            for tx in txs.iter().filter(|tx| tx.sender.0 >= self.cfg.n) {
+                self.finalized_client_txs.insert(tx.id);
+                if self.mempool.ever_saw(tx.id) {
+                    ctx.send(tx.sender, PrftMsg::TxCommitted { id: tx.id });
                 }
             }
+            self.mempool.remove_included(txs.iter().map(|tx| &tx.id));
+            self.acked_upto += 1;
         }
+        Ok(())
     }
 
     // ------------------------------------------------------- round sync

@@ -1,0 +1,114 @@
+//! A transaction leaves a seat's mempool only when a block carrying it is
+//! finalized there: nothing an honest seat admitted is lost to a proposal
+//! that never finalizes, and nothing is finalized twice.
+
+use prft_lab::{
+    derive_seed, par_map, registry, replica, Role, ScenarioSpec, Synchrony, TimelineEvent, TxSpec,
+};
+use prft_types::{BlockStatus, NodeId, TxId};
+use std::collections::HashSet;
+
+/// Guards the drain at proposal: a leader that removed its batch from the
+/// pool when proposing lost the tx for good once that proposal failed to
+/// finalize. Here seat 0 holds the only copy of tx 7, and seats 2 and 3
+/// crash for ten ticks right after it arrives, so seat 0's proposal of it
+/// does not finalize; the tx must still reach every chain.
+#[test]
+fn a_tx_whose_proposal_fails_to_finalize_is_proposed_again() {
+    const TX: u64 = 7;
+    let spec = ScenarioSpec::new("crash-during-proposal", 4, 40)
+        .synchrony(Synchrony::PartiallySynchronous { gst: 0, delta: 10 })
+        .at(
+            250,
+            TimelineEvent::InjectTx(TxSpec {
+                id: TX,
+                to: Some(0),
+                payload: b"tx".to_vec(),
+            }),
+        )
+        .at(252, TimelineEvent::Crash(2))
+        .at(252, TimelineEvent::Crash(3))
+        .at(262, TimelineEvent::Recover(2))
+        .at(262, TimelineEvent::Recover(3));
+    let (sim, _) = prft_lab::run_sim(&spec, derive_seed(0x05ee_d1ab, 0), |_| {});
+    for seat in 0..spec.n {
+        let chain = replica(&sim, NodeId(seat)).chain();
+        assert!(chain.final_height() >= 39, "seat {seat} stays live");
+        let final_txs = chain
+            .iter()
+            .filter(|e| e.status == BlockStatus::Final)
+            .flat_map(|e| e.block.txs.iter());
+        assert_eq!(
+            final_txs.filter(|tx| tx.id == TxId(TX)).count(),
+            1,
+            "seat {seat} finalizes the tx exactly once"
+        );
+    }
+}
+
+/// The seats whose strategy is honest for the whole run.
+fn honest_seats(spec: &ScenarioSpec) -> Vec<usize> {
+    let switched: HashSet<usize> = spec
+        .schedule
+        .iter()
+        .filter_map(|(_, e)| match e {
+            TimelineEvent::SetRole(seat, _) => Some(*seat),
+            _ => None,
+        })
+        .collect();
+    let roles = spec.resolved_roles();
+    (0..spec.n)
+        .filter(|i| roles[*i] == Role::Honest && !switched.contains(i))
+        .collect()
+}
+
+/// The pool census and exactly-once inclusion over every registry cell at
+/// two seeds: at every honest seat each admitted id is pending there or
+/// final in its chain, and no id is final twice in its chain.
+#[test]
+fn every_admitted_tx_is_pending_or_final_once_at_every_honest_seat() {
+    let cells: Vec<(String, ScenarioSpec, u64)> = registry()
+        .into_iter()
+        .flat_map(|scenario| {
+            let name = scenario.name;
+            scenario.specs.into_iter().flat_map(move |spec| {
+                (0..2).map(move |i| {
+                    let seed = derive_seed(spec.base_seed, i);
+                    (
+                        format!("{name} {} seed {i}", spec.label),
+                        spec.clone(),
+                        seed,
+                    )
+                })
+            })
+        })
+        .collect();
+    let failures: Vec<String> = par_map(2, &cells, |_, (cell, spec, seed)| {
+        let (sim, _) = prft_lab::run_sim(spec, *seed, |_| {});
+        let mut failures = Vec::new();
+        for seat in honest_seats(spec) {
+            let r = replica(&sim, NodeId(seat));
+            let mut finalized = HashSet::new();
+            let final_txs = r
+                .chain()
+                .iter()
+                .filter(|e| e.status == BlockStatus::Final)
+                .flat_map(|e| e.block.txs.iter());
+            for tx in final_txs {
+                if !finalized.insert(tx.id) {
+                    failures.push(format!("{cell}: seat {seat} finalized {:?} twice", tx.id));
+                }
+            }
+            for id in r.mempool().admitted() {
+                if !r.mempool().contains(id) && !finalized.contains(&id) {
+                    failures.push(format!("{cell}: seat {seat} lost {id:?}"));
+                }
+            }
+        }
+        failures
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}

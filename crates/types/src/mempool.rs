@@ -7,7 +7,7 @@ use std::collections::HashSet;
 /// Why a [`Mempool::push`] did not admit a transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MempoolError {
-    /// The id was already seen (pending now or included earlier).
+    /// The id was already admitted (pending now or finalized earlier).
     Duplicate,
     /// The pool is at capacity: the submitter must back off and retry.
     Full,
@@ -15,20 +15,24 @@ pub enum MempoolError {
 
 /// Pending transactions a player would include when leading.
 ///
-/// Order of insertion is preserved (FIFO batching). The mempool also
-/// remembers everything it has *ever* seen so the state classifier can ask
-/// "was `tx` input to this player but never included?" — the censorship
-/// predicate of Definition 2.
+/// Order of insertion is preserved (FIFO batching). A proposal only reads
+/// its batch; a tx leaves when a block carrying it is finalized. The
+/// mempool also remembers everything it has *ever* seen so the state
+/// classifier can ask "was `tx` input to this player but never included?"
+/// — the censorship predicate of Definition 2.
 ///
-/// The pool is optionally **bounded**: [`Mempool::bounded`] caps the
-/// pending queue, [`Mempool::push`] reports `Full` instead of growing past
-/// it, and the pool keeps backpressure accounting (occupancy high-water
-/// mark, rejected-at-capacity count) for the workload-layer gauges.
+/// The pool is optionally **bounded**: [`Mempool::bounded`] caps the txs
+/// *waiting* (pending outside the latest batch), [`Mempool::push`] reports
+/// `Full` instead of growing past it, and the pool keeps backpressure
+/// accounting (waiting high-water mark, rejected-at-capacity count) for
+/// the workload-layer gauges.
 #[derive(Debug, Clone, Default)]
 pub struct Mempool {
     pending: Vec<Transaction>,
     seen: HashSet<TxId>,
     ever_seen: HashSet<TxId>,
+    /// The latest batch's ids still pending: in flight, not waiting.
+    reserved: HashSet<TxId>,
     capacity: Option<usize>,
     peak_len: usize,
     rejected_full: u64,
@@ -40,7 +44,7 @@ impl Mempool {
         Mempool::default()
     }
 
-    /// Creates an empty mempool holding at most `capacity` pending txs.
+    /// Creates an empty mempool holding at most `capacity` waiting txs.
     pub fn bounded(capacity: usize) -> Self {
         Mempool {
             capacity: Some(capacity),
@@ -48,7 +52,7 @@ impl Mempool {
         }
     }
 
-    /// Caps (or uncaps, with `None`) the pending queue. Existing pending
+    /// Caps (or uncaps, with `None`) the waiting txs. Existing pending
     /// txs are never evicted; only future pushes see the new bound.
     pub fn set_capacity(&mut self, capacity: Option<usize>) {
         self.capacity = capacity;
@@ -78,7 +82,7 @@ impl Mempool {
             return Err(MempoolError::Duplicate);
         }
         if let Some(cap) = self.capacity {
-            if self.pending.len() >= cap {
+            if self.pending.len() - self.reserved.len() >= cap {
                 self.rejected_full += 1;
                 return Err(MempoolError::Full);
             }
@@ -86,11 +90,11 @@ impl Mempool {
         self.seen.insert(tx.id);
         self.ever_seen.insert(tx.id);
         self.pending.push(tx);
-        self.peak_len = self.peak_len.max(self.pending.len());
+        self.peak_len = self.peak_len.max(self.pending.len() - self.reserved.len());
         Ok(())
     }
 
-    /// The most txs ever simultaneously pending (occupancy high-water).
+    /// The most txs ever simultaneously waiting (occupancy high-water).
     pub fn peak_len(&self) -> usize {
         self.peak_len
     }
@@ -100,36 +104,41 @@ impl Mempool {
         self.rejected_full
     }
 
-    /// Takes up to `max` transactions in FIFO order (removing them).
+    /// Takes up to `max` transactions in FIFO order (removing them). No
+    /// replica drains its pool: this stays for `benchmark/`'s mempool probe.
     pub fn take(&mut self, max: usize) -> Vec<Transaction> {
         let n = max.min(self.pending.len());
         let batch: Vec<Transaction> = self.pending.drain(..n).collect();
         for tx in &batch {
             self.seen.remove(&tx.id);
         }
+        self.reserved.retain(|id| self.seen.contains(id));
         batch
     }
 
-    /// Takes up to `max` transactions, skipping any whose id is in `censor`.
-    ///
-    /// This is the leader-side primitive of the partial-censorship strategy
-    /// `π_pc` (Theorem 2): censored transactions stay in the pool.
-    pub fn take_censoring(&mut self, max: usize, censor: &HashSet<TxId>) -> Vec<Transaction> {
-        let mut batch = Vec::new();
-        let mut rest = Vec::new();
-        for tx in self.pending.drain(..) {
-            if batch.len() < max && !censor.contains(&tx.id) {
-                self.seen.remove(&tx.id);
-                batch.push(tx);
-            } else {
-                rest.push(tx);
-            }
-        }
-        self.pending = rest;
+    /// Up to `max` pending txs in FIFO order, passing over ids in `censor`
+    /// (the leader-side primitive of `π_pc`, Theorem 2) and ids where `skip`
+    /// holds. Removes nothing: the batch is reserved until the next call and
+    /// leaves the pool only when finalized ([`Mempool::remove_included`]).
+    pub fn batch(
+        &mut self,
+        max: usize,
+        censor: Option<&HashSet<TxId>>,
+        skip: impl Fn(TxId) -> bool,
+    ) -> Vec<Transaction> {
+        let batch: Vec<Transaction> = self
+            .pending
+            .iter()
+            .filter(|tx| !censor.is_some_and(|c| c.contains(&tx.id)) && !skip(tx.id))
+            .take(max)
+            .cloned()
+            .collect();
+        self.reserved = batch.iter().map(|tx| tx.id).collect();
         batch
     }
 
-    /// Removes transactions that appear in a decided block.
+    /// Removes a finalized block's txs: a replica's only exit from its
+    /// pool. Their ids stay admitted, so pushing one again is a `Duplicate`.
     ///
     /// `seen` holds exactly the pending ids, so the pass over the pool is
     /// needed only when one of `ids` was pending here — rarely, since a
@@ -138,7 +147,10 @@ impl Mempool {
     pub fn remove_included<'a>(&mut self, ids: impl IntoIterator<Item = &'a TxId>) {
         let mut was_pending = false;
         for id in ids {
-            was_pending |= self.seen.remove(id);
+            if self.seen.remove(id) {
+                self.reserved.remove(id);
+                was_pending = true;
+            }
         }
         if was_pending {
             self.pending.retain(|tx| self.seen.contains(&tx.id));
@@ -153,6 +165,11 @@ impl Mempool {
     /// Whether `id` was ever submitted to this player.
     pub fn ever_saw(&self, id: TxId) -> bool {
         self.ever_seen.contains(&id)
+    }
+
+    /// Every id this pool ever admitted, in no particular order.
+    pub fn admitted(&self) -> impl Iterator<Item = TxId> + '_ {
+        self.ever_seen.iter().copied()
     }
 
     /// Number of pending transactions.
@@ -212,17 +229,18 @@ mod tests {
     }
 
     #[test]
-    fn censoring_take_skips_censored() {
+    fn censoring_batch_skips_censored() {
         let mut mp = Mempool::new();
-        for i in 0..4 {
+        for i in 0..5 {
             mp.submit(tx(i));
         }
         let censor: HashSet<TxId> = [TxId(1), TxId(2)].into_iter().collect();
-        let batch = mp.take_censoring(10, &censor);
+        let batch = mp.batch(10, Some(&censor), |id| id == TxId(4));
         assert_eq!(batch.iter().map(|t| t.id.0).collect::<Vec<_>>(), vec![0, 3]);
-        // Censored txs remain pending — they are withheld, not dropped.
-        assert!(mp.contains(TxId(1)));
-        assert!(mp.contains(TxId(2)));
+        // Censored txs remain pending — they are withheld, not dropped —
+        // and so does the batch itself.
+        assert_eq!(mp.len(), 5);
+        assert!((0..5).all(|i| mp.contains(TxId(i))));
     }
 
     #[test]
@@ -281,13 +299,34 @@ mod tests {
     }
 
     #[test]
-    fn take_censoring_respects_max() {
+    fn batch_respects_max_and_removes_nothing() {
         let mut mp = Mempool::new();
         for i in 0..10 {
             mp.submit(tx(i));
         }
-        let batch = mp.take_censoring(4, &HashSet::new());
+        let batch = mp.batch(4, None, |_| false);
         assert_eq!(batch.len(), 4);
-        assert_eq!(mp.len(), 6);
+        assert_eq!(mp.len(), 10);
+        // Unfinalized, the same txs come back in the next batch.
+        assert_eq!(mp.batch(4, None, |_| false), batch);
+    }
+
+    #[test]
+    fn a_batched_then_finalized_tx_leaves_and_frees_capacity_once() {
+        let mut mp = Mempool::bounded(2);
+        mp.submit(tx(0));
+        mp.submit(tx(1));
+        assert_eq!(mp.push(tx(2)), Err(MempoolError::Full));
+        // The batch is in flight, no longer waiting: its slot is free.
+        assert_eq!(mp.batch(1, None, |_| false).len(), 1);
+        assert_eq!(mp.push(tx(2)), Ok(()));
+        assert_eq!(mp.push(tx(3)), Err(MempoolError::Full));
+        // Finalizing the reserved tx removes it but frees nothing more.
+        mp.remove_included(&[TxId(0)]);
+        assert!(!mp.contains(TxId(0)));
+        assert_eq!(mp.len(), 2);
+        assert_eq!(mp.push(tx(3)), Err(MempoolError::Full));
+        assert_eq!(mp.push(tx(0)), Err(MempoolError::Duplicate));
+        assert_eq!(mp.peak_len(), 2);
     }
 }

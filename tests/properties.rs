@@ -243,6 +243,8 @@ proptest! {
 #[derive(Default)]
 struct PoolModel {
     pending: Vec<u64>,
+    /// The latest batch's ids that are still pending.
+    reserved: Vec<u64>,
     ever: Vec<u64>,
     capacity: Option<usize>,
     peak: usize,
@@ -254,34 +256,50 @@ impl PoolModel {
         if self.ever.contains(&id) {
             return Err(MempoolError::Duplicate);
         }
-        if self.capacity.is_some_and(|cap| self.pending.len() >= cap) {
+        if self.capacity.is_some_and(|cap| self.waiting() >= cap) {
             self.rejected_full += 1;
             return Err(MempoolError::Full);
         }
         self.pending.push(id);
         self.ever.push(id);
-        self.peak = self.peak.max(self.pending.len());
+        self.peak = self.peak.max(self.waiting());
         Ok(())
     }
 
-    fn take_censoring(&mut self, max: usize, censor: &[u64]) -> Vec<u64> {
-        let mut batch = Vec::new();
-        self.pending.retain(|id| {
-            let taken = batch.len() < max && !censor.contains(id);
-            if taken {
-                batch.push(*id);
-            }
-            !taken
-        });
+    fn waiting(&self) -> usize {
+        self.pending.len() - self.reserved.len()
+    }
+
+    fn take(&mut self, max: usize) -> Vec<u64> {
+        let batch: Vec<u64> = self.pending.drain(..max.min(self.pending.len())).collect();
+        self.reserved.retain(|id| !batch.contains(id));
         batch
+    }
+
+    fn batch(&mut self, max: usize, skipped: impl Fn(u64) -> bool) -> Vec<u64> {
+        let batch: Vec<u64> = self
+            .pending
+            .iter()
+            .copied()
+            .filter(|&id| !skipped(id))
+            .take(max)
+            .collect();
+        self.reserved = batch.clone();
+        batch
+    }
+
+    fn remove_included(&mut self, block: &[TxId]) {
+        self.pending.retain(|id| !block.contains(&TxId(*id)));
+        self.reserved.retain(|id| !block.contains(&TxId(*id)));
     }
 }
 
 proptest! {
-    /// Model-based: random `push` / `take` / `take_censoring` /
-    /// `remove_included` (pending, already-taken and never-seen ids mixed)
-    /// leave the pool indistinguishable from the naive model — same batches
-    /// in the same FIFO order, same bookkeeping, `Duplicate` before `Full`.
+    /// Model-based: random `push` / `take` / `batch` / `remove_included`
+    /// (pending, already-taken and never-seen ids mixed) leave the pool
+    /// indistinguishable from the naive model — same batches in the same
+    /// FIFO order, same bookkeeping, `Duplicate` before `Full`, and
+    /// capacity and peak over the txs outside the latest batch.
     #[test]
     fn mempool_invariants(
         capacity in 0usize..12,
@@ -298,20 +316,23 @@ proptest! {
                     let pushed = mp.push(Transaction::new(id, NodeId(0), vec![]));
                     prop_assert_eq!(pushed, model.push(id));
                 }
-                4 => prop_assert_eq!(ids(&mp.take(k)), model.take_censoring(k, &[])),
+                4 => prop_assert_eq!(ids(&mp.take(k)), model.take(k)),
                 5 => {
-                    let censor = [id, id + 1, id + 2];
-                    let censor_set: HashSet<TxId> = censor.iter().map(|&i| TxId(i)).collect();
+                    // Censor three ids (none for an even `id`) and skip
+                    // every id in the residue class of `k` mod 5.
+                    let censor_set: HashSet<TxId> = (id..id + 3).map(TxId).collect();
+                    let censor = (id % 2 == 1).then_some(&censor_set);
+                    let skip = |tx: TxId| tx.0 % 5 == k as u64;
                     prop_assert_eq!(
-                        ids(&mp.take_censoring(k, &censor_set)),
-                        model.take_censoring(k, &censor)
+                        ids(&mp.batch(k, censor, skip)),
+                        model.batch(k, |i| censor.is_some_and(|c| c.contains(&TxId(i))) || skip(TxId(i)))
                     );
                 }
                 _ => {
                     // Ids from 40 up are never pushed.
                     let block: Vec<TxId> = (0..=k as u64).map(|i| TxId(id + 9 * i)).collect();
                     mp.remove_included(&block);
-                    model.pending.retain(|id| !block.contains(&TxId(*id)));
+                    model.remove_included(&block);
                 }
             }
             prop_assert_eq!(mp.iter().map(|tx| tx.id.0).collect::<Vec<_>>(), model.pending.clone());
