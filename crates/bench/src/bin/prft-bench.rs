@@ -236,6 +236,8 @@ struct ProfilePoint {
     /// counters are deliberately *not* in the scenario-facing registry
     /// (reports stay mode-identical), so the bench carries them here.
     hooks: prft_sim::obs::hooks::HookSnapshot,
+    /// The run's `memo_identity` invariant row.
+    memo_identity: bool,
     predicted_verifies: u64,
     predicted_memo_misses: u64,
 }
@@ -320,12 +322,14 @@ fn run_profile_point(n: usize, accountable: bool, rounds: u64) -> ProfilePoint {
     )
     .accountable(accountable);
     prft_sim::obs::hooks::reset();
+    let seed = prft_lab::derive_seed(spec.base_seed, 0);
     let t0 = Instant::now();
-    let (sim, _outcome) =
-        prft_lab::run_sim(&spec, prft_lab::derive_seed(spec.base_seed, 0), |_| {});
+    let (sim, outcome) = prft_lab::run_sim(&spec, seed, |_| {});
     let wall_secs = t0.elapsed().as_secs_f64();
     let hooks = prft_sim::obs::hooks::snapshot();
-    let obs = prft_core::obs::collect(&sim, &hooks);
+    let record = prft_lab::summarize(&spec, &sim, seed, outcome);
+    let memo_identity = record.kept("memo_identity");
+    let obs = record.obs;
     // Rounds actually executed (crash-free honest runs complete exactly
     // `max_rounds`, but read it back rather than assume).
     let rounds_done = obs.counter("replica.rounds_entered") / n as u64;
@@ -336,6 +340,7 @@ fn run_profile_point(n: usize, accountable: bool, rounds: u64) -> ProfilePoint {
         wall_secs,
         obs,
         hooks,
+        memo_identity,
         predicted_verifies: predicted_verifies(n, rounds_done, accountable),
         predicted_memo_misses: predicted_memo_misses(n, rounds_done, accountable),
     }
@@ -417,11 +422,10 @@ fn profile_bench(quick: bool, ns: &[usize]) -> (Json, Checks) {
         0.001,
     );
     // Check 3: conservation — every logical verify is either a memo hit
-    // or a real hash, at every point, exactly. (Honest runs have no
-    // view-change traffic, the one path that verifies outside the cache.)
-    let identity_pass = points
-        .iter()
-        .all(|p| p.hooks.memo_hits + p.hooks.memo_misses == p.hooks.sig_verifies);
+    // or a real hash, at every point, exactly: the `memo_identity`
+    // invariant, exact here because honest runs send no view-change or
+    // Expose traffic (the paths that verify outside the memo).
+    let identity_pass = points.iter().all(|p| p.memo_identity);
     let mut checks = vec![
         (
             pass,
@@ -473,6 +477,8 @@ struct WorkloadPoint {
     events: u64,
     wall_secs: f64,
     stats: prft_lab::WorkloadRunStats,
+    /// The run's `workload_conserved` invariant row.
+    conserved: bool,
 }
 
 impl WorkloadPoint {
@@ -504,22 +510,26 @@ fn run_workload_point(clients: usize) -> WorkloadPoint {
     // Best of three: the small populations run for tens of milliseconds,
     // and the ratio between points is gated. Everything but the wall is a
     // pure function of the spec, so any of the runs supplies it.
+    let seed = prft_lab::derive_seed(spec.base_seed, 0);
     let timed_run = || {
         let t0 = Instant::now();
-        let (sim, _outcome) =
-            prft_lab::run_sim(&spec, prft_lab::derive_seed(spec.base_seed, 0), |_| {});
-        (t0.elapsed().as_secs_f64(), sim)
+        let (sim, outcome) = prft_lab::run_sim(&spec, seed, |_| {});
+        (t0.elapsed().as_secs_f64(), sim, outcome)
     };
-    let (mut wall_secs, sim) = timed_run();
+    let (mut wall_secs, sim, outcome) = timed_run();
     for _ in 1..3 {
         wall_secs = wall_secs.min(timed_run().0);
     }
+    let record = prft_lab::record_run(&spec, &sim, seed, outcome);
     WorkloadPoint {
         clients,
         rounds,
         events: sim.events_dispatched(),
         wall_secs,
-        stats: prft_lab::WorkloadRunStats::collect(&sim),
+        conserved: record.kept("workload_conserved"),
+        stats: record
+            .workload
+            .expect("a workload spec's record carries its stats"),
     }
 }
 
@@ -549,10 +559,9 @@ fn workload_bench(quick: bool, ns: &[usize]) -> (Json, Checks) {
         point_rows.push(progress(Json::obj(row)));
         points.push(p);
     }
-    // Check 1 (CI greps this line): conservation at every point.
-    let conserve_pass = points
-        .iter()
-        .all(|p| p.stats.submitted == p.stats.committed + p.stats.dropped + p.stats.pending);
+    // Check 1 (CI greps this line): conservation at every point, the
+    // `workload_conserved` invariant.
+    let conserve_pass = points.iter().all(|p| p.conserved);
     // Check 2: the largest population commits its whole offered load —
     // the round budget is sized for it, so leftovers mean a regression in
     // batching, retries, or the client path.

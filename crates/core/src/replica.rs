@@ -261,10 +261,14 @@ pub struct Replica {
     propose_store: HashMap<Digest, SignedBallot>,
     /// By peer: the highest round at which we already helped it (rate limit).
     helped_at: Vec<Option<Round>>,
-    /// Client-submitted tx ids seen in finalized blocks: answers retried
-    /// `Submit`s with an immediate ack instead of re-pooling an
-    /// already-final tx (exactly-once inclusion under client retry).
-    finalized_client_txs: HashSet<TxId>,
+    /// Tx ids seen in finalized blocks: answers retried client `Submit`s
+    /// with an immediate ack instead of re-pooling an already-final tx
+    /// (exactly-once inclusion under client retry).
+    finalized_txs: HashSet<TxId>,
+    /// Tx occurrences finalized while their id was already final here.
+    finalized_twice: u64,
+    /// Pending txs the finalization walk removed from the pool.
+    finalized_exits: usize,
     /// Chain height up to which finalized blocks have been scanned for
     /// client-tx acknowledgements and mempool removal (the scan is
     /// monotone: finalized prefixes never roll back).
@@ -316,7 +320,9 @@ impl Replica {
             final_pending: BTreeSet::new(),
             propose_store: HashMap::new(),
             helped_at: vec![None; n],
-            finalized_client_txs: HashSet::new(),
+            finalized_txs: HashSet::new(),
+            finalized_twice: 0,
+            finalized_exits: 0,
             acked_upto: 0,
             round: Round(0),
             phase: Phase::Propose,
@@ -351,6 +357,16 @@ impl Replica {
     /// The mempool.
     pub fn mempool(&self) -> &Mempool {
         &self.mempool
+    }
+
+    /// The pool census: every id this seat's pool ever admitted is still
+    /// pending here or final in its chain, and no id was finalized twice.
+    /// A pending tx leaves the pool only in the finalization walk, which
+    /// counts the txs it removes, so the census is a sum — admitted =
+    /// pending + removed at finalization — with no set rebuilt.
+    pub fn census_holds(&self) -> bool {
+        let placed = self.mempool.len() + self.finalized_exits;
+        self.finalized_twice == 0 && self.mempool.admitted_len() == placed
     }
 
     /// This replica's view of deposits and burns.
@@ -1281,7 +1297,7 @@ impl Replica {
     fn handle_submit(&mut self, ctx: &mut Context<PrftMsg>, tx: Transaction) {
         let id = tx.id;
         let sender = tx.sender;
-        if self.finalized_client_txs.contains(&id) {
+        if self.finalized_txs.contains(&id) {
             ctx.send(sender, PrftMsg::TxCommitted { id });
             return;
         }
@@ -1312,13 +1328,17 @@ impl Replica {
                 break;
             }
             let txs = &entry.block.txs;
-            for tx in txs.iter().filter(|tx| tx.sender.0 >= self.cfg.n) {
-                self.finalized_client_txs.insert(tx.id);
-                if self.mempool.ever_saw(tx.id) {
+            for tx in txs.iter() {
+                if !self.finalized_txs.insert(tx.id) {
+                    self.finalized_twice += 1;
+                }
+                if tx.sender.0 >= self.cfg.n && self.mempool.ever_saw(tx.id) {
                     ctx.send(tx.sender, PrftMsg::TxCommitted { id: tx.id });
                 }
             }
+            let pending = self.mempool.len();
             self.mempool.remove_included(txs.iter().map(|tx| &tx.id));
+            self.finalized_exits += pending - self.mempool.len();
             self.acked_upto += 1;
         }
         Ok(())

@@ -44,8 +44,13 @@
 //! [`VerifyMode`]s): `crypto.sig_verifies` counts *logical* verifications
 //! — a memo hit adds the same count the reference path would have paid,
 //! via one batched add. The `memo_hits`/`memo_misses` hook counters split
-//! that logical total into answered from this seat's tables vs not, so
-//! `memo_hits + memo_misses == sig_verifies` on the fast path. A miss is
+//! the memoized share of that total into answered from this seat's tables
+//! vs not. `ViewChange`, `CommitView` and `Expose` signatures are verified
+//! outside the memo, so on the fast path `memo_hits + memo_misses ≤
+//! sig_verifies`, with equality exactly when none of those kinds was sent
+//! (the `memo_identity` row of `prft-lab`'s invariants; an unconditional
+//! equality failed on 51 of 204 registry runs, every one of them with
+//! view-change or Expose traffic). A miss is
 //! hashed unless another seat proved its certificate, so the counters are
 //! the same whichever seat walks first, on whatever thread, and a fork
 //! charges what a fresh run does. The memo counters surface only in

@@ -62,7 +62,8 @@ fn memoized_run_matches_both_verify_models() {
     let snap = run_accountable(N, VerifyMode::Fast);
 
     // Conservation, exact: no verification escapes the hit/miss split
-    // (honest runs have no view-change traffic, the one uncached path).
+    // (honest runs send no view-change or Expose traffic, whose signatures
+    // are verified outside the memo).
     assert_eq!(
         snap.memo_hits + snap.memo_misses,
         snap.sig_verifies,

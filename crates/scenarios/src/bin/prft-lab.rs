@@ -14,8 +14,8 @@
 //! file.
 
 use prft_lab::{
-    claims, registry, report, BatchRunner, Exploration, GameDef, GameEval, GameExplorer, Scenario,
-    ScenarioSpec, UtilityCache,
+    claims, registry, report, BatchReport, BatchRunner, Exploration, GameDef, GameEval,
+    GameExplorer, Scenario, ScenarioSpec, UtilityCache,
 };
 use std::io::Write;
 use std::process::ExitCode;
@@ -328,8 +328,11 @@ fn run_scenarios(scenarios: &[Scenario], opts: &Options, all: bool) -> Result<()
         std::fs::write(path, trace.render()).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote trace {path} ({} events)", trace.len());
     }
+    let mut breaches = Vec::new();
     let rendered = scenarios.iter().map(|scenario| {
         let reports: Vec<_> = reports.by_ref().take(scenario.specs.len()).collect();
+        let broken = reports.iter().flat_map(BatchReport::breaches);
+        breaches.extend(broken.map(|b| format!("{}: {b}", scenario.name)));
         let content = match opts.format {
             Format::Table => report::scenario_table(scenario.name, seeds, &reports),
             Format::Json => report::scenario_json(scenario.name, seeds, &reports, opts.runs),
@@ -340,7 +343,22 @@ fn run_scenarios(scenarios: &[Scenario], opts: &Options, all: bool) -> Result<()
     // The run-all manifest is a machine-readable index of what was just
     // produced, so downstream tooling never has to re-derive the
     // per-scenario file-naming scheme (schema: docs/REPORT_SCHEMA.md).
-    emit_reports(rendered, opts, seeds, all.then_some("run-all"))
+    emit_reports(rendered, opts, seeds, all.then_some("run-all"))?;
+    invariants_verdict(&breaches)
+}
+
+/// The exit path of every command that simulates runs, once its reports
+/// are written: a run that broke an invariant row is a failure, named by
+/// row, scenario (or game), grid-point label and seed.
+fn invariants_verdict(breaches: &[String]) -> Result<(), String> {
+    match breaches {
+        [] => Ok(()),
+        _ => Err(format!(
+            "{} invariant breach(es):\n  {}",
+            breaches.len(),
+            breaches.join("\n  ")
+        )),
+    }
 }
 
 /// `explore run` and `explore run-all`: `games` swept as one flattened
@@ -402,7 +420,14 @@ fn explore_games(games: &[GameDef], opts: &Options, all: bool) -> Result<(), Str
             .collect();
         eprint!("{}", report::explain_reuse_table(&rows, reuse));
     }
-    Ok(())
+    let breaches = games
+        .iter()
+        .zip(&explorations)
+        .flat_map(|(game, exploration)| {
+            let broken = exploration.breaches.iter();
+            broken.map(move |b| format!("{}: {b}", game.name))
+        });
+    invariants_verdict(&breaches.collect::<Vec<_>>())
 }
 
 fn list_games(_: &Options) -> Result<(), String> {
@@ -534,11 +559,18 @@ fn claims_command(opts: &Options) -> Result<(), String> {
     claims_verdict(&results)
 }
 
-/// The exit path of `claims`: any disagreeing check is a failure.
+/// The exit path of `claims`: any disagreeing check is a failure, named
+/// with its evidence (where a broken invariant names its run).
 fn claims_verdict(results: &[(&claims::Claim, Vec<claims::Check>)]) -> Result<(), String> {
-    match claims::mismatches(results) {
+    let disagreeing: Vec<String> = claims::mismatches(results)
+        .map(|(claim, c)| format!("{}: {} ({})", claim.id, c.name, c.evidence_text()))
+        .collect();
+    match disagreeing.len() {
         0 => Ok(()),
-        n => Err(format!("{n} check(s) disagree with their expected verdict")),
+        n => Err(format!(
+            "{n} check(s) disagree with their expected verdict:\n  {}",
+            disagreeing.join("\n  ")
+        )),
     }
 }
 
@@ -576,8 +608,8 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::{
-        claims_verdict, command_for, manifest_doc, manifest_path_for, out_path_for, parse,
-        timeline_cell, Options, COMMANDS,
+        claims_verdict, command_for, invariants_verdict, manifest_doc, manifest_path_for,
+        out_path_for, parse, timeline_cell, Options, COMMANDS,
     };
     use proptest::prelude::*;
 
@@ -687,6 +719,40 @@ mod tests {
         injected.push(check(Expect::Breaks, true));
         let err = claims_verdict(&[(&CLAIMS[0], injected)]).unwrap_err();
         assert!(err.starts_with("1 check(s) disagree"), "{err}");
+    }
+
+    /// A pool that loses an admitted, unfinalized tx after the run breaks
+    /// `tx_census`: the record, the batch count and the exit path name it.
+    #[test]
+    fn a_lost_transaction_breaks_the_census_and_fails_the_run() {
+        use prft_lab::{derive_seed, summarize, BatchReport, ScenarioSpec, TimelineEvent, TxSpec};
+        use prft_types::{NodeId, TxId};
+        // Tx 7 reaches seat 0 after the last round: it stays pending there.
+        let tx = TxSpec {
+            id: 7,
+            to: Some(0),
+            payload: b"tx".to_vec(),
+        };
+        let spec = ScenarioSpec::new("census", 4, 2).at(100_000, TimelineEvent::InjectTx(tx));
+        let seed = derive_seed(spec.base_seed, 0);
+        let (mut sim, outcome) = prft_lab::run_sim(&spec, seed, |_| {});
+        let kept = summarize(&spec, &sim, seed, outcome);
+        assert!(kept.invariants().all(|(_, kept)| kept));
+        let seat = sim.node_mut(NodeId(0)).as_replica_mut().expect("a replica");
+        assert!(seat.mempool().contains(TxId(7)) && !seat.chain().contains_tx(TxId(7)));
+        seat.mempool_mut().remove_included([&TxId(7)]);
+        let lost = summarize(&spec, &sim, seed, outcome);
+        let broken: Vec<&str> = lost.invariants().filter(|r| !r.1).map(|r| r.0).collect();
+        assert_eq!(broken, ["tx_census"]);
+        let batch = BatchReport::from_records(spec.label.clone(), spec.n, vec![kept, lost]);
+        assert_eq!(batch.broken("tx_census"), 1);
+        let breaches: Vec<String> = batch.breaches().map(|b| format!("s: {b}")).collect();
+        let err = invariants_verdict(&breaches).unwrap_err();
+        assert!(
+            err.ends_with(&format!("s: tx_census broken: census seed {seed}")),
+            "{err}"
+        );
+        assert!(invariants_verdict(&[]).is_ok());
     }
 
     #[test]

@@ -25,7 +25,7 @@
 use crate::checkpoint::{
     boundaries, ordered_events, prefix_fingerprint, CheckpointEntry, CheckpointStore,
 };
-use crate::record::RunRecord;
+use crate::record::{Finished, RunRecord};
 use crate::spec::{Role, ScenarioSpec, Synchrony, TimelineEvent};
 use prft_adversary::{
     blackboard, Abstain, Blackboard, DoubleVoter, EquivocatingLeader, ForkColluder, GarbageVoter,
@@ -469,9 +469,21 @@ pub fn run_one_with(spec: &ScenarioSpec, seed: u64, store: Option<&CheckpointSto
         }
     };
     let outcome = execute_schedule(spec, &mut built, resume_from, store, seed);
-    let mut rec = summarize(spec, &built.sim, seed, outcome);
+    record_run(spec, &built.sim, seed, outcome)
+}
+
+/// The record of a finished run of `spec`: [`summarize`], plus the
+/// workload section (mirrored into the record's registry) when the spec
+/// has one.
+pub fn record_run(
+    spec: &ScenarioSpec,
+    sim: &Simulation<Actor>,
+    seed: u64,
+    outcome: RunOutcome,
+) -> RunRecord {
+    let mut rec = summarize(spec, sim, seed, outcome);
     if spec.workload.is_some() {
-        let stats = WorkloadRunStats::collect(&built.sim);
+        let stats = WorkloadRunStats::collect(sim);
         stats.mirror_into(&mut rec.obs);
         rec.workload = Some(stats);
     }
@@ -511,8 +523,9 @@ fn fork_from(spec: &ScenarioSpec, entry: &CheckpointEntry) -> Built {
 }
 
 /// Extracts the [`RunRecord`] from a finished simulation: one [`analyze`]
-/// pass over the honest seats, σ classified from its verdicts, and the
-/// spec's transaction columns read off the same honest chains. Generic so
+/// pass over the honest seats, σ classified from its verdicts, the
+/// spec's transaction columns read off the same honest chains, and the
+/// [`crate::INVARIANTS`] rows that read the simulation. Generic so
 /// that callers wrapping the nodes (the benchmark's timing wrappers) can
 /// still summarize; the workload section is attached by [`run_one_with`],
 /// not here.
@@ -564,18 +577,18 @@ pub fn summarize<N: Node + AsReplica>(
         .iter()
         .map(|&id| chains.iter().all(|c| c.contains_tx_final(TxId(id))))
         .collect();
+    let hooks = prft_sim::obs::hooks::snapshot();
     RunRecord {
         seed,
         outcome,
         min_final_height: report.min_final_height,
         max_final_height: report.max_final_height,
         agreement: report.agreement,
-        strict_ordering: report.strict_ordering,
+        verdicts: Finished::new(spec, sim, &report, hooks).verdicts(),
         burned: report.burned.iter().map(|id| id.0).collect(),
         view_changes: report.view_changes,
         exposes: report.exposes,
         rounds_entered: report.rounds_entered,
-        vc_consistent: report.vc_consistent,
         txs_included,
         watched_finalized,
         sigma,
@@ -585,7 +598,7 @@ pub fn summarize<N: Node + AsReplica>(
         events_dispatched: sim.events_dispatched(),
         peak_queue_depth: sim.peak_queue_depth() as u64,
         in_flight_messages: sim.in_flight_messages() as u64,
-        obs: prft_core::obs::collect(sim, &prft_sim::obs::hooks::snapshot()),
+        obs: prft_core::obs::collect(sim, &hooks),
         workload: None,
         utilities,
     }

@@ -12,8 +12,8 @@
 //! non-zero iff some check's observed verdict differs from its expected
 //! one. Tolerances and directions live in the row that uses them.
 
-use crate::build::{build_sim, replica, run_one, run_sim};
-use crate::explore::GameExplorer;
+use crate::build::{replica, run_one, run_sim, summarize};
+use crate::explore::{Exploration, GameExplorer};
 use crate::games::{find_game, trap_game, trap_play};
 use crate::json::Json;
 use crate::record::{BatchReport, RunRecord};
@@ -79,6 +79,15 @@ impl Check {
     pub fn agrees(&self) -> bool {
         Expect::of(self.observed) == self.expected
     }
+
+    /// The evidence as `key=value, …`, values rendered as JSON.
+    pub fn evidence_text(&self) -> String {
+        let pairs = self
+            .evidence
+            .iter()
+            .map(|(k, v)| format!("{k}={}", v.render()));
+        pairs.collect::<Vec<_>>().join(", ")
+    }
 }
 
 /// What a claim's evaluation drives.
@@ -142,10 +151,14 @@ pub fn evaluate(
         .collect())
 }
 
-/// How many checks disagree with their expected verdict.
-pub fn mismatches(results: &[(&Claim, Vec<Check>)]) -> usize {
-    let checks = results.iter().flat_map(|(_, checks)| checks);
-    checks.filter(|c| !c.agrees()).count()
+/// Every check that disagrees with its expected verdict, beside its claim.
+pub fn mismatches<'a>(
+    results: &'a [(&'a Claim, Vec<Check>)],
+) -> impl Iterator<Item = (&'a Claim, &'a Check)> + 'a {
+    let checks = results
+        .iter()
+        .flat_map(|(claim, checks)| checks.iter().map(move |c| (*claim, c)));
+    checks.filter(|(_, c)| !c.agrees())
 }
 
 /// The claims document (`CLAIMS.json`): no wall-clock field, so equal
@@ -184,19 +197,15 @@ pub fn table(results: &[(&Claim, Vec<Check>)]) -> String {
         .flat_map(|(claim, checks)| checks.iter().map(move |c| (claim, c)))
     {
         let mark = if c.agrees() { "" } else { " ✗ MISMATCH" };
-        let evidence = c
-            .evidence
-            .iter()
-            .map(|(k, v)| format!("{k}={}", v.render()));
         table.row(vec![
             format!("{} ({})", claim.id, claim.paper),
             c.name.clone(),
             c.expected.as_str().into(),
             format!("{}{mark}", Expect::of(c.observed).as_str()),
-            evidence.collect::<Vec<_>>().join(", "),
+            c.evidence_text(),
         ]);
     }
-    let (total, wrong) = (table.len(), mismatches(results));
+    let (total, wrong) = (table.len(), mismatches(results).count());
     format!(
         "{}\n{total} checks, {wrong} disagree with the paper\n",
         table.render()
@@ -247,6 +256,45 @@ fn flag(v: bool) -> Json {
 /// document does not hinge on libm's last bit.
 fn round6(v: f64) -> f64 {
     (v * 1e6).round() / 1e6
+}
+
+/// The check every row that drives pRFT runs ends with: each of its `runs`
+/// kept every [`crate::INVARIANTS`] row that applies to it; `breaches`
+/// names the rows it broke ([`RunRecord::breaches`]).
+fn invariants_kept(runs: u64, breaches: Vec<String>) -> Check {
+    holds(
+        "every run kept every applicable invariant",
+        breaches.is_empty(),
+        vec![
+            ("runs", Json::u64(runs)),
+            (
+                "breaches",
+                Json::Arr(breaches.iter().map(Json::str).collect()),
+            ),
+        ],
+    )
+}
+
+/// [`invariants_kept`] over every run of `reports`.
+fn reports_kept(reports: &[BatchReport]) -> Check {
+    let runs = reports.iter().map(|r| r.seeds).sum();
+    invariants_kept(
+        runs,
+        reports.iter().flat_map(BatchReport::breaches).collect(),
+    )
+}
+
+/// [`invariants_kept`] over single runs, each beside its spec.
+fn records_kept<'a>(runs: impl IntoIterator<Item = (&'a ScenarioSpec, &'a RunRecord)>) -> Check {
+    let runs: Vec<_> = runs.into_iter().collect();
+    let breaches = runs.iter().flat_map(|(spec, r)| r.breaches(&spec.label));
+    invariants_kept(runs.len() as u64, breaches.collect())
+}
+
+/// [`invariants_kept`] over the runs a game sweep simulated.
+fn explored_kept(exploration: &Exploration) -> Check {
+    let runs = exploration.evaluated as u64 * exploration.seeds;
+    invariants_kept(runs, exploration.breaches.clone())
 }
 
 fn scenario_specs(name: &str) -> Vec<ScenarioSpec> {
@@ -373,7 +421,9 @@ fn thm1(runner: &BatchRunner) -> Vec<Check> {
             ],
         )
     };
-    reports.iter().zip(&pbft_blocks).map(row).collect()
+    let mut checks: Vec<Check> = reports.iter().zip(&pbft_blocks).map(row).collect();
+    checks.push(reports_kept(&reports));
+    checks
 }
 
 /// Theorem 2: a θ=2 coalition playing π_pc keeps the watched transaction
@@ -423,7 +473,10 @@ fn thm2(runner: &BatchRunner) -> Vec<Check> {
             ],
         )
     };
-    runner.run_grid(&specs, SEEDS).iter().map(row).collect()
+    let reports = runner.run_grid(&specs, SEEDS);
+    let mut checks: Vec<Check> = reports.iter().map(row).collect();
+    checks.push(reports_kept(&reports));
+    checks
 }
 
 /// Theorem 3: in TRAP (n = 20, t = 6, G = 8, R = 2, L = 10) `k > 2+t0−t`
@@ -538,6 +591,7 @@ fn lemma4(runner: &BatchRunner) -> Vec<Check> {
             ("gainers", int(gainers)),
         ],
     ));
+    checks.push(explored_kept(&exploration));
     checks
 }
 
@@ -585,16 +639,20 @@ fn pbft_cell(t: usize) -> (bool, bool) {
 /// pRFT with `t` byzantine crashes (seats 1..=t, distinct from leader 0)
 /// and `k` rational players: inside the bound θ=1 rationals follow π_0
 /// (Lemma 4), outside they abstain (Theorem 1's coalition).
-fn prft_cell(t: usize, k: usize, abstain: bool) -> (bool, bool) {
+fn prft_cell(t: usize, k: usize, abstain: bool) -> Cell {
     let abstainers = if abstain { (T1_N - k)..T1_N } else { 0..0 };
-    let spec = ScenarioSpec::new("rft", T1_N, 8)
+    let spec = ScenarioSpec::new(format!("rft t={t} k={k}"), T1_N, 8)
         .base_seed(9)
         .synchrony(PSYNC_GST_2000)
         .roles(1..=t, Role::Crash)
         .roles(abstainers, Role::Abstain)
         .horizon(T1_HORIZON);
     let record = run_one(&spec, spec.base_seed);
-    (record.min_final_height >= 2, record.agreement)
+    let breaches = record.breaches(&spec.label).collect();
+    (
+        (record.min_final_height >= 2, record.agreement),
+        Some(breaches),
+    )
 }
 
 /// Bracha RBC configured for, and running with, `t` silent faults:
@@ -631,6 +689,10 @@ fn live_and_safe(
     ]
 }
 
+/// A Table 1 cell's (live, safe) pair and, for a pRFT cell, the
+/// invariant rows its run broke ([`RunRecord::breaches`]).
+type Cell = ((bool, bool), Option<Vec<String>>);
+
 /// Table 1 (n = 9): every cited protocol is live and safe (valid, for
 /// Dolev–Strong) just inside its fault bound; just outside, exactly the
 /// property the paper's cell names breaks — a stall keeps safety,
@@ -641,27 +703,31 @@ fn table1(runner: &BatchRunner) -> Vec<Check> {
         &'static str,
         &'static str,
         &'static str,
-        fn() -> (bool, bool),
+        fn() -> Cell,
         (Expect, Expect),
     );
     // (network, model, protocol + faults, bound, run, the paper's cell: live, safe/valid)
     #[rustfmt::skip]
     let rows: [Row; 11] = [
-        ("sync", "CFT(c)", "raft-lite c=4", "2c<n", || raft_cell(4, false), (Holds, Holds)),
-        ("sync", "CFT(c)", "raft-lite c=5", "2c≥n", || raft_cell(5, false), (Breaks, Holds)),
-        ("sync", "BFT(t)", "dolev-strong t=4", "2t<n", || dolev_strong_cell(4), (Holds, Holds)),
-        ("sync", "BFT(t)", "dolev-strong t=5", "2t≥n", || dolev_strong_cell(5), (Holds, Breaks)),
-        ("psync", "CFT(c)", "raft-lite c=4", "2c<n", || raft_cell(4, true), (Holds, Holds)),
-        ("psync", "BFT(t)", "pbft t=2", "3t<n", || pbft_cell(2), (Holds, Holds)),
-        ("psync", "BFT(t)", "pbft t=3", "3t≥n", || pbft_cell(3), (Breaks, Holds)),
+        ("sync", "CFT(c)", "raft-lite c=4", "2c<n", || (raft_cell(4, false), None), (Holds, Holds)),
+        ("sync", "CFT(c)", "raft-lite c=5", "2c≥n", || (raft_cell(5, false), None), (Breaks, Holds)),
+        ("sync", "BFT(t)", "dolev-strong t=4", "2t<n", || (dolev_strong_cell(4), None), (Holds, Holds)),
+        ("sync", "BFT(t)", "dolev-strong t=5", "2t≥n", || (dolev_strong_cell(5), None), (Holds, Breaks)),
+        ("psync", "CFT(c)", "raft-lite c=4", "2c<n", || (raft_cell(4, true), None), (Holds, Holds)),
+        ("psync", "BFT(t)", "pbft t=2", "3t<n", || (pbft_cell(2), None), (Holds, Holds)),
+        ("psync", "BFT(t)", "pbft t=3", "3t≥n", || (pbft_cell(3), None), (Breaks, Holds)),
         ("psync", "RFT(t,k)", "pRFT t=2,k=2 (π_0)", "t<n/4,t+k<n/2", || prft_cell(2, 2, false), (Holds, Holds)),
         ("psync", "RFT(t,k)", "pRFT t=1,k=4 (π_abs)", "t+k≥n/2", || prft_cell(1, 4, true), (Breaks, Holds)),
-        ("async", "CFT/BFT/RFT", "bracha t=2", "t<n/3", || bracha_cell(2), (Holds, Holds)),
-        ("async", "CFT/BFT/RFT", "bracha t=3", "t≥n/3", || bracha_cell(3), (Breaks, Holds)),
+        ("async", "CFT/BFT/RFT", "bracha t=2", "t<n/3", || (bracha_cell(2), None), (Holds, Holds)),
+        ("async", "CFT/BFT/RFT", "bracha t=3", "t≥n/3", || (bracha_cell(3), None), (Breaks, Holds)),
     ];
     let outcomes = runner.map(&rows, |_, row| (row.4)());
-    let mut checks = Vec::new();
-    for (&(network, model, faults, bound, _, paper), outcome) in rows.iter().zip(outcomes) {
+    let (mut checks, mut prft_runs, mut breaches) = (Vec::new(), 0, Vec::new());
+    for (&(network, model, faults, bound, _, paper), (outcome, kept)) in rows.iter().zip(outcomes) {
+        if let Some(broken) = kept {
+            prft_runs += 1;
+            breaches.extend(broken);
+        }
         let evidence = vec![("model", Json::str(model)), ("bound", Json::str(bound))];
         checks.extend(live_and_safe(
             &format!("{network} {faults}"),
@@ -670,6 +736,7 @@ fn table1(runner: &BatchRunner) -> Vec<Check> {
             evidence,
         ));
     }
+    checks.push(invariants_kept(prft_runs, breaches));
     checks
 }
 
@@ -710,6 +777,7 @@ fn table2(runner: &BatchRunner) -> Vec<Check> {
         let name = format!("{theta}: measured payoffs equal the paper's row");
         checks.push(holds(name, measured == paper, evidence.collect()));
     }
+    checks.push(explored_kept(&exploration));
     checks
 }
 
@@ -799,6 +867,7 @@ fn table3(runner: &BatchRunner) -> Vec<Check> {
             ("bytes_ratio_n32", num(peer_ratio)),
         ],
     ));
+    checks.push(reports_kept(&prft_reports));
     checks
 }
 
@@ -849,6 +918,7 @@ fn claim1(runner: &BatchRunner) -> Vec<Check> {
         let paper = (Expect::of(tau <= hi), Expect::of(tau >= lo));
         checks.extend(live_and_safe(&format!("τ={tau}"), paper, outcome, window()));
     }
+    checks.push(records_kept(probes.iter().zip(&records)));
     checks
 }
 
@@ -864,23 +934,21 @@ fn claim2(runner: &BatchRunner) -> Vec<Check> {
         .synchrony(PSYNC_GST_2000)
         .horizon(2_000_000);
     let consistency = runner.run(&spec, 20);
-    let consistent =
-        consistency.rate("vc_consistent_rate") == 1.0 && consistency.rate("agreement_rate") == 1.0;
+    let inconsistent = consistency.broken("vc_consistent");
+    let consistent = inconsistent == 0 && consistency.rate("agreement_rate") == 1.0;
     let checked_rounds = consistency.agg("view_changes").mean * consistency.seeds as f64;
     let mut checks = vec![holds(
         "consistency: no honest player finalizes a view-changed round",
         consistent && checked_rounds > 0.0,
         vec![
-            (
-                "vc_consistent_rate",
-                num(consistency.rate("vc_consistent_rate")),
-            ),
+            ("vc_consistent_broken", Json::u64(inconsistent)),
             ("agreement_rate", num(consistency.rate("agreement_rate"))),
             ("view_changed_rounds_checked", num(checked_rounds)),
         ],
     )];
     let specs = scenario_specs("view-change-churn");
-    for (spec, report) in specs.iter().zip(runner.run_grid(&specs, 8)) {
+    let mut reports = runner.run_grid(&specs, 8);
+    for (spec, report) in specs.iter().zip(&reports) {
         let byzantine = label_value(&report.label, "byz=");
         let (view_changes, blocks) = (
             report.agg("view_changes").mean,
@@ -899,6 +967,8 @@ fn claim2(runner: &BatchRunner) -> Vec<Check> {
         let name = format!("robustness byz={byzantine}: agreement kept");
         checks.push(holds(name, report.rate("agreement_rate") == 1.0, evidence));
     }
+    reports.push(consistency);
+    checks.push(reports_kept(&reports));
     checks
 }
 
@@ -935,9 +1005,10 @@ fn claim3(runner: &BatchRunner) -> Vec<Check> {
             .horizon(25_000) // strictly inside the partition
     };
     let specs: Vec<ScenarioSpec> = (0..12).map(partition_spec).collect();
-    checks.extend(runner.map(&specs, |seed, spec| {
-        let mut sim = build_sim(spec, spec.base_seed);
-        sim.run_until(SimTime(spec.horizon));
+    let probes = runner.map(&specs, |seed, spec| {
+        prft_sim::obs::hooks::reset();
+        let (sim, outcome) = run_sim(spec, spec.base_seed, |_| {});
+        let record = summarize(spec, &sim, spec.base_seed, outcome);
         let (mut finalized, mut timed_out) = (BTreeSet::new(), BTreeSet::new());
         let mut values_per_round = BTreeMap::new();
         let report = analyze(&sim);
@@ -957,7 +1028,7 @@ fn claim3(runner: &BatchRunner) -> Vec<Check> {
         let agreement = report.agreement;
         let sides = &spec.partitions[0].groups;
         let quorum_side = sides[0].len().max(sides[1].len()) + T >= N - T0;
-        holds(
+        let check = holds(
             format!("seed={seed}: one-sided agreement xor timeout"),
             !double_agreement && agreement && quorum_side != finalized.is_empty(),
             vec![
@@ -967,25 +1038,30 @@ fn claim3(runner: &BatchRunner) -> Vec<Check> {
                 ("double_agreement", flag(double_agreement)),
                 ("agreement", flag(agreement)),
             ],
-        )
-    }));
+        );
+        (check, record)
+    });
+    let (probes, records): (Vec<Check>, Vec<RunRecord>) = probes.into_iter().unzip();
+    checks.extend(probes);
+    checks.push(records_kept(specs.iter().zip(&records)));
     checks
 }
 
 /// Figure 2: one honest n = 4 round walks the ladder Propose → Vote →
-/// Commit → Reveal at every replica; the leader broadcast (n messages),
-/// each all-to-all wave (n²) and the absent kinds (0: Expose and the
-/// view-change messages never appear) are counted identically by the
-/// engine's send ledger (the Meter) and its delivery ledger (`recv.*`):
-/// in a crash-free run that drains, every message sent is delivered once.
+/// Commit → Reveal at every replica, and the engine's send ledger (the
+/// Meter) counts the leader broadcast (n messages), each all-to-all wave
+/// (n²) and the absent kinds (0: Expose and the view-change messages
+/// never appear). The run's `ledger` invariant holds its delivery ledger
+/// to the send side: in a crash-free run with nothing in flight, every
+/// message sent is delivered once.
 fn fig2(_: &BatchRunner) -> Vec<Check> {
     const N: usize = 4;
     let spec = ScenarioSpec::new("fig2", N, 1)
         .base_seed(7)
         .horizon(100_000);
     prft_sim::obs::hooks::reset();
-    let (sim, _) = run_sim(&spec, spec.base_seed, |_| {});
-    let obs = prft_core::obs::collect(&sim, &prft_sim::obs::hooks::snapshot());
+    let (sim, outcome) = run_sim(&spec, spec.base_seed, |_| {});
+    let record = summarize(&spec, &sim, spec.base_seed, outcome);
     let mut ladder = holds(
         "every replica enters Propose ≤ Vote ≤ Commit ≤ Reveal",
         true,
@@ -1017,23 +1093,17 @@ fn fig2(_: &BatchRunner) -> Vec<Check> {
     let absent = ["Expose", "ViewChange", "CommitView"].map(|kind| (kind, 0));
     for (kind, wave) in waves.into_iter().chain(absent) {
         let sent = sim.meter().kind(kind);
-        let received = |what: &str| -> u64 {
-            let counter = |i| obs.counter(&format!("recv.P{i}.{kind}.{what}"));
-            (0..N).map(counter).sum()
-        };
-        let agree = sent.count == received("msgs") && sent.bytes == received("bytes");
         checks.push(holds(
-            format!("{kind}: {wave} messages, Meter and recv.* counters agree"),
-            sent.count == wave as u64 && agree,
+            format!("{kind}: {wave} messages sent"),
+            sent.count == wave as u64,
             vec![
                 ("count", Json::u64(sent.count)),
                 ("mean_bytes", Json::u64(sent.bytes / sent.count.max(1))),
                 ("sent_bytes", Json::u64(sent.bytes)),
-                ("received_msgs", Json::u64(received("msgs"))),
-                ("received_bytes", Json::u64(received("bytes"))),
             ],
         ));
     }
+    checks.push(records_kept([(&spec, &record)]));
     checks
 }
 
@@ -1120,7 +1190,8 @@ fn ablation(runner: &BatchRunner) -> Vec<Check> {
     let cost_specs: Vec<ScenarioSpec> = [8, 16, 32].into_iter().flat_map(pair).collect();
     let mut last_savings = 1.0;
     let mut checks = Vec::new();
-    for pair in runner.run_grid(&cost_specs, 1).chunks(2) {
+    let mut reports = runner.run_grid(&cost_specs, 1);
+    for pair in reports.chunks(2) {
         let (msgs_full, bytes_full) = report_cost(&pair[0]);
         let (msgs_ablated, bytes_ablated) = report_cost(&pair[1]);
         let (n, savings) = (pair[0].n, bytes_full / bytes_ablated);
@@ -1160,6 +1231,8 @@ fn ablation(runner: &BatchRunner) -> Vec<Check> {
             evidence,
         ));
     }
+    reports.extend(attack);
+    checks.push(reports_kept(&reports));
     checks
 }
 
@@ -1195,7 +1268,7 @@ mod tests {
         let disagree = check("b", Holds, false, vec![("x", num(1.5))]);
         assert!(agree.agrees() && !disagree.agrees());
         let results = vec![(&CLAIMS[0], vec![agree, disagree])];
-        assert_eq!(mismatches(&results), 1);
+        assert_eq!(mismatches(&results).count(), 1);
         assert!(table(&results).contains("breaks ✗ MISMATCH"));
         let doc = to_json(&results).render();
         assert!(doc.contains(r#""expected":"holds","observed":"breaks","evidence":{"x":1.5}"#));

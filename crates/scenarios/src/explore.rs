@@ -123,6 +123,10 @@ pub struct Exploration {
     pub shared: usize,
     /// Cells filled by symmetry expansion instead of simulation.
     pub expanded: usize,
+    /// Each broken invariant row of each run this sweep simulated for the
+    /// game, as [`crate::BatchReport::breaches`] names it (a cached or
+    /// shared cell has no runs here to check).
+    pub breaches: Vec<String>,
 }
 
 /// Sweeps [`GameDef`]s into utility tables through the batch engine.
@@ -349,6 +353,7 @@ impl GameExplorer {
                 let expanded = space.len() - sources.len();
                 let mut cells = BTreeMap::new();
                 let (mut evaluated, mut cached, mut shared) = (0, 0, 0);
+                let mut breaches = Vec::new();
                 for (profile, source) in sources {
                     let stats = match source {
                         Source::Exact(stats) => {
@@ -361,6 +366,7 @@ impl GameExplorer {
                         }
                         Source::Fresh(cell) => {
                             evaluated += 1;
+                            breaches.extend(reports[cell].breaches());
                             computed[cell].clone()
                         }
                         Source::Shared(cell) => {
@@ -378,6 +384,7 @@ impl GameExplorer {
                     cached,
                     shared,
                     expanded,
+                    breaches,
                 }
             })
             .collect();

@@ -68,7 +68,9 @@ mod runner;
 mod spec;
 mod trace_export;
 
-pub use build::{build_sim, replica, run_one, run_one_with, run_sim, run_workload_sim, summarize};
+pub use build::{
+    build_sim, record_run, replica, run_one, run_one_with, run_sim, run_workload_sim, summarize,
+};
 pub use cache::{CacheKey, UtilityCache};
 pub use checkpoint::{prefix_fingerprint, CheckpointEntry, CheckpointStore, ReuseStats};
 pub use explore::{Exploration, GameDef, GameEval, GameExplorer};
@@ -79,7 +81,10 @@ pub use prft_workload::{
     ArrivalModel, Metric as WorkloadMetric, RejectAction, RetryPolicy, WorkloadRunStats,
     WorkloadSpec, METRICS as WORKLOAD_METRICS,
 };
-pub use record::{Aggregate, BatchMetric, BatchReport, RunRecord, BATCH_METRICS};
+pub use record::{
+    Aggregate, BatchMetric, BatchReport, Finished, Invariant, Reads, RunRecord, BATCH_METRICS,
+    INVARIANTS,
+};
 pub use registry::{find, registry, Scenario};
 pub use runner::{derive_seed, effective_threads, par_map, BatchRunner};
 pub use spec::{PartitionSpec, Role, ScenarioSpec, Synchrony, TimelineEvent, TxSpec, UtilitySpec};

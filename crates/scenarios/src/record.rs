@@ -1,8 +1,14 @@
 //! Per-run observables and their batch aggregates.
 
+use crate::build::replica;
 use crate::json::Json;
-use prft_game::SystemState;
-use prft_sim::{ObsRegistry, RunOutcome};
+use crate::spec::{Role, ScenarioSpec, TimelineEvent};
+use prft_core::analysis::RunReport;
+use prft_core::{AsReplica, Replica, VerifyMode};
+use prft_game::{analytic, SystemState};
+use prft_sim::obs::hooks::HookSnapshot;
+use prft_sim::{Meter, Node, ObsRegistry, RunOutcome, Simulation};
+use prft_types::NodeId;
 use prft_workload::{Merge, WorkloadRunStats, METRICS as WORKLOAD_METRICS};
 
 /// Everything one seeded run produces that experiments read.
@@ -18,8 +24,10 @@ pub struct RunRecord {
     pub max_final_height: u64,
     /// Honest finalized prefixes agree (no fork).
     pub agreement: bool,
-    /// Full chains satisfy 1-strict ordering pairwise.
-    pub strict_ordering: bool,
+    /// Per [`INVARIANTS`] row that reads the simulation, in table order:
+    /// whether this run kept it (a row that does not apply is kept). Read
+    /// them through [`RunRecord::invariants`].
+    pub verdicts: Vec<bool>,
     /// Players burned in any honest view.
     pub burned: Vec<usize>,
     /// View changes completed across honest replicas.
@@ -28,9 +36,6 @@ pub struct RunRecord {
     pub exposes: u64,
     /// Largest `rounds_entered` among honest replicas.
     pub rounds_entered: u64,
-    /// Claim 2 consistency: no honest player finalized a round another
-    /// honest player abandoned via view change.
-    pub vc_consistent: bool,
     /// Per-[`crate::TxSpec`] (in spec order): the tx appears in some honest
     /// chain, even tentatively.
     pub txs_included: Vec<bool>,
@@ -91,6 +96,37 @@ impl RunRecord {
         }
     }
 
+    /// Every [`INVARIANTS`] row with whether this run kept it, in table
+    /// order: the stored verdicts of the rows that read the simulation,
+    /// the others read off the record now.
+    pub fn invariants(&self) -> impl Iterator<Item = (&'static str, bool)> + '_ {
+        let mut stored = self.verdicts.iter();
+        INVARIANTS.iter().map(move |row| {
+            let kept = match row.check {
+                Reads::Run(_) => *stored.next().expect("a verdict per simulation row"),
+                Reads::Record(check) => check(self).unwrap_or(true),
+            };
+            (row.name, kept)
+        })
+    }
+
+    /// Whether this run kept the [`INVARIANTS`] row called `row`.
+    ///
+    /// # Panics
+    /// Panics if no such row is declared.
+    pub fn kept(&self, row: &str) -> bool {
+        let mut rows = self.invariants();
+        let found = rows.find(|&(name, _)| name == row);
+        found.unwrap_or_else(|| panic!("no invariant `{row}`")).1
+    }
+
+    /// Each row this run broke, as `<row> broken: <label> seed <seed>`
+    /// for the grid point labelled `label`, in table order.
+    pub fn breaches<'a>(&'a self, label: &'a str) -> impl Iterator<Item = String> + 'a {
+        let broken = self.invariants().filter(|&(_, kept)| !kept);
+        broken.map(move |(row, _)| format!("{row} broken: {label} seed {}", self.seed))
+    }
+
     /// JSON object for one run. The `workload` object appears only when
     /// the run carried one, so non-workload reports stay byte-identical to
     /// the previous schema.
@@ -102,12 +138,14 @@ impl RunRecord {
             ("min_final_height", Json::u64(self.min_final_height)),
             ("max_final_height", Json::u64(self.max_final_height)),
             ("agreement", Json::Bool(self.agreement)),
-            ("strict_ordering", Json::Bool(self.strict_ordering)),
+            (
+                "invariants",
+                Json::obj(self.invariants().map(|(row, kept)| (row, Json::Bool(kept)))),
+            ),
             ("burned", Json::arr(&self.burned, |&b| Json::u64(b as u64))),
             ("view_changes", Json::u64(self.view_changes)),
             ("exposes", Json::u64(self.exposes)),
             ("rounds_entered", Json::u64(self.rounds_entered)),
-            ("vc_consistent", Json::Bool(self.vc_consistent)),
             ("txs_included", flags(&self.txs_included)),
             ("watched_finalized", flags(&self.watched_finalized)),
             ("sigma", Json::str(self.sigma.symbol())),
@@ -218,10 +256,6 @@ pub struct BatchMetric {
 pub const BATCH_METRICS: &[BatchMetric] = &[
     BatchMetric { name: "agreement_rate", get: |r| r.agreement as u8 as f64, rate: true,
                   csv: &[("agreement_rate", &[])] },
-    BatchMetric { name: "strict_ordering_rate", get: |r| r.strict_ordering as u8 as f64, rate: true,
-                  csv: &[] },
-    BatchMetric { name: "vc_consistent_rate", get: |r| r.vc_consistent as u8 as f64, rate: true,
-                  csv: &[] },
     BatchMetric { name: "min_final_height", get: |r| r.min_final_height as f64, rate: false,
                   csv: &[("min_final_height_mean", &["mean"]), ("min_final_height_ci95", &["ci95"])] },
     BatchMetric { name: "throughput", get: |r| r.throughput, rate: false,
@@ -246,6 +280,141 @@ pub const BATCH_METRICS: &[BatchMetric] = &[
                   csv: &[("in_flight_max", &["max"])] },
 ];
 
+/// What an [`INVARIANTS`] row reads. A check answers `Some(kept)`, or
+/// `None` when the row does not apply to the run, which counts as kept.
+#[derive(Clone, Copy)]
+pub enum Reads {
+    /// The finished simulation, once, inside [`crate::summarize`]; the
+    /// record stores the verdict ([`RunRecord::verdicts`]).
+    Run(fn(&Finished) -> Option<bool>),
+    /// The record itself, when its section is attached after
+    /// [`crate::summarize`].
+    Record(fn(&RunRecord) -> Option<bool>),
+}
+
+/// One self-check every run makes: a property the paper or the engine
+/// promises, checked over one finished run.
+pub struct Invariant {
+    /// Key in the per-run and batch `invariants` objects.
+    pub name: &'static str,
+    /// The check.
+    pub check: Reads,
+}
+
+/// Every self-check of a run, in report order. Each run evaluates the
+/// table once; the record, the reports, the claims rows, `prft-bench`
+/// and the CLI's exit status all read the verdicts
+/// (`docs/REPORT_SCHEMA.md` lists when each row applies).
+#[rustfmt::skip]
+pub const INVARIANTS: &[Invariant] = &[
+    // (t,k)-agreement, 1-strict ordering and Claim 2's view-change
+    // consistency over the honest ledgers, where Claim 1's τ is safe.
+    Invariant { name: "agreement", check: Reads::Run(|f| f.tau_is_safe().then_some(f.report.agreement)) },
+    Invariant { name: "strict_ordering", check: Reads::Run(|f| f.tau_is_safe().then_some(f.report.strict_ordering)) },
+    Invariant { name: "vc_consistent", check: Reads::Run(|f| f.tau_is_safe().then_some(f.report.vc_consistent)) },
+    Invariant { name: "honest_never_burned", check: Reads::Run(|f| {
+        Some(f.report.burned.iter().all(|id| !f.honest_throughout.contains(id)))
+    }) },
+    Invariant { name: "tx_census", check: Reads::Run(|f| {
+        Some(f.honest_throughout.iter().all(|id| f.seats[id.0].census_holds()))
+    }) },
+    Invariant { name: "workload_conserved", check: Reads::Record(|r| r.workload.as_ref().map(WorkloadRunStats::conserved)) },
+    Invariant { name: "engine_books", check: Reads::Run(|f| Some(f.engine_books)) },
+    Invariant { name: "ledger", check: Reads::Run(|f| Some(f.ledger)) },
+    Invariant { name: "memo_identity", check: Reads::Run(memo_identity) },
+];
+
+/// The message kinds whose signatures are verified outside the verify
+/// memo: view-change traffic and Expose proofs.
+const UNMEMOIZED_KINDS: [&str; 3] = ["ViewChange", "CommitView", "Expose"];
+
+/// `memo_hits + memo_misses ≤ sig_verifies`, and `==` when no message of
+/// an [`UNMEMOIZED_KINDS`] kind was sent. Applies on the fast verify path
+/// only: the reference path has no memo.
+fn memo_identity(f: &Finished) -> Option<bool> {
+    let memoized = f.hooks.memo_hits + f.hooks.memo_misses;
+    let unmemoized = UNMEMOIZED_KINDS.iter().any(|k| f.meter.kind(k).count > 0);
+    let kept = memoized <= f.hooks.sig_verifies && (unmemoized || memoized == f.hooks.sig_verifies);
+    (f.spec.verify_mode == VerifyMode::Fast).then_some(kept)
+}
+
+/// The checks of the [`Reads::Run`] rows, in table order: one
+/// [`RunRecord::verdicts`] entry each.
+pub(crate) fn run_checks() -> impl Iterator<Item = fn(&Finished) -> Option<bool>> {
+    INVARIANTS.iter().filter_map(|row| match row.check {
+        Reads::Run(check) => Some(check),
+        Reads::Record(_) => None,
+    })
+}
+
+/// A finished run as the [`Reads::Run`] rows read it.
+pub struct Finished<'a> {
+    spec: &'a ScenarioSpec,
+    report: &'a RunReport,
+    /// The committee, seat by seat.
+    seats: Vec<&'a Replica>,
+    /// Seats honest for the whole run: honest at t = 0 and named by no
+    /// `SetRole`.
+    honest_throughout: Vec<NodeId>,
+    hooks: HookSnapshot,
+    meter: &'a Meter,
+    /// [`Simulation::books_balance`].
+    engine_books: bool,
+    /// [`Simulation::ledger_balances`], exact unless a seat was ever
+    /// crashed (by a `Crash` role, a `Crash` event or `SetRole(_, Crash)`).
+    ledger: bool,
+}
+
+impl<'a> Finished<'a> {
+    pub(crate) fn new<N: Node + AsReplica>(
+        spec: &'a ScenarioSpec,
+        sim: &'a Simulation<N>,
+        report: &'a RunReport,
+        hooks: HookSnapshot,
+    ) -> Finished<'a> {
+        let roles = spec.resolved_roles();
+        let events = || spec.schedule.iter().map(|(_, event)| event);
+        let switched =
+            |i| events().any(|e| matches!(e, TimelineEvent::SetRole(seat, _) if *seat == i));
+        let crash = |e: &TimelineEvent| {
+            matches!(
+                e,
+                TimelineEvent::Crash(_) | TimelineEvent::SetRole(_, Role::Crash)
+            )
+        };
+        let lossless = !roles.contains(&Role::Crash) && !events().any(crash);
+        Finished {
+            spec,
+            report,
+            seats: (0..spec.n).map(|i| replica(sim, NodeId(i))).collect(),
+            honest_throughout: (0..spec.n)
+                .filter(|&i| roles[i] == Role::Honest && !switched(i))
+                .map(NodeId)
+                .collect(),
+            hooks,
+            meter: sim.meter(),
+            engine_books: sim.books_balance(),
+            ledger: sim.ledger_balances(lossless),
+        }
+    }
+
+    /// The verdicts of the [`Reads::Run`] rows, in table order.
+    pub(crate) fn verdicts(&self) -> Vec<bool> {
+        run_checks()
+            .map(|check| check(self).unwrap_or(true))
+            .collect()
+    }
+
+    /// Whether the spec's agreement threshold τ is at least Claim 1's
+    /// safety bound `⌊(n + t0)/2⌋ + 1` (an override below it forks by
+    /// design).
+    fn tau_is_safe(&self) -> bool {
+        let t0 = self.seats[0].config().t0;
+        let bound = analytic::tau_window(self.spec.n, t0).0;
+        self.spec.tau_override.is_none_or(|tau| tau >= bound)
+    }
+}
+
 /// Aggregated report for one grid point of a scenario, over all its seeds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchReport {
@@ -260,6 +429,9 @@ pub struct BatchReport {
     /// One aggregate per [`BATCH_METRICS`] entry, in declaration order
     /// (read by name through [`BatchReport::agg`] / [`BatchReport::rate`]).
     pub metrics: Vec<Aggregate>,
+    /// Per [`INVARIANTS`] row, in table order: how many runs broke it
+    /// (read by name through [`BatchReport::broken`]).
+    pub invariants: Vec<u64>,
     /// The merged observability registry over all runs (counters summed,
     /// gauges maxed — order-independent, so byte-identical at any thread
     /// count and across queue backends).
@@ -287,8 +459,12 @@ impl BatchReport {
             SystemState::ALL.map(|s| records.iter().filter(|r| r.sigma == s).count() as u64);
         let players = records.first().map_or(0, |r| r.utilities.len());
         let mut observability = ObsRegistry::new();
+        let mut invariants = vec![0; INVARIANTS.len()];
         for r in &records {
             observability.merge(&r.obs);
+            for (broken, (_, kept)) in invariants.iter_mut().zip(r.invariants()) {
+                *broken += u64::from(!kept);
+            }
         }
         // `None` when any run lacks stats (mixed batches never happen — the
         // workload section is a property of the spec, not the seed).
@@ -309,6 +485,7 @@ impl BatchReport {
             seeds: records.len() as u64,
             sigma_hist,
             metrics: BATCH_METRICS.iter().map(|m| over(&m.get)).collect(),
+            invariants,
             observability,
             workload,
             utilities: (0..players).map(|p| over(&|r| r.utilities[p])).collect(),
@@ -328,6 +505,21 @@ impl BatchReport {
     /// The fraction of runs for which the rate metric `name` held.
     pub fn rate(&self, name: &str) -> f64 {
         self.agg(name).mean
+    }
+
+    /// How many runs broke the [`INVARIANTS`] row called `row`.
+    ///
+    /// # Panics
+    /// Panics if no such row is declared.
+    pub fn broken(&self, row: &str) -> u64 {
+        let declared = INVARIANTS.iter().position(|r| r.name == row);
+        self.invariants[declared.unwrap_or_else(|| panic!("no invariant `{row}`"))]
+    }
+
+    /// Each broken row of each run ([`RunRecord::breaches`]), in
+    /// seed-index order.
+    pub fn breaches(&self) -> impl Iterator<Item = String> + '_ {
+        self.records.iter().flat_map(|r| r.breaches(&self.label))
     }
 
     /// The aggregate of the [`prft_workload::METRICS`] entry called `name`,
@@ -360,6 +552,9 @@ impl BatchReport {
             ("seeds", Json::u64(self.seeds)),
         ];
         fields.extend(declared(true));
+        let broken = INVARIANTS.iter().zip(&self.invariants);
+        let broken = broken.map(|(row, &count)| (row.name, Json::u64(count)));
+        fields.push(("invariants", Json::obj(broken)));
         let hist = SystemState::ALL.iter().zip(self.sigma_hist);
         let hist = hist.map(|(s, c)| (s.symbol(), Json::u64(c)));
         fields.push(("sigma_hist", Json::obj(hist)));
@@ -407,12 +602,11 @@ mod tests {
             min_final_height: height,
             max_final_height: height,
             agreement: true,
-            strict_ordering: true,
+            verdicts: vec![true; run_checks().count()],
             burned: vec![],
             view_changes: 0,
             exposes: 0,
             rounds_entered: height,
-            vc_consistent: true,
             txs_included: vec![],
             watched_finalized: vec![],
             sigma,

@@ -608,12 +608,11 @@ mod tests {
                 min_final_height: 3,
                 max_final_height: 3,
                 agreement: true,
-                strict_ordering: true,
+                verdicts: vec![true; crate::record::run_checks().count()],
                 burned: vec![2],
                 view_changes: 1,
                 exposes: 1,
                 rounds_entered: 4,
-                vc_consistent: true,
                 txs_included: vec![true],
                 watched_finalized: vec![],
                 sigma: SystemState::HonestExecution,

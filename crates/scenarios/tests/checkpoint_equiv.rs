@@ -338,11 +338,11 @@ fn workload_fork_preserves_client_conservation() {
         "the consumer must fork from the producer's capture"
     );
     for rec in [&reference, &forked] {
-        let w = rec.workload.as_ref().expect("workload stats attached");
-        assert_eq!(
-            w.submitted,
-            w.committed + w.dropped + w.pending,
-            "client conservation violated: {w:?}"
+        assert!(rec.workload.is_some(), "workload stats attached");
+        assert!(
+            rec.kept("workload_conserved"),
+            "client conservation violated: {:?}",
+            rec.workload
         );
     }
     assert_eq!(

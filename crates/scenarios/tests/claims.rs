@@ -31,7 +31,11 @@ fn cheap_rows_match_the_committed_document() {
     ];
     let results = evaluate(&BatchRunner::new(0), &ids.map(String::from)).expect("known ids");
     assert_eq!(results.len(), ids.len());
-    assert_eq!(mismatches(&results), 0, "a check disagrees with the paper");
+    assert_eq!(
+        mismatches(&results).count(),
+        0,
+        "a check disagrees with the paper"
+    );
     let committed = Json::parse(&repo_file("CLAIMS.json")).expect("CLAIMS.json parses");
     let fresh = to_json(&results);
     for claim in claims_of(&fresh) {

@@ -118,7 +118,8 @@ fn table_after<'a>(doc: &'a str, heading: &str) -> Vec<&'a str> {
 }
 
 /// docs/REPORT_SCHEMA.md is written from the declarations, and stays so:
-/// its batch-field table is the batch object's keys, its workload table is
+/// its batch-field table is the batch object's keys, its invariants table
+/// names the `INVARIANTS` rows in order, its workload table is
 /// `prft_workload::METRICS` row for row, and its CSV header is the one
 /// `scenario_csv` emits.
 #[test]
@@ -141,6 +142,16 @@ fn report_schema_doc_matches_the_declarations() {
         documented, keys,
         "batch-field table vs BatchReport::to_json"
     );
+
+    let rows: Vec<&str> = table_after(&doc, "### Invariants object")
+        .iter()
+        .map(|row| row.split('|').nth(1).expect("first cell").trim())
+        .collect();
+    let names: Vec<String> = prft_lab::INVARIANTS
+        .iter()
+        .map(|row| format!("`{}`", row.name))
+        .collect();
+    assert_eq!(rows, names, "invariants table vs INVARIANTS");
 
     let declared: Vec<String> = prft_lab::WORKLOAD_METRICS
         .iter()

@@ -3,10 +3,10 @@
 //! that never finalizes, and nothing is finalized twice.
 
 use prft_lab::{
-    derive_seed, par_map, registry, replica, Role, ScenarioSpec, Synchrony, TimelineEvent, TxSpec,
+    derive_seed, par_map, registry, replica, run_one, ScenarioSpec, Synchrony, TimelineEvent,
+    TxSpec,
 };
 use prft_types::{BlockStatus, NodeId, TxId};
-use std::collections::HashSet;
 
 /// Guards the drain at proposal: a leader that removed its batch from the
 /// pool when proposing lost the tx for good once that proposal failed to
@@ -46,25 +46,10 @@ fn a_tx_whose_proposal_fails_to_finalize_is_proposed_again() {
     }
 }
 
-/// The seats whose strategy is honest for the whole run.
-fn honest_seats(spec: &ScenarioSpec) -> Vec<usize> {
-    let switched: HashSet<usize> = spec
-        .schedule
-        .iter()
-        .filter_map(|(_, e)| match e {
-            TimelineEvent::SetRole(seat, _) => Some(*seat),
-            _ => None,
-        })
-        .collect();
-    let roles = spec.resolved_roles();
-    (0..spec.n)
-        .filter(|i| roles[*i] == Role::Honest && !switched.contains(i))
-        .collect()
-}
-
 /// The pool census and exactly-once inclusion over every registry cell at
-/// two seeds: at every honest seat each admitted id is pending there or
-/// final in its chain, and no id is final twice in its chain.
+/// two seeds: at every seat honest for the whole run each admitted id is
+/// pending there or final in its chain, and no id is final twice in its
+/// chain (the `tx_census` row) — and every other invariant row holds.
 #[test]
 fn every_admitted_tx_is_pending_or_final_once_at_every_honest_seat() {
     let cells: Vec<(String, ScenarioSpec, u64)> = registry()
@@ -74,41 +59,17 @@ fn every_admitted_tx_is_pending_or_final_once_at_every_honest_seat() {
             scenario.specs.into_iter().flat_map(move |spec| {
                 (0..2).map(move |i| {
                     let seed = derive_seed(spec.base_seed, i);
-                    (
-                        format!("{name} {} seed {i}", spec.label),
-                        spec.clone(),
-                        seed,
-                    )
+                    (format!("{name} {}", spec.label), spec.clone(), seed)
                 })
             })
         })
         .collect();
-    let failures: Vec<String> = par_map(2, &cells, |_, (cell, spec, seed)| {
-        let (sim, _) = prft_lab::run_sim(spec, *seed, |_| {});
-        let mut failures = Vec::new();
-        for seat in honest_seats(spec) {
-            let r = replica(&sim, NodeId(seat));
-            let mut finalized = HashSet::new();
-            let final_txs = r
-                .chain()
-                .iter()
-                .filter(|e| e.status == BlockStatus::Final)
-                .flat_map(|e| e.block.txs.iter());
-            for tx in final_txs {
-                if !finalized.insert(tx.id) {
-                    failures.push(format!("{cell}: seat {seat} finalized {:?} twice", tx.id));
-                }
-            }
-            for id in r.mempool().admitted() {
-                if !r.mempool().contains(id) && !finalized.contains(&id) {
-                    failures.push(format!("{cell}: seat {seat} lost {id:?}"));
-                }
-            }
-        }
-        failures
+    let breaches: Vec<String> = par_map(2, &cells, |_, (cell, spec, seed)| {
+        let record = run_one(spec, *seed);
+        record.breaches(cell).collect::<Vec<_>>()
     })
     .into_iter()
     .flatten()
     .collect();
-    assert!(failures.is_empty(), "{}", failures.join("\n"));
+    assert!(breaches.is_empty(), "{}", breaches.join("\n"));
 }

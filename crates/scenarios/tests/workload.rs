@@ -77,14 +77,10 @@ fn burst_load_thread_and_backend_invariant() {
 #[test]
 fn workload_runs_conserve_and_commit_transactions() {
     let rec = prft_lab::run_one(&kiloclient_spec(), 7);
+    assert!(rec.kept("workload_conserved"), "transaction conservation");
     let w = rec.workload.expect("workload spec yields workload stats");
     assert_eq!(w.clients, 1_000);
     assert_eq!(w.submitted, 1_000, "open-loop offer is fixed by the spec");
-    assert_eq!(
-        w.submitted,
-        w.committed + w.dropped + w.pending,
-        "transaction conservation"
-    );
     assert!(w.committed > 0, "steady load must make commit progress");
     assert!(w.latency.p50 <= w.latency.p90 && w.latency.p90 <= w.latency.p99);
     assert!(w.latency.p99 <= w.latency.max);
@@ -143,9 +139,9 @@ fn backpressure_saturation_rejects_and_accounts() {
                 .mempool_capacity(16),
         );
     let rec = prft_lab::run_one(&spec, 3);
+    assert!(rec.kept("workload_conserved"));
     let w = rec.workload.expect("workload stats");
     assert_eq!(w.submitted, 600);
-    assert_eq!(w.submitted, w.committed + w.dropped + w.pending);
     assert!(
         w.mempool_rejected_full > 0,
         "a 16-slot mempool under 150-client Poisson load must reject"
@@ -188,10 +184,10 @@ proptest! {
             .horizon(30_000)
             .workload(w);
         let rec = prft_lab::run_one(&spec, seed);
+        prop_assert!(rec.kept("workload_conserved"));
         let s = rec.workload.expect("workload stats");
         prop_assert_eq!(s.clients, clients as u64);
         prop_assert_eq!(s.submitted, clients as u64 * txs);
-        prop_assert_eq!(s.submitted, s.committed + s.dropped + s.pending);
         prop_assert_eq!(s.latency.count, s.committed);
         if cap >= 8 {
             prop_assert!(s.mempool_peak_occupancy <= cap as u64);

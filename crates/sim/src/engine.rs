@@ -438,6 +438,31 @@ impl<N: Node> Simulation<N> {
         self.state.peak_arena_occupancy
     }
 
+    /// The queue's books balance: every event ever pushed was popped or is
+    /// still queued, and once the queue has drained no delivery is left
+    /// parked in the arena.
+    pub fn books_balance(&self) -> bool {
+        let queued = self.state.queue.len() as u64;
+        self.state.queue_pushes == self.state.queue_pops + queued
+            && (queued > 0 || self.state.arena.is_empty())
+    }
+
+    /// The wire ledger balances: per message kind, no more deliveries than
+    /// sends, in count and in bytes; and exactly as many when `lossless` —
+    /// no receiver was ever crashed, so none discarded a delivery — and no
+    /// delivery is still in flight. (An injected message is a delivery
+    /// without a send, so it unbalances the ledger.)
+    pub fn ledger_balances(&self, lossless: bool) -> bool {
+        let meter = &self.state.meter;
+        let delivered = meter.delivered();
+        let within = delivered.iter().all(|(kind, got)| {
+            let sent = meter.kind(kind);
+            got.count <= sent.count && got.bytes <= sent.bytes
+        });
+        let settled = lossless && self.state.arena.is_empty();
+        within && (!settled || meter.iter().all(|sent| delivered.contains(&sent)))
+    }
+
     /// This simulation's engine-level observability registry: every
     /// protocol-independent counter and gauge the engine maintains, under
     /// `engine.*` keys, plus the per-kind send meter under `send.*`. (The
@@ -1079,7 +1104,7 @@ mod tests {
     #[test]
     fn observability_registry_tracks_engine_counters() {
         let mut s = sim(4);
-        s.run();
+        assert_eq!(s.run(), RunOutcome::Quiescent);
         let reg = s.observability();
         assert_eq!(reg.counter("engine.events_dispatched"), 8);
         assert_eq!(
@@ -1087,8 +1112,9 @@ mod tests {
             s.queue_pushes(),
             "registry mirrors the accessor"
         );
-        // Every push was eventually popped (the queue drained).
-        assert_eq!(s.queue_pushes(), s.queue_pops());
+        // The queue drained, and every push was popped.
+        assert_eq!(s.queue_len(), 0);
+        assert!(s.books_balance());
         assert_eq!(reg.gauge("engine.peak_queue_depth"), 7);
         // The broadcast parked one payload for 4 deliveries; the gauge
         // counts deliveries, and the self-delivery is taken before the

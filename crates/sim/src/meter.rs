@@ -107,6 +107,23 @@ impl Meter {
     pub fn received(&self, node: NodeId) -> &[(&'static str, KindStats)] {
         self.received.get(node.0).map_or(&[], Vec::as_slice)
     }
+
+    /// Every delivery, per kind over all receivers, in order of first
+    /// appearance. A run has a handful of kinds and may have thousands of
+    /// receivers, so the fold scans a short list.
+    pub(crate) fn delivered(&self) -> Vec<(&'static str, KindStats)> {
+        let mut total: Vec<(&'static str, KindStats)> = Vec::new();
+        for &(kind, got) in self.received.iter().flatten() {
+            match total.iter().position(|&(k, _)| k == kind) {
+                Some(i) => {
+                    total[i].1.count += got.count;
+                    total[i].1.bytes += got.bytes;
+                }
+                None => total.push((kind, got)),
+            }
+        }
+        total
+    }
 }
 
 #[cfg(test)]

@@ -16,8 +16,8 @@
 //! `arena.rs`.
 
 use prft_sim::{
-    Context, KindStats, LinkModel, Node, SimRng, SimTime, Simulation, TimerId, TraceEntry,
-    WireMessage,
+    Context, KindStats, LinkModel, Node, RunOutcome, SimRng, SimTime, Simulation, TimerId,
+    TraceEntry, WireMessage,
 };
 use prft_types::NodeId;
 use proptest::prelude::*;
@@ -226,8 +226,8 @@ fn run(mut sim: Simulation<Fan>, steps: &[(u64, Step)]) -> (Artifacts, u64) {
             }
         }
     }
-    sim.run();
-    assert_eq!(sim.in_flight_messages(), 0, "arena drained at quiescence");
+    assert_eq!(sim.run(), RunOutcome::Quiescent, "the run drains");
+    assert!(sim.books_balance(), "queue books and arena at quiescence");
     let ledger = |i| sim.meter().received(NodeId(i)).iter();
     for (i, node) in sim.nodes().enumerate() {
         let own = node.received.iter().map(|(_, m)| {
@@ -240,13 +240,8 @@ fn run(mut sim: Simulation<Fan>, steps: &[(u64, Step)]) -> (Artifacts, u64) {
             "node {i}'s deliveries"
         );
     }
-    let received = by_kind((0..sim.n()).flat_map(ledger).copied());
     let crashed = steps.iter().any(|(_, step)| matches!(step, Step::Crash(_)));
-    for (kind, sent) in sim.meter().iter() {
-        let got = received.get(kind).copied().unwrap_or_default();
-        assert!(got.count <= sent.count && got.bytes <= sent.bytes, "{kind}");
-        assert!(crashed || got == sent, "{kind}: every send delivered");
-    }
+    assert!(sim.ledger_balances(!crashed), "delivered vs sent, per kind");
     let trace = sim.trace().entries();
     assert!(
         trace.windows(2).all(|w| w[0].at <= w[1].at),

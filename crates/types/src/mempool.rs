@@ -105,7 +105,10 @@ impl Mempool {
     }
 
     /// Takes up to `max` transactions in FIFO order (removing them). No
-    /// replica drains its pool: this stays for `benchmark/`'s mempool probe.
+    /// replica drains its pool.
+    // Exists only because the frozen `benchmark/` crate still calls it; goes
+    // away in the next `benchmark` PR.
+    #[doc(hidden)]
     pub fn take(&mut self, max: usize) -> Vec<Transaction> {
         let n = max.min(self.pending.len());
         let batch: Vec<Transaction> = self.pending.drain(..n).collect();
@@ -167,9 +170,9 @@ impl Mempool {
         self.ever_seen.contains(&id)
     }
 
-    /// Every id this pool ever admitted, in no particular order.
-    pub fn admitted(&self) -> impl Iterator<Item = TxId> + '_ {
-        self.ever_seen.iter().copied()
+    /// How many ids this pool ever admitted (pending now or gone).
+    pub fn admitted_len(&self) -> usize {
+        self.ever_seen.len()
     }
 
     /// Number of pending transactions.
