@@ -29,8 +29,13 @@
 //!   when players time out at different moments.
 //! * Round synchronization: messages carry their (signed) round; observing
 //!   `t0 + 1` distinct players at a higher round fast-forwards a laggard
-//!   (at least one of them is non-byzantine). Finalized blocks are fetched
-//!   via the persistent `Final` tallies, so laggards reconcile their chains.
+//!   (at least one of them is non-byzantine).
+//! * Catch-up: a laggard asks with `SyncRequest` — on a proposal whose
+//!   parent it lacks, and whenever it restarts after a crash — and is
+//!   answered by `help_laggard` with every held block and its proof: the
+//!   persistent `Final` tally of a final block, the helper's own `Reveal`
+//!   (a commit quorum) of a tentative one, which a laggard past that round
+//!   appends as `try_reveal` would.
 
 use crate::behavior::{BallotAction, Behavior, ProposeAction};
 use crate::collateral::CollateralLedger;
@@ -259,6 +264,10 @@ pub struct Replica {
     final_pending: BTreeSet<Digest>,
     /// Signed propose ballots per block (for laggard catch-up).
     propose_store: HashMap<Digest, SignedBallot>,
+    /// The Reveal — ballot and commit quorum — of each block tentative
+    /// here (for laggard catch-up): ours, or the one a laggard adopted.
+    /// Dropped once the block is final or rolled back.
+    reveal_store: HashMap<Digest, (SignedBallot, Arc<RevealSet>)>,
     /// By peer: the highest round at which we already helped it (rate limit).
     helped_at: Vec<Option<Round>>,
     /// Tx ids seen in finalized blocks: answers retried client `Submit`s
@@ -319,6 +328,7 @@ impl Replica {
             final_tally: BTreeMap::new(),
             final_pending: BTreeSet::new(),
             propose_store: HashMap::new(),
+            reveal_store: HashMap::new(),
             helped_at: vec![None; n],
             finalized_txs: HashSet::new(),
             finalized_twice: 0,
@@ -387,6 +397,12 @@ impl Replica {
     /// Current phase.
     pub fn phase(&self) -> Phase {
         self.phase
+    }
+
+    /// Whether the round budget ([`Config::max_rounds`]) is spent: the
+    /// replica takes part in no round, and only answers laggards.
+    pub fn is_passive(&self) -> bool {
+        self.passive
     }
 
     /// Swaps this replica's strategy at runtime, returning the previous
@@ -975,10 +991,13 @@ impl Replica {
             self.observe_and_react(ctx, certs[i].commit());
             self.observe_cert_votes(ctx, &certs[i]);
         }
+        let value = ballot.payload.value;
+        if ballot.signer() == self.id() && self.rs.tentative.is_some_and(|(v, _)| v == value) {
+            self.reveal_store.insert(value, (ballot.clone(), certs));
+        }
         if self.rs.discontinued {
             return;
         }
-        let value = ballot.payload.value;
         let reveals = &mut self.rs.value_mut(value).reveals;
         reveals.insert(ballot.signer());
         self.try_finalize(ctx);
@@ -1254,8 +1273,11 @@ impl Replica {
         }
     }
 
-    /// Forwards our finalized chain's proposals and Final certificates to a
-    /// peer that is visibly behind. Rate-limited to once per round per peer.
+    /// Answers a peer that is visibly behind with what it may lack: every
+    /// block of our chain, each proposal followed by its proof — the
+    /// `Final` tally of a final block, the stored Reveal of a tentative
+    /// one — and then our own `ViewChange` for the current round, if we
+    /// sent one. Rate-limited to once per round per peer.
     fn help_laggard(&mut self, ctx: &mut Context<PrftMsg>, peer: NodeId) {
         let Some(helped) = self.helped_at.get_mut(peer.0) else {
             return; // not a committee member
@@ -1265,12 +1287,8 @@ impl Replica {
         }
         *helped = Some(self.round);
         let majority = self.cfg.final_majority();
-        let finalized = self
-            .chain
-            .iter_with_ids()
-            .skip(1) // genesis needs no help
-            .filter(|(_, e)| e.status == prft_types::BlockStatus::Final);
-        for (value, entry) in finalized {
+        // Genesis needs no help.
+        for (value, entry) in self.chain.iter_with_ids().skip(1) {
             if let Some(pb) = self.propose_store.get(&value) {
                 ctx.send(
                     peer,
@@ -1280,12 +1298,58 @@ impl Replica {
                     },
                 );
             }
-            if let Some(tally) = self.final_tally.get(&value) {
-                for sb in tally.values().take(majority) {
-                    ctx.send(peer, PrftMsg::Final { ballot: sb.clone() });
+            if entry.status == prft_types::BlockStatus::Final {
+                if let Some(tally) = self.final_tally.get(&value) {
+                    for sb in tally.values().take(majority) {
+                        ctx.send(peer, PrftMsg::Final { ballot: sb.clone() });
+                    }
                 }
+            } else if let Some((ballot, certs)) = self.reveal_store.get(&value) {
+                let (ballot, certs) = (ballot.clone(), Arc::clone(certs));
+                ctx.send(peer, PrftMsg::Reveal { ballot, certs });
             }
         }
+        if let Some(req) = self.rs.vc_reqs.get(&self.id()) {
+            ctx.send(peer, PrftMsg::ViewChange { req: req.clone() });
+        }
+    }
+
+    /// Takes a Reveal of a round we have left: its block is appended
+    /// tentatively when it extends our tip and the certificates prove a
+    /// commit quorum for it — what [`Self::try_reveal`] requires inside a
+    /// round — and the Reveal is kept to pass on. This is how a laggard
+    /// takes the tentative blocks [`Self::help_laggard`] forwards.
+    fn adopt_reveal(&mut self, ballot: SignedBallot, certs: Arc<RevealSet>) {
+        let Ballot {
+            round,
+            phase,
+            value,
+        } = ballot.payload;
+        let Some(block) = self.block_store.get(&value) else {
+            return;
+        };
+        if phase != Phase::Reveal || block.round != round || block.parent != self.chain.tip() {
+            return;
+        }
+        let block = block.clone();
+        if !ballot.verify(&self.registry) || !self.proves_commit_quorum(&certs, round, value) {
+            return;
+        }
+        if self.chain.append_tentative_hashed(block, value).is_ok() {
+            self.reveal_store.insert(value, (ballot, certs));
+        }
+    }
+
+    /// Whether `certs` hold valid commit certificates for `value` in
+    /// `round` from a quorum of distinct committers.
+    fn proves_commit_quorum(&self, certs: &RevealSet, round: Round, value: Digest) -> bool {
+        let quorum = self.quorum();
+        let proven = certs.iter().filter(|cert| {
+            let commit = cert.commit().payload;
+            commit.round == round && commit.value == value && cert.validate(&self.registry, quorum)
+        });
+        let committers: BTreeSet<NodeId> = proven.map(|cert| cert.commit().signer()).collect();
+        committers.len() >= quorum
     }
 
     // ------------------------------------------------------- client traffic
@@ -1341,6 +1405,9 @@ impl Replica {
             self.finalized_exits += pending - self.mempool.len();
             self.acked_upto += 1;
         }
+        let (chain, final_height) = (&self.chain, self.chain.final_height());
+        self.reveal_store
+            .retain(|value, _| chain.height_of(value).is_some_and(|h| h.0 > final_height));
         Ok(())
     }
 
@@ -1405,8 +1472,17 @@ impl Replica {
 impl Node for Replica {
     type Msg = PrftMsg;
 
+    /// The first start enters round 0. A restart after a crash stays in
+    /// the round it was in: it re-arms the phase timer — the one pending
+    /// at the crash was discarded — and asks the committee for what it
+    /// missed (`help_laggard` answers).
     fn on_start(&mut self, ctx: &mut Context<PrftMsg>) {
-        self.start_round(ctx);
+        if self.stats.rounds_entered == 0 {
+            self.start_round(ctx);
+        } else if !self.passive {
+            self.arm_timer(ctx);
+            ctx.broadcast_others(PrftMsg::SyncRequest { round: self.round });
+        }
     }
 
     fn on_message(&mut self, ctx: &mut Context<PrftMsg>, from: NodeId, msg: PrftMsg) {
@@ -1475,19 +1551,13 @@ impl Node for Replica {
                     }
                 }
             }
-            std::cmp::Ordering::Less => {
-                // Stale, except Finals/Exposes which stay meaningful — and
-                // a stale ViewChange marks a laggard (e.g. a recovered
-                // crash): help it catch up (paper's view-change step 2:
-                // "send the corresponding messages to P_j").
-                match &msg {
-                    PrftMsg::Final { .. } | PrftMsg::Expose { .. } => self.dispatch(ctx, from, msg),
-                    PrftMsg::ViewChange { req } if req.verify(&self.registry) => {
-                        self.help_laggard(ctx, from);
-                    }
-                    _ => {}
-                }
-            }
+            // Stale, except Finals and Exposes, which stay meaningful, and
+            // a Reveal, whose block a laggard may still lack.
+            std::cmp::Ordering::Less => match msg {
+                PrftMsg::Final { .. } | PrftMsg::Expose { .. } => self.dispatch(ctx, from, msg),
+                PrftMsg::Reveal { ballot, certs } => self.adopt_reveal(ballot, certs),
+                _ => {}
+            },
             std::cmp::Ordering::Equal => self.dispatch(ctx, from, msg),
         }
     }
@@ -1914,5 +1984,130 @@ mod tests {
         assert_eq!((r.chain.final_height(), r.chain.tip()), (1, vc));
         assert_eq!((r.stats.finalized_own, r.stats.finalized_catchup), (0, 0));
         assert_eq!((r.round(), r.stats.view_changes), (Round(1), 0));
+    }
+
+    /// P3 of n = 4 (t0 = 0, so the quorum is all four) alone is up. Two
+    /// peers' round-2 votes sync it to round 2, and it holds round 1's
+    /// block — P1's proposal on genesis — without having seen any of its
+    /// round. The test signs with everyone's keys.
+    struct Laggard {
+        sim: Simulation<Replica>,
+        keys: Vec<SecretKey>,
+        /// Round 1's block and another block of that round.
+        blocks: [Block; 2],
+    }
+
+    const LAGGARD: NodeId = NodeId(3);
+    const EVERY_SEAT: [usize; 4] = [0, 1, 2, 3];
+
+    impl Laggard {
+        fn new() -> Laggard {
+            let mut sim = Harness::new(4, 37).build();
+            for i in 0..3 {
+                sim.crash(NodeId(i));
+            }
+            let keys: Vec<SecretKey> = sim.nodes().map(|r| r.key.clone()).collect();
+            let genesis = sim.node(LAGGARD).chain.tip();
+            let block_of = |tx: u64| {
+                let txs = vec![Transaction::new(tx, NodeId(9), vec![tx as u8])];
+                Block::new(Round(1), genesis, NodeId(1), txs)
+            };
+            let mut laggard = Laggard {
+                sim,
+                keys,
+                blocks: [block_of(1), block_of(2)],
+            };
+            let mut msgs: Vec<(NodeId, PrftMsg)> = (0..2)
+                .map(|i| {
+                    let ballot = laggard.sign(i, Round(2), Phase::Vote, Digest::of_bytes(b"r2"));
+                    (
+                        NodeId(i),
+                        PrftMsg::Vote {
+                            ballot,
+                            propose: None,
+                        },
+                    )
+                })
+                .collect();
+            let block = laggard.blocks[0].clone();
+            let ballot = laggard.sign(1, Round(1), Phase::Propose, block.id());
+            msgs.push((NodeId(1), PrftMsg::Propose { ballot, block }));
+            deliver_now(&mut laggard.sim, LAGGARD, msgs);
+            let r = laggard.sim.node(LAGGARD);
+            assert_eq!((r.round(), r.chain.height()), (Round(2), 0));
+            assert!(r.block_store.contains_key(&laggard.blocks[0].id()));
+            laggard
+        }
+
+        fn sign(&self, who: usize, round: Round, phase: Phase, v: Digest) -> SignedBallot {
+            signed_ballot(&self.keys[who], round, phase, v)
+        }
+
+        /// `who`'s round-1 commit certificate for `v`, justified by the
+        /// votes of `voters`.
+        fn cert(&self, who: usize, v: Digest, voters: &[usize]) -> Arc<CommitCert> {
+            let votes = voters
+                .iter()
+                .map(|&w| self.sign(w, Round(1), Phase::Vote, v))
+                .collect();
+            Arc::new(CommitCert::new(
+                self.sign(who, Round(1), Phase::Commit, v),
+                votes,
+            ))
+        }
+
+        /// Delivers P1's stale Reveal of round 1's block carrying `certs`,
+        /// and returns the laggard.
+        fn reveal(&mut self, certs: Vec<Arc<CommitCert>>) -> &Replica {
+            let ballot = self.sign(1, Round(1), Phase::Reveal, self.blocks[0].id());
+            let certs = Arc::new(RevealSet::new(certs));
+            deliver_now(
+                &mut self.sim,
+                LAGGARD,
+                vec![(NodeId(1), PrftMsg::Reveal { ballot, certs })],
+            );
+            self.sim.node(LAGGARD)
+        }
+    }
+
+    #[test]
+    fn a_laggard_adopts_a_tentative_block_from_a_forwarded_reveal() {
+        let mut laggard = Laggard::new();
+        let value = laggard.blocks[0].id();
+        let certs = EVERY_SEAT.map(|who| laggard.cert(who, value, &EVERY_SEAT));
+        let r = laggard.reveal(certs.to_vec());
+        assert_eq!(r.quorum(), EVERY_SEAT.len());
+        assert_eq!((r.chain.height(), r.chain.tip()), (1, value));
+        assert_eq!(r.chain.final_height(), 0, "tentative");
+        assert!(r.reveal_store.contains_key(&value), "kept to pass on");
+        assert_eq!(r.round(), Round(2));
+    }
+
+    #[test]
+    fn a_reveal_with_one_certificate_short_of_a_quorum_appends_nothing() {
+        let mut laggard = Laggard::new();
+        let value = laggard.blocks[0].id();
+        // Three valid certificates, a fourth justified by three votes
+        // only, and a second one of the first committer's.
+        let certs = vec![
+            laggard.cert(0, value, &EVERY_SEAT),
+            laggard.cert(1, value, &EVERY_SEAT),
+            laggard.cert(2, value, &EVERY_SEAT),
+            laggard.cert(3, value, &[0, 1, 2]),
+            laggard.cert(0, value, &[3, 2, 1, 0]),
+        ];
+        let r = laggard.reveal(certs);
+        assert_eq!(r.chain.height(), 0);
+        assert!(r.reveal_store.is_empty());
+    }
+
+    #[test]
+    fn a_reveal_whose_certificates_are_for_another_value_appends_nothing() {
+        let mut laggard = Laggard::new();
+        let other = laggard.blocks[1].id();
+        let certs = EVERY_SEAT.map(|who| laggard.cert(who, other, &EVERY_SEAT));
+        let r = laggard.reveal(certs.to_vec());
+        assert_eq!(r.chain.height(), 0);
+        assert!(r.reveal_store.is_empty());
     }
 }

@@ -89,7 +89,7 @@ impl Behavior for VcSpammer {
 /// as written) to end at `t'`. A rule matches on send time and the clock
 /// is monotone, so this is indistinguishable from installing and lifting
 /// the rules mid-run — in-flight traffic keeps the delay it was sent with.
-fn scheduled_delay_rules(spec: &ScenarioSpec) -> Vec<DelayRule> {
+pub(crate) fn scheduled_delay_rules(spec: &ScenarioSpec) -> Vec<DelayRule> {
     let mut rules: Vec<DelayRule> = Vec::new();
     for (tick, event) in ordered_events(spec) {
         match *event {

@@ -1,10 +1,10 @@
 //! Per-run observables and their batch aggregates.
 
-use crate::build::replica;
+use crate::build::{replica, scheduled_delay_rules};
 use crate::json::Json;
-use crate::spec::{Role, ScenarioSpec, TimelineEvent};
+use crate::spec::{Role, ScenarioSpec, Synchrony, TimelineEvent};
 use prft_core::analysis::RunReport;
-use prft_core::{AsReplica, Replica, VerifyMode};
+use prft_core::{AsReplica, Phase, Replica, VerifyMode};
 use prft_game::{analytic, SystemState};
 use prft_sim::obs::hooks::HookSnapshot;
 use prft_sim::{Meter, Node, ObsRegistry, RunOutcome, Simulation};
@@ -322,6 +322,7 @@ pub const INVARIANTS: &[Invariant] = &[
     Invariant { name: "engine_books", check: Reads::Run(|f| Some(f.engine_books)) },
     Invariant { name: "ledger", check: Reads::Run(|f| Some(f.ledger)) },
     Invariant { name: "memo_identity", check: Reads::Run(memo_identity) },
+    Invariant { name: "progress_after_disruption", check: Reads::Run(progress_after_disruption) },
 ];
 
 /// The message kinds whose signatures are verified outside the verify
@@ -336,6 +337,57 @@ fn memo_identity(f: &Finished) -> Option<bool> {
     let unmemoized = UNMEMOIZED_KINDS.iter().any(|k| f.meter.kind(k).count > 0);
     let kept = memoized <= f.hooks.sig_verifies && (unmemoized || memoized == f.hooks.sig_verifies);
     (f.spec.verify_mode == VerifyMode::Fast).then_some(kept)
+}
+
+/// The tick after which nothing disrupts a run of `spec`: the latest of
+/// GST, the last `Crash` or `Recover`, the end of a delay rule and the end
+/// of a partition. An asynchronous run never settles.
+fn disrupted_until(spec: &ScenarioSpec) -> u64 {
+    let gst = match spec.synchrony {
+        Synchrony::Synchronous { .. } => 0,
+        Synchrony::PartiallySynchronous { gst, .. } => gst,
+        Synchrony::Asynchronous => return u64::MAX,
+    };
+    let faults = spec.schedule.iter().filter_map(|(tick, event)| {
+        matches!(event, TimelineEvent::Crash(_) | TimelineEvent::Recover(_)).then_some(*tick)
+    });
+    let delays = scheduled_delay_rules(spec)
+        .into_iter()
+        .map(|rule| rule.until_time.0);
+    let partitions = spec.partitions.iter().map(|p| p.end);
+    faults.chain(delays).chain(partitions).fold(gst, u64::max)
+}
+
+/// Liveness once the run settles at [`disrupted_until`]'s `D`: every seat
+/// up at the end finalizes a block after `D`. Applies where every seat is
+/// honest throughout, τ is not overridden and some up seat is in a round
+/// after `D` — it enters one, or the run stops after `D` with the seat
+/// still in one (a committee frozen in its round enters none). A run whose
+/// round budget is spent by `D` has nothing left to decide.
+fn progress_after_disruption(f: &Finished) -> Option<bool> {
+    if f.honest_throughout.len() < f.spec.n || f.spec.tau_override.is_some() {
+        return None;
+    }
+    let settled = disrupted_until(f.spec);
+    let up = || {
+        f.seats
+            .iter()
+            .zip(&f.up)
+            .filter(|(_, &up)| up)
+            .map(|(seat, _)| *seat)
+    };
+    // Both logs are in time order, so the last entry decides.
+    let in_round = |seat: &Replica| {
+        let mut log = seat.stats().phase_transitions.iter().rev();
+        let entered = log.find(|&&(_, phase, _)| phase == Phase::Propose);
+        entered.is_some_and(|&(_, _, at)| at.0 > settled)
+            || (!seat.is_passive() && f.stopped_at > settled)
+    };
+    let finalized = |seat: &Replica| {
+        let last = seat.stats().finalize_times.last();
+        last.is_some_and(|&(_, at)| at.0 > settled)
+    };
+    up().any(in_round).then(|| up().all(finalized))
 }
 
 /// The checks of the [`Reads::Run`] rows, in table order: one
@@ -363,6 +415,10 @@ pub struct Finished<'a> {
     /// [`Simulation::ledger_balances`], exact unless a seat was ever
     /// crashed (by a `Crash` role, a `Crash` event or `SetRole(_, Crash)`).
     ledger: bool,
+    /// Per seat: not crashed when the run stopped.
+    up: Vec<bool>,
+    /// The tick the run stopped at.
+    stopped_at: u64,
 }
 
 impl<'a> Finished<'a> {
@@ -395,6 +451,8 @@ impl<'a> Finished<'a> {
             meter: sim.meter(),
             engine_books: sim.books_balance(),
             ledger: sim.ledger_balances(lossless),
+            up: (0..spec.n).map(|i| !sim.is_crashed(NodeId(i))).collect(),
+            stopped_at: sim.now().0,
         }
     }
 

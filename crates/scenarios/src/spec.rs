@@ -116,7 +116,8 @@ pub enum TimelineEvent {
     Crash(usize),
     /// Recover a previously crashed `player`: it resumes receiving *new*
     /// messages (held or in-flight traffic addressed to it while down is
-    /// still dropped on dispatch).
+    /// still dropped on dispatch) and restarts, re-arming its phase timer
+    /// and asking the committee for what it missed.
     Recover(usize),
     /// Swap `player`'s strategy to `role` from the scheduled tick on —
     /// mid-run colluder defection (`SetRole(i, Role::Honest)`), late

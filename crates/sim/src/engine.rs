@@ -52,7 +52,9 @@ pub trait Node {
     /// The protocol's message type.
     type Msg: Clone + WireMessage;
 
-    /// Called once at time zero, before any delivery.
+    /// Called when the node (re)starts: at time zero, before any
+    /// delivery, and again whenever [`Simulation::recover`] brings it back
+    /// from a crash.
     fn on_start(&mut self, ctx: &mut Context<Self::Msg>) {
         let _ = ctx;
     }
@@ -529,9 +531,13 @@ impl<N: Node> Simulation<N> {
         self.state.crashed.insert(node);
     }
 
-    /// Un-crashes a node (recovery); it resumes receiving *new* messages.
+    /// Un-crashes a node (recovery): it resumes receiving *new* messages,
+    /// and its [`Node::on_start`] runs again, now. A node that is not
+    /// crashed is left as it is.
     pub fn recover(&mut self, node: NodeId) {
-        self.state.crashed.remove(&node);
+        if self.state.crashed.remove(&node) {
+            self.push(self.state.now, node, EventKind::Start);
+        }
     }
 
     /// Whether a node is currently crashed.
@@ -763,6 +769,7 @@ mod tests {
     struct Echo {
         received: Vec<(NodeId, u32)>,
         fired: Vec<TimerId>,
+        starts: u32,
     }
 
     impl Echo {
@@ -770,6 +777,7 @@ mod tests {
             Echo {
                 received: Vec::new(),
                 fired: Vec::new(),
+                starts: 0,
             }
         }
     }
@@ -777,6 +785,7 @@ mod tests {
     impl Node for Echo {
         type Msg = TestMsg;
         fn on_start(&mut self, ctx: &mut Context<TestMsg>) {
+            self.starts += 1;
             if ctx.me() == NodeId(0) {
                 ctx.broadcast(TestMsg::Hello(1));
             }
@@ -1049,6 +1058,21 @@ mod tests {
             1,
             "recovered before start"
         );
+    }
+
+    #[test]
+    fn a_recovered_node_starts_again_and_a_live_one_does_not() {
+        let mut s = sim(3);
+        s.run();
+        let pending = s.queue_len();
+        s.recover(NodeId(1));
+        assert_eq!(s.queue_len(), pending, "a live node has nothing to replay");
+        s.crash(NodeId(1));
+        s.recover(NodeId(1));
+        assert_eq!(s.queue_len(), pending + 1);
+        s.run();
+        let starts: Vec<u32> = s.nodes().map(|e| e.starts).collect();
+        assert_eq!(starts, vec![1, 2, 1]);
     }
 
     #[test]
