@@ -329,11 +329,11 @@ fn apply_event(spec: &ScenarioSpec, built: &mut Built, event: &TimelineEvent) {
 /// [`RunOutcome::EventLimit`] as soon as any segment trips the valve.
 ///
 /// With a `store`, the run also pauses at each capture tick and — before
-/// applying any events there — offers its state under the prefix
-/// fingerprint below that tick. Capture ticks are the spec's own event
-/// boundaries plus any store-advertised capture hints whose fingerprint
-/// matches ([`CheckpointStore::capture_ticks_for`]) — the latter give
-/// sibling cells *suffix* captures past this spec's last own event. The
+/// applying any events there — offers its state under the prefix text
+/// below that tick. Capture ticks are the spec's own event boundaries
+/// plus any store-advertised capture hints whose prefix text matches
+/// ([`CheckpointStore::capture_ticks_for`]) — the latter give sibling
+/// cells *suffix* captures past this spec's last own event. The
 /// capture plan is a pure function of `(spec, hint set)`; store contents
 /// only skip the clone, never change where the run pauses (and
 /// `run_before` at a non-event tick is state-neutral, so the extra
@@ -374,19 +374,19 @@ fn execute_schedule(
         }
         if let Some(store) = store.filter(|_| captures.get(c) == Some(&tick)) {
             c += 1;
-            let fp = prefix_fingerprint(spec, tick);
+            let key = (prefix_fingerprint(spec, tick), seed);
             // Check-then-clone: the population clone is the expensive
             // part, so skip it when a sibling already captured this
             // boundary. A racing duplicate only refreshes the survivor's
             // LRU stamp (first writer wins).
-            if !store.contains(fp, seed, tick) {
+            if !store.contains(&key, tick) {
                 let entry = CheckpointEntry {
                     snapshot: built.sim.snapshot(),
                     board: built.board.lock().unwrap().clone(),
                     hooks: prft_sim::obs::hooks::snapshot(),
                     tick,
                 };
-                store.insert(fp, seed, entry);
+                store.insert(key, entry);
             }
         }
         while i < events.len() && events[i].0 == tick {
@@ -456,7 +456,7 @@ pub fn run_one_with(spec: &ScenarioSpec, seed: u64, store: Option<&CheckpointSto
         boundaries(spec)
             .into_iter()
             .rev()
-            .find_map(|tb| store.lookup(prefix_fingerprint(spec, tb), seed, tb))
+            .find_map(|tb| store.lookup(&(prefix_fingerprint(spec, tb), seed), tb))
     });
     let (mut built, resume_from) = match hit {
         Some(entry) => {

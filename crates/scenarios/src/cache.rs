@@ -1,22 +1,25 @@
 //! The explorer's on-disk utility cache.
 //!
 //! A sweep cell is expensive (seeds × simulated committee runs) but pure:
-//! its result is a function of `(profile, spec fingerprint, seed count)`
-//! alone, because the batch runner derives every per-run seed from the
-//! spec's base seed and the run index. The cache persists finished cells
-//! so a re-sweep — or a strictly larger sweep sharing profiles with an
-//! earlier one — only simulates the cells it has never seen.
+//! its result is a function of `(profile, spec key text, seed count)` and
+//! of the build that simulated it, because the batch runner derives every
+//! per-run seed from the spec's base seed and the run index. The cache
+//! persists finished cells so a re-sweep — or a strictly larger sweep
+//! sharing profiles with an earlier one — only simulates the cells it has
+//! never seen.
 //!
 //! Format: one append-only text file per cache scope
 //! (`<dir>/<scope>.cells`), one line per cell:
 //!
 //! ```text
-//! v1 <TAB> fingerprint-hex <TAB> seeds <TAB> profile(csv) <TAB> seats(csv) <TAB> σ <TAB> utilities(csv) <TAB> ci95(csv)
+//! build <TAB> key <TAB> seeds <TAB> profile(csv) <TAB> seats(csv) <TAB> σ <TAB> utilities(csv) <TAB> ci95(csv)
 //! ```
 //!
-//! `seats` records which committee seats the per-player utilities were
-//! read from, so two games sharing a scope (and even a spec) can never
-//! exchange cells measured for different seats.
+//! `build` is the writing executable's length and mtime: a cache is reused
+//! only by the build that wrote it. `key` is the spec's canonical text
+//! ([`crate::ScenarioSpec::fingerprint`]); `seats` records which committee
+//! seats the utilities were read from, so two games sharing a scope (and
+//! even a spec) can never exchange cells measured for different seats.
 //!
 //! Floats are written with Rust's shortest-roundtrip formatting, so a
 //! cache hit reproduces the computed cell *bit-exactly* and cached and
@@ -30,12 +33,14 @@ use prft_game::{Profile, ProfileStats, SystemState};
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
+use std::time::UNIX_EPOCH;
 
 /// The identity of one sweep cell.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CacheKey {
     /// [`crate::ScenarioSpec::fingerprint`] of the cell's spec.
-    pub fingerprint: u64,
+    pub fingerprint: String,
     /// Seeded runs aggregated into the cell.
     pub seeds: u64,
     /// The strategy profile the spec realizes.
@@ -65,15 +70,18 @@ impl UtilityCache {
         self.dir.join(format!("{game}.cells"))
     }
 
-    /// Loads every readable cell for `game` (empty when the file does not
-    /// exist yet). Later lines shadow earlier ones.
+    /// Loads every readable cell this build wrote for `game` (empty when
+    /// the file does not exist yet). Later lines shadow earlier ones.
     pub fn load(&self, game: &str) -> BTreeMap<CacheKey, ProfileStats> {
         let mut cells = BTreeMap::new();
+        let Some(build) = build() else {
+            return cells;
+        };
         let Ok(content) = std::fs::read_to_string(self.file(game)) else {
             return cells;
         };
         for line in content.lines() {
-            if let Some((key, stats)) = parse_line(line) {
+            if let Some((key, stats)) = parse_line(build, line) {
                 cells.insert(key, stats);
             }
         }
@@ -84,9 +92,9 @@ impl UtilityCache {
     /// as needed. I/O errors are reported, not fatal — a read-only cache
     /// directory degrades to cache-off behavior.
     pub fn append(&self, game: &str, entries: &[(CacheKey, ProfileStats)]) -> std::io::Result<()> {
-        if entries.is_empty() {
+        let Some(build) = build().filter(|_| !entries.is_empty()) else {
             return Ok(());
-        }
+        };
         std::fs::create_dir_all(&self.dir)?;
         let mut file = std::fs::OpenOptions::new()
             .create(true)
@@ -94,69 +102,61 @@ impl UtilityCache {
             .open(self.file(game))?;
         let mut out = String::new();
         for (key, stats) in entries {
-            out.push_str(&render_line(key, stats));
+            out.push_str(&render_line(build, key, stats));
             out.push('\n');
         }
         file.write_all(out.as_bytes())
     }
 }
 
-fn csv_f64(values: &[f64]) -> String {
+fn csv<T: ToString>(values: &[T]) -> String {
     values
         .iter()
-        .map(|v| v.to_string())
+        .map(T::to_string)
         .collect::<Vec<_>>()
         .join(",")
 }
 
-fn csv_usize(values: &[usize]) -> String {
-    values
-        .iter()
-        .map(|v| v.to_string())
-        .collect::<Vec<_>>()
-        .join(",")
+fn parse_csv<T: std::str::FromStr>(field: &str) -> Option<Vec<T>> {
+    field.split(',').map(|s| s.parse().ok()).collect()
 }
 
-fn render_line(key: &CacheKey, stats: &ProfileStats) -> String {
+/// The running executable's length and modification time — one `stat`,
+/// read once per process. `None` (with one warning) when the executable
+/// cannot be stat'ed: the cache then reads nothing and writes nothing.
+fn build() -> Option<&'static str> {
+    static BUILD: OnceLock<Option<String>> = OnceLock::new();
+    let stamp = || -> std::io::Result<String> {
+        let meta = std::fs::metadata(std::env::current_exe()?)?;
+        let mtime = meta.modified()?.duration_since(UNIX_EPOCH);
+        let mtime = mtime.map_err(std::io::Error::other)?.as_nanos();
+        Ok(format!("{}-{mtime}", meta.len()))
+    };
+    let warn = |e| eprintln!("warning: utility cache off: cannot stat this executable: {e}");
+    BUILD.get_or_init(|| stamp().map_err(warn).ok()).as_deref()
+}
+
+fn render_line(build: &str, key: &CacheKey, stats: &ProfileStats) -> String {
     format!(
-        "v1\t{:016x}\t{}\t{}\t{}\t{}\t{}\t{}",
+        "{build}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
         key.fingerprint,
         key.seeds,
-        csv_usize(&key.profile),
-        csv_usize(&key.seats),
+        csv(&key.profile),
+        csv(&key.seats),
         stats.sigma.symbol(),
-        csv_f64(&stats.utilities),
-        csv_f64(&stats.ci95),
+        csv(&stats.utilities),
+        csv(&stats.ci95),
     )
 }
 
-fn parse_line(line: &str) -> Option<(CacheKey, ProfileStats)> {
+fn parse_line(build: &str, line: &str) -> Option<(CacheKey, ProfileStats)> {
     let fields: Vec<&str> = line.split('\t').collect();
-    let [version, fingerprint, seeds, profile, seats, sigma, utilities, ci95] = fields[..] else {
+    let [_, fingerprint, seeds, profile, seats, sigma, utilities, ci95] = fields[..] else {
         return None;
     };
-    if version != "v1" {
-        return None;
-    }
-    let fingerprint = u64::from_str_radix(fingerprint, 16).ok()?;
     let seeds: u64 = seeds.parse().ok()?;
-    let profile: Profile = profile
-        .split(',')
-        .map(|s| s.parse().ok())
-        .collect::<Option<_>>()?;
-    let seats: Vec<usize> = seats
-        .split(',')
-        .map(|s| s.parse().ok())
-        .collect::<Option<_>>()?;
     let sigma = *SystemState::ALL.iter().find(|s| s.symbol() == sigma)?;
-    let utilities: Vec<f64> = utilities
-        .split(',')
-        .map(|s| s.parse().ok())
-        .collect::<Option<_>>()?;
-    let ci95: Vec<f64> = ci95
-        .split(',')
-        .map(|s| s.parse().ok())
-        .collect::<Option<_>>()?;
+    let (utilities, ci95): (Vec<f64>, Vec<f64>) = (parse_csv(utilities)?, parse_csv(ci95)?);
     if utilities.len() != ci95.len() || utilities.is_empty() {
         return None;
     }
@@ -167,10 +167,10 @@ fn parse_line(line: &str) -> Option<(CacheKey, ProfileStats)> {
         return None;
     }
     let key = CacheKey {
-        fingerprint,
+        fingerprint: fingerprint.to_owned(),
         seeds,
-        profile,
-        seats,
+        profile: parse_csv(profile)?,
+        seats: parse_csv(seats)?,
     };
     let stats = ProfileStats {
         utilities,
@@ -178,9 +178,10 @@ fn parse_line(line: &str) -> Option<(CacheKey, ProfileStats)> {
         seeds,
         sigma,
     };
-    // Only the exact bytes `render_line` writes are a hit: a line that
-    // parses but is spelled otherwise (`+4`, `1.0`, short hex) was edited.
-    (render_line(&key, &stats) == line).then_some((key, stats))
+    // Only the exact bytes `render_line` writes for this build are a hit:
+    // another build's line, or one that parses but is spelled otherwise
+    // (`+4`, `1.0`), is not.
+    (render_line(build, &key, &stats) == line).then_some((key, stats))
 }
 
 #[cfg(test)]
@@ -198,7 +199,7 @@ mod tests {
 
     fn key() -> CacheKey {
         CacheKey {
-            fingerprint: 0xdead_beef_0bad_f00d,
+            fingerprint: "ScenarioSpec { n: 4 }|label:\"σ\\t\"".into(),
             seeds: 4,
             profile: vec![0, 2, 1],
             seats: vec![1, 2, 3],
@@ -207,8 +208,9 @@ mod tests {
 
     #[test]
     fn lines_round_trip_bit_exactly() {
-        let line = render_line(&key(), &stats());
-        let (k, s) = parse_line(&line).expect("parses");
+        let line = render_line("build", &key(), &stats());
+        assert_eq!(line.split('\t').nth(1), Some(key().fingerprint.as_str()));
+        let (k, s) = parse_line("build", &line).expect("parses");
         assert_eq!(k, key());
         assert_eq!(s, stats());
     }
@@ -216,24 +218,26 @@ mod tests {
     #[test]
     fn malformed_lines_are_misses() {
         // Each line differs from this hit in the one field it names.
-        let line = |version, fp, sigma, utilities, ci95| {
-            format!("{version}\t{fp}\t1\t0\t0\t{sigma}\t{utilities}\t{ci95}")
+        let line = |build, fp, sigma, utilities, ci95| {
+            format!("{build}\t{fp}\t1\t0\t0\t{sigma}\t{utilities}\t{ci95}")
         };
-        let fp = "000000000000ffff";
-        assert!(parse_line(&line("v1", fp, "σ_0", "1", "0")).is_some());
-        assert!(parse_line("").is_none());
-        assert!(parse_line(&line("v0", fp, "σ_0", "1", "0")).is_none());
-        assert!(parse_line(&line("v1", "not-hex", "σ_0", "1", "0")).is_none());
-        assert!(parse_line(&line("v1", fp, "σ_??", "1", "0")).is_none());
+        let parse = |line: &str| parse_line("b", line);
+        let fp = "ScenarioSpec { n: 4 }";
+        assert!(parse(&line("b", fp, "σ_0", "1", "0")).is_some());
+        assert!(parse("").is_none());
+        // Another build's line, and a line of the retired `v1` format.
+        assert!(parse(&line("c", fp, "σ_0", "1", "0")).is_none());
+        assert!(parse(&line("v1", "000000000000ffff", "σ_0", "1", "0")).is_none());
+        assert!(parse(&line("b", fp, "σ_??", "1", "0")).is_none());
         // Arity mismatch between utilities and CIs.
-        assert!(parse_line(&line("v1", fp, "σ_0", "1,2", "0")).is_none());
+        assert!(parse(&line("b", fp, "σ_0", "1,2", "0")).is_none());
         // A pre-seats line (the old 7-field shape) is a miss, not a panic.
-        assert!(parse_line(&format!("v1\t{fp}\t1\t0\tσ_0\t1\t0")).is_none());
+        assert!(parse(&format!("b\t{fp}\t1\t0\tσ_0\t1\t0")).is_none());
         // `f64` parses these, but a cell is finite and its CIs are >= 0.
         let cells = ["NaN 0", "inf 0", "-inf 0", "1 NaN", "1 inf", "1 -0.5"];
         for (utilities, ci95) in cells.map(|c| c.split_once(' ').unwrap()) {
-            let tampered = line("v1", fp, "σ_0", utilities, ci95);
-            assert!(parse_line(&tampered).is_none(), "{tampered}");
+            let tampered = line("b", fp, "σ_0", utilities, ci95);
+            assert!(parse(&tampered).is_none(), "{tampered}");
         }
     }
 

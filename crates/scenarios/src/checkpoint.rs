@@ -11,27 +11,27 @@
 //!
 //! This module provides the three pieces:
 //!
-//! - [`prefix_fingerprint`]: a stable hash identifying "the simulation a
+//! - [`prefix_fingerprint`]: the canonical text of "the simulation a
 //!   spec describes, up to (excluding) tick `t`". Two specs with equal
-//!   prefix fingerprints and equal derived seeds are guaranteed to be in
+//!   prefix texts and equal derived seeds are guaranteed to be in
 //!   byte-identical states at any capture point below `t`.
 //! - [`CheckpointEntry`]: a captured state — one engine snapshot
 //!   (committee plus any workload clients) plus the scenario-layer shared
 //!   state the engine cannot see (the fork blackboard and the
 //!   thread-local observability hook counters).
 //! - [`CheckpointStore`]: an in-memory, LRU-bounded, thread-shared map
-//!   from `(prefix fingerprint, seed)` to captured states at increasing
+//!   from `(prefix text, seed)` to captured states at increasing
 //!   depths, with fork/reuse accounting ([`ReuseStats`]) and optional
 //!   *capture hints* ([`CheckpointStore::set_capture_hints_for`]) that
 //!   let producing runs take deep captures at sibling boundaries past
-//!   their own divergence (suffix fingerprints).
+//!   their own divergence (suffix texts).
 //!
 //! The warm-start run path lives in `build::run_one_with`; this module is
 //! purely the bookkeeping. See `docs/CHECKPOINTING.md` for the full
 //! contract (what is and is not in a checkpoint, and why the reuse
 //! counters deliberately stay out of per-run reports).
 
-use crate::spec::{fnv1a, ScenarioSpec, TimelineEvent};
+use crate::spec::{ScenarioSpec, TimelineEvent};
 use prft_adversary::ForkPlan;
 use prft_sim::obs::hooks::HookSnapshot;
 use prft_sim::SimSnapshot;
@@ -44,21 +44,25 @@ use std::sync::{Arc, Mutex};
 /// the bound is deliberately modest.
 pub const DEFAULT_CAPACITY: usize = 64;
 
-/// Stable fingerprint of `spec`'s simulation prefix below `tick_bound`.
+/// The canonical text of `spec`'s simulation prefix below `tick_bound`:
+/// the checkpoint store's key, and the head of the explorer cache's key
+/// ([`ScenarioSpec::fingerprint`]).
 ///
-/// Two cells whose prefix fingerprints agree (and that run under the same
+/// Two cells whose prefix texts are equal (and that run under the same
 /// derived seed) are guaranteed to traverse byte-identical simulation
 /// states up to the first event at or after `tick_bound` — so a state
 /// captured by one at any tick `≤ tick_bound` is a valid resume point for
-/// the other.
+/// the other. A hit is text equality, so two different prefixes can
+/// never share a key.
 ///
-/// The hash covers, in a canonical form:
+/// The text covers, in a canonical form:
 ///
 /// - every *static* field that shapes the build: `n`, `max_rounds`,
 ///   `horizon`, `synchrony`, `partitions` (every window, whatever its
 ///   ticks: the link stack is built at `t = 0`), `roles`, `censored`,
 ///   `fork_b_group`, `txs`, `tau_override`, `accountable`,
-///   `phase_timeout`;
+///   `phase_timeout`, and the `workload` section (every workload knob
+///   shapes the population and its traffic from `t = 0`);
 /// - the whole-schedule-derived build inputs: the censor collusion set
 ///   (baked into `PartialCensor` behaviors at `t = 0` even when the
 ///   censoring seat is only scheduled later) and the presence of a
@@ -69,18 +73,18 @@ pub const DEFAULT_CAPACITY: usize = 64;
 ///   windows: one at `t` only shapes sends from `t` on, so cells agreeing
 ///   below the bound saw identical delays below it.
 ///
-/// It deliberately **excludes** fields that provably cannot affect the
+/// It canonicalizes away the fields that provably cannot affect the
 /// simulation state: `label`, `watched` and `utility` (post-run
 /// measurement only), `base_seed` (the store is keyed by the *derived*
 /// seed separately), and `queue`/`verify_mode` (pinned byte-identical by
-/// the backend/verify-mode identity invariants).
-///
-/// The `workload` section stays in the canonical form: every workload
-/// knob (clients, arrivals, retry policy, mempool capacity, …) shapes the
-/// population and its traffic from `t = 0`, so two cells only share
-/// prefixes when their workloads agree exactly (a plain committee,
-/// `workload: None`, included).
-pub fn prefix_fingerprint(spec: &ScenarioSpec, tick_bound: u64) -> u64 {
+/// the backend/verify-mode identity invariants). Derived `Debug` escapes
+/// tabs and newlines, so the text is always one tab-free line.
+pub fn prefix_fingerprint(spec: &ScenarioSpec, tick_bound: u64) -> String {
+    state_text(spec, |tick| tick < tick_bound)
+}
+
+/// [`prefix_fingerprint`]'s text over the scheduled events `keep` admits.
+pub(crate) fn state_text(spec: &ScenarioSpec, keep: impl Fn(u64) -> bool) -> String {
     let mut canonical = spec.clone();
     canonical.label = String::new();
     canonical.base_seed = 0;
@@ -91,17 +95,11 @@ pub fn prefix_fingerprint(spec: &ScenarioSpec, tick_bound: u64) -> u64 {
     canonical.schedule = Vec::new();
     let prefix = ordered_events(spec)
         .into_iter()
-        .filter(|(t, _)| *t < tick_bound)
+        .filter(|&(t, _)| keep(t))
         .collect::<Vec<_>>();
     let collusion = spec.censor_collusion();
     let delay_wrapped = spec.uses_targeted_delay();
-    // Salt v2: workload specs joined the store (they previously bypassed
-    // it), so workload knobs became significant for sharing decisions.
-    // Bumping the salt makes every pre-v2 prefix read as a miss — never a
-    // stale hit.
-    fnv1a(&format!(
-        "ckpt-v2|{canonical:?}|collusion:{collusion:?}|delay:{delay_wrapped}|prefix:{prefix:?}"
-    ))
+    format!("{canonical:?}|collusion:{collusion:?}|delay:{delay_wrapped}|prefix:{prefix:?}")
 }
 
 /// The spec's schedule in execution order (ascending tick, same-tick
@@ -193,6 +191,9 @@ pub struct ReuseStats {
     pub prefix_ticks_saved: u64,
 }
 
+/// A store key: `(prefix text, derived seed)`.
+type Key = (String, u64);
+
 struct Slot {
     entry: Arc<CheckpointEntry>,
     last_used: u64,
@@ -200,15 +201,16 @@ struct Slot {
 
 #[derive(Default)]
 struct Inner {
-    /// `(prefix fingerprint, derived seed)` → capture tick → state.
-    map: HashMap<(u64, u64), BTreeMap<u64, Slot>>,
-    /// Capture hints, sorted: `(tick, prefix fingerprint at that tick)`
-    /// pairs advertising the boundaries *sibling* cells will probe. A run
-    /// captures at a hint tick exactly when its own fingerprint at that
+    /// `(prefix text, derived seed)` → capture tick → state.
+    map: HashMap<Key, BTreeMap<u64, Slot>>,
+    /// Capture hints, sorted: `(tick, prefix text at that tick)` pairs
+    /// advertising the boundaries *sibling* cells will probe. A run
+    /// captures at a hint tick exactly when its own prefix text at that
     /// tick matches — so deep captures past its last scheduled event (the
-    /// suffix fingerprints of forked cells included) are taken only where
-    /// some sibling can actually consume them.
-    hints: Vec<(u64, u64)>,
+    /// suffix texts of forked cells included) are taken only where some
+    /// sibling can actually consume them. Shared, so a run reads them
+    /// without copying.
+    hints: Arc<[(u64, String)]>,
     clock: u64,
     len: usize,
     stats: ReuseStats,
@@ -216,7 +218,7 @@ struct Inner {
 
 /// In-memory, thread-shared checkpoint cache for one sweep invocation.
 ///
-/// Keys are `(prefix fingerprint, derived seed)`; each key holds captures
+/// Keys are `(prefix text, derived seed)`; each key holds captures
 /// at increasing depths and [`CheckpointStore::lookup`] returns the
 /// deepest one not past the requested boundary. Capacity-bounded with
 /// least-recently-used eviction (capacity counts individual checkpoints).
@@ -246,14 +248,9 @@ impl CheckpointStore {
         }
     }
 
-    /// The deepest checkpoint for `(fingerprint, seed)` captured at a tick
-    /// `≤ boundary`, if any. A hit counts as a fork in [`ReuseStats`].
-    pub fn lookup(
-        &self,
-        fingerprint: u64,
-        seed: u64,
-        boundary: u64,
-    ) -> Option<Arc<CheckpointEntry>> {
+    /// The deepest checkpoint for `key` captured at a tick `≤ boundary`,
+    /// if any. A hit counts as a fork in [`ReuseStats`].
+    pub fn lookup(&self, key: &Key, boundary: u64) -> Option<Arc<CheckpointEntry>> {
         let mut inner = self.inner.lock().unwrap();
         let clock = {
             inner.clock += 1;
@@ -261,7 +258,7 @@ impl CheckpointStore {
         };
         let slot = inner
             .map
-            .get_mut(&(fingerprint, seed))?
+            .get_mut(key)?
             .range_mut(..=boundary)
             .next_back()
             .map(|(_, slot)| {
@@ -273,15 +270,11 @@ impl CheckpointStore {
         Some(slot)
     }
 
-    /// Whether a checkpoint already exists at exactly
-    /// `(fingerprint, seed, tick)` — producers check this before paying
-    /// for the committee clone.
-    pub fn contains(&self, fingerprint: u64, seed: u64, tick: u64) -> bool {
+    /// Whether a checkpoint already exists for `key` at exactly `tick` —
+    /// producers check this before paying for the committee clone.
+    pub fn contains(&self, key: &Key, tick: u64) -> bool {
         let inner = self.inner.lock().unwrap();
-        inner
-            .map
-            .get(&(fingerprint, seed))
-            .is_some_and(|m| m.contains_key(&tick))
+        inner.map.get(key).is_some_and(|m| m.contains_key(&tick))
     }
 
     /// Inserts a capture, first writer wins (a concurrent duplicate is
@@ -291,12 +284,12 @@ impl CheckpointStore {
     /// their sibling cells, so it must not be the next eviction victim.
     /// Counts toward `created` only on actual insert; evicts the
     /// least-recently-used checkpoint when over capacity.
-    pub fn insert(&self, fingerprint: u64, seed: u64, entry: CheckpointEntry) {
+    pub fn insert(&self, key: Key, entry: CheckpointEntry) {
         let tick = entry.tick;
         let mut inner = self.inner.lock().unwrap();
         inner.clock += 1;
         let clock = inner.clock;
-        let by_tick = inner.map.entry((fingerprint, seed)).or_default();
+        let by_tick = inner.map.entry(key).or_default();
         if let Some(slot) = by_tick.get_mut(&tick) {
             slot.last_used = clock;
             return;
@@ -315,9 +308,9 @@ impl CheckpointStore {
             let victim = inner
                 .map
                 .iter()
-                .flat_map(|(key, m)| m.iter().map(move |(t, s)| (s.last_used, *key, *t)))
+                .flat_map(|(key, m)| m.iter().map(move |(t, s)| (s.last_used, key, *t)))
                 .min()
-                .map(|(_, key, t)| (key, t));
+                .map(|(_, key, t)| (key.clone(), t));
             if let Some((key, t)) = victim {
                 if let Some(m) = inner.map.get_mut(&key) {
                     m.remove(&t);
@@ -350,10 +343,10 @@ impl CheckpointStore {
 
     /// Installs capture hints derived from `specs` — the cells of the
     /// sweep this store serves. Every sibling's event boundary becomes a
-    /// `(tick, prefix fingerprint)` pair; a producing run then captures at
-    /// a hint tick whenever its own fingerprint there matches, even when
-    /// the tick lies *past its last scheduled event* (a post-divergence
-    /// deep capture under the suffix fingerprint). Hints never change any
+    /// `(tick, prefix text)` pair; a producing run then captures at a hint
+    /// tick whenever its own prefix text there matches, even when the tick
+    /// lies *past its last scheduled event* (a post-divergence deep
+    /// capture under the suffix text). Hints never change any
     /// run's observables — captures are invisible — and never cause a
     /// capture no sibling boundary could consume.
     ///
@@ -362,7 +355,7 @@ impl CheckpointStore {
     /// hint set must be fixed for the whole sweep to keep records
     /// thread-count-invariant.
     pub fn set_capture_hints_for<'a>(&self, specs: impl IntoIterator<Item = &'a ScenarioSpec>) {
-        let mut hints: Vec<(u64, u64)> = specs
+        let mut hints: Vec<(u64, String)> = specs
             .into_iter()
             .flat_map(|spec| {
                 event_ticks(spec)
@@ -372,15 +365,15 @@ impl CheckpointStore {
             .collect();
         hints.sort_unstable();
         hints.dedup();
-        self.inner.lock().unwrap().hints = hints;
+        self.inner.lock().unwrap().hints = hints.into();
     }
 
     /// The hint ticks applicable to a run of `spec`: every installed hint
-    /// tick whose advertised fingerprint equals `spec`'s own prefix
-    /// fingerprint at that tick (sorted, deduplicated). Store *contents*
-    /// never influence this — only the fixed hint set does.
+    /// tick whose advertised prefix text equals `spec`'s own at that tick
+    /// (sorted, deduplicated). Store *contents* never influence this —
+    /// only the fixed hint set does.
     pub(crate) fn capture_ticks_for(&self, spec: &ScenarioSpec) -> Vec<u64> {
-        let hints = self.inner.lock().unwrap().hints.clone();
+        let hints = Arc::clone(&self.inner.lock().unwrap().hints);
         let mut out = Vec::new();
         let mut i = 0;
         while i < hints.len() {
@@ -416,10 +409,59 @@ impl CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{PartitionSpec, Role};
+    use crate::spec::{PartitionSpec, Role, Synchrony};
 
     fn spec() -> ScenarioSpec {
         ScenarioSpec::new("base", 4, 3)
+    }
+
+    /// Every `ScenarioSpec` field changed alone: `(field, spec, moves the
+    /// state key, moves the cache key)`. The destructuring names every
+    /// field, so a new field does not compile until it is classified here.
+    #[rustfmt::skip]
+    fn one_field_changed() -> Vec<(&'static str, ScenarioSpec, bool, bool)> {
+        use crate::spec::{TxSpec, UtilitySpec};
+        use prft_core::VerifyMode;
+        use prft_game::Theta;
+        use prft_sim::QueueBackend;
+        use prft_workload::WorkloadSpec;
+        let ScenarioSpec {
+            label, n, max_rounds, horizon, base_seed, synchrony: _, partitions: _, roles: _,
+            fork_b_group: _, txs: _, watched: _, censored: _, tau_override: _, accountable,
+            phase_timeout: _, utility: _, schedule: _, workload: _, queue, verify_mode,
+        } = spec();
+        assert_ne!(queue, QueueBackend::Heap);
+        assert_ne!(verify_mode, VerifyMode::Reference);
+        let window = PartitionSpec {
+            start: 900,
+            end: 2_000,
+            groups: vec![vec![0, 1], vec![2, 3]],
+            bridges: vec![],
+        };
+        let tx = TxSpec { id: 5, to: None, payload: vec![1] };
+        let utility = UtilitySpec::standard(Theta::Honest, 3);
+        vec![
+            ("label", ScenarioSpec { label: label + "'", ..spec() }, false, true),
+            ("n", ScenarioSpec { n: n + 1, ..spec() }, true, true),
+            ("max_rounds", ScenarioSpec { max_rounds: max_rounds + 1, ..spec() }, true, true),
+            ("horizon", ScenarioSpec { horizon: horizon + 1, ..spec() }, true, true),
+            ("base_seed", ScenarioSpec { base_seed: base_seed + 1, ..spec() }, false, true),
+            ("synchrony", ScenarioSpec { synchrony: Synchrony::Asynchronous, ..spec() }, true, true),
+            ("partitions", ScenarioSpec { partitions: vec![window], ..spec() }, true, true),
+            ("roles", ScenarioSpec { roles: vec![(1, Role::Abstain)], ..spec() }, true, true),
+            ("fork_b_group", ScenarioSpec { fork_b_group: vec![2], ..spec() }, true, true),
+            ("txs", ScenarioSpec { txs: vec![tx], ..spec() }, true, true),
+            ("watched", ScenarioSpec { watched: vec![9], ..spec() }, false, true),
+            ("censored", ScenarioSpec { censored: vec![9], ..spec() }, true, true),
+            ("tau_override", ScenarioSpec { tau_override: Some(3), ..spec() }, true, true),
+            ("accountable", ScenarioSpec { accountable: !accountable, ..spec() }, true, true),
+            ("phase_timeout", ScenarioSpec { phase_timeout: Some(50), ..spec() }, true, true),
+            ("utility", ScenarioSpec { utility: Some(utility), ..spec() }, false, true),
+            ("schedule", ScenarioSpec { schedule: vec![(500, TimelineEvent::Crash(1))], ..spec() }, true, true),
+            ("workload", ScenarioSpec { workload: Some(WorkloadSpec::steady(4, 100)), ..spec() }, true, true),
+            ("queue", ScenarioSpec { queue: QueueBackend::Heap, ..spec() }, false, false),
+            ("verify_mode", ScenarioSpec { verify_mode: VerifyMode::Reference, ..spec() }, false, false),
+        ]
     }
 
     #[test]
@@ -431,6 +473,24 @@ mod tests {
         b.watched = vec![9];
         let t = 1000;
         assert_eq!(prefix_fingerprint(&a, t), prefix_fingerprint(&b, t));
+        // Only the measurement and execution-strategy fields leave the
+        // state key unchanged; the cache key still sees the measurement
+        // fields.
+        let mut neutral = Vec::new();
+        for (field, changed, moves_state, moves_cache) in one_field_changed() {
+            if !moves_state {
+                let same = prefix_fingerprint(&changed, t) == prefix_fingerprint(&a, t);
+                assert!(same, "{field}");
+                assert_eq!(
+                    changed.fingerprint() != a.fingerprint(),
+                    moves_cache,
+                    "{field}"
+                );
+                neutral.push(field);
+            }
+        }
+        let listed = "label base_seed watched utility queue verify_mode";
+        assert_eq!(neutral.join(" "), listed);
     }
 
     #[test]
@@ -442,6 +502,19 @@ mod tests {
         let mut c = spec();
         c.accountable = !c.accountable;
         assert_ne!(prefix_fingerprint(&a, 10), prefix_fingerprint(&c, 10));
+        // Every other field moves both keys.
+        for (field, changed, moves_state, moves_cache) in one_field_changed() {
+            if moves_state {
+                assert!(moves_cache, "{field}");
+                let t = 1000;
+                assert_ne!(
+                    prefix_fingerprint(&changed, t),
+                    prefix_fingerprint(&a, t),
+                    "{field}"
+                );
+                assert_ne!(changed.fingerprint(), a.fingerprint(), "{field}");
+            }
+        }
     }
 
     #[test]
@@ -546,14 +619,14 @@ mod tests {
             hooks: HookSnapshot::default(),
             tick,
         };
-        store.insert(1, 0, entry(10));
-        store.insert(2, 0, entry(20));
+        store.insert(key(1, 0), entry(10));
+        store.insert(key(2, 0), entry(20));
         // Touch (1, 0) so (2, 0) is the LRU victim.
-        assert!(store.lookup(1, 0, 100).is_some());
-        store.insert(3, 0, entry(30));
+        assert!(store.lookup(&key(1, 0), 100).is_some());
+        store.insert(key(3, 0), entry(30));
         assert_eq!(store.len(), 2);
-        assert!(store.lookup(2, 0, 100).is_none());
-        assert!(store.lookup(3, 0, 100).is_some());
+        assert!(store.lookup(&key(2, 0), 100).is_none());
+        assert!(store.lookup(&key(3, 0), 100).is_some());
         let stats = store.stats();
         assert_eq!(stats.created, 3);
         assert_eq!(stats.forked, 2, "the miss on the evicted key is not a fork");
@@ -569,20 +642,23 @@ mod tests {
             hooks: HookSnapshot::default(),
             tick,
         };
-        store.insert(1, 0, entry(10));
-        store.insert(2, 0, entry(20));
+        store.insert(key(1, 0), entry(10));
+        store.insert(key(2, 0), entry(20));
         // A racing worker re-produces (1, 0, 10): the duplicate is
         // dropped, but it must *touch* the surviving slot — the sibling
         // cells about to probe it make it the hottest entry, not the
         // coldest.
-        store.insert(1, 0, entry(10));
-        store.insert(3, 0, entry(30));
+        store.insert(key(1, 0), entry(10));
+        store.insert(key(3, 0), entry(30));
         assert_eq!(store.len(), 2);
         assert!(
-            store.lookup(1, 0, 100).is_some(),
+            store.lookup(&key(1, 0), 100).is_some(),
             "the re-produced checkpoint was evicted despite being hot"
         );
-        assert!(store.lookup(2, 0, 100).is_none(), "(2, 0) was the LRU");
+        assert!(
+            store.lookup(&key(2, 0), 100).is_none(),
+            "(2, 0) was the LRU"
+        );
         assert_eq!(store.stats().created, 3, "duplicates don't count");
     }
 
@@ -591,8 +667,7 @@ mod tests {
         let store = CheckpointStore::new(8);
         for tick in [10, 20, 30] {
             store.insert(
-                7,
-                1,
+                key(7, 1),
                 CheckpointEntry {
                     snapshot: fake_snapshot(),
                     board: ForkPlan::default(),
@@ -601,13 +676,21 @@ mod tests {
                 },
             );
         }
-        assert_eq!(store.lookup(7, 1, 25).unwrap().tick(), 20);
-        assert_eq!(store.lookup(7, 1, 30).unwrap().tick(), 30);
-        assert!(store.lookup(7, 1, 5).is_none());
-        assert!(store.lookup(7, 2, 30).is_none(), "seed is part of the key");
+        assert_eq!(store.lookup(&key(7, 1), 25).unwrap().tick(), 20);
+        assert_eq!(store.lookup(&key(7, 1), 30).unwrap().tick(), 30);
+        assert!(store.lookup(&key(7, 1), 5).is_none());
+        assert!(
+            store.lookup(&key(7, 2), 30).is_none(),
+            "seed is part of the key"
+        );
         store.retain_ticks_at_most(15);
-        assert_eq!(store.lookup(7, 1, 30).unwrap().tick(), 10);
+        assert_eq!(store.lookup(&key(7, 1), 30).unwrap().tick(), 10);
         assert_eq!(store.len(), 1);
+    }
+
+    /// A store key for a stand-in prefix text.
+    fn key(text: u64, seed: u64) -> Key {
+        (text.to_string(), seed)
     }
 
     /// A minimal real snapshot (the store never inspects it).

@@ -10,9 +10,10 @@
 //! 1. **Symmetry reduction** — profiles equivalent under a declared player
 //!    symmetry are evaluated once ([`prft_game::ProfileSpace`]); the full
 //!    table is reconstructed by permuting per-player utilities back.
-//! 2. **Caching** — each cell is keyed by `(profile, spec fingerprint,
-//!    seeds)` in an on-disk [`UtilityCache`]; re-sweeps only simulate new
-//!    cells, and a hit reproduces the computed cell bit-exactly.
+//! 2. **Caching** — each cell is keyed by `(spec key text, seeds,
+//!    profile, seats)` in an on-disk [`UtilityCache`] and belongs to the
+//!    build that computed it; re-sweeps only simulate new cells, and a hit
+//!    reproduces the computed cell bit-exactly.
 //! 3. **Deterministic parallelism** — the missing cells run as one
 //!    [`BatchRunner::run_grid_with`] grid (cells × seeds flattened into one
 //!    work list, order-independent seeding), so `--threads 1` and
@@ -65,9 +66,10 @@ pub struct GameDef {
     pub honest: Profile,
     /// Cache namespace. Games sharing `spec_of` may share a scope, so a
     /// wider sweep reuses the cells a narrower one already paid for.
-    /// Cells are keyed by spec fingerprint *and* the player-seat vector,
-    /// so scope sharing can never serve a stale cell or one measured for
-    /// different seats.
+    /// Cells are keyed by the spec's canonical text
+    /// ([`ScenarioSpec::fingerprint`]) *and* the player-seat vector, and
+    /// only the build that wrote a cell reads it back, so scope sharing
+    /// can never serve a stale cell or one measured for different seats.
     pub cache_scope: &'static str,
     /// How profiles are evaluated.
     pub eval: GameEval,

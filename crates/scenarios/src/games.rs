@@ -44,7 +44,7 @@ fn lemma4_spec(profile: &Profile) -> ScenarioSpec {
 /// The defection game over the Lemma 4 committee: every rational seat
 /// starts as a fork colluder next to an always-equivocating leader, and
 /// each chooses between *staying* in the collusion and *defecting* to
-/// `π_0` at tick 10 — a strategy only the spec-v2 timeline can express
+/// `π_0` at tick 10 — a strategy only the timeline schedule can express
 /// (a `SetRole` scheduled mid-attack). Tick 10 lands inside round 0,
 /// after the equivocating propose but (for most delay draws) before the
 /// colluders' split commit: a defector usually escapes the double-sign

@@ -9,15 +9,6 @@ use prft_game::Theta;
 use prft_sim::QueueBackend;
 use prft_workload::WorkloadSpec;
 
-/// 64-bit FNV-1a over `text`'s bytes: the hash behind every stable key a
-/// spec yields ([`ScenarioSpec::fingerprint`],
-/// [`crate::checkpoint::prefix_fingerprint`]).
-pub(crate) fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
-        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// Which synchrony flavour the run executes under (Section 3.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Synchrony {
@@ -99,7 +90,7 @@ pub struct TxSpec {
     pub payload: Vec<u8>,
 }
 
-/// One scheduled change to a running committee — the spec-v2 timeline
+/// One scheduled change to a running committee — the timeline
 /// vocabulary. The paper's adversaries are *dynamic* (T delays targeted
 /// players until GST, colluders defect mid-stream, players crash and come
 /// back); a schedule of `(tick, TimelineEvent)` pairs expresses them
@@ -414,27 +405,28 @@ impl ScenarioSpec {
         self
     }
 
-    /// A stable 64-bit fingerprint of the complete spec, used to key the
-    /// explorer's on-disk utility cache: any change to any field (committee
-    /// size, roles, synchrony, schedule, economics, base seed, …) changes
-    /// the fingerprint, so stale cache cells can never be served for an
-    /// edited game. FNV-1a over the derived `Debug` encoding plus a
-    /// format-version salt (bump the salt when the spec vocabulary changes
-    /// shape; `spec-v1 → spec-v2` with the timeline schedule, `spec-v2 →
-    /// spec-v3` with the queue-backend knob, `spec-v3 → spec-v4` with the
-    /// verify-mode knob, `spec-v4 → spec-v5` with the workload section, so
-    /// every pre-change cache cell reads as a miss, never as a stale hit).
+    /// The explorer cache's key for this spec: its whole-schedule state
+    /// text ([`crate::checkpoint::prefix_fingerprint`] with every event),
+    /// followed by the measurement fields `label`, `base_seed`, `watched`
+    /// and `utility`. Any change to any field (committee size, roles,
+    /// synchrony, schedule, economics, base seed, …) changes the text,
+    /// and a hit is text equality, so a cell can never be served for
+    /// another spec.
     ///
-    /// The `queue` backend and `verify_mode` are deliberately
-    /// **canonicalized away** before hashing: the backend-equivalence and
-    /// fast-vs-slow differential tests pin every run observable
-    /// byte-identical across those knobs, so two specs differing only in
-    /// them describe the same experiment and must share cache cells.
-    pub fn fingerprint(&self) -> u64 {
-        let mut canonical = self.clone();
-        canonical.queue = QueueBackend::default();
-        canonical.verify_mode = VerifyMode::default();
-        fnv1a(&format!("spec-v5|{canonical:?}"))
+    /// The `queue` backend and `verify_mode` stay canonicalized away:
+    /// the backend-equivalence and fast-vs-slow differential tests pin
+    /// every run observable byte-identical across those knobs, so two
+    /// specs differing only in them describe the same experiment and
+    /// must share cache cells.
+    pub fn fingerprint(&self) -> String {
+        format!(
+            "{}|label:{:?}|base_seed:{}|watched:{:?}|utility:{:?}",
+            crate::checkpoint::state_text(self, |_| true),
+            self.label,
+            self.base_seed,
+            self.watched,
+            self.utility
+        )
     }
 
     /// The t = 0 role of every seat as a dense vector (index = player),

@@ -162,6 +162,45 @@ fn corrupt_cache_lines_degrade_to_misses() {
 }
 
 #[test]
+fn another_builds_cells_are_misses() {
+    let dir = scratch_dir("foreign");
+    let game = pair_game(false);
+    let runner = BatchRunner::new(1);
+    let explorer = GameExplorer::new(runner).with_cache(UtilityCache::new(&dir));
+    explorer.explore(&game, 2);
+    // Every line with its utilities doctored, written by `build`.
+    let file = dir.join("pair.cells");
+    let written = std::fs::read_to_string(&file).unwrap();
+    let doctor = |build: Option<&str>| -> String {
+        let lines = written.lines().map(|line| {
+            // build, key, seeds, profile, seats, σ, utilities, ci95
+            let mut fields: Vec<&str> = line.split('\t').collect();
+            fields[6] = "1000,1000";
+            if let Some(build) = build {
+                fields[0] = build;
+            }
+            fields.join("\t") + "\n"
+        });
+        lines.collect()
+    };
+    // Written by this build, the doctored cells are served as they are…
+    std::fs::write(&file, doctor(None)).unwrap();
+    let served = explorer.explore(&game, 2);
+    assert_eq!((served.evaluated, served.cached), (0, 4));
+    assert_eq!(served.table.utilities(&vec![0, 0]), [1000.0, 1000.0]);
+    // …and from another build, every cell is evaluated again.
+    std::fs::write(&file, doctor(Some("another-build"))).unwrap();
+    let rerun = explorer.explore(&game, 2);
+    assert_eq!((rerun.evaluated, rerun.cached), (4, 0));
+    let uncached = GameExplorer::new(runner).explore(&game, 2);
+    assert_eq!(
+        report::explore_json_with(&game, &rerun, 1e-9, Default::default()),
+        report::explore_json_with(&game, &uncached, 1e-9, Default::default())
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn explore_reports_are_thread_count_invariant() {
     // The acceptance criterion: `--threads 1` and `--threads 8` produce
     // byte-identical equilibrium reports, in every format.

@@ -2,8 +2,9 @@
 //! the utility-cache loader, fuzzed with the proptest shim at fixed seeds
 //! and bounded cases.
 
+use prft_game::{ProfileStats, SystemState};
 use prft_lab::json::Json;
-use prft_lab::UtilityCache;
+use prft_lab::{CacheKey, UtilityCache};
 use proptest::prelude::*;
 
 /// Characters a string has to escape or carry through as UTF-8.
@@ -83,13 +84,11 @@ proptest! {
     }
 }
 
-/// Candidates for each of a cache line's eight fields: the first two of a
-/// row are what the cache writes, the rest parse as the field's type but
-/// are spelled otherwise, are out of range, or are junk.
+/// Candidates for the last six of a cache line's eight fields: the first
+/// two of a row are what the cache writes, the rest parse as the field's
+/// type but are spelled otherwise, are out of range, or are junk.
 #[rustfmt::skip]
-const FIELDS: [&[&str]; 8] = [
-    &["v1", "v1", "v0", ""],
-    &["00000000deadbeef", "ffffffffffffffff", "ffff", "+00000000deadbeef", "not-hex"],
+const FIELDS: [&[&str]; 6] = [
     &["4", "1", "+4", "04", "-1", "18446744073709551616"],
     &["0,2,1", "1", "0,,1", "+1", " 1"],
     &["1,2,3", "0", "1,2,", "-1"],
@@ -98,23 +97,53 @@ const FIELDS: [&[&str]; 8] = [
     &["0,0.125", "0.001,0", "-0.125,0", "0,NaN", "0,inf", "0.0,1", "1"],
 ];
 
+/// The first field of a line this cache appends: the running build's
+/// identity.
+fn build_identity(cache: &UtilityCache) -> String {
+    let key = CacheKey {
+        fingerprint: "k".into(),
+        seeds: 1,
+        profile: vec![0],
+        seats: vec![0],
+    };
+    let stats = ProfileStats {
+        utilities: vec![1.0],
+        ci95: vec![0.0],
+        seeds: 1,
+        sigma: SystemState::Fork,
+    };
+    cache.append("probe", &[(key, stats)]).unwrap();
+    let line = std::fs::read_to_string(cache.dir().join("probe.cells")).unwrap();
+    line.split('\t').next().unwrap().to_owned()
+}
+
 /// Tab-joined field soup as a one-line cache file, at fixed seeds: each
 /// field is one of its row's written forms three times in four, and now
-/// and then a field goes missing or one too many trails. No line panics
-/// the loader, and every cell it serves is finite and appends back as
-/// the same line.
+/// and then a field goes missing or one too many trails. The first field
+/// is this build's identity or another's, the second a key text. No line
+/// panics the loader, and every cell it serves is finite and appends back
+/// as the same line.
 #[test]
 fn cache_field_soup_never_panics_and_every_hit_appends_back_as_its_line() {
     let dir = std::env::temp_dir().join(format!("prft-fuzz-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let cache = UtilityCache::new(&dir);
+    let build = build_identity(&cache);
+    let builds: &[&str] = &[&build, &build, "v1", "foreign", ""];
+    let keys: &[&str] = &[
+        "ScenarioSpec { n: 4 }|label:\"a\\tb\"",
+        "k",
+        "00000000deadbeef",
+        "",
+    ];
+    let rows = [builds, keys].into_iter().chain(FIELDS);
     let draws = proptest::collection::vec(0..16usize, 9..10);
     let mut hits = 0;
     for case in 0..1024 {
         let draw = draws.sample(&mut proptest::test_rng("cache-field-soup", case));
-        let mut fields: Vec<&str> = FIELDS
-            .iter()
+        let mut fields: Vec<&str> = rows
+            .clone()
             .zip(&draw)
             .map(|(row, &d)| match d {
                 0..12 => row[d % 2],

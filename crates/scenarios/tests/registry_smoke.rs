@@ -92,44 +92,59 @@ fn liveness_attack_stalls_at_large_coalitions() {
     assert_eq!(report.modal_sigma(), SystemState::NoProgress);
 }
 
-/// Cache and checkpoint keys move only on purpose. Each pin folds one key
-/// function over every registry spec, in registry order; a change to a
-/// registry spec or to the key text moves them, and the commit that does
-/// so states why.
+/// SHA-256, in hex, of `keys` joined one per line: a pin over many key
+/// texts at once.
+fn pin(keys: impl Iterator<Item = String>) -> String {
+    let joined = keys.collect::<Vec<_>>().join("\n");
+    let digest = prft_crypto::Sha256::digest(joined.as_bytes());
+    digest.0.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Cache and checkpoint keys move only on purpose. Each pin covers one
+/// key function over every registry spec, in registry order; a change to
+/// a registry spec or to the key text moves them, and the commit that
+/// does so states why.
 #[test]
 fn registry_fingerprints_match_the_pinned_keys() {
-    let fold = |key: &dyn Fn(&prft_lab::ScenarioSpec) -> u64| {
-        registry()
-            .iter()
-            .flat_map(|s| &s.specs)
-            .fold(0u64, |acc, spec| acc.rotate_left(5) ^ key(spec))
+    let keys = |key: &dyn Fn(&prft_lab::ScenarioSpec) -> String| {
+        pin(registry().iter().flat_map(|s| &s.specs).map(key))
     };
-    assert_eq!(fold(&|s| s.fingerprint()), 0x18cb_6aa1_82cf_3dd2);
     assert_eq!(
-        fold(&|s| prft_lab::prefix_fingerprint(s, 1)),
-        0x37b6_f30c_bb9e_5365
+        keys(&|s| s.fingerprint()),
+        "70d4d8baaa9c51c8c982a38fbe034a14790cd7aae1efad22b7439962978d2ed9"
     );
     assert_eq!(
-        fold(&|s| prft_lab::prefix_fingerprint(s, s.horizon)),
-        0x50fc_0797_1568_22b3
+        keys(&|s| prft_lab::prefix_fingerprint(s, 1)),
+        "e208542459c0773161ba346ed5998292b96ceb0e5216fb7c730711ca5a4bceea"
+    );
+    assert_eq!(
+        keys(&|s| prft_lab::prefix_fingerprint(s, s.horizon)),
+        "b7b5887f8e743fcec3557fe5c4cce159e21608fdcd0044022a0472077c2e31db"
     );
 }
 
 /// The on-disk `UtilityCache` keys: every simulated game's spec
 /// fingerprint over its full (unreduced) profile space, in registry
-/// order. Cached cells written by an earlier build stay valid only while
-/// this holds; moving it needs a `spec-v*` salt bump.
+/// order. A cached cell is served only to the build that wrote it, so
+/// moving this pin never serves a stale cell; the commit that moves it
+/// states why, like the registry pins above.
 #[test]
 fn game_fingerprints_match_the_pinned_key() {
-    let (mut acc, mut profiles) = (0u64, 0usize);
+    let mut keys = Vec::new();
     for game in game_registry() {
         if let GameEval::Simulated { spec_of, .. } = game.eval {
-            for p in game.space(false).profiles() {
-                acc = acc.rotate_left(5) ^ spec_of(&p).fingerprint();
-                profiles += 1;
-            }
+            keys.extend(
+                game.space(false)
+                    .profiles()
+                    .iter()
+                    .map(|p| spec_of(p).fingerprint()),
+            );
         }
     }
+    let profiles = keys.len();
     assert_eq!(profiles, 111);
-    assert_eq!(acc, 0x9c8c_7d24_8c52_3c4d);
+    assert_eq!(
+        pin(keys.into_iter()),
+        "406c36e1468a329abe18c3a4b3452cad6c88e3a66268cea7f2b5c0d09518b809"
+    );
 }

@@ -1,4 +1,4 @@
-//! The spec-v2 timeline contract: scheduled fault & network events are
+//! The timeline contract: scheduled fault & network events are
 //! exactly as deterministic as static specs — byte-identical reports at
 //! any thread count, bit-identical traces on replay — and same-tick
 //! events apply in insertion order.
