@@ -214,8 +214,6 @@ pub struct CommitCert {
     ascending: bool,
     /// The votes' signer ids in vote order.
     vote_ids: Vec<NodeId>,
-    /// The votes' MAC tags in vote order.
-    vote_tags: Vec<Digest>,
     proof: CertProof,
 }
 
@@ -241,7 +239,6 @@ impl CommitCert {
         CommitCert {
             ascending: vote_ids.windows(2).all(|w| w[0] < w[1]),
             vote_ids,
-            vote_tags: votes.iter().map(|v| v.sig.tag()).collect(),
             commit,
             votes,
             signers,
@@ -266,11 +263,6 @@ impl CommitCert {
 
     pub(crate) fn uniform(&self) -> bool {
         self.uniform
-    }
-
-    /// The votes' signer ids and their tags, both in vote order.
-    pub(crate) fn packed_votes(&self) -> (&[NodeId], &[Digest]) {
-        (&self.vote_ids, &self.vote_tags)
     }
 
     /// Adds to `held` the signers it lacks, calling `f` with the position
@@ -734,11 +726,8 @@ mod tests {
             }
             let uniform = picks.iter().all(|&(_, wrong)| wrong > 2);
             proptest::prop_assert_eq!(cert.uniform(), uniform);
-            let (ids, tags) = cert.packed_votes();
             let signers: Vec<NodeId> = picks.iter().map(|&(signer, _)| NodeId(signer)).collect();
-            proptest::prop_assert_eq!(ids, &signers[..]);
-            let vote_tags: Vec<Digest> = votes.iter().map(|v| v.sig.tag()).collect();
-            proptest::prop_assert_eq!(tags, &vote_tags[..]);
+            proptest::prop_assert_eq!(&cert.vote_ids, &signers);
 
             let mut other = SignerSet::default();
             for &id in &other_picks {
@@ -756,7 +745,7 @@ mod tests {
                 .collect();
             let commit = cert.commit().clone();
             for cert in [cert, CommitCert::new(commit, sorted)] {
-                let ids = cert.packed_votes().0.to_vec();
+                let ids = cert.vote_ids.clone();
                 let lacking: Vec<usize> = (0..ids.len())
                     .filter(|&i| !ids[..i].contains(&ids[i]) && !other.contains(ids[i]))
                     .collect();

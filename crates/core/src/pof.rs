@@ -119,13 +119,14 @@ pub fn construct_proof<'a>(
 }
 
 /// The verification algorithm `V(π)` of Definition 6 applied to an `Expose`:
-/// returns the convicted players if the PoF is valid (every pair verifies
-/// and more than `t0` distinct players are implicated).
-pub fn verify_expose(
-    evidence: &[BallotEvidence],
+/// if the PoF is valid (more than `t0` distinct players are implicated by
+/// pairs that verify), returns the convicted players in id order, each
+/// with the pair that convicted it.
+pub fn verify_expose<'a>(
+    evidence: &'a [BallotEvidence],
     registry: &KeyRegistry,
     t0: usize,
-) -> Option<Vec<NodeId>> {
+) -> Option<Vec<(NodeId, &'a BallotEvidence)>> {
     prft_crypto::verify_pof(evidence, registry, t0)
 }
 
@@ -300,7 +301,8 @@ mod tests {
         };
         let t0 = 1;
         assert!(verify_expose(&[pair(0)], &reg, t0).is_none());
-        let out = verify_expose(&[pair(0), pair(1)], &reg, t0).unwrap();
-        assert_eq!(out, vec![NodeId(0), NodeId(1)]);
+        let pairs = [pair(0), pair(1)];
+        let out = verify_expose(&pairs, &reg, t0).unwrap();
+        assert_eq!(out, vec![(NodeId(0), &pairs[0]), (NodeId(1), &pairs[1])]);
     }
 }

@@ -316,7 +316,7 @@ impl Replica {
         let mut block_store = HashMap::new();
         block_store.insert(genesis.id(), genesis.clone());
         Replica {
-            collateral: CollateralLedger::new(n, 1),
+            collateral: CollateralLedger::new(1),
             cache: VerifyCache::new(cfg.verify_mode),
             cfg,
             key,
@@ -382,6 +382,19 @@ impl Replica {
     /// This replica's view of deposits and burns.
     pub fn collateral(&self) -> &CollateralLedger {
         &self.collateral
+    }
+
+    /// The ledger, mutable: a burn made here bypasses `Expose`
+    /// verification, which is what the `burns_proven` self-check of a
+    /// finished run catches.
+    pub fn collateral_mut(&mut self) -> &mut CollateralLedger {
+        &mut self.collateral
+    }
+
+    /// Whether every burn in this replica's ledger is proven under its own
+    /// trusted setup ([`CollateralLedger::proven`]).
+    pub fn burns_proven(&self) -> bool {
+        self.collateral.proven(&self.registry)
     }
 
     /// Experiment counters.
@@ -890,8 +903,8 @@ impl Replica {
     /// Feeds a freshly validated certificate's votes to the fraud
     /// detector, skipping a (value, signer) pair already observed out of a
     /// certificate this round: a *valid* vote's bytes are fully determined
-    /// by (round, value, signer) — the MAC tag is a deterministic function
-    /// of the payload — so the repeat is exactly the identical-content
+    /// by (round, value, signer) — a valid tag is a deterministic function
+    /// of signer and payload — so the repeat is exactly the identical-content
     /// no-op `FraudDetector::observe` guarantees, whichever verify mode
     /// validated it. Equivocations still pair up because the signer set is
     /// per value.
@@ -1068,8 +1081,8 @@ impl Replica {
             return;
         };
         self.stats.exposes_applied += 1;
-        for g in guilty {
-            self.collateral.burn(g);
+        for (g, proof) in guilty {
+            self.collateral.burn(g, proof.clone());
         }
         // Abandon the exposed round: `Stash(D_j), r := r + 1`. The
         // tentative block (if any) stays in the chain to be finalized or

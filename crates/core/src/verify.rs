@@ -6,59 +6,50 @@
 //! certificate ~quorum times (the q(1+q(q+1)) term that makes accountable
 //! n = 64 cost 15.8M verifies for two rounds). [`VerifyCache`] collapses
 //! that to once per distinct content, per replica, in two dense tables
-//! indexed by signer id. Each is laid out so a check reads only the bytes
-//! it compares:
+//! indexed by signer id, each read only where a check compares:
 //!
-//! * **Valid-tag tables** — one per live signed payload (round, phase,
-//!   value), holding the payload's signing digest (hashed once, shared by
-//!   every signer), the one MAC tag a valid signature by each signer
-//!   carries, and the set of signers that have one. A repeat is a bit test
-//!   plus a 32-byte compare, and a tampered twin can never reuse a cached
-//!   `true`: change the payload and it probes another table, change the
-//!   signer or tag and the compare fails. A uniform certificate's votes
-//!   are compared in one pass over the packed ids and tags it carries
-//!   ([`CommitCert::packed_votes`]), up to the first vote that misses.
-//!   Negative verdicts sit in a side set keyed on the *full* ballot
-//!   content. Only a verified signature creates or grows a table, so
-//!   forged payloads and out-of-range signer ids allocate nothing here.
+//! * **Tag tables** — one per live signed payload (round, phase, value):
+//!   its signing digest (hashed once, shared by every signer) and the set
+//!   of signers whose signature over it verified. Tags are derived, not
+//!   tabled: a valid tag is a function of (signer, digest), and
+//!   [`KeyRegistry::tag_of`] computes it with no hash. A repeat is a bit
+//!   test plus a compare against the derived tag, so a tampered twin never
+//!   reuses a cached `true`: another payload probes another table, another
+//!   signer or tag fails the compare. A uniform certificate's votes are
+//!   compared in one pass up to the first miss. Negative verdicts
+//!   sit in a side set keyed on the *full* ballot content. Only a verified
+//!   signature creates or grows a table, so forged payloads and
+//!   out-of-range signer ids allocate nothing here.
 //! * **Certificate table** — one 24-byte slot per commit signer: the
 //!   address, round and quorum of its newest certificate and the verdict,
-//!   which is all a hit reads. Identity is the `Arc` allocation of the
-//!   [`CommitCert`]. Commit broadcasts hand every replica the *same*
-//!   allocation, and Reveals carry those same `Arc`s onward, so the
-//!   O(q²)-signature re-validation of one already-seen certificate becomes
-//!   a single probe. A Reveal names each certificate's committer
-//!   ([`RevealSet`]), so its scan probes the slots without reading the
-//!   certificates. A keep-alive array beside the slots holds a clone of
-//!   each `Arc`, so the allocation outlives the verdict and the address can
-//!   never be recycled onto different content while cached.
-//! * **Certificate proof** — shared by every seat, on the allocation
-//!   itself. The first seat whose walk finds a certificate's commit ballot
-//!   and votes valid records the registry on the certificate
-//!   ([`CommitCert::prove`]). Every other receiver of that allocation then
-//!   hashes none of its signatures: it tables the tags its own tables lack,
-//!   visiting only those signers (a word-wise difference of signer sets),
-//!   and reads nothing of the votes it already holds.
+//!   all a hit reads. Identity is the `Arc` allocation of the
+//!   [`CommitCert`]: Commit broadcasts hand every replica the *same*
+//!   allocation and Reveals carry those `Arc`s onward, so re-validating a
+//!   seen certificate is one probe, and a Reveal's scan probes the slots of
+//!   the committers its [`RevealSet`] names without reading a certificate.
+//!   A keep-alive clone of each `Arc` beside the slots keeps an address
+//!   from being recycled onto different content while cached.
+//! * **Certificate proof** — on the allocation, shared by every seat. The
+//!   first seat whose walk finds a certificate's signatures valid records
+//!   the registry on it ([`CommitCert::prove`]); every other receiver then
+//!   verifies none of them, and only adds the signers its own tables lack
+//!   (a word-wise difference of signer sets).
 //!
 //! **Counting discipline** (what keeps reports byte-identical across
 //! [`VerifyMode`]s): `crypto.sig_verifies` counts *logical* verifications
-//! — a memo hit adds the same count the reference path would have paid,
-//! via one batched add. The `memo_hits`/`memo_misses` hook counters split
-//! the memoized share of that total into answered from this seat's tables
-//! vs not. `ViewChange`, `CommitView` and `Expose` signatures are verified
-//! outside the memo, so on the fast path `memo_hits + memo_misses ≤
-//! sig_verifies`, with equality exactly when none of those kinds was sent
-//! (the `memo_identity` row of `prft-lab`'s invariants; an unconditional
-//! equality failed on 51 of 204 registry runs, every one of them with
-//! view-change or Expose traffic). A miss is
-//! hashed unless another seat proved its certificate, so the counters are
-//! the same whichever seat walks first, on whatever thread, and a fork
-//! charges what a fresh run does. The memo counters surface only in
-//! `prft-bench profile` output — never in scenario reports, which must
-//! not depend on the knob.
+//! — a memo hit adds, in one batched add, what the reference path pays.
+//! The `memo_hits`/`memo_misses` hook counters split the memoized share
+//! into answered from this seat's tables vs not. `ViewChange`,
+//! `CommitView` and `Expose` signatures are verified outside the memo, so
+//! `memo_hits + memo_misses ≤ sig_verifies`, equal exactly when none of
+//! those kinds was sent (`prft-lab`'s `memo_identity` row). A miss is
+//! charged as one whether or not another seat proved its certificate, so
+//! the counters do not depend on which seat or thread walks first, and a
+//! fork charges what a fresh run does. The memo counters surface only in
+//! `prft-bench profile` output, never in scenario reports.
 
 use crate::messages::{Ballot, CommitCert, Phase, RevealSet, SignedBallot, SignerSet};
-use prft_crypto::{KeyRegistry, Signable, Signature, VerifyMode};
+use prft_crypto::{KeyRegistry, Signable, VerifyMode};
 use prft_sim::obs::hooks;
 use prft_types::{Digest, NodeId, Round};
 use std::collections::HashSet;
@@ -70,26 +61,25 @@ struct TagTable {
     payload: Ballot,
     /// `payload.signing_digest()` — the same for every signer.
     digest: Digest,
-    /// By signer id, one per registry member: the tag of that signer's
-    /// verified signature where `filled` has the signer. A valid MAC tag is
-    /// a deterministic function of (signer, payload), so a slot never needs
-    /// a second value.
-    tags: Vec<Digest>,
+    /// The signers whose signature over `payload` verified. The tag such a
+    /// signature carries is [`KeyRegistry::tag_of`] of (signer, `digest`),
+    /// so the table derives it instead of storing it.
     filled: SignerSet,
 }
 
 impl TagTable {
-    fn holds(&self, sig: &Signature) -> bool {
-        let signer = sig.signer();
-        self.filled.contains(signer) && self.tags[signer.0] == sig.tag()
+    /// Whether `id` is filled and `tag` is the tag its valid signature
+    /// carries.
+    fn holds(&self, id: NodeId, tag: Digest, registry: &KeyRegistry) -> bool {
+        self.filled.contains(id) && registry.tag_of(id, self.digest) == Some(tag)
     }
 
-    /// How many of a certificate's leading votes, given as packed ids and
-    /// tags, carry their signer's tabled tag.
-    fn leading_hits(&self, ids: &[NodeId], tags: &[Digest]) -> usize {
-        ids.iter()
-            .zip(tags)
-            .take_while(|&(&id, tag)| self.filled.contains(id) && self.tags[id.0] == *tag)
+    /// How many of a certificate's leading votes carry their filled
+    /// signer's valid tag.
+    fn leading_hits(&self, votes: &[SignedBallot], registry: &KeyRegistry) -> usize {
+        votes
+            .iter()
+            .take_while(|v| self.holds(v.signer(), v.sig.tag(), registry))
             .count()
     }
 }
@@ -291,14 +281,15 @@ impl VerifyCache {
     }
 
     /// [`Self::verify_ballot`], where `proven` says the ballot is known to
-    /// be valid under `registry`: a miss then tables its tag unhashed, and
-    /// is charged as the miss it is for this seat.
+    /// be valid under `registry`: a miss then tables its signer unverified,
+    /// and is charged as the miss it is for this seat.
     fn admit(&mut self, ballot: &SignedBallot, registry: &KeyRegistry, proven: bool) -> bool {
         if self.mode == VerifyMode::Reference {
             return ballot.verify(registry);
         }
         let table = self.table_of(&ballot.payload);
-        let valid = table.is_some_and(|t| self.tables[t].holds(&ballot.sig));
+        let (signer, tag) = (ballot.signer(), ballot.sig.tag());
+        let valid = table.is_some_and(|t| self.tables[t].holds(signer, tag, registry));
         if valid || (!proven && self.forged.contains(ballot)) {
             replay(1);
             return valid;
@@ -315,21 +306,17 @@ impl VerifyCache {
             self.forged.insert(ballot.clone());
             return false;
         }
-        let t = table.unwrap_or_else(|| self.new_table(ballot.payload, digest, registry));
-        // In range of the registry: the signature verified.
-        let (table, signer) = (&mut self.tables[t], ballot.signer());
-        table.tags[signer.0] = ballot.sig.tag();
-        table.filled.insert(signer);
+        let t = table.unwrap_or_else(|| self.new_table(ballot.payload, digest));
+        self.tables[t].filled.insert(signer);
         true
     }
 
     /// Adds an empty tag table for `payload`, whose signing digest is
     /// `digest`, and returns its index. Only a verified signature may.
-    fn new_table(&mut self, payload: Ballot, digest: Digest, registry: &KeyRegistry) -> usize {
+    fn new_table(&mut self, payload: Ballot, digest: Digest) -> usize {
         self.tables.push(TagTable {
             payload,
             digest,
-            tags: vec![Digest::ZERO; registry.len()],
             filled: SignerSet::default(),
         });
         self.tables.len() - 1
@@ -427,7 +414,7 @@ impl VerifyCache {
             };
         }
         let (valid, verifies) = if cert.proven(registry) {
-            self.absorb_proven(cert, registry)
+            self.absorb_proven(cert)
         } else {
             let walked = self.walk_votes(cert, registry);
             if walked.0 {
@@ -452,7 +439,7 @@ impl VerifyCache {
     /// reference path performs on the votes, for replay on later hits.
     ///
     /// A uniform certificate whose payload has a tag table first runs
-    /// [`TagTable::leading_hits`] over its packed votes; from the first
+    /// [`TagTable::leading_hits`] over its votes; from the first
     /// vote that misses, each vote probes the table on its own. The
     /// counter adds are batched into one flush per walk; anything else —
     /// first sight, unknown signer, forgery — takes
@@ -461,10 +448,7 @@ impl VerifyCache {
         let vote = cert.commit().payload.justifying_vote();
         let mut table = self.table_of(&vote);
         let leading = match table {
-            Some(t) if cert.uniform() => {
-                let (ids, tags) = cert.packed_votes();
-                self.tables[t].leading_hits(ids, tags)
-            }
+            Some(t) if cert.uniform() => self.tables[t].leading_hits(cert.votes(), registry),
             _ => 0,
         };
         let (mut verifies, mut table_hits) = (leading as u64, leading as u64);
@@ -475,7 +459,7 @@ impl VerifyCache {
                 break;
             }
             verifies += 1;
-            if table.is_some_and(|t| self.tables[t].holds(&v.sig)) {
+            if table.is_some_and(|t| self.tables[t].holds(v.signer(), v.sig.tag(), registry)) {
                 table_hits += 1;
             } else if self.verify_ballot(v, registry) {
                 table = table.or_else(|| self.table_of(&vote));
@@ -489,11 +473,11 @@ impl VerifyCache {
     }
 
     /// [`Self::walk_votes`] of a proven certificate, which visits only the
-    /// signers whose tag the table lacks: their tags are valid, so they
-    /// are tabled unhashed. Every vote is charged as the walk charges it,
-    /// a hit where the table held the signer's tag (a valid tag is a
-    /// function of signer and payload) and a miss where it did not.
-    fn absorb_proven(&mut self, cert: &CommitCert, registry: &KeyRegistry) -> (bool, u64) {
+    /// signers the table lacks: their signatures are valid, so they are
+    /// tabled unverified. Every vote is charged as the walk charges it, a
+    /// hit where the table held the signer (a valid tag is a function of
+    /// signer and payload) and a miss where it did not.
+    fn absorb_proven(&mut self, cert: &CommitCert) -> (bool, u64) {
         let votes = cert.votes().len() as u64;
         if votes == 0 {
             return (true, 0);
@@ -501,15 +485,10 @@ impl VerifyCache {
         let vote = cert.commit().payload.justifying_vote();
         let t = match self.table_of(&vote) {
             Some(t) => t,
-            None => self.new_table(vote, vote.signing_digest(), registry),
+            None => self.new_table(vote, vote.signing_digest()),
         };
-        let TagTable { tags, filled, .. } = &mut self.tables[t];
-        let (ids, vote_tags) = cert.packed_votes();
         let mut misses = 0;
-        cert.absorb_signers(filled, |i| {
-            tags[ids[i].0] = vote_tags[i];
-            misses += 1;
-        });
+        cert.absorb_signers(&mut self.tables[t].filled, |_| misses += 1);
         hooks::add_sig_verifies(votes);
         hooks::add_memo_hits(votes - misses);
         hooks::add_memo_misses(misses);
@@ -692,7 +671,7 @@ mod tests {
         let each = |t: &TagTable| -> Vec<_> {
             ids()
                 .filter(|&id| t.filled.contains(id))
-                .map(|id| (t.payload, id, t.tags[id.0]))
+                .map(|id| (t.payload, id, reg.tag_of(id, t.digest).unwrap()))
                 .collect()
         };
         cache.tables.iter().flat_map(each).collect()

@@ -45,19 +45,22 @@ impl<T: Signable + PartialEq> ConflictEvidence<T> {
     /// Honest players can never be convicted: producing two *valid*
     /// signatures for one identity requires that identity's secret key.
     pub fn verify(&self, registry: &KeyRegistry) -> Option<NodeId> {
+        self.convicts(|signed| signed.verify(registry))
+    }
+
+    /// [`Self::verify`] without counting toward `crypto.sig_verifies`:
+    /// for audits of a finished run, which must not move its counters.
+    pub fn audit(&self, registry: &KeyRegistry) -> Option<NodeId> {
+        self.convicts(|signed| signed.audit(registry))
+    }
+
+    /// The accused, if the pair conflicts and both signatures are `valid`.
+    fn convicts(&self, valid: impl Fn(&Signed<T>) -> bool) -> Option<NodeId> {
         let same_signer = self.first.signer() == self.second.signer();
         let same_slot = self.first.slot() == self.second.slot();
         let conflicting = self.first.payload != self.second.payload;
-        if same_signer
-            && same_slot
-            && conflicting
-            && self.first.verify(registry)
-            && self.second.verify(registry)
-        {
-            Some(self.first.signer())
-        } else {
-            None
-        }
+        (same_signer && same_slot && conflicting && valid(&self.first) && valid(&self.second))
+            .then(|| self.first.signer())
     }
 
     /// Wire size: two signed payloads.
@@ -68,20 +71,20 @@ impl<T: Signable + PartialEq> ConflictEvidence<T> {
 
 /// Verifies a full Proof-of-Fraud: a set of evidence pairs must convict at
 /// least `t0 + 1` *distinct* players to justify an `Expose` (paper, Reveal
-/// phase: `|D_i| > t0`). Returns the convicted set if the bar is met.
-pub fn verify_pof<T: Signable + PartialEq>(
-    evidence: &[ConflictEvidence<T>],
+/// phase: `|D_i| > t0`). If the bar is met, returns the convicted players
+/// in id order, each with the first pair in `evidence` that convicted it.
+pub fn verify_pof<'a, T: Signable + PartialEq>(
+    evidence: &'a [ConflictEvidence<T>],
     registry: &KeyRegistry,
     t0: usize,
-) -> Option<Vec<NodeId>> {
-    let mut guilty: Vec<NodeId> = evidence.iter().filter_map(|e| e.verify(registry)).collect();
-    guilty.sort_unstable();
-    guilty.dedup();
-    if guilty.len() > t0 {
-        Some(guilty)
-    } else {
-        None
-    }
+) -> Option<Vec<(NodeId, &'a ConflictEvidence<T>)>> {
+    let mut guilty: Vec<_> = evidence
+        .iter()
+        .filter_map(|e| Some((e.verify(registry)?, e)))
+        .collect();
+    guilty.sort_by_key(|&(id, _)| id);
+    guilty.dedup_by_key(|&mut (id, _)| id);
+    (guilty.len() > t0).then_some(guilty)
 }
 
 /// Wire size of a PoF set.
@@ -193,8 +196,9 @@ mod tests {
         // Same player twice: still one distinct conviction.
         assert!(verify_pof(&[pair(0, 1), pair(0, 2)], &reg, t0).is_none());
         // Two distinct players: conviction.
-        let out = verify_pof(&[pair(0, 1), pair(3, 1)], &reg, t0).unwrap();
-        assert_eq!(out, vec![NodeId(0), NodeId(3)]);
+        let pairs = [pair(3, 1), pair(0, 1), pair(3, 2)];
+        let out = verify_pof(&pairs, &reg, t0).unwrap();
+        assert_eq!(out, vec![(NodeId(0), &pairs[1]), (NodeId(3), &pairs[0])]);
     }
 
     #[test]

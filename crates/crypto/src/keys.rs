@@ -1,4 +1,12 @@
 //! Keys, signatures, and the trusted-setup registry.
+//!
+//! A signature is the ideal functionality the paper assumes (Section 3.3):
+//! its tag is `digest ⊕ seed[signer]`, with no hash. It stays keyed, so a
+//! signature re-labelled to another signer or made under another setup
+//! fails. Anyone holding a tag and its digest can read the seed; that is
+//! harmless only because neither [`Signature`] nor [`SecretKey`] has a
+//! public constructor, so outside this crate the only valid signatures are
+//! the ones [`SecretKey::sign`] made.
 
 use crate::Sha256;
 use prft_types::{Digest, NodeId};
@@ -11,11 +19,20 @@ use std::sync::Arc;
 /// `prft-metrics` is parameterized by this constant.
 pub const KAPPA: usize = 32;
 
+/// The tag under `seed` of a signature over `digest`.
+fn keyed(seed: &[u8; 32], digest: Digest) -> Digest {
+    Digest(std::array::from_fn(|i| digest.0[i] ^ seed[i]))
+}
+
 /// A player's signing key.
 ///
 /// Produced only by [`KeyRegistry::trusted_setup`]. There is deliberately no
 /// way to construct a `SecretKey` for an arbitrary identity, and the seed is
 /// private: within the simulation this *is* unforgeability.
+///
+/// ```compile_fail
+/// let key = prft_crypto::SecretKey { signer: prft_types::NodeId(0), seed: [0; 32] };
+/// ```
 #[derive(Clone)]
 pub struct SecretKey {
     signer: NodeId,
@@ -32,7 +49,7 @@ impl SecretKey {
     pub fn sign(&self, digest: Digest) -> Signature {
         Signature {
             signer: self.signer,
-            tag: Sha256::digest_halves(&self.seed, &digest.0),
+            tag: keyed(&self.seed, digest),
         }
     }
 }
@@ -44,7 +61,13 @@ impl fmt::Debug for SecretKey {
     }
 }
 
-/// A signature: the claimed signer plus a keyed-MAC tag over the digest.
+/// A signature: the claimed signer plus a tag keyed by that signer's seed.
+/// Only [`SecretKey::sign`] makes one:
+///
+/// ```compile_fail
+/// use prft_types::{Digest, NodeId};
+/// let sig = prft_crypto::Signature { signer: NodeId(0), tag: Digest::ZERO };
+/// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Signature {
     signer: NodeId,
@@ -57,11 +80,11 @@ impl Signature {
         self.signer
     }
 
-    /// The keyed-MAC tag. Exposed so verification memo caches can key on
-    /// the *full* signature content (signer + tag + signed slot), which is
-    /// what makes a cached verdict collision-free: two ballots that differ
-    /// anywhere have different keys, so a tampered twin can never reuse a
-    /// valid ballot's cached `true`.
+    /// The keyed tag. Exposed so verification memo caches can compare a
+    /// signature against the tag [`KeyRegistry::tag_of`] derives for its
+    /// signer and payload, and key negative verdicts on the *full*
+    /// signature content: two ballots that differ anywhere have different
+    /// keys, so a tampered twin can never reuse a valid ballot's `true`.
     pub fn tag(&self) -> Digest {
         self.tag
     }
@@ -82,8 +105,8 @@ impl fmt::Debug for Signature {
 ///
 /// The paper assumes a trusted broadcast-type setup where players share
 /// public keys (Section 3.3). Here the registry holds the per-player seeds
-/// and acts as the verification oracle; protocol code only ever calls
-/// [`KeyRegistry::verify`].
+/// and acts as the ideal functionality's verification oracle; protocol
+/// code only ever calls [`KeyRegistry::verify`].
 ///
 /// Every replica holds the registry, and so does every snapshot of one:
 /// the seed table is shared, so a clone copies a handle, not the table.
@@ -135,6 +158,13 @@ impl KeyRegistry {
         Arc::ptr_eq(&self.seeds, &other.seeds)
     }
 
+    /// The tag a valid signature by `signer` over `digest` carries, or
+    /// `None` for a signer outside the setup: the ideal functionality's
+    /// oracle, uncounted ([`Self::verify`] is the counted check).
+    pub fn tag_of(&self, signer: NodeId, digest: Digest) -> Option<Digest> {
+        self.seeds.get(signer.0).map(|seed| keyed(seed, digest))
+    }
+
     /// Verifies that `sig` is a valid signature by its claimed signer over
     /// `digest`. Returns `false` for unknown signers or bad tags.
     ///
@@ -144,10 +174,7 @@ impl KeyRegistry {
     /// exactly this number.
     pub fn verify(&self, digest: Digest, sig: &Signature) -> bool {
         prft_sim::obs::hooks::count_sig_verify();
-        match self.seeds.get(sig.signer.0) {
-            Some(seed) => Sha256::digest_halves(seed, &digest.0) == sig.tag,
-            None => false,
-        }
+        self.tag_of(sig.signer, digest) == Some(sig.tag)
     }
 }
 
@@ -189,6 +216,24 @@ mod tests {
         assert!(!reg.verify(d, &other[0].sign(d)), "foreign setup rejected");
         let (_, big) = KeyRegistry::trusted_setup(5, 7);
         assert!(!reg.verify(d, &big[4].sign(d)), "out-of-range signer");
+    }
+
+    /// The oracle derives exactly the tag each key signs with; a tag is
+    /// never its bare digest, and another setup keys one signer apart.
+    #[test]
+    fn the_oracle_derives_every_keys_tag() {
+        let (reg, keys) = KeyRegistry::trusted_setup(16, 7);
+        let (other, _) = KeyRegistry::trusted_setup(16, 8);
+        for message in [&b""[..], b"m", b"another message"] {
+            let d = Sha256::digest(message);
+            for key in &keys {
+                let tag = key.sign(d).tag();
+                assert_eq!(reg.tag_of(key.signer(), d), Some(tag));
+                assert_ne!(tag, d, "{key:?} left the digest bare");
+                assert_ne!(other.tag_of(key.signer(), d), Some(tag), "{key:?}");
+            }
+        }
+        assert_eq!(reg.tag_of(NodeId(16), Sha256::digest(b"m")), None);
     }
 
     #[test]

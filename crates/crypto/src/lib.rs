@@ -5,12 +5,13 @@
 //!
 //! * a from-scratch [`Sha256`] implementation (validated against FIPS 180-4
 //!   test vectors) producing [`prft_types::Digest`]s;
-//! * keyed-MAC "signatures": a [`SecretKey`] derives a tag as
-//!   `SHA-256(seed ‖ digest)`, and the [`KeyRegistry`] (the trusted setup)
-//!   verifies it. Within the simulation, unforgeability holds *by API
-//!   construction*: only the holder of a `SecretKey` can produce a valid
-//!   [`Signature`] for its identity, exactly as forgery is negligible for
-//!   PPTM adversaries in the paper.
+//! * ideal signatures, not MACs: a [`SecretKey`] tags a digest as
+//!   `digest ⊕ seed[signer]`, and the [`KeyRegistry`] (the trusted setup)
+//!   derives that tag again to verify it. Unforgeability holds *by API
+//!   construction* — only the holder of a `SecretKey` can produce a valid
+//!   [`Signature`] for its identity, as forgery is negligible for PPTM
+//!   adversaries in the paper — and the tag stays keyed (`keys.rs` says
+//!   why both matter);
 //! * generic [`Signed`] payloads with domain separation and per-slot
 //!   (round, phase) binding, and [`ConflictEvidence`] — the double-signature
 //!   evidence from which Proof-of-Fraud is assembled (paper, Section 5.3.1).

@@ -1,10 +1,11 @@
 //! SHA-256 implemented from scratch (FIPS 180-4).
 //!
 //! Built for the reproduction rather than pulled in as a dependency: the
-//! whole cryptographic substrate of the paper (hashes, signatures, PoF
-//! verification) must be auditable in-repo, and the simulation only needs
-//! the standard compression function and no streaming beyond the
-//! [`Sha256::update`] API.
+//! digests every signature is made over, the trusted setup's seeds and the
+//! lab's record and report fingerprints must be auditable in-repo, and the
+//! simulation only needs the standard compression function and no
+//! streaming beyond the [`Sha256::update`] API. A signature itself hashes
+//! nothing (see `keys.rs`).
 //!
 //! The compression function exists twice. [`compress_portable`] is the
 //! FIPS 180-4 loop: the path every host without SHA extensions runs, and
@@ -137,30 +138,7 @@ impl Sha256 {
         compress(&mut self.state, &self.buf);
         digest_of(&self.state)
     }
-
-    /// `SHA-256(a ‖ b)` for two 32-byte halves — the keyed-MAC shape of
-    /// every signature (`seed ‖ digest`). The message is exactly one
-    /// block and its padding is a constant second block, so this is two
-    /// compressions with none of the streaming buffer's copies.
-    pub(crate) fn digest_halves(a: &[u8; 32], b: &[u8; 32]) -> Digest {
-        let mut block = [0u8; 64];
-        block[..32].copy_from_slice(a);
-        block[32..].copy_from_slice(b);
-        let mut state = H0;
-        compress(&mut state, &block);
-        compress(&mut state, &PADDING_AFTER_ONE_BLOCK);
-        digest_of(&state)
-    }
 }
-
-/// The padding block of a 64-byte message: `0x80`, zeros, and the bit
-/// length (512) as a big-endian `u64`.
-const PADDING_AFTER_ONE_BLOCK: [u8; 64] = {
-    let mut block = [0u8; 64];
-    block[0] = 0x80;
-    block[62] = 0x02;
-    block
-};
 
 /// The big-endian serialization of a final state.
 fn digest_of(state: &[u32; 8]) -> Digest {
@@ -503,19 +481,6 @@ mod tests {
             assert_eq!(
                 accelerated, portable,
                 "case {case}: {state:08x?} {block:02x?}"
-            );
-        }
-    }
-
-    /// The signing shortcut is SHA-256 of the 64 concatenated bytes.
-    #[test]
-    fn digest_halves_equals_the_streamed_digest() {
-        for seed in 0..64usize {
-            let a: [u8; 32] = pattern(32 + seed)[seed..].try_into().unwrap();
-            let b: [u8; 32] = pattern(96 + seed)[64 + seed..].try_into().unwrap();
-            assert_eq!(
-                Sha256::digest_halves(&a, &b),
-                Sha256::digest_parts(&[&a, &b])
             );
         }
     }

@@ -315,6 +315,9 @@ pub const INVARIANTS: &[Invariant] = &[
     Invariant { name: "honest_never_burned", check: Reads::Run(|f| {
         Some(f.report.burned.iter().all(|id| !f.honest_throughout.contains(id)))
     }) },
+    // A burn is its proof: each seat's stored pairs convict, under its own
+    // trusted setup alone, the players they burned.
+    Invariant { name: "burns_proven", check: Reads::Run(|f| Some(f.seats.iter().all(|s| s.burns_proven()))) },
     Invariant { name: "tx_census", check: Reads::Run(|f| {
         Some(f.honest_throughout.iter().all(|id| f.seats[id.0].census_holds()))
     }) },
@@ -733,5 +736,46 @@ mod tests {
         let batch_csv = batch.iter().flat_map(|m| m.csv).map(|(header, _)| *header);
         let workload_csv = workload.iter().filter_map(|m| Some(m.csv?.0));
         assert_unique("CSV column", batch_csv.chain(workload_csv).collect());
+    }
+
+    /// A ledger whose burned seats each hold another burned seat's
+    /// conviction — seat A's pair stored as the proof that burned seat B —
+    /// breaks `burns_proven` and nothing else, and the audit moves no
+    /// `sig_verifies`.
+    #[test]
+    fn a_pair_stored_under_another_seat_breaks_burns_proven() {
+        use prft_core::CollateralLedger;
+        let spec = ScenarioSpec::new("fork", 9, 3)
+            .base_seed(0xf0_17c)
+            .role(
+                0,
+                Role::EquivocatingLeader {
+                    only_round: Some(0),
+                },
+            )
+            .roles(1..=3, Role::ForkColluder)
+            .fork_b_group([7, 8])
+            .horizon(600_000);
+        let seed = crate::derive_seed(spec.base_seed, 0);
+        let (mut sim, outcome) = crate::run_sim(&spec, seed, |_| {});
+        let kept = crate::summarize(&spec, &sim, seed, outcome);
+        assert!(kept.invariants().all(|(_, kept)| kept));
+        let seat = NodeId(4);
+        let ledger = replica(&sim, seat).collateral().clone();
+        let burned: Vec<NodeId> = ledger.burned().collect();
+        assert!(burned.len() > 1, "{burned:?}");
+        let mut rotated = CollateralLedger::new(ledger.deposit());
+        for (i, &player) in burned.iter().enumerate() {
+            let other = burned[(i + 1) % burned.len()];
+            rotated.burn(player, ledger.proof(other).expect("burned").clone());
+        }
+        let node = sim.node_mut(seat).as_replica_mut().expect("a replica");
+        *node.collateral_mut() = rotated;
+        let before = prft_sim::obs::hooks::snapshot().sig_verifies;
+        let broken = crate::summarize(&spec, &sim, seed, outcome);
+        assert_eq!(prft_sim::obs::hooks::snapshot().sig_verifies, before);
+        assert_eq!(broken.burned, kept.burned);
+        let rows: Vec<&str> = broken.invariants().filter(|r| !r.1).map(|r| r.0).collect();
+        assert_eq!(rows, ["burns_proven"]);
     }
 }

@@ -48,7 +48,8 @@ fn main() {
     // Third-party verification: the registry is public, so anyone can run
     // V(π) and (in a deployment) submit the burn transaction.
     match verify_expose(&proof, &registry, t0) {
-        Some(guilty) => {
+        Some(convicted) => {
+            let guilty: Vec<_> = convicted.iter().map(|&(id, _)| id).collect();
             println!(
                 "\nV(π) verdict: GUILTY — {guilty:?} (|D| = {} > t0 = {t0})",
                 guilty.len()

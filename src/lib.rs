@@ -7,8 +7,8 @@
 //!   Proof-of-Fraud accountability, collateral burning) plus the
 //!   [`core::Harness`] for assembling committees with mixed strategies;
 //! * [`types`] — blocks, chains, transactions, identifiers;
-//! * [`crypto`] — simulated PKI: SHA-256, keyed-MAC signatures, conflict
-//!   evidence;
+//! * [`crypto`] — simulated PKI: SHA-256, ideal (keyed, unhashed)
+//!   signatures, conflict evidence;
 //! * [`sim`] / [`net`] — the deterministic discrete-event kernel and the
 //!   synchrony models (sync / partial-sync GST / async, partitions with
 //!   adversarial bridges, targeted delays);
