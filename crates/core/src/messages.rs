@@ -137,12 +137,6 @@ impl SignerSet {
         new
     }
 
-    /// Whether `id` is in the set.
-    pub(crate) fn contains(&self, id: NodeId) -> bool {
-        let (word, bit) = (id.0 / 64, 1u64 << (id.0 % 64));
-        self.words.get(word).is_some_and(|w| w & bit != 0)
-    }
-
     /// Number of distinct ids.
     pub(crate) fn len(&self) -> usize {
         self.len
@@ -613,6 +607,11 @@ mod tests {
         Ballot::new(Round(round), phase, Digest::of_bytes(&[tag]))
     }
 
+    /// Whether `set` holds `id`: inserting it again adds nothing.
+    fn has(set: &SignerSet, id: NodeId) -> bool {
+        !set.clone().insert(id)
+    }
+
     #[test]
     fn ballots_conflict_only_within_slot() {
         let (_, keys) = setup(2);
@@ -734,7 +733,7 @@ mod tests {
                 other.insert(NodeId(id));
             }
             for id in (0..70).map(NodeId) {
-                proptest::prop_assert_eq!(other.contains(id), other_picks.contains(&id.0));
+                proptest::prop_assert_eq!(has(&other, id), other_picks.contains(&id.0));
             }
             // Absorbing names the first vote of each signer `other` lacks,
             // in vote order, whether the ids ascend (a word-wise difference
@@ -747,7 +746,7 @@ mod tests {
             for cert in [cert, CommitCert::new(commit, sorted)] {
                 let ids = cert.vote_ids.clone();
                 let lacking: Vec<usize> = (0..ids.len())
-                    .filter(|&i| !ids[..i].contains(&ids[i]) && !other.contains(ids[i]))
+                    .filter(|&i| !ids[..i].contains(&ids[i]) && !has(&other, ids[i]))
                     .collect();
                 let mut held = other.clone();
                 let mut named = Vec::new();
@@ -755,8 +754,8 @@ mod tests {
                 proptest::prop_assert_eq!(&named, &lacking);
                 for id in (0..70).map(NodeId) {
                     proptest::prop_assert_eq!(
-                        held.contains(id),
-                        other.contains(id) || distinct.contains(&id)
+                        has(&held, id),
+                        has(&other, id) || distinct.contains(&id)
                     );
                 }
                 proptest::prop_assert_eq!(held.len(), other.len() + lacking.len());

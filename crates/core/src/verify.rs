@@ -4,21 +4,17 @@
 //! Signature verification is a pure function of (registry, signed bytes),
 //! and the accountable Reveal phase re-checks every distinct commit
 //! certificate ~quorum times (the q(1+q(q+1)) term that makes accountable
-//! n = 64 cost 15.8M verifies for two rounds). [`VerifyCache`] collapses
-//! that to once per distinct content, per replica, in two dense tables
-//! indexed by signer id, each read only where a check compares:
+//! n = 64 cost 15.8M verifies for two rounds). A signature is the ideal
+//! functionality: [`KeyRegistry::tag_of`] derives a valid tag with no
+//! hash, so checking one signature costs a compare, and [`VerifyCache`]
+//! keeps only what a check would otherwise recompute:
 //!
-//! * **Tag tables** — one per live signed payload (round, phase, value):
-//!   its signing digest (hashed once, shared by every signer) and the set
-//!   of signers whose signature over it verified. Tags are derived, not
-//!   tabled: a valid tag is a function of (signer, digest), and
-//!   [`KeyRegistry::tag_of`] computes it with no hash. A repeat is a bit
-//!   test plus a compare against the derived tag, so a tampered twin never
-//!   reuses a cached `true`: another payload probes another table, another
-//!   signer or tag fails the compare. A uniform certificate's votes are
-//!   compared in one pass up to the first miss. Negative verdicts
-//!   sit in a side set keyed on the *full* ballot content. Only a verified
-//!   signature creates or grows a table, so forged payloads and
+//! * **Signing digests** — one per live signed payload (round, phase,
+//!   value), hashed once per seat and shared by every signer. Every check
+//!   still compares the ballot's own signer and tag against the derived
+//!   one, so a tampered twin never reuses a verdict: another payload has
+//!   another digest, another signer or tag fails the compare. Only a
+//!   verified signature adds an entry, so forged payloads and
 //!   out-of-range signer ids allocate nothing here.
 //! * **Certificate table** — one 24-byte slot per commit signer: the
 //!   address, round and quorum of its newest certificate and the verdict,
@@ -32,59 +28,30 @@
 //! * **Certificate proof** — on the allocation, shared by every seat. The
 //!   first seat whose walk finds a certificate's signatures valid records
 //!   the registry on it ([`CommitCert::prove`]); every other receiver then
-//!   verifies none of them, and only adds the signers its own tables lack
-//!   (a word-wise difference of signer sets).
+//!   walks none of its votes.
 //!
 //! **Counting discipline** (what keeps reports byte-identical across
 //! [`VerifyMode`]s): `crypto.sig_verifies` counts *logical* verifications
-//! — a memo hit adds, in one batched add, what the reference path pays.
-//! The `memo_hits`/`memo_misses` hook counters split the memoized share
-//! into answered from this seat's tables vs not. `ViewChange`,
+//! — a certificate-table hit adds, in one batched add, what the reference
+//! path pays. The `memo_hits`/`memo_misses` hook counters split the share
+//! that passes through this cache: a hit is a verification replayed from
+//! this seat's certificate table, a miss is every other one. `ViewChange`,
 //! `CommitView` and `Expose` signatures are verified outside the memo, so
 //! `memo_hits + memo_misses ≤ sig_verifies`, equal exactly when none of
-//! those kinds was sent (`prft-lab`'s `memo_identity` row). A miss is
-//! charged as one whether or not another seat proved its certificate, so
-//! the counters do not depend on which seat or thread walks first, and a
-//! fork charges what a fresh run does. The memo counters surface only in
+//! those kinds was sent (`prft-lab`'s `memo_identity` row). A proven
+//! certificate's votes are charged as the misses its walk charges, so the
+//! counters do not depend on which seat or thread walks first, and a fork
+//! charges what a fresh run does. The memo counters surface only in
 //! `prft-bench profile` output, never in scenario reports.
 
-use crate::messages::{Ballot, CommitCert, Phase, RevealSet, SignedBallot, SignerSet};
+use crate::messages::{Ballot, CommitCert, Phase, RevealSet, SignedBallot};
 use prft_crypto::{KeyRegistry, Signable, VerifyMode};
 use prft_sim::obs::hooks;
 use prft_types::{Digest, NodeId, Round};
-use std::collections::HashSet;
 use std::sync::Arc;
 
-/// The valid signatures seen over one payload.
-#[derive(Clone)]
-struct TagTable {
-    payload: Ballot,
-    /// `payload.signing_digest()` — the same for every signer.
-    digest: Digest,
-    /// The signers whose signature over `payload` verified. The tag such a
-    /// signature carries is [`KeyRegistry::tag_of`] of (signer, `digest`),
-    /// so the table derives it instead of storing it.
-    filled: SignerSet,
-}
-
-impl TagTable {
-    /// Whether `id` is filled and `tag` is the tag its valid signature
-    /// carries.
-    fn holds(&self, id: NodeId, tag: Digest, registry: &KeyRegistry) -> bool {
-        self.filled.contains(id) && registry.tag_of(id, self.digest) == Some(tag)
-    }
-
-    /// How many of a certificate's leading votes carry their filled
-    /// signer's valid tag.
-    fn leading_hits(&self, votes: &[SignedBallot], registry: &KeyRegistry) -> usize {
-        votes
-            .iter()
-            .take_while(|v| self.holds(v.signer(), v.sig.tag(), registry))
-            .count()
-    }
-}
-
-/// Adds `n` logical verifications answered from the memo to the counters.
+/// Adds `n` logical verifications replayed from the certificate table to
+/// the counters.
 fn replay(n: u64) {
     if n > 0 {
         hooks::add_sig_verifies(n);
@@ -226,11 +193,11 @@ pub struct CertVerdict {
     pub cached: bool,
 }
 
-/// Per-replica verification memo (tag tables + certificate table).
+/// Per-replica verification memo (signing digests + certificate table).
 ///
 /// In [`VerifyMode::Reference`] every call passes straight through to the
 /// original verify-on-every-arrival code path; in [`VerifyMode::Fast`]
-/// verdicts are cached per content as described on the module.
+/// digests and certificate verdicts are cached as described on the module.
 ///
 /// `Clone` supports checkpoint/fork warm starts: the clone shares the
 /// same certificate `Arc` allocations, so its address-matched entries
@@ -239,12 +206,11 @@ pub struct CertVerdict {
 #[derive(Clone)]
 pub struct VerifyCache {
     mode: VerifyMode,
+    /// Each payload a signature verified over, with its signing digest.
     /// Oldest first; a handful per live round (one per phase, more only
     /// when somebody equivocates), so a lookup is a short scan from the
     /// newest end.
-    tables: Vec<TagTable>,
-    /// Ballots that failed verification.
-    forged: HashSet<SignedBallot>,
+    digests: Vec<(Ballot, Digest)>,
     certs: CertTable,
 }
 
@@ -253,80 +219,44 @@ impl VerifyCache {
     pub fn new(mode: VerifyMode) -> VerifyCache {
         VerifyCache {
             mode,
-            tables: Vec::new(),
-            forged: HashSet::new(),
+            digests: Vec::new(),
             certs: CertTable::default(),
         }
     }
 
-    fn table_of(&self, payload: &Ballot) -> Option<usize> {
-        self.tables.iter().rposition(|t| t.payload == *payload)
+    /// The held signing digest of `payload`, if a signature over it
+    /// verified here.
+    fn held_digest(&self, payload: &Ballot) -> Option<Digest> {
+        let found = self.digests.iter().rev().find(|(p, _)| p == payload);
+        found.map(|&(_, digest)| digest)
     }
 
-    /// Verifies one signed ballot, memoized per content on the fast path.
-    ///
-    /// The logical `crypto.sig_verifies` count is identical across modes:
-    /// a hit adds the one verification the reference path would have
-    /// performed.
+    /// Verifies one signed ballot, hashing its payload once per seat on
+    /// the fast path. Either way it charges one `crypto.sig_verifies`.
     pub fn verify_ballot(&mut self, ballot: &SignedBallot, registry: &KeyRegistry) -> bool {
-        self.admit(ballot, registry, false)
-    }
-
-    /// Verifies a certificate's commit ballot: [`Self::verify_ballot`]
-    /// of a [`Phase::Commit`] ballot, which hashes nothing once another
-    /// seat proved the allocation.
-    pub(crate) fn verify_commit(&mut self, cert: &CommitCert, registry: &KeyRegistry) -> bool {
-        let commit = cert.commit();
-        commit.payload.phase == Phase::Commit && self.admit(commit, registry, cert.proven(registry))
-    }
-
-    /// [`Self::verify_ballot`], where `proven` says the ballot is known to
-    /// be valid under `registry`: a miss then tables its signer unverified,
-    /// and is charged as the miss it is for this seat.
-    fn admit(&mut self, ballot: &SignedBallot, registry: &KeyRegistry, proven: bool) -> bool {
         if self.mode == VerifyMode::Reference {
             return ballot.verify(registry);
         }
-        let table = self.table_of(&ballot.payload);
-        let (signer, tag) = (ballot.signer(), ballot.sig.tag());
-        let valid = table.is_some_and(|t| self.tables[t].holds(signer, tag, registry));
-        if valid || (!proven && self.forged.contains(ballot)) {
-            replay(1);
-            return valid;
-        }
         hooks::add_memo_misses(1);
-        let digest = match table {
-            Some(t) => self.tables[t].digest,
-            None => ballot.payload.signing_digest(),
-        };
-        if proven {
-            hooks::add_sig_verifies(1);
-        } else if !registry.verify(digest, &ballot.sig) {
-            // `KeyRegistry::verify` counts the sig_verify itself.
-            self.forged.insert(ballot.clone());
-            return false;
+        let held = self.held_digest(&ballot.payload);
+        let digest = held.unwrap_or_else(|| ballot.payload.signing_digest());
+        // `KeyRegistry::verify` counts the sig_verify itself.
+        let valid = registry.verify(digest, &ballot.sig);
+        if valid && held.is_none() {
+            self.digests.push((ballot.payload, digest));
         }
-        let t = table.unwrap_or_else(|| self.new_table(ballot.payload, digest));
-        self.tables[t].filled.insert(signer);
-        true
+        valid
     }
 
-    /// Adds an empty tag table for `payload`, whose signing digest is
-    /// `digest`, and returns its index. Only a verified signature may.
-    fn new_table(&mut self, payload: Ballot, digest: Digest) -> usize {
-        self.tables.push(TagTable {
-            payload,
-            digest,
-            filled: SignerSet::default(),
-        });
-        self.tables.len() - 1
+    /// Verifies a certificate's commit ballot: [`Self::verify_ballot`]
+    /// of a [`Phase::Commit`] ballot.
+    pub(crate) fn verify_commit(&mut self, cert: &CommitCert, registry: &KeyRegistry) -> bool {
+        let commit = cert.commit();
+        commit.payload.phase == Phase::Commit && self.verify_ballot(commit, registry)
     }
 
     /// Validates a commit certificate, memoized per allocation on the
-    /// fast path (with the tag tables underneath for first-time walks,
-    /// which is also what dedupes across the certificates of one Reveal:
-    /// the first certificate's walk tables the vote tags for every later
-    /// certificate sharing them).
+    /// fast path.
     pub fn validate_cert(
         &mut self,
         cert: &Arc<CommitCert>,
@@ -405,16 +335,17 @@ impl VerifyCache {
         quorum: usize,
     ) -> CertVerdict {
         // A certificate whose commit ballot fails is not remembered: its
-        // re-validation stops at the same ballot (a `forged` hit), and
-        // only a signer in the registry may claim a slot.
+        // re-validation stops at the same ballot, and only a signer in the
+        // registry may claim a slot.
         if !self.verify_commit(cert, registry) {
             return CertVerdict {
                 ok: false,
                 cached: false,
             };
         }
+        // A proven certificate walks nothing and is charged as its walk.
         let (valid, verifies) = if cert.proven(registry) {
-            self.absorb_proven(cert)
+            (true, cert.votes().len() as u64)
         } else {
             let walked = self.walk_votes(cert, registry);
             if walked.0 {
@@ -422,6 +353,8 @@ impl VerifyCache {
             }
             walked
         };
+        hooks::add_sig_verifies(verifies);
+        hooks::add_memo_misses(verifies);
         let ok = valid && cert.signers().len() >= quorum;
         let fresh = CertSlot::new(cert, quorum, ok, 1 + verifies);
         match self.certs.find(committer, cert) {
@@ -436,63 +369,29 @@ impl VerifyCache {
     /// phase/round/value checks before its verify; stop at the first
     /// failure). Returns whether every vote is valid, leaving the quorum
     /// to the caller, and the number of logical verifications the
-    /// reference path performs on the votes, for replay on later hits.
-    ///
-    /// A uniform certificate whose payload has a tag table first runs
-    /// [`TagTable::leading_hits`] over its votes; from the first
-    /// vote that misses, each vote probes the table on its own. The
-    /// counter adds are batched into one flush per walk; anything else —
-    /// first sight, unknown signer, forgery — takes
-    /// [`Self::verify_ballot`].
+    /// reference path performs on the votes, which the caller charges in
+    /// one add and replays on later hits. Every vote is checked against
+    /// the justifying vote's digest, looked up once.
     fn walk_votes(&mut self, cert: &CommitCert, registry: &KeyRegistry) -> (bool, u64) {
         let vote = cert.commit().payload.justifying_vote();
-        let mut table = self.table_of(&vote);
-        let leading = match table {
-            Some(t) if cert.uniform() => self.tables[t].leading_hits(cert.votes(), registry),
-            _ => 0,
-        };
-        let (mut verifies, mut table_hits) = (leading as u64, leading as u64);
-        let mut ok = true;
-        for v in &cert.votes()[leading..] {
+        let held = self.held_digest(&vote);
+        let digest = held.unwrap_or_else(|| vote.signing_digest());
+        let (mut ok, mut verifies) = (true, 0);
+        for v in cert.votes() {
             if !cert.uniform() && v.payload != vote {
                 ok = false;
                 break;
             }
             verifies += 1;
-            if table.is_some_and(|t| self.tables[t].holds(v.signer(), v.sig.tag(), registry)) {
-                table_hits += 1;
-            } else if self.verify_ballot(v, registry) {
-                table = table.or_else(|| self.table_of(&vote));
-            } else {
+            if registry.tag_of(v.signer(), digest) != Some(v.sig.tag()) {
                 ok = false;
                 break;
             }
         }
-        replay(table_hits);
-        (ok, verifies)
-    }
-
-    /// [`Self::walk_votes`] of a proven certificate, which visits only the
-    /// signers the table lacks: their signatures are valid, so they are
-    /// tabled unverified. Every vote is charged as the walk charges it, a
-    /// hit where the table held the signer (a valid tag is a function of
-    /// signer and payload) and a miss where it did not.
-    fn absorb_proven(&mut self, cert: &CommitCert) -> (bool, u64) {
-        let votes = cert.votes().len() as u64;
-        if votes == 0 {
-            return (true, 0);
+        if ok && verifies > 0 && held.is_none() {
+            self.digests.push((vote, digest));
         }
-        let vote = cert.commit().payload.justifying_vote();
-        let t = match self.table_of(&vote) {
-            Some(t) => t,
-            None => self.new_table(vote, vote.signing_digest()),
-        };
-        let mut misses = 0;
-        cert.absorb_signers(&mut self.tables[t].filled, |_| misses += 1);
-        hooks::add_sig_verifies(votes);
-        hooks::add_memo_hits(votes - misses);
-        hooks::add_memo_misses(misses);
-        (true, votes)
+        (ok, verifies)
     }
 
     /// Drops entries from rounds before `round − 1`. Finals of round r
@@ -501,8 +400,7 @@ impl VerifyCache {
     /// again (stale-round messages are dropped before verification).
     pub fn prune_before(&mut self, round: Round) {
         let keep = round.0.saturating_sub(1);
-        self.tables.retain(|t| t.payload.round.0 >= keep);
-        self.forged.retain(|b| b.payload.round.0 >= keep);
+        self.digests.retain(|(p, _)| p.round.0 >= keep);
         self.certs.prune_before(keep);
     }
 }
@@ -543,12 +441,11 @@ mod tests {
         assert!(cache.verify_ballot(&b, &reg));
         assert!(cache.verify_ballot(&b, &reg));
         let s = hooks::snapshot();
-        // Logical count matches the reference path (3 verifies)…
-        assert_eq!(s.sig_verifies, 3);
-        // …but only one hash was actually computed.
-        assert_eq!(s.memo_misses, 1);
-        assert_eq!(s.memo_hits, 2);
-        assert_eq!(s.memo_hits + s.memo_misses, s.sig_verifies);
+        // Logical count matches the reference path (3 verifies), and a
+        // ballot is no certificate-table replay: every check is a miss…
+        assert_eq!((s.sig_verifies, s.memo_hits, s.memo_misses), (3, 0, 3));
+        // …but the payload was hashed once.
+        assert_eq!(cache.digests, vec![(b.payload, b.payload.signing_digest())]);
         hooks::reset();
     }
 
@@ -575,7 +472,7 @@ mod tests {
         // keys[1]'s own signature stays independently cached.
         assert!(cache.verify_ballot(&impersonation, &reg));
         assert!(cache.verify_ballot(&wrong_signer, &reg));
-        // Negative verdicts are cached as negatives, never upgraded.
+        // A negative verdict is never upgraded.
         assert!(!cache.verify_ballot(&forged, &reg));
     }
 
@@ -602,8 +499,8 @@ mod tests {
     #[test]
     fn cert_memo_is_per_allocation_not_per_value() {
         // Two equal-content certificates in different allocations verify
-        // independently at the cert layer but share the ballot memo — the
-        // second walk is all ballot hits, no new hashing.
+        // independently at the cert layer (the second walk is no replay)
+        // but share the signing digests: nothing is hashed twice.
         let (reg, keys) = setup(4);
         let a = Arc::new(cert(&keys, 1, value(7), 3));
         let b = Arc::new(a.as_ref().clone());
@@ -611,9 +508,15 @@ mod tests {
         hooks::reset();
         assert!(cache.validate_cert(&a, &reg, 3).ok);
         assert!(cache.validate_cert(&b, &reg, 3).ok);
+        assert!(cache.validate_cert(&b, &reg, 3).cached);
         let s = hooks::snapshot();
-        assert_eq!(s.sig_verifies, 8, "logical count is mode-identical");
-        assert_eq!(s.memo_misses, 4, "second walk re-hashes nothing");
+        assert_eq!(s.sig_verifies, 12, "logical count is mode-identical");
+        assert_eq!(
+            (s.memo_hits, s.memo_misses),
+            (4, 8),
+            "one replay, two walks"
+        );
+        assert_eq!(cache.digests.len(), 2, "one commit and one vote payload");
         hooks::reset();
     }
 
@@ -663,18 +566,6 @@ mod tests {
         let forged = Arc::new(CommitCert::new(c.commit().clone(), votes));
         assert!(!seat.validate_cert(&forged, &reg, 3).ok);
         assert!(!forged.proven(&reg), "a forged vote is never proven");
-    }
-
-    /// Every tag a cache holds, as (payload, signer, tag).
-    fn tabled(cache: &VerifyCache, reg: &KeyRegistry) -> Vec<(Ballot, NodeId, Digest)> {
-        let ids = || (0..reg.len()).map(NodeId);
-        let each = |t: &TagTable| -> Vec<_> {
-            ids()
-                .filter(|&id| t.filled.contains(id))
-                .map(|id| (t.payload, id, reg.tag_of(id, t.digest).unwrap()))
-                .collect()
-        };
-        cache.tables.iter().flat_map(each).collect()
     }
 
     #[test]
@@ -751,11 +642,10 @@ mod tests {
     }
 
     #[test]
-    fn a_forged_tag_never_borrows_the_tabled_valid_one() {
-        // Signer 0's valid vote is tabled; a second ballot claims the same
+    fn a_forged_tag_never_borrows_the_held_valid_one() {
+        // Signer 0's valid vote is held; a second ballot claims the same
         // payload and signer under another tag (here: its signature over a
-        // different value). It probes the same slot, fails the compare, is
-        // hashed once and remembered as a negative.
+        // different value). It reads the same digest and fails the compare.
         let (reg, keys) = setup(2);
         let honest = signed_ballot(&keys[0], Round(1), Phase::Vote, value(1));
         let mut forged = signed_ballot(&keys[0], Round(1), Phase::Vote, value(2));
@@ -764,21 +654,20 @@ mod tests {
         assert!(cache.verify_ballot(&honest, &reg));
         hooks::reset();
         assert!(!cache.verify_ballot(&forged, &reg));
-        assert_eq!(hooks::snapshot().memo_misses, 1);
         assert!(!cache.verify_ballot(&forged, &reg), "never upgraded");
-        let s = hooks::snapshot();
-        assert_eq!((s.memo_hits, s.memo_misses, s.sig_verifies), (1, 1, 2));
         assert!(
             cache.verify_ballot(&honest, &reg),
             "nor is the valid one lost"
         );
-        assert_eq!(hooks::snapshot().memo_misses, 1);
+        let s = hooks::snapshot();
+        assert_eq!((s.memo_hits, s.memo_misses, s.sig_verifies), (0, 3, 3));
+        assert_eq!(cache.digests.len(), 1);
         hooks::reset();
     }
 
     #[test]
     fn forged_payloads_and_unknown_signers_table_nothing() {
-        let (reg, _) = setup(2);
+        let (reg, keys) = setup(2);
         // Same master seed, larger committee: seat 5 is not in `reg`.
         let (_, outsiders) = KeyRegistry::trusted_setup(6, 7);
         let mut cache = VerifyCache::new(VerifyMode::Fast);
@@ -788,7 +677,21 @@ mod tests {
             let c = Arc::new(cert(&outsiders[5..], round, value(1), 1));
             assert!(!cache.validate_cert(&c, &reg, 1).ok);
         }
-        assert!(cache.tables.is_empty(), "only a valid tag makes a table");
+        // A forged ballot presented k times fails, is charged and is
+        // missed k times, and is never held.
+        let mut forged = signed_ballot(&keys[1], Round(1), Phase::Vote, value(2));
+        forged.payload.value = value(1);
+        hooks::reset();
+        for k in 1..=5 {
+            assert!(!cache.verify_ballot(&forged, &reg));
+            let s = hooks::snapshot();
+            assert_eq!((s.sig_verifies, s.memo_misses, s.memo_hits), (k, k, 0));
+        }
+        hooks::reset();
+        assert!(
+            cache.digests.is_empty(),
+            "only a valid signature holds a digest"
+        );
         assert!(cache.certs.slots.is_empty() && cache.certs.overflow.is_empty());
     }
 
@@ -852,7 +755,7 @@ mod tests {
         /// nothing (a first sight, a twin allocation, a forgery). Both
         /// reach `CommitCert::validate`'s verdicts and charge its
         /// `sig_verifies` — also for the forged tag of a signer whose valid
-        /// tag the packed pass finds tabled.
+        /// vote another certificate carries.
         #[test]
         fn a_reveal_scan_is_its_certificates_one_by_one(
             seen in proptest::collection::vec(0usize..9, 0..9),
@@ -915,14 +818,12 @@ mod tests {
         }
 
         /// A seat receiving a certificate another seat already proved
-        /// reaches the verdict, charges the counters and tables the tags
-        /// that walking an unproven allocation of the same content does,
-        /// whatever it held before: some of the votes received on their
-        /// own, the commit ballot or not. `voters` may repeat a signer or
-        /// break id order, which sends the seat down the votes-in-order
-        /// path instead of the word-wise one.
+        /// reaches the verdict and charges the counters that walking an
+        /// unproven allocation of the same content does, whatever it held
+        /// before: some of the votes received on their own, the commit
+        /// ballot or not. `voters` may repeat a signer or break id order.
         #[test]
-        fn a_proven_certificate_charges_and_tables_what_its_walk_would(
+        fn a_proven_certificate_charges_what_its_walk_would(
             held in proptest::collection::vec(0usize..70, 0..40),
             voters in proptest::collection::vec(0usize..70, 0..40),
             sorted in proptest::any::<bool>(),
@@ -955,7 +856,7 @@ mod tests {
                 hooks::reset();
                 let commit_ok = seat.verify_commit(cert, &reg);
                 let verdict = seat.validate_cert(cert, &reg, quorum);
-                seen.push((commit_ok, verdict, hooks::snapshot(), tabled(&seat, &reg)));
+                seen.push((commit_ok, verdict, hooks::snapshot()));
             }
             hooks::reset();
             proptest::prop_assert_eq!(&seen[0], &seen[1]);

@@ -7,14 +7,14 @@
 //!   per-round structure `1 + 2n + n(q+2) + q(1 + q(q+1))` per replica,
 //!   plus `n` Finals per non-final round — within 10% (the tail of the
 //!   last round depends on delivery order).
-//! * The **miss** count (`verify.memo_miss`) follows the
-//!   distinct-content model `1 + 2n + q` per replica-round, plus the same
-//!   Final term — within 0.1%. This is the memoization doing its job:
-//!   every re-check of already-seen content is a cache hit.
+//! * The **miss** count (`verify.memo_miss`) follows the miss model
+//!   `1 + 2n + n(q+2) + q` per replica-round, plus the same Final term —
+//!   within 0.1%. A hit is a replay from the replica's certificate table,
+//!   and the only certificates a replica validates twice are the q × q
+//!   a Reveal quotes, which it validated at Commit time.
 //! * Conservation: `memo_hits + memo_misses == sig_verifies`, exactly —
-//!   every logical verification is either answered from the replica's
-//!   own tables or missed there (and hashed, unless another replica
-//!   proved the certificate it came in).
+//!   every logical verification is either replayed from the replica's
+//!   certificate table or missed there.
 
 use prft_core::{Harness, NetworkChoice, VerifyMode};
 use prft_sim::obs::hooks;
@@ -36,11 +36,16 @@ fn predicted_logical(n: u64, rounds: u64) -> u64 {
     n * (rounds * per_replica_round + (rounds - 1) * n)
 }
 
-/// Distinct-content model: what the memoized path actually hashes.
+/// Miss model: [`predicted_logical`] less the certificate-table
+/// replays. Per replica-round, the Propose (1), Vote (2n) and Commit
+/// (n(q+2)) terms and the q Reveal ballots miss; each Reveal's q
+/// certificates are the allocations the replica validated at Commit
+/// time, so their q · q(q+1) verifications replay. Finals miss.
 fn predicted_misses(n: u64, rounds: u64) -> u64 {
     let t0 = n.div_ceil(4) - 1;
     let q = n - t0;
-    n * (rounds * (1 + 2 * n + q) + (rounds - 1) * n)
+    let per_replica_round = 1 + 2 * n + n * (q + 2) + q;
+    n * (rounds * per_replica_round + (rounds - 1) * n)
 }
 
 fn run_accountable(n: usize, mode: VerifyMode) -> hooks::HookSnapshot {
@@ -86,7 +91,7 @@ fn memoized_run_matches_both_verify_models() {
         snap.sig_verifies
     );
 
-    // Hashed count vs the distinct-content model, 0.1%.
+    // Miss count vs the miss model, 0.1%.
     let miss_predicted = predicted_misses(N as u64, ROUNDS);
     let miss_ratio = snap.memo_misses as f64 / miss_predicted as f64;
     assert!(
@@ -123,13 +128,15 @@ fn both_modes_pay_the_same_logical_count() {
         fast.sig_verifies, slow.sig_verifies,
         "logical verify counts diverged across verify modes"
     );
-    // And the split shows the actual hashing collapse — even at n = 16
-    // over 95% of logical verifies answer from cache (the ratio improves
-    // with n: >99.8% at n = 64).
+    // And the split follows the miss model at this size too: everything
+    // but the Reveals' certificate replays misses. The last round's tail
+    // (40 misses at n = 16) is 0.4% of this size's count, so the band is
+    // 0.5% here; the 0.1% band holds at n = 64, above.
+    let predicted = predicted_misses(N_SMALL as u64, ROUNDS);
+    let ratio = fast.memo_misses as f64 / predicted as f64;
     assert!(
-        fast.memo_misses * 20 < fast.sig_verifies,
-        "expected <5% of logical verifies to hash: {} of {}",
-        fast.memo_misses,
-        fast.sig_verifies
+        (ratio - 1.0).abs() <= 0.005,
+        "memo misses {} vs predicted {predicted} (ratio {ratio:.5})",
+        fast.memo_misses
     );
 }

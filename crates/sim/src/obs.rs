@@ -116,13 +116,14 @@ pub mod hooks {
         /// plus verifications *answered from* a memo cache — the logical
         /// verify count, identical across `VerifyMode`s.
         pub sig_verifies: u64,
-        /// Logical verifications answered from a verification memo cache
-        /// (no hash computed). Zero on the reference path.
+        /// Logical verifications replayed from a seat's certificate table
+        /// (a verdict it reached on the same certificate allocation
+        /// before). Zero on the reference path.
         pub memo_hits: u64,
-        /// Memo-cache lookups the seat's own tables could not answer —
-        /// the count of *distinct-content* verifications per seat. Each
-        /// is hashed, unless another seat already proved the certificate
-        /// it arrived in.
+        /// Every other logical verification through a seat's verify memo,
+        /// whether the seat compared the signature or another seat had
+        /// already proved the certificate it arrived in. Zero on the
+        /// reference path.
         pub memo_misses: u64,
     }
 
@@ -141,14 +142,14 @@ pub mod hooks {
         SIG_VERIFIES.with(|c| c.set(c.get() + k));
     }
 
-    /// Accounts `k` memo-cache hits (logical verifies answered cached).
+    /// Accounts `k` memo-cache hits (logical verifies replayed from a
+    /// certificate table).
     #[inline]
     pub fn add_memo_hits(k: u64) {
         MEMO_HITS.with(|c| c.set(c.get() + k));
     }
 
-    /// Accounts `k` memo-cache misses (verifications the memo could not
-    /// answer).
+    /// Accounts `k` memo-cache misses (logical verifies not replayed).
     #[inline]
     pub fn add_memo_misses(k: u64) {
         MEMO_MISSES.with(|c| c.set(c.get() + k));
