@@ -51,6 +51,7 @@
 //! so schema drift and regressions fail the build with no JSON toolchain
 //! in the workflow.
 
+use prft_core::{predicted_memo_misses, predicted_verifies};
 use prft_lab::json::Json;
 use prft_lab::{ScenarioSpec, TimelineEvent};
 use prft_sim::{
@@ -240,74 +241,6 @@ struct ProfilePoint {
     memo_identity: bool,
     predicted_verifies: u64,
     predicted_memo_misses: u64,
-}
-
-/// Analytic signature-verify count for one honest run: `rounds` rounds,
-/// committee `n`, quorum `q = n − t0`, `t0 = ⌈n/4⌉ − 1`.
-///
-/// Per replica per round, from the handler structure (each broadcast is
-/// self-delivered, so a phase's quorum of n senders lands n messages on
-/// every replica; messages from *past* rounds are dropped unverified —
-/// except Finals — so a phase that advances the round leaves its tail
-/// unchecked):
-/// * Propose: 1 (leader ballot);
-/// * Vote: n votes × (ballot + attached propose `s_pro`) = 2n;
-/// * Commit: each commit costs ballot + certificate (commit + q votes)
-///   = q + 2. Non-accountable rounds finalize at the commit quorum, so
-///   only q commits are checked: q(q+2). Accountable rounds stay open
-///   through Reveal, so all n are: n(q+2);
-/// * Reveal (accountable only): each reveal carries q commit
-///   certificates of q + 1 signatures each, and the round advances at
-///   the reveal quorum: q(1 + q(q+1)) — the O(n·q²) ≈ O(n³/
-///   replica-round) term that dominates at scale, the verify-side twin
-///   of Table 3's O(n³κ) communication bound;
-/// * Final: 1 each; Finals act across rounds, so each non-final round
-///   contributes n (the last round's tail hits passive replicas).
-///
-/// The constant factors are derived, not fitted; the `profile` check
-/// fails if measurement drifts more than 10% from this model.
-fn predicted_verifies(n: usize, rounds: u64, accountable: bool) -> u64 {
-    let n64 = n as u64;
-    let t0 = n64.div_ceil(4) - 1;
-    let q = n64 - t0;
-    let per_replica_round = if accountable {
-        1 + 2 * n64 + n64 * (q + 2) + q * (1 + q * (q + 1))
-    } else {
-        1 + 2 * n64 + q * (q + 2)
-    };
-    n64 * (rounds * per_replica_round + rounds.saturating_sub(1) * n64)
-}
-
-/// Miss model: how many verifications a replica's certificate table
-/// does not replay (`verify.memo_miss`). A memo hit is a replay of a
-/// verdict this replica reached on the same certificate allocation
-/// earlier; every other verification is a miss. So, term by term of
-/// [`predicted_verifies`]:
-/// * Propose 1, Vote 2n: single ballots, all misses;
-/// * Commit: each certificate arrives once, in its own allocation, so
-///   its commit ballot and its walk miss: n(q+2) accountable, q(q+2)
-///   plain;
-/// * Reveal (accountable): the q reveal ballots miss; the q certificates
-///   each quotes are the `Arc`s of the Commit broadcasts, already
-///   validated at Commit time, so their q · q(q+1) verifications are the
-///   only hits;
-/// * Final: n per non-final round, all misses.
-///
-/// So per replica-round: accountable `1 + 2n + n(q+2) + q` — the logical
-/// count less its Reveal certificates — and plain `1 + 2n + q(q+2)`, the
-/// whole logical count (plain points read 0 hits). The `profile` check
-/// holds the accountable model to 0.1%: every constant is structural,
-/// nothing is fitted.
-fn predicted_memo_misses(n: usize, rounds: u64, accountable: bool) -> u64 {
-    let n64 = n as u64;
-    let t0 = n64.div_ceil(4) - 1;
-    let q = n64 - t0;
-    let per_replica_round = if accountable {
-        1 + 2 * n64 + n64 * (q + 2) + q
-    } else {
-        1 + 2 * n64 + q * (q + 2)
-    };
-    n64 * (rounds * per_replica_round + rounds.saturating_sub(1) * n64)
 }
 
 /// Runs one honest committee point and snapshots its observability

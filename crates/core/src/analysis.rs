@@ -146,7 +146,10 @@ pub fn analyze<N: Node + AsReplica>(sim: &Simulation<N>) -> RunReport {
         agreement: agreement(&chains),
         strict_ordering: strict_ordering(&chains),
         burned,
-        view_changes: replicas.iter().map(|r| r.stats().view_changes).sum(),
+        view_changes: replicas
+            .iter()
+            .map(|r| r.stats().view_changed_rounds.len() as u64)
+            .sum(),
         exposes: replicas.iter().map(|r| r.stats().exposes_applied).sum(),
         rounds_entered: replicas
             .iter()

@@ -58,4 +58,4 @@ pub use messages::{
 pub use pof::{construct_proof, signed_ballot, verify_expose, FraudDetector};
 pub use prft_crypto::{KeyRegistry, VerifyMode};
 pub use replica::{Replica, ReplicaStats};
-pub use verify::{CertVerdict, VerifyCache};
+pub use verify::{predicted_memo_misses, predicted_verifies, CertVerdict, VerifyCache};

@@ -31,7 +31,10 @@ pub fn collect<N: Node + AsReplica>(sim: &Simulation<N>, hooks: &HookSnapshot) -
     for replica in sim.nodes().filter_map(AsReplica::as_replica) {
         let stats = replica.stats();
         reg.add("replica.rounds_entered", stats.rounds_entered);
-        reg.add("replica.view_changes", stats.view_changes);
+        reg.add(
+            "replica.view_changes",
+            stats.view_changed_rounds.len() as u64,
+        );
         reg.add("replica.fraud_detections", stats.fraud_detections);
         reg.add("replica.exposes_sent", stats.exposes_sent);
         reg.add("replica.exposes_applied", stats.exposes_applied);

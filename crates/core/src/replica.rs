@@ -63,8 +63,6 @@ pub struct ReplicaStats {
     pub finalized_own: u64,
     /// Blocks finalized through the `> n/2` Final catch-up rule.
     pub finalized_catchup: u64,
-    /// View changes completed (round abandoned via commit-view quorum).
-    pub view_changes: u64,
     /// `Expose` messages this replica broadcast.
     pub exposes_sent: u64,
     /// Valid `Expose` messages received (incl. own).
@@ -270,18 +268,10 @@ pub struct Replica {
     reveal_store: HashMap<Digest, (SignedBallot, Arc<RevealSet>)>,
     /// By peer: the highest round at which we already helped it (rate limit).
     helped_at: Vec<Option<Round>>,
-    /// Tx ids seen in finalized blocks: answers retried client `Submit`s
-    /// with an immediate ack instead of re-pooling an already-final tx
-    /// (exactly-once inclusion under client retry).
-    finalized_txs: HashSet<TxId>,
     /// Tx occurrences finalized while their id was already final here.
     finalized_twice: u64,
     /// Pending txs the finalization walk removed from the pool.
     finalized_exits: usize,
-    /// Chain height up to which finalized blocks have been scanned for
-    /// client-tx acknowledgements and mempool removal (the scan is
-    /// monotone: finalized prefixes never roll back).
-    acked_upto: u64,
 
     round: Round,
     phase: Phase,
@@ -330,10 +320,8 @@ impl Replica {
             propose_store: HashMap::new(),
             reveal_store: HashMap::new(),
             helped_at: vec![None; n],
-            finalized_txs: HashSet::new(),
             finalized_twice: 0,
             finalized_exits: 0,
-            acked_upto: 0,
             round: Round(0),
             phase: Phase::Propose,
             consecutive_failures: 0,
@@ -492,7 +480,6 @@ impl Replica {
                 self.round.next()
             }
             RoundExit::ViewChanged => {
-                self.stats.view_changes += 1;
                 self.stats.view_changed_rounds.push(self.round);
                 self.consecutive_failures = self.consecutive_failures.saturating_add(1);
                 self.round.next()
@@ -1367,60 +1354,52 @@ impl Replica {
 
     // ------------------------------------------------------- client traffic
 
-    /// Handles a client submission: an already-final tx is acked straight
-    /// away (exactly-once inclusion under client retry), a fresh tx enters
-    /// the mempool, and a full pool answers with the backpressure signal.
-    /// Pending duplicates get no reply — the ack arrives on finalization.
+    /// Handles a client submission: a fresh tx enters the mempool, an
+    /// already-final one is acked straight away (exactly-once inclusion
+    /// under client retry), and a full pool answers with the backpressure
+    /// signal. Pending duplicates get no reply — the ack arrives on
+    /// finalization.
     fn handle_submit(&mut self, ctx: &mut Context<PrftMsg>, tx: Transaction) {
-        let id = tx.id;
-        let sender = tx.sender;
-        if self.finalized_txs.contains(&id) {
-            ctx.send(sender, PrftMsg::TxCommitted { id });
-            return;
-        }
+        let (id, sender) = (tx.id, tx.sender);
         match self.mempool.push(tx) {
             Ok(()) | Err(MempoolError::Duplicate) => {}
+            Err(MempoolError::Final) => ctx.send(sender, PrftMsg::TxCommitted { id }),
             Err(MempoolError::Full) => ctx.send(sender, PrftMsg::TxRejected { id }),
         }
     }
 
     /// Finalizes our chain up to `height`, then walks the newly finalized
-    /// blocks: acknowledges the client-submitted transactions (`tx.sender`
-    /// ≥ `n` names a client actor) this replica was a submission target
-    /// for, and removes each block's txs from the mempool — the pool's only
-    /// exit, taken before any later proposal. The `ever_saw` gate keeps the
-    /// ack fan-in at the client's retry spread instead of `n` replies per
-    /// tx; the finalized-id set answers late retries in
-    /// [`Replica::handle_submit`]. Monotone in height — finalized prefixes
-    /// never roll back, and a batch passes over the txs of the suffix it
-    /// extends — so each tx is acked at most once per replica.
+    /// blocks: acknowledges each client-submitted transaction (`tx.sender`
+    /// ≥ `n` names a client actor) still pending here, and books each
+    /// block's txs final in the mempool — the pool's only exit, taken
+    /// before any later proposal. Acking only pending txs keeps the ack
+    /// fan-in at the client's retry spread instead of `n` replies per tx;
+    /// the pool's final ids answer late retries in
+    /// [`Replica::handle_submit`]. Finalized prefixes never roll back, so
+    /// the walk starts above the final height held before this call and
+    /// each tx is acked at most once per replica.
     fn finalize_to(
         &mut self,
         ctx: &mut Context<PrftMsg>,
         height: Height,
     ) -> Result<(), prft_types::ChainError> {
+        let walked = self.chain.final_height() as usize;
         self.chain.finalize_upto(height)?;
-        while let Some(entry) = self.chain.at(Height(self.acked_upto + 1)) {
-            if entry.status != prft_types::BlockStatus::Final {
-                break;
-            }
+        let upto = self.chain.final_height() as usize;
+        for entry in self.chain.iter().take(upto + 1).skip(walked + 1) {
             let txs = &entry.block.txs;
             for tx in txs.iter() {
-                if !self.finalized_txs.insert(tx.id) {
-                    self.finalized_twice += 1;
-                }
-                if tx.sender.0 >= self.cfg.n && self.mempool.ever_saw(tx.id) {
+                if tx.sender.0 >= self.cfg.n && self.mempool.contains(tx.id) {
                     ctx.send(tx.sender, PrftMsg::TxCommitted { id: tx.id });
                 }
             }
             let pending = self.mempool.len();
-            self.mempool.remove_included(txs.iter().map(|tx| &tx.id));
+            self.finalized_twice += self.mempool.remove_included(txs.iter().map(|tx| &tx.id));
             self.finalized_exits += pending - self.mempool.len();
-            self.acked_upto += 1;
         }
-        let (chain, final_height) = (&self.chain, self.chain.final_height());
+        let chain = &self.chain;
         self.reveal_store
-            .retain(|value, _| chain.height_of(value).is_some_and(|h| h.0 > final_height));
+            .retain(|value, _| chain.height_of(value).is_some_and(|h| h.0 as usize > upto));
         Ok(())
     }
 
@@ -1996,7 +1975,10 @@ mod tests {
         let r = sim.node(target);
         assert_eq!((r.chain.final_height(), r.chain.tip()), (1, vc));
         assert_eq!((r.stats.finalized_own, r.stats.finalized_catchup), (0, 0));
-        assert_eq!((r.round(), r.stats.view_changes), (Round(1), 0));
+        assert_eq!(
+            (r.round(), r.stats.view_changed_rounds.len()),
+            (Round(1), 0)
+        );
     }
 
     /// P3 of n = 4 (t0 = 0, so the quorum is all four) alone is up. Two

@@ -1,6 +1,7 @@
 //! Verify-count model regression: pins the measured verification work of
-//! an honest accountable committee to the two analytic models the bench
-//! (`prft-bench profile`) enforces, at n = 64 — the size whose reference
+//! an honest accountable committee to the two analytic models
+//! ([`predicted_verifies`], [`predicted_memo_misses`]) that `prft-bench
+//! profile` also enforces, at n = 64 — the size whose reference
 //! cost (15.8M logical verifies for two rounds) motivated the fast path.
 //!
 //! * The **logical** count (`crypto.sig_verifies`) follows the reference
@@ -16,7 +17,7 @@
 //!   every logical verification is either replayed from the replica's
 //!   certificate table or missed there.
 
-use prft_core::{Harness, NetworkChoice, VerifyMode};
+use prft_core::{predicted_memo_misses, predicted_verifies, Harness, NetworkChoice, VerifyMode};
 use prft_sim::obs::hooks;
 use prft_sim::SimTime;
 
@@ -26,27 +27,6 @@ use prft_sim::SimTime;
 const N: usize = 64;
 const N_SMALL: usize = 16;
 const ROUNDS: u64 = 2;
-
-/// Reference-path logical verifies (the model `prft-bench profile` holds
-/// `crypto.sig_verifies` to; see `predicted_verifies` there).
-fn predicted_logical(n: u64, rounds: u64) -> u64 {
-    let t0 = n.div_ceil(4) - 1;
-    let q = n - t0;
-    let per_replica_round = 1 + 2 * n + n * (q + 2) + q * (1 + q * (q + 1));
-    n * (rounds * per_replica_round + (rounds - 1) * n)
-}
-
-/// Miss model: [`predicted_logical`] less the certificate-table
-/// replays. Per replica-round, the Propose (1), Vote (2n) and Commit
-/// (n(q+2)) terms and the q Reveal ballots miss; each Reveal's q
-/// certificates are the allocations the replica validated at Commit
-/// time, so their q · q(q+1) verifications replay. Finals miss.
-fn predicted_misses(n: u64, rounds: u64) -> u64 {
-    let t0 = n.div_ceil(4) - 1;
-    let q = n - t0;
-    let per_replica_round = 1 + 2 * n + n * (q + 2) + q;
-    n * (rounds * per_replica_round + (rounds - 1) * n)
-}
 
 fn run_accountable(n: usize, mode: VerifyMode) -> hooks::HookSnapshot {
     hooks::reset();
@@ -76,7 +56,7 @@ fn memoized_run_matches_both_verify_models() {
     );
 
     // Logical count vs the reference model, 10%.
-    let logical_predicted = predicted_logical(N as u64, ROUNDS);
+    let logical_predicted = predicted_verifies(N, ROUNDS, true);
     let logical_ratio = snap.sig_verifies as f64 / logical_predicted as f64;
     assert!(
         (logical_ratio - 1.0).abs() <= 0.10,
@@ -92,7 +72,7 @@ fn memoized_run_matches_both_verify_models() {
     );
 
     // Miss count vs the miss model, 0.1%.
-    let miss_predicted = predicted_misses(N as u64, ROUNDS);
+    let miss_predicted = predicted_memo_misses(N, ROUNDS, true);
     let miss_ratio = snap.memo_misses as f64 / miss_predicted as f64;
     assert!(
         (miss_ratio - 1.0).abs() <= 0.001,
@@ -108,7 +88,7 @@ fn reference_run_matches_the_logical_model_with_zero_memo_traffic() {
     let snap = run_accountable(N_SMALL, VerifyMode::Reference);
     assert_eq!(snap.memo_hits, 0, "reference mode never hits a memo");
     assert_eq!(snap.memo_misses, 0, "reference mode never counts misses");
-    let predicted = predicted_logical(N_SMALL as u64, ROUNDS);
+    let predicted = predicted_verifies(N_SMALL, ROUNDS, true);
     let ratio = snap.sig_verifies as f64 / predicted as f64;
     assert!(
         (ratio - 1.0).abs() <= 0.10,
@@ -132,7 +112,7 @@ fn both_modes_pay_the_same_logical_count() {
     // but the Reveals' certificate replays misses. The last round's tail
     // (40 misses at n = 16) is 0.4% of this size's count, so the band is
     // 0.5% here; the 0.1% band holds at n = 64, above.
-    let predicted = predicted_misses(N_SMALL as u64, ROUNDS);
+    let predicted = predicted_memo_misses(N_SMALL, ROUNDS, true);
     let ratio = fast.memo_misses as f64 / predicted as f64;
     assert!(
         (ratio - 1.0).abs() <= 0.005,

@@ -1,5 +1,5 @@
-//! A bounded FIFO mempool with censorship bookkeeping and backpressure
-//! accounting.
+//! A bounded FIFO mempool that also records the ids final at its player,
+//! with backpressure accounting.
 
 use crate::{Transaction, TxId};
 use std::collections::HashSet;
@@ -7,19 +7,20 @@ use std::collections::HashSet;
 /// Why a [`Mempool::push`] did not admit a transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MempoolError {
-    /// The id was already admitted (pending now or finalized earlier).
+    /// The id is pending here.
     Duplicate,
+    /// The id is final here: the submitter's transaction is already in.
+    Final,
     /// The pool is at capacity: the submitter must back off and retry.
     Full,
 }
 
-/// Pending transactions a player would include when leading.
+/// A player's one record of transaction ids: the pending transactions it
+/// would include when leading, and every id final at this player.
 ///
 /// Order of insertion is preserved (FIFO batching). A proposal only reads
-/// its batch; a tx leaves when a block carrying it is finalized. The
-/// mempool also remembers everything it has *ever* seen so the state
-/// classifier can ask "was `tx` input to this player but never included?"
-/// — the censorship predicate of Definition 2.
+/// its batch; a tx leaves when a block carrying it is finalized, and its id
+/// is then final here, so no admission path takes it in again.
 ///
 /// The pool is optionally **bounded**: [`Mempool::bounded`] caps the txs
 /// *waiting* (pending outside the latest batch), [`Mempool::push`] reports
@@ -30,7 +31,9 @@ pub enum MempoolError {
 pub struct Mempool {
     pending: Vec<Transaction>,
     seen: HashSet<TxId>,
-    ever_seen: HashSet<TxId>,
+    /// Every id final at this player; disjoint from `seen`.
+    final_here: HashSet<TxId>,
+    admitted: usize,
     /// The latest batch's ids still pending: in flight, not waiting.
     reserved: HashSet<TxId>,
     capacity: Option<usize>,
@@ -72,14 +75,16 @@ impl Mempool {
         self.push(tx).is_ok()
     }
 
-    /// Submits a transaction, reporting *why* it was not admitted:
-    /// duplicates (by id, pending or ever-included) and capacity
-    /// rejections are distinct — backpressure means "retry later",
-    /// a duplicate means "stop resending". Every pending id is also in
-    /// `ever_seen`, so that one set decides duplicates.
+    /// Submits a transaction, reporting *why* it was not admitted: pending
+    /// here (`Duplicate`), final here (`Final`) or at capacity (`Full`).
+    /// Backpressure means "retry later"; the other two mean "stop
+    /// resending", and they beat `Full`.
     pub fn push(&mut self, tx: Transaction) -> Result<(), MempoolError> {
-        if self.ever_seen.contains(&tx.id) {
+        if self.seen.contains(&tx.id) {
             return Err(MempoolError::Duplicate);
+        }
+        if self.final_here.contains(&tx.id) {
+            return Err(MempoolError::Final);
         }
         if let Some(cap) = self.capacity {
             if self.pending.len() - self.reserved.len() >= cap {
@@ -88,7 +93,7 @@ impl Mempool {
             }
         }
         self.seen.insert(tx.id);
-        self.ever_seen.insert(tx.id);
+        self.admitted += 1;
         self.pending.push(tx);
         self.peak_len = self.peak_len.max(self.pending.len() - self.reserved.len());
         Ok(())
@@ -104,8 +109,8 @@ impl Mempool {
         self.rejected_full
     }
 
-    /// Takes up to `max` transactions in FIFO order (removing them). No
-    /// replica drains its pool.
+    /// Takes up to `max` transactions in FIFO order (removing them and
+    /// booking their ids final). No replica drains its pool.
     // Exists only because the frozen `benchmark/` crate still calls it; goes
     // away in the next `benchmark` PR.
     #[doc(hidden)]
@@ -114,6 +119,7 @@ impl Mempool {
         let batch: Vec<Transaction> = self.pending.drain(..n).collect();
         for tx in &batch {
             self.seen.remove(&tx.id);
+            self.final_here.insert(tx.id);
         }
         self.reserved.retain(|id| self.seen.contains(id));
         batch
@@ -140,24 +146,29 @@ impl Mempool {
         batch
     }
 
-    /// Removes a finalized block's txs: a replica's only exit from its
-    /// pool. Their ids stay admitted, so pushing one again is a `Duplicate`.
+    /// Books a finalized block's txs final here and removes the pending
+    /// ones: a replica's only exit from its pool. Returns how many of `ids`
+    /// were already final here (an id finalized twice).
     ///
     /// `seen` holds exactly the pending ids, so the pass over the pool is
     /// needed only when one of `ids` was pending here — rarely, since a
     /// client transaction waits in the one pool it was submitted to while
     /// every replica runs this for every block.
-    pub fn remove_included<'a>(&mut self, ids: impl IntoIterator<Item = &'a TxId>) {
-        let mut was_pending = false;
+    pub fn remove_included<'a>(&mut self, ids: impl IntoIterator<Item = &'a TxId>) -> u64 {
+        let (mut was_pending, mut twice) = (false, 0);
         for id in ids {
             if self.seen.remove(id) {
                 self.reserved.remove(id);
                 was_pending = true;
             }
+            if !self.final_here.insert(*id) {
+                twice += 1;
+            }
         }
         if was_pending {
             self.pending.retain(|tx| self.seen.contains(&tx.id));
         }
+        twice
     }
 
     /// Whether `id` is currently pending.
@@ -165,14 +176,9 @@ impl Mempool {
         self.seen.contains(&id)
     }
 
-    /// Whether `id` was ever submitted to this player.
-    pub fn ever_saw(&self, id: TxId) -> bool {
-        self.ever_seen.contains(&id)
-    }
-
     /// How many ids this pool ever admitted (pending now or gone).
     pub fn admitted_len(&self) -> usize {
-        self.ever_seen.len()
+        self.admitted
     }
 
     /// Number of pending transactions.
@@ -255,7 +261,11 @@ mod tests {
         mp.remove_included(&[TxId(0), TxId(2)]);
         assert_eq!(mp.len(), 1);
         assert!(mp.contains(TxId(1)));
-        assert!(mp.ever_saw(TxId(0)), "history survives inclusion");
+        assert_eq!(
+            mp.push(tx(0)),
+            Err(MempoolError::Final),
+            "history survives inclusion"
+        );
     }
 
     #[test]
@@ -279,14 +289,14 @@ mod tests {
 
     #[test]
     fn duplicate_beats_full_for_included_txs() {
-        // A retried submit of an already-included tx must read Duplicate
-        // even when the pool is at capacity — the client should stop
-        // retrying, not back off.
+        // A retried submit of an already-included tx must read Final even
+        // when the pool is at capacity — the client should stop retrying,
+        // not back off.
         let mut mp = Mempool::bounded(1);
         mp.submit(tx(7));
         let _ = mp.take(1);
         mp.submit(tx(8));
-        assert_eq!(mp.push(tx(7)), Err(MempoolError::Duplicate));
+        assert_eq!(mp.push(tx(7)), Err(MempoolError::Final));
         assert_eq!(mp.rejected_full(), 0);
     }
 
@@ -329,7 +339,8 @@ mod tests {
         assert!(!mp.contains(TxId(0)));
         assert_eq!(mp.len(), 2);
         assert_eq!(mp.push(tx(3)), Err(MempoolError::Full));
-        assert_eq!(mp.push(tx(0)), Err(MempoolError::Duplicate));
+        assert_eq!(mp.push(tx(0)), Err(MempoolError::Final));
+        assert_eq!(mp.push(tx(1)), Err(MempoolError::Duplicate));
         assert_eq!(mp.peak_len(), 2);
     }
 }

@@ -245,7 +245,11 @@ struct PoolModel {
     pending: Vec<u64>,
     /// The latest batch's ids that are still pending.
     reserved: Vec<u64>,
+    /// Every id ever admitted.
     ever: Vec<u64>,
+    /// The ids final here: every id of a finalized block, and every id
+    /// taken.
+    finals: Vec<u64>,
     capacity: Option<usize>,
     peak: usize,
     rejected_full: u64,
@@ -253,8 +257,11 @@ struct PoolModel {
 
 impl PoolModel {
     fn push(&mut self, id: u64) -> Result<(), MempoolError> {
-        if self.ever.contains(&id) {
+        if self.pending.contains(&id) {
             return Err(MempoolError::Duplicate);
+        }
+        if self.finals.contains(&id) {
+            return Err(MempoolError::Final);
         }
         if self.capacity.is_some_and(|cap| self.waiting() >= cap) {
             self.rejected_full += 1;
@@ -273,6 +280,7 @@ impl PoolModel {
     fn take(&mut self, max: usize) -> Vec<u64> {
         let batch: Vec<u64> = self.pending.drain(..max.min(self.pending.len())).collect();
         self.reserved.retain(|id| !batch.contains(id));
+        self.finals.extend(&batch);
         batch
     }
 
@@ -288,9 +296,17 @@ impl PoolModel {
         batch
     }
 
-    fn remove_included(&mut self, block: &[TxId]) {
+    /// Returns how many of `block`'s ids were already final.
+    fn remove_included(&mut self, block: &[TxId]) -> u64 {
         self.pending.retain(|id| !block.contains(&TxId(*id)));
         self.reserved.retain(|id| !block.contains(&TxId(*id)));
+        let fresh: Vec<u64> = block
+            .iter()
+            .map(|id| id.0)
+            .filter(|id| !self.finals.contains(id))
+            .collect();
+        self.finals.extend(&fresh);
+        (block.len() - fresh.len()) as u64
     }
 }
 
@@ -298,8 +314,8 @@ proptest! {
     /// Model-based: random `push` / `take` / `batch` / `remove_included`
     /// (pending, already-taken and never-seen ids mixed) leave the pool
     /// indistinguishable from the naive model — same batches in the same
-    /// FIFO order, same bookkeeping, `Duplicate` before `Full`, and
-    /// capacity and peak over the txs outside the latest batch.
+    /// FIFO order, same bookkeeping, `Duplicate` and `Final` before `Full`,
+    /// and capacity and peak over the txs outside the latest batch.
     #[test]
     fn mempool_invariants(
         capacity in 0usize..12,
@@ -331,8 +347,7 @@ proptest! {
                 _ => {
                     // Ids from 40 up are never pushed.
                     let block: Vec<TxId> = (0..=k as u64).map(|i| TxId(id + 9 * i)).collect();
-                    mp.remove_included(&block);
-                    model.remove_included(&block);
+                    prop_assert_eq!(mp.remove_included(&block), model.remove_included(&block));
                 }
             }
             prop_assert_eq!(mp.iter().map(|tx| tx.id.0).collect::<Vec<_>>(), model.pending.clone());
@@ -341,8 +356,8 @@ proptest! {
             prop_assert_eq!(mp.rejected_full(), model.rejected_full);
             for id in 0..90 {
                 prop_assert_eq!(mp.contains(TxId(id)), model.pending.contains(&id));
-                prop_assert_eq!(mp.ever_saw(TxId(id)), model.ever.contains(&id));
             }
+            prop_assert_eq!(mp.admitted_len(), model.ever.len());
         }
     }
 }
