@@ -85,7 +85,7 @@ pub struct ReplicaStats {
     /// Phase-transition log `(round, phase, entered_at)`: each entry opens
     /// a span that the next entry (or the end of the run) closes. The
     /// protocol phases plus `ViewChange` — the raw material for the
-    /// Chrome-trace export (`prft_core::obs::chrome_trace`).
+    /// Chrome-trace export (`prft_lab::chrome_trace_for`).
     pub phase_transitions: Vec<(Round, Phase, SimTime)>,
 }
 
@@ -247,8 +247,10 @@ pub struct Replica {
     chain: Chain,
     mempool: Mempool,
     collateral: CollateralLedger,
-    /// Every valid block seen, by hash (for catch-up reconstruction).
-    block_store: HashMap<Digest, Block>,
+    /// Every valid proposal seen — the block and its leader's signed
+    /// `Propose` ballot — by hash (for catch-up reconstruction and laggard
+    /// help). Genesis is not a proposal and has no entry.
+    block_store: HashMap<Digest, (Block, SignedBallot)>,
     /// Persistent Final tallies by value (survive round changes: laggards
     /// finalize from them; the signed ballots are kept so they can be
     /// forwarded to recovering peers). Ordered, because [`Self::reconcile`]
@@ -260,8 +262,6 @@ pub struct Replica {
     /// were not yet seen final in our chain: what [`Self::reconcile`] may
     /// still have to act on, in tally order.
     final_pending: BTreeSet<Digest>,
-    /// Signed propose ballots per block (for laggard catch-up).
-    propose_store: HashMap<Digest, SignedBallot>,
     /// The Reveal — ballot and commit quorum — of each block tentative
     /// here (for laggard catch-up): ours, or the one a laggard adopted.
     /// Dropped once the block is final or rolled back.
@@ -302,9 +302,6 @@ impl Replica {
         behavior: Box<dyn Behavior>,
     ) -> Self {
         let n = cfg.n;
-        let genesis = Block::genesis();
-        let mut block_store = HashMap::new();
-        block_store.insert(genesis.id(), genesis.clone());
         Replica {
             collateral: CollateralLedger::new(1),
             cache: VerifyCache::new(cfg.verify_mode),
@@ -312,12 +309,11 @@ impl Replica {
             key,
             registry,
             behavior,
-            chain: Chain::new(genesis),
+            chain: Chain::new(Block::genesis()),
             mempool: Mempool::new(),
-            block_store,
+            block_store: HashMap::new(),
             final_tally: BTreeMap::new(),
             final_pending: BTreeSet::new(),
-            propose_store: HashMap::new(),
             reveal_store: HashMap::new(),
             helped_at: vec![None; n],
             finalized_twice: 0,
@@ -659,7 +655,7 @@ impl Replica {
     /// transaction by transaction.
     fn hashes_to(&self, block: &Block, value: &Digest) -> bool {
         match self.block_store.get(value) {
-            Some(stored) => stored == block,
+            Some((stored, _)) => stored == block,
             None => block.id() == *value,
         }
     }
@@ -677,10 +673,7 @@ impl Replica {
         let value = ballot.payload.value;
         self.block_store
             .entry(value)
-            .or_insert_with(|| block.clone());
-        self.propose_store
-            .entry(value)
-            .or_insert_with(|| ballot.clone());
+            .or_insert_with(|| (block.clone(), ballot.clone()));
         self.rs.value_mut(value).propose = Some(ballot.clone());
 
         // Leader equivocation is itself double-sign evidence and a
@@ -918,7 +911,7 @@ impl Replica {
         }
         // Tentative consensus requires knowing the block and that it
         // extends our chain.
-        let Some(block) = self.block_store.get(&value) else {
+        let Some((block, _)) = self.block_store.get(&value) else {
             return;
         };
         if block.parent != self.chain.tip() {
@@ -1118,7 +1111,7 @@ impl Replica {
         loop {
             let mut progressed = false;
             for value in self.reconcile_candidates() {
-                let Some(block) = self.block_store.get(&value) else {
+                let Some((block, _)) = self.block_store.get(&value) else {
                     continue;
                 };
                 let round = block.round;
@@ -1289,7 +1282,7 @@ impl Replica {
         let majority = self.cfg.final_majority();
         // Genesis needs no help.
         for (value, entry) in self.chain.iter_with_ids().skip(1) {
-            if let Some(pb) = self.propose_store.get(&value) {
+            if let Some((_, pb)) = self.block_store.get(&value) {
                 ctx.send(
                     peer,
                     PrftMsg::Propose {
@@ -1325,7 +1318,7 @@ impl Replica {
             phase,
             value,
         } = ballot.payload;
-        let Some(block) = self.block_store.get(&value) else {
+        let Some((block, _)) = self.block_store.get(&value) else {
             return;
         };
         if phase != Phase::Reveal || block.round != round || block.parent != self.chain.tip() {
@@ -1511,8 +1504,8 @@ impl Node for Replica {
                 && self.cache.verify_ballot(ballot, &self.registry)
                 && !self.block_store.contains_key(&value)
             {
-                self.block_store.insert(value, block.clone());
-                self.propose_store.insert(value, ballot.clone());
+                self.block_store
+                    .insert(value, (block.clone(), ballot.clone()));
                 // A late block may unblock pending Final-tally adoptions.
                 self.reconcile(ctx);
                 if self.passive {
@@ -1611,14 +1604,14 @@ mod tests {
         let mut batches = 0;
         for (value, entry) in sim.node(NodeId(0)).chain.iter_with_ids().skip(1) {
             let leader = sim.node(entry.block.proposer);
-            let batch = &leader.block_store[&value].txs;
+            let batch = &leader.block_store[&value].0.txs;
             batches += usize::from(!batch.is_empty());
             for r in sim.nodes().chain(&snapshot) {
                 let held = r.chain.height_of(&value).and_then(|h| r.chain.at(h));
                 let held = held.expect("every seat finalized the value");
                 assert_eq!(held.status, prft_types::BlockStatus::Final);
                 assert!(Arc::ptr_eq(&held.block.txs, batch), "P{}", r.id().0);
-                assert!(Arc::ptr_eq(&r.block_store[&value].txs, batch));
+                assert!(Arc::ptr_eq(&r.block_store[&value].0.txs, batch));
             }
         }
         assert_eq!(batches, n, "one non-empty batch per leader");
@@ -1688,15 +1681,14 @@ mod tests {
         // passive on its last round holds no tally for it, so sign afresh).
         let mut finals = Vec::new();
         for value in &values {
-            let round = helper.block_store[value].round;
+            let round = helper.block_store[value].0.round;
             for signer in (0..helper.cfg.final_majority()).map(NodeId) {
                 let ballot = signed_ballot(&sim.node(signer).key, round, Phase::Final, *value);
                 finals.push((signer, PrftMsg::Final { ballot }));
             }
         }
         let propose = |height: usize| {
-            let ballot = helper.propose_store[&values[height - 1]].clone();
-            let block = helper.block_store[&values[height - 1]].clone();
+            let (block, ballot) = helper.block_store[&values[height - 1]].clone();
             (ballot.signer(), PrftMsg::Propose { ballot, block })
         };
         let missing: BTreeSet<Digest> = values.iter().copied().collect();
@@ -1782,12 +1774,12 @@ mod tests {
         deliver_now(&mut sim, target, propose(&signed));
         let r = sim.node(target);
         assert_eq!(r.stats.invalid_proposals, 1);
-        assert_eq!(r.block_store.get(&value), Some(&signed));
+        assert_eq!(r.block_store.get(&value).map(|e| &e.0), Some(&signed));
 
         deliver_now(&mut sim, target, propose(&other));
         let r = sim.node(target);
         assert_eq!(r.stats.invalid_proposals, 2);
-        assert_eq!(r.block_store.get(&value), Some(&signed));
+        assert_eq!(r.block_store.get(&value).map(|e| &e.0), Some(&signed));
     }
 
     /// What `r` holds for `value` in its current round: (a proposal was

@@ -325,8 +325,13 @@ fn run_scenarios(scenarios: &[Scenario], opts: &Options, all: bool) -> Result<()
         // with the report next to it.
         let spec = &specs[0];
         let trace = prft_lab::chrome_trace_for(spec, prft_lab::derive_seed(spec.base_seed, 0));
-        std::fs::write(path, trace.render()).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote trace {path} ({} events)", trace.len());
+        let rendered = prft_lab::render_chrome_trace(&trace);
+        std::fs::write(path, rendered).map_err(|e| format!("writing {path}: {e}"))?;
+        // Spans and instants; the per-track metadata is not counted.
+        let events = trace
+            .iter()
+            .filter(|e| e.get("ph").and_then(|ph| ph.as_str()) != Some("M"));
+        eprintln!("wrote trace {path} ({} events)", events.count());
     }
     let mut breaches = Vec::new();
     let rendered = scenarios.iter().map(|scenario| {

@@ -433,13 +433,13 @@ mod tests {
         let v = Json::obj([
             ("a", Json::u64(3)),
             ("b", Json::Num(0.5)),
-            ("s", Json::str("x\"y\n")),
+            ("s", Json::str("x\"y\n\\\u{1}")),
             ("arr", Json::Arr(vec![Json::Bool(true), Json::Null])),
             ("empty", Json::obj::<String>([])),
         ]);
         assert_eq!(
             v.render(),
-            r#"{"a":3,"b":0.5,"s":"x\"y\n","arr":[true,null],"empty":{}}"#
+            r#"{"a":3,"b":0.5,"s":"x\"y\n\\\u0001","arr":[true,null],"empty":{}}"#
         );
     }
 

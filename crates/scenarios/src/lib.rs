@@ -88,7 +88,7 @@ pub use record::{
 pub use registry::{find, registry, Scenario};
 pub use runner::{derive_seed, effective_threads, par_map, BatchRunner};
 pub use spec::{PartitionSpec, Role, ScenarioSpec, Synchrony, TimelineEvent, TxSpec, UtilitySpec};
-pub use trace_export::chrome_trace_for;
+pub use trace_export::{chrome_trace_for, render_chrome_trace};
 
 #[cfg(test)]
 mod tests {

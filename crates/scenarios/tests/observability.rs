@@ -92,7 +92,8 @@ fn per_run_engine_counters_surface_in_reports() {
 #[test]
 fn chrome_trace_matches_golden_file() {
     let spec = fig2_spec();
-    let rendered = prft_lab::chrome_trace_for(&spec, spec.base_seed).render();
+    let trace = prft_lab::chrome_trace_for(&spec, spec.base_seed);
+    let rendered = prft_lab::render_chrome_trace(&trace);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/fig2_trace.json");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(path, &rendered).expect("write golden");
@@ -107,20 +108,37 @@ fn chrome_trace_matches_golden_file() {
     );
 }
 
+/// The fig2 golden run (crash-free, one round), a `crash-churn` run (view
+/// changes, crashes and recoveries) and a `steady-load` run (client
+/// tracks), each at the seed its `--trace-out` file uses.
 #[test]
 fn chrome_trace_is_well_formed() {
+    let fig2 = fig2_spec();
+    let seed = fig2.base_seed;
+    trace_is_well_formed(&fig2, seed);
+    for name in ["crash-churn", "steady-load"] {
+        let spec = &prft_lab::find(name).expect("registered").specs[0];
+        trace_is_well_formed(spec, prft_lab::derive_seed(spec.base_seed, 0));
+    }
+}
+
+fn trace_is_well_formed(spec: &ScenarioSpec, seed: u64) {
     use prft_lab::json::Json;
     fn text<'a>(event: &'a Json, key: &str) -> Option<&'a str> {
         event.get(key).and_then(Json::as_str)
     }
-    let spec = fig2_spec();
-    let trace = prft_lab::chrome_trace_for(&spec, spec.base_seed);
-    assert!(!trace.is_empty());
-    let doc = Json::parse(&trace.render()).expect("the trace is valid JSON");
+    fn tick(event: &Json, key: &str) -> u64 {
+        match event.get(key) {
+            Some(Json::UInt(v)) => *v,
+            _ => panic!("no {key}: {}", event.render()),
+        }
+    }
+    let trace = prft_lab::chrome_trace_for(spec, seed);
+    let doc = Json::parse(&prft_lab::render_chrome_trace(&trace)).expect("valid JSON");
     assert_eq!(text(&doc, "displayTimeUnit"), Some("ms"));
     let events = doc.get("traceEvents").and_then(Json::as_arr);
     let events = events.expect("an event array");
-    assert!(!events.is_empty());
+    assert_eq!(events, trace, "the file reads back as the events written");
     for event in events {
         // Metadata, complete spans, instants — each on a (pid, tid) track,
         // and everything but metadata timestamped.
@@ -138,7 +156,7 @@ fn chrome_trace_is_well_formed() {
     assert!(count("cat", "phase") > 0, "no phase spans");
     assert!(count("cat", "msg") > 0, "no message instants");
     assert!(count("ph", "X") > 0 && count("ph", "i") > 0);
-    // One named track per replica.
+    // One named track per actor: the replicas, then the clients.
     let tracks = events
         .iter()
         .filter(|e| text(e, "name") == Some("thread_name"));
@@ -149,8 +167,27 @@ fn chrome_trace_is_well_formed() {
                 .expect("a track name")
         })
         .collect();
-    assert_eq!(names.len(), spec.n);
-    assert!(names.iter().all(|name| name.starts_with('P')), "{names:?}");
+    let clients = spec.workload.as_ref().map_or(0, |w| w.clients);
+    let seats = (0..spec.n).map(|i| format!("P{i}"));
+    let expected: Vec<String> = seats
+        .chain((spec.n..spec.n + clients).map(|i| format!("C{i}")))
+        .collect();
+    assert_eq!(names, expected);
+    // Each replica track's phase spans tile its timeline: every span ends
+    // where the next begins, and the last ends at the run's stop tick.
+    let (sim, _) = prft_lab::run_sim(spec, seed, |_| {});
+    for tid in 0..spec.n as u64 {
+        let on_track = |e: &&Json| text(e, "ph") == Some("X") && tick(e, "tid") == tid;
+        let spans: Vec<(u64, u64)> = events
+            .iter()
+            .filter(on_track)
+            .map(|e| (tick(e, "ts"), tick(e, "dur")))
+            .collect();
+        let ends = spans.iter().map(|(ts, dur)| ts + dur);
+        let starts = spans.iter().skip(1).map(|(ts, _)| *ts);
+        let expected: Vec<u64> = starts.chain([sim.now().0]).collect();
+        assert_eq!(ends.collect::<Vec<_>>(), expected, "{} P{tid}", spec.label);
+    }
 }
 
 /// `--trace-out` on a workload scenario traces the run the report
@@ -160,7 +197,7 @@ fn workload_trace_shows_the_reported_run() {
     let spec = &prft_lab::find("steady-load").expect("registered").specs[0];
     let seed = prft_lab::derive_seed(spec.base_seed, 0);
     let clients = spec.workload.as_ref().expect("workload scenario").clients;
-    let rendered = prft_lab::chrome_trace_for(spec, seed).render();
+    let rendered = prft_lab::render_chrome_trace(&prft_lab::chrome_trace_for(spec, seed));
     let track = |name: String| rendered.contains(&format!("\"args\":{{\"name\":\"{name}\"}}"));
     assert!((0..spec.n).all(|i| track(format!("P{i}"))));
     assert!((spec.n..spec.n + clients).all(|i| track(format!("C{i}"))));

@@ -16,8 +16,7 @@
 //!   send and, per receiver, at every delivery) and an optional delivery
 //!   [`Trace`] used to regenerate the paper's Figure 2a timeline;
 //! * deterministic observability ([`obs`]): a named counter/gauge registry
-//!   ([`ObsRegistry`]), thread-local crypto hooks, and a [`ChromeTrace`]
-//!   exporter for Perfetto;
+//!   ([`ObsRegistry`]) and thread-local crypto hooks;
 //! * crash support (for the CFT column of Table 1).
 //!
 //! Delay behaviour is pluggable through [`LinkModel`]; the concrete
@@ -78,7 +77,7 @@ pub use obs::ObsRegistry;
 pub use queue::{CalendarQueue, HeapQueue, QueueBackend};
 pub use rng::SimRng;
 pub use time::SimTime;
-pub use trace::{ChromeTrace, Trace, TraceEntry};
+pub use trace::{Trace, TraceEntry};
 
 /// The trivial link model: every message arrives exactly `0.0 + d` later.
 ///
