@@ -356,8 +356,7 @@ fn profile_bench(quick: bool, ns: &[usize]) -> (Json, Checks) {
     );
     // Check 3: conservation — every logical verify is either a memo hit
     // or a miss, at every point, exactly: the `memo_identity`
-    // invariant, exact here because honest runs send no view-change or
-    // Expose traffic (the paths that verify outside the memo).
+    // invariant (a seat checks every signature through its memo).
     let identity_pass = points.iter().all(|p| p.memo_identity);
     let mut checks = vec![
         (

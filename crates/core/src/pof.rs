@@ -118,16 +118,16 @@ pub fn construct_proof<'a>(
     det.evidence()
 }
 
-/// The verification algorithm `V(π)` of Definition 6 applied to an `Expose`:
-/// if the PoF is valid (more than `t0` distinct players are implicated by
-/// pairs that verify), returns the convicted players in id order, each
-/// with the pair that convicted it.
+/// The verification algorithm `V(π)` of Definition 6 applied to an `Expose`
+/// under `registry` (a seat checks through its `VerifyCache` instead): if
+/// more than `t0` distinct players are implicated by pairs that verify,
+/// returns the convicted players in id order, each with its pair.
 pub fn verify_expose<'a>(
     evidence: &'a [BallotEvidence],
     registry: &KeyRegistry,
     t0: usize,
 ) -> Option<Vec<(NodeId, &'a BallotEvidence)>> {
-    prft_crypto::verify_pof(evidence, registry, t0)
+    prft_crypto::verify_pof(evidence, t0, |signed| signed.verify(registry))
 }
 
 use crate::messages::Phase;

@@ -44,14 +44,14 @@ use crate::messages::{
     view_change_cert_digest, Ballot, CommitCert, CommitViewContent, Phase, PrftMsg, RevealSet,
     SignedBallot, SignerSet, ViewChangeReq,
 };
-use crate::pof::{verify_expose, FraudDetector};
+use crate::pof::FraudDetector;
 use crate::verify::VerifyCache;
-use prft_crypto::{KeyRegistry, SecretKey, Signed};
+use prft_crypto::{verify_pof, KeyRegistry, SecretKey, Signed};
 use prft_sim::{Context, Node, SimTime, TimerId};
 use prft_types::{
     Block, Chain, Digest, Height, Mempool, MempoolError, NodeId, Round, Transaction, TxId,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{hash_map::Entry, BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Observable counters for experiments.
@@ -59,8 +59,6 @@ use std::sync::Arc;
 pub struct ReplicaStats {
     /// Rounds this replica has entered.
     pub rounds_entered: u64,
-    /// Blocks this replica finalized through its own quorum conditions.
-    pub finalized_own: u64,
     /// Blocks finalized through the `> n/2` Final catch-up rule.
     pub finalized_catchup: u64,
     /// `Expose` messages this replica broadcast.
@@ -69,16 +67,12 @@ pub struct ReplicaStats {
     pub exposes_applied: u64,
     /// Round fast-forwards via the `t0+1` round-sync rule.
     pub round_syncs: u64,
-    /// Proposals rejected at validation.
-    pub invalid_proposals: u64,
     /// Times a conflicting proposal pair from the leader was observed.
     pub leader_equivocations: u64,
     /// Finalization times `(round, time)` for latency measurements.
     pub finalize_times: Vec<(Round, SimTime)>,
     /// Rounds abandoned via completed view change.
     pub view_changed_rounds: Vec<Round>,
-    /// Rounds abandoned via a valid `Expose`.
-    pub exposed_rounds: Vec<Round>,
     /// Fraud-detector convictions this replica produced (each `observe`
     /// call that returned fresh equivocation evidence).
     pub fraud_detections: u64,
@@ -278,7 +272,7 @@ pub struct Replica {
     consecutive_failures: u32,
     passive: bool,
     rounds_done: u64,
-    timer: Option<(TimerId, Round, Phase)>,
+    timer: Option<(TimerId, Round)>,
     /// What the current round holds; [`Self::start_round`] replaces it whole.
     rs: RoundState,
 
@@ -471,7 +465,6 @@ impl Replica {
                 round.next()
             }
             RoundExit::Exposed => {
-                self.stats.exposed_rounds.push(self.round);
                 self.consecutive_failures = self.consecutive_failures.saturating_add(1);
                 self.round.next()
             }
@@ -498,7 +491,7 @@ impl Replica {
     fn arm_timer(&mut self, ctx: &mut Context<PrftMsg>) {
         let delay = self.cfg.timeout_after(self.consecutive_failures);
         let id = ctx.set_timer(delay);
-        self.timer = Some((id, self.round, self.phase));
+        self.timer = Some((id, self.round));
     }
 
     fn enter_phase(&mut self, ctx: &mut Context<PrftMsg>, phase: Phase) {
@@ -628,10 +621,8 @@ impl Replica {
 
     /// The signature-free conditions of a valid proposal: a `Propose`
     /// ballot by its round's leader whose value is the hash of `block`, a
-    /// block for that round. The signature check is the caller's, because
-    /// where it sits among these is observable (`crypto.sig_verifies`):
-    /// [`Self::handle_propose`] verifies any `Propose`-phase ballot,
-    /// [`Node::on_message`]'s stash only one that passed all of this.
+    /// block for that round. [`Self::admit`] checks the signature
+    /// only of a proposal that passes all of this.
     fn proposal_binds(&self, ballot: &SignedBallot, block: &Block) -> bool {
         let Ballot {
             round,
@@ -660,20 +651,29 @@ impl Replica {
         }
     }
 
-    fn handle_propose(&mut self, ctx: &mut Context<PrftMsg>, ballot: SignedBallot, block: Block) {
-        // Validation: signature, phase, sender is the round's leader, hash
-        // binds the block, block is for this round.
-        if ballot.payload.phase != Phase::Propose
-            || !self.cache.verify_ballot(&ballot, &self.registry)
-            || !self.proposal_binds(&ballot, &block)
-        {
-            self.stats.invalid_proposals += 1;
-            return;
+    /// Checks a proposal once, on arrival and whatever its round, and
+    /// stashes a valid one's block (content-addressed data: a laggard that
+    /// round-syncs past it can still rebuild its chain from the Final
+    /// tallies). A message that is not admitted is never handled.
+    fn admit(&mut self, ctx: &mut Context<PrftMsg>, msg: &PrftMsg) -> bool {
+        let PrftMsg::Propose { ballot, block } = msg else {
+            return true; // only a proposal is checked before it is handled
+        };
+        let (registry, value) = (&self.registry, ballot.payload.value);
+        if !self.proposal_binds(ballot, block) || !self.cache.verify_ballot(ballot, registry) {
+            return false;
         }
+        if let Entry::Vacant(slot) = self.block_store.entry(value) {
+            slot.insert((block.clone(), ballot.clone()));
+            // A late block may unblock pending Final-tally adoptions.
+            self.reconcile(ctx);
+        }
+        true
+    }
+
+    /// Decides the vote on a proposal [`Self::admit`] admitted.
+    fn handle_propose(&mut self, ctx: &mut Context<PrftMsg>, ballot: SignedBallot, block: Block) {
         let value = ballot.payload.value;
-        self.block_store
-            .entry(value)
-            .or_insert_with(|| (block.clone(), ballot.clone()));
         self.rs.value_mut(value).propose = Some(ballot.clone());
 
         // Leader equivocation is itself double-sign evidence and a
@@ -1029,7 +1029,6 @@ impl Replica {
         if self.finalize_to(ctx, height).is_err() {
             return;
         }
-        self.stats.finalized_own += 1;
         self.exit_round(ctx, RoundExit::Finalized(self.round));
     }
 
@@ -1057,7 +1056,9 @@ impl Replica {
     ) {
         // Exposes are valid whenever the PoF verifies, regardless of the
         // receiver's current round (burns are permanent).
-        let Some(guilty) = verify_expose(&evidence, &self.registry, self.cfg.t0) else {
+        let (cache, registry) = (&mut self.cache, &self.registry);
+        let Some(guilty) = verify_pof(&evidence, self.cfg.t0, |s| cache.verify_ballot(s, registry))
+        else {
             return;
         };
         self.stats.exposes_applied += 1;
@@ -1192,7 +1193,7 @@ impl Replica {
     }
 
     fn handle_view_change(&mut self, ctx: &mut Context<PrftMsg>, req: Signed<ViewChangeReq>) {
-        if req.payload.round != self.round || !req.verify(&self.registry) {
+        if req.payload.round != self.round || !self.cache.verify_signed(&req, &self.registry) {
             return;
         }
         self.rs.vc_reqs.insert(req.signer(), req);
@@ -1232,7 +1233,7 @@ impl Replica {
         cv: Signed<CommitViewContent>,
         reqs: Vec<Signed<ViewChangeReq>>,
     ) {
-        if cv.payload.round != self.round || !cv.verify(&self.registry) {
+        if cv.payload.round != self.round || !self.cache.verify_signed(&cv, &self.registry) {
             return;
         }
         // Certificate check: n − t0 valid, distinct view-change requests
@@ -1242,7 +1243,7 @@ impl Replica {
         }
         let mut signers = BTreeSet::new();
         for r in &reqs {
-            if r.payload.round != self.round || !r.verify(&self.registry) {
+            if r.payload.round != self.round || !self.cache.verify_signed(r, &self.registry) {
                 return;
             }
             signers.insert(r.signer());
@@ -1325,7 +1326,9 @@ impl Replica {
             return;
         }
         let block = block.clone();
-        if !ballot.verify(&self.registry) || !self.proves_commit_quorum(&certs, round, value) {
+        if !self.cache.verify_ballot(&ballot, &self.registry)
+            || !self.proves_commit_quorum(&certs, round, value)
+        {
             return;
         }
         if self.chain.append_tentative_hashed(block, value).is_ok() {
@@ -1335,11 +1338,12 @@ impl Replica {
 
     /// Whether `certs` hold valid commit certificates for `value` in
     /// `round` from a quorum of distinct committers.
-    fn proves_commit_quorum(&self, certs: &RevealSet, round: Round, value: Digest) -> bool {
-        let quorum = self.quorum();
+    fn proves_commit_quorum(&mut self, certs: &RevealSet, round: Round, value: Digest) -> bool {
+        let (quorum, registry) = (self.quorum(), &self.registry);
         let proven = certs.iter().filter(|cert| {
             let commit = cert.commit().payload;
-            commit.round == round && commit.value == value && cert.validate(&self.registry, quorum)
+            let for_value = commit.round == round && commit.value == value;
+            for_value && self.cache.validate_cert(cert, registry, quorum).ok
         });
         let committers: BTreeSet<NodeId> = proven.map(|cert| cert.commit().signer()).collect();
         committers.len() >= quorum
@@ -1483,7 +1487,8 @@ impl Node for Replica {
             // responsive witnesses: they still help laggards reconcile.
             match &msg {
                 PrftMsg::ViewChange { req }
-                    if req.payload.round < self.round && req.verify(&self.registry) =>
+                    if req.payload.round < self.round
+                        && self.cache.verify_signed(req, &self.registry) =>
                 {
                     self.help_laggard(ctx, from);
                 }
@@ -1495,23 +1500,9 @@ impl Node for Replica {
         let Some(round) = Self::msg_round(&msg) else {
             return;
         };
-        // Valid proposal blocks are content-addressed data: stash them no
-        // matter which round they belong to, so a laggard that round-syncs
-        // past them can still reconstruct its chain from the Final tallies.
-        if let PrftMsg::Propose { ballot, block } = &msg {
-            let value = ballot.payload.value;
-            if self.proposal_binds(ballot, block)
-                && self.cache.verify_ballot(ballot, &self.registry)
-                && !self.block_store.contains_key(&value)
-            {
-                self.block_store
-                    .insert(value, (block.clone(), ballot.clone()));
-                // A late block may unblock pending Final-tally adoptions.
-                self.reconcile(ctx);
-                if self.passive {
-                    return;
-                }
-            }
+        let admitted = self.admit(ctx, &msg);
+        if self.passive {
+            return;
         }
         // Signed rounds only: the ballot/req signatures cover the round, so
         // a forged "from the future" claim costs the sender a signature
@@ -1529,7 +1520,9 @@ impl Node for Replica {
                 match &msg {
                     PrftMsg::Final { .. } | PrftMsg::Expose { .. } => self.dispatch(ctx, from, msg),
                     _ => {
-                        self.future.entry(round.0).or_default().push((from, msg));
+                        if admitted {
+                            self.future.entry(round.0).or_default().push((from, msg));
+                        }
                         if let Some(target) = self.round_sync_target() {
                             self.exit_round(ctx, RoundExit::Synced(target));
                         }
@@ -1543,7 +1536,8 @@ impl Node for Replica {
                 PrftMsg::Reveal { ballot, certs } => self.adopt_reveal(ballot, certs),
                 _ => {}
             },
-            std::cmp::Ordering::Equal => self.dispatch(ctx, from, msg),
+            std::cmp::Ordering::Equal if admitted => self.dispatch(ctx, from, msg),
+            std::cmp::Ordering::Equal => {}
         }
     }
 
@@ -1551,7 +1545,7 @@ impl Node for Replica {
         if self.passive {
             return;
         }
-        let Some((id, round, _phase)) = self.timer else {
+        let Some((id, round)) = self.timer else {
             return;
         };
         if id != timer || round != self.round {
@@ -1574,6 +1568,7 @@ mod tests {
     use super::*;
     use crate::harness::Harness;
     use crate::pof::signed_ballot;
+    use prft_sim::obs::hooks;
     use prft_sim::Simulation;
 
     /// Delivers `msgs` to `to` at the current tick and runs that tick only,
@@ -1766,20 +1761,52 @@ mod tests {
             vec![(leader, PrftMsg::Propose { ballot, block })]
         };
 
+        // A block that does not bind is refused before its signature is
+        // checked, and never handled.
+        hooks::reset();
         deliver_now(&mut sim, target, propose(&other));
         let r = sim.node(target);
-        assert_eq!(r.stats.invalid_proposals, 1);
+        assert_eq!(hooks::snapshot().sig_verifies, 0);
         assert!(!r.block_store.contains_key(&value));
+        assert_eq!(
+            (tally(r, &value), r.phase()),
+            ((false, 0, 0, 0), Phase::Propose)
+        );
 
         deliver_now(&mut sim, target, propose(&signed));
         let r = sim.node(target);
-        assert_eq!(r.stats.invalid_proposals, 1);
+        let charged = hooks::snapshot().sig_verifies;
         assert_eq!(r.block_store.get(&value).map(|e| &e.0), Some(&signed));
+        assert!(tally(r, &value).0);
 
         deliver_now(&mut sim, target, propose(&other));
         let r = sim.node(target);
-        assert_eq!(r.stats.invalid_proposals, 2);
+        assert_eq!(hooks::snapshot().sig_verifies, charged);
         assert_eq!(r.block_store.get(&value).map(|e| &e.0), Some(&signed));
+        hooks::reset();
+    }
+
+    #[test]
+    fn a_valid_proposal_is_checked_once_on_arrival() {
+        // Round 0's leader stays down; the test proposes with its key. The
+        // block's parent is unknown, so P1 handles the proposal by asking
+        // for sync instead of voting, and checks no other signature.
+        let mut sim = Harness::new(4, 29).build();
+        sim.crash(NodeId(0));
+        let block = Block::new(Round(0), Digest::of_bytes(b"elsewhere"), NodeId(0), vec![]);
+        let value = block.id();
+        let ballot = signed_ballot(&sim.node(NodeId(0)).key, Round(0), Phase::Propose, value);
+        hooks::reset();
+        deliver_now(
+            &mut sim,
+            NodeId(1),
+            vec![(NodeId(0), PrftMsg::Propose { ballot, block })],
+        );
+        let r = sim.node(NodeId(1));
+        assert!(r.block_store.contains_key(&value) && r.rs.sync_requested);
+        assert_eq!(tally(r, &value), (true, 0, 0, 0));
+        assert_eq!(hooks::snapshot().sig_verifies, 1);
+        hooks::reset();
     }
 
     /// What `r` holds for `value` in its current round: (a proposal was
@@ -1871,7 +1898,7 @@ mod tests {
         assert_eq!(tally(r, &vc), (true, 1, 0, 0));
         assert_eq!((r.stats.fraud_detections, convicted(r)), (1, vec![p(0)]));
         assert_eq!(r.stats.leader_equivocations, 1);
-        assert_eq!((r.stats.invalid_proposals, r.phase()), (0, Phase::Vote));
+        assert_eq!(r.phase(), Phase::Vote);
 
         // 3. Votes: `b`, `a` and `c` each reach the vote quorum, in that
         // order, so P1 — which voted `a` — commits `b`. P9 voted `d` in
@@ -1950,10 +1977,11 @@ mod tests {
         let burned: Vec<NodeId> = r.collateral.burned().collect();
         assert_eq!(burned, vec![p(0), p(3), p(9)]);
         assert_eq!(
-            (r.round(), &r.stats.exposed_rounds),
-            (Round(1), &vec![Round(0)])
+            (r.round(), r.stats.view_changed_rounds.len()),
+            (Round(1), 0),
+            "the Expose ended round 0"
         );
-        assert_eq!((r.stats.finalized_own, r.chain.final_height()), (0, 0));
+        assert!(r.stats.finalize_times.is_empty() && r.chain.final_height() == 0);
         assert_eq!(tally(r, &vc), (false, 0, 0, 0), "round 1 starts empty");
         assert_eq!(convicted(r), vec![]);
 
@@ -1966,7 +1994,10 @@ mod tests {
         deliver_now(&mut sim, target, finals.collect());
         let r = sim.node(target);
         assert_eq!((r.chain.final_height(), r.chain.tip()), (1, vc));
-        assert_eq!((r.stats.finalized_own, r.stats.finalized_catchup), (0, 0));
+        assert_eq!(
+            (r.stats.finalize_times.len(), r.stats.finalized_catchup),
+            (0, 0)
+        );
         assert_eq!(
             (r.round(), r.stats.view_changed_rounds.len()),
             (Round(1), 0)

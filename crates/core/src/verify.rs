@@ -25,28 +25,25 @@
 //!   the committers its [`RevealSet`] names without reading a certificate.
 //!   A keep-alive clone of each `Arc` beside the slots keeps an address
 //!   from being recycled onto different content while cached.
-//! * **Certificate proof** — on the allocation, shared by every seat. The
-//!   first seat whose walk finds a certificate's signatures valid records
-//!   the registry on it ([`CommitCert::prove`]); every other receiver then
-//!   walks none of its votes.
+//! * **Certificate proof** — on the allocation, shared by every seat: the
+//!   first seat whose walk finds its signatures valid records the registry
+//!   on it ([`CommitCert::prove`]), and no other receiver walks its votes.
 //!
 //! **Counting discipline** (what keeps reports byte-identical across
 //! [`VerifyMode`]s): `crypto.sig_verifies` counts *logical* verifications
 //! — a certificate-table hit adds, in one batched add, what the reference
-//! path pays. The `memo_hits`/`memo_misses` hook counters split the share
-//! that passes through this cache: a hit is a verification replayed from
-//! this seat's certificate table, a miss is every other one. `ViewChange`,
-//! `CommitView` and `Expose` signatures are verified outside the memo, so
-//! `memo_hits + memo_misses ≤ sig_verifies`, equal exactly when none of
-//! those kinds was sent (`prft-lab`'s `memo_identity` row). A proven
-//! certificate's votes are charged as the misses its walk charges, so the
-//! counters do not depend on which seat or thread walks first, and a fork
-//! charges what a fresh run does. The memo counters surface only in
+//! path pays. A seat checks every signature through this cache, and the
+//! `memo_hits`/`memo_misses` hook counters split them: a hit is replayed
+//! from the seat's certificate table, a miss is any other, so `memo_hits +
+//! memo_misses == sig_verifies` (`prft-lab`'s `memo_identity` row). A
+//! proven certificate's votes are charged as the misses its walk charges,
+//! so the counters do not depend on which seat or thread walks first, and
+//! a fork charges what a fresh run does. The memo counters surface only in
 //! `prft-bench profile` output, never in scenario reports.
 
 use crate::messages::{Ballot, CommitCert, Phase, RevealSet, SignedBallot};
 use crate::Config;
-use prft_crypto::{KeyRegistry, Signable, VerifyMode};
+use prft_crypto::{KeyRegistry, Signable, Signed, VerifyMode};
 use prft_sim::obs::hooks;
 use prft_types::{Digest, NodeId, Round};
 use std::sync::Arc;
@@ -185,20 +182,18 @@ pub struct CertVerdict {
     /// `CommitCert::validate` would say.
     pub ok: bool,
     /// Whether the verdict was answered from the certificate table (always
-    /// `false` in [`VerifyMode::Reference`]). A cached verdict proves this
-    /// replica already fully processed — walked *and*, when valid, fed to
-    /// its fraud detector — the same allocation earlier in the current
-    /// round (entries never survive a round change at a call site, and
-    /// view changes always advance the round), so callers may skip the
-    /// idempotent re-observation of its ballots.
+    /// `false` in [`VerifyMode::Reference`]). A cached verdict on a
+    /// current-round certificate proves this replica walked the same
+    /// allocation this round *and*, when valid, fed it to its fraud detector
+    /// (adopting a stale Reveal validates only older rounds'), so callers
+    /// may skip the idempotent re-observation of its ballots.
     pub cached: bool,
 }
 
 /// Per-replica verification memo (signing digests + certificate table).
 ///
-/// In [`VerifyMode::Reference`] every call passes straight through to the
-/// original verify-on-every-arrival code path; in [`VerifyMode::Fast`]
-/// digests and certificate verdicts are cached as described on the module.
+/// In [`VerifyMode::Reference`] every call verifies afresh; in
+/// [`VerifyMode::Fast`] digests and verdicts are cached as the module says.
 ///
 /// `Clone` supports checkpoint/fork warm starts: the clone shares the
 /// same certificate `Arc` allocations, so its address-matched entries
@@ -249,15 +244,20 @@ impl VerifyCache {
         valid
     }
 
-    /// Verifies a certificate's commit ballot: [`Self::verify_ballot`]
-    /// of a [`Phase::Commit`] ballot.
+    /// Verifies any other signed payload (a view-change request, a
+    /// commit-view): a miss that holds no digest.
+    pub fn verify_signed<T: Signable>(&mut self, s: &Signed<T>, registry: &KeyRegistry) -> bool {
+        hooks::add_memo_misses(u64::from(self.mode == VerifyMode::Fast));
+        s.verify(registry)
+    }
+
+    /// [`Self::verify_ballot`] of a certificate's [`Phase::Commit`] ballot.
     pub(crate) fn verify_commit(&mut self, cert: &CommitCert, registry: &KeyRegistry) -> bool {
         let commit = cert.commit();
         commit.payload.phase == Phase::Commit && self.verify_ballot(commit, registry)
     }
 
-    /// Validates a commit certificate, memoized per allocation on the
-    /// fast path.
+    /// Validates a commit certificate, memoized per allocation on the fast path.
     pub fn validate_cert(
         &mut self,
         cert: &Arc<CommitCert>,
@@ -415,7 +415,7 @@ impl VerifyCache {
 /// every replica; messages from *past* rounds are dropped unverified —
 /// except Finals — so a phase that advances the round leaves its tail
 /// unchecked):
-/// * Propose: 1 (leader ballot);
+/// * Propose: 1 (leader ballot, checked once on arrival);
 /// * Vote: n votes × (ballot + attached propose `s_pro`) = 2n;
 /// * Commit: each commit costs ballot + certificate (commit + q votes)
 ///   = q + 2. Non-accountable rounds finalize at the commit quorum, so
@@ -483,7 +483,6 @@ mod tests {
     use super::*;
     use crate::messages::Ballot;
     use crate::pof::{signed_ballot, FraudDetector};
-    use prft_crypto::Signed;
     use prft_types::NodeId;
 
     fn setup(n: usize) -> (KeyRegistry, Vec<prft_crypto::SecretKey>) {

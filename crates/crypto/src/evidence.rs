@@ -54,8 +54,8 @@ impl<T: Signable + PartialEq> ConflictEvidence<T> {
         self.convicts(|signed| signed.audit(registry))
     }
 
-    /// The accused, if the pair conflicts and both signatures are `valid`.
-    fn convicts(&self, valid: impl Fn(&Signed<T>) -> bool) -> Option<NodeId> {
+    /// The accused, if the pair conflicts and `valid` passes both signatures.
+    pub fn convicts(&self, mut valid: impl FnMut(&Signed<T>) -> bool) -> Option<NodeId> {
         let same_signer = self.first.signer() == self.second.signer();
         let same_slot = self.first.slot() == self.second.slot();
         let conflicting = self.first.payload != self.second.payload;
@@ -69,18 +69,18 @@ impl<T: Signable + PartialEq> ConflictEvidence<T> {
     }
 }
 
-/// Verifies a full Proof-of-Fraud: a set of evidence pairs must convict at
-/// least `t0 + 1` *distinct* players to justify an `Expose` (paper, Reveal
-/// phase: `|D_i| > t0`). If the bar is met, returns the convicted players
-/// in id order, each with the first pair in `evidence` that convicted it.
-pub fn verify_pof<'a, T: Signable + PartialEq>(
-    evidence: &'a [ConflictEvidence<T>],
-    registry: &KeyRegistry,
+/// Verifies a full Proof-of-Fraud, each signature by `valid`: the pairs must
+/// convict at least `t0 + 1` *distinct* players to justify an `Expose` (paper,
+/// Reveal phase: `|D_i| > t0`). If the bar is met, returns the convicted
+/// players in id order, each with the first pair in `evidence` convicting it.
+pub fn verify_pof<T: Signable + PartialEq>(
+    evidence: &[ConflictEvidence<T>],
     t0: usize,
-) -> Option<Vec<(NodeId, &'a ConflictEvidence<T>)>> {
+    mut valid: impl FnMut(&Signed<T>) -> bool,
+) -> Option<Vec<(NodeId, &ConflictEvidence<T>)>> {
     let mut guilty: Vec<_> = evidence
         .iter()
-        .filter_map(|e| Some((e.verify(registry)?, e)))
+        .filter_map(|e| Some((e.convicts(&mut valid)?, e)))
         .collect();
     guilty.sort_by_key(|&(id, _)| id);
     guilty.dedup_by_key(|&mut (id, _)| id);
@@ -192,12 +192,12 @@ mod tests {
         };
         let t0 = 1;
         // One guilty player: below the bar.
-        assert!(verify_pof(&[pair(0, 1)], &reg, t0).is_none());
+        assert!(verify_pof(&[pair(0, 1)], t0, |s| s.verify(&reg)).is_none());
         // Same player twice: still one distinct conviction.
-        assert!(verify_pof(&[pair(0, 1), pair(0, 2)], &reg, t0).is_none());
+        assert!(verify_pof(&[pair(0, 1), pair(0, 2)], t0, |s| s.verify(&reg)).is_none());
         // Two distinct players: conviction.
         let pairs = [pair(3, 1), pair(0, 1), pair(3, 2)];
-        let out = verify_pof(&pairs, &reg, t0).unwrap();
+        let out = verify_pof(&pairs, t0, |s| s.verify(&reg)).unwrap();
         assert_eq!(out, vec![(NodeId(0), &pairs[1]), (NodeId(3), &pairs[0])]);
     }
 
@@ -211,6 +211,6 @@ mod tests {
         .unwrap();
         let mut bad = good.clone();
         bad.second.payload.value = 3; // invalidates the signature
-        assert!(verify_pof(&[good, bad], &reg, 1).is_none());
+        assert!(verify_pof(&[good, bad], 1, |s| s.verify(&reg)).is_none());
     }
 }

@@ -7,7 +7,7 @@ use prft_core::analysis::RunReport;
 use prft_core::{AsReplica, Phase, Replica, VerifyMode};
 use prft_game::{analytic, SystemState};
 use prft_sim::obs::hooks::HookSnapshot;
-use prft_sim::{Meter, Node, ObsRegistry, RunOutcome, Simulation};
+use prft_sim::{Node, ObsRegistry, RunOutcome, Simulation};
 use prft_types::NodeId;
 use prft_workload::{Merge, WorkloadRunStats, METRICS as WORKLOAD_METRICS};
 
@@ -328,18 +328,12 @@ pub const INVARIANTS: &[Invariant] = &[
     Invariant { name: "progress_after_disruption", check: Reads::Run(progress_after_disruption) },
 ];
 
-/// The message kinds whose signatures are verified outside the verify
-/// memo: view-change traffic and Expose proofs.
-const UNMEMOIZED_KINDS: [&str; 3] = ["ViewChange", "CommitView", "Expose"];
-
-/// `memo_hits + memo_misses ≤ sig_verifies`, and `==` when no message of
-/// an [`UNMEMOIZED_KINDS`] kind was sent. Applies on the fast verify path
+/// `memo_hits + memo_misses == sig_verifies`: a seat checks every
+/// signature through its verify memo. Applies on the fast verify path
 /// only: the reference path has no memo.
 fn memo_identity(f: &Finished) -> Option<bool> {
     let memoized = f.hooks.memo_hits + f.hooks.memo_misses;
-    let unmemoized = UNMEMOIZED_KINDS.iter().any(|k| f.meter.kind(k).count > 0);
-    let kept = memoized <= f.hooks.sig_verifies && (unmemoized || memoized == f.hooks.sig_verifies);
-    (f.spec.verify_mode == VerifyMode::Fast).then_some(kept)
+    (f.spec.verify_mode == VerifyMode::Fast).then_some(memoized == f.hooks.sig_verifies)
 }
 
 /// The tick after which nothing disrupts a run of `spec`: the latest of
@@ -412,7 +406,6 @@ pub struct Finished<'a> {
     /// `SetRole`.
     honest_throughout: Vec<NodeId>,
     hooks: HookSnapshot,
-    meter: &'a Meter,
     /// [`Simulation::books_balance`].
     engine_books: bool,
     /// [`Simulation::ledger_balances`], exact unless a seat was ever
@@ -451,7 +444,6 @@ impl<'a> Finished<'a> {
                 .map(NodeId)
                 .collect(),
             hooks,
-            meter: sim.meter(),
             engine_books: sim.books_balance(),
             ledger: sim.ledger_balances(lossless),
             up: (0..spec.n).map(|i| !sim.is_crashed(NodeId(i))).collect(),

@@ -211,6 +211,36 @@ fn workload_trace_shows_the_reported_run() {
     assert_eq!(traced.events_dispatched(), record.events_dispatched);
 }
 
+/// A seat checks every signature through its verify memo: in every
+/// registry cell at two seeds, each logical verification the hooks count
+/// is a memo hit or a memo miss — view changes and `Expose`s included.
+#[test]
+fn every_verification_is_a_memo_hit_or_miss() {
+    let cells: Vec<(String, ScenarioSpec, u64)> = prft_lab::registry()
+        .into_iter()
+        .flat_map(|scenario| {
+            scenario.specs.into_iter().flat_map(move |spec| {
+                (0..2).map(move |i| {
+                    let seed = prft_lab::derive_seed(spec.base_seed, i);
+                    (
+                        format!("{} {} #{i}", scenario.name, spec.label),
+                        spec.clone(),
+                        seed,
+                    )
+                })
+            })
+        })
+        .collect();
+    let short = prft_lab::par_map(2, &cells, |_, (cell, spec, seed)| {
+        prft_lab::run_one(spec, *seed);
+        let h = prft_sim::obs::hooks::snapshot();
+        (h.memo_hits + h.memo_misses != h.sig_verifies).then(|| format!("{cell}: {h:?}"))
+    });
+    let short: Vec<String> = short.into_iter().flatten().collect();
+    assert_eq!(cells.len(), 102);
+    assert!(short.is_empty(), "{}", short.join("\n"));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
