@@ -15,7 +15,7 @@
 
 use prft_lab::{
     claims, registry, report, BatchReport, BatchRunner, Exploration, GameDef, GameEval,
-    GameExplorer, Scenario, ScenarioSpec, UtilityCache,
+    GameExplorer, Scenario, ScenarioSpec,
 };
 use std::io::Write;
 use std::process::ExitCode;
@@ -49,14 +49,14 @@ const COMMANDS: &[Command] = &[
     Command { name: "explore list", operands: Some(0), flags: &[], run: list_games },
     Command {
         name: "explore run", operands: Some(1),
-        flags: &["--seeds", "--threads", "--format", "--out", "--cache", "--eps",
-                 "--mixed", "--dynamics", "--explain-reuse"],
+        flags: &["--seeds", "--threads", "--format", "--out", "--eps", "--mixed",
+                 "--dynamics", "--explain-reuse"],
         run: |opts| explore_games(&[game(&opts.operands[0])?], opts, false),
     },
     Command {
         name: "explore run-all", operands: Some(0),
-        flags: &["--seeds", "--threads", "--format", "--out", "--cache", "--eps",
-                 "--mixed", "--dynamics", "--explain-reuse"],
+        flags: &["--seeds", "--threads", "--format", "--out", "--eps", "--mixed",
+                 "--dynamics", "--explain-reuse"],
         run: |opts| explore_games(&prft_lab::game_registry(), opts, true),
     },
     Command {
@@ -78,7 +78,6 @@ struct Options {
     out: Option<String>,
     runs: bool,
     trace_out: Option<String>,
-    cache: Option<String>,
     eps: Option<f64>,
     mixed: bool,
     dynamics: bool,
@@ -127,7 +126,6 @@ fn usage() -> ExitCode {
          \x20                Perfetto or chrome://tracing\n\
          \n\
          explore flags: --seeds N (default 8 per profile), --threads, --format, --out,\n\
-         \x20 --cache DIR    reuse finished profile cells from DIR and persist new ones\n\
          \x20 --eps E        equilibrium tolerance, finite and >= 0 (default 1e-9)\n\
          \x20 --mixed        append the mixed-strategy equilibrium analysis\n\
          \x20 --dynamics     append the best-reply dynamics analysis\n\
@@ -183,7 +181,6 @@ fn fill(command: &Command, args: &[String]) -> Result<Options, String> {
             }
             "--out" => opts.out = Some(value()?.clone()),
             "--trace-out" => opts.trace_out = Some(value()?.clone()),
-            "--cache" => opts.cache = Some(value()?.clone()),
             "--eps" => {
                 let eps: f64 = number(flag, value()?)?;
                 if !(eps.is_finite() && eps >= 0.0) {
@@ -369,7 +366,7 @@ fn invariants_verdict(breaches: &[String]) -> Result<(), String> {
 /// `explore run` and `explore run-all`: `games` swept as one flattened
 /// batch, then one equilibrium report per game. Cost accounting goes to
 /// stderr: a report is a pure function of (game, seeds, eps, analyses),
-/// byte-identical whatever the cache held or the batch shared.
+/// byte-identical whatever the batch shared.
 fn explore_games(games: &[GameDef], opts: &Options, all: bool) -> Result<(), String> {
     let seeds = opts.seeds.unwrap_or(8);
     let eps = opts.eps.unwrap_or(1e-9);
@@ -391,23 +388,15 @@ fn explore_games(games: &[GameDef], opts: &Options, all: bool) -> Result<(), Str
             runner.threads(),
         );
     }
-    let mut explorer = GameExplorer::new(runner);
-    if let Some(dir) = &opts.cache {
-        explorer = explorer.with_cache(UtilityCache::new(dir));
-    }
-    let (explorations, reuse) = explorer.explore_all_with_stats(games, seeds);
+    let (explorations, reuse) = GameExplorer::new(runner).explore_all_with_stats(games, seeds);
     let analyses = report::ExploreOpts {
         mixed: opts.mixed,
         dynamics: opts.dynamics,
     };
     let rendered = games.iter().zip(&explorations).map(|(game, exploration)| {
         eprintln!(
-            "{}: evaluated {} cells, {} from cache, {} shared, {} by symmetry",
-            game.name,
-            exploration.evaluated,
-            exploration.cached,
-            exploration.shared,
-            exploration.expanded
+            "{}: evaluated {} cells, {} shared, {} by symmetry",
+            game.name, exploration.evaluated, exploration.shared, exploration.expanded
         );
         let content = match opts.format {
             Format::Table => report::explore_table_with(game, exploration, eps, analyses),
@@ -635,7 +624,7 @@ mod tests {
     #[test]
     fn each_command_accepts_exactly_the_flags_its_row_lists() {
         let flags = every_flag();
-        assert_eq!(flags.len(), 11, "{flags:?}");
+        assert_eq!(flags.len(), 10, "{flags:?}");
         for command in COMMANDS {
             let operands = " x".repeat(command.operands.unwrap_or(0));
             for flag in &flags {
@@ -643,7 +632,7 @@ mod tests {
                     "--seeds" | "--threads" => " 4",
                     "--format" => " json",
                     "--eps" => " 0.5",
-                    "--out" | "--trace-out" | "--cache" => " f",
+                    "--out" | "--trace-out" => " f",
                     _ => "",
                 };
                 let line = format!("{}{operands} {flag}{value}", command.name);

@@ -10,10 +10,12 @@
 //! 1. **Symmetry reduction** — profiles equivalent under a declared player
 //!    symmetry are evaluated once ([`prft_game::ProfileSpace`]); the full
 //!    table is reconstructed by permuting per-player utilities back.
-//! 2. **Caching** — each cell is keyed by `(spec key text, seeds,
-//!    profile, seats)` in an on-disk [`UtilityCache`] and belongs to the
-//!    build that computed it; re-sweeps only simulate new cells, and a hit
-//!    reproduces the computed cell bit-exactly.
+//! 2. **One in-process memo** — each cell is keyed by `(cache scope, spec
+//!    key text, seeds, profile, seats)`. A cell another game of the same
+//!    batch already claimed is simulated once, and a cell an earlier sweep
+//!    on the same explorer computed is not simulated again; either way the
+//!    cell is the computed one, so reports do not depend on what was
+//!    reused.
 //! 3. **Deterministic parallelism** — the missing cells run as one
 //!    [`BatchRunner::run_grid_with`] grid (cells × seeds flattened into one
 //!    work list, order-independent seeding), so `--threads 1` and
@@ -23,12 +25,13 @@
 //! its Nash/DSIC certificates report whether each verdict is robust to
 //! them.
 
-use crate::cache::{CacheKey, UtilityCache};
 use crate::checkpoint::{CheckpointStore, ReuseStats};
 use crate::runner::BatchRunner;
 use crate::spec::ScenarioSpec;
 use prft_game::{Profile, ProfileSpace, ProfileStats, SystemState, UtilityTable};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::path::Path;
 
 /// How a game's profiles are evaluated.
 pub enum GameEval {
@@ -64,12 +67,12 @@ pub struct GameDef {
     /// The profile every player "should" play (strategy index per player);
     /// the DSIC verdict asks whether each component is dominant.
     pub honest: Profile,
-    /// Cache namespace. Games sharing `spec_of` may share a scope, so a
+    /// Memo namespace. Games sharing `spec_of` may share a scope, so a
     /// wider sweep reuses the cells a narrower one already paid for.
     /// Cells are keyed by the spec's canonical text
     /// ([`ScenarioSpec::fingerprint`]) *and* the player-seat vector, and
-    /// only the build that wrote a cell reads it back, so scope sharing
-    /// can never serve a stale cell or one measured for different seats.
+    /// the memo lives only as long as its explorer, so scope sharing can
+    /// never serve a stale cell or one measured for different seats.
     pub cache_scope: &'static str,
     /// How profiles are evaluated.
     pub eval: GameEval,
@@ -117,11 +120,11 @@ pub struct Exploration {
     pub seeds: u64,
     /// Cells simulated by this sweep.
     pub evaluated: usize,
-    /// Cells served from the on-disk cache.
+    /// Cells served from this explorer's earlier sweeps.
     pub cached: usize,
     /// Cells served from an identical cell another game in the same
     /// [`GameExplorer::explore_all`] batch already evaluated (cross-game
-    /// reuse through a shared cache scope, no disk round-trip needed).
+    /// reuse through a shared cache scope).
     pub shared: usize,
     /// Cells filled by symmetry expansion instead of simulation.
     pub expanded: usize,
@@ -131,30 +134,47 @@ pub struct Exploration {
     pub breaches: Vec<String>,
 }
 
+/// The identity of one simulated cell within its cache scope.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct CacheKey {
+    /// [`ScenarioSpec::fingerprint`] of the cell's spec.
+    fingerprint: String,
+    /// Seeded runs aggregated into the cell.
+    seeds: u64,
+    /// The strategy profile the spec realizes.
+    profile: Profile,
+    /// Committee seats the per-player utilities were read from.
+    seats: Vec<usize>,
+}
+
 /// Sweeps [`GameDef`]s into utility tables through the batch engine.
 pub struct GameExplorer {
     runner: BatchRunner,
-    cache: Option<UtilityCache>,
+    /// Every cell this explorer has simulated, by `(cache_scope, key)`.
+    /// Only finished cells enter it, after their batch returns, so a sweep
+    /// that panicked leaves it as it was.
+    memo: RefCell<BTreeMap<(&'static str, CacheKey), ProfileStats>>,
     use_symmetry: bool,
     warm_starts: bool,
 }
 
 impl GameExplorer {
-    /// An explorer fanning work through `runner`, with no cache, symmetry
-    /// reduction on, and checkpoint/fork warm starts on.
+    /// An explorer fanning work through `runner`, with an empty memo,
+    /// symmetry reduction on, and checkpoint/fork warm starts on.
     pub fn new(runner: BatchRunner) -> Self {
         GameExplorer {
             runner,
-            cache: None,
+            memo: RefCell::default(),
             use_symmetry: true,
             warm_starts: true,
         }
     }
 
-    /// Persists (and reuses) finished cells in `cache`.
+    // Exists only because the frozen `benchmark/` crate still calls it; goes
+    // away in the next `benchmark` PR.
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_cache(mut self, cache: UtilityCache) -> Self {
-        self.cache = Some(cache);
+    pub fn with_cache(self, _: UtilityCache) -> Self {
         self
     }
 
@@ -186,20 +206,21 @@ impl GameExplorer {
             .expect("one exploration per game")
     }
 
-    /// Sweeps several games as **one** batch: every cache-missing cell
-    /// across all the games becomes a grid point of a single
+    /// Sweeps several games as **one** batch: every cell the memo does not
+    /// hold, across all the games, becomes a grid point of a single
     /// [`BatchRunner::run_grid_with`] call, so a `run-all`-style batch of
     /// many small games saturates the pool the same way one big game
     /// does. Results come back in `games` order.
     ///
     /// Games sharing a cache scope (and therefore a `spec_of` and seat
-    /// vector — the [`CacheKey`] enforces agreement) additionally share
+    /// vector — the memo key enforces agreement) additionally share
     /// *work*: a cell two games both need is simulated once, counted as
-    /// `evaluated` for the first game and `shared` for the rest, even
-    /// with no on-disk cache attached. Per-run seeds depend only on
-    /// `(spec base seed, seed index)`, so neither the batching nor the
-    /// thread count can perturb any run: the per-game reports are
-    /// byte-identical to sweeping each game alone.
+    /// `evaluated` for the first game and `shared` for the rest. A cell an
+    /// earlier sweep on this explorer simulated is counted as `cached`.
+    /// Per-run seeds depend only on `(spec base seed, seed index)`, so
+    /// neither the batching, the memo nor the thread count can perturb
+    /// any run: the per-game reports are byte-identical to sweeping each
+    /// game alone on a fresh explorer.
     ///
     /// # Panics
     /// Panics if a simulated game's spec does not measure utilities or
@@ -221,23 +242,11 @@ impl GameExplorer {
         let sim_seeds = seeds.max(1);
         let store = self.warm_starts.then(CheckpointStore::default);
 
-        // One cache load per scope, shared by every game using it.
-        let mut known: BTreeMap<&str, BTreeMap<CacheKey, ProfileStats>> = BTreeMap::new();
-        if let Some(cache) = &self.cache {
-            for game in games {
-                if matches!(game.eval, GameEval::Simulated { .. }) {
-                    known
-                        .entry(game.cache_scope)
-                        .or_insert_with(|| cache.load(game.cache_scope));
-                }
-            }
-        }
-
         /// Where one target cell's stats come from.
         enum Source {
             /// Evaluated in closed form (an analytic game).
             Exact(ProfileStats),
-            /// Served from the on-disk cache.
+            /// Served from the memo of an earlier sweep.
             Cached(ProfileStats),
             /// Simulated by this batch (index into the work list).
             Fresh(usize),
@@ -245,8 +254,7 @@ impl GameExplorer {
             Shared(usize),
         }
         struct WorkCell {
-            key: CacheKey,
-            scope: &'static str,
+            id: (&'static str, CacheKey),
             game: &'static str,
         }
 
@@ -256,6 +264,7 @@ impl GameExplorer {
         let mut plans: Vec<(ProfileSpace, Vec<(Profile, Source)>)> =
             Vec::with_capacity(games.len());
 
+        let memo = self.memo.borrow();
         for game in games {
             let space = game.space(self.use_symmetry);
             let mut sources = Vec::new();
@@ -278,31 +287,28 @@ impl GameExplorer {
                             "game '{}' spec for {profile:?} must measure utilities",
                             game.name
                         );
-                        let key = CacheKey {
-                            fingerprint: spec.fingerprint(),
-                            seeds: sim_seeds,
-                            profile: profile.clone(),
-                            seats: players.to_vec(),
-                        };
-                        let cached = known.get(game.cache_scope).and_then(|c| c.get(&key));
-                        match cached {
-                            Some(stats) if stats.utilities.len() == game.players() => {
-                                Source::Cached(stats.clone())
-                            }
-                            _ => match index_of.get(&(game.cache_scope, key.clone())) {
-                                Some(&cell) => Source::Shared(cell),
-                                None => {
-                                    let cell = work.len();
-                                    index_of.insert((game.cache_scope, key.clone()), cell);
-                                    specs.push(spec);
-                                    work.push(WorkCell {
-                                        key,
-                                        scope: game.cache_scope,
-                                        game: game.name,
-                                    });
-                                    Source::Fresh(cell)
-                                }
+                        let id = (
+                            game.cache_scope,
+                            CacheKey {
+                                fingerprint: spec.fingerprint(),
+                                seeds: sim_seeds,
+                                profile: profile.clone(),
+                                seats: players.to_vec(),
                             },
+                        );
+                        if let Some(stats) = memo.get(&id) {
+                            Source::Cached(stats.clone())
+                        } else if let Some(&cell) = index_of.get(&id) {
+                            Source::Shared(cell)
+                        } else {
+                            let cell = work.len();
+                            index_of.insert(id.clone(), cell);
+                            specs.push(spec);
+                            work.push(WorkCell {
+                                id,
+                                game: game.name,
+                            });
+                            Source::Fresh(cell)
                         }
                     }
                 };
@@ -310,6 +316,7 @@ impl GameExplorer {
             }
             plans.push((space, sources));
         }
+        drop(memo);
 
         // Every missing cell of every game is one grid point of a single
         // `run_grid_with` batch (one flattened `cells × seeds` work list,
@@ -318,7 +325,7 @@ impl GameExplorer {
         // own schedule ends early still captures at sibling fork ticks.
         let reports = self.runner.run_grid_with(&specs, sim_seeds, store.as_ref());
         let mut computed: Vec<ProfileStats> = Vec::with_capacity(work.len());
-        for (report, WorkCell { key, game, .. }) in reports.iter().zip(&work) {
+        for (report, WorkCell { id: (_, key), game }) in reports.iter().zip(&work) {
             let seat = |s: &usize| {
                 let utility = report.utilities.get(*s);
                 utility.unwrap_or_else(|| panic!("game '{game}': no seat {s} in n={}", report.n))
@@ -329,23 +336,6 @@ impl GameExplorer {
                 seeds: sim_seeds,
                 sigma: report.modal_sigma(),
             });
-        }
-
-        // Persist every freshly computed cell, grouped per scope, in work
-        // order (deterministic file contents whatever the thread count).
-        if let Some(cache) = &self.cache {
-            let mut by_scope: BTreeMap<&str, Vec<(CacheKey, ProfileStats)>> = BTreeMap::new();
-            for (cell, w) in work.iter().enumerate() {
-                by_scope
-                    .entry(w.scope)
-                    .or_default()
-                    .push((w.key.clone(), computed[cell].clone()));
-            }
-            for (scope, entries) in by_scope {
-                if let Err(e) = cache.append(scope, &entries) {
-                    eprintln!("warning: utility cache write failed: {e}");
-                }
-            }
         }
 
         let explorations = games
@@ -390,8 +380,25 @@ impl GameExplorer {
                 }
             })
             .collect();
+        let finished = work.into_iter().map(|w| w.id).zip(computed);
+        self.memo.borrow_mut().extend(finished);
         (explorations, store.map(|s| s.stats()).unwrap_or_default())
     }
+}
+
+// Exists only because the frozen `benchmark/` crate still calls it; goes
+// away in the next `benchmark` PR.
+#[doc(hidden)]
+#[derive(Debug, Clone)]
+pub struct UtilityCache;
+
+#[doc(hidden)]
+impl UtilityCache {
+    pub fn new(_: impl AsRef<Path>) -> Self {
+        UtilityCache
+    }
+
+    pub fn load(&self, _: &str) {}
 }
 
 #[cfg(test)]

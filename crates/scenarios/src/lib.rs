@@ -23,7 +23,7 @@
 //! * [`report`] — JSON, CSV, and terminal emission;
 //! * [`GameExplorer`] / [`GameDef`] / [`game_registry`] — the empirical
 //!   game-exploration engine: profile space → spec → utilities, with
-//!   symmetry reduction, an on-disk [`UtilityCache`], CI-aware
+//!   symmetry reduction, an in-process memo of finished cells, CI-aware
 //!   equilibrium reports, optional mixed-strategy and best-reply-dynamics
 //!   analyses, and a multi-game batch mode
 //!   ([`GameExplorer::explore_all`]) that shares cells across games with
@@ -54,7 +54,6 @@
 #![warn(missing_docs)]
 
 mod build;
-mod cache;
 mod checkpoint;
 pub mod claims;
 pub mod diff;
@@ -71,9 +70,8 @@ mod trace_export;
 pub use build::{
     build_sim, record_run, replica, run_one, run_one_with, run_sim, run_workload_sim, summarize,
 };
-pub use cache::{CacheKey, UtilityCache};
 pub use checkpoint::{prefix_fingerprint, CheckpointEntry, CheckpointStore, ReuseStats};
-pub use explore::{Exploration, GameDef, GameEval, GameExplorer};
+pub use explore::{Exploration, GameDef, GameEval, GameExplorer, UtilityCache};
 pub use games::{find_game, game_registry};
 pub use prft_core::VerifyMode;
 pub use prft_sim::QueueBackend;

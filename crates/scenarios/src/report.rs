@@ -22,7 +22,7 @@ use prft_metrics::AsciiTable;
 /// `--mixed` / `--dynamics` flags of `prft-lab explore`. Both analyses
 /// are pure functions of the finished utility table, so enabling them
 /// never perturbs the base report and stays byte-identical at any thread
-/// count or cache state.
+/// count or memo state.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExploreOpts {
     /// Append the mixed-strategy equilibrium analysis.
@@ -380,8 +380,9 @@ fn explore_doc(game: &GameDef, exploration: &Exploration, eps: f64, opts: Explor
 /// sections selected by `opts`.
 ///
 /// Everything in the document is a pure function of `(game, seeds, eps,
-/// opts)` — cache state and thread count never appear, so cached and
-/// uncached sweeps at any `--threads` emit byte-identical reports.
+/// opts)` — memo state and thread count never appear, so a sweep served
+/// from the memo and a fresh one at any `--threads` emit byte-identical
+/// reports.
 pub fn explore_json_with(
     game: &GameDef,
     exploration: &Exploration,
@@ -443,21 +444,13 @@ pub fn explore_csv_with(
 /// checkpoints, so per-game attribution would be arbitrary — and its
 /// counts are deterministic at `--threads 1` (the golden test pins that).
 pub fn explain_reuse_table(rows: &[(&str, &Exploration)], stats: ReuseStats) -> String {
-    let mut table = AsciiTable::new(vec![
-        "game",
-        "cells",
-        "evaluated",
-        "cached",
-        "shared",
-        "by symmetry",
-    ])
-    .with_title("cell reuse per game (cells = full profile space)");
+    let mut table = AsciiTable::new(vec!["game", "cells", "evaluated", "shared", "by symmetry"])
+        .with_title("cell reuse per game (cells = full profile space)");
     for (name, e) in rows {
         table.row(vec![
             name.to_string(),
             e.table.space().len().to_string(),
             e.evaluated.to_string(),
-            e.cached.to_string(),
             e.shared.to_string(),
             e.expanded.to_string(),
         ]);

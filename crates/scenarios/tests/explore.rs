@@ -1,5 +1,5 @@
 //! The game explorer's contracts: symmetry reduction reproduces the full
-//! sweep, the on-disk cache turns re-sweeps into pure reads (and wider
+//! sweep, the explorer's memo turns re-sweeps into pure reads (and wider
 //! sweeps into partial reads), and thread count never changes a report
 //! byte.
 
@@ -7,15 +7,6 @@ use prft_lab::{
     find_game, report, BatchRunner, GameDef, GameEval, GameExplorer, Role, ScenarioSpec,
     UtilityCache, UtilitySpec,
 };
-use std::path::PathBuf;
-
-/// A scratch cache directory unique to this test process.
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("prft-explore-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// A cheap simulated game sharing the `abstain-quorum` committee shape:
 /// two never-leading seats of n = 6 choose {π_0, π_abs}.
 fn pair_game(wide: bool) -> GameDef {
@@ -86,118 +77,121 @@ fn symmetry_reduction_reproduces_the_full_sweep() {
 
 #[test]
 fn cache_turns_resweeps_into_hits() {
-    let dir = scratch_dir("hits");
-    let cache = UtilityCache::new(&dir);
     let game = pair_game(false);
-    let runner = BatchRunner::new(2);
+    let explorer = GameExplorer::new(BatchRunner::new(2));
 
-    let cold = GameExplorer::new(runner)
-        .with_cache(cache.clone())
-        .explore(&game, 2);
+    let cold = explorer.explore(&game, 2);
     assert_eq!(
         (cold.evaluated, cold.cached),
         (4, 0),
-        "cold sweep simulates"
+        "the first sweep simulates"
     );
 
-    let warm = GameExplorer::new(runner)
-        .with_cache(cache.clone())
-        .explore(&game, 2);
+    let warm = explorer.explore(&game, 2);
     assert_eq!(
         (warm.evaluated, warm.cached),
         (0, 4),
-        "re-sweep is pure reads"
+        "a re-sweep on the same explorer is served from its memo"
     );
     assert_eq!(
         report::explore_json_with(&game, &cold, 1e-9, Default::default()),
         report::explore_json_with(&game, &warm, 1e-9, Default::default()),
-        "a cache hit reproduces the computed report byte-exactly"
+        "a memo hit reproduces the computed report byte-exactly"
     );
 
     // A different seed count is a different cell: misses again.
-    let reseeded = GameExplorer::new(runner)
-        .with_cache(cache.clone())
-        .explore(&game, 3);
+    let reseeded = explorer.explore(&game, 3);
     assert_eq!((reseeded.evaluated, reseeded.cached), (4, 0));
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn wider_sweep_reuses_narrow_cells_through_the_shared_scope() {
-    let dir = scratch_dir("widen");
-    let cache = UtilityCache::new(&dir);
-    let runner = BatchRunner::new(2);
+    let explorer = GameExplorer::new(BatchRunner::new(2));
 
-    let narrow = GameExplorer::new(runner)
-        .with_cache(cache.clone())
-        .explore(&pair_game(false), 2);
+    let narrow = explorer.explore(&pair_game(false), 2);
     assert_eq!((narrow.evaluated, narrow.cached), (4, 0));
 
     // The 3×3 widening shares `spec_of`, seats, and cache scope: its 2×2
-    // sub-square is already on disk, only the 5 new cells simulate.
-    let wide = GameExplorer::new(runner)
-        .with_cache(cache.clone())
-        .explore(&pair_game(true), 2);
+    // sub-square is already in the memo, only the 5 new cells simulate.
+    let wide = explorer.explore(&pair_game(true), 2);
     assert_eq!((wide.evaluated, wide.cached), (5, 4));
 
-    // The shared cells agree with the narrow sweep.
+    // The shared cells agree with the narrow sweep, and the wide report
+    // with a fresh explorer's.
     for profile in [vec![0, 0], vec![0, 1], vec![1, 0], vec![1, 1]] {
         assert_eq!(narrow.table.get(&profile), wide.table.get(&profile));
     }
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn corrupt_cache_lines_degrade_to_misses() {
-    let dir = scratch_dir("corrupt");
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(dir.join("pair.cells"), "not a cache line\nv1\tbroken\n").unwrap();
-    let out = GameExplorer::new(BatchRunner::new(1))
-        .with_cache(UtilityCache::new(&dir))
-        .explore(&pair_game(false), 2);
-    assert_eq!((out.evaluated, out.cached), (4, 0));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn another_builds_cells_are_misses() {
-    let dir = scratch_dir("foreign");
-    let game = pair_game(false);
-    let runner = BatchRunner::new(1);
-    let explorer = GameExplorer::new(runner).with_cache(UtilityCache::new(&dir));
-    explorer.explore(&game, 2);
-    // Every line with its utilities doctored, written by `build`.
-    let file = dir.join("pair.cells");
-    let written = std::fs::read_to_string(&file).unwrap();
-    let doctor = |build: Option<&str>| -> String {
-        let lines = written.lines().map(|line| {
-            // build, key, seeds, profile, seats, σ, utilities, ci95
-            let mut fields: Vec<&str> = line.split('\t').collect();
-            fields[6] = "1000,1000";
-            if let Some(build) = build {
-                fields[0] = build;
-            }
-            fields.join("\t") + "\n"
-        });
-        lines.collect()
-    };
-    // Written by this build, the doctored cells are served as they are…
-    std::fs::write(&file, doctor(None)).unwrap();
-    let served = explorer.explore(&game, 2);
-    assert_eq!((served.evaluated, served.cached), (0, 4));
-    assert_eq!(served.table.utilities(&vec![0, 0]), [1000.0, 1000.0]);
-    // …and from another build, every cell is evaluated again.
-    std::fs::write(&file, doctor(Some("another-build"))).unwrap();
-    let rerun = explorer.explore(&game, 2);
-    assert_eq!((rerun.evaluated, rerun.cached), (4, 0));
-    let uncached = GameExplorer::new(runner).explore(&game, 2);
+    let fresh = GameExplorer::new(BatchRunner::new(1)).explore(&pair_game(true), 2);
     assert_eq!(
-        report::explore_json_with(&game, &rerun, 1e-9, Default::default()),
-        report::explore_json_with(&game, &uncached, 1e-9, Default::default())
+        report::explore_json_with(&pair_game(true), &wide, 1e-9, Default::default()),
+        report::explore_json_with(&pair_game(true), &fresh, 1e-9, Default::default())
     );
+}
+
+/// The call shape of the frozen benchmark crate: a `UtilityCache` handed
+/// to `with_cache`, and the same games swept twice. Nothing is written
+/// under the directory, and the second sweep is served from the
+/// explorer's memo.
+#[test]
+fn a_utility_cache_writes_nothing_and_resweeps_come_from_the_memo() {
+    let dir = std::env::temp_dir().join(format!("prft-explore-shim-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let explorer = GameExplorer::new(BatchRunner::new(1)).with_cache(UtilityCache::new(&dir));
+    let games = [
+        pair_game(false),
+        pair_game(true),
+        find_game("trap-k3").expect("registered"),
+    ];
+    let cold = explorer.explore_all(&games, 1);
+    let counts = |e: &[prft_lab::Exploration]| -> Vec<(usize, usize, usize)> {
+        e.iter()
+            .map(|e| (e.evaluated, e.cached, e.shared))
+            .collect()
+    };
+    assert_eq!(counts(&cold), [(4, 0, 0), (5, 0, 4), (4, 0, 0)]);
+    let warm = explorer.explore_all(&games, 1);
+    assert_eq!(
+        counts(&warm),
+        [(0, 4, 0), (0, 9, 0), (4, 0, 0)],
+        "every simulated cell is cached; analytic cells are evaluated"
+    );
+    for (game, (c, w)) in games.iter().zip(cold.iter().zip(&warm)) {
+        assert_eq!(
+            report::explore_json_with(game, c, 1e-9, Default::default()),
+            report::explore_json_with(game, w, 1e-9, Default::default())
+        );
+    }
+    let written: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(written.is_empty(), "{written:?}");
+}
+
+/// A sweep that panics — while planning, or after its batch ran — leaves
+/// the memo usable and unchanged: the next sweep on the same explorer
+/// simulates every cell again.
+#[test]
+fn a_panicked_sweep_leaves_the_memo_as_it_was() {
+    let explorer = GameExplorer::new(BatchRunner::new(1));
+    let mut no_utility = pair_game(false);
+    no_utility.eval = GameEval::Simulated {
+        players: vec![4, 5],
+        spec_of: |profile| ScenarioSpec::new(format!("{profile:?}"), 6, 2).horizon(1_000),
+    };
+    let mut no_seat = pair_game(false);
+    no_seat.name = "no-seat";
+    if let GameEval::Simulated { players, .. } = &mut no_seat.eval {
+        *players = vec![4, 9];
+    }
+    let batches = [vec![no_utility], vec![pair_game(false), no_seat]];
+    for games in &batches {
+        let swept = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            explorer.explore_all(games, 1)
+        }));
+        assert!(swept.is_err(), "{} must panic", games[games.len() - 1].name);
+    }
+    let out = explorer.explore(&pair_game(false), 1);
+    assert_eq!((out.evaluated, out.cached, out.shared), (4, 0, 0));
 }
 
 #[test]
@@ -242,7 +236,7 @@ fn registered_trap_game_reproduces_theorem_3() {
 #[test]
 fn batch_sweeps_share_cells_across_scope_mates() {
     // One explore_all batch over the narrow and wide pair games (shared
-    // cache scope, no disk cache): the 2×2 sub-square is simulated once
+    // cache scope): the 2×2 sub-square is simulated once
     // and *shared* into the wide game, and each per-game report is
     // byte-identical to sweeping that game alone.
     let runner = BatchRunner::new(2);

@@ -123,11 +123,11 @@ fn registry_fingerprints_match_the_pinned_keys() {
     );
 }
 
-/// The on-disk `UtilityCache` keys: every simulated game's spec
-/// fingerprint over its full (unreduced) profile space, in registry
-/// order. A cached cell is served only to the build that wrote it, so
-/// moving this pin never serves a stale cell; the commit that moves it
-/// states why, like the registry pins above.
+/// The explorer's memo keys: every simulated game's spec fingerprint over
+/// its full (unreduced) profile space, in registry order. The memo lives
+/// only as long as its explorer, so moving this pin never serves a stale
+/// cell; the commit that moves it states why, like the registry pins
+/// above.
 #[test]
 fn game_fingerprints_match_the_pinned_key() {
     let mut keys = Vec::new();
