@@ -165,7 +165,8 @@ impl RaftNode {
     }
 
     /// Whether this node currently believes it is the leader.
-    pub fn is_leader(&self) -> bool {
+    #[cfg(test)]
+    fn is_leader(&self) -> bool {
         self.role == Role::Leader
     }
 

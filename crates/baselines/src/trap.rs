@@ -68,7 +68,7 @@ impl TrapGame {
     /// Whether the fork physically succeeds given `forkers` rational
     /// players forking: the byzantine + forking colluders must hand *both*
     /// halves of the remaining players a quorum `n − t0`.
-    pub fn fork_succeeds(&self, forkers: usize) -> bool {
+    fn fork_succeeds(&self, forkers: usize) -> bool {
         let attackers = self.t + forkers;
         let others = self.n - attackers;
         let side = others / 2;

@@ -1,6 +1,5 @@
 //! Protocol parameters and quorum arithmetic.
 
-use prft_crypto::VerifyMode;
 use prft_sim::SimTime;
 
 /// pRFT configuration.
@@ -31,11 +30,6 @@ pub struct Config {
     /// finalizes straight from the commit quorum, saving the O(κ·n⁴)
     /// reveal bytes but giving up accountability — deviations go unburned.
     pub accountable: bool,
-    /// How ballots and certificates are verified: the memoized fast path
-    /// (default) or the reference verify-on-every-arrival path. Results
-    /// are pinned byte-identical across modes (the knob only trades
-    /// speed), mirroring the event-queue backend knob.
-    pub verify_mode: VerifyMode,
 }
 
 impl Config {
@@ -55,7 +49,6 @@ impl Config {
             max_rounds: 0,
             tau_override: None,
             accountable: true,
-            verify_mode: VerifyMode::default(),
         }
     }
 

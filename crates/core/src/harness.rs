@@ -58,7 +58,6 @@ pub struct Harness {
     seed: u64,
     cfg: Config,
     network: Option<NetworkChoice>,
-    queue: QueueBackend,
     behaviors: HashMap<NodeId, Box<dyn Behavior>>,
     pending_txs: Vec<(Option<NodeId>, Transaction)>,
 }
@@ -71,26 +70,26 @@ impl Harness {
             seed,
             cfg: Config::for_committee(n),
             network: None,
-            queue: QueueBackend::default(),
             behaviors: HashMap::new(),
             pending_txs: Vec::new(),
         }
     }
 
-    /// Selects the event-queue backend the simulation drains. Results are
-    /// byte-identical across backends; this only changes speed.
+    // Exists only because the frozen `benchmark/` crate still calls it;
+    // goes away with the next change to `benchmark/`. Every run drains the
+    // calendar queue.
+    #[doc(hidden)]
     #[must_use]
-    pub fn queue(mut self, backend: QueueBackend) -> Self {
-        self.queue = backend;
+    pub fn queue(self, _: ()) -> Self {
         self
     }
 
-    /// Selects the verification strategy (memoized fast path vs reference
-    /// re-verification). Results are byte-identical across modes; this
-    /// only changes speed.
+    // Exists only because the frozen `benchmark/` crate still calls it;
+    // goes away with the next change to `benchmark/`. Every seat verifies
+    // through its memo.
+    #[doc(hidden)]
     #[must_use]
-    pub fn verify_mode(mut self, mode: prft_crypto::VerifyMode) -> Self {
-        self.cfg.verify_mode = mode;
+    pub fn verify_mode(self, _: ()) -> Self {
         self
     }
 
@@ -179,13 +178,19 @@ impl Harness {
 
     /// Builds the simulation.
     pub fn build(self) -> Simulation<Replica> {
-        let (replicas, network, seed, queue) = self.build_parts();
-        Simulation::with_backend(replicas, network, seed, queue)
+        let (replicas, network, seed, _) = self.build_parts();
+        Simulation::new(replicas, network, seed)
     }
 
     /// Builds the committee but returns the raw parts instead of a
     /// simulation — the workload layer appends client actors to the node
-    /// population before assembly (`prft_workload::assemble`).
+    /// population before assembly (`prft_workload::assemble`), and the
+    /// fast ≡ reference suites install the reference verifier
+    /// ([`Replica::install_verifier`]).
+    ///
+    /// The fourth part exists only because the frozen `benchmark/` crate
+    /// still reads it, and goes away with the next change to `benchmark/`:
+    /// it is always [`QueueBackend::Calendar`].
     pub fn build_parts(mut self) -> (Vec<Replica>, Box<dyn LinkModel>, u64, QueueBackend) {
         let (registry, keys) = KeyRegistry::trusted_setup(self.n, self.seed ^ 0x5eed);
         let mut replicas = Vec::with_capacity(self.n);
@@ -217,6 +222,11 @@ impl Harness {
             .network
             .take()
             .unwrap_or(NetworkChoice::Synchronous { delta: SimTime(10) });
-        (replicas, network.into_model(), self.seed, self.queue)
+        (
+            replicas,
+            network.into_model(),
+            self.seed,
+            QueueBackend::Calendar,
+        )
     }
 }

@@ -280,8 +280,8 @@ pub struct Replica {
     future: BTreeMap<u64, Vec<(NodeId, PrftMsg)>>,
     peer_round: Vec<u64>,
     /// Memoized ballot/certificate verification (the large-n fast path;
-    /// pass-through in reference mode). Pruned at round starts, so it
-    /// spans the rounds that can still be looked up.
+    /// pass-through when the reference verifier is installed). Pruned at
+    /// round starts, so it spans the rounds that can still be looked up.
     cache: VerifyCache,
 
     stats: ReplicaStats,
@@ -298,7 +298,7 @@ impl Replica {
         let n = cfg.n;
         Replica {
             collateral: CollateralLedger::new(1),
-            cache: VerifyCache::new(cfg.verify_mode),
+            cache: VerifyCache::default(),
             cfg,
             key,
             registry,
@@ -403,6 +403,13 @@ impl Replica {
     /// `π_abs`): the player keeps its keys, chain, and round position.
     pub fn set_behavior(&mut self, behavior: Box<dyn Behavior>) -> Box<dyn Behavior> {
         std::mem::replace(&mut self.behavior, behavior)
+    }
+
+    /// Swaps this seat's verifier before its run starts: how the fast ≡
+    /// reference suites put the reference verifier into a committee they
+    /// have already built.
+    pub fn install_verifier(&mut self, cache: VerifyCache) {
+        self.cache = cache;
     }
 
     /// Re-points the behavior's shared coordination state after a

@@ -29,21 +29,30 @@
 //!   first seat whose walk finds its signatures valid records the registry
 //!   on it ([`CommitCert::prove`]), and no other receiver walks its votes.
 //!
-//! **Counting discipline** (what keeps reports byte-identical across
-//! [`VerifyMode`]s): `crypto.sig_verifies` counts *logical* verifications
-//! — a certificate-table hit adds, in one batched add, what the reference
-//! path pays. A seat checks every signature through this cache, and the
-//! `memo_hits`/`memo_misses` hook counters split them: a hit is replayed
-//! from the seat's certificate table, a miss is any other, so `memo_hits +
-//! memo_misses == sig_verifies` (`prft-lab`'s `memo_identity` row). A
-//! proven certificate's votes are charged as the misses its walk charges,
-//! so the counters do not depend on which seat or thread walks first, and
-//! a fork charges what a fresh run does. The memo counters surface only in
-//! `prft-bench profile` output, never in scenario reports.
+//! **Counting discipline** (what keeps reports byte-identical to the
+//! reference verifier's): `crypto.sig_verifies` counts *logical*
+//! verifications — a certificate-table hit adds, in one batched add, what
+//! the reference path pays. A seat checks every signature through this
+//! cache, and the `memo_hits`/`memo_misses` hook counters split them: a
+//! hit is replayed from the seat's certificate table, a miss is any other,
+//! so `memo_hits + memo_misses == sig_verifies` (`prft-lab`'s
+//! `memo_identity` row). A proven certificate's votes are charged as the
+//! misses its walk charges, so the counters do not depend on which seat or
+//! thread walks first, and a fork charges what a fresh run does. The memo
+//! counters surface only in `prft-bench profile` output, never in
+//! scenario reports.
+//!
+//! **The reference verifier** ([`VerifyCache::reference`]) re-verifies
+//! every signature on every arrival and caches nothing, charging each
+//! verification it performs as a miss, so the `memo_identity` row holds on
+//! it too. No run selects it: it is the oracle of the fast ≡ reference
+//! suites (`crates/core/tests/{fastpath_equiv,verify_model}.rs` and
+//! `crates/scenarios/tests/fastpath_identity.rs`), which install it into a
+//! committee they have already built with [`crate::Replica::install_verifier`].
 
 use crate::messages::{Ballot, CommitCert, Phase, RevealSet, SignedBallot};
 use crate::Config;
-use prft_crypto::{KeyRegistry, Signable, Signed, VerifyMode};
+use prft_crypto::{KeyRegistry, Signable, Signed};
 use prft_sim::obs::hooks;
 use prft_types::{Digest, NodeId, Round};
 use std::sync::Arc;
@@ -182,7 +191,7 @@ pub struct CertVerdict {
     /// `CommitCert::validate` would say.
     pub ok: bool,
     /// Whether the verdict was answered from the certificate table (always
-    /// `false` in [`VerifyMode::Reference`]). A cached verdict on a
+    /// `false` on the reference verifier). A cached verdict on a
     /// current-round certificate proves this replica walked the same
     /// allocation this round *and*, when valid, fed it to its fraud detector
     /// (adopting a stale Reveal validates only older rounds'), so callers
@@ -192,16 +201,18 @@ pub struct CertVerdict {
 
 /// Per-replica verification memo (signing digests + certificate table).
 ///
-/// In [`VerifyMode::Reference`] every call verifies afresh; in
-/// [`VerifyMode::Fast`] digests and verdicts are cached as the module says.
+/// The default caches digests and verdicts as the module says; the
+/// [reference verifier](VerifyCache::reference) verifies afresh on every
+/// call.
 ///
 /// `Clone` supports checkpoint/fork warm starts: the clone shares the
 /// same certificate `Arc` allocations, so its address-matched entries
 /// remain valid in the forked run (which also clones — and therefore
 /// shares — those allocations through the message arena).
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct VerifyCache {
-    mode: VerifyMode,
+    /// Verify every call afresh and cache nothing.
+    reference: bool,
     /// Each payload a signature verified over, with its signing digest.
     /// Oldest first; a handful per live round (one per phase, more only
     /// when somebody equivocates), so a lookup is a short scan from the
@@ -211,12 +222,13 @@ pub struct VerifyCache {
 }
 
 impl VerifyCache {
-    /// An empty cache operating in `mode`.
-    pub fn new(mode: VerifyMode) -> VerifyCache {
+    /// The reference verifier: the verify-on-every-arrival path the seed
+    /// replica took, bit for bit, that the fast ≡ reference suites hold
+    /// the memo to. Each signature it verifies is charged as a miss.
+    pub fn reference() -> VerifyCache {
         VerifyCache {
-            mode,
-            digests: Vec::new(),
-            certs: CertTable::default(),
+            reference: true,
+            ..VerifyCache::default()
         }
     }
 
@@ -230,10 +242,10 @@ impl VerifyCache {
     /// Verifies one signed ballot, hashing its payload once per seat on
     /// the fast path. Either way it charges one `crypto.sig_verifies`.
     pub fn verify_ballot(&mut self, ballot: &SignedBallot, registry: &KeyRegistry) -> bool {
-        if self.mode == VerifyMode::Reference {
+        hooks::add_memo_misses(1);
+        if self.reference {
             return ballot.verify(registry);
         }
-        hooks::add_memo_misses(1);
         let held = self.held_digest(&ballot.payload);
         let digest = held.unwrap_or_else(|| ballot.payload.signing_digest());
         // `KeyRegistry::verify` counts the sig_verify itself.
@@ -247,7 +259,7 @@ impl VerifyCache {
     /// Verifies any other signed payload (a view-change request, a
     /// commit-view): a miss that holds no digest.
     pub fn verify_signed<T: Signable>(&mut self, s: &Signed<T>, registry: &KeyRegistry) -> bool {
-        hooks::add_memo_misses(u64::from(self.mode == VerifyMode::Fast));
+        hooks::add_memo_misses(1);
         s.verify(registry)
     }
 
@@ -309,11 +321,11 @@ impl VerifyCache {
         quorum: usize,
         replayed: &mut u64,
     ) -> CertVerdict {
-        if self.mode == VerifyMode::Reference {
-            return CertVerdict {
-                ok: cert.validate(registry, quorum),
-                cached: false,
-            };
+        if self.reference {
+            let before = hooks::snapshot().sig_verifies;
+            let ok = cert.validate(registry, quorum);
+            hooks::add_memo_misses(hooks::snapshot().sig_verifies - before);
+            return CertVerdict { ok, cached: false };
         }
         match self.certs.find(committer, cert) {
             Some(held) if held.quorum as usize == quorum => {
@@ -507,7 +519,7 @@ mod tests {
     fn ballot_memo_answers_repeats_without_hashing() {
         let (reg, keys) = setup(2);
         let b = signed_ballot(&keys[0], Round(1), Phase::Vote, value(1));
-        let mut cache = VerifyCache::new(VerifyMode::Fast);
+        let mut cache = VerifyCache::default();
         hooks::reset();
         assert!(cache.verify_ballot(&b, &reg));
         assert!(cache.verify_ballot(&b, &reg));
@@ -529,7 +541,7 @@ mod tests {
         // a different key, so the cached `true` is unreachable.
         let (reg, keys) = setup(2);
         let honest = signed_ballot(&keys[0], Round(1), Phase::Vote, value(1));
-        let mut cache = VerifyCache::new(VerifyMode::Fast);
+        let mut cache = VerifyCache::default();
         assert!(cache.verify_ballot(&honest, &reg));
         let mut forged = honest.clone();
         forged.payload.value = value(2);
@@ -552,7 +564,7 @@ mod tests {
     fn cert_memo_replays_the_reference_verify_count() {
         let (reg, keys) = setup(4);
         let c = Arc::new(cert(&keys, 1, value(7), 3));
-        let mut cache = VerifyCache::new(VerifyMode::Fast);
+        let mut cache = VerifyCache::default();
         hooks::reset();
         assert!(cache.validate_cert(&c, &reg, 3).ok);
         let first = hooks::snapshot();
@@ -576,7 +588,7 @@ mod tests {
         let (reg, keys) = setup(4);
         let a = Arc::new(cert(&keys, 1, value(7), 3));
         let b = Arc::new(a.as_ref().clone());
-        let mut cache = VerifyCache::new(VerifyMode::Fast);
+        let mut cache = VerifyCache::default();
         hooks::reset();
         assert!(cache.validate_cert(&a, &reg, 3).ok);
         assert!(cache.validate_cert(&b, &reg, 3).ok);
@@ -595,22 +607,22 @@ mod tests {
     #[test]
     fn cert_verdicts_report_freshness() {
         // `cached` is the signal replicas use to skip idempotent detector
-        // re-observation: false on the first walk (and always in reference
-        // mode), true on a same-allocation, same-quorum repeat.
+        // re-observation: false on the first walk (and always on the
+        // reference verifier), true on a same-allocation, same-quorum repeat.
         let (reg, keys) = setup(4);
         let c = Arc::new(cert(&keys, 1, value(7), 3));
-        let mut fast = VerifyCache::new(VerifyMode::Fast);
+        let mut fast = VerifyCache::default();
         assert!(!fast.validate_cert(&c, &reg, 3).cached, "first walk");
         assert!(fast.validate_cert(&c, &reg, 3).cached, "repeat is a hit");
         assert!(
             !fast.validate_cert(&c, &reg, 4).cached,
             "quorum change forces a fresh walk"
         );
-        let mut reference = VerifyCache::new(VerifyMode::Reference);
+        let mut reference = VerifyCache::reference();
         assert!(!reference.validate_cert(&c, &reg, 3).cached);
         assert!(
             !reference.validate_cert(&c, &reg, 3).cached,
-            "reference mode never answers from cache"
+            "the reference verifier never answers from cache"
         );
     }
 
@@ -618,10 +630,10 @@ mod tests {
     fn a_certificate_is_proven_once_per_allocation_and_registry() {
         let (reg, keys) = setup(4);
         let c = Arc::new(cert(&keys, 1, value(7), 3));
-        let mut reference = VerifyCache::new(VerifyMode::Reference);
+        let mut reference = VerifyCache::reference();
         assert!(reference.validate_cert(&c, &reg, 3).ok);
         assert!(!c.proven(&reg), "the reference path proves nothing");
-        let mut seat = VerifyCache::new(VerifyMode::Fast);
+        let mut seat = VerifyCache::default();
         assert!(!seat.validate_cert(&c, &reg, 4).ok, "short of quorum 4");
         assert!(c.proven(&reg), "the proof is of the signatures alone");
         assert!(Arc::new(c.as_ref().clone()).proven(&reg), "a clone has it");
@@ -644,7 +656,7 @@ mod tests {
     fn quorum_change_invalidates_a_cert_verdict() {
         let (reg, keys) = setup(4);
         let c = Arc::new(cert(&keys, 1, value(7), 3));
-        let mut cache = VerifyCache::new(VerifyMode::Fast);
+        let mut cache = VerifyCache::default();
         assert!(cache.validate_cert(&c, &reg, 3).ok);
         assert!(
             !cache.validate_cert(&c, &reg, 4).ok,
@@ -657,20 +669,20 @@ mod tests {
     }
 
     #[test]
-    fn reference_mode_never_touches_the_memo_counters() {
+    fn the_reference_verifier_charges_every_verification_as_a_miss() {
         let (reg, keys) = setup(4);
         let c = Arc::new(cert(&keys, 1, value(7), 3));
         let b = signed_ballot(&keys[0], Round(1), Phase::Vote, value(1));
-        let mut cache = VerifyCache::new(VerifyMode::Reference);
+        let mut cache = VerifyCache::reference();
         hooks::reset();
         assert!(cache.verify_ballot(&b, &reg));
         assert!(cache.verify_ballot(&b, &reg));
         assert!(cache.validate_cert(&c, &reg, 3).ok);
         assert!(cache.validate_cert(&c, &reg, 3).ok);
         let s = hooks::snapshot();
-        assert_eq!(s.memo_hits, 0);
-        assert_eq!(s.memo_misses, 0);
+        assert_eq!(s.memo_hits, 0, "the reference verifier caches nothing");
         assert_eq!(s.sig_verifies, 2 + 2 * 4);
+        assert_eq!(s.memo_misses, s.sig_verifies);
         hooks::reset();
     }
 
@@ -683,7 +695,7 @@ mod tests {
         let (reg, keys) = setup(2);
         let a = signed_ballot(&keys[1], Round(1), Phase::Commit, value(1));
         let b = signed_ballot(&keys[1], Round(1), Phase::Commit, value(2));
-        let mut cache = VerifyCache::new(VerifyMode::Fast);
+        let mut cache = VerifyCache::default();
         let mut det = FraudDetector::new();
         // Warm the cache with both ballots, then route the "arrivals"
         // through it again (pure hits) before observing.
@@ -701,7 +713,7 @@ mod tests {
         let (reg, keys) = setup(4);
         let old = Arc::new(cert(&keys, 1, value(1), 3));
         let warm = Arc::new(cert(&keys, 4, value(2), 3));
-        let mut cache = VerifyCache::new(VerifyMode::Fast);
+        let mut cache = VerifyCache::default();
         assert!(cache.validate_cert(&old, &reg, 3).ok);
         assert!(cache.validate_cert(&warm, &reg, 3).ok);
         cache.prune_before(Round(5));
@@ -722,7 +734,7 @@ mod tests {
         let honest = signed_ballot(&keys[0], Round(1), Phase::Vote, value(1));
         let mut forged = signed_ballot(&keys[0], Round(1), Phase::Vote, value(2));
         forged.payload = honest.payload;
-        let mut cache = VerifyCache::new(VerifyMode::Fast);
+        let mut cache = VerifyCache::default();
         assert!(cache.verify_ballot(&honest, &reg));
         hooks::reset();
         assert!(!cache.verify_ballot(&forged, &reg));
@@ -742,7 +754,7 @@ mod tests {
         let (reg, keys) = setup(2);
         // Same master seed, larger committee: seat 5 is not in `reg`.
         let (_, outsiders) = KeyRegistry::trusted_setup(6, 7);
-        let mut cache = VerifyCache::new(VerifyMode::Fast);
+        let mut cache = VerifyCache::default();
         for round in 0..50 {
             let unknown = signed_ballot(&outsiders[5], Round(round), Phase::Vote, value(1));
             assert!(!cache.verify_ballot(&unknown, &reg));
@@ -774,7 +786,7 @@ mod tests {
         let (reg, keys) = setup(4);
         let good = Arc::new(cert(&keys, 1, value(7), 3));
         let short = Arc::new(cert(&keys, 1, value(8), 2));
-        let mut cache = VerifyCache::new(VerifyMode::Fast);
+        let mut cache = VerifyCache::default();
         assert!(cache.validate_cert(&good, &reg, 3).ok);
         assert!(!cache.validate_cert(&short, &reg, 3).ok);
         hooks::reset();
@@ -796,7 +808,7 @@ mod tests {
         for newer_first in [false, true] {
             let older = Arc::new(cert(&keys, 4, value(1), 3));
             let newer = Arc::new(cert(&keys, 5, value(2), 3));
-            let mut cache = VerifyCache::new(VerifyMode::Fast);
+            let mut cache = VerifyCache::default();
             let mut order = [&older, &newer];
             if newer_first {
                 order.reverse();
@@ -860,8 +872,8 @@ mod tests {
                 Arc::new(forged),
                 Arc::new(by(0, 2, 1, 3).as_ref().clone()),
             ];
-            let mut scan = VerifyCache::new(VerifyMode::Fast);
-            let mut each = VerifyCache::new(VerifyMode::Fast);
+            let mut scan = VerifyCache::default();
+            let mut each = VerifyCache::default();
             for &i in &seen {
                 scan.validate_cert(&pool[i], &reg, 3);
                 each.validate_cert(&pool[i], &reg, 3);
@@ -914,11 +926,11 @@ mod tests {
             let commit = signed_ballot(committer, Round(1), Phase::Commit, value(1));
             let proven = Arc::new(CommitCert::new(commit.clone(), votes.clone()));
             let unproven = Arc::new(CommitCert::new(commit.clone(), votes));
-            VerifyCache::new(VerifyMode::Fast).validate_cert(&proven, &reg, 0);
+            VerifyCache::default().validate_cert(&proven, &reg, 0);
             proptest::prop_assert!(proven.proven(&reg) && !unproven.proven(&reg));
             let mut seen = Vec::new();
             for cert in [&unproven, &proven] {
-                let mut seat = VerifyCache::new(VerifyMode::Fast);
+                let mut seat = VerifyCache::default();
                 for &i in &held {
                     seat.verify_ballot(&vote(i), &reg);
                 }
@@ -949,7 +961,7 @@ mod tests {
         ) {
             let (reg, keys) = KeyRegistry::trusted_setup(3, seed);
             let honest = signed_ballot(&keys[0], Round(2), Phase::Commit, value(9));
-            let mut cache = VerifyCache::new(VerifyMode::Fast);
+            let mut cache = VerifyCache::default();
             proptest::prop_assert!(cache.verify_ballot(&honest, &reg));
             let mut twin = honest.clone();
             match which {

@@ -1,43 +1,48 @@
-//! Fast-vs-slow differential suite: the memoized verification path
-//! ([`VerifyMode::Fast`]) must be **byte-identical** to the reference
-//! verify-on-every-arrival path ([`VerifyMode::Reference`]) on every
-//! observable — chains, analysis reports, and the full merged counter
-//! registry including `crypto.sig_verifies` (counted *logically* on the
-//! fast path: a memo hit charges exactly what the reference path would
-//! have paid). These tests are what lets the fast path be the default,
-//! and what lets the `verify_mode` knob stay out of spec fingerprints.
+//! Fast-vs-slow differential suite: the memoized verification path (every
+//! seat's default [`VerifyCache`]) must be **byte-identical** to the
+//! reference verify-on-every-arrival path ([`VerifyCache::reference`],
+//! installed into the built committee) on every observable — chains,
+//! analysis reports, and the full merged counter registry including
+//! `crypto.sig_verifies` (counted *logically* on the fast path: a memo hit
+//! charges exactly what the reference path would have paid). These tests
+//! are what lets every run verify through the memo.
 
 use prft_core::{
     analysis, signed_ballot, CommitCert, Harness, KeyRegistry, NetworkChoice, Phase, VerifyCache,
-    VerifyMode,
 };
 use prft_sim::obs::hooks;
-use prft_sim::SimTime;
+use prft_sim::{SimTime, Simulation};
 use prft_types::{Digest, NodeId, Round};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-/// Runs one accountable committee under `mode` and renders every
-/// observable to a canonical string: all counters and gauges of the
-/// merged registry, the analysis report, and each replica's full chain.
+/// Runs one accountable committee, on the reference verifier when
+/// `reference`, and renders every observable to a canonical string: all
+/// counters and gauges of the merged registry, the analysis report, and
+/// each replica's full chain.
 fn run_report(
     n: usize,
     seed: u64,
     rounds: u64,
     tau: Option<usize>,
     crashes: &[usize],
-    mode: VerifyMode,
+    reference: bool,
 ) -> String {
     hooks::reset();
     let mut h = Harness::new(n, seed)
         .network(NetworkChoice::Synchronous { delta: SimTime(10) })
         .accountable(true)
-        .max_rounds(rounds)
-        .verify_mode(mode);
+        .max_rounds(rounds);
     if let Some(t) = tau {
         h = h.tau(t);
     }
-    let mut sim = h.build();
+    let (mut replicas, link, seed, _) = h.build_parts();
+    if reference {
+        for r in &mut replicas {
+            r.install_verifier(VerifyCache::reference());
+        }
+    }
+    let mut sim = Simulation::new(replicas, link, seed);
     for &c in crashes {
         sim.crash(NodeId(c));
     }
@@ -66,8 +71,8 @@ fn run_report(
 #[test]
 fn accountable_committees_are_mode_identical() {
     for n in [8, 16, 32] {
-        let slow = run_report(n, 42, 2, None, &[], VerifyMode::Reference);
-        let fast = run_report(n, 42, 2, None, &[], VerifyMode::Fast);
+        let slow = run_report(n, 42, 2, None, &[], true);
+        let fast = run_report(n, 42, 2, None, &[], false);
         assert_eq!(slow, fast, "n = {n}: fast path diverged from reference");
         assert!(
             slow.contains("counter crypto.sig_verifies"),
@@ -81,8 +86,8 @@ fn accountable_committees_are_mode_identical() {
 #[test]
 fn crash_faults_are_mode_identical() {
     for (n, crashes) in [(8usize, vec![1]), (16, vec![2, 5]), (32, vec![0, 7])] {
-        let slow = run_report(n, 7, 3, None, &crashes, VerifyMode::Reference);
-        let fast = run_report(n, 7, 3, None, &crashes, VerifyMode::Fast);
+        let slow = run_report(n, 7, 3, None, &crashes, true);
+        let fast = run_report(n, 7, 3, None, &crashes, false);
         assert_eq!(
             slow, fast,
             "n = {n}, crashes {crashes:?}: fast path diverged"
@@ -98,8 +103,8 @@ fn tau_overrides_are_mode_identical() {
     let n = 16;
     let cfg = prft_core::Config::for_committee(n);
     for tau in [cfg.tau_lower_bound(), cfg.tau_upper_bound()] {
-        let slow = run_report(n, 99, 2, Some(tau), &[], VerifyMode::Reference);
-        let fast = run_report(n, 99, 2, Some(tau), &[], VerifyMode::Fast);
+        let slow = run_report(n, 99, 2, Some(tau), &[], true);
+        let fast = run_report(n, 99, 2, Some(tau), &[], false);
         assert_eq!(slow, fast, "tau = {tau}: fast path diverged");
     }
 }
@@ -108,7 +113,7 @@ proptest::proptest! {
     #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
     /// The fuzzed differential: any (n, τ, seed, fault schedule) from this
-    /// space produces byte-identical reports across verify modes. The
+    /// space produces byte-identical reports on both verifiers. The
     /// fault schedule is a crash bitmask over the first four seats; τ is
     /// drawn from the Claim 1 safe window (or left at the default).
     #[test]
@@ -129,8 +134,8 @@ proptest::proptest! {
             .map(|b| b + 1) // never crash the first leader: keep runs short
             .filter(|&i| i < n)
             .collect();
-        let slow = run_report(n, seed, 2, tau, &crashes, VerifyMode::Reference);
-        let fast = run_report(n, seed, 2, tau, &crashes, VerifyMode::Fast);
+        let slow = run_report(n, seed, 2, tau, &crashes, true);
+        let fast = run_report(n, seed, 2, tau, &crashes, false);
         proptest::prop_assert_eq!(
             slow,
             fast,
@@ -182,8 +187,8 @@ const DEFECTS: [&str; 10] = [
 proptest::proptest! {
     #![proptest_config(proptest::ProptestConfig::with_cases(512))]
 
-    /// One certificate, validated twice through a fresh cache of each
-    /// mode: the memo answers what `CommitCert::validate` answers and
+    /// One certificate, validated twice through a fresh memo and a fresh
+    /// reference verifier: the memo answers what `CommitCert::validate` answers and
     /// charges `crypto.sig_verifies` what it charges — the reference stops
     /// at the first failing check, so a defect at vote `k` is a count, not
     /// only a verdict — with every logical verification either a hit or a
@@ -250,12 +255,14 @@ proptest::proptest! {
         }
         let cert = Arc::new(CommitCert::new(commit, votes));
 
-        let mut reference = VerifyCache::new(VerifyMode::Reference);
-        let mut fast = VerifyCache::new(VerifyMode::Fast);
+        let mut reference = VerifyCache::reference();
+        let mut fast = VerifyCache::default();
         for repeat in [false, true] {
-            let (ok, _, charged, ..) = validate(&mut reference, &cert, &reg, quorum);
+            let (ok, _, charged, ref_hits, ref_misses) =
+                validate(&mut reference, &cert, &reg, quorum);
             proptest::prop_assert_eq!(ok, defect == 0, "{}", DEFECTS[defect]);
             proptest::prop_assert_eq!(charged, expected, "{} at {}", DEFECTS[defect], k);
+            proptest::prop_assert_eq!((ref_hits, ref_misses), (0, charged));
             let (fast_ok, cached, fast_charged, hits, misses) =
                 validate(&mut fast, &cert, &reg, quorum);
             proptest::prop_assert_eq!(

@@ -17,25 +17,32 @@
 //!   every logical verification is either replayed from the replica's
 //!   certificate table or missed there.
 
-use prft_core::{predicted_memo_misses, predicted_verifies, Harness, NetworkChoice, VerifyMode};
+use prft_core::{predicted_memo_misses, predicted_verifies, Harness, NetworkChoice, VerifyCache};
 use prft_sim::obs::hooks;
-use prft_sim::SimTime;
+use prft_sim::{SimTime, Simulation};
 
 /// The headline size: the fast path runs it cheaply even in debug builds
 /// (27k hashes); the reference path would hash 15.8M times, so
-/// reference-mode tests use [`N_SMALL`] instead.
+/// reference-verifier tests use [`N_SMALL`] instead.
 const N: usize = 64;
 const N_SMALL: usize = 16;
 const ROUNDS: u64 = 2;
 
-fn run_accountable(n: usize, mode: VerifyMode) -> hooks::HookSnapshot {
+/// One honest accountable run's hook counters, on the reference verifier
+/// when `reference`.
+fn run_accountable(n: usize, reference: bool) -> hooks::HookSnapshot {
     hooks::reset();
-    let mut sim = Harness::new(n, 0xc0de)
+    let (mut replicas, link, seed, _) = Harness::new(n, 0xc0de)
         .network(NetworkChoice::Synchronous { delta: SimTime(10) })
         .accountable(true)
         .max_rounds(ROUNDS)
-        .verify_mode(mode)
-        .build();
+        .build_parts();
+    if reference {
+        for r in &mut replicas {
+            r.install_verifier(VerifyCache::reference());
+        }
+    }
+    let mut sim = Simulation::new(replicas, link, seed);
     sim.run_until(SimTime(500_000));
     let snap = hooks::snapshot();
     hooks::reset();
@@ -44,7 +51,7 @@ fn run_accountable(n: usize, mode: VerifyMode) -> hooks::HookSnapshot {
 
 #[test]
 fn memoized_run_matches_both_verify_models() {
-    let snap = run_accountable(N, VerifyMode::Fast);
+    let snap = run_accountable(N, false);
 
     // Conservation, exact: no verification escapes the hit/miss split
     // (a seat checks every signature through its memo).
@@ -81,12 +88,15 @@ fn memoized_run_matches_both_verify_models() {
 }
 
 #[test]
-fn reference_run_matches_the_logical_model_with_zero_memo_traffic() {
-    // Reference mode really hashes every logical verify, so this runs at
-    // the small size (85k hashes, not 15.8M).
-    let snap = run_accountable(N_SMALL, VerifyMode::Reference);
-    assert_eq!(snap.memo_hits, 0, "reference mode never hits a memo");
-    assert_eq!(snap.memo_misses, 0, "reference mode never counts misses");
+fn reference_run_matches_the_logical_model_and_misses_every_verify() {
+    // The reference verifier really hashes every logical verify, so this
+    // runs at the small size (85k hashes, not 15.8M).
+    let snap = run_accountable(N_SMALL, true);
+    assert_eq!(snap.memo_hits, 0, "the reference verifier caches nothing");
+    assert_eq!(
+        snap.memo_misses, snap.sig_verifies,
+        "the reference verifier charges every verification as a miss"
+    );
     let predicted = predicted_verifies(N_SMALL, ROUNDS, true);
     let ratio = snap.sig_verifies as f64 / predicted as f64;
     assert!(
@@ -100,12 +110,12 @@ fn reference_run_matches_the_logical_model_with_zero_memo_traffic() {
 fn both_modes_pay_the_same_logical_count() {
     // The counting discipline itself: a memo hit charges exactly what the
     // reference path would have paid, so the logical counter is equal —
-    // not merely close — across modes.
-    let fast = run_accountable(N_SMALL, VerifyMode::Fast);
-    let slow = run_accountable(N_SMALL, VerifyMode::Reference);
+    // not merely close — on both verifiers.
+    let fast = run_accountable(N_SMALL, false);
+    let slow = run_accountable(N_SMALL, true);
     assert_eq!(
         fast.sig_verifies, slow.sig_verifies,
-        "logical verify counts diverged across verify modes"
+        "logical verify counts diverged between the memo and the reference"
     );
     // And the split follows the miss model at this size too: everything
     // but the Reveals' certificate replays misses. The last round's tail

@@ -6,7 +6,7 @@
 //! against the [`KeyRegistry`]: the penalty mechanism must never punish an
 //! honest player (footnote 9), so verification is strict.
 
-use crate::{KeyRegistry, Signable, Signed, KAPPA};
+use crate::{KeyRegistry, Signable, Signed};
 use prft_types::NodeId;
 
 /// Two signed payloads by the same signer, in the same slot, with different
@@ -85,15 +85,6 @@ pub fn verify_pof<T: Signable + PartialEq>(
     guilty.sort_by_key(|&(id, _)| id);
     guilty.dedup_by_key(|&mut (id, _)| id);
     (guilty.len() > t0).then_some(guilty)
-}
-
-/// Wire size of a PoF set.
-pub fn pof_wire_bytes<T: Signable + PartialEq>(evidence: &[ConflictEvidence<T>]) -> usize {
-    evidence
-        .iter()
-        .map(ConflictEvidence::wire_bytes)
-        .sum::<usize>()
-        .max(KAPPA)
 }
 
 #[cfg(test)]

@@ -49,12 +49,10 @@
 
 mod evidence;
 mod keys;
-mod mode;
 mod sha256;
 mod signed;
 
-pub use evidence::{pof_wire_bytes, verify_pof, ConflictEvidence};
+pub use evidence::{verify_pof, ConflictEvidence};
 pub use keys::{KeyRegistry, SecretKey, Signature, KAPPA};
-pub use mode::VerifyMode;
 pub use sha256::Sha256;
 pub use signed::{Signable, Signed, Slot};

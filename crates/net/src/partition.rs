@@ -71,7 +71,7 @@ impl PartitionWindow {
     }
 
     /// Whether `a` and `b` cannot communicate at time `at` under this window.
-    pub fn separates(&self, a: NodeId, b: NodeId, at: SimTime) -> bool {
+    fn separates(&self, a: NodeId, b: NodeId, at: SimTime) -> bool {
         if at < self.start || at >= self.end {
             return false;
         }

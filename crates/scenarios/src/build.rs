@@ -230,9 +230,7 @@ fn prepared(spec: &ScenarioSpec, seed: u64) -> (Harness, Blackboard, HashSet<Nod
     let mut h = Harness::new(spec.n, seed)
         .config(cfg)
         .accountable(spec.accountable)
-        .network(network)
-        .queue(spec.queue)
-        .verify_mode(spec.verify_mode);
+        .network(network);
     if let Some(tau) = spec.tau_override {
         h = h.tau(tau);
     }
@@ -253,15 +251,15 @@ fn prepared(spec: &ScenarioSpec, seed: u64) -> (Harness, Blackboard, HashSet<Nod
 /// scheduled `SetRole` at tick 0 would be, so a `Crash` role crashes it.
 fn build(spec: &ScenarioSpec, seed: u64) -> Built {
     let (h, board, collusion) = prepared(spec, seed);
-    let (replicas, network, seed, queue) = h.build_parts();
+    let (replicas, network, seed, _) = h.build_parts();
     let sim = match &spec.workload {
-        Some(w) => prft_workload::assemble(replicas, w, network, seed, queue),
+        Some(w) => prft_workload::assemble(replicas, w, network, seed),
         None => {
             let committee = replicas
                 .into_iter()
                 .map(|r| Actor::Replica(Box::new(r)))
                 .collect();
-            Simulation::with_backend(committee, network, seed, queue)
+            Simulation::new(committee, network, seed)
         }
     };
     let mut built = Built {
@@ -442,8 +440,8 @@ pub fn run_one(spec: &ScenarioSpec, seed: u64) -> RunRecord {
 /// matching capture hints the store advertises
 /// ([`CheckpointStore::set_capture_hints_for`]), for later cells (first
 /// writer wins). Forked and fresh runs produce byte-identical records —
-/// pinned per registry timeline scenario, queue backend, and thread count
-/// by `tests/checkpoint_equiv.rs`.
+/// pinned per registry timeline scenario and thread count by
+/// `tests/checkpoint_equiv.rs`.
 ///
 /// The thread-local observability hooks are reset before a fresh build
 /// (and restored to the prefix's exact deltas on a fork), so the record's
@@ -504,11 +502,10 @@ pub fn record_run(
 ///   into every committee replica's behavior, so the fork never aliases
 ///   the producer run's live coordination state (and later scheduled
 ///   colluders join the fork's own board; uncoordinated behaviors ignore
-///   the rebind);
-/// - the consumer's own queue backend (checkpoints are backend-portable).
+///   the rebind).
 fn fork_from(spec: &ScenarioSpec, entry: &CheckpointEntry) -> Built {
     let network = network_model(spec).into_model();
-    let mut sim = Simulation::restore_with_backend(&entry.snapshot, network, spec.queue);
+    let mut sim = Simulation::restore(&entry.snapshot, network);
     let board: Blackboard = std::sync::Arc::new(std::sync::Mutex::new(entry.board.clone()));
     // Only committee seats (0..n) carry behaviors; clients have none.
     for i in 0..spec.n {
@@ -607,7 +604,6 @@ pub fn summarize<N: Node + AsReplica>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prft_sim::QueueBackend;
 
     type Delivery = (u64, usize, usize, &'static str);
 
@@ -838,20 +834,17 @@ mod tests {
 
     /// A zero-client `Actor` population is semantics-free: boxing the
     /// committee behind the enum changes neither the record nor a single
-    /// delivery, on either queue backend.
+    /// delivery.
     #[test]
     fn zero_client_population_matches_bare_committee() {
         for name in ["honest-sync", "fork-attack", "crash-churn"] {
-            let scenario = crate::registry::find(name).expect("registered");
-            for backend in [QueueBackend::Heap, QueueBackend::Calendar] {
-                let spec = scenario.specs[0].clone().queue(backend);
-                let seed = crate::runner::derive_seed(spec.base_seed, 0);
-                prft_sim::obs::hooks::reset();
-                let (sim, outcome) = run_sim(&spec, seed, |sim| sim.set_tracing(true));
-                let unified = observed(&spec, &sim, seed, outcome);
-                assert!(!unified.1.is_empty(), "{name}: nothing was delivered");
-                assert_eq!(unified, reference_run(&spec, seed), "{name} on {backend}");
-            }
+            let spec = &crate::registry::find(name).expect("registered").specs[0];
+            let seed = crate::runner::derive_seed(spec.base_seed, 0);
+            prft_sim::obs::hooks::reset();
+            let (sim, outcome) = run_sim(spec, seed, |sim| sim.set_tracing(true));
+            let unified = observed(spec, &sim, seed, outcome);
+            assert!(!unified.1.is_empty(), "{name}: nothing was delivered");
+            assert_eq!(unified, reference_run(spec, seed), "{name}");
         }
     }
 }

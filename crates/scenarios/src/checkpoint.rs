@@ -75,10 +75,9 @@ pub const DEFAULT_CAPACITY: usize = 64;
 ///
 /// It canonicalizes away the fields that provably cannot affect the
 /// simulation state: `label`, `watched` and `utility` (post-run
-/// measurement only), `base_seed` (the store is keyed by the *derived*
-/// seed separately), and `queue`/`verify_mode` (pinned byte-identical by
-/// the backend/verify-mode identity invariants). Derived `Debug` escapes
-/// tabs and newlines, so the text is always one tab-free line.
+/// measurement only) and `base_seed` (the store is keyed by the *derived*
+/// seed separately). Derived `Debug` escapes tabs and newlines, so the
+/// text is always one tab-free line.
 pub fn prefix_fingerprint(spec: &ScenarioSpec, tick_bound: u64) -> String {
     state_text(spec, |tick| tick < tick_bound)
 }
@@ -90,8 +89,6 @@ pub(crate) fn state_text(spec: &ScenarioSpec, keep: impl Fn(u64) -> bool) -> Str
     canonical.base_seed = 0;
     canonical.watched = Vec::new();
     canonical.utility = None;
-    canonical.queue = Default::default();
-    canonical.verify_mode = Default::default();
     canonical.schedule = Vec::new();
     let prefix = ordered_events(spec)
         .into_iter()
@@ -421,17 +418,14 @@ mod tests {
     #[rustfmt::skip]
     fn one_field_changed() -> Vec<(&'static str, ScenarioSpec, bool, bool)> {
         use crate::spec::{TxSpec, UtilitySpec};
-        use prft_core::VerifyMode;
         use prft_game::Theta;
-        use prft_sim::QueueBackend;
         use prft_workload::WorkloadSpec;
+        // `queue` and `verify_mode` are unit shims: no value changes them.
         let ScenarioSpec {
             label, n, max_rounds, horizon, base_seed, synchrony: _, partitions: _, roles: _,
             fork_b_group: _, txs: _, watched: _, censored: _, tau_override: _, accountable,
-            phase_timeout: _, utility: _, schedule: _, workload: _, queue, verify_mode,
+            phase_timeout: _, utility: _, schedule: _, workload: _, queue: (), verify_mode: (),
         } = spec();
-        assert_ne!(queue, QueueBackend::Heap);
-        assert_ne!(verify_mode, VerifyMode::Reference);
         let window = PartitionSpec {
             start: 900,
             end: 2_000,
@@ -459,8 +453,6 @@ mod tests {
             ("utility", ScenarioSpec { utility: Some(utility), ..spec() }, false, true),
             ("schedule", ScenarioSpec { schedule: vec![(500, TimelineEvent::Crash(1))], ..spec() }, true, true),
             ("workload", ScenarioSpec { workload: Some(WorkloadSpec::steady(4, 100)), ..spec() }, true, true),
-            ("queue", ScenarioSpec { queue: QueueBackend::Heap, ..spec() }, false, false),
-            ("verify_mode", ScenarioSpec { verify_mode: VerifyMode::Reference, ..spec() }, false, false),
         ]
     }
 
@@ -473,9 +465,8 @@ mod tests {
         b.watched = vec![9];
         let t = 1000;
         assert_eq!(prefix_fingerprint(&a, t), prefix_fingerprint(&b, t));
-        // Only the measurement and execution-strategy fields leave the
-        // state key unchanged; the cache key still sees the measurement
-        // fields.
+        // Only the measurement fields leave the state key unchanged; the
+        // cache key still sees them.
         let mut neutral = Vec::new();
         for (field, changed, moves_state, moves_cache) in one_field_changed() {
             if !moves_state {
@@ -489,7 +480,7 @@ mod tests {
                 neutral.push(field);
             }
         }
-        let listed = "label base_seed watched utility queue verify_mode";
+        let listed = "label base_seed watched utility";
         assert_eq!(neutral.join(" "), listed);
     }
 

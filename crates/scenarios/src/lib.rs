@@ -73,8 +73,6 @@ pub use build::{
 pub use checkpoint::{prefix_fingerprint, CheckpointEntry, CheckpointStore, ReuseStats};
 pub use explore::{Exploration, GameDef, GameEval, GameExplorer, UtilityCache};
 pub use games::{find_game, game_registry};
-pub use prft_core::VerifyMode;
-pub use prft_sim::QueueBackend;
 pub use prft_workload::{
     ArrivalModel, Metric as WorkloadMetric, RejectAction, RetryPolicy, WorkloadRunStats,
     WorkloadSpec, METRICS as WORKLOAD_METRICS,

@@ -4,7 +4,7 @@ use crate::build::{replica, scheduled_delay_rules};
 use crate::json::Json;
 use crate::spec::{Role, ScenarioSpec, Synchrony, TimelineEvent};
 use prft_core::analysis::RunReport;
-use prft_core::{AsReplica, Phase, Replica, VerifyMode};
+use prft_core::{AsReplica, Phase, Replica};
 use prft_game::{analytic, SystemState};
 use prft_sim::obs::hooks::HookSnapshot;
 use prft_sim::{Node, ObsRegistry, RunOutcome, Simulation};
@@ -88,7 +88,7 @@ fn stats_json(w: &WorkloadRunStats) -> Json {
 
 impl RunRecord {
     /// Stable string name for the run outcome.
-    pub fn outcome_str(&self) -> &'static str {
+    fn outcome_str(&self) -> &'static str {
         match self.outcome {
             RunOutcome::Quiescent => "quiescent",
             RunOutcome::HorizonReached => "horizon",
@@ -329,11 +329,10 @@ pub const INVARIANTS: &[Invariant] = &[
 ];
 
 /// `memo_hits + memo_misses == sig_verifies`: a seat checks every
-/// signature through its verify memo. Applies on the fast verify path
-/// only: the reference path has no memo.
+/// signature through its verify memo (the reference verifier charges each
+/// of its verifications as a miss).
 fn memo_identity(f: &Finished) -> Option<bool> {
-    let memoized = f.hooks.memo_hits + f.hooks.memo_misses;
-    (f.spec.verify_mode == VerifyMode::Fast).then_some(memoized == f.hooks.sig_verifies)
+    Some(f.hooks.memo_hits + f.hooks.memo_misses == f.hooks.sig_verifies)
 }
 
 /// The tick after which nothing disrupts a run of `spec`: the latest of

@@ -4,9 +4,7 @@
 //! Sync`, so the batch runner can hand the same spec to every worker thread
 //! and build an independent simulation per seed.
 
-use prft_core::VerifyMode;
 use prft_game::Theta;
-use prft_sim::QueueBackend;
 use prft_workload::WorkloadSpec;
 
 /// Which synchrony flavour the run executes under (Section 3.3).
@@ -227,17 +225,16 @@ pub struct ScenarioSpec {
     /// `Some` appends `workload.clients` client actors behind the
     /// committee and switches the run to the mixed-population path.
     pub workload: Option<WorkloadSpec>,
-    /// Which event-queue backend drains the run. **Not** part of the
-    /// fingerprint: pop order (and with it every observable) is pinned
-    /// byte-identical across backends, so this knob selects an execution
-    /// strategy, never a semantics (see `docs/PERFORMANCE.md`).
-    pub queue: QueueBackend,
-    /// How replicas verify ballots and certificates: the memoized fast
-    /// path or the reference verify-on-every-arrival path. **Not** part
-    /// of the fingerprint either — the fast-vs-slow differential suite
-    /// pins every report byte-identical across modes, so like `queue`
-    /// this selects an execution strategy, never a semantics.
-    pub verify_mode: VerifyMode,
+    // Exists only because the frozen `benchmark/` crate still reads it;
+    // goes away with the next change to `benchmark/`. Every run drains the
+    // calendar queue.
+    #[doc(hidden)]
+    pub queue: (),
+    // Exists only because the frozen `benchmark/` crate still reads it;
+    // goes away with the next change to `benchmark/`. Every seat verifies
+    // through its memo.
+    #[doc(hidden)]
+    pub verify_mode: (),
 }
 
 impl ScenarioSpec {
@@ -263,8 +260,8 @@ impl ScenarioSpec {
             utility: None,
             schedule: Vec::new(),
             workload: None,
-            queue: QueueBackend::default(),
-            verify_mode: VerifyMode::default(),
+            queue: (),
+            verify_mode: (),
         }
     }
 
@@ -272,24 +269,6 @@ impl ScenarioSpec {
     #[must_use]
     pub fn workload(mut self, workload: WorkloadSpec) -> Self {
         self.workload = Some(workload);
-        self
-    }
-
-    /// Selects the event-queue backend (default: calendar). Results never
-    /// depend on it — the backend-equivalence tests pin byte-identity —
-    /// so it does not fingerprint.
-    #[must_use]
-    pub fn queue(mut self, backend: QueueBackend) -> Self {
-        self.queue = backend;
-        self
-    }
-
-    /// Selects the verification strategy (default: the memoized fast
-    /// path). Results never depend on it — the fast-vs-slow differential
-    /// suite pins byte-identity — so it does not fingerprint.
-    #[must_use]
-    pub fn verify_mode(mut self, mode: VerifyMode) -> Self {
-        self.verify_mode = mode;
         self
     }
 
@@ -412,12 +391,6 @@ impl ScenarioSpec {
     /// synchrony, schedule, economics, base seed, …) changes the text,
     /// and a hit is text equality, so a cell can never be served for
     /// another spec.
-    ///
-    /// The `queue` backend and `verify_mode` stay canonicalized away:
-    /// the backend-equivalence and fast-vs-slow differential tests pin
-    /// every run observable byte-identical across those knobs, so two
-    /// specs differing only in them describe the same experiment and
-    /// must share cache cells.
     pub fn fingerprint(&self) -> String {
         format!(
             "{}|label:{:?}|base_seed:{}|watched:{:?}|utility:{:?}",
@@ -612,42 +585,6 @@ mod tests {
             .at(5, TimelineEvent::Recover(0))
             .at(5, TimelineEvent::Crash(0));
         assert_ne!(ab.fingerprint(), ba.fingerprint());
-    }
-
-    #[test]
-    fn queue_backend_is_fingerprint_neutral() {
-        // The backend changes execution strategy, never results, so two
-        // specs differing only in `queue` must share explorer cache cells
-        // (equal fingerprints) while still comparing unequal as data.
-        let calendar = ScenarioSpec::new("x", 4, 1).queue(QueueBackend::Calendar);
-        let heap = ScenarioSpec::new("x", 4, 1).queue(QueueBackend::Heap);
-        assert_eq!(calendar.fingerprint(), heap.fingerprint());
-        assert_ne!(calendar, heap);
-        // …but every *semantic* field still fingerprints (guard against
-        // the canonical clone accidentally widening the exclusion).
-        assert_ne!(
-            heap.fingerprint(),
-            ScenarioSpec::new("x", 5, 1)
-                .queue(QueueBackend::Heap)
-                .fingerprint()
-        );
-    }
-
-    #[test]
-    fn verify_mode_is_fingerprint_neutral() {
-        // Like the queue backend: the fast-vs-slow differential suite pins
-        // reports byte-identical across modes, so the knob must share
-        // explorer cache cells while still comparing unequal as data.
-        let fast = ScenarioSpec::new("x", 4, 1).verify_mode(VerifyMode::Fast);
-        let reference = ScenarioSpec::new("x", 4, 1).verify_mode(VerifyMode::Reference);
-        assert_eq!(fast.fingerprint(), reference.fingerprint());
-        assert_ne!(fast, reference);
-        assert_ne!(
-            reference.fingerprint(),
-            ScenarioSpec::new("x", 5, 1)
-                .verify_mode(VerifyMode::Reference)
-                .fingerprint()
-        );
     }
 
     #[test]

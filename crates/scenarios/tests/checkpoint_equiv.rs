@@ -9,8 +9,7 @@
 //! * fork-at-each-boundary vs fresh, full single-run report compared as
 //!   bytes (the store is truncated per boundary so the fork is forced to
 //!   start exactly there, not just at the deepest capture);
-//! * warm vs cold grid runs across threads {1, 8} and both queue
-//!   backends;
+//! * warm vs cold grid runs across threads {1, 8};
 //! * `explore run-all` warm vs cold, with the reuse accounting asserted
 //!   (cross-game `shared` cells on lemma4-wide, checkpoint forks from
 //!   fork-defection's shared pre-defection prefix);
@@ -28,8 +27,8 @@
 
 use prft_lab::{
     derive_seed, find, game_registry, registry, report, run_one, run_one_with, BatchReport,
-    BatchRunner, CheckpointStore, Exploration, GameExplorer, QueueBackend, ReuseStats, Role,
-    RunRecord, Scenario, ScenarioSpec, TimelineEvent, WorkloadSpec,
+    BatchRunner, CheckpointStore, Exploration, GameExplorer, ReuseStats, Role, RunRecord, Scenario,
+    ScenarioSpec, TimelineEvent, WorkloadSpec,
 };
 
 /// Registry scenarios with at least one scheduled event.
@@ -98,34 +97,23 @@ fn fork_at_each_boundary_matches_fresh() {
     }
 }
 
-/// Warm and cold grid runs agree byte-for-byte across thread counts and
-/// queue backends.
+/// Warm and cold grid runs agree byte-for-byte across thread counts.
 #[test]
-fn warm_grids_match_cold_across_threads_and_backends() {
+fn warm_grids_match_cold_across_threads() {
     let seeds = 2;
     for scenario in timeline_scenarios() {
-        for backend in [QueueBackend::Heap, QueueBackend::Calendar] {
-            let specs: Vec<ScenarioSpec> = scenario
-                .specs
-                .iter()
-                .cloned()
-                .map(|mut s| {
-                    s.queue = backend;
-                    s
-                })
-                .collect();
-            let cold = BatchRunner::new(1).run_grid_with(&specs, seeds, None);
-            let cold_json = report::scenario_json(scenario.name, seeds, &cold, true);
-            for threads in [1, 8] {
-                let store = CheckpointStore::default();
-                let warm = BatchRunner::new(threads).run_grid_with(&specs, seeds, Some(&store));
-                let warm_json = report::scenario_json(scenario.name, seeds, &warm, true);
-                assert_eq!(
-                    warm_json, cold_json,
-                    "{} diverged warm vs cold (queue={backend:?}, threads={threads})",
-                    scenario.name
-                );
-            }
+        let specs = &scenario.specs;
+        let cold = BatchRunner::new(1).run_grid_with(specs, seeds, None);
+        let cold_json = report::scenario_json(scenario.name, seeds, &cold, true);
+        for threads in [1, 8] {
+            let store = CheckpointStore::default();
+            let warm = BatchRunner::new(threads).run_grid_with(specs, seeds, Some(&store));
+            let warm_json = report::scenario_json(scenario.name, seeds, &warm, true);
+            assert_eq!(
+                warm_json, cold_json,
+                "{} diverged warm vs cold (threads={threads})",
+                scenario.name
+            );
         }
     }
 }
@@ -281,38 +269,30 @@ fn workload_grid() -> Vec<ScenarioSpec> {
 
 /// The tentpole pin: workload (committee-plus-client) grids fork and
 /// capture like committee grids, byte-identically to cold runs across
-/// thread counts and queue backends.
+/// thread counts.
 #[test]
-fn workload_warm_grids_match_cold_across_threads_and_backends() {
+fn workload_warm_grids_match_cold_across_threads() {
     let seeds = 2;
-    for backend in [QueueBackend::Heap, QueueBackend::Calendar] {
-        let specs: Vec<ScenarioSpec> = workload_grid()
-            .into_iter()
-            .map(|mut s| {
-                s.queue = backend;
-                s
-            })
-            .collect();
-        let cold = BatchRunner::new(1).run_grid_with(&specs, seeds, None);
-        let cold_json = report::scenario_json("workload-warm", seeds, &cold, true);
-        for threads in [1, 8] {
-            let store = CheckpointStore::default();
-            let warm = BatchRunner::new(threads).run_grid_with(&specs, seeds, Some(&store));
-            let warm_json = report::scenario_json("workload-warm", seeds, &warm, true);
-            assert_eq!(
-                warm_json, cold_json,
-                "workload grid diverged warm vs cold (queue={backend:?}, threads={threads})"
+    let specs = workload_grid();
+    let cold = BatchRunner::new(1).run_grid_with(&specs, seeds, None);
+    let cold_json = report::scenario_json("workload-warm", seeds, &cold, true);
+    for threads in [1, 8] {
+        let store = CheckpointStore::default();
+        let warm = BatchRunner::new(threads).run_grid_with(&specs, seeds, Some(&store));
+        let warm_json = report::scenario_json("workload-warm", seeds, &warm, true);
+        assert_eq!(
+            warm_json, cold_json,
+            "workload grid diverged warm vs cold (threads={threads})"
+        );
+        // Whether a parallel run forks depends on worker scheduling
+        // (cells may all start before any capture lands); only the
+        // serial order is pinned.
+        if threads == 1 {
+            let stats = store.stats();
+            assert!(
+                stats.forked > 0,
+                "serial workload grid must actually fork: {stats:?}"
             );
-            // Whether a parallel run forks depends on worker scheduling
-            // (cells may all start before any capture lands); only the
-            // serial order is pinned.
-            if threads == 1 {
-                let stats = store.stats();
-                assert!(
-                    stats.forked > 0,
-                    "serial workload grid must actually fork: {stats:?}"
-                );
-            }
         }
     }
 }

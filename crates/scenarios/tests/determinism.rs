@@ -2,7 +2,7 @@
 //! serial sweep of the same scenario produce **byte-identical** reports,
 //! and per-run seeding is order-independent.
 
-use prft_lab::{report, BatchRunner, QueueBackend, Role, ScenarioSpec, Synchrony, UtilitySpec};
+use prft_lab::{report, BatchRunner, Role, ScenarioSpec, Synchrony, UtilitySpec};
 
 /// A scenario exercising the interesting machinery (partial synchrony,
 /// an abstainer, utilities) while staying fast at small n.
@@ -61,34 +61,12 @@ fn flattened_grid_is_thread_invariant_and_matches_per_point_runs() {
 }
 
 #[test]
-fn backend_choice_never_changes_a_report() {
-    // The queue backend is excluded from the spec fingerprint on the
-    // strength of this invariant: heap and calendar drain the same pop
-    // order, so batch reports serialize byte-identically.
-    // The heap queue is a differential oracle constructed here, not a CLI
-    // option; the registry's crash-churn is the timeline-driven input.
-    let churn = prft_lab::find("crash-churn").expect("registered");
-    for spec in [busy_spec(), churn.specs[0].clone()] {
-        let calendar = spec.clone().queue(QueueBackend::Calendar);
-        let heap = spec.queue(QueueBackend::Heap);
-        const SEEDS: u64 = 8;
-        let c = BatchRunner::new(4).run(&calendar, SEEDS);
-        let h = BatchRunner::new(4).run(&heap, SEEDS);
-        assert_eq!(c, h);
-        let c_json = report::scenario_json("b", SEEDS, &[c], true);
-        let h_json = report::scenario_json("b", SEEDS, &[h], true);
-        assert_eq!(c_json, h_json);
-    }
-}
-
-#[test]
-fn large_committee_is_thread_and_backend_invariant() {
+fn large_committee_is_thread_invariant() {
     // A committee-scaling-style point at n = 128 — the scale the calendar
     // queue targets (queue depth ~n²: this run pushes ~49k messages) and
     // well past any committee the rest of the suite builds. Pinned
-    // byte-identical for T=1 vs T=8 *and* heap vs calendar in one shot:
-    // the run loop, the per-worker seeding, and the queue backend all
-    // collapse to one report.
+    // byte-identical for T=1 vs T=8: the run loop and the per-worker
+    // seeding collapse to one report.
     //
     // τ is overridden down and the Reveal/PoF machinery ablated to keep
     // this inside a debug-build test budget: with defaults, certificates
@@ -96,20 +74,21 @@ fn large_committee_is_thread_and_backend_invariant() {
     // an accountable n = 128 round costs minutes of signature re-checks —
     // a release-mode workload (see docs/PERFORMANCE.md). The *message
     // pattern* the queue sees (n² broadcast traffic) is unchanged.
-    let calendar = ScenarioSpec::new("n=128", 128, 1)
+    let spec = ScenarioSpec::new("n=128", 128, 1)
         .base_seed(0x5ca1e)
         .accountable(false)
         .tau(16)
         .horizon(400_000);
-    let heap = calendar.clone().queue(QueueBackend::Heap);
     const SEEDS: u64 = 2;
-    let t1 = BatchRunner::new(1).run(&calendar, SEEDS);
-    let t8 = BatchRunner::new(8).run(&calendar, SEEDS);
-    let t8_heap = BatchRunner::new(8).run(&heap, SEEDS);
+    let t1 = BatchRunner::new(1).run(&spec, SEEDS);
+    let t8 = BatchRunner::new(8).run(&spec, SEEDS);
     assert_eq!(t1, t8, "thread count changed an n = 128 report");
-    let cal_json = report::scenario_json("n128", SEEDS, &[t8], true);
-    let heap_json = report::scenario_json("n128", SEEDS, &[t8_heap], true);
-    assert_eq!(cal_json, heap_json, "backend changed an n = 128 report");
+    let t1_json = report::scenario_json("n128", SEEDS, std::slice::from_ref(&t1), true);
+    let t8_json = report::scenario_json("n128", SEEDS, &[t8], true);
+    assert_eq!(
+        t1_json, t8_json,
+        "thread count changed n = 128 report bytes"
+    );
     // Sanity: the committee actually ran (agreement over a full round).
     assert_eq!(t1.rate("agreement_rate"), 1.0);
 }

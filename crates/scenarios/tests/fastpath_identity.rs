@@ -1,13 +1,16 @@
 //! Scenario-level fast-vs-slow identity: the full JSON report pipeline —
 //! batch runner, aggregates, per-run records, merged observability — is
-//! **byte-identical** whichever [`VerifyMode`] the specs select. This is
-//! the invariant that keeps `verify_mode` out of the spec fingerprint
-//! (see `ScenarioSpec::fingerprint`), exactly as the queue-backend
-//! equivalence tests do for `queue`.
+//! **byte-identical** whether the seats verify through their memo (every
+//! run) or through the reference verifier, which these tests install into
+//! each freshly built committee through `run_sim`'s `configure` hook.
 
+use prft_core::VerifyCache;
 use prft_lab::{
-    report, BatchRunner, Role, ScenarioSpec, Synchrony, TimelineEvent, UtilitySpec, VerifyMode,
+    derive_seed, record_run, report, run_sim, BatchReport, BatchRunner, Role, ScenarioSpec,
+    Synchrony, TimelineEvent, UtilitySpec,
 };
+use prft_sim::obs::hooks;
+use prft_types::NodeId;
 
 /// An accountable committee exercising the verification hot paths: an
 /// equivocating leader (fraud detection + view change), partial
@@ -31,17 +34,35 @@ fn churn_spec() -> ScenarioSpec {
         .horizon(300_000)
 }
 
+/// The batch report of `seeds` cold runs of `spec` with every seat on the
+/// reference verifier, seeded and aggregated as [`BatchRunner`] does.
+fn reference_batch(spec: &ScenarioSpec, seeds: u64) -> BatchReport {
+    let records = (0..seeds)
+        .map(|i| {
+            let seed = derive_seed(spec.base_seed, i);
+            hooks::reset();
+            let (sim, outcome) = run_sim(spec, seed, |sim| {
+                for seat in 0..spec.n {
+                    let replica = sim.node_mut(NodeId(seat)).as_replica_mut();
+                    replica
+                        .expect("committee seat")
+                        .install_verifier(VerifyCache::reference());
+                }
+            });
+            record_run(spec, &sim, seed, outcome)
+        })
+        .collect();
+    BatchReport::from_records(spec.label.clone(), spec.n, records)
+}
+
 #[test]
 fn verify_mode_never_changes_a_report() {
-    // Reference verification is a differential oracle constructed here,
-    // not a CLI option; the registry's crash-churn is the second input.
+    // The registry's crash-churn is the second input.
     let churn = prft_lab::find("crash-churn").expect("registered");
     for spec in [churn_spec(), churn.specs[0].clone()] {
-        let fast = spec.clone().verify_mode(VerifyMode::Fast);
-        let slow = spec.verify_mode(VerifyMode::Reference);
         const SEEDS: u64 = 6;
-        let f = BatchRunner::new(4).run(&fast, SEEDS);
-        let s = BatchRunner::new(4).run(&slow, SEEDS);
+        let f = BatchRunner::new(4).run(&spec, SEEDS);
+        let s = reference_batch(&spec, SEEDS);
         assert_eq!(f, s, "fast path changed a batch report");
         let f_json = report::scenario_json("v", SEEDS, &[f], true);
         let s_json = report::scenario_json("v", SEEDS, &[s], true);
@@ -67,16 +88,8 @@ fn byzantine_grid_is_mode_identical() {
             .horizon(300_000),
     ];
     const SEEDS: u64 = 3;
-    let fast: Vec<ScenarioSpec> = points
-        .iter()
-        .map(|s| s.clone().verify_mode(VerifyMode::Fast))
-        .collect();
-    let slow: Vec<ScenarioSpec> = points
-        .iter()
-        .map(|s| s.clone().verify_mode(VerifyMode::Reference))
-        .collect();
-    let f = BatchRunner::new(4).run_grid(&fast, SEEDS);
-    let s = BatchRunner::new(4).run_grid(&slow, SEEDS);
+    let f = BatchRunner::new(4).run_grid(&points, SEEDS);
+    let s: Vec<BatchReport> = points.iter().map(|p| reference_batch(p, SEEDS)).collect();
     assert_eq!(f, s);
     let f_json = report::scenario_json("grid", SEEDS, &f, true);
     let s_json = report::scenario_json("grid", SEEDS, &s, true);

@@ -1,9 +1,13 @@
 //! The observability layer's contracts: the counter registry aggregates
-//! order-independently (byte-identical reports at any thread count and
-//! across queue backends), counters are monotone under merge and under
-//! longer runs, and the Chrome-trace export is pinned by a golden file.
+//! order-independently (byte-identical reports at any thread count),
+//! counters are monotone under merge and under longer runs, every
+//! verification is a memo hit or miss, and the Chrome-trace export is
+//! pinned by a golden file.
 
-use prft_lab::{report, BatchRunner, QueueBackend, ScenarioSpec};
+use prft_core::VerifyCache;
+use prft_lab::{report, BatchRunner, ScenarioSpec};
+use prft_sim::obs::hooks;
+use prft_types::NodeId;
 use proptest::prelude::*;
 
 /// The fig2 single-round committee: small, crash-free, quiescent — the
@@ -38,18 +42,6 @@ fn observability_section_is_thread_invariant() {
     assert_eq!(s, p);
     assert!(s.contains("\"observability\""));
     assert!(s.contains("\"crypto.sig_verifies\""));
-}
-
-#[test]
-fn observability_section_is_queue_backend_invariant() {
-    let spec = probe_spec();
-    const SEEDS: u64 = 6;
-    let heap = BatchRunner::new(4).run(&spec.clone().queue(QueueBackend::Heap), SEEDS);
-    let calendar = BatchRunner::new(4).run(&spec.queue(QueueBackend::Calendar), SEEDS);
-    assert_eq!(heap.observability, calendar.observability);
-    let h = report::scenario_json("q", SEEDS, &[heap], false);
-    let c = report::scenario_json("q", SEEDS, &[calendar], false);
-    assert_eq!(h, c);
 }
 
 #[test]
@@ -212,8 +204,11 @@ fn workload_trace_shows_the_reported_run() {
 }
 
 /// A seat checks every signature through its verify memo: in every
-/// registry cell at two seeds, each logical verification the hooks count
-/// is a memo hit or a memo miss — view changes and `Expose`s included.
+/// registry cell at two seeds (the runs of `run-all --seeds 2`), each
+/// logical verification the hooks count is a memo hit or a memo miss —
+/// view changes and `Expose`s included — and the `memo_identity` row
+/// holds. So does a `crash-churn` run on the reference verifier, which
+/// charges every verification as a miss.
 #[test]
 fn every_verification_is_a_memo_hit_or_miss() {
     let cells: Vec<(String, ScenarioSpec, u64)> = prft_lab::registry()
@@ -232,13 +227,31 @@ fn every_verification_is_a_memo_hit_or_miss() {
         })
         .collect();
     let short = prft_lab::par_map(2, &cells, |_, (cell, spec, seed)| {
-        prft_lab::run_one(spec, *seed);
-        let h = prft_sim::obs::hooks::snapshot();
-        (h.memo_hits + h.memo_misses != h.sig_verifies).then(|| format!("{cell}: {h:?}"))
+        let record = prft_lab::run_one(spec, *seed);
+        let h = hooks::snapshot();
+        let holds = h.sig_verifies > 0 && h.memo_hits + h.memo_misses == h.sig_verifies;
+        (!holds || !record.kept("memo_identity")).then(|| format!("{cell}: {h:?}"))
     });
     let short: Vec<String> = short.into_iter().flatten().collect();
     assert_eq!(cells.len(), 102);
     assert!(short.is_empty(), "{}", short.join("\n"));
+
+    let spec = &prft_lab::find("crash-churn").expect("registered").specs[0];
+    let seed = prft_lab::derive_seed(spec.base_seed, 0);
+    hooks::reset();
+    let (sim, outcome) = prft_lab::run_sim(spec, seed, |sim| {
+        for seat in 0..spec.n {
+            let replica = sim.node_mut(NodeId(seat)).as_replica_mut();
+            replica
+                .expect("committee seat")
+                .install_verifier(VerifyCache::reference());
+        }
+    });
+    let h = hooks::snapshot();
+    let record = prft_lab::record_run(spec, &sim, seed, outcome);
+    assert!(h.sig_verifies > 0 && h.memo_hits == 0, "{h:?}");
+    assert_eq!(h.memo_misses, h.sig_verifies, "{h:?}");
+    assert!(record.kept("memo_identity"));
 }
 
 proptest! {

@@ -111,15 +111,15 @@ fn registry_fingerprints_match_the_pinned_keys() {
     };
     assert_eq!(
         keys(&|s| s.fingerprint()),
-        "70d4d8baaa9c51c8c982a38fbe034a14790cd7aae1efad22b7439962978d2ed9"
+        "b4faaa5881673ddfd0d2c8ca74bf24e6c055541d284d5e84d7050e8884a696d8"
     );
     assert_eq!(
         keys(&|s| prft_lab::prefix_fingerprint(s, 1)),
-        "e208542459c0773161ba346ed5998292b96ceb0e5216fb7c730711ca5a4bceea"
+        "8b4364284f8f2b7dcb01891f55819b425b473e8444f009297759e34f195a37a4"
     );
     assert_eq!(
         keys(&|s| prft_lab::prefix_fingerprint(s, s.horizon)),
-        "b7b5887f8e743fcec3557fe5c4cce159e21608fdcd0044022a0472077c2e31db"
+        "911be36c0e37e002bb419f1fa3e351aa5c347e263b145ef682f24614f0ca8eb8"
     );
 }
 
@@ -145,6 +145,6 @@ fn game_fingerprints_match_the_pinned_key() {
     assert_eq!(profiles, 111);
     assert_eq!(
         pin(keys.into_iter()),
-        "406c36e1468a329abe18c3a4b3452cad6c88e3a66268cea7f2b5c0d09518b809"
+        "6da5fa687b7ac412cffa193d92120130601e85a0ba1dac0a2f0e3a0e474c0891"
     );
 }

@@ -10,7 +10,7 @@
 //! adversarially-busy scenario shape.
 
 use prft_game::Theta;
-use prft_lab::{QueueBackend, Role, ScenarioSpec, TimelineEvent, UtilitySpec};
+use prft_lab::{Role, ScenarioSpec, TimelineEvent, UtilitySpec};
 use prft_sim::SimTime;
 
 fn fork_spec() -> ScenarioSpec {
@@ -104,20 +104,4 @@ fn crash_and_cancel_bookkeeping_replays_identically() {
     let b = scheduled_trace_of(&spec, 13);
     assert!(!a.is_empty());
     assert_eq!(a, b, "crash/cancel-heavy run must replay the same trace");
-}
-
-#[test]
-fn queue_backends_drain_identical_traces() {
-    // The tentpole invariant at the trace level (stronger than report
-    // identity): heap and calendar backends deliver every message at the
-    // same tick, in the same order, for an adversarially busy fork run
-    // *and* for the crash/cancel churn run.
-    for spec in [fork_spec(), churn_spec()] {
-        let heap = spec.clone().queue(QueueBackend::Heap);
-        let calendar = spec.clone().queue(QueueBackend::Calendar);
-        let h = scheduled_trace_of(&heap, 21);
-        let c = scheduled_trace_of(&calendar, 21);
-        assert!(!h.is_empty());
-        assert_eq!(h, c, "{}: backends diverged", spec.label);
-    }
 }

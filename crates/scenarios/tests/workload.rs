@@ -1,13 +1,10 @@
 //! The workload subsystem's reproducibility and accounting contracts:
 //! client populations ride the same deterministic engine as the committee,
-//! so a workload sweep is byte-identical at any thread count and across
-//! queue backends — including at the 1000-client scale the acceptance
-//! criteria pin — and every run conserves transactions
-//! (`submitted == committed + dropped + pending`).
+//! so a workload sweep is byte-identical at any thread count — including
+//! at the 1000-client scale the acceptance criteria pin — and every run
+//! conserves transactions (`submitted == committed + dropped + pending`).
 
-use prft_lab::{
-    report, BatchRunner, QueueBackend, RejectAction, RetryPolicy, ScenarioSpec, WorkloadSpec,
-};
+use prft_lab::{report, BatchRunner, RejectAction, RetryPolicy, ScenarioSpec, WorkloadSpec};
 use proptest::prelude::*;
 
 /// A 1000-client steady-load spec sized for test (debug-build) speed:
@@ -52,23 +49,11 @@ fn thousand_clients_thread_invariant() {
 }
 
 #[test]
-fn thousand_clients_backend_invariant() {
-    let spec = kiloclient_spec();
-    const SEEDS: u64 = 2;
-    let heap = BatchRunner::new(4).run(&spec.clone().queue(QueueBackend::Heap), SEEDS);
-    let calendar = BatchRunner::new(4).run(&spec.queue(QueueBackend::Calendar), SEEDS);
-    let h = report::scenario_json("wl", SEEDS, &[heap], true);
-    let c = report::scenario_json("wl", SEEDS, &[calendar], true);
-    assert_eq!(h, c, "queue backend must never change a workload report");
-}
-
-#[test]
-fn burst_load_thread_and_backend_invariant() {
+fn burst_load_is_thread_invariant() {
     let spec = burst_spec();
     const SEEDS: u64 = 3;
     let serial = BatchRunner::new(1).run(&spec, SEEDS);
-    let parallel = BatchRunner::new(8).run(&spec.clone().queue(QueueBackend::Calendar), SEEDS);
-    // One cross-product probe: serial+heap vs parallel+calendar.
+    let parallel = BatchRunner::new(8).run(&spec, SEEDS);
     let s = report::scenario_json("wl", SEEDS, &[serial], true);
     let p = report::scenario_json("wl", SEEDS, &[parallel], true);
     assert_eq!(s, p);

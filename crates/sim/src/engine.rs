@@ -278,12 +278,6 @@ impl<N: Node> SimSnapshot<N> {
     pub fn pending_events(&self) -> usize {
         self.state.queue.len()
     }
-
-    /// The queue backend the source simulation was draining (the default
-    /// backend for [`Simulation::restore`]).
-    pub fn backend(&self) -> QueueBackend {
-        self.state.queue.backend()
-    }
 }
 
 /// The simulation: `n` nodes, a link model, an event queue, and meters.
@@ -294,17 +288,19 @@ pub struct Simulation<N: Node> {
 
 impl<N: Node> Simulation<N> {
     /// Builds a simulation over `nodes` with the given link model and
-    /// seed, draining the default queue backend.
+    /// seed, draining the calendar queue.
     ///
     /// # Panics
     /// Panics if `nodes` is empty.
     pub fn new(nodes: Vec<N>, link: Box<dyn LinkModel>, seed: u64) -> Self {
-        Simulation::with_backend(nodes, link, seed, QueueBackend::default())
+        Simulation::with_backend(nodes, link, seed, QueueBackend::Calendar)
     }
 
     /// Builds a simulation draining the given queue `backend`. The backend
     /// never changes results — pop order is pinned identical across
-    /// backends — only speed.
+    /// backends — only speed. Every run drains the calendar queue
+    /// ([`Simulation::new`]); the heap is the reference that
+    /// `queue_equiv.rs` and `prft-bench queue` hold the calendar to.
     ///
     /// # Panics
     /// Panics if `nodes` is empty.
@@ -394,11 +390,6 @@ impl<N: Node> Simulation<N> {
     /// The message meter.
     pub fn meter(&self) -> &Meter {
         &self.state.meter
-    }
-
-    /// Which event-queue backend this simulation drains.
-    pub fn queue_backend(&self) -> QueueBackend {
-        self.state.queue.backend()
     }
 
     /// Number of events currently pending in the queue.
@@ -707,7 +698,7 @@ impl<N: Node> Simulation<N> {
     }
 
     /// Revives a simulation from `snapshot`, draining the backend the
-    /// snapshot was taken under.
+    /// snapshot was taken under (the queue is part of the state).
     ///
     /// The link model is not part of the snapshot (it is a boxed trait
     /// object the engine cannot clone); the caller re-supplies it. Every
@@ -718,31 +709,10 @@ impl<N: Node> Simulation<N> {
     where
         N: Clone,
     {
-        Simulation::restore_with_backend(snapshot, link, snapshot.backend())
-    }
-
-    /// Revives a simulation from `snapshot` onto an explicitly chosen
-    /// queue backend — pop order is pinned identical across backends, so
-    /// a snapshot taken under one backend replays byte-identically under
-    /// another. The pending events are re-placed only when `backend`
-    /// differs from the snapshot's.
-    pub fn restore_with_backend(
-        snapshot: &SimSnapshot<N>,
-        link: Box<dyn LinkModel>,
-        backend: QueueBackend,
-    ) -> Simulation<N>
-    where
-        N: Clone,
-    {
-        let mut state = snapshot.state.clone();
-        if state.queue.backend() != backend {
-            let mut queue = backend.build();
-            while let Some((at, seq, body)) = state.queue.pop() {
-                queue.push(at, seq, body);
-            }
-            state.queue = queue;
+        Simulation {
+            state: snapshot.state.clone(),
+            link,
         }
-        Simulation { state, link }
     }
 }
 
@@ -1113,7 +1083,6 @@ mod tests {
     #[test]
     fn engine_counters_track_queue_pressure() {
         let mut s = sim(4);
-        assert_eq!(s.queue_backend(), QueueBackend::Calendar);
         // Four Start events are pending before the run.
         assert_eq!(s.queue_len(), 4);
         s.run();
@@ -1250,24 +1219,19 @@ mod tests {
 
     #[test]
     fn snapshot_restores_across_backends() {
-        let mut s: Simulation<Echo> = Simulation::with_backend(
-            (0..5).map(|_| Echo::new()).collect(),
-            Box::new(ConstantDelay(SimTime(3))),
-            9,
-            QueueBackend::Calendar,
-        );
-        s.set_tracing(true);
-        s.inject(SimTime(25), NodeId(9), NodeId(4), TestMsg::Hello(3));
-        s.run_before(SimTime(25));
-        let snap = s.snapshot();
-        assert_eq!(snap.backend(), QueueBackend::Calendar);
+        // A snapshot carries its queue: on either backend the restored
+        // fork finishes as the uninterrupted run does, and the two agree.
         let link = || -> Box<dyn LinkModel> { Box::new(ConstantDelay(SimTime(3))) };
-        let heap = finish(Simulation::restore_with_backend(
-            &snap,
-            link(),
-            QueueBackend::Heap,
-        ));
-        let calendar = finish(Simulation::restore(&snap, link()));
+        let [heap, calendar] = QueueBackend::ALL.map(|backend| {
+            let nodes = (0..5).map(|_| Echo::new()).collect();
+            let mut s: Simulation<Echo> = Simulation::with_backend(nodes, link(), 9, backend);
+            s.set_tracing(true);
+            s.inject(SimTime(25), NodeId(9), NodeId(4), TestMsg::Hello(3));
+            s.run_before(SimTime(25));
+            let fork = finish(Simulation::restore(&s.snapshot(), link()));
+            assert_eq!(fork, finish(s), "{backend}");
+            fork
+        });
         assert_eq!(heap, calendar);
     }
 
@@ -1294,17 +1258,11 @@ mod tests {
     }
 
     #[test]
-    fn restore_adopts_the_requested_backend_and_keeps_the_valve() {
+    fn a_restored_fork_keeps_the_valve() {
         let mut s = sim(3);
         s.state.event_limit = 2;
         let snap = s.snapshot();
-        let mut r = Simulation::restore_with_backend(
-            &snap,
-            Box::new(ConstantDelay(SimTime(5))),
-            QueueBackend::Heap,
-        );
-        assert_eq!(snap.backend(), QueueBackend::Calendar);
-        assert_eq!(r.queue_backend(), QueueBackend::Heap);
+        let mut r = Simulation::restore(&snap, Box::new(ConstantDelay(SimTime(5))));
         // The whole state struct rides in the snapshot — the safety valve
         // set on the original trips in the fork too.
         assert_eq!(r.run(), RunOutcome::EventLimit);

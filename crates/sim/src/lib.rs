@@ -5,11 +5,12 @@
 //! provides the substrate those runs execute on:
 //!
 //! * a seeded, reproducible PRNG ([`SimRng`], SplitMix64 → Xoshiro256**);
-//! * virtual time ([`SimTime`]) and a totally ordered event queue on one
-//!   of two backends (the reference [`HeapQueue`] and the fast
-//!   [`CalendarQueue`], selected by [`QueueBackend`]) with in-flight
-//!   message payloads parked in an [`Arena`] — two runs with the same seed
-//!   produce byte-identical traces, whichever backend drains them;
+//! * virtual time ([`SimTime`]) and a totally ordered event queue with
+//!   in-flight message payloads parked in an [`Arena`] — two runs with the
+//!   same seed produce byte-identical traces. Every run drains the
+//!   [`CalendarQueue`]; the reference [`HeapQueue`] is reached only through
+//!   [`Simulation::with_backend`], by the queue's differential tests and
+//!   `prft-bench queue`;
 //! * the [`Node`] trait protocols implement, with a [`Context`] for sending,
 //!   broadcasting, and timer management;
 //! * message metering ([`WireMessage`] kinds and κ-scaled sizes, at every

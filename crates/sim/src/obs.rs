@@ -114,16 +114,16 @@ pub mod hooks {
     pub struct HookSnapshot {
         /// Signature verifications performed (`KeyRegistry::verify` calls),
         /// plus verifications *answered from* a memo cache — the logical
-        /// verify count, identical across `VerifyMode`s.
+        /// verify count, identical on the memo and the reference verifier.
         pub sig_verifies: u64,
         /// Logical verifications replayed from a seat's certificate table
         /// (a verdict it reached on the same certificate allocation
-        /// before). Zero on the reference path.
+        /// before). Zero on the reference verifier, which caches nothing.
         pub memo_hits: u64,
         /// Every other logical verification through a seat's verify memo,
         /// whether the seat compared the signature or another seat had
-        /// already proved the certificate it arrived in. Zero on the
-        /// reference path.
+        /// already proved the certificate it arrived in. On the reference
+        /// verifier, every verification.
         pub memo_misses: u64,
     }
 

@@ -6,21 +6,23 @@
 //! as one variant of a two-variant enum (so cloning the engine state
 //! clones its pending events too):
 //!
-//! * [`HeapQueue`] — the original `BinaryHeap`, kept as the reference
-//!   implementation ("what the seed engine did, bit for bit");
 //! * [`CalendarQueue`] — single-tick buckets over a lazily resized ring
 //!   with a heap overflow for far-future events. Push and pop are O(1)
 //!   amortized instead of O(log len), which is what lets large-n
 //!   committees (n ≥ 128, queue depth ~n²) stop paying a ~16-level
-//!   sift per event.
+//!   sift per event. Every run drains it ([`crate::Simulation::new`]).
+//! * [`HeapQueue`] — the original `BinaryHeap`, kept as the reference
+//!   implementation ("what the seed engine did, bit for bit"). Only
+//!   [`crate::Simulation::with_backend`] builds an engine on it, for its
+//!   oracles: `crates/sim/tests/queue_equiv.rs` (a differential property
+//!   test over both backends), the engine's own
+//!   `backends_produce_identical_traces`, and `prft-bench queue`'s
+//!   calendar ≥ heap throughput gate.
 //!
 //! Both backends implement the **exact same pop order** — earliest time
 //! first, ties broken by insertion sequence — so a run's outputs are
-//! byte-identical whichever backend drains it. That identity is pinned by
-//! `crates/sim/tests/queue_equiv.rs` (differential property test) and by
-//! the cross-backend determinism tests in `crates/scenarios`, and it is
-//! why [`QueueBackend`] is deliberately *excluded* from the scenario
-//! fingerprint: the knob selects an execution strategy, not a semantics.
+//! byte-identical whichever backend drains it; the backend is an
+//! execution detail, not a semantics, and no scenario names it.
 //!
 //! # Ordering contract
 //!
@@ -38,17 +40,16 @@ use crate::SimTime;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// Which event-queue backend a simulation drains.
+/// Which event-queue backend a simulation drains
+/// ([`crate::Simulation::with_backend`]).
 ///
 /// The choice never affects results — pop order is pinned identical across
-/// backends — only speed, so it is excluded from spec fingerprints and
-/// defaults to the fast path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// backends — only speed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueueBackend {
     /// The reference `BinaryHeap` (O(log len) per operation).
     Heap,
-    /// The calendar queue (O(1) amortized; the default).
-    #[default]
+    /// The calendar queue (O(1) amortized; what every run drains).
     Calendar,
 }
 
@@ -90,14 +91,6 @@ pub(crate) enum Queue<T> {
 }
 
 impl<T> Queue<T> {
-    /// Which backend this is.
-    pub(crate) fn backend(&self) -> QueueBackend {
-        match self {
-            Queue::Heap(_) => QueueBackend::Heap,
-            Queue::Calendar(_) => QueueBackend::Calendar,
-        }
-    }
-
     pub(crate) fn push(&mut self, at: SimTime, seq: u64, item: T) {
         match self {
             Queue::Heap(q) => q.push(at, seq, item),
@@ -442,7 +435,6 @@ mod tests {
             QueueBackend::ALL.map(|b| b.to_string()),
             ["heap", "calendar"]
         );
-        assert_eq!(QueueBackend::default(), QueueBackend::Calendar);
     }
 
     #[test]

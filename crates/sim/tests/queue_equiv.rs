@@ -4,10 +4,10 @@
 //! interleaved push/pop, and peeks that settle the calendar cursor ahead
 //! of later pushes — including the tie order at equal ticks.
 //!
-//! This is the contract that lets `QueueBackend` stay outside the
-//! scenario fingerprint: if pop order ever diverged, every scenario
-//! replay would diverge with it, so the property is driven hard here
-//! (devstubs-proptest samples deterministic pseudo-random schedules).
+//! This is the contract that lets every run drain the calendar queue
+//! while the heap stays the reference: if pop order ever diverged, every
+//! scenario replay would diverge with it, so the property is driven hard
+//! here (devstubs-proptest samples deterministic pseudo-random schedules).
 
 use prft_sim::{CalendarQueue, HeapQueue, SimTime};
 use proptest::prelude::*;

@@ -4,7 +4,7 @@
 use crate::client::Client;
 use crate::spec::WorkloadSpec;
 use prft_core::{AsReplica, PrftMsg, Replica};
-use prft_sim::{Context, LinkModel, Node, QueueBackend, Simulation, TimerId};
+use prft_sim::{Context, LinkModel, Node, Simulation, TimerId};
 use prft_types::NodeId;
 
 /// One actor of a workload simulation: either a committee replica
@@ -81,7 +81,6 @@ pub fn assemble(
     spec: &WorkloadSpec,
     network: Box<dyn LinkModel>,
     seed: u64,
-    queue: QueueBackend,
 ) -> Simulation<Actor> {
     let n = replicas.len();
     assert!(n > 0, "workload needs a committee");
@@ -100,7 +99,7 @@ pub fn assemble(
             spec,
         ))));
     }
-    let mut sim = Simulation::with_backend(actors, network, seed, queue);
+    let mut sim = Simulation::new(actors, network, seed);
     sim.set_broadcast_domain(n);
     sim
 }

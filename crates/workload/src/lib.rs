@@ -29,8 +29,8 @@
 //! let spec = WorkloadSpec::steady(20, 400).txs_per_client(2);
 //! // Build the committee as usual, then hand its parts to the workload
 //! // assembler, which appends the clients.
-//! let (replicas, network, seed, queue) = Harness::new(8, 42).max_rounds(40).build_parts();
-//! let mut sim = assemble(replicas, &spec, network, seed, queue);
+//! let (replicas, network, seed, _) = Harness::new(8, 42).max_rounds(40).build_parts();
+//! let mut sim = assemble(replicas, &spec, network, seed);
 //! sim.run_until(SimTime(1_000_000));
 //! let stats = WorkloadRunStats::collect(&sim);
 //! assert!(stats.conserved());
