@@ -230,6 +230,90 @@ mod tests {
         assert_ne!(a, b);
     }
 
+    fn hex(d: Digest) -> String {
+        d.0.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// `Digest::of_bytes` outputs recorded from the one-byte-at-a-time
+    /// loop: every lane-count remainder at short and cache-line lengths,
+    /// and a 512-transaction block's canonical bytes (what a proposal
+    /// hashes). Any rewrite of the loop must reproduce each one.
+    #[test]
+    fn digest_outputs_are_pinned() {
+        const PINNED: [(usize, &str); 13] = [
+            (
+                0,
+                "2098866b5927d3e92ea3b99bf04d4cf1425e46368f28b9701cd5a99f8de79a24",
+            ),
+            (
+                1,
+                "89189944a778dedeef978b7a520e15932b31380d1eaf3b03a116a98f3ccc21f3",
+            ),
+            (
+                2,
+                "cd84ee75f43efecad41dd356c96756990e1da4423d8c8ca97597d58f3df34cb2",
+            ),
+            (
+                3,
+                "695d33368ede7270a714a5e5f8efd8795c9abdf1a02259773ad5b078622e7eca",
+            ),
+            (
+                4,
+                "07a1fdd9cf2485f77f816d693c47ed259540641ec193e0d6717c24d448c86481",
+            ),
+            (
+                5,
+                "d0d3a54dd09204913948d3a97541a406089e96b348b69dc4248fae7b1b9911da",
+            ),
+            (
+                6,
+                "ba3b6f594fd0b6c89af59daa70a67fd336d93d271a56efd2d66a1d047bb3f13f",
+            ),
+            (
+                7,
+                "16b54d8c7755847b78acae1e2743e64ce522a3cd8312e7ae1062bfd4ebec552c",
+            ),
+            (
+                8,
+                "74c93404cc5d2d6f9da85816bc22db9698f0cdc2a4670527b4ef8507ad319936",
+            ),
+            (
+                9,
+                "4237eb2e1c8ca4b94b03ea8d88c02b5d9c819056874673658f2e9de4eb87c399",
+            ),
+            (
+                63,
+                "40912e951e5bbe5c9ce118a7224d0e895d3a49391586bbdac59365ba0aee0d80",
+            ),
+            (
+                64,
+                "808d691a523aa0e100f6cf47a0ce3aadab1f1c73ffe2d7ab07415779a05471eb",
+            ),
+            (
+                65,
+                "d526da6e8f55478bb985b82ab87f96b6720fd1406084ad113ffa80afeaa5d084",
+            ),
+        ];
+        for (len, want) in PINNED {
+            let input: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+            assert_eq!(hex(Digest::of_bytes(&input)), want, "length {len}");
+        }
+
+        let txs = (0..512u64)
+            .map(|i| {
+                let id = (1 << 32) + i * (1 << 20);
+                crate::Transaction::new(id, NodeId(8 + i as usize), vec![0xAB; 50])
+            })
+            .collect();
+        let block = crate::Block::new(Round(7), Digest::of_bytes(b"parent"), NodeId(3), txs);
+        let bytes = block.canonical_bytes();
+        assert_eq!(bytes.len(), 37_952);
+        assert_eq!(
+            hex(Digest::of_bytes(&bytes)),
+            "347e5870ede92f29e0242870d4159300cd32bb5ea21457e3a0415e8ee11c4d83"
+        );
+    }
+
     #[test]
     fn digest_display_is_short_hex() {
         let d = Digest::of_bytes(b"x");
