@@ -49,7 +49,7 @@ use crate::verify::VerifyCache;
 use prft_crypto::{verify_pof, KeyRegistry, SecretKey, Signed};
 use prft_sim::{Context, Node, SimTime, TimerId};
 use prft_types::{
-    Block, Chain, Digest, Height, Mempool, MempoolError, NodeId, Round, Transaction, TxId,
+    Block, Chain, Digest, Height, IdSet, Mempool, MempoolError, NodeId, Round, Transaction, TxId,
 };
 use std::collections::{hash_map::Entry, BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -512,7 +512,7 @@ impl Replica {
     /// The leader's block: a batch read from the mempool, passing over
     /// the txs already carried by our own not-yet-final chain suffix.
     fn honest_block(&mut self) -> Block {
-        let in_suffix: HashSet<TxId> = self
+        let in_suffix: IdSet<TxId> = self
             .chain
             .iter()
             .skip(self.chain.final_height() as usize + 1)

@@ -18,7 +18,7 @@
 
 use crate::queue::{Queue, QueueBackend};
 use crate::{Arena, Meter, MsgRef, SimRng, SimTime, Trace, TraceEntry, WireMessage};
-use prft_types::NodeId;
+use prft_types::{IdSet, NodeId};
 use std::collections::BTreeSet;
 
 /// Handle to a pending timer, returned by [`Context::set_timer`].
@@ -223,12 +223,13 @@ struct EngineState<N: Node> {
     now: SimTime,
     seq: u64,
     next_timer: u64,
-    // Determinism audit (see the PR-1 `replica.rs` regression): these sets
-    // are only ever probed (`contains`/`insert`/`remove`), never iterated,
-    // so a `HashSet` would be replay-safe today — but `BTreeSet` makes the
-    // ordered iteration *guarantee* structural, so a future `for` loop over
-    // them cannot quietly reintroduce per-instance hash-order randomness.
-    cancelled: BTreeSet<TimerId>,
+    // Determinism audit: `cancelled` is probed once per fired timer, so it
+    // is an `IdSet` (one multiply per probe, where a `BTreeSet` walks a
+    // tree). Its hasher has no random state, so two engines given the same
+    // inserts and removals iterate it in the same order, in any process —
+    // a future `for` loop over it cannot bring in per-instance hash order.
+    // `crashed` is rarely touched and stays ordered.
+    cancelled: IdSet<TimerId>,
     crashed: BTreeSet<NodeId>,
     broadcast_domain: usize,
     rng: SimRng,
@@ -321,7 +322,7 @@ impl<N: Node> Simulation<N> {
             now: SimTime::ZERO,
             seq: 0,
             next_timer: 0,
-            cancelled: BTreeSet::new(),
+            cancelled: IdSet::default(),
             crashed: BTreeSet::new(),
             broadcast_domain: n,
             rng: root.fork(0),

@@ -26,12 +26,14 @@
 
 mod chain;
 mod encode;
+mod hash;
 mod id;
 mod mempool;
 mod transaction;
 
 pub use chain::{BlockEntry, BlockStatus, Chain, ChainError};
 pub use encode::Encoder;
+pub use hash::{IdBuildHasher, IdHasher, IdMap, IdSet};
 pub use id::{Digest, Height, NodeId, Round};
 pub use mempool::{Mempool, MempoolError};
 pub use transaction::{Transaction, TxId};

@@ -1,7 +1,7 @@
 //! A bounded FIFO mempool that also records the ids final at its player,
 //! with backpressure accounting.
 
-use crate::{Transaction, TxId};
+use crate::{IdSet, Transaction, TxId};
 use std::collections::HashSet;
 
 /// Why a [`Mempool::push`] did not admit a transaction.
@@ -30,12 +30,12 @@ pub enum MempoolError {
 #[derive(Debug, Clone, Default)]
 pub struct Mempool {
     pending: Vec<Transaction>,
-    seen: HashSet<TxId>,
+    seen: IdSet<TxId>,
     /// Every id final at this player; disjoint from `seen`.
-    final_here: HashSet<TxId>,
+    final_here: IdSet<TxId>,
     admitted: usize,
     /// The latest batch's ids still pending: in flight, not waiting.
-    reserved: HashSet<TxId>,
+    reserved: IdSet<TxId>,
     capacity: Option<usize>,
     peak_len: usize,
     rejected_full: u64,
