@@ -77,7 +77,7 @@ pub struct Context<'a, M> {
     domain: usize,
     now: SimTime,
     next_timer: &'a mut u64,
-    actions: Vec<Action<M>>,
+    actions: &'a mut Vec<Action<M>>,
     rng: &'a mut SimRng,
 }
 
@@ -285,6 +285,10 @@ impl<N: Node> SimSnapshot<N> {
 pub struct Simulation<N: Node> {
     state: EngineState<N>,
     link: Box<dyn LinkModel>,
+    /// The action buffer every callback's [`Context`] fills, reused so a
+    /// dispatch allocates nothing. It is empty between dispatches, so it
+    /// lives outside `EngineState` and no snapshot carries it.
+    actions: Vec<Action<N::Msg>>,
 }
 
 impl<N: Node> Simulation<N> {
@@ -337,7 +341,11 @@ impl<N: Node> Simulation<N> {
             clone_bytes: 0,
             event_limit: 50_000_000,
         };
-        let mut sim = Simulation { state, link };
+        let mut sim = Simulation {
+            state,
+            link,
+            actions: Vec::new(),
+        };
         for i in 0..n {
             sim.push(SimTime::ZERO, NodeId(i), EventKind::Start);
         }
@@ -568,13 +576,14 @@ impl<N: Node> Simulation<N> {
     /// A delivery is recorded here, once: on the meter's receive side and
     /// in the trace.
     fn dispatch(&mut self, to: NodeId, kind: EventKind) {
+        let mut actions = std::mem::take(&mut self.actions);
         let mut ctx = Context {
             me: to,
             n: self.state.nodes.len(),
             domain: self.state.broadcast_domain,
             now: self.state.now,
             next_timer: &mut self.state.next_timer,
-            actions: Vec::new(),
+            actions: &mut actions,
             rng: &mut self.state.node_rngs[to.0],
         };
         match kind {
@@ -588,8 +597,7 @@ impl<N: Node> Simulation<N> {
             }
             EventKind::Timer(id) => self.state.nodes[to.0].on_timer(&mut ctx, id),
         }
-        let actions = ctx.actions;
-        for action in actions {
+        for action in actions.drain(..) {
             match action {
                 Action::Send { to: dest, msg } => {
                     let msg = Parked::new(msg);
@@ -624,6 +632,7 @@ impl<N: Node> Simulation<N> {
                 }
             }
         }
+        self.actions = actions;
     }
 
     /// Runs until the queue drains (or the safety valve trips).
@@ -713,6 +722,7 @@ impl<N: Node> Simulation<N> {
         Simulation {
             state: snapshot.state.clone(),
             link,
+            actions: Vec::new(),
         }
     }
 }
