@@ -629,7 +629,10 @@ impl Replica {
     /// The signature-free conditions of a valid proposal: a `Propose`
     /// ballot by its round's leader whose value is the hash of `block`, a
     /// block for that round. [`Self::admit`] checks the signature
-    /// only of a proposal that passes all of this.
+    /// only of a proposal that passes all of this. The block's id is read
+    /// from its batch's memo when the leader already hashed it (every
+    /// copy of one proposal shares the leader's batch), so a seat hashes
+    /// only a separately built block.
     fn proposal_binds(&self, ballot: &SignedBallot, block: &Block) -> bool {
         let Ballot {
             round,
@@ -639,23 +642,7 @@ impl Replica {
         phase == Phase::Propose
             && ballot.signer() == self.leader(round)
             && block.round == round
-            && self.hashes_to(block, &value)
-    }
-
-    /// Whether `block.id() == *value`, hashing a block once per replica:
-    /// every `block_store` key was checked against its block when it was
-    /// inserted, so a later copy of a stored value is compared with that
-    /// block instead of hashed again (one `Propose` is looked at on
-    /// arrival, when its round starts, and whenever a helper re-sends it).
-    /// A re-delivered proposal shares the stored block's batch, so that
-    /// compare is the header plus one pointer compare (`Arc` equality
-    /// tries the pointer first); only a separately built copy is compared
-    /// transaction by transaction.
-    fn hashes_to(&self, block: &Block, value: &Digest) -> bool {
-        match self.block_store.get(value) {
-            Some((stored, _)) => stored == block,
-            None => block.id() == *value,
-        }
+            && block.id() == value
     }
 
     /// Checks a proposal once, on arrival and whatever its round, and

@@ -109,11 +109,21 @@ impl Digest {
             0xbf58_476d_1ce4_e5b9,
             0x94d0_49bb_1331_11eb,
         ];
-        let mut lanes = SEEDS;
-        for (i, &b) in data.iter().enumerate() {
-            let lane = &mut lanes[i & 3];
-            *lane ^= b as u64;
-            *lane = lane.wrapping_mul(0x1000_0000_01b3);
+        const PRIME: u64 = 0x1000_0000_01b3;
+        // Byte `i` feeds lane `i mod 4`. The lanes live in locals so the
+        // four multiply chains run side by side.
+        let [mut l0, mut l1, mut l2, mut l3] = SEEDS;
+        let mut quads = data.chunks_exact(4);
+        for q in &mut quads {
+            l0 = (l0 ^ q[0] as u64).wrapping_mul(PRIME);
+            l1 = (l1 ^ q[1] as u64).wrapping_mul(PRIME);
+            l2 = (l2 ^ q[2] as u64).wrapping_mul(PRIME);
+            l3 = (l3 ^ q[3] as u64).wrapping_mul(PRIME);
+        }
+        let rest = quads.remainder();
+        let mut lanes = [l0, l1, l2, l3];
+        for (lane, &b) in lanes.iter_mut().zip(rest) {
+            *lane = (*lane ^ b as u64).wrapping_mul(PRIME);
         }
         // Length + avalanche so prefixes don't collide: output word `i`
         // mixes the two adjacent lanes `i` and `i + 1 (mod 4)`, so no one
@@ -235,7 +245,7 @@ mod tests {
     }
 
     /// `Digest::of_bytes` outputs recorded from the one-byte-at-a-time
-    /// loop: every lane-count remainder at short and cache-line lengths,
+    /// loop the four-lane unrolled one replaced: every lane-count remainder at short and cache-line lengths,
     /// and a 512-transaction block's canonical bytes (what a proposal
     /// hashes). Any rewrite of the loop must reproduce each one.
     #[test]

@@ -24,6 +24,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod batch;
 mod chain;
 mod encode;
 mod hash;
@@ -31,6 +32,7 @@ mod id;
 mod mempool;
 mod transaction;
 
+pub use batch::Batch;
 pub use chain::{BlockEntry, BlockStatus, Chain, ChainError};
 pub use encode::Encoder;
 pub use hash::{IdBuildHasher, IdHasher, IdMap, IdSet};
@@ -54,6 +56,8 @@ use std::sync::Arc;
 /// copies the 48-byte header and a handle, never the transactions.
 /// Equality and hashing are by content (std's `Arc` equality tries the
 /// pointer first), so sharing is invisible to every digest and report.
+/// The [`Batch`] also holds the block's id once computed, so the leader's
+/// hash serves every seat that received its batch.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Block {
     /// The consensus round in which this block was proposed.
@@ -63,7 +67,7 @@ pub struct Block {
     /// The proposing leader.
     pub proposer: NodeId,
     /// The transaction batch, shared by every clone of the block.
-    pub txs: Arc<[Transaction]>,
+    pub txs: Arc<Batch>,
 }
 
 impl Block {
@@ -82,7 +86,7 @@ impl Block {
             round,
             parent,
             proposer,
-            txs: txs.into(),
+            txs: Arc::new(txs.into()),
         }
     }
 
@@ -111,8 +115,13 @@ impl Block {
     /// The paper writes `h_l := H(Block || r)`; the round is part of the
     /// canonical encoding, so signed block hashes cannot be replayed across
     /// rounds (paper, footnote 11).
+    ///
+    /// Hashed once per batch and header: a block sharing its batch with a
+    /// block already hashed under the same header reads the batch's memo.
     pub fn id(&self) -> Digest {
-        Digest::of_bytes(&self.canonical_bytes())
+        let header = (self.round, self.parent, self.proposer);
+        self.txs
+            .id_for(header, || Digest::of_bytes(&self.canonical_bytes()))
     }
 
     /// Returns true if the block contains a transaction with the given id.
@@ -140,6 +149,7 @@ impl fmt::Debug for Block {
 #[cfg(test)]
 mod block_tests {
     use super::*;
+    use std::hash::BuildHasher;
 
     #[test]
     fn genesis_is_genesis() {
@@ -188,12 +198,12 @@ mod block_tests {
     }
 
     /// What a store or chain entry holds per block: a 48-byte header and
-    /// a 16-byte handle to the shared batch (a `Vec` made it 72 bytes plus
-    /// a private copy of the batch).
+    /// an 8-byte handle to the shared batch (a `Vec` made it 72 bytes plus
+    /// a private copy of the batch, an `Arc<[Transaction]>` 64).
     #[cfg(target_pointer_width = "64")]
     #[test]
     fn a_block_is_a_header_and_a_handle() {
-        assert_eq!(std::mem::size_of::<Block>(), 64);
+        assert_eq!(std::mem::size_of::<Block>(), 56);
     }
 
     #[test]
@@ -213,8 +223,10 @@ mod block_tests {
         let twin = pinned_block();
         assert!(!Arc::ptr_eq(&block.txs, &twin.txs));
         assert_eq!(block, twin);
-        let set: std::collections::HashSet<Block> = [block.clone(), twin].into_iter().collect();
-        assert_eq!(set.len(), 1);
+        // They hash alike too, whether or not one has its id memo filled.
+        let hasher = std::collections::hash_map::RandomState::new();
+        let _ = block.id();
+        assert_eq!(hasher.hash_one(&block), hasher.hash_one(&twin));
         // A clone shares the batch.
         let copy = block.clone();
         assert!(Arc::ptr_eq(&block.txs, &copy.txs));
@@ -225,6 +237,62 @@ mod block_tests {
         let other = Block::new(block.round, block.parent, block.proposer, txs);
         assert_ne!(other, block);
         assert_ne!(other.id(), block.id());
+    }
+
+    /// A fresh block over a copy of `block`'s transactions: no memo.
+    fn rehashed(block: &Block) -> Digest {
+        Block::new(
+            block.round,
+            block.parent,
+            block.proposer,
+            block.txs.to_vec(),
+        )
+        .id()
+    }
+
+    #[test]
+    fn blocks_sharing_a_batch_under_different_headers_keep_their_own_ids() {
+        let a = pinned_block();
+        let b = Block {
+            round: Round(8),
+            ..a.clone()
+        };
+        let c = Block {
+            proposer: NodeId(5),
+            ..a.clone()
+        };
+        assert!(Arc::ptr_eq(&a.txs, &b.txs) && Arc::ptr_eq(&a.txs, &c.txs));
+        let ids = [a.id(), b.id(), c.id()];
+        assert_eq!(ids, [rehashed(&a), rehashed(&b), rehashed(&c)]);
+        assert!(ids[0] != ids[1] && ids[0] != ids[2] && ids[1] != ids[2]);
+        // The memo stayed with the header hashed first.
+        assert_eq!((a.id(), b.id()), (ids[0], ids[1]));
+    }
+
+    #[test]
+    fn a_header_changed_after_hashing_hashes_again() {
+        let mut block = pinned_block();
+        let before = block.id();
+        block.parent = Digest::of_bytes(b"another parent");
+        assert_ne!(block.id(), before);
+        assert_eq!(block.id(), rehashed(&block));
+        block.parent = Digest::of_bytes(b"parent");
+        assert_eq!(block.id(), before);
+    }
+
+    #[test]
+    fn a_block_over_a_copied_batch_gets_the_originals_id() {
+        let block = pinned_block();
+        let id = block.id();
+        let copy = Block::new(
+            block.round,
+            block.parent,
+            block.proposer,
+            block.txs.to_vec(),
+        );
+        assert!(!Arc::ptr_eq(&block.txs, &copy.txs));
+        assert_eq!(copy.id(), id);
+        assert_eq!(copy, block);
     }
 
     #[test]
