@@ -233,7 +233,9 @@ mod block_tests {
         assert_eq!(copy, block);
         // An unshared batch that differs in one payload byte is unequal.
         let mut txs = block.txs.to_vec();
-        txs[2].payload[0] ^= 1;
+        let mut payload = txs[2].payload.to_vec();
+        payload[0] ^= 1;
+        txs[2].payload = payload.into();
         let other = Block::new(block.round, block.parent, block.proposer, txs);
         assert_ne!(other, block);
         assert_ne!(other.id(), block.id());

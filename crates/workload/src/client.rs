@@ -8,6 +8,7 @@ use crate::spec::WorkloadSpec;
 use prft_core::PrftMsg;
 use prft_sim::{Context, Node, SimTime, TimerId};
 use prft_types::{NodeId, Transaction, TxId};
+use std::sync::Arc;
 
 /// Base of the client transaction-id namespace: far above anything the
 /// scenario layer injects by hand, so workload txs never collide with
@@ -55,10 +56,11 @@ struct InFlight {
 /// the same node population), so their traffic interleaves with protocol
 /// messages under the engine's deterministic dispatch order.
 ///
-/// A client's whole state is one allocation: the in-flight list (at most
-/// `txs_per_client` entries, each holding its own retry timer, so a fired
-/// timer or an ack finds its entry by a short linear scan) beside the one
-/// pending arrival timer.
+/// A client's per-transaction state is one allocation: the in-flight list
+/// (at most `txs_per_client` entries, each holding its own retry timer, so
+/// a fired timer or an ack finds its entry by a short linear scan), next
+/// to the one pending arrival timer. Its payload is built once, and every
+/// transaction, resubmission and batch shares it.
 #[derive(Debug, Clone)]
 pub struct Client {
     me: NodeId,
@@ -67,7 +69,8 @@ pub struct Client {
     arrival: ArrivalModel,
     retry: RetryPolicy,
     txs_total: u64,
-    payload_bytes: usize,
+    /// Every transaction's payload, built once and shared.
+    payload: Arc<[u8]>,
     next_seq: u64,
     in_flight: Vec<InFlight>,
     /// The timer that generates the next transaction, while one is armed.
@@ -94,7 +97,7 @@ impl Client {
             arrival: spec.arrival,
             retry: spec.retry,
             txs_total: spec.txs_per_client,
-            payload_bytes: spec.payload_bytes,
+            payload: vec![0xABu8; spec.payload_bytes].into(),
             next_seq: 0,
             in_flight: Vec::new(),
             arrival_timer: None,
@@ -135,7 +138,7 @@ impl Client {
     fn submit_next(&mut self, ctx: &mut Context<PrftMsg>) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let tx = Transaction::new(self.tx_id(seq), self.me, vec![0xABu8; self.payload_bytes]);
+        let tx = Transaction::shared(self.tx_id(seq), self.me, self.payload.clone());
         // Stagger first targets by client index so a synchronized arrival
         // wave spreads over the committee instead of mobbing replica 0.
         let first_target = (self.index + seq as usize) % self.committee_n;
