@@ -1379,14 +1379,20 @@ impl Replica {
         let upto = self.chain.final_height() as usize;
         for entry in self.chain.iter().take(upto + 1).skip(walked + 1) {
             let txs = &entry.block.txs;
+            let found = self.mempool.remove_included(txs.iter().map(|tx| &tx.id));
+            self.finalized_twice += found.twice;
+            self.finalized_exits += found.was_pending.len();
+            if found.was_pending.is_empty() {
+                continue;
+            }
+            // `was_pending` is a subsequence of the block: one merge pass
+            // finds each one's sender.
+            let mut was_pending = found.was_pending.iter().peekable();
             for tx in txs.iter() {
-                if tx.sender.0 >= self.cfg.n && self.mempool.contains(tx.id) {
+                if was_pending.next_if_eq(&&tx.id).is_some() && tx.sender.0 >= self.cfg.n {
                     ctx.send(tx.sender, PrftMsg::TxCommitted { id: tx.id });
                 }
             }
-            let pending = self.mempool.len();
-            self.finalized_twice += self.mempool.remove_included(txs.iter().map(|tx| &tx.id));
-            self.finalized_exits += pending - self.mempool.len();
         }
         let chain = &self.chain;
         self.reveal_store

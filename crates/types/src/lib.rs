@@ -37,7 +37,7 @@ pub use chain::{BlockEntry, BlockStatus, Chain, ChainError};
 pub use encode::Encoder;
 pub use hash::{IdBuildHasher, IdHasher, IdMap, IdSet};
 pub use id::{Digest, Height, NodeId, Round};
-pub use mempool::{Mempool, MempoolError};
+pub use mempool::{Included, Mempool, MempoolError};
 pub use transaction::{Transaction, TxId};
 
 use std::fmt;

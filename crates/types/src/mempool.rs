@@ -15,6 +15,16 @@ pub enum MempoolError {
     Full,
 }
 
+/// What [`Mempool::remove_included`] found among a finalized block's ids.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Included {
+    /// The ids that were pending here, in block order: they left the pool,
+    /// and a seat acknowledges the client ones.
+    pub was_pending: Vec<TxId>,
+    /// How many ids were already final here (an id finalized twice).
+    pub twice: u64,
+}
+
 /// A player's one record of transaction ids: the pending transactions it
 /// would include when leading, and every id final at this player.
 ///
@@ -147,28 +157,29 @@ impl Mempool {
     }
 
     /// Books a finalized block's txs final here and removes the pending
-    /// ones: a replica's only exit from its pool. Returns how many of `ids`
-    /// were already final here (an id finalized twice).
+    /// ones: a replica's only exit from its pool. Reports which of `ids`
+    /// were pending, in the order given, and how many were already final
+    /// here — one probe of the pending set per id.
     ///
     /// `seen` holds exactly the pending ids, so the pass over the pool is
     /// needed only when one of `ids` was pending here — rarely, since a
     /// client transaction waits in the one pool it was submitted to while
     /// every replica runs this for every block.
-    pub fn remove_included<'a>(&mut self, ids: impl IntoIterator<Item = &'a TxId>) -> u64 {
-        let (mut was_pending, mut twice) = (false, 0);
+    pub fn remove_included<'a>(&mut self, ids: impl IntoIterator<Item = &'a TxId>) -> Included {
+        let mut found = Included::default();
         for id in ids {
             if self.seen.remove(id) {
                 self.reserved.remove(id);
-                was_pending = true;
+                found.was_pending.push(*id);
             }
             if !self.final_here.insert(*id) {
-                twice += 1;
+                found.twice += 1;
             }
         }
-        if was_pending {
+        if !found.was_pending.is_empty() {
             self.pending.retain(|tx| self.seen.contains(&tx.id));
         }
-        twice
+        found
     }
 
     /// Whether `id` is currently pending.
@@ -258,7 +269,10 @@ mod tests {
         for i in 0..3 {
             mp.submit(tx(i));
         }
-        mp.remove_included(&[TxId(0), TxId(2)]);
+        let found = mp.remove_included(&[TxId(2), TxId(7), TxId(0)]);
+        assert_eq!(found.was_pending, [TxId(2), TxId(0)], "block order");
+        assert_eq!(found.twice, 0);
+        assert_eq!(mp.remove_included(&[TxId(0)]).twice, 1);
         assert_eq!(mp.len(), 1);
         assert!(mp.contains(TxId(1)));
         assert_eq!(

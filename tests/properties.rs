@@ -6,7 +6,7 @@ use prft::core::{construct_proof, signed_ballot, verify_expose, Config, Phase};
 use prft::crypto::{KeyRegistry, Sha256};
 use prft::game::analytic;
 use prft::types::{
-    Block, Chain, Digest, Height, Mempool, MempoolError, NodeId, Round, Transaction, TxId,
+    Block, Chain, Digest, Height, Included, Mempool, MempoolError, NodeId, Round, Transaction, TxId,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -296,8 +296,14 @@ impl PoolModel {
         batch
     }
 
-    /// Returns how many of `block`'s ids were already final.
-    fn remove_included(&mut self, block: &[TxId]) -> u64 {
+    /// Returns `block`'s ids that were pending, in block order, and how
+    /// many were already final.
+    fn remove_included(&mut self, block: &[TxId]) -> Included {
+        let was_pending = block
+            .iter()
+            .copied()
+            .filter(|id| self.pending.contains(&id.0))
+            .collect();
         self.pending.retain(|id| !block.contains(&TxId(*id)));
         self.reserved.retain(|id| !block.contains(&TxId(*id)));
         let fresh: Vec<u64> = block
@@ -306,7 +312,10 @@ impl PoolModel {
             .filter(|id| !self.finals.contains(id))
             .collect();
         self.finals.extend(&fresh);
-        (block.len() - fresh.len()) as u64
+        Included {
+            was_pending,
+            twice: (block.len() - fresh.len()) as u64,
+        }
     }
 }
 
