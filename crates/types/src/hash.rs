@@ -35,14 +35,9 @@ impl Hasher for IdHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            self.mix(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
+        for chunk in bytes.chunks(8) {
             let mut word = [0u8; 8];
-            word[..rest.len()].copy_from_slice(rest);
+            word[..chunk.len()].copy_from_slice(chunk);
             self.mix(u64::from_le_bytes(word));
         }
     }
@@ -50,20 +45,13 @@ impl Hasher for IdHasher {
     fn write_u64(&mut self, n: u64) {
         self.mix(n);
     }
-
-    fn write_usize(&mut self, n: usize) {
-        self.mix(n as u64);
-    }
 }
 
-/// The [`std::hash::BuildHasher`] of [`IdSet`] and [`IdMap`]: stateless.
-pub type IdBuildHasher = BuildHasherDefault<IdHasher>;
-
 /// A `HashSet` of integer ids hashed by [`IdHasher`].
-pub type IdSet<T> = HashSet<T, IdBuildHasher>;
+pub type IdSet<T> = HashSet<T, BuildHasherDefault<IdHasher>>;
 
 /// A `HashMap` keyed by integer ids hashed by [`IdHasher`].
-pub type IdMap<K, V> = HashMap<K, V, IdBuildHasher>;
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 #[cfg(test)]
 mod tests {
@@ -72,7 +60,7 @@ mod tests {
     use std::hash::BuildHasher;
 
     fn hash(id: TxId) -> u64 {
-        IdBuildHasher::default().hash_one(id)
+        BuildHasherDefault::<IdHasher>::default().hash_one(id)
     }
 
     /// The engine's cancelled-timer set and the pools rely on this: the

@@ -245,9 +245,10 @@ mod tests {
     }
 
     /// `Digest::of_bytes` outputs recorded from the one-byte-at-a-time
-    /// loop the four-lane unrolled one replaced: every lane-count remainder at short and cache-line lengths,
-    /// and a 512-transaction block's canonical bytes (what a proposal
-    /// hashes). Any rewrite of the loop must reproduce each one.
+    /// loop that the unrolled one replaced: every lane remainder at short
+    /// and cache-line lengths, and a 512-transaction block's canonical
+    /// bytes (what a proposal hashes). Any rewrite of the loop must
+    /// reproduce each one.
     #[test]
     fn digest_outputs_are_pinned() {
         const PINNED: [(usize, &str); 13] = [

@@ -7,6 +7,14 @@
 //! `C^{⌊c}` prefix operations used by the `c`-strict-ordering and
 //! common-prefix properties.
 //!
+//! A block's transactions are an `Arc`-shared [`Batch`] that also holds
+//! the block's id once hashed, and a transaction's payload is an
+//! `Arc<[u8]>`: copies of a proposal share one batch and one hash, and
+//! copies of a transaction share one payload. The [`Mempool`] and the
+//! simulator's timer bookkeeping key their tables by integer ids through
+//! [`IdSet`] / [`IdMap`], which hash with a fixed multiply-and-fold
+//! ([`IdHasher`]) instead of std's keyed SipHash.
+//!
 //! # Example
 //!
 //! ```
@@ -35,7 +43,7 @@ mod transaction;
 pub use batch::Batch;
 pub use chain::{BlockEntry, BlockStatus, Chain, ChainError};
 pub use encode::Encoder;
-pub use hash::{IdBuildHasher, IdHasher, IdMap, IdSet};
+pub use hash::{IdHasher, IdMap, IdSet};
 pub use id::{Digest, Height, NodeId, Round};
 pub use mempool::{Included, Mempool, MempoolError};
 pub use transaction::{Transaction, TxId};
