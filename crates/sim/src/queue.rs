@@ -201,6 +201,10 @@ const INITIAL_BUCKETS: usize = 1024;
 /// Hard cap on the ring (2^16 single-tick buckets ≈ a couple of MB of
 /// `VecDeque` headers); spans wider than this stay in the overflow heap.
 const MAX_BUCKETS: usize = 1 << 16;
+/// The entries a drained bucket keeps room for. A bucket that held a
+/// larger burst gives the rest back when its last entry pops, so what the
+/// ring holds follows the pending depth, not the largest tick ever queued.
+const BUCKET_FLOOR: usize = 16;
 
 /// The fast backend: a ring of single-tick FIFO buckets covering the
 /// window `[cursor, cursor + ring_len)`, plus a heap for events scheduled
@@ -214,9 +218,12 @@ const MAX_BUCKETS: usize = 1 << 16;
 ///   order (see the module ordering contract), so pop is `pop_front`.
 /// * **lazy resize** — when the overflow heap outgrows the ring (the
 ///   pending-event span is wider than the window), the ring doubles (up
-///   to `MAX_BUCKETS` = 2^16 slots) and everything is re-placed; amortized by the
-///   doubling, and bucket storage is reused across wraps, so steady-state
-///   operation allocates nothing.
+///   to `MAX_BUCKETS` = 2^16 slots) and everything is re-placed; amortized
+///   by the doubling.
+/// * **bucket storage** — a bucket keeps its buffer across wraps, but the
+///   pop that drains it shrinks it to `BUCKET_FLOOR` entries: traffic of
+///   at most that many events a tick allocates nothing once warm, and a
+///   burst's buffer is given back as soon as its tick is over.
 #[derive(Clone)]
 pub struct CalendarQueue<T> {
     buckets: Vec<VecDeque<(SimTime, u64, T)>>,
@@ -393,9 +400,11 @@ impl<T> CalendarQueue<T> {
         let entry = if self.overflow_wins() {
             self.overflow.pop().expect("overflow_wins saw an entry")
         } else {
-            let entry = self.buckets[(self.window_start & self.mask) as usize]
-                .pop_front()
-                .expect("settled on a non-empty bucket");
+            let bucket = &mut self.buckets[(self.window_start & self.mask) as usize];
+            let entry = bucket.pop_front().expect("settled on a non-empty bucket");
+            if bucket.is_empty() {
+                bucket.shrink_to(BUCKET_FLOOR);
+            }
             self.in_window -= 1;
             entry
         };
@@ -543,6 +552,24 @@ mod tests {
         assert!(q.buckets.len() > 2, "ring should have grown");
         let order: Vec<u64> = drain(|| q.pop()).into_iter().map(|(_, _, x)| x).collect();
         assert_eq!(order, (0..64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_drained_bucket_gives_its_burst_back() {
+        let mut q = CalendarQueue::new();
+        for seq in 0..10_000u64 {
+            q.push(SimTime(3), seq, seq);
+        }
+        q.push(SimTime(4), 10_000, 10_000);
+        let bucket =
+            |q: &CalendarQueue<u64>, tick: u64| q.buckets[(tick & q.mask) as usize].capacity();
+        assert!(bucket(&q, 3) >= 10_000);
+        for seq in 0..10_000u64 {
+            assert_eq!(q.pop(), Some((SimTime(3), seq, seq)));
+        }
+        assert!(bucket(&q, 3) <= BUCKET_FLOOR, "{}", bucket(&q, 3));
+        assert_eq!(q.pop(), Some((SimTime(4), 10_000, 10_000)));
+        assert!(q.is_empty());
     }
 
     #[test]
