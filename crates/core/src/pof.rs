@@ -6,18 +6,50 @@
 //! different values in the same (round, phase) slot and assembles one
 //! [`BallotEvidence`] pair per guilty player.
 
-use crate::messages::{Ballot, BallotEvidence, SignedBallot};
-use prft_crypto::{ConflictEvidence, KeyRegistry, Signable, Slot};
-use prft_types::NodeId;
+use crate::messages::{Ballot, BallotEvidence, Phase, SignedBallot};
+use prft_crypto::{ConflictEvidence, KeyRegistry, Signature, Signed};
+use prft_types::{Digest, NodeId, Round};
 use std::collections::HashMap;
+use std::num::NonZeroU32;
+
+/// A signer's first ballot in a slot, less what every ballot of the slot
+/// shares: its value, as a 1-based index into [`SlotTable::values`], and
+/// its signature.
+type FirstSight = Option<(NonZeroU32, Signature)>;
 
 /// The first ballot of each signer in one (round, phase) slot.
 #[derive(Debug, Clone)]
 struct SlotTable {
-    slot: Slot,
+    round: Round,
+    phase: Phase,
+    /// The distinct values signed in the slot, in the order first seen.
+    values: Vec<Digest>,
     /// By signer id: the detector's capacity, or up to the largest signer
     /// seen in the slot where that is more.
-    first: Vec<Option<SignedBallot>>,
+    first: Vec<FirstSight>,
+}
+
+impl SlotTable {
+    /// The index [`SlotTable::first`] stores for `value`, listing it if
+    /// the slot has not seen it. Honest traffic signs one value a slot and
+    /// an equivocator adds a second, so the scan starts at the newest.
+    fn index_of(&mut self, value: Digest) -> NonZeroU32 {
+        let at = self.values.iter().rposition(|v| *v == value);
+        let at = at.unwrap_or_else(|| {
+            self.values.push(value);
+            self.values.len() - 1
+        });
+        NonZeroU32::new(at as u32 + 1).expect("a slot lists fewer than 2^32 - 1 values")
+    }
+
+    /// The ballot a stored first sight was made from.
+    fn ballot(&self, (index, sig): (NonZeroU32, Signature)) -> SignedBallot {
+        let value = self.values[index.get() as usize - 1];
+        Signed {
+            payload: Ballot::new(self.round, self.phase, value),
+            sig,
+        }
+    }
 }
 
 /// Incremental double-sign detector.
@@ -30,8 +62,11 @@ struct SlotTable {
 /// Each slot's first ballots sit in a dense table indexed by signer id. A
 /// table starts at the detector's capacity and grows to the largest id it
 /// holds — like a certificate's `SignerSet`, it assumes ids bounded by a
-/// committee. A replica's detector lives for one round, so it holds a
-/// handful of tables.
+/// committee. An entry is a signature and the index of its value in the
+/// slot's list of distinct values: every ballot of a slot has the slot's
+/// round and phase, so the first ballot is rebuilt from the two only when
+/// a conflict makes evidence of it. A replica's detector lives for one
+/// round, so it holds a handful of tables.
 #[derive(Debug, Default, Clone)]
 pub struct FraudDetector {
     /// The length a new table starts at.
@@ -63,23 +98,40 @@ impl FraudDetector {
     /// replica validates everything at ingress); evidence assembled here is
     /// re-verified by every receiver of an `Expose` anyway.
     pub fn observe(&mut self, ballot: &SignedBallot) -> Option<BallotEvidence> {
-        let (signer, slot) = (ballot.signer(), ballot.payload.slot());
-        let at = self.tables.iter().rposition(|t| t.slot == slot);
+        let signer = ballot.signer();
+        let Ballot {
+            round,
+            phase,
+            value,
+        } = ballot.payload;
+        let at = self
+            .tables
+            .iter()
+            .rposition(|t| t.round == round && t.phase == phase);
         let at = at.unwrap_or_else(|| {
-            let first = vec![None; self.capacity];
-            self.tables.push(SlotTable { slot, first });
+            self.tables.push(SlotTable {
+                round,
+                phase,
+                values: Vec::new(),
+                first: vec![None; self.capacity],
+            });
             self.tables.len() - 1
         });
-        let first = &mut self.tables[at].first;
-        if first.len() <= signer.0 {
-            first.resize(signer.0 + 1, None);
+        let table = &mut self.tables[at];
+        if table.first.len() <= signer.0 {
+            table.first.resize(signer.0 + 1, None);
         }
-        let first = first[signer.0].get_or_insert_with(|| ballot.clone());
-        // A first sight is its own first ballot.
-        if first.payload == ballot.payload || self.evidence.contains_key(&signer) {
+        let Some(first) = table.first[signer.0] else {
+            // A first sight is its own first ballot.
+            let index = table.index_of(value);
+            table.first[signer.0] = Some((index, ballot.sig));
+            return None;
+        };
+        if table.values[first.0.get() as usize - 1] == value || self.evidence.contains_key(&signer)
+        {
             return None; // or already convicted: one pair suffices
         }
-        let ev = ConflictEvidence::try_new(first.clone(), ballot.clone())
+        let ev = ConflictEvidence::try_new(table.ballot(first), ballot.clone())
             .expect("same signer+slot, different payload");
         self.evidence.insert(signer, ev.clone());
         Some(ev)
@@ -130,9 +182,6 @@ pub fn verify_expose<'a>(
     prft_crypto::verify_pof(evidence, t0, |signed| signed.verify(registry))
 }
 
-use crate::messages::Phase;
-use prft_types::{Digest, Round};
-
 /// Convenience for tests and experiments: a signed ballot.
 pub fn signed_ballot(
     key: &prft_crypto::SecretKey,
@@ -147,8 +196,7 @@ pub fn signed_ballot(
 mod tests {
     use super::*;
     use crate::messages::Phase;
-    use prft_crypto::KeyRegistry;
-    use prft_types::{Digest, Round};
+    use prft_crypto::{KeyRegistry, Slot};
 
     fn setup(n: usize) -> (KeyRegistry, Vec<prft_crypto::SecretKey>) {
         KeyRegistry::trusted_setup(n, 3)
@@ -156,6 +204,11 @@ mod tests {
 
     fn value(tag: u8) -> Digest {
         Digest::of_bytes(&[tag])
+    }
+
+    #[test]
+    fn a_first_sighting_is_at_most_48_bytes() {
+        assert!(std::mem::size_of::<FirstSight>() <= 48);
     }
 
     #[test]
@@ -268,6 +321,11 @@ mod tests {
         /// inside the capacity and past it (so a slot's table grows past
         /// ballots it already holds), every `observe` answers what the
         /// oracle answers, and so do `convicted` and `evidence` at the end.
+        /// The stream opens on one slot where most signers share the first
+        /// value and the conflicts name first ballots of the slot's second
+        /// and third values, so a rebuilt first ballot that took another
+        /// value's place, round or phase differs from the oracle's stored
+        /// one.
         #[test]
         fn the_dense_detector_matches_its_definition(
             n in 0usize..9,
@@ -277,7 +335,11 @@ mod tests {
             let phases = [Phase::Propose, Phase::Vote, Phase::Commit, Phase::Reveal];
             let mut det = FraudDetector::with_capacity(n);
             let mut oracle = Oracle::default();
-            for &(signer, round, phase, v) in &stream {
+            let shared = (0..8).map(|signer| (signer, 1, 2, 0));
+            let second = (8..12).map(|signer| (signer, 1, 2, 1));
+            let conflicts = [(9, 1, 2, 0), (10, 1, 2, 2), (3, 1, 2, 2)];
+            let prelude: Vec<_> = shared.chain(second).chain(conflicts).collect();
+            for &(signer, round, phase, v) in prelude.iter().chain(&stream) {
                 let ballot = signed_ballot(&keys[signer], Round(round), phases[phase as usize], value(v));
                 proptest::prop_assert_eq!(det.observe(&ballot), oracle.observe(&ballot));
             }
