@@ -115,6 +115,15 @@ fn put<T: Clone>(slots: &mut Vec<Option<T>>, id: NodeId, item: T) {
 }
 
 impl<T: Clone> SignerTable<T> {
+    /// An empty table with a slot for each of the signers `0..n`, so a
+    /// committee of `n` never grows it.
+    fn with_slots(n: usize) -> Self {
+        SignerTable {
+            slots: vec![None; n],
+            signers: SignerSet::default(),
+        }
+    }
+
     /// Stores `item` as `id`'s, replacing what `id` had.
     fn insert(&mut self, id: NodeId, item: T) {
         put(&mut self.slots, id, item);
@@ -250,8 +259,9 @@ pub struct Replica {
     /// forwarded to recovering peers). Ordered, because [`Self::reconcile`]
     /// acts on the entries in iteration order: which of two conflicting
     /// majority values a laggard adopts must be a function of its state,
-    /// not of the process's hash seed.
-    final_tally: BTreeMap<Digest, BTreeMap<NodeId, SignedBallot>>,
+    /// not of the process's hash seed. A tally is made with one slot per
+    /// seat and never pruned, so it never grows past the committee.
+    final_tally: BTreeMap<Digest, SignerTable<SignedBallot>>,
     /// The values whose tally reached [`Config::final_majority`] and that
     /// were not yet seen final in our chain: what [`Self::reconcile`] may
     /// still have to act on, in tally order.
@@ -1076,10 +1086,11 @@ impl Replica {
         if ballot.payload.round == self.round {
             self.observe_and_react(ctx, &ballot);
         }
-        let value = ballot.payload.value;
-        let tally = self.final_tally.entry(value).or_default();
+        let (value, n) = (ballot.payload.value, self.cfg.n);
+        let tally = self.final_tally.entry(value);
+        let tally = tally.or_insert_with(|| SignerTable::with_slots(n));
         tally.insert(ballot.signer(), ballot);
-        if tally.len() >= self.cfg.final_majority() {
+        if tally.signers.len() >= self.cfg.final_majority() {
             self.final_pending.insert(value);
         }
         self.reconcile(ctx);
@@ -1288,8 +1299,8 @@ impl Replica {
             }
             if entry.status == prft_types::BlockStatus::Final {
                 if let Some(tally) = self.final_tally.get(&value) {
-                    for sb in tally.values().take(majority) {
-                        ctx.send(peer, PrftMsg::Final { ballot: sb.clone() });
+                    for ballot in tally.first(majority) {
+                        ctx.send(peer, PrftMsg::Final { ballot });
                     }
                 }
             } else if let Some((ballot, certs)) = self.reveal_store.get(&value) {
@@ -1621,7 +1632,8 @@ mod tests {
         r.final_tally
             .iter()
             .filter(|(value, who)| {
-                who.len() >= majority && r.chain.height_of(value).is_none_or(|h| h.0 > final_height)
+                who.signers.len() >= majority
+                    && r.chain.height_of(value).is_none_or(|h| h.0 > final_height)
             })
             .map(|(value, _)| *value)
             .collect()
@@ -1648,16 +1660,17 @@ mod tests {
         let (value, ballot) = {
             let r = sim.node(NodeId(0));
             let value = r.chain.iter_with_ids().nth(1).expect("height 1").0;
-            (value, r.final_tally[&value][&NodeId(3)].clone())
+            let p3 = r.final_tally[&value].slots[3].clone();
+            (value, p3.expect("P3's Final"))
         };
-        let signers = sim.node(NodeId(0)).final_tally[&value].len();
+        let signers = sim.node(NodeId(0)).final_tally[&value].signers.len();
         deliver_now(
             &mut sim,
             NodeId(0),
             vec![(NodeId(3), PrftMsg::Final { ballot })],
         );
         let r = sim.node(NodeId(0));
-        assert_eq!(r.final_tally[&value].len(), signers);
+        assert_eq!(r.final_tally[&value].signers.len(), signers);
         assert_eq!(candidates(r), vec![]);
     }
 
@@ -1708,6 +1721,47 @@ mod tests {
         assert_eq!(r.chain.final_height(), 3);
         assert_eq!(r.chain.tip(), helper.chain.tip());
         assert_eq!(r.stats.finalized_catchup, 3);
+    }
+
+    #[test]
+    fn a_final_tally_holds_a_slot_per_seat_and_forwards_its_majority_in_signer_order() {
+        // Only P3 runs round 0. It takes round 0's proposal and all four
+        // `Final`s, the majority's in no order; then P2 wakes and asks.
+        let (helper, laggard) = (NodeId(3), NodeId(2));
+        let mut sim = Harness::new(4, 31).build();
+        for seat in (0..3).map(NodeId) {
+            sim.crash(seat);
+        }
+        let keys: Vec<SecretKey> = sim.nodes().map(|r| r.key.clone()).collect();
+        let block = Block::new(Round(0), sim.node(helper).chain.tip(), NodeId(0), vec![]);
+        let value = block.id();
+        let ballot = signed_ballot(&keys[0], Round(0), Phase::Propose, value);
+        let mut msgs = vec![(NodeId(0), PrftMsg::Propose { ballot, block })];
+        for signer in [3, 1, 0, 2] {
+            let ballot = signed_ballot(&keys[signer], Round(0), Phase::Final, value);
+            msgs.push((NodeId(signer), PrftMsg::Final { ballot }));
+        }
+        deliver_now(&mut sim, helper, msgs);
+        let r = sim.node(helper);
+        assert_eq!(r.chain.final_height(), 1);
+        // One slot per seat, not a word of 64.
+        let tally = &r.final_tally[&value];
+        assert_eq!((tally.slots.len(), tally.signers.len()), (4, 4));
+
+        sim.recover(laggard);
+        sim.set_tracing(true);
+        let asked = sim.trace().entries().len();
+        let sync = PrftMsg::SyncRequest { round: Round(0) };
+        deliver_now(&mut sim, helper, vec![(laggard, sync)]);
+        sim.run_until(SimTime(sim.now().0 + 50));
+        let forwarded = sim.trace().entries()[asked..].iter();
+        let forwarded = forwarded.filter(|e| (e.from, e.to, e.kind) == (helper, laggard, "Final"));
+        assert_eq!(forwarded.count(), 3);
+        // The forward is the first majority by signer id, not by arrival.
+        let r = sim.node(laggard);
+        let held = r.final_tally[&value].slots.iter().map(Option::is_some);
+        assert_eq!(held.collect::<Vec<_>>(), [true, true, true, false]);
+        assert_eq!(r.chain.final_height(), 1);
     }
 
     #[test]
