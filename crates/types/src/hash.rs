@@ -1,4 +1,4 @@
-//! Fixed-hash tables for integer ids: [`IdHasher`], [`IdSet`], [`IdMap`].
+//! A fixed-hash set for integer ids: [`IdHasher`], [`IdSet`].
 //!
 //! The simulation's hottest sets are keyed by `u64` newtypes — a pool's
 //! transaction ids, the engine's cancelled timers — that no adversary
@@ -7,7 +7,7 @@
 //! tables given the same operations hold the same layout and iterate in
 //! the same order, in any process.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Hashes integer keys with a multiply by the 64-bit golden ratio and a
@@ -49,9 +49,6 @@ impl Hasher for IdHasher {
 
 /// A `HashSet` of integer ids hashed by [`IdHasher`].
 pub type IdSet<T> = HashSet<T, BuildHasherDefault<IdHasher>>;
-
-/// A `HashMap` keyed by integer ids hashed by [`IdHasher`].
-pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 #[cfg(test)]
 mod tests {
@@ -95,15 +92,5 @@ mod tests {
             .map(|id| id.wrapping_mul(IdHasher::K) & 0x7fff)
             .collect();
         assert_eq!(multiply_only.len(), 2);
-    }
-
-    #[test]
-    fn a_map_finds_what_it_holds() {
-        let mut map: IdMap<TxId, u64> = IdMap::default();
-        for i in 0..1_000 {
-            map.insert(TxId(i * 7), i);
-        }
-        assert!((0..1_000).all(|i| map[&TxId(i * 7)] == i));
-        assert!(!map.contains_key(&TxId(1)));
     }
 }

@@ -12,7 +12,7 @@
 //! `Arc<[u8]>`: copies of a proposal share one batch and one hash, and
 //! copies of a transaction share one payload. The [`Mempool`] and the
 //! simulator's timer bookkeeping key their tables by integer ids through
-//! [`IdSet`] / [`IdMap`], which hash with a fixed multiply-and-fold
+//! [`IdSet`], which hashes with a fixed multiply-and-fold
 //! ([`IdHasher`]) instead of std's keyed SipHash.
 //!
 //! # Example
@@ -43,7 +43,7 @@ mod transaction;
 pub use batch::Batch;
 pub use chain::{BlockEntry, BlockStatus, Chain, ChainError};
 pub use encode::Encoder;
-pub use hash::{IdHasher, IdMap, IdSet};
+pub use hash::{IdHasher, IdSet};
 pub use id::{Digest, Height, NodeId, Round};
 pub use mempool::{Included, Mempool, MempoolError};
 pub use transaction::{Transaction, TxId};
