@@ -33,20 +33,27 @@ impl SlotTable {
     /// The index [`SlotTable::first`] stores for `value`, listing it if
     /// the slot has not seen it. Honest traffic signs one value a slot and
     /// an equivocator adds a second, so the scan starts at the newest.
+    /// Only a first sight lists a value, so the list is never longer than
+    /// the table.
     fn index_of(&mut self, value: Digest) -> NonZeroU32 {
         let at = self.values.iter().rposition(|v| *v == value);
         let at = at.unwrap_or_else(|| {
             self.values.push(value);
             self.values.len() - 1
         });
-        NonZeroU32::new(at as u32 + 1).expect("a slot lists fewer than 2^32 - 1 values")
+        let index = u32::try_from(at + 1).ok().and_then(NonZeroU32::new);
+        index.expect("a slot lists at most one value per signer id")
+    }
+
+    /// The value stored under `index`.
+    fn value(&self, index: NonZeroU32) -> Digest {
+        self.values[index.get() as usize - 1]
     }
 
     /// The ballot a stored first sight was made from.
     fn ballot(&self, (index, sig): (NonZeroU32, Signature)) -> SignedBallot {
-        let value = self.values[index.get() as usize - 1];
         Signed {
-            payload: Ballot::new(self.round, self.phase, value),
+            payload: Ballot::new(self.round, self.phase, self.value(index)),
             sig,
         }
     }
@@ -122,13 +129,11 @@ impl FraudDetector {
             table.first.resize(signer.0 + 1, None);
         }
         let Some(first) = table.first[signer.0] else {
-            // A first sight is its own first ballot.
-            let index = table.index_of(value);
-            table.first[signer.0] = Some((index, ballot.sig));
+            // A first sight is its own first ballot: it conflicts with nothing.
+            table.first[signer.0] = Some((table.index_of(value), ballot.sig));
             return None;
         };
-        if table.values[first.0.get() as usize - 1] == value || self.evidence.contains_key(&signer)
-        {
+        if table.value(first.0) == value || self.evidence.contains_key(&signer) {
             return None; // or already convicted: one pair suffices
         }
         let ev = ConflictEvidence::try_new(table.ballot(first), ballot.clone())
