@@ -1087,8 +1087,10 @@ impl Replica {
             self.observe_and_react(ctx, &ballot);
         }
         let (value, n) = (ballot.payload.value, self.cfg.n);
-        let tally = self.final_tally.entry(value);
-        let tally = tally.or_insert_with(|| SignerTable::with_slots(n));
+        let tally = self
+            .final_tally
+            .entry(value)
+            .or_insert_with(|| SignerTable::with_slots(n));
         tally.insert(ballot.signer(), ballot);
         if tally.signers.len() >= self.cfg.final_majority() {
             self.final_pending.insert(value);
